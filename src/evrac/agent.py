@@ -24,8 +24,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn
+from .baselines import _rank_row
 from .dataset import ChargingEvent, DriverTrajectory, Split, approximate_soc
 from .errors import ConfigError, TrainingDiverged, UsageError
+from .evaluation import _driver_rankings, precision_at_k
 from .geospatial import StationIndex
 from .reward import (
     NetWaitForecaster,
@@ -112,10 +114,21 @@ class ObservationSpace:
         self.obs_dim = index.context_width() + 2 + TIME_FEATURE_WIDTH
 
     def observation(self, event: ChargingEvent, prev_station: str | None) -> np.ndarray:
-        loc = self.index.location_context(event.station_id, prev_station).as_vector()
+        loc = self.index.location_context(event.station_id, prev_station)
         soc = approximate_soc(event, self.max_duration)
         energy = event.energy_kwh / self.max_energy if self.max_energy > 0 else 0.0
         return np.concatenate([loc, [soc, energy], time_features(event.start_time)])
+
+    def trailing(self, history: list[ChargingEvent]) -> np.ndarray:
+        """Observations of the last `self.history` events, each linked to the
+        station charged at just before it (even when that event is cut off)."""
+        start = max(len(history) - self.history, 0)
+        prev = history[start - 1].station_id if start else None
+        rows = []
+        for e in history[start:]:
+            rows.append(self.observation(e, prev))
+            prev = e.station_id
+        return np.stack(rows)
 
     def trajectory_tensors(self, traj: DriverTrajectory) -> TrajectoryTensors:
         n = len(traj)
@@ -164,10 +177,9 @@ class ReplayBuffer:
     once added; sampling is reproducible for a fixed generator.
     """
 
-    def __init__(self, history: int = 5, horizon: int = 10, capacity: int | None = None):
+    def __init__(self, history: int = 5, horizon: int = 10):
         self.history = history
         self.horizon = horizon
-        self.capacity = capacity
         self.trajectories: dict[str, TrajectoryTensors] = {}
         self.windows: list[Window] = []
 
@@ -189,8 +201,6 @@ class ReplayBuffer:
             for start in range(1, hi - self.horizon + 1):
                 added.append(Window(tensors.driver_id, start, self.horizon))
         self.windows.extend(added)
-        if self.capacity is not None and len(self.windows) > self.capacity:
-            self.windows = self.windows[-self.capacity :]
         return len(added)
 
     def __len__(self) -> int:
@@ -298,16 +308,6 @@ class RacModel:
         net = self.critic_target if target else self.critic
         q, cache = net.forward(np.concatenate([c, action_onehot], axis=1))
         return q[:, 0], cache
-
-
-def encode_history(encoder: HistoryEncoder, observations: np.ndarray, k: int) -> np.ndarray:
-    """Encode the last <=k observations into the state vector."""
-    observations = np.atleast_2d(np.asarray(observations, dtype=float))
-    if observations.shape[0] == 0:
-        raise UsageError("cannot encode an empty history")
-    padded = pad_history(observations, k)
-    c, _ = encoder.forward(padded[None, :, :])
-    return c[0]
 
 
 def actor_forward(model: RacModel, observations: np.ndarray) -> np.ndarray:
@@ -619,7 +619,7 @@ class Recommendation:
 
 
 def recommend(
-    model: RacModel,
+    model,
     obs_space: ObservationSpace,
     env: RewardEnvironment,
     driver_id: str,
@@ -627,36 +627,28 @@ def recommend(
     k: int,
     when=None,
 ) -> list[Recommendation]:
-    """Top-k stations by policy probability (ties by station id), each
-    annotated with the forecast wait, distance and reward it would earn.
+    """Top-k stations by probability (ties by station id), each annotated
+    with the forecast wait, distance and reward it would earn.
 
-    `when` is the decision time; defaults to the last event's start time.
+    `model` is a RacModel or any recommender with `probabilities`. `when` is
+    the decision time; defaults to the last event's start time.
     """
-    if k < 1 or k > model.num_stations:
-        raise UsageError(f"k must be in [1, {model.num_stations}]")
+    rec = RacRecommender(model, obs_space) if isinstance(model, RacModel) else model
+    stations = obs_space.index.order
+    if k < 1 or k > len(stations):
+        raise UsageError(f"k must be in [1, {len(stations)}]")
     if not history:
         raise UsageError("recommendation needs at least one past event")
     history = sorted(history, key=lambda e: (e.start_time, e.event_id))
-    # Observations for the trailing window, with correct previous-station links.
-    tail = history[-obs_space.history :]
-    prev: str | None = None
-    if len(history) > len(tail):
-        prev = history[len(history) - len(tail) - 1].station_id
-    obs_rows = []
-    for e in tail:
-        obs_rows.append(obs_space.observation(e, prev))
-        prev = e.station_id
-    pi = actor_forward(model, np.stack(obs_rows))
-    order = sorted(range(model.num_stations), key=lambda i: (-pi[i], obs_space.index.order[i]))
-    when = when or history[-1].start_time
-    eh = epoch_hour(when)
+    p = rec.probabilities(driver_id, history, when)
+    eh = epoch_hour(when or history[-1].start_time)
     last_station = history[-1].station_id
     out = []
-    for idx in order[:k]:
-        sid = obs_space.index.order[idx]
+    for sid in _rank_row(p, stations, k):
         b = env.breakdown(driver_id, last_station, sid, eh)
         out.append(
-            Recommendation(sid, float(pi[idx]), b.wait_forecast, b.dist_km, b.reward, b.flags)
+            Recommendation(sid, float(p[obs_space.index.index[sid]]), b.wait_forecast, b.dist_km,
+                           b.reward, b.flags)
         )
     return out
 
@@ -668,23 +660,14 @@ class RacRecommender:
         self.model = model
         self.obs_space = obs_space
 
-    def rank(self, driver_id: str, history: list[ChargingEvent], k: int, when=None) -> list[str]:
+    def probabilities(self, driver_id: str, history: list[ChargingEvent], when=None) -> np.ndarray:
+        """Policy over stations; uniform when there is no history."""
         if not history:
-            return list(self.obs_space.index.order[:k])
-        tail = history[-self.obs_space.history :]
-        prev = None
-        if len(history) > len(tail):
-            prev = history[len(history) - len(tail) - 1].station_id
-        obs_rows = []
-        for e in tail:
-            obs_rows.append(self.obs_space.observation(e, prev))
-            prev = e.station_id
-        pi = actor_forward(self.model, np.stack(obs_rows))
-        order = sorted(
-            range(self.model.num_stations),
-            key=lambda i: (-pi[i], self.obs_space.index.order[i]),
-        )
-        return [self.obs_space.index.order[i] for i in order[:k]]
+            return np.full(self.model.num_stations, 1.0 / self.model.num_stations)
+        return actor_forward(self.model, self.obs_space.trailing(history))
+
+    def rank(self, driver_id: str, history: list[ChargingEvent], k: int, when=None) -> list[str]:
+        return _rank_row(self.probabilities(driver_id, history, when), self.obs_space.index.order, k)
 
 
 # ---------------------------------------------------------------------------
@@ -709,16 +692,8 @@ def build_buffer(
 
 def _val_p1(model: RacModel, obs_space: ObservationSpace, traj: DriverTrajectory,
             val_events: list[ChargingEvent]) -> float:
-    rec = RacRecommender(model, obs_space)
-    hits, total = 0, 0
-    for e in val_events:
-        past = [x for x in traj.events if (x.start_time, x.event_id) < (e.start_time, e.event_id)]
-        if not past:
-            continue
-        top = rec.rank(traj.driver_id, past, 1, when=e.start_time)
-        hits += int(top[0] == e.station_id)
-        total += 1
-    return hits / total if total else 0.0
+    rankings, truths, _, _ = _driver_rankings(RacRecommender(model, obs_space), traj, val_events, 1)
+    return precision_at_k(rankings, truths, 1)
 
 
 def finetune_driver(

@@ -1,6 +1,10 @@
 """Classic next-station recommenders: first-order Markov chain, FPMC and a
 visit-frequency baseline, all behind the same ranking interface as the
-actor-critic model so one evaluation harness serves everything."""
+actor-critic model so one evaluation harness serves everything.
+
+Every recommender exposes `probabilities(driver_id, history, when=None)`, a
+(M,) vector over the sorted station list, and ranks it with `_rank_row`.
+"""
 
 from __future__ import annotations
 
@@ -18,11 +22,14 @@ logger = logging.getLogger(__name__)
 
 
 def _rank_row(row: np.ndarray, stations: list[str], k: int) -> list[str]:
-    """Top-k station ids by score, ties broken by station id."""
+    """Top-k station ids by score, ties broken by station id.
+
+    `stations` must be sorted: a stable sort then keeps tied scores in
+    station-id order.
+    """
     if k < 1:
         raise UsageError("k must be >= 1")
-    order = sorted(range(len(stations)), key=lambda i: (-row[i], stations[i]))
-    return [stations[i] for i in order[:k]]
+    return [stations[i] for i in np.argsort(-row, kind="stable")[:k].tolist()]
 
 
 def _train_sequences(train_events: dict[str, list[ChargingEvent]]) -> dict[str, list[str]]:
@@ -78,12 +85,12 @@ class MarkovRecommender:
             return np.full(len(self.stations), 1.0 / len(self.stations))
         return matrix[self.index[last_station]]
 
-    def probabilities(self, driver_id: str, history: list[ChargingEvent]) -> np.ndarray:
+    def probabilities(self, driver_id: str, history: list[ChargingEvent], when=None) -> np.ndarray:
         last = history[-1].station_id if history else None
         return self.transition_row(driver_id, last)
 
     def rank(self, driver_id: str, history: list[ChargingEvent], k: int, when=None) -> list[str]:
-        return _rank_row(self.probabilities(driver_id, history), self.stations, k)
+        return _rank_row(self.probabilities(driver_id, history, when), self.stations, k)
 
 
 @dataclass(frozen=True)
@@ -167,13 +174,12 @@ class FpmcRecommender:
             out += self.IL @ self.LI[self.index[last_station]]
         return out
 
-    def probabilities(self, driver_id: str, history: list[ChargingEvent]) -> np.ndarray:
+    def probabilities(self, driver_id: str, history: list[ChargingEvent], when=None) -> np.ndarray:
         last = history[-1].station_id if history else None
         return softmax(self.scores(driver_id, last))
 
     def rank(self, driver_id: str, history: list[ChargingEvent], k: int, when=None) -> list[str]:
-        last = history[-1].station_id if history else None
-        return _rank_row(self.scores(driver_id, last), self.stations, k)
+        return _rank_row(self.probabilities(driver_id, history, when), self.stations, k)
 
 
 class PopularityRecommender:
@@ -195,7 +201,7 @@ class PopularityRecommender:
             self.global_counts += counts
         return self
 
-    def probabilities(self, driver_id: str, history: list[ChargingEvent]) -> np.ndarray:
+    def probabilities(self, driver_id: str, history: list[ChargingEvent], when=None) -> np.ndarray:
         counts = self.per_driver.get(driver_id, self.global_counts)
         total = counts.sum()
         if total == 0:
@@ -203,4 +209,4 @@ class PopularityRecommender:
         return counts / total
 
     def rank(self, driver_id: str, history: list[ChargingEvent], k: int, when=None) -> list[str]:
-        return _rank_row(self.probabilities(driver_id, history), self.stations, k)
+        return _rank_row(self.probabilities(driver_id, history, when), self.stations, k)

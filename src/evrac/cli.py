@@ -28,7 +28,7 @@ from .checkpoint import (
     save_reward_net,
 )
 from .config import Config, apply_overrides, load_config
-from .dataset import parse_events, write_events, write_rejects
+from .dataset import _parse_timestamp, parse_events, write_events, write_rejects
 from .errors import ConfigError, DataFormatError, DomainError, EvracError, UsageError
 from .evaluation import case_study, epsilon_sweep, write_case_study_csv, write_sweep_csv
 from .gradcheck import TOLERANCE, run_gradcheck
@@ -213,14 +213,14 @@ def cmd_train_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_any_model(path: str):
+def _load_recommender(path: str, obs_space):
+    """Any model checkpoint as a recommender (RAC or a baseline)."""
     _, header = load_checkpoint(path)
-    kind = header.get("kind")
-    if kind == "rac":
+    if header.get("kind") == "rac":
         model, _ = load_rac_model(path)
-        return "rac", model
+        return RacRecommender(model, obs_space)
     model, _ = load_baseline(path)
-    return kind, model
+    return model
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -230,7 +230,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ks = _parse_ks(args.k)
 
     per_driver_models = None
-    recommender = None
     if args.model_dir:
         index = json.loads((Path(args.model_dir) / "index.json").read_text(encoding="utf-8"))
         shared, _ = load_rac_model(Path(args.model_dir) / index["shared"])
@@ -243,8 +242,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 per_driver_models[driver_id], _ = load_rac_model(Path(args.model_dir) / name)
         recommender = RacRecommender(shared, bundle.obs_space)
     else:
-        kind, model = _load_any_model(args.model)
-        recommender = RacRecommender(model, bundle.obs_space) if kind == "rac" else model
+        recommender = _load_recommender(args.model, bundle.obs_space)
 
     report = evaluate_recommender(
         bundle, recommender, env, ks=ks,
@@ -293,43 +291,24 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     history = bundle.trajectories[args.driver].events
     when = None
     if args.at:
-        from .dataset import _parse_timestamp
-
         when = _parse_timestamp(args.at)
+        # A decision at `when` may only see sessions that started before it.
+        history = [e for e in history if e.start_time < when]
+        if not history:
+            raise UsageError(f"driver {args.driver!r} has no events before {args.at}")
 
-    kind, model = _load_any_model(args.model)
-    if kind == "rac":
-        items = recommend(model, bundle.obs_space, env, args.driver, history, args.k, when)
-        payload = [
-            {
-                "station_id": it.station_id,
-                "prob": it.prob,
-                "est_wait_min": it.est_wait_min,
-                "est_dist_km": it.est_dist_km,
-                "est_reward": it.est_reward,
-            }
-            for it in items
-        ]
-    else:
-        if args.k > len(bundle.index):
-            raise UsageError(f"k must be <= {len(bundle.index)}")
-        ranked = model.rank(args.driver, history, args.k)
-        probs = model.probabilities(args.driver, history)
-        when_eff = when or history[-1].start_time
-        from .reward import epoch_hour
-
-        payload = []
-        for sid in ranked:
-            b = env.breakdown(args.driver, history[-1].station_id, sid, epoch_hour(when_eff))
-            payload.append(
-                {
-                    "station_id": sid,
-                    "prob": float(probs[bundle.index.index_of(sid)]),
-                    "est_wait_min": b.wait_forecast,
-                    "est_dist_km": b.dist_km,
-                    "est_reward": b.reward,
-                }
-            )
+    recommender = _load_recommender(args.model, bundle.obs_space)
+    items = recommend(recommender, bundle.obs_space, env, args.driver, history, args.k, when)
+    payload = [
+        {
+            "station_id": it.station_id,
+            "prob": it.prob,
+            "est_wait_min": it.est_wait_min,
+            "est_dist_km": it.est_dist_km,
+            "est_reward": it.est_reward,
+        }
+        for it in items
+    ]
     when_eff = when or history[-1].start_time
     _emit(
         {

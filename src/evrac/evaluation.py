@@ -31,6 +31,11 @@ logger = logging.getLogger(__name__)
 
 
 class Recommender(Protocol):
+    """`probabilities` scores every station in sorted-id order; `rank` is its
+    top-k by score with ties broken by station id."""
+
+    def probabilities(self, driver_id: str, history: list[ChargingEvent], when=None) -> np.ndarray: ...
+
     def rank(self, driver_id: str, history: list[ChargingEvent], k: int, when=None) -> list[str]: ...
 
 
@@ -180,6 +185,8 @@ def evaluate(
     ks = sorted(set(int(k) for k in ks))
     max_k = max(ks)
     per_driver: dict[str, DriverOutcome] = {}
+    preds_by_driver: dict[str, list] = {}
+    truths_by_driver: dict[str, list] = {}
     all_rank, all_truth = [], []
     mar_values = []
     fallback_events = 0
@@ -191,6 +198,8 @@ def evaluate(
         rankings, truths, prevs, whens = _driver_rankings(rec, traj, split.test, max_k)
         if not truths:
             continue
+        preds_by_driver[driver_id] = rankings
+        truths_by_driver[driver_id] = truths
         all_rank.extend(rankings)
         all_truth.extend(truths)
 
@@ -222,14 +231,6 @@ def evaluate(
             mean_norm_dist=norm_dist,
         )
 
-    truths_by_driver = {d: [] for d in per_driver}
-    preds_by_driver: dict[str, list] = {d: [] for d in per_driver}
-    offset = 0
-    for driver_id, outcome in per_driver.items():
-        preds_by_driver[driver_id] = all_rank[offset : offset + outcome.events]
-        truths_by_driver[driver_id] = all_truth[offset : offset + outcome.events]
-        offset += outcome.events
-
     return EvalReport(
         ks=list(ks),
         per_driver=per_driver,
@@ -241,17 +242,6 @@ def evaluate(
         fallback_events=fallback_events,
         config=dict(config or {}),
     )
-
-
-def mean_average_reward(
-    recommender: Recommender,
-    trajectories: dict[str, DriverTrajectory],
-    splits: dict[str, Split],
-    env: RewardEnvironment,
-) -> float:
-    """Mean reward of the top-1 recommendation over all test events."""
-    report = evaluate(recommender, trajectories, splits, env, ks=(1,))
-    return report.mar
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,8 @@ the 76-type POI neighborhood distribution."""
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
-import os
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -68,19 +65,6 @@ class Station:
                 f"station {self.station_id}: POI vector must be {NUM_POI_TYPES} non-negative counts"
             )
         object.__setattr__(self, "poi_counts", counts)
-
-
-@dataclass(frozen=True)
-class LocationContext:
-    """Per-observation location features: distance from the previous station,
-    one-hot of the current station, and its normalized POI distribution."""
-
-    dist_prev_km: float
-    onehot: np.ndarray
-    poi: np.ndarray
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([[self.dist_prev_km], self.onehot, self.poi])
 
 
 def _check_coords(lat: float, lon: float) -> None:
@@ -165,79 +149,6 @@ def load_poi(path: str | Path, station_ids: Sequence[str]) -> dict[str, np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Optional POI provider client
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PoiProviderConfig:
-    base_url: str
-    api_key_env: str = "POI_API_KEY"
-    radius_m: float = 600.0
-    timeout_s: float = 10.0
-    max_retries: int = 3
-    cache_dir: Path | None = None
-    mode: str = "replay"  # replay | record | live
-
-
-class PoiProviderClient:
-    """Fetch POI counts around a coordinate from an HTTP provider.
-
-    The provider returns a JSON array of places, each carrying a `types` list;
-    counts are accumulated over POI_TYPES. Record mode saves raw responses
-    under cache_dir and replay mode serves them back, so quota-bound live
-    fetching never gates tests or rebuilds.
-    """
-
-    def __init__(self, config: PoiProviderConfig):
-        if config.mode not in ("replay", "record", "live"):
-            raise ConfigError(f"unknown provider mode {config.mode!r}")
-        if config.mode in ("replay", "record") and config.cache_dir is None:
-            raise ConfigError("record/replay mode needs a cache_dir")
-        self.config = config
-
-    def _cache_path(self, station_id: str) -> Path:
-        return Path(self.config.cache_dir) / f"poi_{station_id}.json"
-
-    def _request(self, lat: float, lon: float) -> list[dict]:
-        import requests
-
-        params = {"lat": lat, "lon": lon, "radius": self.config.radius_m}
-        key = os.environ.get(self.config.api_key_env)
-        if key:
-            params["key"] = key
-        last_exc: Exception | None = None
-        for attempt in range(self.config.max_retries):
-            try:
-                resp = requests.get(self.config.base_url, params=params, timeout=self.config.timeout_s)
-                resp.raise_for_status()
-                return resp.json()
-            except Exception as exc:  # noqa: BLE001 - retried, re-raised below
-                last_exc = exc
-                time.sleep(min(2.0**attempt, 5.0))
-        raise DataFormatError(f"POI provider failed after retries: {last_exc}")
-
-    def fetch_counts(self, station: Station) -> np.ndarray:
-        if self.config.mode == "replay":
-            cache = self._cache_path(station.station_id)
-            if not cache.exists():
-                raise DataFormatError(f"no recorded POI response for {station.station_id}")
-            places = json.loads(cache.read_text(encoding="utf-8"))
-        else:
-            places = self._request(station.latitude, station.longitude)
-            if self.config.mode == "record":
-                cache = self._cache_path(station.station_id)
-                cache.parent.mkdir(parents=True, exist_ok=True)
-                cache.write_text(json.dumps(places), encoding="utf-8")
-        counts = np.zeros(NUM_POI_TYPES)
-        index = {name: i for i, name in enumerate(POI_TYPES)}
-        for place in places:
-            for t in place.get("types", []):
-                if t in index:
-                    counts[index[t]] += 1
-        return counts
-
-
-# ---------------------------------------------------------------------------
 # Station index and location contexts
 # ---------------------------------------------------------------------------
 
@@ -280,16 +191,18 @@ class StationIndex:
         a, b = self.require(from_id), self.require(to_id)
         return haversine(a.latitude, a.longitude, b.latitude, b.longitude)
 
-    def location_context(self, current: str, previous: str | None) -> LocationContext:
-        """Location features for an observation at `current`.
+    def location_context(self, current: str, previous: str | None) -> np.ndarray:
+        """Location features for an observation at `current`:
+        [distance from the previous station || one-hot of `current` || its
+        normalized POI distribution], `context_width()` wide.
 
-        dist_prev is 0 at the start of a history (no previous station).
+        The distance is 0 at the start of a history (no previous station).
         """
         cur_idx = self.index_of(current)
         dist = 0.0 if previous is None else self.distance(previous, current)
         onehot = np.zeros(len(self.order))
         onehot[cur_idx] = 1.0
-        return LocationContext(dist, onehot, self.poi_matrix[cur_idx].copy())
+        return np.concatenate([[dist], onehot, self.poi_matrix[cur_idx]])
 
     def context_width(self) -> int:
         return 1 + len(self.order) + NUM_POI_TYPES

@@ -1,7 +1,7 @@
 """Minimal deterministic neural toolkit.
 
 Dense layers, tanh MLPs, a stacked LSTM with full backpropagation through
-time, softmax/sigmoid heads, cross-entropy and squared losses, plain SGD with
+time, softmax/sigmoid heads, a cross-entropy loss, plain SGD with
 optional global-norm clipping, seeded initialization and finite-difference
 gradient checking.
 
@@ -362,12 +362,6 @@ def softmax_cross_entropy(
     if squeeze:
         return loss[0], grad[0]
     return loss, grad
-
-
-def squared_loss(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element 0.5*(pred-target)^2 and gradient (pred-target)."""
-    diff = pred - target
-    return 0.5 * diff * diff, diff
 
 
 # ---------------------------------------------------------------------------

@@ -108,16 +108,9 @@ def export_wait_series(series: dict[str, WaitSeries], path: str | Path) -> None:
 # Familiarity and the reward formula
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RewardParams:
-    scale: float = 100.0
-    gamma: float = 0.99
-    zeta_familiar: float = 0.8
-    zeta_default: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ConfigError("gamma must be in [0, 1]")
+REWARD_SCALE = 100.0
+ZETA_FAMILIAR = 0.8  # distance weight at the driver's most-visited station
+ZETA_DEFAULT = 1.0
 
 
 def most_visited(train_events: Iterable[ChargingEvent]) -> dict[str, str | None]:
@@ -135,17 +128,6 @@ def most_visited(train_events: Iterable[ChargingEvent]) -> dict[str, str | None]
         top = [sid for sid, c in per_station.items() if c == best]
         out[driver] = top[0] if len(top) == 1 else None
     return out
-
-
-def zeta(
-    driver_id: str,
-    station_id: str,
-    train_events: Iterable[ChargingEvent],
-    params: RewardParams = RewardParams(),
-) -> float:
-    """0.8 for the driver's strictly most-visited station, else 1.0."""
-    favorite = most_visited(train_events).get(driver_id)
-    return params.zeta_familiar if favorite == station_id else params.zeta_default
 
 
 def compute_reward(
@@ -213,16 +195,12 @@ class RewardNetHyper:
     seed: int = 0
 
 
-def _station_context_vector(index: StationIndex, station_id: str) -> np.ndarray:
-    return index.location_context(station_id, None).as_vector()
-
-
 def _forecast_inputs(
     index: StationIndex, station_id: str, lags_scaled: np.ndarray, eh: int
 ) -> np.ndarray:
     """(k, input_dim) step matrix for one forecast at hour eh."""
     k = lags_scaled.shape[0]
-    ctx = _station_context_vector(index, station_id)
+    ctx = index.location_context(station_id, None)
     rows = [
         np.concatenate([[lags_scaled[j]], ctx, time_features_for_hour(eh - k + j)])
         for j in range(k)
@@ -403,17 +381,16 @@ class RewardEnvironment:
         index: StationIndex,
         forecaster: WaitForecaster,
         familiarity: dict[str, str | None],
-        params: RewardParams = RewardParams(),
     ):
         self.index = index
         self.forecaster = forecaster
         self.familiarity = familiarity
-        self.params = params
 
     def zeta(self, driver_id: str, station_id: str) -> float:
+        """0.8 for the driver's strictly most-visited station, else 1.0."""
         if self.familiarity.get(driver_id) == station_id:
-            return self.params.zeta_familiar
-        return self.params.zeta_default
+            return ZETA_FAMILIAR
+        return ZETA_DEFAULT
 
     def breakdown(
         self, driver_id: str, prev_station: str | None, action_station: str, eh: int
@@ -424,7 +401,7 @@ class RewardEnvironment:
         zhat, flags = self.forecaster.forecast(action_station, eh)
         dhat = 0.0 if prev_station is None else self.index.distance(prev_station, action_station)
         zc = self.zeta(driver_id, action_station)
-        r = compute_reward(zhat, dhat, st.mean_wait, st.mean_dist, zc, self.params.scale)
+        r = compute_reward(zhat, dhat, st.mean_wait, st.mean_dist, zc, REWARD_SCALE)
         return RewardBreakdown(r, zhat, dhat, st.mean_wait, st.mean_dist, zc, flags)
 
     def reward(self, driver_id: str, prev_station: str | None, action_station: str, eh: int) -> float:

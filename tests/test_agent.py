@@ -71,17 +71,17 @@ def test_pad_history():
 # Encoding
 # ---------------------------------------------------------------------------
 
-def test_encode_history_empty_errors():
-    enc = agent.HistoryEncoder(4, 3, 3, 2, np.random.default_rng(0))
-    with pytest.raises(UsageError):
-        agent.encode_history(enc, np.zeros((0, 4)), 5)
+def _encode(enc, observations, k):
+    """The state vector actor_forward computes: pad to k rows, then encode."""
+    c, _ = enc.forward(agent.pad_history(observations, k)[None, :, :])
+    return c[0]
 
 
 def test_encode_history_zero_parameters_zero_state():
     enc = agent.HistoryEncoder(4, 3, 3, 2, np.random.default_rng(0))
     for p in enc.params.values():
         p[:] = 0.0
-    c = agent.encode_history(enc, np.random.default_rng(1).normal(size=(3, 4)), 5)
+    c = _encode(enc, np.random.default_rng(1).normal(size=(3, 4)), 5)
     assert np.array_equal(c, np.zeros(3))
 
 
@@ -92,8 +92,8 @@ def test_encode_history_padding_convention():
     enc = agent.HistoryEncoder(4, 3, 3, 2, rng)
     obs = rng.normal(size=(1, 4))
     explicit = np.vstack([np.zeros((4, 4)), obs])
-    a = agent.encode_history(enc, obs, 5)
-    b = agent.encode_history(enc, explicit, 5)
+    a = _encode(enc, obs, 5)
+    b = _encode(enc, explicit, 5)
     assert np.array_equal(a, b)
 
 
@@ -101,8 +101,8 @@ def test_encode_history_order_sensitivity():
     rng = np.random.default_rng(3)
     enc = agent.HistoryEncoder(4, 3, 3, 2, rng)
     obs = rng.normal(size=(5, 4))
-    a = agent.encode_history(enc, obs, 5)
-    b = agent.encode_history(enc, obs[::-1].copy(), 5)
+    a = _encode(enc, obs, 5)
+    b = _encode(enc, obs[::-1].copy(), 5)
     assert not np.allclose(a, b)
 
 
@@ -242,13 +242,6 @@ def test_buffer_sampling_reproducible():
     a = buffer.sample(np.random.default_rng(42), 16)
     b = buffer.sample(np.random.default_rng(42), 16)
     assert a == b
-
-
-def test_buffer_capacity_evicts_oldest():
-    space = _obs_space(3)
-    buffer = agent.ReplayBuffer(history=5, horizon=10, capacity=3)
-    buffer.add_trajectory(_tensors(space, "d", 20))
-    assert len(buffer) == 3
 
 
 def test_buffer_empty_sample_errors():
@@ -470,6 +463,56 @@ def test_recommend_learned_preference_top1():
     agent.train_rac(buffer, model, env, hyper)
     items = agent.recommend(model, space, env, "loyal", events[:10], 1)
     assert items[0].station_id == "cs2"
+
+
+def test_trailing_observations_match_trajectory_tensors():
+    # The ranking path and the training path see the same observations,
+    # including the previous-station link of the first row kept.
+    space = _obs_space(3, history=3)
+    events = pattern_events("d", ["cs0", "cs2", "cs1", "cs1"], 9)
+    tensors = space.trajectory_tensors(build_trajectories(events)["d"])
+    for j in range(1, len(events) + 1):
+        assert np.array_equal(space.trailing(events[:j]), tensors.obs[max(0, j - 3) : j])
+
+
+def test_recommend_ranks_like_rac_recommender():
+    index, env, space, _, _ = _recommend_setup()
+    model = agent.RacModel(space.obs_dim, 3, _small_hyper(seed=7))
+    rec = agent.RacRecommender(model, space)
+    events = pattern_events("d1", ["cs0", "cs2", "cs1", "cs2"], 12)
+    for j in range(1, len(events) + 1):
+        items = agent.recommend(model, space, env, "d1", events[:j], 3)
+        assert [i.station_id for i in items] == rec.rank("d1", events[:j], 3)
+        p = rec.probabilities("d1", events[:j])
+        assert [i.prob for i in items] == [float(p[index.index_of(i.station_id)]) for i in items]
+
+
+def test_recommend_serves_a_baseline():
+    from evrac.baselines import MarkovRecommender
+
+    index, env, space, _, history = _recommend_setup()
+    mc = MarkovRecommender(index.order).fit({"d1": history})
+    items = agent.recommend(mc, space, env, "d1", history, 2)
+    assert [i.station_id for i in items] == mc.rank("d1", history, 2)
+    assert items[0].prob == mc.probabilities("d1", history)[index.index_of(items[0].station_id)]
+
+
+def test_val_p1_equals_evaluate_precision_at_1():
+    from dataclasses import replace
+
+    from evrac.evaluation import evaluate
+
+    space = _obs_space(3, history=2)
+    events = []
+    for d, pattern in enumerate((["cs0", "cs1", "cs2"], ["cs2", "cs2", "cs0"], ["cs1", "cs0"])):
+        events += pattern_events(f"d{d}", pattern, 40)
+    trajectories, splits, _ = split_population(events)
+    model = agent.RacModel(space.obs_dim, 3, _small_hyper(seed=11))
+    rec = agent.RacRecommender(model, space)
+    for d, split in splits.items():
+        assert split.val
+        report = evaluate(rec, {d: trajectories[d]}, {d: replace(split, test=split.val)}, None, ks=(1,))
+        assert agent._val_p1(model, space, trajectories[d], split.val) == report.precision[1]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import T0, make_event
-from evrac.baselines import FpmcHyper, FpmcRecommender, MarkovRecommender, PopularityRecommender
+from evrac.baselines import (
+    FpmcHyper,
+    FpmcRecommender,
+    MarkovRecommender,
+    PopularityRecommender,
+    _rank_row,
+)
 from evrac.errors import UsageError
 
 
@@ -18,6 +24,29 @@ def _events_from_sequence(driver, stations):
         make_event(f"{driver}-{i:03d}", driver, sid, T0 + timedelta(hours=i))
         for i, sid in enumerate(stations)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Shared top-k
+# ---------------------------------------------------------------------------
+
+_tie_prone = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25]), st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_rank_row_matches_sort_oracle(data):
+    ids = data.draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=8, unique=True).map(sorted))
+    m = len(ids)
+    row = data.draw(st.lists(_tie_prone, min_size=m, max_size=m))
+    k = data.draw(st.integers(1, m))
+    expected = sorted(range(m), key=lambda i: (-row[i], ids[i]))[:k]
+    assert _rank_row(np.array(row), ids, k) == [ids[i] for i in expected]
+
+
+def test_rank_row_rejects_k_below_one():
+    with pytest.raises(UsageError):
+        _rank_row(np.array([0.5, 0.5]), ["cs0", "cs1"], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +158,8 @@ def test_fpmc_hand_fixed_factors_score():
     scores = model.scores("d", "cs0")
     # <U_d, V_i> + <L_cs0, W_i> = 2*0.5 + 3*0.25 and 2*1.5 + 3*0.75
     assert scores == pytest.approx([1.75, 5.25])
+    # ranked by softmax(scores): same order as the scores
+    assert model.rank("d", _events_from_sequence("d", ["cs0"]), 2) == ["cs1", "cs0"]
 
 
 def test_fpmc_deterministic_for_seed():
@@ -143,8 +174,6 @@ def test_fpmc_deterministic_for_seed():
 
 def test_fpmc_ranking_invariant_to_score_shift():
     model = FpmcRecommender(["cs0", "cs1", "cs2"], FpmcHyper(factors=2))
-    from evrac.baselines import _rank_row
-
     row = np.array([0.3, -1.2, 2.0])
     assert _rank_row(row, model.stations, 3) == _rank_row(row + 17.5, model.stations, 3)
 

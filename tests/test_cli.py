@@ -174,6 +174,56 @@ def test_recommend_baseline_and_unknown_driver(synth, capsys):
     assert rc == 2
 
 
+def test_recommend_fpmc_checkpoint_and_k_bounds(synth, capsys):
+    tmp_path, config = synth
+    ckpt = tmp_path / "fpmc.ckpt"
+    assert main(["train-baseline", "--config", str(config), "--model", "fpmc", "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    assert main(["recommend", "--config", str(config), "--model", str(ckpt),
+                 "--driver", "driver-2", "--k", "3"]) == 0
+    items = json.loads(capsys.readouterr().out)["items"]
+    assert sorted(it["station_id"] for it in items) == ["cs0", "cs1", "cs2"]
+    probs = [it["prob"] for it in items]
+    assert probs == sorted(probs, reverse=True) and sum(probs) == pytest.approx(1.0)
+    for k in ("0", "4"):
+        assert main(["recommend", "--config", str(config), "--model", str(ckpt),
+                     "--driver", "driver-2", "--k", k]) == 2
+    capsys.readouterr()
+
+
+def test_recommend_at_sees_only_earlier_sessions(synth, capsys):
+    from evrac.agent import recommend
+    from evrac.checkpoint import load_rac_model
+    from evrac.config import load_config
+    from evrac.pipeline import evaluation_environment, load_data_bundle
+
+    tmp_path, config = synth
+    ckpt = tmp_path / "rac.ckpt"
+    assert main(["train-rac", "--config", str(config), "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    bundle = load_data_bundle(load_config(config))
+    model, _ = load_rac_model(ckpt)
+    env = evaluation_environment(bundle, None)
+    events = bundle.trajectories["driver-1"].events
+    for j in (1, 5, len(events) - 1):
+        at = events[j].start_time.strftime("%Y-%m-%dT%H:%M:%SZ")
+        assert main(["recommend", "--config", str(config), "--model", str(ckpt),
+                     "--driver", "driver-1", "--k", "2", "--at", at]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        expected = recommend(model, bundle.obs_space, env, "driver-1", events[:j], 2, events[j].start_time)
+        assert payload["timestamp"] == at
+        assert payload["items"] == [
+            {"station_id": it.station_id, "prob": it.prob, "est_wait_min": it.est_wait_min,
+             "est_dist_km": it.est_dist_km, "est_reward": it.est_reward}
+            for it in expected
+        ]
+    first = events[0].start_time.strftime("%Y-%m-%dT%H:%M:%SZ")
+    for k, at in (("2", first), ("0", None)):
+        argv = ["recommend", "--config", str(config), "--model", str(ckpt), "--driver", "driver-1", "--k", k]
+        assert main(argv + (["--at", at] if at else [])) == 2
+    capsys.readouterr()
+
+
 def test_corrupt_checkpoint_exit_code(synth, capsys):
     tmp_path, config = synth
     bad = tmp_path / "bad.ckpt"

@@ -1,6 +1,5 @@
 """Geodesic distances, POI handling, location contexts and station norms."""
 
-import json
 import math
 from datetime import timedelta
 
@@ -141,21 +140,22 @@ def test_onehot_coding():
 def test_location_context_no_previous():
     index = make_stations(["cs0", "cs1"], spacing_km=5.0)
     ctx = index.location_context("cs1", None)
-    assert ctx.dist_prev_km == 0.0
-    assert ctx.onehot.sum() == 1.0 and ctx.onehot[1] == 1.0
+    assert ctx[0] == 0.0                      # distance from the previous station
+    onehot = ctx[1:3]
+    assert onehot.sum() == 1.0 and onehot[1] == 1.0
 
 
 def test_location_context_same_station():
     index = make_stations(["cs0", "cs1"], spacing_km=5.0)
     ctx = index.location_context("cs0", "cs0")
-    assert ctx.dist_prev_km == 0.0
+    assert ctx[0] == 0.0
 
 
 def test_location_context_distance():
     index = make_stations(["cs0", "cs1"], spacing_km=5.0)
     ctx = index.location_context("cs1", "cs0")
-    assert ctx.dist_prev_km == pytest.approx(5.0, abs=1e-9)
-    assert ctx.as_vector().shape == (1 + 2 + 76,)
+    assert ctx[0] == pytest.approx(5.0, abs=1e-9)
+    assert ctx.shape == (index.context_width(),) == (1 + 2 + 76,)
 
 
 def test_unknown_station_lookup():
@@ -218,66 +218,6 @@ def test_station_norms_train_only_determinism():
     a = geo.station_norms(train, index)
     b = geo.station_norms(list(train), index)
     assert a == b
-
-
-# ---------------------------------------------------------------------------
-# Provider client
-# ---------------------------------------------------------------------------
-
-def test_provider_replay_mode(tmp_path):
-    station = geo.Station("cs1", 1.0, 2.0, np.zeros(76))
-    cache = tmp_path / "poi_cs1.json"
-    cache.write_text(json.dumps([
-        {"types": ["cafe", "school"]},
-        {"types": ["cafe"]},
-        {"types": ["not_a_known_type"]},
-    ]), encoding="utf-8")
-    client = geo.PoiProviderClient(
-        geo.PoiProviderConfig(base_url="http://unused.example", cache_dir=tmp_path, mode="replay")
-    )
-    counts = client.fetch_counts(station)
-    assert counts[geo.POI_TYPES.index("cafe")] == 2
-    assert counts[geo.POI_TYPES.index("school")] == 1
-    assert counts.sum() == 3
-
-
-def test_provider_replay_missing_recording(tmp_path):
-    client = geo.PoiProviderClient(
-        geo.PoiProviderConfig(base_url="http://unused.example", cache_dir=tmp_path, mode="replay")
-    )
-    with pytest.raises(DataFormatError):
-        client.fetch_counts(geo.Station("cs9", 0.0, 0.0, np.zeros(76)))
-
-
-def test_provider_config_validation(tmp_path):
-    with pytest.raises(ConfigError):
-        geo.PoiProviderClient(geo.PoiProviderConfig(base_url="x", mode="replay", cache_dir=None))
-    with pytest.raises(ConfigError):
-        geo.PoiProviderClient(geo.PoiProviderConfig(base_url="x", mode="stream", cache_dir=tmp_path))
-
-
-def test_provider_record_mode(tmp_path, monkeypatch):
-    class FakeResponse:
-        def raise_for_status(self):
-            pass
-
-        def json(self):
-            return [{"types": ["bank"]}]
-
-    import requests
-
-    monkeypatch.setattr(requests, "get", lambda *a, **k: FakeResponse())
-    client = geo.PoiProviderClient(
-        geo.PoiProviderConfig(base_url="http://fake.example", cache_dir=tmp_path, mode="record")
-    )
-    counts = client.fetch_counts(geo.Station("cs3", 0.0, 0.0, np.zeros(76)))
-    assert counts[geo.POI_TYPES.index("bank")] == 1
-    assert (tmp_path / "poi_cs3.json").exists()
-    # replay now serves the recorded payload without touching the network
-    replayer = geo.PoiProviderClient(
-        geo.PoiProviderConfig(base_url="http://down.example", cache_dir=tmp_path, mode="replay")
-    )
-    assert np.array_equal(replayer.fetch_counts(geo.Station("cs3", 0.0, 0.0, np.zeros(76))), counts)
 
 
 def test_km_to_lon_degrees_roundtrip():

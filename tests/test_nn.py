@@ -1,10 +1,11 @@
 """Neural toolkit unit tests: layer math, losses, SGD, gradient checking."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evrac import nn
@@ -24,9 +25,18 @@ def test_softmax_is_distribution(logits):
 
 
 @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8), st.floats(-100, 100))
-def test_softmax_shift_keeps_argmax(logits, shift):
-    logits = np.array(logits)
-    assert np.argmax(nn.softmax(logits)) == np.argmax(nn.softmax(logits + shift))
+@example([0.0, 2.220446049250313e-16], 2.0)
+def test_softmax_is_monotone(logits, shift):
+    # Ranking by probability must agree with ranking by logit. Adding a shift
+    # can merge logits closer than an ulp of the shift (2.0 + 2.2e-16 == 2.0),
+    # so the property is checked within each row, before and after shifting.
+    for row in (np.array(logits), np.array(logits) + shift):
+        p = nn.softmax(row)
+        for i, j in itertools.product(range(row.size), repeat=2):
+            if row[i] > row[j]:
+                assert p[i] >= p[j]
+            elif row[i] == row[j]:
+                assert p[i] == p[j]
 
 
 def test_cross_entropy_uniform_logits():

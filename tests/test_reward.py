@@ -86,21 +86,27 @@ def _visits(driver, counts):
     return events
 
 
+def _zeta(driver_id, station_id, events):
+    index = make_stations(["cs1", "cs2"])
+    env = rw.RewardEnvironment(index, rw.MeanWaitForecaster(index), rw.most_visited(events))
+    return env.zeta(driver_id, station_id)
+
+
 def test_zeta_most_visited():
     events = _visits("d1", {"cs1": 5, "cs2": 2})
-    assert rw.zeta("d1", "cs1", events) == 0.8
-    assert rw.zeta("d1", "cs2", events) == 1.0
+    assert _zeta("d1", "cs1", events) == 0.8
+    assert _zeta("d1", "cs2", events) == 1.0
 
 
 def test_zeta_tie_means_no_discount():
     events = _visits("d1", {"cs1": 3, "cs2": 3})
-    assert rw.zeta("d1", "cs1", events) == 1.0
-    assert rw.zeta("d1", "cs2", events) == 1.0
+    assert _zeta("d1", "cs1", events) == 1.0
+    assert _zeta("d1", "cs2", events) == 1.0
 
 
 def test_zeta_unknown_driver():
     events = _visits("d1", {"cs1": 5})
-    assert rw.zeta("new-driver", "cs1", events) == 1.0
+    assert _zeta("new-driver", "cs1", events) == 1.0
 
 
 # ---------------------------------------------------------------------------

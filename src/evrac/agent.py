@@ -34,6 +34,7 @@ from .reward import (
     RewardEnvironment,
     TIME_FEATURE_WIDTH,
     epoch_hour,
+    forecast_inputs,
     time_features,
 )
 from .seeding import derive_seed, rng_for
@@ -497,11 +498,9 @@ def train_rac(
     rng_actions = rng_for(hyper.seed, "actions")
     m = model.num_stations
 
-    reward_net = None
-    if hyper.reward_update == "td_coupled":
-        if not isinstance(env.forecaster, NetWaitForecaster):
-            raise ConfigError("td_coupled reward updates need a NetWaitForecaster environment")
-        reward_net = env.forecaster.net
+    coupled = hyper.reward_update == "td_coupled"
+    if coupled and not isinstance(env.forecaster, NetWaitForecaster):
+        raise ConfigError("td_coupled reward updates need a NetWaitForecaster environment")
 
     records: list[dict] = []
     for epoch in range(hyper.epochs):
@@ -512,13 +511,10 @@ def train_rac(
         a_hat = _onehot_rows(batch.actions, m)
         ce_loss = _ce_loss(pi, batch.actions)
 
-        # External rewards for the logged actions.
-        rewards = np.array(
-            [
-                env.reward(batch.drivers[i], batch.prev_stations[i], batch.action_stations[i], int(batch.hours[i]))
-                for i in range(B)
-            ]
-        )
+        # External rewards for the logged actions, priced before any
+        # td-coupled forecaster update of this epoch.
+        priced = env.breakdowns(batch.drivers, batch.prev_stations, batch.action_stations, batch.hours)
+        rewards = np.array([b.reward for b in priced])
 
         # TD target: bootstrap with the target critic at the next state and a
         # next action sampled from the current policy.
@@ -556,8 +552,8 @@ def train_rac(
             extra_dc = (1.0 - eps) * dc_critic
 
         # Optional literal TD coupling of the wait forecaster.
-        if reward_net is not None:
-            _td_couple_reward_net(reward_net, env, batch, delta, hyper)
+        if coupled:
+            _td_couple_reward_net(env.forecaster, batch, delta, hyper)
 
         nn.clip_global_norm(critic_grads, hyper.clip_norm)
         nn.sgd_step(model.critic_params(), critic_grads, hyper.alpha)
@@ -578,30 +574,16 @@ def train_rac(
     return records
 
 
-def _td_couple_reward_net(reward_net, env: RewardEnvironment, batch: Batch,
-                          delta: np.ndarray, hyper: RacHyper) -> None:
-    """Literal delta-weighted update of the forecaster parameters."""
-    from .reward import _forecast_inputs  # local import to keep the surface small
-
-    fc: NetWaitForecaster = env.forecaster  # type: ignore[assignment]
-    xs, keep = [], []
-    for i in range(len(batch)):
-        sid = batch.action_stations[i]
-        st = env.index.require(sid)
-        s = fc.series.get(sid)
-        first = s.first_hour if s is not None else None
-        eh = int(batch.hours[i])
-        if first is None or eh - fc.k < first:
-            continue
-        lags = s.lags(eh, fc.k) / st.mean_wait
-        xs.append(_forecast_inputs(env.index, sid, lags, eh))
-        keep.append(i)
-    if not xs:
+def _td_couple_reward_net(fc: NetWaitForecaster, batch: Batch, delta: np.ndarray, hyper: RacHyper) -> None:
+    """Literal delta-weighted update of the forecaster parameters, over the
+    logged decisions the forecaster prices from its own lags."""
+    xs, keep = forecast_inputs(fc.series, fc.index, batch.action_stations, batch.hours, fc.k)
+    if not keep.size:
         return
-    _, cache = reward_net.forward(np.stack(xs))
-    grads = reward_net.backward(cache, delta[keep] / len(batch))
+    _, cache = fc.net.forward(xs)
+    grads = fc.net.backward(cache, delta[keep] / len(batch))
     nn.clip_global_norm(grads, hyper.clip_norm)
-    nn.sgd_step(reward_net.params, grads, hyper.alpha)
+    nn.sgd_step(fc.net.params, grads, hyper.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -643,14 +625,12 @@ def recommend(
     p = rec.probabilities(driver_id, history, when)
     eh = epoch_hour(when or history[-1].start_time)
     last_station = history[-1].station_id
-    out = []
-    for sid in _rank_row(p, stations, k):
-        b = env.breakdown(driver_id, last_station, sid, eh)
-        out.append(
-            Recommendation(sid, float(p[obs_space.index.index[sid]]), b.wait_forecast, b.dist_km,
-                           b.reward, b.flags)
-        )
-    return out
+    ranked = _rank_row(p, stations, k)
+    priced = env.breakdowns([driver_id] * k, [last_station] * k, ranked, [eh] * k)
+    return [
+        Recommendation(sid, float(p[obs_space.index.index[sid]]), b.wait_forecast, b.dist_km, b.reward, b.flags)
+        for sid, b in zip(ranked, priced)
+    ]
 
 
 class RacRecommender:

@@ -33,6 +33,8 @@ class ChargingEvent:
     energy_kwh: float = field(compare=False)
 
     def __post_init__(self):
+        if not math.isfinite(self.duration_min) or not math.isfinite(self.energy_kwh):
+            raise DomainError(f"non-finite duration or energy for event {self.event_id}")
         if self.duration_min < 0:
             raise DomainError(f"negative duration for event {self.event_id}")
         if self.energy_kwh < 0:

@@ -98,6 +98,7 @@ class EvalReport:
     events: int
     drivers: int
     fallback_events: int
+    clamped_events: int
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -110,6 +111,7 @@ class EvalReport:
                 "events": self.events,
                 "drivers": self.drivers,
                 "fallback_events": self.fallback_events,
+                "clamped_events": self.clamped_events,
             },
             "per_driver": {
                 d: {
@@ -189,7 +191,7 @@ def evaluate(
     truths_by_driver: dict[str, list] = {}
     all_rank, all_truth = [], []
     mar_values = []
-    fallback_events = 0
+    fallback_events = clamped_events = 0
 
     for driver_id in sorted(splits):
         split = splits[driver_id]
@@ -209,17 +211,14 @@ def evaluate(
         driver_mar = float("nan")
         norm_wait = norm_dist = float("nan")
         if env is not None:
-            rewards, nw, nd = [], [], []
-            for ranked, prev, when in zip(rankings, prevs, whens):
-                b = env.breakdown(driver_id, prev, ranked[0], epoch_hour(when))
-                rewards.append(b.reward)
-                nw.append(b.wait_forecast / b.mean_wait)
-                nd.append(b.dist_km / b.mean_dist)
-                if "mean_fallback" in b.flags:
-                    fallback_events += 1
+            priced = env.breakdowns([driver_id] * len(rankings), prevs, [ranked[0] for ranked in rankings],
+                                    [epoch_hour(when) for when in whens])
+            rewards = [b.reward for b in priced]
             driver_mar = float(np.mean(rewards))
-            norm_wait = float(np.mean(nw))
-            norm_dist = float(np.mean(nd))
+            norm_wait = float(np.mean([b.wait_forecast / b.mean_wait for b in priced]))
+            norm_dist = float(np.mean([b.dist_km / b.mean_dist for b in priced]))
+            fallback_events += sum("mean_fallback" in b.flags for b in priced)
+            clamped_events += sum("clamped" in b.flags for b in priced)
             mar_values.extend(rewards)
 
         per_driver[driver_id] = DriverOutcome(
@@ -240,6 +239,7 @@ def evaluate(
         events=len(all_truth),
         drivers=len(per_driver),
         fallback_events=fallback_events,
+        clamped_events=clamped_events,
         config=dict(config or {}),
     )
 

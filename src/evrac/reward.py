@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -45,8 +45,15 @@ def time_features(dt: datetime) -> np.ndarray:
     return vec
 
 
-def time_features_for_hour(eh: int) -> np.ndarray:
-    return time_features(hour_to_datetime(eh))
+def time_features_for_hours(hours: np.ndarray) -> np.ndarray:
+    """`time_features(hour_to_datetime(h))` for every epoch hour h, shape
+    `hours.shape + (31,)`. Epoch hour 0 (1970-01-01 00:00 UTC) is a Thursday,
+    weekday 3; floor division keeps negative hours on the same calendar."""
+    hours = np.asarray(hours, dtype=np.int64)[..., None]
+    out = np.zeros(hours.shape[:-1] + (TIME_FEATURE_WIDTH,))
+    np.put_along_axis(out, (hours // 24 + 3) % 7, 1.0, axis=-1)
+    np.put_along_axis(out, DAY_FEATURES + hours % 24, 1.0, axis=-1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +202,38 @@ class RewardNetHyper:
     seed: int = 0
 
 
-def _forecast_inputs(
-    index: StationIndex, station_id: str, lags_scaled: np.ndarray, eh: int
-) -> np.ndarray:
-    """(k, input_dim) step matrix for one forecast at hour eh."""
-    k = lags_scaled.shape[0]
-    ctx = index.location_context(station_id, None)
-    rows = [
-        np.concatenate([[lags_scaled[j]], ctx, time_features_for_hour(eh - k + j)])
-        for j in range(k)
-    ]
-    return np.stack(rows)
+def forecast_inputs(
+    series: dict[str, WaitSeries],
+    index: StationIndex,
+    station_ids: Sequence[str],
+    hours: Sequence[int],
+    k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forecaster inputs for the (station, hour) pairs that have k observable
+    lag hours, and those pairs' positions.
+
+    Row i is the (k, input_dim) step matrix for forecasting its station's
+    wait at its hour: step j holds [lag wait at hour - k + j scaled by the
+    station's mean wait, the station's location context without a previous
+    station, that lag hour's time features]. Stations must have a positive
+    mean wait.
+    """
+    hours = np.asarray(hours, dtype=np.int64)
+    first = {sid: series[sid].first_hour for sid in set(station_ids) if sid in series}
+    keep = np.array([i for i, (sid, eh) in enumerate(zip(station_ids, hours.tolist()))
+                     if first.get(sid) is not None and eh - k >= first[sid]], dtype=np.int64)
+    hours = hours[keep]
+    m = len(index)
+    cols = np.array([index.index_of(station_ids[i]) for i in keep], dtype=np.int64)
+    xs = np.zeros((keep.size, k, reward_net_input_dim(index)))
+    for row, (i, eh) in enumerate(zip(keep.tolist(), hours.tolist())):
+        sid = station_ids[i]
+        xs[row, :, 0] = series[sid].lags(eh, k) / index.stations[sid].mean_wait
+    # Location context: [distance 0 || station one-hot || POI distribution].
+    xs[np.arange(keep.size), :, 2 + cols] = 1.0
+    xs[:, :, 2 + m : 1 + index.context_width()] = index.poi_matrix[cols][:, None, :]
+    xs[:, :, 1 + index.context_width() :] = time_features_for_hours(hours[:, None] - k + np.arange(k))
+    return xs, keep
 
 
 def reward_net_input_dim(index: StationIndex) -> int:
@@ -225,7 +253,8 @@ def train_reward_net(
     a report with train/val MSE in minutes^2.
     """
     k = hyper.window
-    inputs: list[np.ndarray] = []
+    sample_ids: list[str] = []
+    sample_hours: list[int] = []
     targets_scaled: list[float] = []
     scales: list[float] = []
     skipped: list[str] = []
@@ -243,16 +272,16 @@ def train_reward_net(
             skipped.append(sid)
             continue
         for eh in range(first + k, end + 1):
-            lags = s.lags(eh, k) / st.mean_wait
-            inputs.append(_forecast_inputs(index, sid, lags, eh))
+            sample_ids.append(sid)
+            sample_hours.append(eh)
             targets_scaled.append(s.value(eh) / st.mean_wait)
             scales.append(st.mean_wait)
     if skipped:
         logger.warning("reward net: skipped %d stations with <%d hours of history", len(skipped), k + 1)
-    if not inputs:
+    if not sample_ids:
         raise ConfigError("no training samples for the reward net")
 
-    xs = np.stack(inputs)
+    xs, _ = forecast_inputs(series, index, sample_ids, sample_hours, k)
     ys = np.array(targets_scaled)
     sc = np.array(scales)
     n_val = int(len(ys) * hyper.val_frac)
@@ -286,6 +315,51 @@ def train_reward_net(
     return net, report
 
 
+_NO_FLAGS: frozenset[str] = frozenset()
+_MEAN_FALLBACK = frozenset({"mean_fallback"})
+_CLAMPED = frozenset({"clamped"})
+
+
+def _positive_mean_wait(index: StationIndex, station_id: str) -> float:
+    st = index.require(station_id)
+    if st.mean_wait is None or st.mean_wait <= 0:
+        raise DomainError(f"station {station_id} has no positive mean wait")
+    return st.mean_wait
+
+
+def predict_waits(
+    net: WaitForecastNet,
+    series: dict[str, WaitSeries],
+    index: StationIndex,
+    station_ids: Sequence[str],
+    hours: Sequence[int],
+    k: int,
+) -> tuple[np.ndarray, list[frozenset[str]]]:
+    """Forecast the wait in minutes for each (station, hour) pair, with one
+    forward pass over the distinct pairs.
+
+    A pair falls back to the station's mean wait (flag "mean_fallback") when
+    fewer than k observable lag hours exist; negative raw outputs are clamped
+    to 0 (flag "clamped"). The distinct pairs are forecast in sorted order,
+    so a pair's value does not depend on the order or repeats of the input.
+    """
+    pairs = list(zip(station_ids, (int(h) for h in hours)))
+    distinct = sorted(set(pairs))
+    means = [_positive_mean_wait(index, sid) for sid, _ in distinct]
+    result = {p: (mw, _MEAN_FALLBACK) for p, mw in zip(distinct, means)}
+    xs, keep = forecast_inputs(series, index, [sid for sid, _ in distinct], [eh for _, eh in distinct], k)
+    if keep.size:
+        raw = net.forward(xs)[0] * np.array([means[i] for i in keep.tolist()])
+        for i, value in zip(keep.tolist(), raw.tolist()):
+            if value < 0:
+                logger.debug("clamped negative wait forecast %.3f at %s", value, distinct[i][0])
+                result[distinct[i]] = (0.0, _CLAMPED)
+            else:
+                result[distinct[i]] = (value, _NO_FLAGS)
+    out = [result[p] for p in pairs]
+    return np.array([w for w, _ in out], dtype=float), [f for _, f in out]
+
+
 def predict_wait(
     net: WaitForecastNet,
     series: dict[str, WaitSeries],
@@ -294,26 +368,9 @@ def predict_wait(
     eh: int,
     k: int,
 ) -> tuple[float, frozenset[str]]:
-    """Forecast the wait at `station_id` for hour `eh`, in minutes.
-
-    Falls back to the station's mean wait (flag "mean_fallback") when fewer
-    than k observable lag hours exist; negative raw outputs are clamped to 0
-    (flag "clamped").
-    """
-    st = index.require(station_id)
-    if st.mean_wait is None or st.mean_wait <= 0:
-        raise DomainError(f"station {station_id} has no positive mean wait")
-    s = series.get(station_id)
-    first = s.first_hour if s is not None else None
-    if first is None or eh - k < first:
-        return st.mean_wait, frozenset({"mean_fallback"})
-    lags = s.lags(eh, k) / st.mean_wait
-    xs = _forecast_inputs(index, station_id, lags, eh)[None, :, :]
-    raw = float(net.forward(xs)[0][0]) * st.mean_wait
-    if raw < 0:
-        logger.debug("clamped negative wait forecast %.3f at %s", raw, station_id)
-        return 0.0, frozenset({"clamped"})
-    return raw, frozenset()
+    """`predict_waits` for one (station, hour) pair."""
+    waits, flags = predict_waits(net, series, index, [station_id], [eh], k)
+    return float(waits[0]), flags[0]
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +378,11 @@ def predict_wait(
 # ---------------------------------------------------------------------------
 
 class WaitForecaster(Protocol):
-    def forecast(self, station_id: str, eh: int) -> tuple[float, frozenset[str]]: ...
+    def forecast_batch(
+        self, station_ids: Sequence[str], hours: Sequence[int]
+    ) -> tuple[np.ndarray, list[frozenset[str]]]:
+        """Wait in minutes and flags for each (station, epoch hour) pair."""
+        ...
 
 
 class MeanWaitForecaster:
@@ -330,11 +391,9 @@ class MeanWaitForecaster:
     def __init__(self, index: StationIndex):
         self.index = index
 
-    def forecast(self, station_id: str, eh: int) -> tuple[float, frozenset[str]]:
-        st = self.index.require(station_id)
-        if st.mean_wait is None or st.mean_wait <= 0:
-            raise DomainError(f"station {station_id} has no positive mean wait")
-        return st.mean_wait, frozenset({"mean_fallback"})
+    def forecast_batch(self, station_ids, hours) -> tuple[np.ndarray, list[frozenset[str]]]:
+        waits = np.array([_positive_mean_wait(self.index, sid) for sid in station_ids], dtype=float)
+        return waits, [_MEAN_FALLBACK] * len(station_ids)
 
 
 class TableWaitForecaster:
@@ -343,10 +402,11 @@ class TableWaitForecaster:
     def __init__(self, table: dict[str, float]):
         self.table = dict(table)
 
-    def forecast(self, station_id: str, eh: int) -> tuple[float, frozenset[str]]:
-        if station_id not in self.table:
-            raise UsageError(f"no tabled wait for station {station_id!r}")
-        return self.table[station_id], frozenset()
+    def forecast_batch(self, station_ids, hours) -> tuple[np.ndarray, list[frozenset[str]]]:
+        for sid in station_ids:
+            if sid not in self.table:
+                raise UsageError(f"no tabled wait for station {sid!r}")
+        return np.array([self.table[sid] for sid in station_ids], dtype=float), [_NO_FLAGS] * len(station_ids)
 
 
 class NetWaitForecaster:
@@ -358,8 +418,8 @@ class NetWaitForecaster:
         self.index = index
         self.k = k
 
-    def forecast(self, station_id: str, eh: int) -> tuple[float, frozenset[str]]:
-        return predict_wait(self.net, self.series, self.index, station_id, eh, self.k)
+    def forecast_batch(self, station_ids, hours) -> tuple[np.ndarray, list[frozenset[str]]]:
+        return predict_waits(self.net, self.series, self.index, station_ids, hours, self.k)
 
 
 @dataclass(frozen=True)
@@ -392,17 +452,32 @@ class RewardEnvironment:
             return ZETA_FAMILIAR
         return ZETA_DEFAULT
 
+    def breakdowns(
+        self,
+        drivers: Sequence[str],
+        prev_stations: Sequence[str | None],
+        action_stations: Sequence[str],
+        hours: Sequence[int],
+    ) -> list[RewardBreakdown]:
+        """Price every (driver, previous station, action, hour) decision, with
+        one forecaster call for the whole batch."""
+        stations = [self.index.require(sid) for sid in action_stations]
+        for st in stations:
+            if st.mean_wait is None or st.mean_dist is None:
+                raise DomainError(f"station {st.station_id} is missing reward norms")
+        waits, flags = self.forecaster.forecast_batch(action_stations, hours)
+        out = []
+        for driver_id, prev, st, zhat, f in zip(drivers, prev_stations, stations, waits.tolist(), flags):
+            dhat = 0.0 if prev is None else self.index.distance(prev, st.station_id)
+            zc = self.zeta(driver_id, st.station_id)
+            r = compute_reward(zhat, dhat, st.mean_wait, st.mean_dist, zc, REWARD_SCALE)
+            out.append(RewardBreakdown(r, zhat, dhat, st.mean_wait, st.mean_dist, zc, f))
+        return out
+
     def breakdown(
         self, driver_id: str, prev_station: str | None, action_station: str, eh: int
     ) -> RewardBreakdown:
-        st = self.index.require(action_station)
-        if st.mean_wait is None or st.mean_dist is None:
-            raise DomainError(f"station {action_station} is missing reward norms")
-        zhat, flags = self.forecaster.forecast(action_station, eh)
-        dhat = 0.0 if prev_station is None else self.index.distance(prev_station, action_station)
-        zc = self.zeta(driver_id, action_station)
-        r = compute_reward(zhat, dhat, st.mean_wait, st.mean_dist, zc, REWARD_SCALE)
-        return RewardBreakdown(r, zhat, dhat, st.mean_wait, st.mean_dist, zc, flags)
+        return self.breakdowns([driver_id], [prev_station], [action_station], [eh])[0]
 
     def reward(self, driver_id: str, prev_station: str | None, action_station: str, eh: int) -> float:
         return self.breakdown(driver_id, prev_station, action_station, eh).reward

@@ -1,5 +1,8 @@
 """History encoding, replay buffer, training loop contracts and inference."""
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,10 +15,12 @@ from conftest import (
     split_population,
 )
 from evrac import agent, nn
+from evrac import reward as rw
 from evrac.dataset import build_trajectories
 from evrac.errors import ConfigError, TrainingDiverged, UsageError
 from evrac.geospatial import NUM_POI_TYPES
 from evrac.reward import TIME_FEATURE_WIDTH
+from evrac.seeding import rng_for
 
 
 def _small_hyper(**kw):
@@ -377,8 +382,8 @@ def test_nan_reward_aborts_with_dump():
     index, env, space, buffer, model, hyper = _training_setup(0.5, epochs=2)
 
     class BadForecaster:
-        def forecast(self, station_id, eh):
-            return float("nan"), frozenset()
+        def forecast_batch(self, station_ids, hours):
+            return np.full(len(station_ids), np.nan), [frozenset()] * len(station_ids)
 
     env.forecaster = BadForecaster()
     with pytest.raises(TrainingDiverged) as excinfo:
@@ -391,6 +396,52 @@ def test_td_coupled_requires_net_forecaster():
     _, env, _, buffer, model, hyper = _training_setup(0.5, reward_update="td_coupled")
     with pytest.raises(ConfigError):
         agent.train_rac(buffer, model, env, hyper)
+
+
+def _net_env(index, net):
+    """Environment priced by `net` over the series of `_training_setup`'s
+    events, 3 lag hours: early decisions fall back to the mean wait."""
+    events = []
+    for d in range(4):
+        events += pattern_events(f"driver-{d}", list(index.order), 12)
+    forecaster = rw.NetWaitForecaster(net, rw.build_wait_series(events), index, 3)
+    return rw.RewardEnvironment(index, forecaster, {})
+
+
+def _params(model, net):
+    out = {f"model.{k}": v for k, v in model.all_params().items()}
+    out.update({f"net.{k}": v for k, v in net.params.items()})
+    return out
+
+
+def test_td_coupled_training():
+    index, _, _, buffer, model, hyper = _training_setup(0.5, epochs=3, reward_update="td_coupled")
+    start_net = rw.WaitForecastNet(rw.reward_net_input_dim(index), 4, 1, rng_for(0, "td-net"))
+    start_model = model.clone()
+
+    env = _net_env(index, copy.deepcopy(start_net))
+    records = agent.train_rac(buffer, model, env, hyper)
+    trained = _params(model, env.forecaster.net)
+    assert any(not np.array_equal(v, start_net.params[k]) for k, v in env.forecaster.net.params.items())
+
+    twin_env = _net_env(index, copy.deepcopy(start_net))
+    twin_model = start_model.clone()
+    twin_records = agent.train_rac(buffer, twin_model, twin_env, hyper)
+    for name, value in _params(twin_model, twin_env.forecaster.net).items():
+        assert value.tobytes() == trained[name].tobytes(), name
+    for a, b in zip(twin_records, records, strict=True):
+        assert {k: v for k, v in a.items() if k != "wallclock_ms"} == {k: v for k, v in b.items() if k != "wallclock_ms"}
+
+    # Epoch e prices its batch with the forecaster as the first e epochs left it.
+    rng_buffer = rng_for(hyper.seed, "buffer")
+    for epoch, record in enumerate(records):
+        net = copy.deepcopy(start_net)
+        if epoch:
+            agent.train_rac(buffer, start_model.clone(), _net_env(index, net), replace(hyper, epochs=epoch))
+        batch = agent._gather_batch(buffer, buffer.sample(rng_buffer, hyper.samples_per_epoch))
+        priced = _net_env(index, net).breakdowns(batch.drivers, batch.prev_stations, batch.action_stations,
+                                                 batch.hours)
+        assert float(np.mean([b.reward for b in priced])) == record["mean_reward"]
 
 
 def test_pg_weight_delta_variant_runs():

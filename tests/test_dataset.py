@@ -54,6 +54,14 @@ def test_negative_duration_goes_to_rejects(tmp_path):
     assert "duration" in rejects[0].reason
 
 
+@pytest.mark.parametrize("field", ["duration_min", "energy_kwh"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_event_values_are_rejected(field, value):
+    values = {"duration_min": 30.0, "energy_kwh": 10.0, field: value}
+    with pytest.raises(DomainError, match="non-finite"):
+        dataset.ChargingEvent(start_time=T0, event_id="e1", driver_id="d1", station_id="cs0", **values)
+
+
 def test_unknown_adapter():
     with pytest.raises(UsageError):
         dataset.parse_events("whatever.csv", "paris")

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import constant_reward_env, make_stations, pattern_events, split_population
 from evrac import evaluation as ev
+from evrac import reward as rw
 from evrac.errors import UsageError
+from evrac.seeding import rng_for
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +166,28 @@ def test_mar_mean_of_two_rewards():
     assert report.mar == pytest.approx((-100.0 + -300.0) / 2)
 
 
+def test_evaluate_counts_clamped_and_fallback_events():
+    # d1's top-1 cs0 has lags and a net that always forecasts below zero
+    # (clamped); d2's top-1 cs2 has no sessions (mean fallback).
+    trajectories, splits, _ = _population()
+    index = make_stations(["cs0", "cs1", "cs2"], mean_wait=10.0, mean_dist=1.0)
+    events = [e for t in trajectories.values() for e in t.events]
+    net = rw.WaitForecastNet(rw.reward_net_input_dim(index), 4, 1, rng_for(0, "clamp"))
+    net.head.b[:] = -100.0
+    env = rw.RewardEnvironment(index, rw.NetWaitForecaster(net, rw.build_wait_series(events), index, 5), {})
+
+    class PerDriverScripted:
+        def rank(self, driver_id, history, k, when=None):
+            return ["cs0"] if driver_id == "d1" else ["cs2"]
+
+    report = ev.evaluate(PerDriverScripted(), trajectories, splits, env, ks=(1,))
+    assert (report.clamped_events, report.fallback_events) == (1, 1)
+    aggregate = report.to_dict()["aggregate"]
+    assert (aggregate["clamped_events"], aggregate["fallback_events"]) == (1, 1)
+    assert report.per_driver["d1"].mean_norm_wait == 0.0
+    assert report.per_driver["d2"].mean_norm_wait == 1.0
+
+
 def test_mar_order_invariance():
     # mean over events: shuffling drivers' evaluation order cannot matter
     trajectories, splits, _ = _population()
@@ -215,7 +239,7 @@ def _canned_report(p1, r1, mar, drivers=("d1",)):
     }
     return ev.EvalReport(
         ks=[1], per_driver=per_driver, precision={1: p1}, recall={1: r1},
-        mar=mar, events=len(drivers), drivers=len(drivers), fallback_events=0,
+        mar=mar, events=len(drivers), drivers=len(drivers), fallback_events=0, clamped_events=0,
     )
 
 

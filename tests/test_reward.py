@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import T0, make_event, make_stations
 from evrac import reward as rw
-from evrac.errors import ConfigError, DomainError
+from evrac.errors import ConfigError, DomainError, UnknownStationError
+from evrac.geospatial import NUM_POI_TYPES, Station, StationIndex
 from evrac.seeding import rng_for
 
 
@@ -254,6 +255,139 @@ def test_environment_breakdown_and_zeta():
 def test_mean_wait_forecaster_flags():
     index = make_stations(["cs0"], mean_wait=33.0)
     fc = rw.MeanWaitForecaster(index)
-    value, flags = fc.forecast("cs0", 0)
-    assert value == 33.0
-    assert "mean_fallback" in flags
+    values, flags = fc.forecast_batch(["cs0"], [0])
+    assert values.tolist() == [33.0]
+    assert "mean_fallback" in flags[0]
+
+
+# ---------------------------------------------------------------------------
+# Batched pricing
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(-(10**7), 10**7), min_size=1, max_size=8))
+def test_time_features_for_hours_match_calendar(hours):
+    got = rw.time_features_for_hours(np.array(hours))
+    want = np.stack([rw.time_features(rw.hour_to_datetime(h)) for h in hours])
+    assert np.array_equal(got, want)
+
+
+def _pricing_city():
+    """Three stations with distinct norms and POI mixes; cs0 and cs1 have
+    hourly sessions over 30 hours, cs2 has none."""
+    rng = np.random.default_rng(5)
+    stations = {
+        sid: Station(sid, 0.0, 0.01 * i, rng.integers(0, 4, NUM_POI_TYPES), mean_wait=mw, mean_dist=md)
+        for i, (sid, mw, md) in enumerate([("cs0", 20.0, 2.0), ("cs1", 7.0, 3.0), ("cs2", 13.0, 1.5)])
+    }
+    index = StationIndex(stations)
+    events = [
+        make_event(f"e{i}", "d", f"cs{i % 2}", T0 + timedelta(hours=i // 2, minutes=7 * (i % 3)),
+                   duration=float(5 + (i * 37) % 80))
+        for i in range(60)
+    ]
+    return index, rw.build_wait_series(events)
+
+
+def _reference_inputs(series, index, station_id, eh, k):
+    """Per-step construction of one forecaster input, the layout
+    `forecast_inputs` vectorises."""
+    lags = series[station_id].lags(eh, k) / index.require(station_id).mean_wait
+    ctx = index.location_context(station_id, None)
+    return np.stack([
+        np.concatenate([[lags[j]], ctx, rw.time_features(rw.hour_to_datetime(eh - k + j))])
+        for j in range(k)
+    ])
+
+
+def test_forecast_inputs_match_per_step_reference():
+    index, series = _pricing_city()
+    k = 4
+    h0 = rw.epoch_hour(T0)
+    pairs = [(sid, h0 + dh) for sid in ("cs1", "cs0", "cs2") for dh in range(-2, 40, 3)]
+    xs, keep = rw.forecast_inputs(series, index, [p[0] for p in pairs], [p[1] for p in pairs], k)
+    eligible = [i for i, (sid, eh) in enumerate(pairs) if sid != "cs2" and eh - k >= h0]
+    assert keep.tolist() == eligible
+    want = np.stack([_reference_inputs(series, index, *pairs[i], k) for i in eligible])
+    assert np.array_equal(xs, want)
+
+
+def _forecaster(kind, index, series):
+    if kind == "mean":
+        return rw.MeanWaitForecaster(index)
+    if kind == "table":
+        return rw.TableWaitForecaster({sid: 3.0 + i for i, sid in enumerate(index.order)})
+    net = rw.WaitForecastNet(rw.reward_net_input_dim(index), 6, 2, rng_for(3, "pricing"))
+    net.head.b[:] = 0.5
+    return rw.NetWaitForecaster(net, series, index, 4)
+
+
+def _decisions(index, n=60):
+    rng = np.random.default_rng(9)
+    h0 = rw.epoch_hour(T0)
+    out = []
+    for _ in range(n):
+        prev = None if rng.random() < 0.2 else index.order[int(rng.integers(len(index)))]
+        out.append((f"d{int(rng.integers(3))}", prev, index.order[int(rng.integers(len(index)))],
+                    h0 + int(rng.integers(-3, 40))))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["mean", "table", "net"])
+def test_breakdowns_match_per_pair(kind):
+    index, series = _pricing_city()
+    env = rw.RewardEnvironment(index, _forecaster(kind, index, series), {"d1": "cs1"})
+    decisions = _decisions(index)
+    batched = env.breakdowns(*map(list, zip(*decisions)))
+    single = [env.breakdown(*d) for d in decisions]
+    if kind != "net":
+        assert batched == single
+        return
+    assert {f for b in batched for f in b.flags} == {"mean_fallback"}  # some pairs fall back
+    for b, s in zip(batched, single):
+        assert b.flags == s.flags
+        assert (b.dist_km, b.mean_wait, b.mean_dist, b.zeta) == (s.dist_km, s.mean_wait, s.mean_dist, s.zeta)
+        assert b.wait_forecast == pytest.approx(s.wait_forecast, rel=1e-12, abs=0.0)
+        assert b.reward == pytest.approx(s.reward, rel=1e-12, abs=0.0)
+
+
+def test_predict_waits_ignore_order_and_duplicates():
+    index, series = _pricing_city()
+    fc = _forecaster("net", index, series)
+    fc.net.head.b[:] = -0.4  # some raw outputs clamp
+    pairs = sorted({(sid, eh) for _, _, sid, eh in _decisions(index)})
+    waits, flags = fc.forecast_batch([p[0] for p in pairs], [p[1] for p in pairs])
+    assert {f for fs in flags for f in fs} == {"mean_fallback", "clamped"}
+    shuffled = [pairs[i] for i in np.random.default_rng(1).permutation(len(pairs))] + pairs[::3]
+    waits2, flags2 = fc.forecast_batch([p[0] for p in shuffled], [p[1] for p in shuffled])
+    want = {p: (w, f) for p, w, f in zip(pairs, waits.tolist(), flags)}
+    assert [want[p] for p in shuffled] == list(zip(waits2.tolist(), flags2))
+
+
+@pytest.mark.parametrize("kind", ["mean", "table", "net"])
+@pytest.mark.parametrize("mean_wait", [None, 0.0])
+def test_pricing_rejects_missing_or_zero_mean_wait(kind, mean_wait):
+    index, series = _pricing_city()
+    index = StationIndex({sid: Station(sid, 0.0, 0.0, np.zeros(NUM_POI_TYPES), mean_wait=mean_wait, mean_dist=1.0)
+                          for sid in index.order})
+    fc = _forecaster(kind, index, series)
+    env = rw.RewardEnvironment(index, fc, {})
+    eh = rw.epoch_hour(T0) + 20
+    with pytest.raises(DomainError):
+        env.breakdowns(["d"], [None], ["cs0"], [eh])
+    if kind != "table":
+        with pytest.raises(DomainError):
+            fc.forecast_batch(["cs1", "cs0"], [eh, eh])
+
+
+@pytest.mark.parametrize("kind", ["mean", "table", "net"])
+def test_pricing_rejects_unknown_station(kind):
+    index, series = _pricing_city()
+    fc = _forecaster(kind, index, series)
+    env = rw.RewardEnvironment(index, fc, {})
+    eh = rw.epoch_hour(T0) + 20
+    with pytest.raises(UnknownStationError):
+        env.breakdowns(["d", "d"], [None, None], ["cs0", "cs9"], [eh, eh])
+    if kind != "table":
+        with pytest.raises(UnknownStationError):
+            fc.forecast_batch(["cs0", "cs9"], [eh, eh])

@@ -291,24 +291,28 @@ def train_reward_net(
     if train_idx.size == 0:
         raise ConfigError("empty reward-net training window")
 
-    net = WaitForecastNet(xs.shape[2], hyper.hidden, hyper.layers, rng_for(hyper.seed, "reward-init"))
+    # Gather each split once; the full input array is not needed after this.
+    xs_train, xs_val = xs[train_idx], xs[val_idx]
+    del xs
+    ys_train = ys[train_idx]
+    net = WaitForecastNet(xs_train.shape[2], hyper.hidden, hyper.layers, rng_for(hyper.seed, "reward-init"))
     params = net.params
     for epoch in range(hyper.epochs):
-        pred, cache = net.forward(xs[train_idx])
-        diff = pred - ys[train_idx]
+        pred, cache = net.forward(xs_train)
+        diff = pred - ys_train
         grads = net.backward(cache, diff / diff.shape[0])
         nn.clip_global_norm(grads, hyper.clip_norm)
         nn.sgd_step(params, grads, hyper.alpha)
 
-    def _mse(idx: np.ndarray) -> float:
+    def _mse(split_xs: np.ndarray, idx: np.ndarray) -> float:
         if idx.size == 0:
             return float("nan")
-        pred, _ = net.forward(xs[idx])
+        pred, _ = net.forward(split_xs)
         return float(np.mean(((pred - ys[idx]) * sc[idx]) ** 2))
 
     report = {
-        "train_mse": _mse(train_idx),
-        "val_mse": _mse(val_idx),
+        "train_mse": _mse(xs_train, train_idx),
+        "val_mse": _mse(xs_val, val_idx),
         "samples": int(len(ys)),
         "skipped_stations": skipped,
     }

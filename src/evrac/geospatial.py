@@ -153,7 +153,7 @@ def load_poi(path: str | Path, station_ids: Sequence[str]) -> dict[str, np.ndarr
 # ---------------------------------------------------------------------------
 
 class StationIndex:
-    """Ordered station set with one-hot coding, distances and POI features.
+    """Ordered station set with one-hot coding, a distance table and POI features.
 
     Station order is the sorted id list, so indices are deterministic.
     """
@@ -167,6 +167,12 @@ class StationIndex:
         self.poi_matrix = np.stack(
             [normalize_poi(self.stations[sid].poi_counts) for sid in self.order]
         )
+        # All pairwise distances in km, built once: rows and columns follow
+        # `order`, and each entry is the haversine of that pair.
+        coords = [(st.latitude, st.longitude) for st in self.stations.values()]
+        self._distances: list[list[float]] = [
+            [haversine(*a, *b) for b in coords] for a in coords
+        ]
 
     def __len__(self) -> int:
         return len(self.order)
@@ -188,8 +194,7 @@ class StationIndex:
         return self.index[station_id]
 
     def distance(self, from_id: str, to_id: str) -> float:
-        a, b = self.require(from_id), self.require(to_id)
-        return haversine(a.latitude, a.longitude, b.latitude, b.longitude)
+        return self._distances[self.index_of(from_id)][self.index_of(to_id)]
 
     def location_context(self, current: str, previous: str | None) -> np.ndarray:
         """Location features for an observation at `current`:

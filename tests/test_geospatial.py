@@ -158,6 +158,24 @@ def test_location_context_distance():
     assert ctx.shape == (index.context_width(),) == (1 + 2 + 76,)
 
 
+@settings(max_examples=30)
+@given(st.lists(st.tuples(_lat, _lon), min_size=1, max_size=6))
+def test_distance_table_is_haversine_bitwise(coords):
+    stations = {
+        f"s{i}": geo.Station(f"s{i}", lat, lon, np.zeros(geo.NUM_POI_TYPES))
+        for i, (lat, lon) in enumerate(coords)
+    }
+    index = geo.StationIndex(stations)
+    for a in stations.values():
+        for b in stations.values():
+            expected = geo.haversine(a.latitude, a.longitude, b.latitude, b.longitude)
+            assert index.distance(a.station_id, b.station_id) == expected
+    with pytest.raises(UnknownStationError):
+        index.distance("s0", "nope")
+    with pytest.raises(UnknownStationError):
+        index.distance("nope", "s0")
+
+
 def test_unknown_station_lookup():
     index = make_stations(["cs0"])
     with pytest.raises(UnknownStationError):

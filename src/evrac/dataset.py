@@ -20,6 +20,10 @@ CANONICAL_HEADER = ["event_id", "driver_id", "station_id", "start_time", "durati
 
 ADAPTERS = ("canonical", "dundee", "glasgow")
 
+# Longest accepted session, one week in minutes. Wait-series building walks
+# every clock hour a session covers, so an unbounded duration is unbounded work.
+MAX_DURATION_MIN = 7 * 24 * 60
+
 
 @dataclass(frozen=True, order=True)
 class ChargingEvent:
@@ -37,6 +41,10 @@ class ChargingEvent:
             raise DomainError(f"non-finite duration or energy for event {self.event_id}")
         if self.duration_min < 0:
             raise DomainError(f"negative duration for event {self.event_id}")
+        if self.duration_min > MAX_DURATION_MIN:
+            raise DomainError(
+                f"duration over one week ({MAX_DURATION_MIN} min) for event {self.event_id}"
+            )
         if self.energy_kwh < 0:
             raise DomainError(f"negative energy for event {self.event_id}")
 

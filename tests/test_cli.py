@@ -95,6 +95,27 @@ def test_ingest_sends_non_finite_rows_to_rejects(tmp_path, capsys):
     assert "e2" not in out.read_text() and "e3" not in out.read_text()
 
 
+def test_ingest_sends_over_one_week_rows_to_rejects(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(
+        "event_id,driver_id,station_id,start_time,duration_min,energy_kwh\n"
+        "e1,d1,cs0,2018-06-06T08:00:00Z,10080,10\n"
+        "e2,d1,cs0,2018-06-06T09:00:00Z,1e10,10\n"
+        "e3,d1,cs0,2018-06-06T10:00:00Z,10080.5,10\n"
+        "e4,d1,cs0,2018-06-06T11:00:00Z,30,10\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "canonical.csv"
+    rc = main(["ingest", "--input", str(raw), "--adapter", "canonical", "--output", str(out)])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["events"], summary["rejected"]) == (2, 2)
+    rejects = (tmp_path / "canonical.csv.rejects.csv").read_text()
+    assert rejects.count("over one week") == 2
+    kept = out.read_text()
+    assert "e1" in kept and "e2" not in kept and "e3" not in kept
+
+
 def test_ingest_unknown_adapter_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ingest", "--input", "x.csv", "--adapter", "berlin", "--output", "y.csv"])

@@ -62,6 +62,24 @@ def test_non_finite_event_values_are_rejected(field, value):
         dataset.ChargingEvent(start_time=T0, event_id="e1", driver_id="d1", station_id="cs0", **values)
 
 
+@pytest.mark.parametrize("value", [1e7, 1e300])
+def test_durations_over_one_week_are_rejected(value):
+    with pytest.raises(DomainError, match="over one week"):
+        dataset.ChargingEvent(
+            start_time=T0, event_id="e1", driver_id="d1", station_id="cs0",
+            duration_min=value, energy_kwh=10.0,
+        )
+
+
+def test_duration_of_exactly_one_week_is_accepted():
+    assert dataset.MAX_DURATION_MIN == 10_080
+    event = dataset.ChargingEvent(
+        start_time=T0, event_id="e1", driver_id="d1", station_id="cs0",
+        duration_min=10_080.0, energy_kwh=10.0,
+    )
+    assert event.duration_min == 10_080.0
+
+
 def test_unknown_adapter():
     with pytest.raises(UsageError):
         dataset.parse_events("whatever.csv", "paris")

@@ -19,6 +19,7 @@ forget-gate bias starts at 1.0 for gradient flow; all other biases at 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -28,6 +29,20 @@ from .errors import DomainError, ShapeError
 
 # LSTM pre-activation block layout within the 4h axis.
 GATE_ORDER = ("input", "forget", "cell", "output")
+
+
+@functools.lru_cache(maxsize=8)
+def _gate_affine(h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only per-column constants over the 4h gate block: `scale` is 0.5
+    on the sigmoid blocks (i, f, o) and 1 on the tanh block (g), `shift` is
+    0.5 and 0, and `tanh_cols` marks the tanh block with 1."""
+    tanh_cols = np.zeros(4 * h)
+    tanh_cols[2 * h : 3 * h] = 1.0
+    scale = 0.5 + 0.5 * tanh_cols
+    out = (scale, 1.0 - scale, tanh_cols)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def _require_finite(name: str, arr: np.ndarray) -> None:
@@ -41,13 +56,8 @@ def uniform_init(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) 
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 0.5 * (1 + tanh(x/2)) equals 1 / (1 + exp(-x)) and cannot overflow.
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -203,26 +213,30 @@ class LstmLayer:
             )
         B, T, _ = xs.shape
         h = self.hidden_dim
-        hs = np.zeros((B, T, h))
-        cs = np.zeros((B, T, h))
-        gates = np.zeros((B, T, 4 * h))
-        h_prev = np.zeros((B, h))
-        c_prev = np.zeros((B, h))
+        scale, shift, _ = _gate_affine(h)
+        # sigmoid(z) = 0.5 + 0.5 tanh(z/2), so one tanh over the whole block
+        # activates every gate once its i/f/o columns are halved. The halving
+        # is folded into W, U and b; scaling by a power of two is exact.
+        # The input projection of all T steps is one matmul, written into the
+        # gates buffer that each step then activates in place.
+        U = self.U * scale
+        gates = (xs.reshape(B * T, -1) @ (self.W * scale)).reshape(B, T, 4 * h)
+        gates += self.b * scale
+        hs = np.empty((B, T, h))
+        cs = np.empty((B, T, h))
         for t in range(T):
-            z = xs[:, t] @ self.W + h_prev @ self.U + self.b
-            i = sigmoid(z[:, :h])
-            f = sigmoid(z[:, h : 2 * h])
-            g = np.tanh(z[:, 2 * h : 3 * h])
-            o = sigmoid(z[:, 3 * h :])
-            c = f * c_prev + i * g
-            h_t = o * np.tanh(c)
-            gates[:, t, :h] = i
-            gates[:, t, h : 2 * h] = f
-            gates[:, t, 2 * h : 3 * h] = g
-            gates[:, t, 3 * h :] = o
-            cs[:, t] = c
-            hs[:, t] = h_t
-            h_prev, c_prev = h_t, c
+            a = gates[:, t]
+            if t:
+                a += hs[:, t - 1] @ U
+            np.tanh(a, out=a)
+            a *= scale
+            a += shift
+            c = cs[:, t]
+            np.multiply(a[:, :h], a[:, 2 * h : 3 * h], out=c)  # i * g
+            if t:
+                c += a[:, h : 2 * h] * cs[:, t - 1]  # + f * c_prev
+            np.tanh(c, out=hs[:, t])
+            hs[:, t] *= a[:, 3 * h :]  # h_t = o * tanh(c_t)
         return hs, {"xs": xs, "hs": hs, "cs": cs, "gates": gates}
 
     def backward(self, cache: dict, dhs: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -230,44 +244,43 @@ class LstmLayer:
         xs, hs, cs, gates = cache["xs"], cache["hs"], cache["cs"], cache["gates"]
         B, T, _ = xs.shape
         h = self.hidden_dim
+        _, _, tanh_cols = _gate_affine(h)
         dW = np.zeros_like(self.W)
         dU = np.zeros_like(self.U)
         db = np.zeros_like(self.b)
-        dxs = np.zeros_like(xs)
-        dh_carry = np.zeros((B, h))
-        dc_carry = np.zeros((B, h))
+        dxs = np.empty_like(xs)
+        # One pre-activation gradient buffer, rewritten block by block each step.
+        dz = np.empty((B, 4 * h))
+        di, df, dg, do = dz[:, :h], dz[:, h : 2 * h], dz[:, 2 * h : 3 * h], dz[:, 3 * h :]
+        dh_carry = dc_carry = None
         for t in range(T - 1, -1, -1):
-            i = gates[:, t, :h]
-            f = gates[:, t, h : 2 * h]
-            g = gates[:, t, 2 * h : 3 * h]
-            o = gates[:, t, 3 * h :]
-            c = cs[:, t]
-            c_prev = cs[:, t - 1] if t > 0 else np.zeros((B, h))
-            h_prev = hs[:, t - 1] if t > 0 else np.zeros((B, h))
-            tanh_c = np.tanh(c)
-
-            dh = dhs[:, t] + dh_carry
-            do = dh * tanh_c
-            dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_carry
-            df = dc * c_prev
-            di = dc * g
-            dg = dc * i
-
-            dz = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g * g),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
+            a = gates[:, t]
+            i, f, g, o = a[:, :h], a[:, h : 2 * h], a[:, 2 * h : 3 * h], a[:, 3 * h :]
+            tanh_c = np.tanh(cs[:, t])
+            dh = dhs[:, t] if dh_carry is None else dhs[:, t] + dh_carry
+            np.multiply(dh, tanh_c, out=do)
+            dc = dh * o
+            tanh_c *= tanh_c
+            dc *= np.subtract(1.0, tanh_c, out=tanh_c)
+            if dc_carry is not None:
+                dc += dc_carry
+            np.multiply(dc, g, out=di)
+            if t:
+                np.multiply(dc, cs[:, t - 1], out=df)
+            else:
+                df.fill(0.0)  # c_{-1} = 0
+            np.multiply(dc, i, out=dg)
+            # Activation slopes from the outputs: a(1 - a) on the sigmoid
+            # blocks, (1 - a)(1 + a) on the tanh block.
+            dz *= (1.0 - a) * (a + tanh_cols)
             dW += xs[:, t].T @ dz
-            dU += h_prev.T @ dz
+            if t:
+                dU += hs[:, t - 1].T @ dz
             db += dz.sum(axis=0)
-            dxs[:, t] = dz @ self.W.T
+            np.matmul(dz, self.W.T, out=dxs[:, t])
             dh_carry = dz @ self.U.T
-            dc_carry = dc * f
+            dc_carry = dc
+            dc_carry *= f
         return dxs, {"W": dW, "U": dU, "b": db}
 
 

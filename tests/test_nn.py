@@ -67,6 +67,54 @@ def test_cross_entropy_rejects_non_one_hot():
 
 
 # ---------------------------------------------------------------------------
+# Sigmoid
+# ---------------------------------------------------------------------------
+
+def _two_branch_sigmoid(x):
+    # The sign-split exp form evrac used before the tanh identity.
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _check_sigmoid(x):
+    with np.errstate(all="raise"):
+        y = nn.sigmoid(x)
+    with np.errstate(under="ignore"):
+        ref = _two_branch_sigmoid(x)
+    assert np.all(np.abs(y - ref) <= 2.3e-16)
+    assert np.all((y >= 0.0) & (y <= 1.0))
+    assert np.all(np.diff(y[np.argsort(x, kind="stable")]) >= 0.0)
+
+
+@given(
+    st.lists(
+        st.floats(-1e308, 1e308, allow_nan=False, allow_subnormal=False),
+        min_size=1,
+        max_size=32,
+    )
+)
+@example([0.0, -0.0, 1e308, -1e308, 2.2250738585072014e-308, 36.7, -36.7, 745.2, -745.2])
+def test_sigmoid_matches_two_branch_form(xs):
+    _check_sigmoid(np.array(xs))
+
+
+def test_sigmoid_dense_grid():
+    _check_sigmoid(np.linspace(-800.0, 800.0, 400_001))
+
+
+def test_sigmoid_subnormal_inputs_give_one_half():
+    # Halving a subnormal is inexact, so these alone set the IEEE underflow
+    # flag (ignored under numpy's default error state).
+    x = np.array([5e-324, -5e-324, 1e-310, -2e-308])
+    with np.errstate(all="raise", under="ignore"):
+        assert np.array_equal(nn.sigmoid(x), np.full(4, 0.5))
+
+
+# ---------------------------------------------------------------------------
 # SGD and clipping
 # ---------------------------------------------------------------------------
 
@@ -237,6 +285,143 @@ def test_lstm_gradient_sums_per_step_contributions():
     _, g1 = layer.backward(cache, only1)
     for name in full:
         assert full[name] == pytest.approx(g0[name] + g1[name], abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# LSTM kernel against a per-gate reference
+# ---------------------------------------------------------------------------
+
+def _reference_lstm_forward(layer, xs):
+    # The per-gate loop evrac used before the fused kernel.
+    B, T, _ = xs.shape
+    h = layer.hidden_dim
+    hs = np.zeros((B, T, h))
+    cs = np.zeros((B, T, h))
+    gates = np.zeros((B, T, 4 * h))
+    h_prev = np.zeros((B, h))
+    c_prev = np.zeros((B, h))
+    for t in range(T):
+        z = xs[:, t] @ layer.W + h_prev @ layer.U + layer.b
+        i = _two_branch_sigmoid(z[:, :h])
+        f = _two_branch_sigmoid(z[:, h : 2 * h])
+        g = np.tanh(z[:, 2 * h : 3 * h])
+        o = _two_branch_sigmoid(z[:, 3 * h :])
+        c = f * c_prev + i * g
+        h_t = o * np.tanh(c)
+        gates[:, t, :h] = i
+        gates[:, t, h : 2 * h] = f
+        gates[:, t, 2 * h : 3 * h] = g
+        gates[:, t, 3 * h :] = o
+        cs[:, t] = c
+        hs[:, t] = h_t
+        h_prev, c_prev = h_t, c
+    return hs, {"xs": xs, "hs": hs, "cs": cs, "gates": gates}
+
+
+def _reference_lstm_backward(layer, cache, dhs):
+    xs, hs, cs, gates = cache["xs"], cache["hs"], cache["cs"], cache["gates"]
+    B, T, _ = xs.shape
+    h = layer.hidden_dim
+    dW = np.zeros_like(layer.W)
+    dU = np.zeros_like(layer.U)
+    db = np.zeros_like(layer.b)
+    dxs = np.zeros_like(xs)
+    dh_carry = np.zeros((B, h))
+    dc_carry = np.zeros((B, h))
+    for t in range(T - 1, -1, -1):
+        i = gates[:, t, :h]
+        f = gates[:, t, h : 2 * h]
+        g = gates[:, t, 2 * h : 3 * h]
+        o = gates[:, t, 3 * h :]
+        c = cs[:, t]
+        c_prev = cs[:, t - 1] if t > 0 else np.zeros((B, h))
+        h_prev = hs[:, t - 1] if t > 0 else np.zeros((B, h))
+        tanh_c = np.tanh(c)
+        dh = dhs[:, t] + dh_carry
+        do = dh * tanh_c
+        dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_carry
+        df = dc * c_prev
+        di = dc * g
+        dg = dc * i
+        dz = np.concatenate(
+            [
+                di * i * (1.0 - i),
+                df * f * (1.0 - f),
+                dg * (1.0 - g * g),
+                do * o * (1.0 - o),
+            ],
+            axis=1,
+        )
+        dW += xs[:, t].T @ dz
+        dU += h_prev.T @ dz
+        db += dz.sum(axis=0)
+        dxs[:, t] = dz @ layer.W.T
+        dh_carry = dz @ layer.U.T
+        dc_carry = dc * f
+    return dxs, {"W": dW, "U": dU, "b": db}
+
+
+def _assert_rel_close(actual, expected, rel=1e-12):
+    # Relative to the array's scale, so entries that cancel to ~0 do not
+    # demand digits the float64 sum never had.
+    scale = max(float(np.max(np.abs(expected))), 1e-300)
+    assert float(np.max(np.abs(actual - expected))) <= rel * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 7),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 1, 1, 1, 0)
+@example(1, 1, 3, 1, 1)
+@example(4, 9, 5, 8, 2)
+def test_lstm_kernel_matches_per_gate_reference(B, T, in_dim, hidden, seed):
+    rng = np.random.default_rng(seed)
+    layer = nn.LstmLayer(in_dim, hidden, rng)
+    layer.b += rng.normal(size=layer.b.shape)
+    xs = 2.0 * rng.normal(size=(B, T, in_dim))
+    dhs = rng.normal(size=(B, T, hidden))
+
+    hs, cache = layer.forward(xs)
+    ref_hs, ref_cache = _reference_lstm_forward(layer, xs)
+    _assert_rel_close(hs, ref_hs)
+    _assert_rel_close(cache["cs"], ref_cache["cs"])
+    _assert_rel_close(cache["gates"], ref_cache["gates"])
+    assert cache["xs"] is xs
+
+    dxs, grads = layer.backward(cache, dhs)
+    ref_dxs, ref_grads = _reference_lstm_backward(layer, ref_cache, dhs)
+    _assert_rel_close(dxs, ref_dxs)
+    for name in ("W", "U", "b"):
+        _assert_rel_close(grads[name], ref_grads[name])
+
+
+def test_lstm_backward_ignores_earlier_backward_calls():
+    rng = np.random.default_rng(11)
+    layer = nn.LstmLayer(3, 4, rng)
+    xs = rng.normal(size=(3, 5, 3))
+    dhs = rng.normal(size=(3, 5, 4))
+    _, cache = layer.forward(xs)
+    saved = {k: v.copy() for k, v in cache.items()}
+    first_dxs, first = layer.backward(cache, dhs)
+
+    # Other backward passes, on this cache and on another, in between.
+    layer.backward(cache, rng.normal(size=dhs.shape))
+    _, other = layer.forward(rng.normal(size=(2, 7, 3)))
+    layer.backward(other, rng.normal(size=(2, 7, 4)))
+    for k, v in saved.items():
+        assert np.array_equal(cache[k], v)
+
+    _, fresh = layer.forward(xs)
+    again_dxs, again = layer.backward(fresh, dhs)
+    assert np.array_equal(again_dxs, first_dxs)
+    for name in first:
+        assert np.array_equal(again[name], first[name])
+    assert again["W"] is not first["W"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ the 76-type POI neighborhood distribution."""
 
 from __future__ import annotations
 
+import copy
 import csv
 import logging
 import math
@@ -213,11 +214,14 @@ class StationIndex:
         return 1 + len(self.order) + NUM_POI_TYPES
 
     def with_norms(self, norms: dict[str, tuple[float, float]]) -> "StationIndex":
-        updated = {
+        # Norms leave coordinates and POIs alone, so the copy shares the
+        # distance table and POI matrix instead of rebuilding them.
+        out = copy.copy(self)
+        out.stations = {
             sid: replace(st, mean_wait=norms[sid][0], mean_dist=norms[sid][1])
             for sid, st in self.stations.items()
         }
-        return StationIndex(updated)
+        return out
 
 
 def station_norms(

@@ -176,6 +176,20 @@ def test_distance_table_is_haversine_bitwise(coords):
         index.distance("nope", "s0")
 
 
+def test_with_norms_sets_norms_and_keeps_the_rest():
+    index = make_stations(["cs0", "cs1", "cs2"], spacing_km=3.0)
+    normed = index.with_norms({"cs0": (1.0, 2.0), "cs1": (3.0, 4.0), "cs2": (5.0, 6.0)})
+    assert [(normed.require(s).mean_wait, normed.require(s).mean_dist) for s in normed.order] == [
+        (1.0, 2.0), (3.0, 4.0), (5.0, 6.0)
+    ]
+    assert index.require("cs1").mean_wait == 10.0  # the original is unchanged
+    assert normed.order == index.order and len(normed) == 3
+    for a in index.order:
+        assert np.array_equal(normed.location_context(a, "cs0"), index.location_context(a, "cs0"))
+        for b in index.order:
+            assert normed.distance(a, b) == index.distance(a, b)
+
+
 def test_unknown_station_lookup():
     index = make_stations(["cs0"])
     with pytest.raises(UnknownStationError):

@@ -301,6 +301,9 @@ def train_reward_net(
         pred, cache = net.forward(xs_train)
         diff = pred - ys_train
         grads = net.backward(cache, diff / diff.shape[0])
+        # Release the BPTT cache now, or it stays alive through the next
+        # epoch's forward pass and two full caches set the peak memory.
+        del cache
         nn.clip_global_norm(grads, hyper.clip_norm)
         nn.sgd_step(params, grads, hyper.alpha)
 

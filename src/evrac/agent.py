@@ -25,6 +25,7 @@ import numpy as np
 
 from . import nn
 from .baselines import _rank_row
+from .config import RacHyper
 from .dataset import ChargingEvent, DriverTrajectory, Split, approximate_soc
 from .errors import ConfigError, TrainingDiverged, UsageError
 from .evaluation import _driver_rankings, precision_at_k
@@ -40,43 +41,6 @@ from .reward import (
 from .seeding import derive_seed, rng_for
 
 logger = logging.getLogger(__name__)
-
-
-# ---------------------------------------------------------------------------
-# Hyperparameters
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RacHyper:
-    alpha: float = 0.001
-    epsilon: float = 0.5
-    gamma: float = 0.99
-    horizon: int = 10        # replay window length T
-    history: int = 5         # observations encoded per state
-    embed: int = 100
-    hidden: int = 100
-    layers: int = 2
-    critic_hidden: int = 100
-    epochs: int = 200
-    samples_per_epoch: int = 32
-    target_interval: int = 100
-    clip_norm: float = 5.0
-    seed: int = 0
-    pg_weight: str = "q"              # q | delta
-    regularizer: str = "softmax_ce"   # softmax_ce | eta
-    reward_update: str = "supervised"  # supervised | td_coupled
-
-    def __post_init__(self):
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise ConfigError("epsilon must be in [0, 1]")
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ConfigError("gamma must be in [0, 1]")
-        if self.pg_weight not in ("q", "delta"):
-            raise ConfigError(f"unknown pg_weight {self.pg_weight!r}")
-        if self.regularizer not in ("softmax_ce", "eta"):
-            raise ConfigError(f"unknown regularizer {self.regularizer!r}")
-        if self.reward_update not in ("supervised", "td_coupled"):
-            raise ConfigError(f"unknown reward_update {self.reward_update!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +69,7 @@ class ObservationSpace:
     from the training split only.
     """
 
-    def __init__(self, index: StationIndex, max_duration: float, max_energy: float, history: int = 5):
+    def __init__(self, index: StationIndex, max_duration: float, max_energy: float, history: int):
         if max_duration <= 0:
             raise ConfigError("max_duration must be positive (training split empty?)")
         self.index = index
@@ -178,7 +142,7 @@ class ReplayBuffer:
     once added; sampling is reproducible for a fixed generator.
     """
 
-    def __init__(self, history: int = 5, horizon: int = 10):
+    def __init__(self, history: int, horizon: int):
         self.history = history
         self.horizon = horizon
         self.trajectories: dict[str, TrajectoryTensors] = {}
@@ -683,8 +647,8 @@ def finetune_driver(
     traj: DriverTrajectory,
     split: Split | None,
     hyper: RacHyper,
-    epochs: int = 50,
-    patience: int = 10,
+    epochs: int,
+    patience: int,
 ) -> RacModel:
     """Clone the shared model and fine-tune on one driver's training split,
     early-stopping on validation precision@1."""
@@ -741,8 +705,9 @@ def warmup_then_finetune(
     splits: dict[str, Split],
     hyper: RacHyper,
     warmup_trajectories: dict[str, DriverTrajectory] | None = None,
-    finetune_epochs: int = 50,
-    patience: int = 10,
+    *,
+    finetune_epochs: int,
+    patience: int,
     jobs: int = 1,
 ) -> tuple[RacModel, dict[str, RacModel]]:
     """Train one shared model on the anonymized warm-up pool (when present),
@@ -764,9 +729,11 @@ def warmup_then_finetune(
         (shared, obs_space, env, trajectories[d], splits.get(d), hyper, finetune_epochs, patience)
         for d in sorted(trajectories)
     ]
+    # Never more workers than drivers: the fork start method spawns them all up front.
+    workers = min(jobs, len(job_args))
     results: dict[str, RacModel] = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for driver_id, model in pool.map(_finetune_job, job_args):
                 results[driver_id] = model
     else:

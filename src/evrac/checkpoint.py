@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .agent import RacHyper, RacModel
 from .baselines import FpmcHyper, FpmcRecommender, MarkovRecommender, PopularityRecommender
+from .config import hyper_from_mapping
 from .errors import DataFormatError
 from .reward import RewardNetHyper, WaitForecastNet
 
@@ -77,6 +78,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{path}: corrupt header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise DataFormatError(
@@ -87,7 +90,9 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     arrays: dict[str, np.ndarray] = {}
     expected_offset = 0
     manifest = header.get("arrays", [])
-    names = [entry.get("name") for entry in manifest]
+    if not (isinstance(manifest, list) and all(map(_is_manifest_entry, manifest))):
+        raise DataFormatError(f"{path}: manifest entries need a string name, a shape and an offset")
+    names = [entry["name"] for entry in manifest]
     if len(set(names)) != len(names):
         raise DataFormatError(f"{path}: duplicate array names in manifest")
     for entry in manifest:
@@ -104,6 +109,27 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     if len(payload) != expected_offset:
         raise DataFormatError(f"{path}: {len(payload) - expected_offset} trailing bytes after payload")
     return arrays, header
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_manifest_entry(entry) -> bool:
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list) and all(map(_is_count, entry["shape"]))
+            and _is_count(entry.get("offset")))
+
+
+def _meta(header: dict, path: str | Path, *dims: str) -> dict:
+    """The header's meta object, with each named dimension a positive int."""
+    meta = header.get("meta")
+    if not isinstance(meta, dict):
+        raise DataFormatError(f"{path}: checkpoint meta is not a JSON object")
+    for key in dims:
+        if not (_is_count(meta.get(key)) and meta[key] > 0):
+            raise DataFormatError(f"{path}: meta {key!r} must be a positive integer")
+    return meta
 
 
 def _copy_into(params: dict[str, np.ndarray], arrays: dict[str, np.ndarray], path: str | Path) -> None:
@@ -139,8 +165,8 @@ def load_rac_model(path: str | Path) -> tuple[RacModel, dict]:
     arrays, header = load_checkpoint(path)
     if header.get("kind") != "rac":
         raise DataFormatError(f"{path}: expected a rac checkpoint, got {header.get('kind')!r}")
-    meta = header["meta"]
-    hyper = RacHyper(**meta["hyper"])
+    meta = _meta(header, path, "obs_dim", "num_stations")
+    hyper = hyper_from_mapping(RacHyper, meta.get("hyper"), path)
     model = RacModel(meta["obs_dim"], meta["num_stations"], hyper)
     _copy_into(model.all_params(), arrays, path)
     model.critic_updates = int(meta.get("critic_updates", 0))
@@ -168,8 +194,8 @@ def load_reward_net(path: str | Path) -> tuple[WaitForecastNet, RewardNetHyper, 
     arrays, header = load_checkpoint(path)
     if header.get("kind") != "reward":
         raise DataFormatError(f"{path}: expected a reward checkpoint, got {header.get('kind')!r}")
-    meta = header["meta"]
-    hyper = RewardNetHyper(**meta["hyper"])
+    meta = _meta(header, path, "input_dim", "hidden", "layers")
+    hyper = hyper_from_mapping(RewardNetHyper, meta.get("hyper"), path)
     net = WaitForecastNet(meta["input_dim"], meta["hidden"], meta["layers"],
                           np.random.default_rng(0))
     _copy_into(net.params, arrays, path)
@@ -208,7 +234,7 @@ def save_baseline(model, path: str | Path, extra_meta: dict | None = None) -> No
 def load_baseline(path: str | Path):
     arrays, header = load_checkpoint(path)
     kind = header.get("kind")
-    meta = header["meta"]
+    meta = _meta(header, path)
     if kind == "markov":
         model = MarkovRecommender(meta["stations"], lam=meta["lam"])
         model.global_matrix = arrays["global"]
@@ -217,7 +243,7 @@ def load_baseline(path: str | Path):
         }
         return model, header
     if kind == "fpmc":
-        model = FpmcRecommender(meta["stations"], FpmcHyper(**meta["hyper"]))
+        model = FpmcRecommender(meta["stations"], hyper_from_mapping(FpmcHyper, meta.get("hyper"), path))
         model.driver_index = {d: i for i, d in enumerate(meta["drivers"])}
         model.UI, model.IU = arrays["UI"], arrays["IU"]
         model.LI, model.IL = arrays["LI"], arrays["IL"]

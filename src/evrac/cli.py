@@ -11,6 +11,7 @@ logs go to stderr; data goes to files or stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -68,12 +69,11 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> Config:
-    config = load_config(args.config) if getattr(args, "config", None) else Config()
-    overrides = {}
-    for attr in ("events", "stations", "poi", "seed", "epsilon", "epochs", "jobs", "warmup"):
-        if getattr(args, attr, None) is not None:
-            overrides[attr] = getattr(args, attr)
-    return apply_overrides(config, **overrides)
+    """The config file (or defaults), overridden by every parsed flag that
+    names a Config field."""
+    config = load_config(args.config) if args.config else Config()
+    keys = {f.name for f in dataclasses.fields(Config)}
+    return apply_overrides(config, **{k: v for k, v in vars(args).items() if k in keys})
 
 
 def _parse_ks(raw: str) -> list[int]:
@@ -167,8 +167,6 @@ def cmd_train_reward(args: argparse.Namespace) -> int:
 
 def cmd_train_rac(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    if args.per_driver is not None:
-        config = apply_overrides(config, per_driver=args.per_driver)
     bundle = load_data_bundle(config)
     net = _load_reward(args)
     env = training_environment(bundle, net)
@@ -223,6 +221,20 @@ def _load_recommender(path: str, obs_space):
     return model
 
 
+def _load_index(path: Path) -> tuple[str, dict[str, str]]:
+    """The per-driver index: the shared checkpoint's file name and a
+    driver id -> file name map."""
+    try:
+        index = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataFormatError(f"{path}: corrupt index: {exc}") from exc
+    files = index.get("files") if isinstance(index, dict) else None
+    if not (isinstance(files, dict) and isinstance(index.get("shared"), str)
+            and all(isinstance(name, str) for name in files.values())):
+        raise DataFormatError(f"{path}: index needs a string 'shared' and a 'files' object of strings")
+    return index["shared"], files
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _build_config(args)
     bundle = load_data_bundle(config)
@@ -231,11 +243,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     per_driver_models = None
     if args.model_dir:
-        index = json.loads((Path(args.model_dir) / "index.json").read_text(encoding="utf-8"))
-        shared, _ = load_rac_model(Path(args.model_dir) / index["shared"])
+        shared_name, files = _load_index(Path(args.model_dir) / "index.json")
+        shared, _ = load_rac_model(Path(args.model_dir) / shared_name)
         per_driver_models = {}
         for driver_id in bundle.splits:
-            name = index["files"].get(driver_id)
+            name = files.get(driver_id)
             if name is None:
                 per_driver_models[driver_id] = shared
             else:
@@ -244,11 +256,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         recommender = _load_recommender(args.model, bundle.obs_space)
 
-    report = evaluate_recommender(
-        bundle, recommender, env, ks=ks,
-        config_echo=config.as_dict(),
-        per_driver_models=per_driver_models,
-    )
+    report = evaluate_recommender(bundle, recommender, env, ks=ks, per_driver_models=per_driver_models)
     if args.out:
         report.write_json(args.out)
     if args.csv:

@@ -4,7 +4,7 @@ trained models -> reports. Shared by the CLI and the experiment scripts."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .agent import (
     warmup_then_finetune,
 )
 from .baselines import FpmcHyper, FpmcRecommender, MarkovRecommender, PopularityRecommender
-from .config import Config
+from .config import Config, apply_overrides
 from .dataset import (
     ChargingEvent,
     DriverTrajectory,
@@ -155,9 +155,7 @@ def _stations_from_events(events: list[ChargingEvent]):
 
 
 def _with_poi(station, counts):
-    import dataclasses
-
-    return dataclasses.replace(station, poi_counts=counts)
+    return replace(station, poi_counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +189,9 @@ def train_reward_model(bundle: DataBundle) -> tuple[WaitForecastNet, dict]:
     return train_reward_net(bundle.train_series, bundle.index, hyper, bundle.train_end_hour)
 
 
-def train_shared_model(
-    bundle: DataBundle,
-    env: RewardEnvironment,
-    epsilon: float | None = None,
-    seed: int | None = None,
-) -> tuple[RacModel, list[dict]]:
+def train_shared_model(bundle: DataBundle, env: RewardEnvironment) -> tuple[RacModel, list[dict]]:
     """One model over every driver's training windows."""
-    hyper = bundle.config.rac_hyper(epsilon=epsilon, seed=seed)
+    hyper = bundle.config.rac_hyper()
     max_steps = {d: len(s.train) for d, s in bundle.splits.items()}
     buffer = build_buffer(bundle.obs_space, bundle.trajectories, max_steps, hyper)
     model = RacModel(bundle.obs_space.obs_dim, len(bundle.index), hyper)
@@ -206,21 +199,15 @@ def train_shared_model(
     return model, records
 
 
-def train_per_driver_models(
-    bundle: DataBundle,
-    env: RewardEnvironment,
-    epsilon: float | None = None,
-    seed: int | None = None,
-) -> tuple[RacModel, dict[str, RacModel]]:
+def train_per_driver_models(bundle: DataBundle, env: RewardEnvironment) -> tuple[RacModel, dict[str, RacModel]]:
     """Warm-up (when a pool exists) then per-driver fine-tuning."""
     cfg = bundle.config
-    hyper = cfg.rac_hyper(epsilon=epsilon, seed=seed)
     return warmup_then_finetune(
         bundle.obs_space,
         env,
         bundle.trajectories,
         bundle.splits,
-        hyper,
+        cfg.rac_hyper(),
         warmup_trajectories=bundle.warmup_trajectories or None,
         finetune_epochs=cfg.finetune_epochs,
         patience=cfg.patience,
@@ -228,14 +215,13 @@ def train_per_driver_models(
     )
 
 
-def train_baseline_model(bundle: DataBundle, kind: str, seed: int | None = None):
+def train_baseline_model(bundle: DataBundle, kind: str):
     train = bundle.train_events_by_driver()
     stations = bundle.index.order
     if kind == "mc":
         return MarkovRecommender(stations).fit(train)
     if kind == "fpmc":
-        hyper = FpmcHyper(seed=bundle.config.seed if seed is None else seed)
-        return FpmcRecommender(stations, hyper).fit(train)
+        return FpmcRecommender(stations, FpmcHyper(seed=bundle.config.seed)).fit(train)
     if kind == "popularity":
         return PopularityRecommender(stations).fit(train)
     raise UsageError(f"unknown baseline {kind!r}; expected mc, fpmc or popularity")
@@ -250,7 +236,6 @@ def evaluate_recommender(
     recommender,
     env: RewardEnvironment | None,
     ks=(1, 3, 5),
-    config_echo: dict | None = None,
     per_driver_models: dict[str, RacModel] | None = None,
 ) -> EvalReport:
     models = None
@@ -264,7 +249,7 @@ def evaluate_recommender(
         bundle.splits,
         env,
         ks=ks,
-        config=config_echo or bundle.config.as_dict(),
+        config=bundle.config.as_dict(),
         models=models,
     )
 
@@ -273,9 +258,8 @@ def sweep_runner(bundle: DataBundle, env: RewardEnvironment, eval_env: RewardEnv
     """Returns run(eps) for epsilon sweeps: shared seed, one model per eps."""
 
     def run(eps: float) -> EvalReport:
-        model, _ = train_shared_model(bundle, env, epsilon=eps)
-        rec = RacRecommender(model, bundle.obs_space)
-        echo = dict(bundle.config.as_dict(), epsilon=eps)
-        return evaluate_recommender(bundle, rec, eval_env, ks=ks, config_echo=echo)
+        at_eps = replace(bundle, config=apply_overrides(bundle.config, epsilon=eps))
+        model, _ = train_shared_model(at_eps, env)
+        return evaluate_recommender(at_eps, RacRecommender(model, at_eps.obs_space), eval_env, ks=ks)
 
     return run

@@ -17,6 +17,7 @@ from typing import Iterable, Protocol, Sequence
 import numpy as np
 
 from . import nn
+from .config import RewardNetHyper
 from .dataset import ChargingEvent
 from .errors import ConfigError, DomainError, UsageError
 from .geospatial import StationIndex
@@ -188,18 +189,6 @@ class WaitForecastNet:
         grads = {f"lstm.{k}": v for k, v in lstm_grads.items()}
         grads.update({f"head.{k}": v for k, v in head_grads.items()})
         return grads
-
-
-@dataclass(frozen=True)
-class RewardNetHyper:
-    window: int = 10  # lag hours fed to the forecaster
-    hidden: int = 100
-    layers: int = 2
-    alpha: float = 0.01
-    epochs: int = 200
-    val_frac: float = 0.1
-    clip_norm: float = 5.0
-    seed: int = 0
 
 
 def forecast_inputs(

@@ -58,7 +58,7 @@ def test_observation_content():
 def test_observation_space_requires_positive_duration_scale():
     index = make_stations(["cs0"])
     with pytest.raises(ConfigError):
-        agent.ObservationSpace(index, max_duration=0.0, max_energy=1.0)
+        agent.ObservationSpace(index, max_duration=0.0, max_energy=1.0, history=5)
 
 
 def test_pad_history():
@@ -251,7 +251,7 @@ def test_buffer_sampling_reproducible():
 
 def test_buffer_empty_sample_errors():
     with pytest.raises(UsageError):
-        agent.ReplayBuffer().sample(np.random.default_rng(0), 1)
+        agent.ReplayBuffer(history=5, horizon=10).sample(np.random.default_rng(0), 1)
 
 
 def test_terminal_flag_at_episode_end():
@@ -622,3 +622,43 @@ def test_per_driver_jobs_parallel_matches_serial():
     for d in serial:
         for name, p in serial[d].all_params().items():
             assert np.array_equal(p, parallel[d].all_params()[name])
+
+
+def test_per_driver_pool_never_exceeds_driver_count(monkeypatch):
+    """jobs above the driver count must not ask for that many processes."""
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(agent, "ProcessPoolExecutor", RecordingPool)
+    index = make_stations(["cs0", "cs1"])
+    env = constant_reward_env(index, {"cs0": 10.0, "cs1": 10.0})
+    space = agent.ObservationSpace(index, 30.0, 10.0, 5)
+    hyper = _small_hyper(epsilon=1.0, epochs=1, seed=6)
+
+    events = []
+    for d in range(3):
+        events += pattern_events(f"d{d}", ["cs0", "cs1"], 10)
+    trajectories, splits, _ = split_population(events)
+    _, models = agent.warmup_then_finetune(
+        space, env, trajectories, splits, hyper, finetune_epochs=1, patience=1, jobs=100_000
+    )
+    assert asked == [3] and sorted(models) == ["d0", "d1", "d2"]
+
+    # One driver runs serially, whatever jobs says.
+    trajectories, splits, _ = split_population(pattern_events("d0", ["cs0", "cs1"], 10))
+    agent.warmup_then_finetune(
+        space, env, trajectories, splits, hyper, finetune_epochs=1, patience=1, jobs=100_000
+    )
+    assert asked == [3]

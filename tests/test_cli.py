@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import km_to_lon_degrees, pattern_events
+from evrac.checkpoint import MAGIC
 from evrac.cli import main
 from evrac.dataset import write_events
 
@@ -309,3 +310,94 @@ def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--instances", "1", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 5
+
+
+# ---------------------------------------------------------------------------
+# Malformed checkpoints and index files: one JSON error line, exit 4
+# ---------------------------------------------------------------------------
+
+def _rewrite_header(path, mutate):
+    """Replace a checkpoint's JSON header by mutate(header), keeping the payload."""
+    raw = path.read_bytes()
+    nl = raw.index(b"\n", len(MAGIC))
+    header_len = int(raw[len(MAGIC):nl])
+    header = mutate(json.loads(raw[nl + 1 : nl + 1 + header_len]))
+    new = (json.dumps(header, sort_keys=True) + "\n").encode()
+    path.write_bytes(MAGIC + f"{len(new)}\n".encode() + new + raw[nl + 1 + header_len :])
+
+
+def _assert_one_json_error(capsys, error: str) -> None:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+    assert len(errors) == 1 and errors[0]["error"] == error
+
+
+def _with(mapping, key, value):
+    mapping[key] = value
+    return mapping
+
+
+def _drop(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+def _hyper(header, key, value):
+    _with(header["meta"]["hyper"], key, value)
+    return header
+
+
+@pytest.mark.parametrize("mutate,error", [
+    (lambda h: _hyper(h, "bogus", 1), "DataFormatError"),
+    (lambda h: _hyper(h, "hidden", "x"), "DataFormatError"),
+    (lambda h: _hyper(h, "hidden", 0), "ConfigError"),
+    (lambda h: _with(h, "meta", _with(h["meta"], "hyper", [1, 2])), "DataFormatError"),
+    (lambda h: [h], "DataFormatError"),
+    (lambda h: _drop(h, "meta"), "DataFormatError"),
+    (lambda h: _with(h, "meta", _drop(h["meta"], "obs_dim")), "DataFormatError"),
+    (lambda h: _with(h, "arrays", [_drop(e, "shape") for e in h["arrays"]]), "DataFormatError"),
+], ids=["hyper-unknown-key", "hyper-hidden-string", "hyper-hidden-zero", "hyper-list",
+        "header-list", "no-meta", "no-obs-dim", "manifest-no-shape"])
+def test_eval_rejects_malformed_rac_checkpoint(synth, capsys, mutate, error):
+    tmp_path, config = synth
+    ckpt = tmp_path / "rac.ckpt"
+    assert main(["train-rac", "--config", str(config), "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    _rewrite_header(ckpt, mutate)
+    assert main(["eval", "--config", str(config), "--model", str(ckpt), "--k", "1"]) == 4
+    _assert_one_json_error(capsys, error)
+
+
+def test_reward_and_fpmc_hypers_are_checked_on_load(synth, capsys):
+    tmp_path, config = synth
+    reward = tmp_path / "reward.ckpt"
+    fpmc = tmp_path / "fpmc.ckpt"
+    assert main(["train-reward", "--config", str(config), "--out", str(reward)]) == 0
+    assert main(["train-baseline", "--config", str(config), "--model", "fpmc", "--out", str(fpmc)]) == 0
+    capsys.readouterr()
+
+    _rewrite_header(reward, lambda h: _hyper(h, "window", 0))
+    assert main(["eval", "--config", str(config), "--model", str(fpmc), "--reward", str(reward),
+                 "--k", "1"]) == 4
+    _assert_one_json_error(capsys, "ConfigError")
+
+    _rewrite_header(fpmc, lambda h: _hyper(h, "factors", "16"))
+    assert main(["eval", "--config", str(config), "--model", str(fpmc), "--k", "1"]) == 4
+    _assert_one_json_error(capsys, "DataFormatError")
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda index: _drop(index, "shared"),
+    lambda index: _drop(index, "files"),
+    lambda index: _with(index, "files", {d: 7 for d in index["files"]}),
+    lambda index: [index],
+], ids=["no-shared", "no-files", "non-string-file", "list"])
+def test_eval_rejects_malformed_index(synth, capsys, mutate):
+    tmp_path, config = synth
+    out_dir = tmp_path / "per-driver"
+    assert main(["train-rac", "--config", str(config), "--per-driver", "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    index_path = out_dir / "index.json"
+    index_path.write_text(json.dumps(mutate(json.loads(index_path.read_text()))))
+    assert main(["eval", "--config", str(config), "--model-dir", str(out_dir), "--k", "1"]) == 4
+    _assert_one_json_error(capsys, "DataFormatError")

@@ -1,9 +1,21 @@
 """Config file parsing, defaults and overrides."""
 
+import configparser
+import dataclasses
+import io
+import math
+import re
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evrac.config import Config, apply_overrides, load_config
 from evrac.errors import ConfigError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_defaults_match_documented_values():
@@ -61,6 +73,13 @@ def test_bad_value_rejected(tmp_path):
         load_config(path)
 
 
+def test_bad_interpolation_rejected(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("[data]\nevents = ev%ents.csv\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="bad value"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("field,value", [
     ("epsilon", 1.5),
     ("gamma", -0.1),
@@ -70,6 +89,14 @@ def test_bad_value_rejected(tmp_path):
     ("regularizer", "blah"),
     ("pg_weight", "advantage"),
     ("reward_update", "sometimes"),
+    ("alpha", math.nan),
+    ("alpha", math.inf),
+    ("clip_norm", math.nan),
+    ("clip_norm", math.inf),
+    ("reward_alpha", math.nan),
+    ("reward_alpha", math.inf),
+    ("epsilon", math.nan),
+    ("gamma", math.inf),
 ])
 def test_validation_ranges(field, value):
     with pytest.raises(ConfigError):
@@ -88,7 +115,7 @@ def test_hyper_views():
     c = Config(hidden=16, epsilon=0.3, seed=4)
     h = c.rac_hyper()
     assert h.hidden == 16 and h.epsilon == 0.3 and h.seed == 4
-    assert c.rac_hyper(epsilon=0.9).epsilon == 0.9
+    assert apply_overrides(c, epsilon=0.9).rac_hyper().epsilon == 0.9
     r = c.reward_hyper()
     assert r.window == c.k_reward and r.seed == 4
 
@@ -96,3 +123,83 @@ def test_hyper_views():
 def test_config_echo_is_complete():
     echo = Config().as_dict()
     assert "epsilon" in echo and "seed" in echo and "warmup" in echo
+
+
+def _file_keys() -> set[tuple[str, str]]:
+    return {(f.metadata["section"], f.name) for f in dataclasses.fields(Config)}
+
+
+def test_readme_configuration_block_matches_declaration(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Configuration"):]
+    block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    documented = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    documented.read_string(block)
+    assert {(s, k) for s in documented.sections() for k in documented[s]} == _file_keys()
+
+    # The shown values outside [data] are the defaults, and load as such.
+    documented.remove_section("data")
+    path = tmp_path / "readme.cfg"
+    with open(path, "w", encoding="utf-8") as fh:
+        documented.write(fh)
+    assert dataclasses.replace(load_config(path), events=None, stations=None, poi=None) == Config()
+
+
+_counts = st.integers(1, 10**9)
+_rates = st.floats(min_value=1e-12, max_value=1e6, allow_nan=False, allow_infinity=False)
+_units = st.floats(min_value=0.0, max_value=1.0)
+_paths = st.none() | st.from_regex(r"[A-Za-z0-9_./-]{1,24}", fullmatch=True)
+_VALID = {
+    "events": _paths, "stations": _paths, "poi": _paths,
+    "embed": _counts, "hidden": _counts, "layers": _counts, "critic_hidden": _counts,
+    "k_actor": _counts, "k_reward": _counts,
+    "alpha": _rates, "epsilon": _units, "gamma": _units, "horizon": _counts, "epochs": _counts,
+    "samples_per_epoch": _counts, "target_interval": _counts,
+    "clip_norm": st.just(0.0) | _rates, "seed": st.integers(-(2**63), 2**63),
+    "finetune_epochs": _counts, "patience": st.integers(0, 10**9), "reward_alpha": _rates,
+    "reward_epochs": _counts,
+    "warmup": st.booleans(), "per_driver": st.booleans(),
+    "reward_update": st.sampled_from(["supervised", "td_coupled"]),
+    "regularizer": st.sampled_from(["softmax_ce", "eta"]),
+    "pg_weight": st.sampled_from(["q", "delta"]), "jobs": _counts,
+}
+# Hyper fields whose name differs from the config key they view.
+_RAC_RENAMED = {"history": "k_actor"}
+_REWARD_RENAMED = {"window": "k_reward", "alpha": "reward_alpha", "epochs": "reward_epochs"}
+
+
+def _shown(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _render(c: Config) -> str:
+    out = io.StringIO()
+    for section in sorted({s for s, _ in _file_keys()}):
+        out.write(f"[{section}]\n")
+        for f in dataclasses.fields(Config):
+            value = getattr(c, f.name)
+            if f.metadata["section"] == section and value is not None:
+                out.write(f"{f.name} = {_shown(value)}\n")
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries(_VALID))
+def test_config_file_round_trip_and_views(values):
+    assert set(_VALID) == {f.name for f in dataclasses.fields(Config)}
+    c = Config(**values).validate()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.cfg"
+        path.write_text(_render(c), encoding="utf-8")
+        assert load_config(path) == c
+
+    rac = c.rac_hyper()
+    for f in dataclasses.fields(rac):
+        assert getattr(rac, f.name) == getattr(c, _RAC_RENAMED.get(f.name, f.name)), f.name
+    rew = c.reward_hyper()
+    assert rew.val_frac == 0.1
+    for f in dataclasses.fields(rew):
+        if f.name != "val_frac":
+            assert getattr(rew, f.name) == getattr(c, _REWARD_RENAMED.get(f.name, f.name)), f.name

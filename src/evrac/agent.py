@@ -146,6 +146,8 @@ class ReplayBuffer:
         self.history = history
         self.horizon = horizon
         self.trajectories: dict[str, TrajectoryTensors] = {}
+        # Observations after `history` zero rows: rows j..j+history-1 are step j's history.
+        self.padded_obs: dict[str, np.ndarray] = {}
         self.windows: list[Window] = []
 
     def add_trajectory(self, tensors: TrajectoryTensors, max_step: int | None = None) -> int:
@@ -159,6 +161,7 @@ class ReplayBuffer:
         if steps < 1:
             return 0
         self.trajectories[tensors.driver_id] = tensors
+        self.padded_obs[tensors.driver_id] = np.vstack([np.zeros((self.history, tensors.obs.shape[1])), tensors.obs])
         added = []
         if steps <= self.horizon:
             added.append(Window(tensors.driver_id, 1, steps))
@@ -176,9 +179,6 @@ class ReplayBuffer:
             raise UsageError("replay buffer is empty")
         idx = rng.integers(0, len(self.windows), size=count)
         return [self.windows[i] for i in idx]
-
-    def is_terminal(self, driver_id: str, step: int) -> bool:
-        return step == len(self.trajectories[driver_id]) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -329,46 +329,43 @@ def _onehot_rows(idx: np.ndarray, m: int) -> np.ndarray:
 class Batch:
     windows: list[Window]
     histories: np.ndarray        # (B, k, obs_dim)
-    next_histories: np.ndarray   # (B, k, obs_dim)
     actions: np.ndarray          # (B,) logged station indices
     drivers: list[str]
     prev_stations: list[str]
     action_stations: list[str]
     hours: np.ndarray            # (B,)
-    terminal: np.ndarray         # (B,) bool
+    terminal: np.ndarray         # (B,) bool, true at each window's last step
 
     def __len__(self) -> int:
         return self.actions.shape[0]
 
 
 def _gather_batch(buffer: ReplayBuffer, windows: list[Window]) -> Batch:
-    k = buffer.history
-    hists, next_hists = [], []
-    actions, hours, terminal = [], [], []
+    """Each window's steps in order, so a step's next state is the next row's.
+    A window's last step, which may also end its trajectory, is terminal."""
+    lags = np.arange(buffer.history)
+    hists, actions, hours = [], [], []
     drivers, prevs, act_ids = [], [], []
     for w in windows:
         t = buffer.trajectories[w.driver_id]
-        last = w.start + w.length - 1
-        for j in range(w.start, w.start + w.length):
-            hists.append(pad_history(t.obs[:j], k))
-            next_hists.append(pad_history(t.obs[: j + 1], k))
-            actions.append(t.action_idx[j])
-            hours.append(t.hours[j])
-            # horizon boundary or end of the logged trajectory
-            terminal.append(j == last or buffer.is_terminal(w.driver_id, j))
-            drivers.append(t.driver_id)
-            prevs.append(t.station_ids[j - 1])
-            act_ids.append(t.station_ids[j])
+        end = w.start + w.length
+        hists.append(buffer.padded_obs[w.driver_id][np.arange(w.start, end)[:, None] + lags])
+        actions.append(t.action_idx[w.start : end])
+        hours.append(t.hours[w.start : end])
+        drivers += [t.driver_id] * w.length
+        prevs += t.station_ids[w.start - 1 : end - 1]
+        act_ids += t.station_ids[w.start : end]
+    terminal = np.zeros(len(drivers), dtype=bool)
+    terminal[np.cumsum([w.length for w in windows]) - 1] = True
     return Batch(
         windows=windows,
-        histories=np.stack(hists),
-        next_histories=np.stack(next_hists),
-        actions=np.array(actions, dtype=int),
+        histories=np.concatenate(hists),
+        actions=np.concatenate(actions),
         drivers=drivers,
         prev_stations=prevs,
         action_stations=act_ids,
-        hours=np.array(hours, dtype=int),
-        terminal=np.array(terminal, dtype=bool),
+        hours=np.concatenate(hours),
+        terminal=terminal,
     )
 
 
@@ -477,14 +474,13 @@ def train_rac(
 
         # External rewards for the logged actions, priced before any
         # td-coupled forecaster update of this epoch.
-        priced = env.breakdowns(batch.drivers, batch.prev_stations, batch.action_stations, batch.hours)
-        rewards = np.array([b.reward for b in priced])
+        rewards = env.breakdowns(batch.drivers, batch.prev_stations, batch.action_stations, batch.hours).reward
 
-        # TD target: bootstrap with the target critic at the next state and a
-        # next action sampled from the current policy.
-        c_next, _ = model.encoder.forward(batch.next_histories)
-        logits_next, _ = model.actor_head.forward(c_next)
-        pi_next = nn.softmax(logits_next)
+        # TD target: bootstrap with the target critic at the next state (the
+        # next row's; a window's masked last row borrows any) and a next
+        # action sampled from the current policy, one uniform per row.
+        c_next = np.concatenate([cache["c"][1:], cache["c"][-1:]])
+        pi_next = np.concatenate([pi[1:], pi[-1:]])
         a_next = nn.sample_categorical(rng_actions, pi_next)
         q_next, _ = model.q_values(c_next, _onehot_rows(a_next, m), target=True)
         y = td_target(rewards, hyper.gamma, q_next, batch.terminal)
@@ -591,10 +587,8 @@ def recommend(
     last_station = history[-1].station_id
     ranked = _rank_row(p, stations, k)
     priced = env.breakdowns([driver_id] * k, [last_station] * k, ranked, [eh] * k)
-    return [
-        Recommendation(sid, float(p[obs_space.index.index[sid]]), b.wait_forecast, b.dist_km, b.reward, b.flags)
-        for sid, b in zip(ranked, priced)
-    ]
+    columns = zip(ranked, priced.wait_forecast.tolist(), priced.dist_km.tolist(), priced.reward.tolist(), priced.flags)
+    return [Recommendation(sid, float(p[obs_space.index.index[sid]]), *priced_row) for sid, *priced_row in columns]
 
 
 class RacRecommender:

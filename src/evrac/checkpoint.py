@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -121,28 +122,37 @@ def _is_manifest_entry(entry) -> bool:
             and _is_count(entry.get("offset")))
 
 
-def _meta(header: dict, path: str | Path, *dims: str) -> dict:
-    """The header's meta object, with each named dimension a positive int."""
+# Rules for meta values: (predicate, what the value must be).
+_POSITIVE = (lambda v: _is_count(v) and v > 0, "a positive integer")
+_COUNT = (_is_count, "a non-negative integer")
+_NAMES = (lambda v: isinstance(v, list) and v and all(isinstance(x, str) for x in v), "a non-empty list of strings")
+_SMOOTHING = (lambda v: type(v) in (int, float) and math.isfinite(v) and v >= 0, "a finite number >= 0")
+
+
+def _meta(header: dict, path: str | Path, **rules: tuple) -> dict:
+    """The header's meta object, with each named value passing its rule."""
     meta = header.get("meta")
     if not isinstance(meta, dict):
         raise DataFormatError(f"{path}: checkpoint meta is not a JSON object")
-    for key in dims:
-        if not (_is_count(meta.get(key)) and meta[key] > 0):
-            raise DataFormatError(f"{path}: meta {key!r} must be a positive integer")
+    for key, (ok, what) in rules.items():
+        if not ok(meta.get(key)):
+            raise DataFormatError(f"{path}: meta {key!r} must be {what}")
     return meta
 
 
-def _copy_into(params: dict[str, np.ndarray], arrays: dict[str, np.ndarray], path: str | Path) -> None:
-    missing = sorted(set(params) - set(arrays))
+def _check_shapes(arrays: dict[str, np.ndarray], shapes: dict[str, tuple], path: str | Path) -> None:
+    missing = sorted(set(shapes) - set(arrays))
     if missing:
         raise DataFormatError(f"{path}: checkpoint is missing arrays {missing}")
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise DataFormatError(f"{path}: array {name!r} has shape {arrays[name].shape}, expected {shape}")
+
+
+def _copy_into(params: dict[str, np.ndarray], arrays: dict[str, np.ndarray], path: str | Path) -> None:
+    _check_shapes(arrays, {name: target.shape for name, target in params.items()}, path)
     for name, target in params.items():
-        src = arrays[name]
-        if src.shape != target.shape:
-            raise DataFormatError(
-                f"{path}: array {name!r} has shape {src.shape}, expected {target.shape}"
-            )
-        np.copyto(target, src)
+        np.copyto(target, arrays[name])
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +175,11 @@ def load_rac_model(path: str | Path) -> tuple[RacModel, dict]:
     arrays, header = load_checkpoint(path)
     if header.get("kind") != "rac":
         raise DataFormatError(f"{path}: expected a rac checkpoint, got {header.get('kind')!r}")
-    meta = _meta(header, path, "obs_dim", "num_stations")
+    meta = _meta(header, path, obs_dim=_POSITIVE, num_stations=_POSITIVE, critic_updates=_COUNT)
     hyper = hyper_from_mapping(RacHyper, meta.get("hyper"), path)
     model = RacModel(meta["obs_dim"], meta["num_stations"], hyper)
     _copy_into(model.all_params(), arrays, path)
-    model.critic_updates = int(meta.get("critic_updates", 0))
+    model.critic_updates = meta["critic_updates"]
     return model, header
 
 
@@ -194,7 +204,7 @@ def load_reward_net(path: str | Path) -> tuple[WaitForecastNet, RewardNetHyper, 
     arrays, header = load_checkpoint(path)
     if header.get("kind") != "reward":
         raise DataFormatError(f"{path}: expected a reward checkpoint, got {header.get('kind')!r}")
-    meta = _meta(header, path, "input_dim", "hidden", "layers")
+    meta = _meta(header, path, input_dim=_POSITIVE, hidden=_POSITIVE, layers=_POSITIVE)
     hyper = hyper_from_mapping(RewardNetHyper, meta.get("hyper"), path)
     net = WaitForecastNet(meta["input_dim"], meta["hidden"], meta["layers"],
                           np.random.default_rng(0))
@@ -234,25 +244,27 @@ def save_baseline(model, path: str | Path, extra_meta: dict | None = None) -> No
 def load_baseline(path: str | Path):
     arrays, header = load_checkpoint(path)
     kind = header.get("kind")
-    meta = _meta(header, path)
-    if kind == "markov":
-        model = MarkovRecommender(meta["stations"], lam=meta["lam"])
-        model.global_matrix = arrays["global"]
-        model.per_driver = {
-            name[len("driver.") :]: arr for name, arr in arrays.items() if name.startswith("driver.")
-        }
-        return model, header
+    if kind not in ("markov", "fpmc", "popularity"):
+        raise DataFormatError(f"{path}: unknown baseline kind {kind!r}")
+    rules = {"markov": {"lam": _SMOOTHING}, "fpmc": {"drivers": _NAMES}}.get(kind, {})
+    meta = _meta(header, path, stations=_NAMES, **rules)
+    m = len(meta["stations"])
     if kind == "fpmc":
         model = FpmcRecommender(meta["stations"], hyper_from_mapping(FpmcHyper, meta.get("hyper"), path))
+        f = model.hyper.factors
+        _check_shapes(arrays, {"UI": (len(meta["drivers"]), f), "IU": (m, f), "LI": (m, f), "IL": (m, f)}, path)
         model.driver_index = {d: i for i, d in enumerate(meta["drivers"])}
         model.UI, model.IU = arrays["UI"], arrays["IU"]
         model.LI, model.IL = arrays["LI"], arrays["IL"]
         return model, header
-    if kind == "popularity":
+    per_driver = {name[len("driver.") :]: arr for name, arr in arrays.items() if name.startswith("driver.")}
+    shape = (m, m) if kind == "markov" else (m,)
+    _check_shapes(arrays, {"global": shape, **{f"driver.{d}": shape for d in per_driver}}, path)
+    if kind == "markov":
+        model = MarkovRecommender(meta["stations"], lam=meta["lam"])
+        model.global_matrix = arrays["global"]
+    else:
         model = PopularityRecommender(meta["stations"])
         model.global_counts = arrays["global"]
-        model.per_driver = {
-            name[len("driver.") :]: arr for name, arr in arrays.items() if name.startswith("driver.")
-        }
-        return model, header
-    raise DataFormatError(f"{path}: unknown baseline kind {kind!r}")
+    model.per_driver = per_driver
+    return model, header

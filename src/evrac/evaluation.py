@@ -213,13 +213,12 @@ def evaluate(
         if env is not None:
             priced = env.breakdowns([driver_id] * len(rankings), prevs, [ranked[0] for ranked in rankings],
                                     [epoch_hour(when) for when in whens])
-            rewards = [b.reward for b in priced]
-            driver_mar = float(np.mean(rewards))
-            norm_wait = float(np.mean([b.wait_forecast / b.mean_wait for b in priced]))
-            norm_dist = float(np.mean([b.dist_km / b.mean_dist for b in priced]))
-            fallback_events += sum("mean_fallback" in b.flags for b in priced)
-            clamped_events += sum("clamped" in b.flags for b in priced)
-            mar_values.extend(rewards)
+            driver_mar = float(np.mean(priced.reward))
+            norm_wait = float(np.mean(priced.wait_forecast / priced.mean_wait))
+            norm_dist = float(np.mean(priced.dist_km / priced.mean_dist))
+            fallback_events += sum("mean_fallback" in f for f in priced.flags)
+            clamped_events += sum("clamped" in f for f in priced.flags)
+            mar_values.extend(priced.reward.tolist())
 
         per_driver[driver_id] = DriverOutcome(
             events=len(truths),

@@ -171,9 +171,7 @@ class StationIndex:
         # All pairwise distances in km, built once: rows and columns follow
         # `order`, and each entry is the haversine of that pair.
         coords = [(st.latitude, st.longitude) for st in self.stations.values()]
-        self._distances: list[list[float]] = [
-            [haversine(*a, *b) for b in coords] for a in coords
-        ]
+        self.distances = np.array([[haversine(*a, *b) for b in coords] for a in coords])
 
     def __len__(self) -> int:
         return len(self.order)
@@ -195,7 +193,7 @@ class StationIndex:
         return self.index[station_id]
 
     def distance(self, from_id: str, to_id: str) -> float:
-        return self._distances[self.index_of(from_id)][self.index_of(to_id)]
+        return float(self.distances[self.index_of(from_id), self.index_of(to_id)])
 
     def location_context(self, current: str, previous: str | None) -> np.ndarray:
         """Location features for an observation at `current`:
@@ -204,11 +202,8 @@ class StationIndex:
 
         The distance is 0 at the start of a history (no previous station).
         """
-        cur_idx = self.index_of(current)
         dist = 0.0 if previous is None else self.distance(previous, current)
-        onehot = np.zeros(len(self.order))
-        onehot[cur_idx] = 1.0
-        return np.concatenate([[dist], onehot, self.poi_matrix[cur_idx]])
+        return np.concatenate([[dist], self.onehot(current), self.poi_matrix[self.index_of(current)]])
 
     def context_width(self) -> int:
         return 1 + len(self.order) + NUM_POI_TYPES

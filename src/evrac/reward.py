@@ -139,17 +139,17 @@ def most_visited(train_events: Iterable[ChargingEvent]) -> dict[str, str | None]
 
 
 def compute_reward(
-    wait_forecast: float,
-    dist_km: float,
-    mean_wait: float,
-    mean_dist: float,
-    zeta_coef: float,
+    wait_forecast: float | np.ndarray,
+    dist_km: float | np.ndarray,
+    mean_wait: float | np.ndarray,
+    mean_dist: float | np.ndarray,
+    zeta_coef: float | np.ndarray,
     scale: float = 100.0,
-) -> float:
-    """-scale * (wait/mean_wait + zeta * dist/mean_dist); <= 0 always."""
-    if mean_wait <= 0 or mean_dist <= 0:
+) -> float | np.ndarray:
+    """-scale * (wait/mean_wait + zeta * dist/mean_dist), elementwise; <= 0 always."""
+    if np.any(mean_wait <= 0) or np.any(mean_dist <= 0):
         raise DomainError("reward norms must be positive")
-    if wait_forecast < 0 or dist_km < 0:
+    if np.any(wait_forecast < 0) or np.any(dist_km < 0):
         raise DomainError("wait forecast and distance must be non-negative")
     return -scale * (wait_forecast / mean_wait + zeta_coef * dist_km / mean_dist)
 
@@ -420,13 +420,15 @@ class NetWaitForecaster:
 
 @dataclass(frozen=True)
 class RewardBreakdown:
-    reward: float
-    wait_forecast: float
-    dist_km: float
-    mean_wait: float
-    mean_dist: float
-    zeta: float
-    flags: frozenset[str]
+    """Priced decisions: entry i of every field belongs to decision i."""
+
+    reward: np.ndarray
+    wait_forecast: np.ndarray
+    dist_km: np.ndarray
+    mean_wait: np.ndarray
+    mean_dist: np.ndarray
+    zeta: np.ndarray
+    flags: list[frozenset[str]]
 
 
 class RewardEnvironment:
@@ -454,26 +456,20 @@ class RewardEnvironment:
         prev_stations: Sequence[str | None],
         action_stations: Sequence[str],
         hours: Sequence[int],
-    ) -> list[RewardBreakdown]:
+    ) -> RewardBreakdown:
         """Price every (driver, previous station, action, hour) decision, with
-        one forecaster call for the whole batch."""
+        one forecaster call for the whole batch; no previous station is 0 km."""
         stations = [self.index.require(sid) for sid in action_stations]
         for st in stations:
             if st.mean_wait is None or st.mean_dist is None:
                 raise DomainError(f"station {st.station_id} is missing reward norms")
         waits, flags = self.forecaster.forecast_batch(action_stations, hours)
-        out = []
-        for driver_id, prev, st, zhat, f in zip(drivers, prev_stations, stations, waits.tolist(), flags):
-            dhat = 0.0 if prev is None else self.index.distance(prev, st.station_id)
-            zc = self.zeta(driver_id, st.station_id)
-            r = compute_reward(zhat, dhat, st.mean_wait, st.mean_dist, zc, REWARD_SCALE)
-            out.append(RewardBreakdown(r, zhat, dhat, st.mean_wait, st.mean_dist, zc, f))
-        return out
-
-    def breakdown(
-        self, driver_id: str, prev_station: str | None, action_station: str, eh: int
-    ) -> RewardBreakdown:
-        return self.breakdowns([driver_id], [prev_station], [action_station], [eh])[0]
-
-    def reward(self, driver_id: str, prev_station: str | None, action_station: str, eh: int) -> float:
-        return self.breakdown(driver_id, prev_station, action_station, eh).reward
+        cols = np.array([self.index.index[sid] for sid in action_stations], dtype=np.int64)
+        rows = np.array([-1 if prev is None else self.index.index_of(prev) for prev in prev_stations],
+                        dtype=np.int64)
+        dists = np.where(rows >= 0, self.index.distances[rows, cols], 0.0)
+        mean_wait = np.array([st.mean_wait for st in stations], dtype=float)
+        mean_dist = np.array([st.mean_dist for st in stations], dtype=float)
+        zeta = np.array([self.zeta(d, sid) for d, sid in zip(drivers, action_stations)], dtype=float)
+        rewards = compute_reward(waits, dists, mean_wait, mean_dist, zeta, REWARD_SCALE)
+        return RewardBreakdown(rewards, waits, dists, mean_wait, mean_dist, zeta, list(flags))

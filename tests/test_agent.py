@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     T0,
@@ -273,6 +275,48 @@ def test_terminal_flag_at_horizon_boundary():
     assert batch.terminal.tolist() == [False, False, False, True]
 
 
+def _reference_gather(buffer, windows):
+    """Per-step construction of a batch, the layout `_gather_batch` slices."""
+    rows = [(buffer.trajectories[w.driver_id], w, j) for w in windows for j in range(w.start, w.start + w.length)]
+    return {
+        "histories": np.stack([agent.pad_history(t.obs[:j], buffer.history) for t, _, j in rows]),
+        "actions": [int(t.action_idx[j]) for t, _, j in rows],
+        "hours": [int(t.hours[j]) for t, _, j in rows],
+        "drivers": [t.driver_id for t, _, _ in rows],
+        "prev_stations": [t.station_ids[j - 1] for t, _, j in rows],
+        "action_stations": [t.station_ids[j] for t, _, j in rows],
+        "terminal": [j == w.start + w.length - 1 for _, w, j in rows],
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gather_batch_matches_per_step_reference(data):
+    k = data.draw(st.integers(1, 6), label="k")
+    buffer = agent.ReplayBuffer(history=k, horizon=data.draw(st.integers(1, 12), label="horizon"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    ends = {}
+    for driver in ("a", "b"):
+        n = data.draw(st.integers(2, 30), label=f"n_{driver}")
+        max_step = data.draw(st.none() | st.integers(2, n + 2), label=f"max_step_{driver}")
+        actions = rng.integers(0, 4, n)
+        tensors = agent.TrajectoryTensors(driver, rng.normal(size=(n, 3)), actions,
+                                          [f"cs{a}" for a in actions], rng.integers(400_000, 500_000, n))
+        buffer.add_trajectory(tensors, max_step)
+        ends[driver] = min(n if max_step is None else max_step, n) - 1
+    windows = data.draw(st.lists(st.sampled_from(buffer.windows), min_size=1, max_size=8), label="windows")
+    batch = agent._gather_batch(buffer, windows)
+    want = _reference_gather(buffer, windows)
+    assert batch.windows == windows
+    assert batch.histories.shape == want["histories"].shape
+    assert np.array_equal(batch.histories, want["histories"])
+    for name in ("actions", "hours", "drivers", "prev_stations", "action_stations", "terminal"):
+        assert list(getattr(batch, name)) == want[name], name
+    # A trajectory's (or training split's) last decision always ends a window.
+    last_steps = [j == ends[w.driver_id] for w in windows for j in range(w.start, w.start + w.length)]
+    assert all(batch.terminal[last_steps])
+
+
 # ---------------------------------------------------------------------------
 # Training contracts
 # ---------------------------------------------------------------------------
@@ -341,13 +385,15 @@ def test_delta_log_consistency():
     rng_actions = rng_for(hyper.seed, "actions")
     batch = agent._gather_batch(buffer, buffer.sample(rng_buffer, hyper.samples_per_epoch))
     pi, cache = twin.policy(batch.histories)
-    rewards = np.array(
-        [
-            env.reward(batch.drivers[i], batch.prev_stations[i], batch.action_stations[i], int(batch.hours[i]))
-            for i in range(len(batch))
-        ]
-    )
-    c_next, _ = twin.encoder.forward(batch.next_histories)
+    rewards = env.breakdowns(batch.drivers, batch.prev_stations, batch.action_stations, batch.hours).reward
+    # The next states in a second encoder pass of their own: step j's next
+    # state is the history that includes event j.
+    next_histories = np.stack([
+        agent.pad_history(buffer.trajectories[w.driver_id].obs[: j + 1], hyper.history)
+        for w in batch.windows
+        for j in range(w.start, w.start + w.length)
+    ])
+    c_next, _ = twin.encoder.forward(next_histories)
     logits_next, _ = twin.actor_head.forward(c_next)
     a_next = nn.sample_categorical(rng_actions, nn.softmax(logits_next))
     q_next, _ = twin.q_values(c_next, agent._onehot_rows(a_next, 3), target=True)
@@ -441,7 +487,7 @@ def test_td_coupled_training():
         batch = agent._gather_batch(buffer, buffer.sample(rng_buffer, hyper.samples_per_epoch))
         priced = _net_env(index, net).breakdowns(batch.drivers, batch.prev_stations, batch.action_stations,
                                                  batch.hours)
-        assert float(np.mean([b.reward for b in priced])) == record["mean_reward"]
+        assert float(np.mean(priced.reward)) == record["mean_reward"]
 
 
 def test_pg_weight_delta_variant_runs():

@@ -356,8 +356,9 @@ def _hyper(header, key, value):
     (lambda h: _drop(h, "meta"), "DataFormatError"),
     (lambda h: _with(h, "meta", _drop(h["meta"], "obs_dim")), "DataFormatError"),
     (lambda h: _with(h, "arrays", [_drop(e, "shape") for e in h["arrays"]]), "DataFormatError"),
+    (lambda h: _with(h, "meta", _with(h["meta"], "critic_updates", "x")), "DataFormatError"),
 ], ids=["hyper-unknown-key", "hyper-hidden-string", "hyper-hidden-zero", "hyper-list",
-        "header-list", "no-meta", "no-obs-dim", "manifest-no-shape"])
+        "header-list", "no-meta", "no-obs-dim", "manifest-no-shape", "critic-updates-string"])
 def test_eval_rejects_malformed_rac_checkpoint(synth, capsys, mutate, error):
     tmp_path, config = synth
     ckpt = tmp_path / "rac.ckpt"
@@ -383,6 +384,54 @@ def test_reward_and_fpmc_hypers_are_checked_on_load(synth, capsys):
 
     _rewrite_header(fpmc, lambda h: _hyper(h, "factors", "16"))
     assert main(["eval", "--config", str(config), "--model", str(fpmc), "--k", "1"]) == 4
+    _assert_one_json_error(capsys, "DataFormatError")
+
+
+def _meta(header, mutate):
+    header["meta"] = mutate(header["meta"])
+    return header
+
+
+def _array(header, array, **entry):
+    """Update the manifest entry of `array`; the payload stays consistent
+    because renames and reshapes keep the byte count."""
+    for e in header["arrays"]:
+        if e["name"] == array:
+            e.update(entry)
+    return header
+
+
+def _shape(header, name):
+    return next(e["shape"] for e in header["arrays"] if e["name"] == name)
+
+
+def _first_driver(header):
+    return next(e["name"] for e in header["arrays"] if e["name"].startswith("driver."))
+
+
+@pytest.mark.parametrize("kind,mutate", [
+    ("mc", lambda h: _meta(h, lambda m: _drop(m, "lam"))),
+    ("mc", lambda h: _meta(h, lambda m: _with(m, "lam", "x"))),
+    ("mc", lambda h: _meta(h, lambda m: _drop(m, "stations"))),
+    ("mc", lambda h: _meta(h, lambda m: _with(m, "stations", []))),
+    ("mc", lambda h: _array(h, "global", name="glob")),
+    ("mc", lambda h: _array(h, _first_driver(h), shape=[_shape(h, "global")[0] ** 2])),
+    ("fpmc", lambda h: _meta(h, lambda m: _drop(m, "drivers"))),
+    ("fpmc", lambda h: _meta(h, lambda m: _with(m, "stations", "cs0"))),
+    ("fpmc", lambda h: _array(h, "IU", name="XU")),
+    ("fpmc", lambda h: _array(h, "UI", shape=_shape(h, "UI")[::-1])),
+    ("popularity", lambda h: _meta(h, lambda m: _with(m, "stations", [1] * len(m["stations"])))),
+    ("popularity", lambda h: _array(h, "global", shape=_shape(h, "global") + [1])),
+], ids=["mc-no-lam", "mc-lam-string", "mc-no-stations", "mc-no-station", "mc-no-global",
+        "mc-driver-shape", "fpmc-no-drivers", "fpmc-stations-string", "fpmc-no-IU", "fpmc-UI-shape",
+        "popularity-int-stations", "popularity-global-shape"])
+def test_eval_rejects_malformed_baseline_checkpoint(synth, capsys, kind, mutate):
+    tmp_path, config = synth
+    ckpt = tmp_path / f"{kind}.ckpt"
+    assert main(["train-baseline", "--config", str(config), "--model", kind, "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    _rewrite_header(ckpt, mutate)
+    assert main(["eval", "--config", str(config), "--model", str(ckpt), "--k", "1"]) == 4
     _assert_one_json_error(capsys, "DataFormatError")
 
 

@@ -243,13 +243,13 @@ def test_environment_breakdown_and_zeta():
     env = rw.RewardEnvironment(
         index, rw.TableWaitForecaster({"cs0": 20.0, "cs1": 20.0}), {"d1": "cs1"}
     )
-    b = env.breakdown("d1", "cs0", "cs1", rw.epoch_hour(T0))
-    assert b.zeta == 0.8
-    assert b.dist_km == pytest.approx(5.0, abs=1e-9)
-    assert b.reward == pytest.approx(-180.0, abs=1e-9)
-    b2 = env.breakdown("other", "cs0", "cs1", rw.epoch_hour(T0))
-    assert b2.zeta == 1.0
-    assert b2.reward == pytest.approx(-200.0, abs=1e-9)
+    b = env.breakdowns(["d1"], ["cs0"], ["cs1"], [rw.epoch_hour(T0)])
+    assert b.zeta.tolist() == [0.8]
+    assert b.dist_km[0] == pytest.approx(5.0, abs=1e-9)
+    assert b.reward[0] == pytest.approx(-180.0, abs=1e-9)
+    b2 = env.breakdowns(["other"], ["cs0"], ["cs1"], [rw.epoch_hour(T0)])
+    assert b2.zeta.tolist() == [1.0]
+    assert b2.reward[0] == pytest.approx(-200.0, abs=1e-9)
 
 
 def test_mean_wait_forecaster_flags():
@@ -333,22 +333,33 @@ def _decisions(index, n=60):
     return out
 
 
+_PRICED = ("reward", "wait_forecast", "dist_km", "mean_wait", "mean_dist", "zeta")
+
+
 @pytest.mark.parametrize("kind", ["mean", "table", "net"])
 def test_breakdowns_match_per_pair(kind):
     index, series = _pricing_city()
     env = rw.RewardEnvironment(index, _forecaster(kind, index, series), {"d1": "cs1"})
     decisions = _decisions(index)
     batched = env.breakdowns(*map(list, zip(*decisions)))
-    single = [env.breakdown(*d) for d in decisions]
+    single = [env.breakdowns([d], [p], [a], [eh]) for d, p, a, eh in decisions]
+    assert all(getattr(batched, name).shape == (len(decisions),) for name in _PRICED)
+    assert len(batched.flags) == len(decisions)
+    exact = _PRICED if kind != "net" else ("dist_km", "mean_wait", "mean_dist", "zeta")
+    for i, s in enumerate(single):
+        assert batched.flags[i] == s.flags[0]
+        assert [getattr(batched, name)[i] for name in exact] == [getattr(s, name)[0] for name in exact]
+    # The array formula against the scalar one, and distances against the table.
+    for i, (driver, prev, station, _) in enumerate(decisions):
+        assert batched.dist_km[i] == (0.0 if prev is None else index.distance(prev, station))
+        assert batched.zeta[i] == env.zeta(driver, station)
+        assert batched.reward[i] == rw.compute_reward(*(float(getattr(batched, name)[i]) for name in _PRICED[1:]))
     if kind != "net":
-        assert batched == single
         return
-    assert {f for b in batched for f in b.flags} == {"mean_fallback"}  # some pairs fall back
-    for b, s in zip(batched, single):
-        assert b.flags == s.flags
-        assert (b.dist_km, b.mean_wait, b.mean_dist, b.zeta) == (s.dist_km, s.mean_wait, s.mean_dist, s.zeta)
-        assert b.wait_forecast == pytest.approx(s.wait_forecast, rel=1e-12, abs=0.0)
-        assert b.reward == pytest.approx(s.reward, rel=1e-12, abs=0.0)
+    assert {f for fs in batched.flags for f in fs} == {"mean_fallback"}  # some pairs fall back
+    for i, s in enumerate(single):
+        assert batched.wait_forecast[i] == pytest.approx(s.wait_forecast[0], rel=1e-12, abs=0.0)
+        assert batched.reward[i] == pytest.approx(s.reward[0], rel=1e-12, abs=0.0)
 
 
 def test_predict_waits_ignore_order_and_duplicates():

@@ -20,6 +20,7 @@ import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -84,16 +85,21 @@ class ObservationSpace:
         energy = event.energy_kwh / self.max_energy if self.max_energy > 0 else 0.0
         return np.concatenate([loc, [soc, energy], time_features(event.start_time)])
 
-    def trailing(self, history: list[ChargingEvent]) -> np.ndarray:
-        """Observations of the last `self.history` events, each linked to the
-        station charged at just before it (even when that event is cut off)."""
-        start = max(len(history) - self.history, 0)
-        prev = history[start - 1].station_id if start else None
-        rows = []
-        for e in history[start:]:
-            rows.append(self.observation(e, prev))
+    def windows(self, events: list[ChargingEvent], cuts: Sequence[int]) -> np.ndarray:
+        """(len(cuts), history, obs_dim): for each cut j, the observations of
+        the last `history` events of `events[:j]`, left-padded with zero rows.
+        Each observation links to the station charged at just before it, even
+        when that event is cut off. Cuts must be non-empty."""
+        k = self.history
+        cuts = np.asarray(cuts, dtype=int)
+        lo, hi = max(int(cuts.min()) - k, 0), int(cuts.max())
+        # Row k + i holds event lo + i, so cut j's window starts at row j - lo.
+        rows = np.zeros((k + hi - lo, self.obs_dim))
+        prev = events[lo - 1].station_id if lo else None
+        for i, e in enumerate(events[lo:hi]):
+            rows[k + i] = self.observation(e, prev)
             prev = e.station_id
-        return np.stack(rows)
+        return rows[(cuts - lo)[:, None] + np.arange(k)]
 
     def trajectory_tensors(self, traj: DriverTrajectory) -> TrajectoryTensors:
         n = len(traj)
@@ -109,16 +115,6 @@ class ObservationSpace:
             ids.append(e.station_id)
             prev = e.station_id
         return TrajectoryTensors(traj.driver_id, obs, actions, ids, hours)
-
-
-def pad_history(observations: np.ndarray, k: int) -> np.ndarray:
-    """Last k rows, left-padded with zero rows when fewer are available."""
-    m = observations.shape[0]
-    if m >= k:
-        return observations[m - k :]
-    out = np.zeros((k, observations.shape[1]))
-    out[k - m :] = observations
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +269,6 @@ class RacModel:
         net = self.critic_target if target else self.critic
         q, cache = net.forward(np.concatenate([c, action_onehot], axis=1))
         return q[:, 0], cache
-
-
-def actor_forward(model: RacModel, observations: np.ndarray) -> np.ndarray:
-    """Policy distribution over stations for one history."""
-    padded = pad_history(np.atleast_2d(observations), model.hyper.history)
-    pi, _ = model.policy(padded[None, :, :])
-    return pi[0]
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +562,7 @@ def recommend(
     with the forecast wait, distance and reward it would earn.
 
     `model` is a RacModel or any recommender with `probabilities`. `when` is
-    the decision time; defaults to the last event's start time.
+    the decision time used for pricing; defaults to the last event's start time.
     """
     rec = RacRecommender(model, obs_space) if isinstance(model, RacModel) else model
     stations = obs_space.index.order
@@ -582,7 +571,7 @@ def recommend(
     if not history:
         raise UsageError("recommendation needs at least one past event")
     history = sorted(history, key=lambda e: (e.start_time, e.event_id))
-    p = rec.probabilities(driver_id, history, when)
+    p = rec.probabilities(driver_id, history, [len(history)])[0]
     eh = epoch_hour(when or history[-1].start_time)
     last_station = history[-1].station_id
     ranked = _rank_row(p, stations, k)
@@ -598,14 +587,15 @@ class RacRecommender:
         self.model = model
         self.obs_space = obs_space
 
-    def probabilities(self, driver_id: str, history: list[ChargingEvent], when=None) -> np.ndarray:
-        """Policy over stations; uniform when there is no history."""
-        if not history:
-            return np.full(self.model.num_stations, 1.0 / self.model.num_stations)
-        return actor_forward(self.model, self.obs_space.trailing(history))
+    def probabilities(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int]) -> np.ndarray:
+        """Policy over stations at every cut, from one forward pass; uniform
+        at a cut of 0 (no history)."""
+        pi, _ = self.model.policy(self.obs_space.windows(events, cuts))
+        pi[np.asarray(cuts) == 0] = 1.0 / self.model.num_stations
+        return pi
 
-    def rank(self, driver_id: str, history: list[ChargingEvent], k: int, when=None) -> list[str]:
-        return _rank_row(self.probabilities(driver_id, history, when), self.obs_space.index.order, k)
+    def rank(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int], k: int) -> list[list[str]]:
+        return [_rank_row(row, self.obs_space.index.order, k) for row in self.probabilities(driver_id, events, cuts)]
 
 
 # ---------------------------------------------------------------------------

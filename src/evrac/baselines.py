@@ -2,14 +2,16 @@
 visit-frequency baseline, all behind the same ranking interface as the
 actor-critic model so one evaluation harness serves everything.
 
-Every recommender exposes `probabilities(driver_id, history, when=None)`, a
-(M,) vector over the sorted station list, and ranks it with `_rank_row`.
+Every recommender exposes `probabilities(driver_id, events, cuts)`, one (M,)
+row over the sorted station list per cut j (conditioning on `events[:j]`),
+and ranks each row with `_rank_row`.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -79,18 +81,15 @@ class MarkovRecommender:
         self.global_matrix = self._normalize(global_counts)
         return self
 
-    def transition_row(self, driver_id: str, last_station: str | None) -> np.ndarray:
-        matrix = self.per_driver.get(driver_id, self.global_matrix)
-        if last_station is None or last_station not in self.index:
-            return np.full(len(self.stations), 1.0 / len(self.stations))
-        return matrix[self.index[last_station]]
+    def probabilities(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int]) -> np.ndarray:
+        """The transition row of each cut's last station; a uniform row (the
+        extra last row of the table) without one or for an unknown station."""
+        m = len(self.stations)
+        table = np.vstack([self.per_driver.get(driver_id, self.global_matrix), np.full(m, 1.0 / m)])
+        return table[[self.index.get(events[j - 1].station_id, m) if j else m for j in cuts]]
 
-    def probabilities(self, driver_id: str, history: list[ChargingEvent], when=None) -> np.ndarray:
-        last = history[-1].station_id if history else None
-        return self.transition_row(driver_id, last)
-
-    def rank(self, driver_id: str, history: list[ChargingEvent], k: int, when=None) -> list[str]:
-        return _rank_row(self.probabilities(driver_id, history, when), self.stations, k)
+    def rank(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int], k: int) -> list[list[str]]:
+        return [_rank_row(row, self.stations, k) for row in self.probabilities(driver_id, events, cuts)]
 
 
 @dataclass(frozen=True)
@@ -164,22 +163,18 @@ class FpmcRecommender:
                     self.IL[neg] += h.lr * (-g * li - h.reg * il_n)
         return self
 
-    def scores(self, driver_id: str, last_station: str | None) -> np.ndarray:
-        m = len(self.stations)
-        out = np.zeros(m)
+    def probabilities(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int]) -> np.ndarray:
+        """softmax(score) at each cut. The driver term is computed once and the
+        transition term once per distinct last station (-1: none or unknown)."""
         u = self.driver_index.get(driver_id)
-        if u is not None:
-            out += self.IU @ self.UI[u]
-        if last_station is not None and last_station in self.index:
-            out += self.IL @ self.LI[self.index[last_station]]
-        return out
+        base = self.IU @ self.UI[u] if u is not None else np.zeros(len(self.stations))
+        lasts = [self.index.get(events[j - 1].station_id, -1) if j else -1 for j in cuts]
+        distinct, inverse = np.unique(lasts, return_inverse=True)
+        rows = [softmax(base + self.IL @ self.LI[p] if p >= 0 else base) for p in distinct.tolist()]
+        return np.stack(rows)[inverse]
 
-    def probabilities(self, driver_id: str, history: list[ChargingEvent], when=None) -> np.ndarray:
-        last = history[-1].station_id if history else None
-        return softmax(self.scores(driver_id, last))
-
-    def rank(self, driver_id: str, history: list[ChargingEvent], k: int, when=None) -> list[str]:
-        return _rank_row(self.probabilities(driver_id, history, when), self.stations, k)
+    def rank(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int], k: int) -> list[list[str]]:
+        return [_rank_row(row, self.stations, k) for row in self.probabilities(driver_id, events, cuts)]
 
 
 class PopularityRecommender:
@@ -201,12 +196,12 @@ class PopularityRecommender:
             self.global_counts += counts
         return self
 
-    def probabilities(self, driver_id: str, history: list[ChargingEvent], when=None) -> np.ndarray:
+    def probabilities(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int]) -> np.ndarray:
+        """The driver's visit shares, the same row at every cut."""
         counts = self.per_driver.get(driver_id, self.global_counts)
         total = counts.sum()
-        if total == 0:
-            return np.full(len(self.stations), 1.0 / len(self.stations))
-        return counts / total
+        row = np.full(len(self.stations), 1.0 / len(self.stations)) if total == 0 else counts / total
+        return np.repeat(row[None, :], len(cuts), axis=0)
 
-    def rank(self, driver_id: str, history: list[ChargingEvent], k: int, when=None) -> list[str]:
-        return _rank_row(self.probabilities(driver_id, history, when), self.stations, k)
+    def rank(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int], k: int) -> list[list[str]]:
+        return [_rank_row(row, self.stations, k) for row in self.probabilities(driver_id, events, cuts)]

@@ -96,12 +96,16 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     names = [entry["name"] for entry in manifest]
     if len(set(names)) != len(names):
         raise DataFormatError(f"{path}: duplicate array names in manifest")
+    payload_elements = len(payload) // 8
     for entry in manifest:
         name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
         if offset != expected_offset:
             raise DataFormatError(f"{path}: non-contiguous manifest at array {name!r}")
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = size * 8
+        # Sizes are Python ints, which cannot wrap; numpy rejects a huge
+        # dimension even at size 0, and no stored array has one.
+        if any(dim > payload_elements for dim in shape):
+            raise DataFormatError(f"{path}: array {name!r} has shape {list(shape)}, larger than the payload")
+        nbytes = math.prod(shape) * 8
         chunk = payload[offset : offset + nbytes]
         if len(chunk) < nbytes:
             raise DataFormatError(f"{path}: truncated payload, array {name!r} incomplete")

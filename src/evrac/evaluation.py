@@ -31,12 +31,14 @@ logger = logging.getLogger(__name__)
 
 
 class Recommender(Protocol):
-    """`probabilities` scores every station in sorted-id order; `rank` is its
-    top-k by score with ties broken by station id."""
+    """A cut j of a driver's `events` means "condition on `events[:j]`".
+    `probabilities` scores every station in sorted-id order at each cut, one
+    row per cut; `rank` is each row's top-k by score with ties broken by
+    station id."""
 
-    def probabilities(self, driver_id: str, history: list[ChargingEvent], when=None) -> np.ndarray: ...
+    def probabilities(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int]) -> np.ndarray: ...
 
-    def rank(self, driver_id: str, history: list[ChargingEvent], k: int, when=None) -> list[str]: ...
+    def rank(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int], k: int) -> list[list[str]]: ...
 
 
 # ---------------------------------------------------------------------------
@@ -156,19 +158,17 @@ def _driver_rankings(
     test_events: list[ChargingEvent],
     max_k: int,
 ):
-    """Ranked list per test event, using the driver's full actual past."""
-    rankings, truths, prevs, whens = [], [], [], []
+    """Ranked list per test event, using the driver's full actual past, from
+    one `rank` call over the events' cut points."""
     events = traj.events
     pos = {e.event_id: i for i, e in enumerate(events)}
-    for e in test_events:
-        j = pos[e.event_id]
-        if j == 0:
-            continue  # no history to condition on
-        rankings.append(recommender.rank(traj.driver_id, events[:j], max_k, when=e.start_time))
-        truths.append(e.station_id)
-        prevs.append(events[j - 1].station_id)
-        whens.append(e.start_time)
-    return rankings, truths, prevs, whens
+    scored = [e for e in test_events if pos[e.event_id] > 0]  # the first event has no history
+    if not scored:
+        return [], [], [], []
+    cuts = [pos[e.event_id] for e in scored]
+    rankings = recommender.rank(traj.driver_id, events, cuts, max_k)
+    prevs = [events[j - 1].station_id for j in cuts]
+    return rankings, [e.station_id for e in scored], prevs, [e.start_time for e in scored]
 
 
 def evaluate(

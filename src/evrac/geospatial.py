@@ -77,6 +77,11 @@ def haversine(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in km on a sphere of radius 6371.0 km."""
     _check_coords(lat1, lon1)
     _check_coords(lat2, lon2)
+    return _haversine(lat1, lon1, lat2, lon2)
+
+
+def _haversine(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """`haversine` on coordinates already checked to be in range."""
     p1, p2 = math.radians(lat1), math.radians(lat2)
     dp = math.radians(lat2 - lat1)
     dl = math.radians(lon2 - lon1)
@@ -169,9 +174,14 @@ class StationIndex:
             [normalize_poi(self.stations[sid].poi_counts) for sid in self.order]
         )
         # All pairwise distances in km, built once: rows and columns follow
-        # `order`, and each entry is the haversine of that pair.
+        # `order`, and each entry is the haversine of that pair. The scalar
+        # formula is bitwise symmetric and 0 on the diagonal, so only the
+        # pairs above the diagonal are computed; `Station` checked the coordinates.
         coords = [(st.latitude, st.longitude) for st in self.stations.values()]
-        self.distances = np.array([[haversine(*a, *b) for b in coords] for a in coords])
+        self.distances = np.zeros((len(coords), len(coords)))
+        for i, a in enumerate(coords):
+            for j in range(i + 1, len(coords)):
+                self.distances[i, j] = self.distances[j, i] = _haversine(*a, *coords[j])
 
     def __len__(self) -> int:
         return len(self.order)

@@ -2,6 +2,7 @@
 
 import copy
 from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -63,24 +64,37 @@ def test_observation_space_requires_positive_duration_scale():
         agent.ObservationSpace(index, max_duration=0.0, max_energy=1.0, history=5)
 
 
-def test_pad_history():
-    obs = np.arange(6.0).reshape(2, 3)
-    padded = agent.pad_history(obs, 4)
-    assert padded.shape == (4, 3)
-    assert np.array_equal(padded[:2], np.zeros((2, 3)))
-    assert np.array_equal(padded[2:], obs)
-    assert np.array_equal(agent.pad_history(obs, 2), obs)
-    longer = np.arange(12.0).reshape(4, 3)
-    assert np.array_equal(agent.pad_history(longer, 2), longer[2:])
+def test_windows_left_pad_with_zero_rows():
+    events = pattern_events("d", ["cs0", "cs1", "cs2"], 4)
+    space = _obs_space(3, history=4)
+    obs = space.trajectory_tensors(build_trajectories(events)["d"]).obs
+    padded = space.windows(events, [2])[0]
+    assert padded.shape == (4, space.obs_dim)
+    assert np.array_equal(padded[:2], np.zeros((2, space.obs_dim)))
+    assert np.array_equal(padded[2:], obs[:2])
+    short = _obs_space(3, history=2)
+    assert np.array_equal(short.windows(events, [2])[0], obs[:2])
+    assert np.array_equal(short.windows(events, [4])[0], obs[2:])
 
 
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------
 
+def _pad_history(observations, k):
+    """Last k rows, left-padded with zero rows when fewer are available: the
+    per-history reference for the windows the ranking and training paths slice."""
+    m = observations.shape[0]
+    if m >= k:
+        return observations[m - k :]
+    out = np.zeros((k, observations.shape[1]))
+    out[k - m :] = observations
+    return out
+
+
 def _encode(enc, observations, k):
-    """The state vector actor_forward computes: pad to k rows, then encode."""
-    c, _ = enc.forward(agent.pad_history(observations, k)[None, :, :])
+    """The state vector of one history: pad to k rows, then encode."""
+    c, _ = enc.forward(_pad_history(observations, k)[None, :, :])
     return c[0]
 
 
@@ -123,7 +137,7 @@ def test_actor_uniform_with_zero_head():
     model.actor_head.W[:] = 0.0
     model.actor_head.b[:] = 0.0
     e = make_event("e", "d", "cs0", T0)
-    pi = agent.actor_forward(model, space.observation(e, None))
+    pi = agent.RacRecommender(model, space).probabilities("d", [e], [1])[0]
     assert pi == pytest.approx(np.full(4, 0.25), abs=1e-15)
 
 
@@ -131,7 +145,7 @@ def test_actor_output_is_distribution():
     space = _obs_space(8)
     model = agent.RacModel(space.obs_dim, 8, _small_hyper())
     e = make_event("e", "d", "cs3", T0)
-    pi = agent.actor_forward(model, space.observation(e, None))
+    pi = agent.RacRecommender(model, space).probabilities("d", [e], [1])[0]
     assert pi.shape == (8,)
     assert np.all(pi > 0)
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
@@ -279,7 +293,7 @@ def _reference_gather(buffer, windows):
     """Per-step construction of a batch, the layout `_gather_batch` slices."""
     rows = [(buffer.trajectories[w.driver_id], w, j) for w in windows for j in range(w.start, w.start + w.length)]
     return {
-        "histories": np.stack([agent.pad_history(t.obs[:j], buffer.history) for t, _, j in rows]),
+        "histories": np.stack([_pad_history(t.obs[:j], buffer.history) for t, _, j in rows]),
         "actions": [int(t.action_idx[j]) for t, _, j in rows],
         "hours": [int(t.hours[j]) for t, _, j in rows],
         "drivers": [t.driver_id for t, _, _ in rows],
@@ -357,7 +371,7 @@ def test_actor_stays_valid_distribution_during_training():
     index, env, space, buffer, model, hyper = _training_setup(0.5, epochs=5)
     agent.train_rac(buffer, model, env, hyper)
     e = make_event("e", "driver-0", "cs0", T0)
-    pi = agent.actor_forward(model, space.observation(e, None))
+    pi = agent.RacRecommender(model, space).probabilities("driver-0", [e], [1])[0]
     assert np.all(np.isfinite(pi))
     assert pi.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -389,7 +403,7 @@ def test_delta_log_consistency():
     # The next states in a second encoder pass of their own: step j's next
     # state is the history that includes event j.
     next_histories = np.stack([
-        agent.pad_history(buffer.trajectories[w.driver_id].obs[: j + 1], hyper.history)
+        _pad_history(buffer.trajectories[w.driver_id].obs[: j + 1], hyper.history)
         for w in batch.windows
         for j in range(w.start, w.start + w.length)
     ])
@@ -562,14 +576,17 @@ def test_recommend_learned_preference_top1():
     assert items[0].station_id == "cs2"
 
 
-def test_trailing_observations_match_trajectory_tensors():
+def test_windows_match_trajectory_tensors():
     # The ranking path and the training path see the same observations,
     # including the previous-station link of the first row kept.
     space = _obs_space(3, history=3)
     events = pattern_events("d", ["cs0", "cs2", "cs1", "cs1"], 9)
     tensors = space.trajectory_tensors(build_trajectories(events)["d"])
-    for j in range(1, len(events) + 1):
-        assert np.array_equal(space.trailing(events[:j]), tensors.obs[max(0, j - 3) : j])
+    cuts = list(range(1, len(events) + 1))
+    for window, j in zip(space.windows(events, cuts), cuts):
+        kept = min(j, 3)
+        assert np.array_equal(window[3 - kept :], tensors.obs[j - kept : j])
+        assert not window[: 3 - kept].any()
 
 
 def test_recommend_ranks_like_rac_recommender():
@@ -579,8 +596,8 @@ def test_recommend_ranks_like_rac_recommender():
     events = pattern_events("d1", ["cs0", "cs2", "cs1", "cs2"], 12)
     for j in range(1, len(events) + 1):
         items = agent.recommend(model, space, env, "d1", events[:j], 3)
-        assert [i.station_id for i in items] == rec.rank("d1", events[:j], 3)
-        p = rec.probabilities("d1", events[:j])
+        assert [i.station_id for i in items] == rec.rank("d1", events, [j], 3)[0]
+        p = rec.probabilities("d1", events, [j])[0]
         assert [i.prob for i in items] == [float(p[index.index_of(i.station_id)]) for i in items]
 
 
@@ -590,8 +607,100 @@ def test_recommend_serves_a_baseline():
     index, env, space, _, history = _recommend_setup()
     mc = MarkovRecommender(index.order).fit({"d1": history})
     items = agent.recommend(mc, space, env, "d1", history, 2)
-    assert [i.station_id for i in items] == mc.rank("d1", history, 2)
-    assert items[0].prob == mc.probabilities("d1", history)[index.index_of(items[0].station_id)]
+    assert [i.station_id for i in items] == mc.rank("d1", history, [len(history)], 2)[0]
+    assert items[0].prob == mc.probabilities("d1", history, [len(history)])[0][index.index_of(items[0].station_id)]
+
+
+# Per-event forms of every recommender, as each scored one history before
+# they were batched over cut points: the references the batched rows must match.
+
+def _per_event_rac(model, space, history):
+    if not history:
+        return np.full(model.num_stations, 1.0 / model.num_stations)
+    start = max(len(history) - space.history, 0)
+    prev = history[start - 1].station_id if start else None
+    rows = []
+    for e in history[start:]:
+        rows.append(space.observation(e, prev))
+        prev = e.station_id
+    pi, _ = model.policy(_pad_history(np.stack(rows), model.hyper.history)[None, :, :])
+    return pi[0]
+
+
+def _per_event_mc(mc, driver_id, history):
+    matrix = mc.per_driver.get(driver_id, mc.global_matrix)
+    last = history[-1].station_id if history else None
+    if last is None or last not in mc.index:
+        return np.full(len(mc.stations), 1.0 / len(mc.stations))
+    return matrix[mc.index[last]]
+
+
+def _per_event_fpmc(fpmc, driver_id, history):
+    out = np.zeros(len(fpmc.stations))
+    u = fpmc.driver_index.get(driver_id)
+    if u is not None:
+        out += fpmc.IU @ fpmc.UI[u]
+    last = history[-1].station_id if history else None
+    if last is not None and last in fpmc.index:
+        out += fpmc.IL @ fpmc.LI[fpmc.index[last]]
+    return nn.softmax(out)
+
+
+def _per_event_popularity(pop, driver_id, history):
+    counts = pop.per_driver.get(driver_id, pop.global_counts)
+    total = counts.sum()
+    if total == 0:
+        return np.full(len(pop.stations), 1.0 / len(pop.stations))
+    return counts / total
+
+
+def _random_events(rng, driver_id, stations, n):
+    hours = np.cumsum(rng.integers(1, 72, n))
+    return [
+        make_event(f"{driver_id}-{i:03d}", driver_id, stations[int(rng.integers(len(stations)))],
+                   T0 + timedelta(hours=int(h)), duration=float(rng.uniform(1.0, 60.0)),
+                   energy=float(rng.uniform(0.0, 20.0)))
+        for i, h in enumerate(hours)
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_batched_probabilities_match_per_event_oracle(data):
+    """One forward over a driver's cut points gives the per-event rankings,
+    with RAC probabilities within 1e-15 (a batched forward rounds differently
+    from B=1) and the baselines' rows bitwise equal."""
+    from evrac.baselines import FpmcHyper, FpmcRecommender, MarkovRecommender, PopularityRecommender, _rank_row
+
+    m = data.draw(st.integers(1, 50), label="m")
+    k = data.draw(st.integers(1, 6), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    stations = [f"cs{i:02d}" for i in range(m)]
+    space = agent.ObservationSpace(make_stations(stations, spacing_km=1.5), 60.0, 20.0, k)
+    train = {f"d{d}": _random_events(rng, f"d{d}", stations, int(rng.integers(2, 12))) for d in range(3)}
+    driver = data.draw(st.sampled_from(["d0", "d1", "d2", "stranger"]), label="driver")
+    events = _random_events(rng, driver, stations, data.draw(st.integers(0, 25), label="n"))
+    cuts = data.draw(st.lists(st.integers(0, len(events)), min_size=1, max_size=12), label="cuts")
+
+    model = agent.RacModel(space.obs_dim, m, _small_hyper(history=k, seed=int(rng.integers(1000))))
+    rac = agent.RacRecommender(model, space)
+    want = np.stack([_per_event_rac(model, space, events[:j]) for j in cuts])
+    got = rac.probabilities(driver, events, cuts)
+    assert got.shape == (len(cuts), m)
+    assert np.abs(got - want).max() <= 1e-15
+    assert rac.rank(driver, events, cuts, m) == [_rank_row(row, stations, m) for row in want]
+
+    # The baselines also see previous stations they do not know.
+    seen = [replace(e, station_id="elsewhere") if rng.random() < 0.2 else e for e in events]
+    baselines = [
+        (MarkovRecommender(stations).fit(train), _per_event_mc),
+        (FpmcRecommender(stations, FpmcHyper(factors=4, epochs=2, seed=1)).fit(train), _per_event_fpmc),
+        (PopularityRecommender(stations).fit(train), _per_event_popularity),
+    ]
+    for baseline, per_event in baselines:
+        want = np.stack([per_event(baseline, driver, seen[:j]) for j in cuts])
+        assert np.array_equal(baseline.probabilities(driver, seen, cuts), want), type(baseline).__name__
+        assert baseline.rank(driver, seen, cuts, m) == [_rank_row(row, stations, m) for row in want]
 
 
 def test_val_p1_equals_evaluate_precision_at_1():

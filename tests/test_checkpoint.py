@@ -152,5 +152,6 @@ def test_baseline_roundtrip_preserves_ranking(tmp_path, build):
     ckpt.save_baseline(model, path)
     loaded, _ = ckpt.load_baseline(path)
     history = _train_events()["d1"]
-    assert loaded.rank("d1", history, 2) == model.rank("d1", history, 2)
-    assert loaded.probabilities("d1", history) == pytest.approx(model.probabilities("d1", history))
+    cuts = list(range(len(history) + 1))
+    assert loaded.rank("d1", history, cuts, 2) == model.rank("d1", history, cuts, 2)
+    assert loaded.probabilities("d1", history, cuts) == pytest.approx(model.probabilities("d1", history, cuts))

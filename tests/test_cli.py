@@ -422,9 +422,11 @@ def _first_driver(header):
     ("fpmc", lambda h: _array(h, "UI", shape=_shape(h, "UI")[::-1])),
     ("popularity", lambda h: _meta(h, lambda m: _with(m, "stations", [1] * len(m["stations"])))),
     ("popularity", lambda h: _array(h, "global", shape=_shape(h, "global") + [1])),
+    ("mc", lambda h: _array(h, "global", shape=[2**62, 4])),
+    ("mc", lambda h: _array(h, "global", shape=[2**70, 0])),
 ], ids=["mc-no-lam", "mc-lam-string", "mc-no-stations", "mc-no-station", "mc-no-global",
         "mc-driver-shape", "fpmc-no-drivers", "fpmc-stations-string", "fpmc-no-IU", "fpmc-UI-shape",
-        "popularity-int-stations", "popularity-global-shape"])
+        "popularity-int-stations", "popularity-global-shape", "mc-size-wraps-int64", "mc-huge-empty-shape"])
 def test_eval_rejects_malformed_baseline_checkpoint(synth, capsys, kind, mutate):
     tmp_path, config = synth
     ckpt = tmp_path / f"{kind}.ckpt"

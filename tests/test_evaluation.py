@@ -121,8 +121,8 @@ class ScriptedRecommender:
     def __init__(self, ranking):
         self.ranking = ranking
 
-    def rank(self, driver_id, history, k, when=None):
-        return self.ranking[:k]
+    def rank(self, driver_id, events, cuts, k):
+        return [self.ranking[:k] for _ in cuts]
 
 
 def _population():
@@ -159,8 +159,8 @@ def test_mar_mean_of_two_rewards():
     env = constant_reward_env(index, {"cs0": 10.0, "cs1": 30.0})
 
     class PerDriverScripted:
-        def rank(self, driver_id, history, k, when=None):
-            return ["cs0", "cs1"] if driver_id == "d1" else ["cs1", "cs0"]
+        def rank(self, driver_id, events, cuts, k):
+            return [["cs0", "cs1"] if driver_id == "d1" else ["cs1", "cs0"] for _ in cuts]
 
     report = ev.evaluate(PerDriverScripted(), trajectories, splits, env, ks=(1,))
     assert report.mar == pytest.approx((-100.0 + -300.0) / 2)
@@ -177,8 +177,8 @@ def test_evaluate_counts_clamped_and_fallback_events():
     env = rw.RewardEnvironment(index, rw.NetWaitForecaster(net, rw.build_wait_series(events), index, 5), {})
 
     class PerDriverScripted:
-        def rank(self, driver_id, history, k, when=None):
-            return ["cs0"] if driver_id == "d1" else ["cs2"]
+        def rank(self, driver_id, events, cuts, k):
+            return [["cs0"] if driver_id == "d1" else ["cs2"] for _ in cuts]
 
     report = ev.evaluate(PerDriverScripted(), trajectories, splits, env, ks=(1,))
     assert (report.clamped_events, report.fallback_events) == (1, 1)

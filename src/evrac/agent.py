@@ -371,11 +371,11 @@ def _ce_loss(pi: np.ndarray, actions: np.ndarray) -> float:
     return float(-np.mean(np.log(np.clip(picked, 1e-300, None))))
 
 
-def _actor_apply(model: RacModel, cache: dict, ascent_dlogits: np.ndarray,
-                 extra_dc: np.ndarray | None, hyper: RacHyper) -> None:
-    """Backprop a mean-ascent logits direction (plus an optional extra descent
-    gradient on the encoded state), clip and apply one SGD step to the actor
-    group (head + shared encoder)."""
+def _actor_grads(model: RacModel, cache: dict, ascent_dlogits: np.ndarray,
+                 extra_dc: np.ndarray | None) -> dict[str, np.ndarray]:
+    """Descent gradients of the actor group (head + shared encoder), keyed as
+    `actor_params`, for a mean-ascent logits direction plus an optional extra
+    descent gradient on the encoded state."""
     dlogits = -ascent_dlogits / ascent_dlogits.shape[0]
     dc, head_grads = model.actor_head.backward(cache["head"], dlogits)
     if extra_dc is not None:
@@ -383,6 +383,13 @@ def _actor_apply(model: RacModel, cache: dict, ascent_dlogits: np.ndarray,
     enc_grads = model.encoder.backward(cache["enc"], dc)
     grads = {f"actor.{k}": v for k, v in head_grads.items()}
     grads.update({f"encoder.{k}": v for k, v in enc_grads.items()})
+    return grads
+
+
+def _actor_apply(model: RacModel, cache: dict, ascent_dlogits: np.ndarray,
+                 extra_dc: np.ndarray | None, hyper: RacHyper) -> None:
+    """Clip the actor gradients and apply one SGD step to the actor group."""
+    grads = _actor_grads(model, cache, ascent_dlogits, extra_dc)
     nn.clip_global_norm(grads, hyper.clip_norm)
     nn.sgd_step(model.actor_params(), grads, hyper.alpha)
 

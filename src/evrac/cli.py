@@ -268,9 +268,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _build_config(args)
     bundle = load_data_bundle(config)
-    net = _load_reward(args)
-    run = sweep_runner(bundle, training_environment(bundle, net),
-                       evaluation_environment(bundle, net), ks=(1,))
+    run = sweep_runner(bundle, _load_reward(args))
     rows = epsilon_sweep(run, _parse_floats(args.grid, "--grid"))
     write_sweep_csv(rows, args.out)
     _emit({"out": str(args.out), "rows": rows})
@@ -280,9 +278,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_case_study(args: argparse.Namespace) -> int:
     config = _build_config(args)
     bundle = load_data_bundle(config)
-    net = _load_reward(args)
-    run = sweep_runner(bundle, training_environment(bundle, net),
-                       evaluation_environment(bundle, net), ks=(1,))
+    run = sweep_runner(bundle, _load_reward(args))
     drivers = [d for d in args.drivers.split(",") if d]
     rows = case_study(run, drivers, _parse_floats(args.epsilons, "--epsilons"))
     write_case_study_csv(rows, args.out)
@@ -299,7 +295,10 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     history = bundle.trajectories[args.driver].events
     when = None
     if args.at:
-        when = _parse_timestamp(args.at)
+        try:
+            when = _parse_timestamp(args.at)
+        except ValueError as exc:
+            raise UsageError(f"bad --at timestamp {args.at!r}: {exc}") from exc
         # A decision at `when` may only see sessions that started before it.
         history = [e for e in history if e.start_time < when]
         if not history:

@@ -96,7 +96,10 @@ def _parse_timestamp(value: str) -> datetime:
     dt = datetime.fromisoformat(v)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError as exc:
+        raise ValueError(f"timestamp {value!r} is out of range in UTC") from exc
 
 
 def _parse_uk_datetime(date_s: str, time_s: str) -> datetime:
@@ -191,14 +194,16 @@ def parse_events(
 ) -> tuple[list[ChargingEvent], list[RejectedRow]]:
     """Parse a raw event file into canonical events plus a rejects report.
 
-    Malformed rows are collected, never silently dropped. Raises
-    DataFormatError when more than half of the data rows are rejected.
+    Malformed rows are collected, never silently dropped; so is a row whose
+    event_id repeats an earlier row's. Raises DataFormatError when more than
+    half of the data rows are rejected.
     """
     if adapter not in ADAPTERS:
         raise UsageError(f"unknown adapter {adapter!r}; expected one of {ADAPTERS}")
     path = Path(source)
     events: list[ChargingEvent] = []
     rejects: list[RejectedRow] = []
+    seen: set[str] = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -211,11 +216,16 @@ def parse_events(
             raw = ",".join("" if v is None else str(v) for v in row.values())
             try:
                 if adapter == "canonical":
-                    events.append(_canonical_row(row, line_no))
+                    event = _canonical_row(row, line_no)
                 else:
-                    events.append(_session_row(row, line_no, adapter))
+                    event = _session_row(row, line_no, adapter)
+                if event.event_id in seen:
+                    raise ValueError("duplicate event_id")
             except (ValueError, KeyError, DomainError) as exc:
                 rejects.append(RejectedRow(line_no, raw, str(exc)))
+                continue
+            seen.add(event.event_id)
+            events.append(event)
     total = len(events) + len(rejects)
     if total > 0 and len(rejects) > total / 2:
         raise DataFormatError(

@@ -141,6 +141,8 @@ def load_poi(path: str | Path, station_ids: Sequence[str]) -> dict[str, np.ndarr
                 vec = np.array([float(v) for v in row[1:]])
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
+            if not np.all(np.isfinite(vec)):
+                raise DataFormatError(f"{path}:{line_no}: non-finite POI count")
             if np.any(vec < 0):
                 raise DataFormatError(f"{path}:{line_no}: negative POI count")
             parsed[row[0].strip()] = vec

@@ -2,7 +2,10 @@
 
 Each registered path builds a tiny random instance (dims <= 8, sequence
 length <= 4), computes analytic gradients through the same backward code the
-trainers use, and compares against central differences at h = 1e-6.
+trainers use, and compares against central differences at h = 1e-6. The
+actor and critic paths run on a small `RacModel` and take their gradients
+from `agent._preference_ascent` and `agent._actor_grads`, as `train_rac` and
+`train_supervised` do.
 
 Probe losses are scaled by LOSS_SCALE and regression targets sit close to the
 clean predictions: central differences subtract two nearly equal loss values,
@@ -14,10 +17,13 @@ gradient and is caught.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from . import nn
-from .agent import HistoryEncoder
+from .agent import RacModel, _actor_grads, _ce_loss, _onehot_rows, _preference_ascent
+from .config import RacHyper
 from .reward import WaitForecastNet
 from .seeding import rng_for
 
@@ -25,105 +31,110 @@ TOLERANCE = 1e-5
 LOSS_SCALE = 3e-5
 RESIDUAL = 0.3
 
+Arrays = dict[str, np.ndarray]
+
+
+def _check_regression(
+    rng: np.random.Generator,
+    h: float,
+    params: Arrays,
+    forward: Callable[[], tuple[np.ndarray, object]],
+    backward: Callable[[object, np.ndarray], Arrays],
+) -> float:
+    """Check `backward(cache, dy)` against the scaled loss ½‖y − target‖²,
+    with the target a small random offset from the clean output `forward()`."""
+    clean, _ = forward()
+    target = clean + RESIDUAL * rng.normal(size=clean.shape)
+
+    def loss_fn() -> float:
+        y, _ = forward()
+        return LOSS_SCALE * float(np.sum(0.5 * (y - target) ** 2))
+
+    def grads_fn() -> Arrays:
+        y, cache = forward()
+        return backward(cache, LOSS_SCALE * (y - target))
+
+    return nn.grad_check(params, loss_fn, grads_fn, h)
+
 
 def _check_mlp(rng: np.random.Generator, h: float) -> float:
     widths = [int(rng.integers(2, 6)) for _ in range(3)]
     model = nn.Mlp(widths, rng)
     x = rng.normal(size=(2, widths[0]))
-    clean, _ = model.forward(x)
-    target = clean + RESIDUAL * rng.normal(size=clean.shape)
-
-    def loss_fn() -> float:
-        y, _ = model.forward(x)
-        return LOSS_SCALE * float(np.sum(0.5 * (y - target) ** 2))
-
-    def grads_fn():
-        y, cache = model.forward(x)
-        _, grads = model.backward(cache, LOSS_SCALE * (y - target))
-        return grads
-
-    return nn.grad_check(model.params, loss_fn, grads_fn, h)
+    return _check_regression(rng, h, model.params, lambda: model.forward(x),
+                             lambda cache, dy: model.backward(cache, dy)[1])
 
 
 def _check_lstm_cell(rng: np.random.Generator, h: float) -> float:
     in_dim, hidden = int(rng.integers(2, 6)), int(rng.integers(2, 6))
     layer = nn.LstmLayer(in_dim, hidden, rng)
     x = rng.normal(size=(1, 1, in_dim))
-    clean, _ = layer.forward(x)
-    target = clean + RESIDUAL * rng.normal(size=clean.shape)
-
-    def loss_fn() -> float:
-        hs, _ = layer.forward(x)
-        return LOSS_SCALE * float(np.sum(0.5 * (hs - target) ** 2))
-
-    def grads_fn():
-        hs, cache = layer.forward(x)
-        _, grads = layer.backward(cache, LOSS_SCALE * (hs - target))
-        return grads
-
-    return nn.grad_check(layer.params, loss_fn, grads_fn, h)
+    return _check_regression(rng, h, layer.params, lambda: layer.forward(x),
+                             lambda cache, dy: layer.backward(cache, dy)[1])
 
 
-def _check_actor(rng: np.random.Generator, h: float) -> float:
-    obs_dim, embed, hidden, m = 5, 4, 4, 3
-    seq = int(rng.integers(2, 5))
-    encoder = HistoryEncoder(obs_dim, embed, hidden, 2, rng)
-    head = nn.Dense(hidden, m, rng)
-    histories = rng.normal(size=(2, seq, obs_dim))
-    targets = np.zeros((2, m))
-    targets[np.arange(2), rng.integers(0, m, size=2)] = 1.0
-    params = {f"encoder.{k}": v for k, v in encoder.params.items()}
-    params.update({f"actor.{k}": v for k, v in head.params.items()})
+def _tiny_rac(rng: np.random.Generator) -> tuple[RacModel, np.ndarray, np.ndarray]:
+    """A small RacModel with a batch of random histories and logged actions."""
+    m, obs_dim = 3, 5
+    hyper = RacHyper(embed=4, hidden=4, layers=2, critic_hidden=5)
+    model = RacModel(obs_dim, m, hyper, seed=int(rng.integers(2**31)))
+    histories = rng.normal(size=(2, int(rng.integers(2, 5)), obs_dim))
+    return model, histories, rng.integers(0, m, size=2)
 
-    def loss_fn() -> float:
-        c, _ = encoder.forward(histories)
-        logits, _ = head.forward(c)
-        loss, _ = nn.softmax_cross_entropy(logits, targets)
-        return LOSS_SCALE * float(np.sum(loss))
 
-    def grads_fn():
-        c, enc_cache = encoder.forward(histories)
-        logits, head_cache = head.forward(c)
-        _, dlogits = nn.softmax_cross_entropy(logits, targets)
-        dc, head_grads = head.backward(head_cache, LOSS_SCALE * dlogits)
-        enc_grads = encoder.backward(enc_cache, dc)
-        out = {f"encoder.{k}": v for k, v in enc_grads.items()}
-        out.update({f"actor.{k}": v for k, v in head_grads.items()})
-        return out
+def _station_bce(pi: np.ndarray, actions: np.ndarray) -> float:
+    """Per-station binary cross-entropy, averaged over rows and stations: the
+    loss whose ascent `regularization_gradient` returns while the clamp is
+    inactive."""
+    a_hat = _onehot_rows(actions, pi.shape[1])
+    return float(-np.mean(a_hat * np.log(pi) + (1.0 - a_hat) * np.log(1.0 - pi)))
 
-    return nn.grad_check(params, loss_fn, grads_fn, h)
+
+def _check_actor(regularizer: str, loss: Callable[[np.ndarray, np.ndarray], float]):
+    """The preference update of the actor group: `loss(pi, actions)`
+    against `_actor_grads` of `_preference_ascent`. The tiny model's policy
+    stays interior (near uniform), far from the probability clamp."""
+
+    def check(rng: np.random.Generator, h: float) -> float:
+        model, histories, actions = _tiny_rac(rng)
+        a_hat = _onehot_rows(actions, model.num_stations)
+
+        def loss_fn() -> float:
+            pi, _ = model.policy(histories)
+            return LOSS_SCALE * loss(pi, actions)
+
+        def grads_fn() -> Arrays:
+            pi, cache = model.policy(histories)
+            ascent = _preference_ascent(pi, a_hat, regularizer)
+            return _actor_grads(model, cache, LOSS_SCALE * ascent, None)
+
+        return nn.grad_check(model.actor_params(), loss_fn, grads_fn, h)
+
+    return check
 
 
 def _check_critic(rng: np.random.Generator, h: float) -> float:
-    obs_dim, embed, hidden, m = 5, 3, 4, 3
-    seq = int(rng.integers(2, 5))
-    encoder = HistoryEncoder(obs_dim, embed, hidden, 2, rng)
-    critic = nn.Mlp([hidden + m, 5, 1], rng)
-    histories = rng.normal(size=(2, seq, obs_dim))
-    actions = np.zeros((2, m))
-    actions[np.arange(2), rng.integers(0, m, size=2)] = 1.0
-    clean, _ = critic.forward(
-        np.concatenate([encoder.forward(histories)[0], actions], axis=1)
-    )
-    y = clean[:, 0] + RESIDUAL * rng.normal(size=2)
-    params = {f"encoder.{k}": v for k, v in encoder.params.items()}
-    params.update({f"critic.{k}": v for k, v in critic.params.items()})
+    """Critic regression at the logged actions; the encoder takes the critic's
+    state gradient as `extra_dc`, as in `train_rac`."""
+    model, histories, actions = _tiny_rac(rng)
+    a_hat = _onehot_rows(actions, model.num_stations)
+    params = {k: v for k, v in model.actor_params().items() if k.startswith("encoder.")}
+    params.update(model.critic_params())
 
-    def loss_fn() -> float:
-        c, _ = encoder.forward(histories)
-        q, _ = critic.forward(np.concatenate([c, actions], axis=1))
-        return LOSS_SCALE * float(np.sum(0.5 * (q[:, 0] - y) ** 2))
+    def forward():
+        _, cache = model.policy(histories)
+        q, critic_cache = model.q_values(cache["c"], a_hat)
+        return q, (cache, critic_cache)
 
-    def grads_fn():
-        c, enc_cache = encoder.forward(histories)
-        q, cr_cache = critic.forward(np.concatenate([c, actions], axis=1))
-        dqin, cr_grads = critic.backward(cr_cache, LOSS_SCALE * (q[:, 0] - y)[:, None])
-        enc_grads = encoder.backward(enc_cache, dqin[:, :hidden])
-        out = {f"encoder.{k}": v for k, v in enc_grads.items()}
-        out.update({f"critic.{k}": v for k, v in cr_grads.items()})
-        return out
+    def backward(caches, dq: np.ndarray) -> Arrays:
+        cache, critic_cache = caches
+        dqin, critic_grads = model.critic.backward(critic_cache, dq[:, None])
+        actor_grads = _actor_grads(model, cache, np.zeros_like(a_hat), dqin[:, : model.hyper.hidden])
+        grads = {k: v for k, v in actor_grads.items() if k.startswith("encoder.")}
+        grads.update({f"critic.{k}": v for k, v in critic_grads.items()})
+        return grads
 
-    return nn.grad_check(params, loss_fn, grads_fn, h)
+    return _check_regression(rng, h, params, forward, backward)
 
 
 def _check_reward(rng: np.random.Generator, h: float) -> float:
@@ -131,24 +142,14 @@ def _check_reward(rng: np.random.Generator, h: float) -> float:
     seq = int(rng.integers(2, 5))
     net = WaitForecastNet(in_dim, hidden, 2, rng)
     xs = rng.normal(size=(2, seq, in_dim))
-    clean, _ = net.forward(xs)
-    y = clean + RESIDUAL * rng.normal(size=2)
-
-    def loss_fn() -> float:
-        pred, _ = net.forward(xs)
-        return LOSS_SCALE * float(np.sum(0.5 * (pred - y) ** 2))
-
-    def grads_fn():
-        pred, cache = net.forward(xs)
-        return net.backward(cache, LOSS_SCALE * (pred - y))
-
-    return nn.grad_check(net.params, loss_fn, grads_fn, h)
+    return _check_regression(rng, h, net.params, lambda: net.forward(xs), net.backward)
 
 
 PATHS = {
     "mlp": _check_mlp,
     "lstm_cell": _check_lstm_cell,
-    "actor_softmax_ce": _check_actor,
+    "actor_softmax_ce": _check_actor("softmax_ce", _ce_loss),
+    "actor_eta": _check_actor("eta", _station_bce),
     "critic_mse": _check_critic,
     "reward_mse": _check_reward,
 }

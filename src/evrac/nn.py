@@ -1,9 +1,9 @@
 """Minimal deterministic neural toolkit.
 
-Dense layers, tanh MLPs, a stacked LSTM with full backpropagation through
-time, softmax/sigmoid heads, a cross-entropy loss, plain SGD with
-optional global-norm clipping, seeded initialization and finite-difference
-gradient checking.
+Dense layers, tanh MLPs with a linear or tanh output, a stacked LSTM with
+full backpropagation through time, softmax and sigmoid functions, plain SGD
+with optional global-norm clipping, seeded initialization and
+finite-difference gradient checking.
 
 Conventions:
   * everything is float64; non-finite inputs are rejected at layer entry
@@ -110,11 +110,11 @@ class Dense:
         return dy @ self.W.T, grads
 
 
-_ACTIVATIONS = ("linear", "tanh", "sigmoid", "softmax")
+_ACTIVATIONS = ("linear", "tanh")
 
 
 class Mlp:
-    """Fully connected stack: tanh hidden layers, configurable output head."""
+    """Fully connected stack: tanh hidden layers, a linear or tanh output."""
 
     def __init__(
         self,
@@ -149,25 +149,12 @@ class Mlp:
             if i < last:
                 h = np.tanh(h)
             acts.append(h)
-        y = h
-        if self.output_activation == "tanh":
-            y = np.tanh(h)
-        elif self.output_activation == "sigmoid":
-            y = sigmoid(h)
-        elif self.output_activation == "softmax":
-            y = softmax(h)
+        y = np.tanh(h) if self.output_activation == "tanh" else h
         return y, {"caches": caches, "acts": acts, "out": y}
 
     def backward(self, cache: dict, dy: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         caches, acts, out = cache["caches"], cache["acts"], cache["out"]
-        if self.output_activation == "tanh":
-            d = dy * (1.0 - out * out)
-        elif self.output_activation == "sigmoid":
-            d = dy * out * (1.0 - out)
-        elif self.output_activation == "softmax":
-            d = softmax_backward(out, dy)
-        else:
-            d = dy
+        d = dy * (1.0 - out * out) if self.output_activation == "tanh" else dy
         grads: dict[str, np.ndarray] = {}
         last = len(self.layers) - 1
         for i in range(last, -1, -1):
@@ -310,9 +297,6 @@ class StackedLstm:
                 out[f"l{l}.{k}"] = v
         return out
 
-    def num_params(self) -> int:
-        return sum(v.size for v in self.params.values())
-
     def forward(self, xs: np.ndarray) -> tuple[np.ndarray, dict]:
         """Returns the top layer's full hidden sequence (B, T, h) and a cache."""
         caches = []
@@ -342,39 +326,6 @@ class StackedLstm:
         dhs = np.zeros((B, T, self.hidden_dim))
         dhs[:, -1] = dh_last
         return self.backward(cache, dhs)
-
-
-# ---------------------------------------------------------------------------
-# Losses
-# ---------------------------------------------------------------------------
-
-def _check_one_hot(target: np.ndarray) -> None:
-    ok = np.all(np.isin(target, (0.0, 1.0))) and np.all(target.sum(axis=-1) == 1.0)
-    if not ok:
-        raise DomainError("target is not one-hot")
-
-
-def softmax_cross_entropy(
-    logits: np.ndarray, target: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample loss -log p[target] and its gradient w.r.t. the logits, p - target.
-
-    Accepts a single (M,) pair or a batch (B, M).
-    """
-    squeeze = logits.ndim == 1
-    l2 = np.atleast_2d(logits)
-    t2 = np.atleast_2d(target)
-    if l2.shape != t2.shape:
-        raise ShapeError(f"logits {l2.shape} vs target {t2.shape}")
-    _check_one_hot(t2)
-    shifted = l2 - l2.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1))
-    loss = log_z - (shifted * t2).sum(axis=-1)
-    probs = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
-    grad = probs - t2
-    if squeeze:
-        return loss[0], grad[0]
-    return loss, grad
 
 
 # ---------------------------------------------------------------------------

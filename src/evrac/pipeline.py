@@ -1,10 +1,11 @@
 """End-to-end orchestration: raw files -> features -> environments ->
-trained models -> reports. Shared by the CLI and the experiment scripts."""
+trained models -> reports. Every CLI subcommand but ingest and gradcheck
+runs through it."""
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,7 +66,6 @@ class DataBundle:
     train_events: list[ChargingEvent]
     familiarity: dict[str, str | None]
     train_end_hour: int = 0
-    extras: dict = field(default_factory=dict)
 
     def train_events_by_driver(self) -> dict[str, list[ChargingEvent]]:
         return {d: s.train for d, s in self.splits.items()}
@@ -254,12 +254,15 @@ def evaluate_recommender(
     )
 
 
-def sweep_runner(bundle: DataBundle, env: RewardEnvironment, eval_env: RewardEnvironment, ks=(1, 3, 5)):
-    """Returns run(eps) for epsilon sweeps: shared seed, one model per eps."""
+def sweep_runner(bundle: DataBundle, net: WaitForecastNet | None):
+    """Returns run(eps) for epsilon sweeps: shared seed, one model per eps,
+    trained in the training environment and scored at k = 1 in the
+    evaluation environment, both built on `net`."""
+    env, eval_env = training_environment(bundle, net), evaluation_environment(bundle, net)
 
     def run(eps: float) -> EvalReport:
         at_eps = replace(bundle, config=apply_overrides(bundle.config, epsilon=eps))
         model, _ = train_shared_model(at_eps, env)
-        return evaluate_recommender(at_eps, RacRecommender(model, at_eps.obs_space), eval_env, ks=ks)
+        return evaluate_recommender(at_eps, RacRecommender(model, at_eps.obs_space), eval_env, ks=(1,))
 
     return run

@@ -62,11 +62,11 @@ def test_c01_gradient_correctness():
     start = time.monotonic()
     results = run_gradcheck(instances=20, seed=0, h=1e-6)
     elapsed = time.monotonic() - start
-    assert set(results) == {"mlp", "lstm_cell", "actor_softmax_ce", "critic_mse", "reward_mse"}
+    assert set(results) == {"mlp", "lstm_cell", "actor_softmax_ce", "actor_eta", "critic_mse", "reward_mse"}
     for name, err in results.items():
         assert err < TOLERANCE, f"{name}: {err:.3e}"
     assert elapsed < 60.0
-    print(f"\nACCEPTANCE 1 PASS: all 5 gradient paths < 1e-5 "
+    print(f"\nACCEPTANCE 1 PASS: all 6 gradient paths < 1e-5 "
           f"(worst {max(results.values()):.2e}) in {elapsed:.1f}s")
 
 

@@ -22,6 +22,7 @@ from evrac import reward as rw
 from evrac.dataset import build_trajectories
 from evrac.errors import ConfigError, TrainingDiverged, UsageError
 from evrac.geospatial import NUM_POI_TYPES
+from evrac.gradcheck import TOLERANCE, run_gradcheck
 from evrac.reward import TIME_FEATURE_WIDTH
 from evrac.seeding import rng_for
 
@@ -191,6 +192,14 @@ def test_regularization_gradient_two_station_case():
 def test_regularization_gradient_clamps_extremes():
     eta = agent.regularization_gradient(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert np.all(np.isfinite(eta))
+
+
+def test_gradcheck_catches_a_wrong_eta_ascent(monkeypatch):
+    true_gradient = agent.regularization_gradient
+    monkeypatch.setattr(agent, "regularization_gradient", lambda *a, **kw: 2.0 * true_gradient(*a, **kw))
+    results = run_gradcheck(instances=2)
+    assert results["actor_eta"] >= TOLERANCE
+    assert all(err < TOLERANCE for name, err in results.items() if name != "actor_eta")
 
 
 # ---------------------------------------------------------------------------

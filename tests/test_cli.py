@@ -117,6 +117,43 @@ def test_ingest_sends_over_one_week_rows_to_rejects(tmp_path, capsys):
     assert "e1" in kept and "e2" not in kept and "e3" not in kept
 
 
+def test_ingest_sends_duplicate_event_ids_to_rejects(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(
+        "event_id,driver_id,station_id,start_time,duration_min,energy_kwh\n"
+        "e1,d1,cs0,2018-06-06T08:00:00Z,30,10\n"
+        "e2,d1,cs1,2018-06-06T09:00:00Z,30,10\n"
+        "e1,d2,cs2,2018-06-06T10:00:00Z,30,10\n"
+        "e3,d1,cs0,2018-06-06T11:00:00Z,30,10\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "canonical.csv"
+    rc = main(["ingest", "--input", str(raw), "--adapter", "canonical", "--output", str(out)])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["events"], summary["rejected"], summary["drivers"]) == (3, 1, 1)
+    rejects = (tmp_path / "canonical.csv.rejects.csv").read_text().splitlines()
+    assert rejects[1:] == ["4,\"e1,d2,cs2,2018-06-06T10:00:00Z,30,10\",duplicate event_id"]
+    assert "cs2" not in out.read_text()
+
+
+def test_ingest_sends_out_of_range_timestamps_to_rejects(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(
+        "event_id,driver_id,station_id,start_time,duration_min,energy_kwh\n"
+        "e1,d1,cs0,2018-06-06T08:00:00Z,30,10\n"
+        "e2,d1,cs0,9999-12-31T23:59:59-01:00,30,10\n"
+        "e3,d1,cs0,2018-06-06T11:00:00Z,30,10\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "canonical.csv"
+    rc = main(["ingest", "--input", str(raw), "--adapter", "canonical", "--output", str(out)])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["events"], summary["rejected"]) == (2, 1)
+    assert "out of range" in (tmp_path / "canonical.csv.rejects.csv").read_text()
+
+
 def test_ingest_unknown_adapter_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ingest", "--input", "x.csv", "--adapter", "berlin", "--output", "y.csv"])
@@ -149,6 +186,24 @@ def test_features_outputs(synth, capsys):
     norms = (out_dir / "station_norms.csv").read_text().strip().splitlines()
     assert norms[0] == "station_id,mean_wait_min,mean_dist_km"
     assert len(norms) == 4
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_features_rejects_non_finite_poi_count(synth, capsys, bad):
+    tmp_path, config = synth
+    poi = tmp_path / "poi.csv"
+    lines = poi.read_text(encoding="utf-8").splitlines()
+    cells = lines[2].split(",")
+    cells[5] = bad
+    lines[2] = ",".join(cells)
+    poi.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["features", "--config", str(config), "--out-dir", str(tmp_path / "f")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+    assert len(errors) == 1 and errors[0]["error"] == "DataFormatError"
+    assert f"{poi}:3: non-finite POI count" in errors[0]["message"]
 
 
 def test_full_pipeline_and_determinism(synth, capsys):
@@ -267,6 +322,19 @@ def test_recommend_at_sees_only_earlier_sessions(synth, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("at", ["notatime", "9999-12-31T23:59:59-01:00"])
+def test_recommend_bad_at_is_usage_error(synth, capsys, at):
+    tmp_path, config = synth
+    ckpt = tmp_path / "pop.ckpt"
+    assert main(["train-baseline", "--config", str(config), "--model", "popularity",
+                 "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    rc = main(["recommend", "--config", str(config), "--model", str(ckpt),
+               "--driver", "driver-1", "--k", "1", "--at", at])
+    assert rc == 2
+    _assert_one_json_error(capsys, "UsageError")
+
+
 def test_corrupt_checkpoint_exit_code(synth, capsys):
     tmp_path, config = synth
     bad = tmp_path / "bad.ckpt"
@@ -309,7 +377,7 @@ def test_per_driver_training_and_eval(synth, capsys):
 def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--instances", "1", "--seed", "0"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 5
+    assert out.count("PASS") == 6
 
 
 # ---------------------------------------------------------------------------

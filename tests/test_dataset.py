@@ -131,6 +131,25 @@ def test_glasgow_adapter_layout(tmp_path):
     assert e.duration_min == 120.0
 
 
+@pytest.mark.parametrize("adapter,header,rows", [
+    ("canonical", "event_id,driver_id,station_id,start_time,duration_min,energy_kwh",
+     ["e1,d1,cs0,2018-06-06T08:00:00Z,30,10",
+      "e2,d1,cs1,2018-06-06T09:00:00Z,30,10",
+      "e1,d2,cs2,2018-06-06T10:00:00Z,30,10"]),
+    ("glasgow", "CHARGING EVENT ID,USER_ID,CP_ID,START_DATE,START_TIME,END_DATE,END_TIME,CONSUMED_KWH",
+     ["s1,u1,G0,01/09/2013,08:00,01/09/2013,08:30,7.5",
+      "s2,u1,G1,01/09/2013,09:00,01/09/2013,09:30,7.5",
+      "s1,u2,G2,01/09/2013,10:00,01/09/2013,10:30,7.5"]),
+])
+def test_repeated_event_id_goes_to_rejects(tmp_path, adapter, header, rows):
+    # Evaluation keys test events by id, so a repeated id would give two
+    # events the same history cut.
+    path = _write(tmp_path, "ev.csv", "\n".join([header] + rows) + "\n")
+    events, rejects = dataset.parse_events(path, adapter)
+    assert [(e.event_id, e.driver_id) for e in events] == [tuple(r.split(",")[:2]) for r in rows[:2]]
+    assert [(r.line_no, r.reason) for r in rejects] == [(4, "duplicate event_id")]
+
+
 _ids = st.text(alphabet="abcdefghij0123456789-", min_size=1, max_size=8)
 
 

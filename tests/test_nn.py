@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evrac import nn
+from evrac import agent, nn
 from evrac.errors import DomainError, ShapeError
 from evrac.seeding import rng_for
 
@@ -39,31 +39,34 @@ def test_softmax_is_monotone(logits, shift):
                 assert p[i] == p[j]
 
 
+# The cross-entropy the trainers use is agent._ce_loss over the policy, with
+# its logits gradient the negated softmax_ce preference ascent.
+
+def _ce(logits, action):
+    pi = nn.softmax(np.array([logits]))
+    target = np.zeros_like(pi)
+    target[0, action] = 1.0
+    ascent = agent._preference_ascent(pi, target, "softmax_ce")
+    return agent._ce_loss(pi, np.array([action])), -ascent[0]
+
+
 def test_cross_entropy_uniform_logits():
-    logits = np.zeros(4)
-    target = np.array([0.0, 1.0, 0.0, 0.0])
-    loss, grad = nn.softmax_cross_entropy(logits, target)
+    loss, grad = _ce([0.0, 0.0, 0.0, 0.0], 1)
     assert loss == pytest.approx(math.log(4.0), abs=1e-12)
-    assert grad == pytest.approx(nn.softmax(logits) - target)
+    # softmax(logits) - target
+    assert grad == pytest.approx(np.array([0.25, -0.75, 0.25, 0.25]))
 
 
 def test_cross_entropy_exact_match_is_zero():
     # Drive the softmax to (numerically) exactly the target.
-    logits = np.array([500.0, 0.0])
-    target = np.array([1.0, 0.0])
-    loss, grad = nn.softmax_cross_entropy(logits, target)
+    loss, grad = _ce([500.0, 0.0], 0)
     assert loss == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(grad, 0.0, atol=1e-12)
 
 
 def test_cross_entropy_closed_form():
-    loss, _ = nn.softmax_cross_entropy(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
+    loss, _ = _ce([2.0, 0.0], 0)
     assert loss == pytest.approx(math.log(1.0 + math.exp(-2.0)), abs=1e-12)
-
-
-def test_cross_entropy_rejects_non_one_hot():
-    with pytest.raises(DomainError):
-        nn.softmax_cross_entropy(np.zeros(3), np.array([0.5, 0.5, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +234,7 @@ def test_lstm_shape_error():
 def test_stacked_lstm_param_count():
     net = nn.StackedLstm(7, 5, num_layers=2, rng=np.random.default_rng(0))
     expected = 4 * 5 * (7 + 5 + 1) + 4 * 5 * (5 + 5 + 1)
-    assert net.num_params() == expected
+    assert sum(v.size for v in net.params.values()) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +492,9 @@ def test_forget_gate_bias_starts_open():
 
 def test_mlp_output_activations():
     rng = np.random.default_rng(8)
-    x = rng.normal(size=(3, 4))
-    soft = nn.Mlp([4, 5, 3], rng, output_activation="softmax")
-    y, _ = soft.forward(x)
-    assert np.allclose(y.sum(axis=1), 1.0, atol=1e-12)
-    sig = nn.Mlp([4, 3], rng, output_activation="sigmoid")
-    y2, _ = sig.forward(x)
-    assert np.all((y2 > 0) & (y2 < 1))
-    with pytest.raises(DomainError):
-        nn.Mlp([4, 3], rng, output_activation="softplus")
+    for head in ("softplus", "softmax"):
+        with pytest.raises(DomainError):
+            nn.Mlp([4, 3], rng, output_activation=head)
 
 
 @settings(max_examples=25)

@@ -27,7 +27,7 @@ import numpy as np
 from . import nn
 from .baselines import _rank_row
 from .config import RacHyper
-from .dataset import ChargingEvent, DriverTrajectory, Split, approximate_soc
+from .dataset import ChargingEvent, DriverTrajectory, Split
 from .errors import ConfigError, TrainingDiverged, UsageError
 from .evaluation import _driver_rankings, precision_at_k
 from .geospatial import StationIndex
@@ -79,11 +79,21 @@ class ObservationSpace:
         self.history = history
         self.obs_dim = index.context_width() + 2 + TIME_FEATURE_WIDTH
 
-    def observation(self, event: ChargingEvent, prev_station: str | None) -> np.ndarray:
-        loc = self.index.location_context(event.station_id, prev_station)
-        soc = approximate_soc(event, self.max_duration)
-        energy = event.energy_kwh / self.max_energy if self.max_energy > 0 else 0.0
-        return np.concatenate([loc, [soc, energy], time_features(event.start_time)])
+    def rows(self, events: Sequence[ChargingEvent], prev_station: str | None) -> np.ndarray:
+        """(len(events), obs_dim): the observations of consecutive events.
+        Each links to the station charged at just before it, the first to
+        `prev_station` (None: no previous station)."""
+        index, width = self.index, self.index.context_width()
+        cols = np.array([index.index_of(e.station_id) for e in events], dtype=np.int64)
+        first = -1 if prev_station is None else index.index_of(prev_station)
+        durations = np.array([e.duration_min for e in events], dtype=float)
+        energies = np.array([e.energy_kwh for e in events], dtype=float)
+        out = np.empty((cols.size, self.obs_dim))
+        out[:, :width] = index.context(cols, np.concatenate([[first], cols[:-1]])[: cols.size])
+        out[:, width] = np.minimum(durations / self.max_duration, 1.0)
+        out[:, width + 1] = energies / self.max_energy if self.max_energy > 0 else 0.0
+        out[:, width + 2 :] = time_features([epoch_hour(e.start_time) for e in events])
+        return out
 
     def windows(self, events: list[ChargingEvent], cuts: Sequence[int]) -> np.ndarray:
         """(len(cuts), history, obs_dim): for each cut j, the observations of
@@ -95,25 +105,14 @@ class ObservationSpace:
         lo, hi = max(int(cuts.min()) - k, 0), int(cuts.max())
         # Row k + i holds event lo + i, so cut j's window starts at row j - lo.
         rows = np.zeros((k + hi - lo, self.obs_dim))
-        prev = events[lo - 1].station_id if lo else None
-        for i, e in enumerate(events[lo:hi]):
-            rows[k + i] = self.observation(e, prev)
-            prev = e.station_id
+        rows[k:] = self.rows(events[lo:hi], events[lo - 1].station_id if lo else None)
         return rows[(cuts - lo)[:, None] + np.arange(k)]
 
     def trajectory_tensors(self, traj: DriverTrajectory) -> TrajectoryTensors:
-        n = len(traj)
-        obs = np.zeros((n, self.obs_dim))
-        actions = np.zeros(n, dtype=int)
-        hours = np.zeros(n, dtype=int)
-        ids: list[str] = []
-        prev: str | None = None
-        for i, e in enumerate(traj.events):
-            obs[i] = self.observation(e, prev)
-            actions[i] = self.index.index_of(e.station_id)
-            hours[i] = epoch_hour(e.start_time)
-            ids.append(e.station_id)
-            prev = e.station_id
+        obs = self.rows(traj.events, None)
+        ids = [e.station_id for e in traj.events]
+        actions = np.array([self.index.index[sid] for sid in ids], dtype=int)
+        hours = np.array([epoch_hour(e.start_time) for e in traj.events], dtype=int)
         return TrajectoryTensors(traj.driver_id, obs, actions, ids, hours)
 
 

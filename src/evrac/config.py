@@ -186,7 +186,7 @@ def load_config(path: str | Path) -> Config:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     sections = {f.name: f.metadata["section"] for f in dataclasses.fields(Config)}
     types = typing.get_type_hints(Config)

@@ -7,10 +7,11 @@ import csv
 import hashlib
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import ConfigError, DataFormatError, DomainError, UsageError
 
@@ -88,6 +89,17 @@ class Split:
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
+
+@contextmanager
+def open_csv(path: str | Path) -> Iterator[TextIO]:
+    """Open a UTF-8 CSV file to read; a byte that is not UTF-8 or a field over
+    the csv module's size limit, met in the block, is a DataFormatError."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
+
 
 def _parse_timestamp(value: str) -> datetime:
     v = value.strip()
@@ -204,7 +216,7 @@ def parse_events(
     events: list[ChargingEvent] = []
     rejects: list[RejectedRow] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_csv(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataFormatError(f"{path}: empty file")
@@ -363,22 +375,3 @@ def warmup_cut_counts(
         out[driver_id] = max(1, math.floor(frac * n)) if n > min_events else 0
     return out
 
-
-# ---------------------------------------------------------------------------
-# Feature scalers
-# ---------------------------------------------------------------------------
-
-def max_duration(events: Iterable[ChargingEvent]) -> float:
-    return max((e.duration_min for e in events), default=0.0)
-
-
-def max_energy(events: Iterable[ChargingEvent]) -> float:
-    return max((e.energy_kwh for e in events), default=0.0)
-
-
-def approximate_soc(event: ChargingEvent, d_max: float) -> float:
-    """State-of-charge proxy: charging duration normalized by the training-split
-    maximum, clipped to [0, 1]."""
-    if d_max <= 0:
-        raise ConfigError("max duration for the SOC proxy must be positive")
-    return min(event.duration_min / d_max, 1.0)

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import ChargingEvent, build_trajectories
+from .dataset import ChargingEvent, build_trajectories, open_csv
 from .errors import ConfigError, DataFormatError, DomainError, UnknownStationError
 
 logger = logging.getLogger(__name__)
@@ -103,16 +103,21 @@ def normalize_poi(counts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def load_stations(path: str | Path) -> dict[str, Station]:
-    """Read `station_id,latitude,longitude` CSV."""
+    """Read `station_id,latitude,longitude` CSV, one full row per station."""
     out: dict[str, Station] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_csv(path) as fh:
         reader = csv.DictReader(fh)
         required = {"station_id", "latitude", "longitude"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise DataFormatError(f"{path}: expected columns {sorted(required)}")
         for line_no, row in enumerate(reader, start=2):
+            # DictReader pads a short row with None and keys a long row's extras by None.
+            if None in row or None in row.values():
+                raise DataFormatError(f"{path}:{line_no}: expected {len(reader.fieldnames)} fields")
+            sid = row["station_id"].strip()
+            if sid in out:
+                raise DataFormatError(f"{path}:{line_no}: duplicate station_id {sid!r}")
             try:
-                sid = row["station_id"].strip()
                 out[sid] = Station(
                     station_id=sid,
                     latitude=float(row["latitude"]),
@@ -125,18 +130,21 @@ def load_stations(path: str | Path) -> dict[str, Station]:
 
 
 def load_poi(path: str | Path, station_ids: Sequence[str]) -> dict[str, np.ndarray]:
-    """Read `station_id,c0,...,c75` CSV; absent stations get zero vectors."""
+    """Read `station_id,c0,...,c75` CSV, one row per station; absent stations get zeros."""
     parsed: dict[str, np.ndarray] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[0] != "station_id" or len(header) != 1 + NUM_POI_TYPES:
+        if not header or header[0] != "station_id" or len(header) != 1 + NUM_POI_TYPES:
             raise DataFormatError(
                 f"{path}: expected header station_id,c0..c{NUM_POI_TYPES - 1}"
             )
         for line_no, row in enumerate(reader, start=2):
             if len(row) != 1 + NUM_POI_TYPES:
                 raise DataFormatError(f"{path}:{line_no}: expected {1 + NUM_POI_TYPES} columns")
+            sid = row[0].strip()
+            if sid in parsed:
+                raise DataFormatError(f"{path}:{line_no}: duplicate station_id {sid!r}")
             try:
                 vec = np.array([float(v) for v in row[1:]])
             except ValueError as exc:
@@ -145,7 +153,7 @@ def load_poi(path: str | Path, station_ids: Sequence[str]) -> dict[str, np.ndarr
                 raise DataFormatError(f"{path}:{line_no}: non-finite POI count")
             if np.any(vec < 0):
                 raise DataFormatError(f"{path}:{line_no}: negative POI count")
-            parsed[row[0].strip()] = vec
+            parsed[sid] = vec
     out = {}
     for sid in station_ids:
         if sid in parsed:
@@ -161,7 +169,8 @@ def load_poi(path: str | Path, station_ids: Sequence[str]) -> dict[str, np.ndarr
 # ---------------------------------------------------------------------------
 
 class StationIndex:
-    """Ordered station set with one-hot coding, a distance table and POI features.
+    """Ordered station set with a distance table, POI features and the location
+    context of an observation.
 
     Station order is the sorted id list, so indices are deterministic.
     """
@@ -194,11 +203,6 @@ class StationIndex:
         except KeyError:
             raise UnknownStationError(f"unknown station {station_id!r}") from None
 
-    def onehot(self, station_id: str) -> np.ndarray:
-        vec = np.zeros(len(self.order))
-        vec[self.index_of(station_id)] = 1.0
-        return vec
-
     def index_of(self, station_id: str) -> int:
         if station_id not in self.index:
             raise UnknownStationError(f"unknown station {station_id!r}")
@@ -207,15 +211,19 @@ class StationIndex:
     def distance(self, from_id: str, to_id: str) -> float:
         return float(self.distances[self.index_of(from_id), self.index_of(to_id)])
 
-    def location_context(self, current: str, previous: str | None) -> np.ndarray:
-        """Location features for an observation at `current`:
-        [distance from the previous station || one-hot of `current` || its
-        normalized POI distribution], `context_width()` wide.
-
-        The distance is 0 at the start of a history (no previous station).
-        """
-        dist = 0.0 if previous is None else self.distance(previous, current)
-        return np.concatenate([[dist], self.onehot(current), self.poi_matrix[self.index_of(current)]])
+    def context(self, cols: np.ndarray, prev_cols: np.ndarray) -> np.ndarray:
+        """Location features of one observation per row, `(len(cols),
+        context_width())`: [distance from station column `prev_cols[i]` ||
+        one-hot of station column `cols[i]` || its normalized POI
+        distribution]. A previous column of -1 means no previous station
+        (distance 0), as at the start of a history."""
+        cols = np.asarray(cols, dtype=np.int64)
+        prev_cols = np.asarray(prev_cols, dtype=np.int64)
+        out = np.zeros((cols.size, self.context_width()))
+        out[:, 0] = np.where(prev_cols >= 0, self.distances[prev_cols, cols], 0.0)
+        out[np.arange(cols.size), 1 + cols] = 1.0
+        out[:, 1 + len(self.order) :] = self.poi_matrix[cols]
+        return out
 
     def context_width(self) -> int:
         return 1 + len(self.order) + NUM_POI_TYPES

@@ -24,8 +24,6 @@ from .dataset import (
     DriverTrajectory,
     Split,
     build_trajectories,
-    max_duration,
-    max_energy,
     parse_events,
     split_all,
     warmup_cut_counts,
@@ -122,9 +120,9 @@ def load_data_bundle(config: Config, events: list[ChargingEvent] | None = None) 
     norms = station_norms(train_events, index, train_series)
     index = index.with_norms(norms)
 
-    obs_space = ObservationSpace(
-        index, max_duration(train_events), max_energy(train_events), config.k_actor
-    )
+    max_duration = max(e.duration_min for e in train_events)
+    max_energy = max(e.energy_kwh for e in train_events)
+    obs_space = ObservationSpace(index, max_duration, max_energy, config.k_actor)
     familiarity = most_visited([e for s in splits.values() for e in s.train])
     train_end = max(epoch_hour(e.start_time) for e in train_events)
 

@@ -38,23 +38,17 @@ def hour_to_datetime(eh: int) -> datetime:
     return datetime.fromtimestamp(eh * 3600, tz=timezone.utc)
 
 
-def time_features(dt: datetime) -> np.ndarray:
-    """Day-of-week (7) and hour-of-day (24) one-hots."""
-    vec = np.zeros(TIME_FEATURE_WIDTH)
-    vec[dt.weekday()] = 1.0
-    vec[DAY_FEATURES + dt.hour] = 1.0
-    return vec
-
-
-def time_features_for_hours(hours: np.ndarray) -> np.ndarray:
-    """`time_features(hour_to_datetime(h))` for every epoch hour h, shape
-    `hours.shape + (31,)`. Epoch hour 0 (1970-01-01 00:00 UTC) is a Thursday,
-    weekday 3; floor division keeps negative hours on the same calendar."""
-    hours = np.asarray(hours, dtype=np.int64)[..., None]
-    out = np.zeros(hours.shape[:-1] + (TIME_FEATURE_WIDTH,))
-    np.put_along_axis(out, (hours // 24 + 3) % 7, 1.0, axis=-1)
-    np.put_along_axis(out, DAY_FEATURES + hours % 24, 1.0, axis=-1)
-    return out
+def time_features(hours: np.ndarray) -> np.ndarray:
+    """Day-of-week (7) and hour-of-day (24) one-hots of each epoch hour h,
+    shape `hours.shape + (31,)`, set at `hour_to_datetime(h).weekday()` and
+    `.hour`. Epoch hour 0 (1970-01-01 00:00 UTC) is a Thursday, weekday 3;
+    floor division keeps negative hours on the same calendar."""
+    hours = np.asarray(hours, dtype=np.int64)
+    flat = hours.ravel()
+    out = np.zeros((flat.size, TIME_FEATURE_WIDTH))
+    out[np.arange(flat.size), (flat // 24 + 3) % 7] = 1.0
+    out[np.arange(flat.size), DAY_FEATURES + flat % 24] = 1.0
+    return out.reshape(hours.shape + (TIME_FEATURE_WIDTH,))
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +206,14 @@ def forecast_inputs(
     keep = np.array([i for i, (sid, eh) in enumerate(zip(station_ids, hours.tolist()))
                      if first.get(sid) is not None and eh - k >= first[sid]], dtype=np.int64)
     hours = hours[keep]
-    m = len(index)
     cols = np.array([index.index_of(station_ids[i]) for i in keep], dtype=np.int64)
-    xs = np.zeros((keep.size, k, reward_net_input_dim(index)))
+    width = index.context_width()
+    xs = np.empty((keep.size, k, reward_net_input_dim(index)))
     for row, (i, eh) in enumerate(zip(keep.tolist(), hours.tolist())):
         sid = station_ids[i]
         xs[row, :, 0] = series[sid].lags(eh, k) / index.stations[sid].mean_wait
-    # Location context: [distance 0 || station one-hot || POI distribution].
-    xs[np.arange(keep.size), :, 2 + cols] = 1.0
-    xs[:, :, 2 + m : 1 + index.context_width()] = index.poi_matrix[cols][:, None, :]
-    xs[:, :, 1 + index.context_width() :] = time_features_for_hours(hours[:, None] - k + np.arange(k))
+    xs[:, :, 1 : 1 + width] = index.context(cols, np.full(keep.size, -1))[:, None, :]
+    xs[:, :, 1 + width :] = time_features(hours[:, None] - k + np.arange(k))
     return xs, keep
 
 

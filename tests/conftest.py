@@ -11,7 +11,7 @@ import pytest
 
 from evrac.dataset import ChargingEvent, build_trajectories, split_all
 from evrac.geospatial import EARTH_RADIUS_KM, NUM_POI_TYPES, Station, StationIndex
-from evrac.reward import RewardEnvironment, TableWaitForecaster
+from evrac.reward import DAY_FEATURES, TIME_FEATURE_WIDTH, RewardEnvironment, TableWaitForecaster
 
 T0 = datetime(2018, 6, 6, 8, 0, tzinfo=timezone.utc)
 
@@ -81,6 +81,43 @@ def pattern_events(
             )
         )
     return out
+
+
+# Per-event forms of the feature blocks, as observations were built one event
+# at a time: the oracles the array builders must match bitwise.
+
+def reference_location_context(index: StationIndex, current: str, previous: str | None) -> np.ndarray:
+    """[distance from `previous` (0 without one) || one-hot of `current` ||
+    its normalized POI distribution]."""
+    onehot = np.zeros(len(index))
+    onehot[index.index_of(current)] = 1.0
+    dist = 0.0 if previous is None else index.distance(previous, current)
+    return np.concatenate([[dist], onehot, index.poi_matrix[index.index_of(current)]])
+
+
+def reference_time_features(dt: datetime) -> np.ndarray:
+    """Day-of-week (7) and hour-of-day (24) one-hots of a UTC datetime."""
+    vec = np.zeros(TIME_FEATURE_WIDTH)
+    vec[dt.weekday()] = 1.0
+    vec[DAY_FEATURES + dt.hour] = 1.0
+    return vec
+
+
+def reference_observation(space, event: ChargingEvent, prev_station: str | None) -> np.ndarray:
+    """[location || SOC proxy, energy || time] of one event of `space`."""
+    loc = reference_location_context(space.index, event.station_id, prev_station)
+    soc = min(event.duration_min / space.max_duration, 1.0)
+    energy = event.energy_kwh / space.max_energy if space.max_energy > 0 else 0.0
+    return np.concatenate([loc, [soc, energy], reference_time_features(event.start_time)])
+
+
+def reference_rows(space, events: list[ChargingEvent], prev_station: str | None) -> np.ndarray:
+    """`reference_observation` of consecutive events, each linked to the one before."""
+    rows = []
+    for e in events:
+        rows.append(reference_observation(space, e, prev_station))
+        prev_station = e.station_id
+    return np.array(rows).reshape(len(events), space.obs_dim)
 
 
 def constant_reward_env(

@@ -15,13 +15,14 @@ from conftest import (
     make_event,
     make_stations,
     pattern_events,
+    reference_rows,
     split_population,
 )
 from evrac import agent, nn
 from evrac import reward as rw
 from evrac.dataset import build_trajectories
-from evrac.errors import ConfigError, TrainingDiverged, UsageError
-from evrac.geospatial import NUM_POI_TYPES
+from evrac.errors import ConfigError, TrainingDiverged, UnknownStationError, UsageError
+from evrac.geospatial import NUM_POI_TYPES, Station, StationIndex
 from evrac.gradcheck import TOLERANCE, run_gradcheck
 from evrac.reward import TIME_FEATURE_WIDTH
 from evrac.seeding import rng_for
@@ -51,18 +52,62 @@ def test_observation_width_invariant():
 def test_observation_content():
     space = _obs_space(3)
     e = make_event("e", "d", "cs1", T0, duration=15.0, energy=5.0)
-    obs = space.observation(e, None)
+    obs = space.rows([e], None)[0]
     assert obs[0] == 0.0                      # no previous station
     assert obs[1 + 1] == 1.0                  # one-hot of cs1
     offset = 1 + 3 + NUM_POI_TYPES
     assert obs[offset] == pytest.approx(0.5)   # soc proxy 15/30
     assert obs[offset + 1] == pytest.approx(0.5)  # energy 5/10
+    with pytest.raises(UnknownStationError):
+        space.rows([make_event("e", "d", "nope", T0)], None)
+    with pytest.raises(UnknownStationError):
+        space.rows([e], "nope")
 
 
 def test_observation_space_requires_positive_duration_scale():
     index = make_stations(["cs0"])
     with pytest.raises(ConfigError):
         agent.ObservationSpace(index, max_duration=0.0, max_energy=1.0, history=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 5),
+    history=st.integers(1, 4),
+    max_energy=st.sampled_from([0.0, 10.0]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_rows_and_windows_match_per_event_oracle(m, history, max_energy, seed, data):
+    rng = np.random.default_rng(seed)
+    ids = [f"cs{i}" for i in range(m)]
+    index = StationIndex({
+        sid: Station(sid, rng.uniform(-60, 60), rng.uniform(-170, 170), rng.integers(0, 3, NUM_POI_TYPES))
+        for sid in ids
+    })
+    space = agent.ObservationSpace(index, max_duration=30.0, max_energy=max_energy, history=history)
+    # Durations run past max_duration, and start times reach before 1970
+    # (negative epoch hours) at any minute.
+    specs = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(-3 * 10**7, 3 * 10**7),
+                                         st.floats(0.0, 120.0), st.floats(0.0, 50.0)), max_size=8))
+    events = [make_event(f"e{i}", "d", ids[c], T0 + timedelta(minutes=minutes), duration=dur, energy=en)
+              for i, (c, minutes, dur, en) in enumerate(specs)]
+    prev = data.draw(st.one_of(st.none(), st.sampled_from(ids)))
+
+    got = space.rows(events, prev)
+    assert got.shape == (len(events), space.obs_dim)
+    assert got.tobytes() == reference_rows(space, events, prev).tobytes()
+    assert space.rows([], prev).shape == (0, space.obs_dim)
+
+    cuts = data.draw(st.lists(st.integers(0, len(events)), min_size=1, max_size=6))
+    windows = space.windows(events, cuts)
+    assert windows.shape == (len(cuts), history, space.obs_dim)
+    for window, j in zip(windows, cuts):
+        lo = max(j - history, 0)
+        want = np.zeros((history, space.obs_dim))
+        want[history - (j - lo):] = reference_rows(space, events[lo:j], events[lo - 1].station_id if lo else None)
+        assert window.tobytes() == want.tobytes()
+    assert not space.windows(events, [0] * len(cuts)).any()
 
 
 def test_windows_left_pad_with_zero_rows():
@@ -627,12 +672,8 @@ def _per_event_rac(model, space, history):
     if not history:
         return np.full(model.num_stations, 1.0 / model.num_stations)
     start = max(len(history) - space.history, 0)
-    prev = history[start - 1].station_id if start else None
-    rows = []
-    for e in history[start:]:
-        rows.append(space.observation(e, prev))
-        prev = e.station_id
-    pi, _ = model.policy(_pad_history(np.stack(rows), model.hyper.history)[None, :, :])
+    rows = reference_rows(space, history[start:], history[start - 1].station_id if start else None)
+    pi, _ = model.policy(_pad_history(rows, model.hyper.history)[None, :, :])
     return pi[0]
 
 

@@ -206,6 +206,32 @@ def test_features_rejects_non_finite_poi_count(synth, capsys, bad):
     assert f"{poi}:3: non-finite POI count" in errors[0]["message"]
 
 
+@pytest.mark.parametrize("row, why", [("cs9,1.0", "expected 3 fields"), ("cs0,10.0,10.0", "duplicate station_id")])
+def test_features_rejects_bad_station_row(synth, capsys, row, why):
+    tmp_path, config = synth
+    stations = tmp_path / "stations.csv"
+    stations.write_text(stations.read_text(encoding="utf-8") + row + "\n", encoding="utf-8")
+    rc = main(["features", "--config", str(config), "--out-dir", str(tmp_path / "f")])
+    assert rc == 4
+    assert f"{stations}:5: {why}" in _assert_one_json_error(capsys, "DataFormatError")["message"]
+
+
+@pytest.mark.parametrize("reader", ["ingest", "events", "stations", "poi", "config"])
+def test_non_utf8_input_is_format_error(synth, capsys, reader):
+    tmp_path, config = synth
+    path = config if reader == "config" else tmp_path / f"{'events' if reader == 'ingest' else reader}.csv"
+    text = path.read_bytes()
+    cut = text.index(b"\n") + 3  # inside the first line after the header
+    path.write_bytes(text[:cut] + b"\xff" + text[cut:])
+    if reader == "ingest":
+        argv = ["ingest", "--input", str(path), "--adapter", "canonical", "--output", str(tmp_path / "out.csv")]
+    else:
+        argv = ["features", "--config", str(config), "--out-dir", str(tmp_path / "f")]
+    assert main(argv) == 4
+    error = _assert_one_json_error(capsys, "ConfigError" if reader == "config" else "DataFormatError")
+    assert str(path) in error["message"] and "utf-8" in error["message"]
+
+
 def test_full_pipeline_and_determinism(synth, capsys):
     tmp_path, config = synth
 
@@ -394,11 +420,12 @@ def _rewrite_header(path, mutate):
     path.write_bytes(MAGIC + f"{len(new)}\n".encode() + new + raw[nl + 1 + header_len :])
 
 
-def _assert_one_json_error(capsys, error: str) -> None:
+def _assert_one_json_error(capsys, error: str) -> dict:
     err = capsys.readouterr().err
     assert "Traceback" not in err
     errors = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
     assert len(errors) == 1 and errors[0]["error"] == error
+    return errors[0]
 
 
 def _with(mapping, key, value):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import T0, make_event
+from conftest import T0, make_event, make_stations
 from evrac import dataset
+from evrac.agent import ObservationSpace
 from evrac.errors import ConfigError, DataFormatError, DomainError, UsageError
 
 
@@ -307,14 +308,20 @@ def test_warmup_pool_anonymizes_and_keeps_earliest():
 # SOC proxy
 # ---------------------------------------------------------------------------
 
+def _soc(duration: float, max_duration: float = 30.0) -> float:
+    """The SOC column of one observation: duration / train max, clipped to 1."""
+    space = ObservationSpace(make_stations(["cs1"]), max_duration, 10.0, 5)
+    return space.rows([make_event("e", "d", "cs1", T0, duration=duration)], None)[0, space.index.context_width()]
+
+
 def test_soc_proxy_values():
-    e = make_event("e", "d", "cs1", T0, duration=30.0)
-    assert dataset.approximate_soc(e, 30.0) == 1.0
-    assert dataset.approximate_soc(make_event("e", "d", "cs1", T0, duration=0.0), 30.0) == 0.0
-    assert dataset.approximate_soc(make_event("e", "d", "cs1", T0, duration=7.5), 30.0) == 0.25
-    assert dataset.approximate_soc(make_event("e", "d", "cs1", T0, duration=60.0), 30.0) == 1.0
+    assert _soc(30.0) == 1.0
+    assert _soc(0.0) == 0.0
+    assert _soc(7.5) == 0.25
+    assert _soc(60.0) == 1.0
 
 
 def test_soc_proxy_requires_positive_max():
-    with pytest.raises(ConfigError):
-        dataset.approximate_soc(make_event("e", "d", "cs1", T0), 0.0)
+    for max_duration in (0.0, -1.0):
+        with pytest.raises(ConfigError):
+            _soc(30.0, max_duration)

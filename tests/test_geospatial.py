@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import T0, km_to_lon_degrees, make_event, make_stations
+from conftest import T0, km_to_lon_degrees, make_event, make_stations, reference_location_context
 from evrac import geospatial as geo
-from evrac.errors import ConfigError, DataFormatError, DomainError, UnknownStationError
+from evrac.errors import ConfigError, DataFormatError, DomainError, EvracError, UnknownStationError
 
 _lat = st.floats(-90, 90)
 _lon = st.floats(-180, 180)
@@ -123,23 +123,113 @@ def test_station_validation():
         geo.Station("x", 0.0, 0.0, np.zeros(10))
 
 
+def _stations_csv(tmp_path, rows):
+    path = tmp_path / "stations.csv"
+    path.write_text("\n".join(["station_id,latitude,longitude"] + rows) + "\n", encoding="utf-8")
+    return path
+
+
+def test_load_stations_basic(tmp_path):
+    out = geo.load_stations(_stations_csv(tmp_path, ["cs1,56.5,-2.9", " cs0 ,0,0"]))
+    assert sorted(out) == ["cs0", "cs1"]
+    assert (out["cs1"].latitude, out["cs1"].longitude) == (56.5, -2.9)
+
+
+@pytest.mark.parametrize("row, why", [
+    ("cs9,1.0", ":3: expected 3 fields"),           # short row
+    ("cs9,1.0,2.0,3.0", ":3: expected 3 fields"),   # extra field
+    ("cs0,10.0,10.0", ":3: duplicate station_id 'cs0'"),
+    ("cs9,x,2.0", ":3: could not convert"),
+    ("cs9,91.0,2.0", ":3: coordinates out of range"),
+])
+def test_load_stations_rejects_bad_row(tmp_path, row, why):
+    with pytest.raises(DataFormatError, match=why):
+        geo.load_stations(_stations_csv(tmp_path, ["cs0,0,0", row]))
+
+
+def test_load_stations_rejects_a_field_over_the_csv_limit(tmp_path):
+    path = _stations_csv(tmp_path, ['"cs9,' + "9" * 200_000])
+    with pytest.raises(DataFormatError, match="field larger than field limit"):
+        geo.load_stations(path)
+
+
+def test_load_poi_rejects_repeated_station(tmp_path):
+    path = _poi_csv(tmp_path, ["cs1," + ",".join(["1"] * 76), "cs1," + ",".join(["2"] * 76)])
+    with pytest.raises(DataFormatError, match=":3: duplicate station_id 'cs1'"):
+        geo.load_poi(path, ["cs1"])
+
+
+_STATION_LINES = [b"station_id,latitude,longitude", b"cs0,56.46,-2.97", b"cs1,0,0", b"cs2,-10.5,170"]
+_POI_LINES = [("station_id," + ",".join(f"c{i}" for i in range(76))).encode()] + [
+    (f"cs{s}," + ",".join(str((s * i) % 5) for i in range(76))).encode() for s in range(3)
+]
+
+
+def _mutated(lines: list[bytes], data) -> bytes:
+    """`lines` after a few random edits: a row cut short, an extra field, a
+    stray quote, a repeated row, raw bytes (not always UTF-8) or a random row."""
+    lines = list(lines)
+    for _ in range(data.draw(st.integers(0, 4))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        at = data.draw(st.integers(0, len(line)))
+        kind = data.draw(st.sampled_from(["short", "extra", "quote", "repeat", "bytes", "row"]))
+        if kind == "short":
+            lines[i] = line.rsplit(b",", 1)[0]
+        elif kind == "extra":
+            lines[i] = line + b"," + data.draw(st.binary(max_size=6))
+        elif kind == "quote":
+            lines[i] = line[:at] + b'"' + line[at:]
+        elif kind == "repeat":
+            lines.insert(at % (len(lines) + 1), line)
+        elif kind == "bytes":
+            lines[i] = line[:at] + data.draw(st.binary(min_size=1, max_size=4)) + line[at:]
+        else:
+            lines[i] = data.draw(st.text(max_size=60)).encode("utf-8")
+    return b"\n".join(lines) + b"\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_stations_hostile_rows_raise_only_evrac_errors(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz-stations.csv"
+    path.write_bytes(_mutated(_STATION_LINES, data))
+    try:
+        out = geo.load_stations(path)
+    except EvracError:
+        return
+    assert all(isinstance(st_, geo.Station) for st_ in out.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_poi_hostile_rows_raise_only_evrac_errors(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz-poi.csv"
+    path.write_bytes(_mutated(_POI_LINES, data))
+    try:
+        out = geo.load_poi(path, ["cs0", "cs1", "cs2"])
+    except EvracError:
+        return
+    assert all(v.shape == (76,) and np.all(v >= 0) for v in out.values())
+
+
 # ---------------------------------------------------------------------------
 # Location contexts
 # ---------------------------------------------------------------------------
 
 def test_onehot_coding():
     index = make_stations([f"cs{i}" for i in range(8)])
-    vec = index.onehot("cs2")
+    vec = index.context([index.index_of("cs2")], [-1])[0, 1:9]
     expected = np.zeros(8)
     expected[2] = 1.0
     assert np.array_equal(vec, expected)
     with pytest.raises(UnknownStationError):
-        index.onehot("cs99")
+        index.index_of("cs99")
 
 
 def test_location_context_no_previous():
     index = make_stations(["cs0", "cs1"], spacing_km=5.0)
-    ctx = index.location_context("cs1", None)
+    ctx = index.context([1], [-1])[0]
     assert ctx[0] == 0.0                      # distance from the previous station
     onehot = ctx[1:3]
     assert onehot.sum() == 1.0 and onehot[1] == 1.0
@@ -147,15 +237,33 @@ def test_location_context_no_previous():
 
 def test_location_context_same_station():
     index = make_stations(["cs0", "cs1"], spacing_km=5.0)
-    ctx = index.location_context("cs0", "cs0")
+    ctx = index.context([0], [0])[0]
     assert ctx[0] == 0.0
 
 
 def test_location_context_distance():
     index = make_stations(["cs0", "cs1"], spacing_km=5.0)
-    ctx = index.location_context("cs1", "cs0")
-    assert ctx[0] == pytest.approx(5.0, abs=1e-9)
-    assert ctx.shape == (index.context_width(),) == (1 + 2 + 76,)
+    ctx = index.context([1], [0])
+    assert ctx[0, 0] == pytest.approx(5.0, abs=1e-9)
+    assert ctx.shape == (1, index.context_width()) == (1, 1 + 2 + 76)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 6), st.integers(0, 2**16), st.data())
+def test_context_matches_per_event_oracle(m, seed, data):
+    rng = np.random.default_rng(seed)
+    index = geo.StationIndex({
+        f"s{i}": geo.Station(f"s{i}", rng.uniform(-80, 80), rng.uniform(-170, 170),
+                             rng.integers(0, 4, geo.NUM_POI_TYPES))
+        for i in range(m)
+    })
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(-1, m - 1)), max_size=8))
+    cols = np.array([c for c, _ in pairs], dtype=np.int64)
+    prev_cols = np.array([p for _, p in pairs], dtype=np.int64)
+    want = [reference_location_context(index, index.order[c], None if p < 0 else index.order[p]) for c, p in pairs]
+    got = index.context(cols, prev_cols)
+    assert got.shape == (len(pairs), index.context_width())
+    assert got.tobytes() == np.array(want).reshape(got.shape).tobytes()
 
 
 @settings(max_examples=30)
@@ -185,7 +293,7 @@ def test_with_norms_sets_norms_and_keeps_the_rest():
     assert index.require("cs1").mean_wait == 10.0  # the original is unchanged
     assert normed.order == index.order and len(normed) == 3
     for a in index.order:
-        assert np.array_equal(normed.location_context(a, "cs0"), index.location_context(a, "cs0"))
+        assert np.array_equal(normed.context([index.index_of(a)], [0]), index.context([index.index_of(a)], [0]))
         for b in index.order:
             assert normed.distance(a, b) == index.distance(a, b)
 
@@ -193,7 +301,9 @@ def test_with_norms_sets_norms_and_keeps_the_rest():
 def test_unknown_station_lookup():
     index = make_stations(["cs0"])
     with pytest.raises(UnknownStationError):
-        index.location_context("nope", None)
+        index.index_of("nope")
+    with pytest.raises(UnknownStationError):
+        index.require("nope")
 
 
 # ---------------------------------------------------------------------------

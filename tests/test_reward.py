@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import T0, make_event, make_stations
+from conftest import T0, make_event, make_stations, reference_location_context, reference_time_features
 from evrac import reward as rw
 from evrac.errors import ConfigError, DomainError, UnknownStationError
 from evrac.geospatial import NUM_POI_TYPES, Station, StationIndex
@@ -267,9 +267,10 @@ def test_mean_wait_forecaster_flags():
 @settings(max_examples=200)
 @given(st.lists(st.integers(-(10**7), 10**7), min_size=1, max_size=8))
 def test_time_features_for_hours_match_calendar(hours):
-    got = rw.time_features_for_hours(np.array(hours))
-    want = np.stack([rw.time_features(rw.hour_to_datetime(h)) for h in hours])
+    got = rw.time_features(np.array(hours))
+    want = np.stack([reference_time_features(rw.hour_to_datetime(h)) for h in hours])
     assert np.array_equal(got, want)
+    assert rw.time_features(np.array(hours).reshape(-1, 1)).shape == (len(hours), 1, rw.TIME_FEATURE_WIDTH)
 
 
 def _pricing_city():
@@ -293,9 +294,9 @@ def _reference_inputs(series, index, station_id, eh, k):
     """Per-step construction of one forecaster input, the layout
     `forecast_inputs` vectorises."""
     lags = series[station_id].lags(eh, k) / index.require(station_id).mean_wait
-    ctx = index.location_context(station_id, None)
+    ctx = reference_location_context(index, station_id, None)
     return np.stack([
-        np.concatenate([[lags[j]], ctx, rw.time_features(rw.hour_to_datetime(eh - k + j))])
+        np.concatenate([[lags[j]], ctx, reference_time_features(rw.hour_to_datetime(eh - k + j))])
         for j in range(k)
     ])
 

@@ -532,10 +532,10 @@ def train_rac(
 def _td_couple_reward_net(fc: NetWaitForecaster, batch: Batch, delta: np.ndarray, hyper: RacHyper) -> None:
     """Literal delta-weighted update of the forecaster parameters, over the
     logged decisions the forecaster prices from its own lags."""
-    xs, keep = forecast_inputs(fc.series, fc.index, batch.action_stations, batch.hours, fc.k)
+    rows, keep = forecast_inputs(fc.series, fc.index, batch.action_stations, batch.hours, fc.k)
     if not keep.size:
         return
-    _, cache = fc.net.forward(xs)
+    _, cache = fc.net.forward(rows)
     grads = fc.net.backward(cache, delta[keep] / len(batch))
     nn.clip_global_norm(grads, hyper.clip_norm)
     nn.sgd_step(fc.net.params, grads, hyper.alpha)

@@ -161,12 +161,21 @@ def cmd_train_reward(args: argparse.Namespace) -> int:
     bundle = load_data_bundle(config)
     net, report = train_reward_model(bundle)
     save_reward_net(net, config.reward_hyper(), args.out, extra_meta={"config": config.as_dict()})
-    _emit({"out": str(args.out), **{k: v for k, v in report.items()}})
+    _write_log(report.pop("epoch_log"), f"{args.out}.log.jsonl")
+    _emit({"out": str(args.out), **report})
     return 0
+
+
+def _write_log(records: list[dict], path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def cmd_train_rac(args: argparse.Namespace) -> int:
     config = _build_config(args)
+    if config.per_driver and args.log:
+        raise UsageError("--log is not supported with --per-driver: fine-tuning keeps no training log")
     bundle = load_data_bundle(config)
     net = _load_reward(args)
     env = training_environment(bundle, net)
@@ -194,9 +203,7 @@ def cmd_train_rac(args: argparse.Namespace) -> int:
     model, records = train_shared_model(bundle, env)
     save_rac_model(model, args.out, {"config": config.as_dict()})
     log_path = args.log or f"{args.out}.log.jsonl"
-    with open(log_path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    _write_log(records, log_path)
     _emit({"out": str(args.out), "log": str(log_path), "epochs": len(records),
            "final_ce_loss": records[-1]["ce_loss"] if records else None})
     return 0
@@ -443,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc, 3)
     except (ConfigError, DataFormatError, DomainError) as exc:
         return _fail(exc, 4)
-    except EvracError as exc:
+    except (EvracError, MemoryError) as exc:
         return _fail(exc, 1)
 
 

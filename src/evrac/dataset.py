@@ -224,7 +224,8 @@ def parse_events(
             missing = [c for c in CANONICAL_HEADER if c not in reader.fieldnames]
             if missing:
                 raise DataFormatError(f"{path}: missing canonical columns {missing}")
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num  # physical lines read, so blank lines and quoted newlines count
             raw = ",".join("" if v is None else str(v) for v in row.values())
             try:
                 if adapter == "canonical":

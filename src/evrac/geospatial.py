@@ -110,7 +110,8 @@ def load_stations(path: str | Path) -> dict[str, Station]:
         required = {"station_id", "latitude", "longitude"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise DataFormatError(f"{path}: expected columns {sorted(required)}")
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num  # physical lines read, so blank lines and quoted newlines count
             # DictReader pads a short row with None and keys a long row's extras by None.
             if None in row or None in row.values():
                 raise DataFormatError(f"{path}:{line_no}: expected {len(reader.fieldnames)} fields")
@@ -139,7 +140,10 @@ def load_poi(path: str | Path, station_ids: Sequence[str]) -> dict[str, np.ndarr
             raise DataFormatError(
                 f"{path}: expected header station_id,c0..c{NUM_POI_TYPES - 1}"
             )
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            if not row:
+                continue  # a blank line, skipped as DictReader skips it in the other loaders
+            line_no = reader.line_num  # physical lines read, so blank lines and quoted newlines count
             if len(row) != 1 + NUM_POI_TYPES:
                 raise DataFormatError(f"{path}:{line_no}: expected {1 + NUM_POI_TYPES} columns")
             sid = row[0].strip()

@@ -24,7 +24,8 @@ import numpy as np
 from . import nn
 from .agent import RacModel, _actor_grads, _ce_loss, _onehot_rows, _preference_ascent
 from .config import RacHyper
-from .reward import WaitForecastNet
+from .geospatial import NUM_POI_TYPES, Station, StationIndex
+from .reward import HOURS_PER_WEEK, ForecastRows, WaitForecastNet, reward_net_input_dim
 from .seeding import rng_for
 
 TOLERANCE = 1e-5
@@ -138,11 +139,21 @@ def _check_critic(rng: np.random.Generator, h: float) -> float:
 
 
 def _check_reward(rng: np.random.Generator, h: float) -> float:
-    in_dim, hidden = int(rng.integers(3, 6)), int(rng.integers(2, 5))
-    seq = int(rng.integers(2, 5))
-    net = WaitForecastNet(in_dim, hidden, 2, rng)
-    xs = rng.normal(size=(2, seq, in_dim))
-    return _check_regression(rng, h, net.params, lambda: net.forward(xs), net.backward)
+    """The forecaster on the `ForecastRows` it trains on: a few stations with
+    random POI mixes, so the station-table and hour-of-week-table gradients of
+    the first layer are checked too. Rows repeat stations and some lag hours
+    fall before 1970."""
+    m, hidden, k = int(rng.integers(2, 5)), int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    index = StationIndex({
+        f"s{i}": Station(f"s{i}", float(rng.uniform(-60, 60)), float(rng.uniform(-180, 180)),
+                         rng.integers(0, 4, NUM_POI_TYPES).astype(float))
+        for i in range(m)
+    })
+    n = m + 1
+    rows = ForecastRows(index, rng.normal(size=(n, k)), rng.integers(0, m, size=n),
+                        rng.integers(-2 * HOURS_PER_WEEK, 2 * HOURS_PER_WEEK, size=n))
+    net = WaitForecastNet(reward_net_input_dim(index), hidden, 2, rng)
+    return _check_regression(rng, h, net.params, lambda: net.forward(rows), net.backward)
 
 
 PATHS = {

@@ -167,12 +167,46 @@ class Mlp:
         return d, grads
 
 
+class DenseInput:
+    """The input side of an `LstmLayer` over a (B, T, in) array.
+
+    An `LstmLayer` touches its input in two places only: `project(W)` gives
+    every step's input pre-activations x_t W, (B, T, 4h), on the way in, and
+    `backward(W, dW, steps)` adds the input-weight gradient to `dW` on the way
+    out, from the (t, dz) pairs of the BPTT loop, and returns the input
+    gradient. Any object with a (B, T, in) `shape` and these two methods can
+    stand in for the array; `reward.ForecastRows` is one.
+    """
+
+    def __init__(self, xs: np.ndarray):
+        self.xs = xs
+        self.shape = xs.shape
+
+    def project(self, W: np.ndarray) -> np.ndarray:
+        _require_finite("lstm input", self.xs)
+        B, T, _ = self.shape
+        return (self.xs.reshape(B * T, -1) @ W).reshape(B, T, W.shape[1])
+
+    def backward(self, W: np.ndarray, dW: np.ndarray, steps) -> np.ndarray:
+        dxs = np.empty_like(self.xs)
+        for t, dz in steps:
+            dW += self.xs[:, t].T @ dz
+            np.matmul(dz, W.T, out=dxs[:, t])
+        return dxs
+
+
+def _input_side(xs):
+    return DenseInput(xs) if isinstance(xs, np.ndarray) else xs
+
+
 class LstmLayer:
     """One LSTM layer over a (B, T, in) sequence.
 
     Pre-activations z_t = x_t W + h_{t-1} U + b are split into four h-wide
     blocks in GATE_ORDER; the cell follows the standard recurrences
     c_t = f*c + i*g, h_t = o*tanh(c_t). Parameter count is 4h(in + h + 1).
+    The sequence is an array or an input side that stands in for one (see
+    `DenseInput`); the cache keeps it as given under "xs".
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator | None = None):
@@ -192,22 +226,22 @@ class LstmLayer:
     def params(self) -> dict[str, np.ndarray]:
         return {"W": self.W, "U": self.U, "b": self.b}
 
-    def forward(self, xs: np.ndarray) -> tuple[np.ndarray, dict]:
-        _require_finite("lstm input", xs)
-        if xs.ndim != 3 or xs.shape[2] != self.input_dim:
+    def forward(self, xs) -> tuple[np.ndarray, dict]:
+        inputs = _input_side(xs)
+        if len(inputs.shape) != 3 or inputs.shape[2] != self.input_dim:
             raise ShapeError(
-                f"lstm expected (B, T, {self.input_dim}), got {xs.shape}"
+                f"lstm expected (B, T, {self.input_dim}), got {inputs.shape}"
             )
-        B, T, _ = xs.shape
+        B, T, _ = inputs.shape
         h = self.hidden_dim
         scale, shift, _ = _gate_affine(h)
         # sigmoid(z) = 0.5 + 0.5 tanh(z/2), so one tanh over the whole block
         # activates every gate once its i/f/o columns are halved. The halving
         # is folded into W, U and b; scaling by a power of two is exact.
-        # The input projection of all T steps is one matmul, written into the
+        # The input projection of all T steps is computed up front, into the
         # gates buffer that each step then activates in place.
         U = self.U * scale
-        gates = (xs.reshape(B * T, -1) @ (self.W * scale)).reshape(B, T, 4 * h)
+        gates = inputs.project(self.W * scale)
         gates += self.b * scale
         hs = np.empty((B, T, h))
         cs = np.empty((B, T, h))
@@ -226,17 +260,23 @@ class LstmLayer:
             hs[:, t] *= a[:, 3 * h :]  # h_t = o * tanh(c_t)
         return hs, {"xs": xs, "hs": hs, "cs": cs, "gates": gates}
 
-    def backward(self, cache: dict, dhs: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """BPTT. `dhs` is the upstream gradient on every step's hidden state."""
-        xs, hs, cs, gates = cache["xs"], cache["hs"], cache["cs"], cache["gates"]
-        B, T, _ = xs.shape
-        h = self.hidden_dim
-        _, _, tanh_cols = _gate_affine(h)
+    def backward(self, cache: dict, dhs: np.ndarray) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
+        """BPTT. `dhs` is the upstream gradient on every step's hidden state.
+        The input gradient is whatever the input side returns (None when it
+        has no use for one)."""
         dW = np.zeros_like(self.W)
         dU = np.zeros_like(self.U)
         db = np.zeros_like(self.b)
-        dxs = np.empty_like(xs)
-        # One pre-activation gradient buffer, rewritten block by block each step.
+        dxs = _input_side(cache["xs"]).backward(self.W, dW, self._steps(cache, dhs, dU, db))
+        return dxs, {"W": dW, "U": dU, "b": db}
+
+    def _steps(self, cache: dict, dhs: np.ndarray, dU: np.ndarray, db: np.ndarray):
+        """The BPTT step loop, last step first. Yields (t, dz), the gradient
+        on step t's pre-activations, and adds that step's terms to dU and db.
+        `dz` is one buffer, rewritten block by block each step."""
+        hs, cs, gates = cache["hs"], cache["cs"], cache["gates"]
+        B, T, h = hs.shape
+        _, _, tanh_cols = _gate_affine(h)
         dz = np.empty((B, 4 * h))
         di, df, dg, do = dz[:, :h], dz[:, h : 2 * h], dz[:, 2 * h : 3 * h], dz[:, 3 * h :]
         dh_carry = dc_carry = None
@@ -260,15 +300,13 @@ class LstmLayer:
             # Activation slopes from the outputs: a(1 - a) on the sigmoid
             # blocks, (1 - a)(1 + a) on the tanh block.
             dz *= (1.0 - a) * (a + tanh_cols)
-            dW += xs[:, t].T @ dz
+            yield t, dz
             if t:
                 dU += hs[:, t - 1].T @ dz
             db += dz.sum(axis=0)
-            np.matmul(dz, self.W.T, out=dxs[:, t])
             dh_carry = dz @ self.U.T
             dc_carry = dc
             dc_carry *= f
-        return dxs, {"W": dW, "U": dU, "b": db}
 
 
 class StackedLstm:

@@ -51,6 +51,13 @@ def time_features(hours: np.ndarray) -> np.ndarray:
     return out.reshape(hours.shape + (TIME_FEATURE_WIDTH,))
 
 
+# Weekday and hour of day are functions of the epoch hour mod 168, negative
+# hours included, so these rows are the time features of every epoch hour.
+HOURS_PER_WEEK = 7 * 24
+_WEEK_FEATURES = time_features(np.arange(HOURS_PER_WEEK))
+_WEEK_FEATURES.setflags(write=False)
+
+
 # ---------------------------------------------------------------------------
 # Wait-time series
 # ---------------------------------------------------------------------------
@@ -156,8 +163,9 @@ class WaitForecastNet:
     """Stacked LSTM over the k previous hourly waits + linear scalar head.
 
     Per-step input: [scaled lag wait, station location context, lag-hour time
-    features]. Waits are scaled by the station's mean wait on the way in and
-    out so targets sit near 1 regardless of units.
+    features], given as `ForecastRows` (or as the dense (N, k, input_dim)
+    array those rows stand for). Waits are scaled by the station's mean wait
+    on the way in and out so targets sit near 1 regardless of units.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, num_layers: int, rng: np.random.Generator):
@@ -172,8 +180,8 @@ class WaitForecastNet:
         out.update({f"head.{k}": v for k, v in self.head.params.items()})
         return out
 
-    def forward(self, xs: np.ndarray) -> tuple[np.ndarray, dict]:
-        h, lstm_cache = self.lstm.final_hidden(xs)
+    def forward(self, rows: "ForecastRows | np.ndarray") -> tuple[np.ndarray, dict]:
+        h, lstm_cache = self.lstm.final_hidden(rows)
         y, head_cache = self.head.forward(h)
         return y[:, 0], {"lstm": lstm_cache, "head": head_cache}
 
@@ -185,36 +193,96 @@ class WaitForecastNet:
         return grads
 
 
+def _lookup(table: np.ndarray, idx: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """`table[idx] @ W`, as a new array. Projecting the whole table and then
+    gathering is cheaper once `idx` has as many entries as the table has
+    rows; pricing a few pairs projects only their own rows."""
+    if idx.size < table.shape[0]:
+        return (table[idx.ravel()] @ W).reshape(idx.shape + W.shape[1:])
+    return (table @ W)[idx]
+
+
+@dataclass(frozen=True)
+class ForecastRows:
+    """Forecaster inputs in factored form, the input side of the first LSTM
+    layer (see `nn.DenseInput`).
+
+    Row i forecasts station column `cols[i]` at epoch hour `hours[i]` from
+    `lags[i]`, its k previous hourly waits over the station's mean wait. Its
+    step t stands for the dense input [lags[i, t] || the station's location
+    context without a previous station || time_features(hours[i] - k + t)],
+    which is never built: a one-hot row times W is a row of W, so the location
+    block is a row of an (M, 4h) station table and the time block a row of a
+    (168, 4h) hour-of-week table.
+    """
+
+    index: StationIndex
+    lags: np.ndarray
+    cols: np.ndarray
+    hours: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        n, k = self.lags.shape
+        return n, k, reward_net_input_dim(self.index)
+
+    def take(self, idx: np.ndarray) -> "ForecastRows":
+        return ForecastRows(self.index, self.lags[idx], self.cols[idx], self.hours[idx])
+
+    def _week_slots(self) -> np.ndarray:
+        """Hour of the week of every row's lag steps, (N, k)."""
+        k = self.lags.shape[1]
+        return (self.hours[:, None] - k + np.arange(k)) % HOURS_PER_WEEK
+
+    def _contexts(self) -> np.ndarray:
+        m = len(self.index)
+        return self.index.context(np.arange(m), np.full(m, -1))
+
+    def project(self, W: np.ndarray) -> np.ndarray:
+        nn._require_finite("lstm input", self.lags)
+        width = self.index.context_width()
+        gates = _lookup(_WEEK_FEATURES, self._week_slots(), W[1 + width :])
+        gates += _lookup(self._contexts(), self.cols, W[1 : 1 + width])[:, None, :]
+        gates += self.lags[:, :, None] * W[0]
+        return gates
+
+    def backward(self, W: np.ndarray, dW: np.ndarray, steps) -> None:
+        """Lag and time rows of `dW` take each step's share; the location
+        rows take the step-summed gradient once, through the station table.
+        Returns no input gradient: the forecaster has no use for one."""
+        width = self.index.context_width()
+        slots = self._week_slots()
+        dz_sum = np.zeros((self.lags.shape[0], W.shape[1]))
+        for t, dz in steps:
+            dW[0] += self.lags[:, t] @ dz
+            dW[1 + width :] += _WEEK_FEATURES[slots[:, t]].T @ dz
+            dz_sum += dz
+        per_station = np.zeros((len(self.index), W.shape[1]))
+        np.add.at(per_station, self.cols, dz_sum)
+        dW[1 : 1 + width] += self._contexts().T @ per_station
+
+
 def forecast_inputs(
     series: dict[str, WaitSeries],
     index: StationIndex,
     station_ids: Sequence[str],
     hours: Sequence[int],
     k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forecaster inputs for the (station, hour) pairs that have k observable
-    lag hours, and those pairs' positions.
-
-    Row i is the (k, input_dim) step matrix for forecasting its station's
-    wait at its hour: step j holds [lag wait at hour - k + j scaled by the
-    station's mean wait, the station's location context without a previous
-    station, that lag hour's time features]. Stations must have a positive
-    mean wait.
-    """
+) -> tuple[ForecastRows, np.ndarray]:
+    """Forecaster rows for the (station, hour) pairs that have k observable
+    lag hours, and those pairs' positions. Stations must have a positive mean
+    wait."""
     hours = np.asarray(hours, dtype=np.int64)
     first = {sid: series[sid].first_hour for sid in set(station_ids) if sid in series}
     keep = np.array([i for i, (sid, eh) in enumerate(zip(station_ids, hours.tolist()))
                      if first.get(sid) is not None and eh - k >= first[sid]], dtype=np.int64)
     hours = hours[keep]
     cols = np.array([index.index_of(station_ids[i]) for i in keep], dtype=np.int64)
-    width = index.context_width()
-    xs = np.empty((keep.size, k, reward_net_input_dim(index)))
+    lags = np.empty((keep.size, k))
     for row, (i, eh) in enumerate(zip(keep.tolist(), hours.tolist())):
         sid = station_ids[i]
-        xs[row, :, 0] = series[sid].lags(eh, k) / index.stations[sid].mean_wait
-    xs[:, :, 1 : 1 + width] = index.context(cols, np.full(keep.size, -1))[:, None, :]
-    xs[:, :, 1 + width :] = time_features(hours[:, None] - k + np.arange(k))
-    return xs, keep
+        lags[row] = series[sid].lags(eh, k) / index.stations[sid].mean_wait
+    return ForecastRows(index, lags, cols, hours), keep
 
 
 def reward_net_input_dim(index: StationIndex) -> int:
@@ -231,7 +299,10 @@ def train_reward_net(
 
     Uses hours up to train_end_hour (inclusive); stations without at least
     window+1 observable hours are skipped with a warning. Returns the net and
-    a report with train/val MSE in minutes^2.
+    a report with train/val MSE in minutes^2 and, under "epoch_log", one
+    record per epoch: the train MSE (minutes^2) of the forward pass the
+    epoch's step came from, the pre-clip gradient norm and whether clipping
+    fired.
     """
     k = hyper.window
     sample_ids: list[str] = []
@@ -262,7 +333,7 @@ def train_reward_net(
     if not sample_ids:
         raise ConfigError("no training samples for the reward net")
 
-    xs, _ = forecast_inputs(series, index, sample_ids, sample_hours, k)
+    rows, _ = forecast_inputs(series, index, sample_ids, sample_hours, k)
     ys = np.array(targets_scaled)
     sc = np.array(scales)
     n_val = int(len(ys) * hyper.val_frac)
@@ -272,33 +343,43 @@ def train_reward_net(
     if train_idx.size == 0:
         raise ConfigError("empty reward-net training window")
 
-    # Gather each split once; the full input array is not needed after this.
-    xs_train, xs_val = xs[train_idx], xs[val_idx]
-    del xs
-    ys_train = ys[train_idx]
-    net = WaitForecastNet(xs_train.shape[2], hyper.hidden, hyper.layers, rng_for(hyper.seed, "reward-init"))
+    # Gather each split once; the full rows are not needed after this.
+    rows_train, rows_val = rows.take(train_idx), rows.take(val_idx)
+    del rows
+    ys_train, sc_train = ys[train_idx], sc[train_idx]
+    net = WaitForecastNet(rows_train.shape[2], hyper.hidden, hyper.layers, rng_for(hyper.seed, "reward-init"))
     params = net.params
+    records = []
     for epoch in range(hyper.epochs):
-        pred, cache = net.forward(xs_train)
+        pred, cache = net.forward(rows_train)
         diff = pred - ys_train
         grads = net.backward(cache, diff / diff.shape[0])
         # Release the BPTT cache now, or it stays alive through the next
         # epoch's forward pass and two full caches set the peak memory.
         del cache
-        nn.clip_global_norm(grads, hyper.clip_norm)
+        norm = nn.clip_global_norm(grads, hyper.clip_norm)
         nn.sgd_step(params, grads, hyper.alpha)
+        records.append(
+            {
+                "epoch": epoch,
+                "train_mse": float(np.mean((diff * sc_train) ** 2)),
+                "grad_norm": norm,
+                "clipped": bool(0 < hyper.clip_norm < norm),
+            }
+        )
 
-    def _mse(split_xs: np.ndarray, idx: np.ndarray) -> float:
+    def _mse(split: ForecastRows, idx: np.ndarray) -> float:
         if idx.size == 0:
             return float("nan")
-        pred, _ = net.forward(split_xs)
+        pred, _ = net.forward(split)
         return float(np.mean(((pred - ys[idx]) * sc[idx]) ** 2))
 
     report = {
-        "train_mse": _mse(xs_train, train_idx),
-        "val_mse": _mse(xs_val, val_idx),
+        "train_mse": _mse(rows_train, train_idx),
+        "val_mse": _mse(rows_val, val_idx),
         "samples": int(len(ys)),
         "skipped_stations": skipped,
+        "epoch_log": records,
     }
     return net, report
 
@@ -335,9 +416,9 @@ def predict_waits(
     distinct = sorted(set(pairs))
     means = [_positive_mean_wait(index, sid) for sid, _ in distinct]
     result = {p: (mw, _MEAN_FALLBACK) for p, mw in zip(distinct, means)}
-    xs, keep = forecast_inputs(series, index, [sid for sid, _ in distinct], [eh for _, eh in distinct], k)
+    rows, keep = forecast_inputs(series, index, [sid for sid, _ in distinct], [eh for _, eh in distinct], k)
     if keep.size:
-        raw = net.forward(xs)[0] * np.array([means[i] for i in keep.tolist()])
+        raw = net.forward(rows)[0] * np.array([means[i] for i in keep.tolist()])
         for i, value in zip(keep.tolist(), raw.tolist()):
             if value < 0:
                 logger.debug("clamped negative wait forecast %.3f at %s", value, distinct[i][0])

@@ -11,7 +11,14 @@ import pytest
 
 from evrac.dataset import ChargingEvent, build_trajectories, split_all
 from evrac.geospatial import EARTH_RADIUS_KM, NUM_POI_TYPES, Station, StationIndex
-from evrac.reward import DAY_FEATURES, TIME_FEATURE_WIDTH, RewardEnvironment, TableWaitForecaster
+from evrac.reward import (
+    DAY_FEATURES,
+    TIME_FEATURE_WIDTH,
+    ForecastRows,
+    RewardEnvironment,
+    TableWaitForecaster,
+    time_features,
+)
 
 T0 = datetime(2018, 6, 6, 8, 0, tzinfo=timezone.utc)
 
@@ -118,6 +125,20 @@ def reference_rows(space, events: list[ChargingEvent], prev_station: str | None)
         rows.append(reference_observation(space, e, prev_station))
         prev_station = e.station_id
     return np.array(rows).reshape(len(events), space.obs_dim)
+
+
+def dense_forecast_inputs(rows: ForecastRows) -> np.ndarray:
+    """The (N, k, input_dim) array that `rows` stand for, built as the
+    forecaster's input was before its first layer was factored: step t of row
+    i is [lags[i, t] || the station's location context without a previous
+    station || time_features(hours[i] - k + t)]."""
+    n, k, width = rows.shape
+    ctx = rows.index.context_width()
+    xs = np.empty((n, k, width))
+    xs[:, :, 0] = rows.lags
+    xs[:, :, 1 : 1 + ctx] = rows.index.context(rows.cols, np.full(n, -1))[:, None, :]
+    xs[:, :, 1 + ctx :] = time_features(rows.hours[:, None] - k + np.arange(k))
+    return xs
 
 
 def constant_reward_env(

@@ -400,6 +400,47 @@ def test_per_driver_training_and_eval(synth, capsys):
     assert aggregate["drivers"] == 4
 
 
+def test_per_driver_training_rejects_log(synth, capsys):
+    tmp_path, config = synth
+    out_dir = tmp_path / "per-driver"
+    rc = main(["train-rac", "--config", str(config), "--per-driver", "--out-dir", str(out_dir),
+               "--log", str(tmp_path / "pd.log.jsonl")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "UsageError" and "--log" in err["message"]
+    assert not out_dir.exists()
+
+
+def test_memory_error_is_one_json_error(synth, capsys, monkeypatch):
+    tmp_path, config = synth
+
+    def exhausted(bundle):
+        raise MemoryError("Unable to allocate 983. MiB for an array")
+
+    monkeypatch.setattr("evrac.cli.train_reward_model", exhausted)
+    rc = main(["train-reward", "--config", str(config), "--out", str(tmp_path / "r.ckpt")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(err[-1]) == {"error": "MemoryError", "message": "Unable to allocate 983. MiB for an array"}
+    assert not any("Traceback" in line for line in err)
+
+
+def test_train_reward_writes_epoch_log(synth, capsys):
+    tmp_path, config = synth
+    out = tmp_path / "reward.ckpt"
+    assert main(["train-reward", "--config", str(config), "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"out", "train_mse", "val_mse", "samples", "skipped_stations"}
+    log = (tmp_path / "reward.ckpt.log.jsonl").read_bytes()
+    records = [json.loads(line) for line in log.decode().splitlines()]
+    assert [r["epoch"] for r in records] == list(range(5))  # reward_epochs = 5
+    assert all(r["grad_norm"] > 0 and isinstance(r["clipped"], bool) and r["train_mse"] >= 0
+               for r in records)
+    again = tmp_path / "again.ckpt"
+    assert main(["train-reward", "--config", str(config), "--out", str(again)]) == 0
+    assert (tmp_path / "again.ckpt.log.jsonl").read_bytes() == log
+
+
 def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--instances", "1", "--seed", "0"]) == 0
     out = capsys.readouterr().out

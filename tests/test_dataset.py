@@ -55,6 +55,25 @@ def test_negative_duration_goes_to_rejects(tmp_path):
     assert "duration" in rejects[0].reason
 
 
+def test_reject_line_numbers_count_blank_lines_and_quoted_newlines(tmp_path):
+    path = _write(
+        tmp_path,
+        "ev.csv",
+        "event_id,driver_id,station_id,start_time,duration_min,energy_kwh\n"
+        "e1,d1,cs7,2018-06-06T08:30:00Z,45,11.2\n"
+        "\n"
+        "e2,d1,cs7,2018-06-06T09:30:00Z,-5,1.0\n"
+        'e3,"d\n1",cs7,2018-06-06T10:30:00Z,30,4.0\n'
+        "e4,d1,cs7,2018-06-06T11:30:00Z,-5,1.0\n",
+    )
+    events, rejects = dataset.parse_events(path)
+    assert [e.event_id for e in events] == ["e1", "e3"]
+    assert [r.line_no for r in rejects] == [4, 7]
+    dataset.write_rejects(rejects, tmp_path / "rejects.csv")
+    lines = (tmp_path / "rejects.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["4", "7"]
+
+
 @pytest.mark.parametrize("field", ["duration_min", "energy_kwh"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_event_values_are_rejected(field, value):

@@ -147,6 +147,20 @@ def test_load_stations_rejects_bad_row(tmp_path, row, why):
         geo.load_stations(_stations_csv(tmp_path, ["cs0,0,0", row]))
 
 
+def test_load_stations_line_numbers_count_blank_lines(tmp_path):
+    with pytest.raises(DataFormatError, match=r"stations\.csv:4: could not convert"):
+        geo.load_stations(_stations_csv(tmp_path, ["cs0,0,0", "", "cs9,x,2.0"]))
+
+
+def test_load_poi_skips_blank_lines_and_counts_them(tmp_path):
+    good = "cs0," + ",".join(["1"] * 76)
+    assert list(geo.load_poi(_poi_csv(tmp_path, [good, "", ""]), ["cs0"])) == ["cs0"]
+    with pytest.raises(DataFormatError, match=r"poi\.csv:4: expected 77 columns"):
+        geo.load_poi(_poi_csv(tmp_path, [good, "", "cs1,1,2"]), ["cs0", "cs1"])
+    with pytest.raises(DataFormatError, match=r"poi\.csv:4: negative POI count"):
+        geo.load_poi(_poi_csv(tmp_path, [good, "", "cs1," + ",".join(["-1"] * 76)]), ["cs0", "cs1"])
+
+
 def test_load_stations_rejects_a_field_over_the_csv_limit(tmp_path):
     path = _stations_csv(tmp_path, ['"cs9,' + "9" * 200_000])
     with pytest.raises(DataFormatError, match="field larger than field limit"):

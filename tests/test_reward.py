@@ -1,16 +1,25 @@
 """Wait series, forecaster, familiarity coefficient and the reward formula."""
 
+import dataclasses
 from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import T0, make_event, make_stations, reference_location_context, reference_time_features
+from conftest import (
+    T0,
+    dense_forecast_inputs,
+    make_event,
+    make_stations,
+    reference_location_context,
+    reference_time_features,
+)
 from evrac import reward as rw
 from evrac.errors import ConfigError, DomainError, UnknownStationError
 from evrac.geospatial import NUM_POI_TYPES, Station, StationIndex
+from evrac.gradcheck import PATHS, TOLERANCE
 from evrac.seeding import rng_for
 
 
@@ -180,6 +189,28 @@ def test_train_reward_net_constant_series():
     assert abs(pred - 60.0) <= 0.05 * 60.0
 
 
+@pytest.mark.parametrize("clip_norm", [0.0, 1e-3, 1e6])
+def test_train_reward_net_logs_every_epoch(clip_norm):
+    index = make_stations(["cs0", "cs1"], mean_wait=25.0)
+    series = rw.build_wait_series([
+        make_event(f"e{i}", "d", f"cs{i % 2}", T0 + timedelta(hours=i // 2), duration=float(10 + i % 7 * 9))
+        for i in range(80)
+    ])
+    hyper = rw.RewardNetHyper(window=3, hidden=4, layers=1, alpha=0.1, epochs=4, clip_norm=clip_norm, seed=2)
+    _, report = rw.train_reward_net(series, index, hyper)
+    log = report["epoch_log"]
+    assert [r["epoch"] for r in log] == [0, 1, 2, 3]
+    for r in log:
+        assert r.keys() == {"epoch", "train_mse", "grad_norm", "clipped"}
+        assert r["grad_norm"] > 0 and np.isfinite(r["train_mse"])
+        assert r["clipped"] is (0 < clip_norm < r["grad_norm"])
+    assert {r["clipped"] for r in log} == {clip_norm == 1e-3}
+    # An epoch's train MSE comes from the forward its step used: one more
+    # epoch logs, as its first forward, the final report's train MSE.
+    _, longer = rw.train_reward_net(series, index, dataclasses.replace(hyper, epochs=5))
+    assert longer["epoch_log"][4]["train_mse"] == report["train_mse"]
+
+
 def test_train_reward_net_sawtooth_beats_mean():
     index = make_stations(["cs0"], mean_wait=25.0)
     pattern = [10.0, 20.0, 30.0, 40.0]
@@ -306,11 +337,75 @@ def test_forecast_inputs_match_per_step_reference():
     k = 4
     h0 = rw.epoch_hour(T0)
     pairs = [(sid, h0 + dh) for sid in ("cs1", "cs0", "cs2") for dh in range(-2, 40, 3)]
-    xs, keep = rw.forecast_inputs(series, index, [p[0] for p in pairs], [p[1] for p in pairs], k)
+    rows, keep = rw.forecast_inputs(series, index, [p[0] for p in pairs], [p[1] for p in pairs], k)
     eligible = [i for i, (sid, eh) in enumerate(pairs) if sid != "cs2" and eh - k >= h0]
     assert keep.tolist() == eligible
+    assert rows.cols.tolist() == [index.index_of(pairs[i][0]) for i in eligible]
+    assert rows.hours.tolist() == [pairs[i][1] for i in eligible]
     want = np.stack([_reference_inputs(series, index, *pairs[i], k) for i in eligible])
-    assert np.array_equal(xs, want)
+    assert rows.shape == want.shape
+    assert np.array_equal(dense_forecast_inputs(rows), want)
+
+
+def _assert_rel_close(actual, expected, rel=1e-12):
+    # Relative to the array's scale: the factored and dense sums round
+    # differently, so entries that cancel to ~0 keep no relative digits.
+    scale = max(float(np.max(np.abs(expected))), 1e-300)
+    assert float(np.max(np.abs(actual - expected))) <= rel * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    k=st.integers(1, 6),
+    n=st.integers(1, 40),  # both sides of the 168-row hour-of-week table
+    hidden=st.integers(1, 5),
+    layers=st.integers(1, 2),
+    first_hour=st.sampled_from([-1_000_000, -200, 0, 424_500]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=3, k=6, n=40, hidden=2, layers=2, first_hour=-200, seed=0)  # 240 lag steps: whole tables
+@example(m=6, k=2, n=3, hidden=2, layers=1, first_hour=0, seed=1)  # fewer rows than either table
+def test_forecast_rows_match_dense_form(m, k, n, hidden, layers, first_hour, seed):
+    """Forecasts and every parameter gradient of the factored first layer
+    equal those of the dense input within rel 1e-12, over repeated stations,
+    random POI mixes and hours on both sides of 1970."""
+    rng = np.random.default_rng(seed)
+    index = StationIndex({
+        f"s{i}": Station(f"s{i}", float(rng.uniform(-60, 60)), float(rng.uniform(-180, 180)),
+                         rng.integers(0, 4, NUM_POI_TYPES).astype(float))
+        for i in range(m)
+    })
+    cols = rng.integers(0, m, size=n)
+    cols[: n // 2] = cols[0]  # repeats
+    hours = first_hour + rng.integers(0, 2 * rw.HOURS_PER_WEEK, size=n)
+    rows = rw.ForecastRows(index, 2.0 * rng.random((n, k)), cols, hours)
+    net = rw.WaitForecastNet(rw.reward_net_input_dim(index), hidden, layers, rng)
+    for b in (net.lstm.layers[0].b, net.head.b):
+        b += rng.normal(size=b.shape)
+    dy = rng.normal(size=n)
+
+    y, cache = net.forward(rows)
+    want_y, want_cache = net.forward(dense_forecast_inputs(rows))
+    _assert_rel_close(y, want_y)
+    grads, want = net.backward(cache, dy), net.backward(want_cache, dy)
+    assert grads.keys() == want.keys()
+    for name in want:
+        _assert_rel_close(grads[name], want[name])
+
+
+@pytest.mark.parametrize("block", ["lag", "station", "time"])
+def test_gradcheck_catches_a_wrong_first_layer_gradient(monkeypatch, block):
+    true_backward = rw.ForecastRows.backward
+
+    def wrong(self, W, dW, steps):
+        out = true_backward(self, W, dW, steps)
+        width = self.index.context_width()
+        dW[{"lag": slice(0, 1), "station": slice(2, 1 + width), "time": slice(1 + width, None)}[block]] *= 1.01
+        return out
+
+    monkeypatch.setattr(rw.ForecastRows, "backward", wrong)
+    assert max(PATHS["reward_mse"](rng_for(0, f"wrong-{i}"), 1e-6) for i in range(2)) >= TOLERANCE
 
 
 def _forecaster(kind, index, series):

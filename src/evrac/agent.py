@@ -385,12 +385,20 @@ def _actor_grads(model: RacModel, cache: dict, ascent_dlogits: np.ndarray,
     return grads
 
 
+def _clip_telemetry(group: str, norm: float, hyper: RacHyper) -> dict:
+    """Log fields for one clipped update: the pre-clip global norm and
+    whether clipping fired."""
+    return {f"{group}_grad_norm": norm, f"{group}_clipped": bool(0 < hyper.clip_norm < norm)}
+
+
 def _actor_apply(model: RacModel, cache: dict, ascent_dlogits: np.ndarray,
-                 extra_dc: np.ndarray | None, hyper: RacHyper) -> None:
-    """Clip the actor gradients and apply one SGD step to the actor group."""
+                 extra_dc: np.ndarray | None, hyper: RacHyper) -> dict:
+    """Clip the actor gradients and apply one SGD step to the actor group.
+    Returns the update's clip telemetry."""
     grads = _actor_grads(model, cache, ascent_dlogits, extra_dc)
-    nn.clip_global_norm(grads, hyper.clip_norm)
+    norm = nn.clip_global_norm(grads, hyper.clip_norm)
     nn.sgd_step(model.actor_params(), grads, hyper.alpha)
+    return _clip_telemetry("actor", norm, hyper)
 
 
 def _require_finite_losses(epoch: int, batch: Batch, **losses: float) -> None:
@@ -425,9 +433,9 @@ def train_supervised(buffer: ReplayBuffer, model: RacModel, hyper: RacHyper) -> 
         ce_loss = _ce_loss(pi, batch.actions)
         _require_finite_losses(epoch, batch, ce_loss=ce_loss)
         ascent = _preference_ascent(pi, a_hat, hyper.regularizer)
-        _actor_apply(model, cache, ascent, None, hyper)
+        telemetry = _actor_apply(model, cache, ascent, None, hyper)
         records.append(
-            {"epoch": epoch, "ce_loss": ce_loss,
+            {"epoch": epoch, "ce_loss": ce_loss, **telemetry,
              "wallclock_ms": (time.perf_counter() - start) * 1000.0}
         )
     return records
@@ -446,6 +454,11 @@ def train_rac(
     next action sampled from the current policy; update the critic by
     semi-gradient TD; update the actor by (1-eps) * policy gradient +
     eps * preference cross-entropy. Deterministic for a fixed seed.
+
+    Returns one record per epoch: the losses, the mean reward, the wall-clock
+    time and, for each clipped update, its pre-clip gradient norm and whether
+    clipping fired (`critic_`, `actor_` and, when td-coupled, `forecaster_`
+    `grad_norm` and `clipped`).
     """
     if len(buffer) == 0:
         raise UsageError("replay buffer is empty")
@@ -507,15 +520,14 @@ def train_rac(
             extra_dc = (1.0 - eps) * dc_critic
 
         # Optional literal TD coupling of the wait forecaster.
-        if coupled:
-            _td_couple_reward_net(env.forecaster, batch, delta, hyper)
+        forecaster_telemetry = _td_couple_reward_net(env.forecaster, batch, delta, hyper) if coupled else {}
 
-        nn.clip_global_norm(critic_grads, hyper.clip_norm)
+        critic_norm = nn.clip_global_norm(critic_grads, hyper.clip_norm)
         nn.sgd_step(model.critic_params(), critic_grads, hyper.alpha)
         model.critic_updates += 1
         update_target(model, hyper.target_interval)
 
-        _actor_apply(model, cache, ascent, extra_dc, hyper)
+        actor_telemetry = _actor_apply(model, cache, ascent, extra_dc, hyper)
 
         records.append(
             {
@@ -523,22 +535,28 @@ def train_rac(
                 "critic_mse": critic_mse,
                 "ce_loss": ce_loss,
                 "mean_reward": mean_reward,
+                **_clip_telemetry("critic", critic_norm, hyper),
+                **actor_telemetry,
+                **forecaster_telemetry,
                 "wallclock_ms": (time.perf_counter() - start) * 1000.0,
             }
         )
     return records
 
 
-def _td_couple_reward_net(fc: NetWaitForecaster, batch: Batch, delta: np.ndarray, hyper: RacHyper) -> None:
+def _td_couple_reward_net(fc: NetWaitForecaster, batch: Batch, delta: np.ndarray, hyper: RacHyper) -> dict:
     """Literal delta-weighted update of the forecaster parameters, over the
-    logged decisions the forecaster prices from its own lags."""
+    logged decisions the forecaster prices from its own lags. Returns the
+    update's clip telemetry; with no such decision the gradient is zero and
+    no step is taken."""
     rows, keep = forecast_inputs(fc.series, fc.index, batch.action_stations, batch.hours, fc.k)
     if not keep.size:
-        return
+        return _clip_telemetry("forecaster", 0.0, hyper)
     _, cache = fc.net.forward(rows)
     grads = fc.net.backward(cache, delta[keep] / len(batch))
-    nn.clip_global_norm(grads, hyper.clip_norm)
+    norm = nn.clip_global_norm(grads, hyper.clip_norm)
     nn.sgd_step(fc.net.params, grads, hyper.alpha)
+    return _clip_telemetry("forecaster", norm, hyper)
 
 
 # ---------------------------------------------------------------------------

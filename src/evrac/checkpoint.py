@@ -110,6 +110,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         if len(chunk) < nbytes:
             raise DataFormatError(f"{path}: truncated payload, array {name!r} incomplete")
         arrays[name] = np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(shape)
+        if not np.all(np.isfinite(arrays[name])):
+            raise DataFormatError(f"{path}: array {name!r} holds non-finite values")
         expected_offset = offset + nbytes
     if len(payload) != expected_offset:
         raise DataFormatError(f"{path}: {len(payload) - expected_offset} trailing bytes after payload")
@@ -210,8 +212,17 @@ def load_reward_net(path: str | Path) -> tuple[WaitForecastNet, RewardNetHyper, 
         raise DataFormatError(f"{path}: expected a reward checkpoint, got {header.get('kind')!r}")
     meta = _meta(header, path, input_dim=_POSITIVE, hidden=_POSITIVE, layers=_POSITIVE)
     hyper = hyper_from_mapping(RewardNetHyper, meta.get("hyper"), path)
-    net = WaitForecastNet(meta["input_dim"], meta["hidden"], meta["layers"],
-                          np.random.default_rng(0))
+    # The arrays must match the meta before the net is built, so that no meta
+    # value makes the loader allocate more than the file holds.
+    input_dim, hidden, layers = meta["input_dim"], meta["hidden"], meta["layers"]
+    if 3 * layers + 2 > len(arrays):
+        raise DataFormatError(f"{path}: meta 'layers' is {layers}, but the checkpoint holds {len(arrays)} arrays")
+    shapes = {"head.W": (hidden, 1), "head.b": (1,)}
+    for l in range(layers):
+        shapes.update({f"lstm.l{l}.W": (input_dim if l == 0 else hidden, 4 * hidden),
+                       f"lstm.l{l}.U": (hidden, 4 * hidden), f"lstm.l{l}.b": (4 * hidden,)})
+    _check_shapes(arrays, shapes, path)
+    net = WaitForecastNet(input_dim, hidden, layers, np.random.default_rng(0))
     _copy_into(net.params, arrays, path)
     return net, hyper, header
 

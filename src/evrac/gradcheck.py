@@ -5,7 +5,8 @@ length <= 4), computes analytic gradients through the same backward code the
 trainers use, and compares against central differences at h = 1e-6. The
 actor and critic paths run on a small `RacModel` and take their gradients
 from `agent._preference_ascent` and `agent._actor_grads`, as `train_rac` and
-`train_supervised` do.
+`train_supervised` do; the forecaster path takes its gradient from
+`WaitForecastNet.mse_gradient`, as `train_reward_net` does.
 
 Probe losses are scaled by LOSS_SCALE and regression targets sit close to the
 clean predictions: central differences subtract two nearly equal loss values,
@@ -142,18 +143,31 @@ def _check_reward(rng: np.random.Generator, h: float) -> float:
     """The forecaster on the `ForecastRows` it trains on: a few stations with
     random POI mixes, so the station-table and hour-of-week-table gradients of
     the first layer are checked too. Rows repeat stations and some lag hours
-    fall before 1970."""
+    fall before 1970. The gradient is `mse_gradient`'s, as `train_reward_net`
+    applies it, summed over chunks of 2 rows; the row count is odd, so the
+    last chunk is partial. The loss is the one-shot forward's."""
     m, hidden, k = int(rng.integers(2, 5)), int(rng.integers(2, 5)), int(rng.integers(2, 5))
     index = StationIndex({
         f"s{i}": Station(f"s{i}", float(rng.uniform(-60, 60)), float(rng.uniform(-180, 180)),
                          rng.integers(0, 4, NUM_POI_TYPES).astype(float))
         for i in range(m)
     })
-    n = m + 1
+    n = 2 * m + 1
     rows = ForecastRows(index, rng.normal(size=(n, k)), rng.integers(0, m, size=n),
                         rng.integers(-2 * HOURS_PER_WEEK, 2 * HOURS_PER_WEEK, size=n))
     net = WaitForecastNet(reward_net_input_dim(index), hidden, 2, rng)
-    return _check_regression(rng, h, net.params, lambda: net.forward(rows), net.backward)
+    target = net.forward(rows)[0] + RESIDUAL * rng.normal(size=n)
+    chunks = rows.chunks(2)
+
+    def loss_fn() -> float:
+        y, _ = net.forward(rows)
+        return LOSS_SCALE * float(np.mean(0.5 * (y - target) ** 2))
+
+    def grads_fn() -> Arrays:
+        _, grads = net.mse_gradient(chunks, target)
+        return {name: LOSS_SCALE * g for name, g in grads.items()}
+
+    return nn.grad_check(net.params, loss_fn, grads_fn, h)
 
 
 PATHS = {

@@ -159,6 +159,12 @@ def compute_reward(
 # Wait forecaster network
 # ---------------------------------------------------------------------------
 
+# Rows per forecaster pass in fitting and in `WaitForecastNet.predict`. A
+# pass holds the BPTT cache of its own rows only, so this, not the number of
+# lag windows, bounds the forecaster's memory.
+CHUNK_ROWS = 512
+
+
 class WaitForecastNet:
     """Stacked LSTM over the k previous hourly waits + linear scalar head.
 
@@ -166,6 +172,10 @@ class WaitForecastNet:
     features], given as `ForecastRows` (or as the dense (N, k, input_dim)
     array those rows stand for). Waits are scaled by the station's mean wait
     on the way in and out so targets sit near 1 regardless of units.
+
+    `forward` and `backward` run on all their rows at once. `predict` and
+    `mse_gradient` run over chunks of at most `CHUNK_ROWS` rows and drop each
+    chunk's cache before the next, so their memory does not grow with N.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, num_layers: int, rng: np.random.Generator):
@@ -191,6 +201,35 @@ class WaitForecastNet:
         grads = {f"lstm.{k}": v for k, v in lstm_grads.items()}
         grads.update({f"head.{k}": v for k, v in head_grads.items()})
         return grads
+
+    def predict(self, rows: "ForecastRows", chunk_rows: int = CHUNK_ROWS) -> np.ndarray:
+        """`forward(rows)`'s forecasts, one chunk of rows at a time. Up to one
+        chunk, which covers every pricing call, this is `forward` itself."""
+        if rows.shape[0] <= chunk_rows:
+            return self.forward(rows)[0]
+        return np.concatenate([self.forward(chunk)[0] for chunk in rows.chunks(chunk_rows)])
+
+    def mse_gradient(self, chunks: Sequence["ForecastRows"], targets: np.ndarray
+                     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Forecasts for the rows of `chunks`, in order, and the gradient of
+        the loss ½·mean((forecast − target)²) over all N of them. Each chunk
+        runs forward and backward on its own, with its residuals over N, and
+        its gradient is added to a running sum."""
+        n = targets.shape[0]
+        preds, total, start = [], {}, 0
+        for chunk in chunks:
+            pred, cache = self.forward(chunk)
+            stop = start + pred.shape[0]
+            grads = self.backward(cache, (pred - targets[start:stop]) / n)
+            del cache  # before the next chunk's forward allocates its own
+            if not total:
+                total = grads
+            else:
+                for name, g in grads.items():
+                    total[name] += g
+            preds.append(pred)
+            start = stop
+        return np.concatenate(preds), total
 
 
 def _lookup(table: np.ndarray, idx: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -228,6 +267,11 @@ class ForecastRows:
 
     def take(self, idx: np.ndarray) -> "ForecastRows":
         return ForecastRows(self.index, self.lags[idx], self.cols[idx], self.hours[idx])
+
+    def chunks(self, size: int = CHUNK_ROWS) -> list["ForecastRows"]:
+        """Consecutive runs of `size` rows, the last one possibly shorter, as
+        views of these rows. The edges depend on row positions only."""
+        return [self.take(slice(i, i + size)) for i in range(0, self.lags.shape[0], size)]
 
     def _week_slots(self) -> np.ndarray:
         """Hour of the week of every row's lag steps, (N, k)."""
@@ -295,7 +339,10 @@ def train_reward_net(
     hyper: RewardNetHyper = RewardNetHyper(),
     train_end_hour: int | None = None,
 ) -> tuple[WaitForecastNet, dict]:
-    """Fit one-step-ahead wait prediction by full-batch SGD on MSE.
+    """Fit one-step-ahead wait prediction by full-batch gradient descent on
+    MSE. Each epoch's gradient is summed over the `CHUNK_ROWS`-row chunks of
+    the training rows (`WaitForecastNet.mse_gradient`), then clipped and
+    applied in one step.
 
     Uses hours up to train_end_hour (inclusive); stations without at least
     window+1 observable hours are skipped with a warning. Returns the net and
@@ -349,20 +396,16 @@ def train_reward_net(
     ys_train, sc_train = ys[train_idx], sc[train_idx]
     net = WaitForecastNet(rows_train.shape[2], hyper.hidden, hyper.layers, rng_for(hyper.seed, "reward-init"))
     params = net.params
+    chunks = rows_train.chunks()
     records = []
     for epoch in range(hyper.epochs):
-        pred, cache = net.forward(rows_train)
-        diff = pred - ys_train
-        grads = net.backward(cache, diff / diff.shape[0])
-        # Release the BPTT cache now, or it stays alive through the next
-        # epoch's forward pass and two full caches set the peak memory.
-        del cache
+        pred, grads = net.mse_gradient(chunks, ys_train)
         norm = nn.clip_global_norm(grads, hyper.clip_norm)
         nn.sgd_step(params, grads, hyper.alpha)
         records.append(
             {
                 "epoch": epoch,
-                "train_mse": float(np.mean((diff * sc_train) ** 2)),
+                "train_mse": float(np.mean(((pred - ys_train) * sc_train) ** 2)),
                 "grad_norm": norm,
                 "clipped": bool(0 < hyper.clip_norm < norm),
             }
@@ -371,7 +414,7 @@ def train_reward_net(
     def _mse(split: ForecastRows, idx: np.ndarray) -> float:
         if idx.size == 0:
             return float("nan")
-        pred, _ = net.forward(split)
+        pred = net.predict(split)
         return float(np.mean(((pred - ys[idx]) * sc[idx]) ** 2))
 
     report = {
@@ -405,7 +448,7 @@ def predict_waits(
     k: int,
 ) -> tuple[np.ndarray, list[frozenset[str]]]:
     """Forecast the wait in minutes for each (station, hour) pair, with one
-    forward pass over the distinct pairs.
+    `WaitForecastNet.predict` call over the distinct pairs.
 
     A pair falls back to the station's mean wait (flag "mean_fallback") when
     fewer than k observable lag hours exist; negative raw outputs are clamped
@@ -418,7 +461,7 @@ def predict_waits(
     result = {p: (mw, _MEAN_FALLBACK) for p, mw in zip(distinct, means)}
     rows, keep = forecast_inputs(series, index, [sid for sid, _ in distinct], [eh for _, eh in distinct], k)
     if keep.size:
-        raw = net.forward(rows)[0] * np.array([means[i] for i in keep.tolist()])
+        raw = net.predict(rows) * np.array([means[i] for i in keep.tolist()])
         for i, value in zip(keep.tolist(), raw.tolist()):
             if value < 0:
                 logger.debug("clamped negative wait forecast %.3f at %s", value, distinct[i][0])

@@ -3,11 +3,15 @@ constant-reward environments used across the suite."""
 
 from __future__ import annotations
 
+import json
 import math
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+
+from evrac.checkpoint import MAGIC
 
 from evrac.dataset import ChargingEvent, build_trajectories, split_all
 from evrac.geospatial import EARTH_RADIUS_KM, NUM_POI_TYPES, Station, StationIndex
@@ -173,3 +177,57 @@ def bandit_fixture():
         events += pattern_events(f"driver-{d}", ["cs0", "cs1"], 30)
     trajectories, splits, _ = split_population(events)
     return index, env, trajectories, splits
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint mutations
+# ---------------------------------------------------------------------------
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6),
+    st.integers(-2, 10), st.sampled_from([2**31, 2**62, 2**70, -(2**63)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+@st.composite
+def checkpoint_mutations(draw, raw: bytes) -> bytes:
+    """A saved checkpoint's bytes, damaged one of three ways: cut short,
+    with a few bits flipped anywhere, or with one header value (the meta and
+    the array manifest included) deleted or replaced by another JSON value
+    under a correct header length."""
+    how = draw(st.sampled_from(["truncate", "flip", "header"]))
+    if how == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if how == "flip":
+        out = bytearray(raw)
+        for bit in draw(st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1, max_size=4)):
+            out[bit // 8] ^= 1 << (bit % 8)
+        return bytes(out)
+    nl = raw.index(b"\n", len(MAGIC))
+    end = nl + 1 + int(raw[len(MAGIC) : nl])
+    header = json.loads(raw[nl + 1 : end])
+    path = draw(st.sampled_from(list(_json_paths(header))))
+    if not path:
+        header = draw(_JSON_VALUES)
+    else:
+        parent = header
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_JSON_VALUES)
+    encoded = (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
+    return MAGIC + f"{len(encoded)}\n".encode("ascii") + encoded + raw[end:]

@@ -406,10 +406,13 @@ def _training_setup(eps, n_stations=3, seed=11, **hyper_kw):
 def test_epsilon_one_matches_supervised_bitwise():
     _, env, _, buffer, model, hyper = _training_setup(1.0, epochs=1)
     twin = model.clone()
-    agent.train_rac(buffer, model, env, hyper)
-    agent.train_supervised(buffer, twin, hyper)
+    records = agent.train_rac(buffer, model, env, hyper)
+    twin_records = agent.train_supervised(buffer, twin, hyper)
     for name, p in model.actor_params().items():
         assert np.array_equal(p, twin.actor_params()[name]), name
+    assert set(twin_records[0]) == {"epoch", "ce_loss", "actor_grad_norm", "actor_clipped", "wallclock_ms"}
+    for key in ("actor_grad_norm", "actor_clipped"):
+        assert records[0][key] == twin_records[0][key]
 
 
 def test_fixed_seed_training_is_bitwise_deterministic():
@@ -438,6 +441,19 @@ def test_training_log_schema():
         assert rec["epoch"] == i
         for key in ("critic_mse", "ce_loss", "mean_reward", "wallclock_ms"):
             assert np.isfinite(rec[key])
+        assert "forecaster_grad_norm" not in rec and "forecaster_clipped" not in rec
+
+
+@pytest.mark.parametrize("clip_norm", [0.0, 1e-4, 1e6])
+def test_training_log_clip_telemetry(clip_norm):
+    """Each update logs its pre-clip gradient norm and whether clipping
+    fired: always at a tiny bound, never when disabled or at a huge one."""
+    _, env, _, buffer, model, hyper = _training_setup(0.5, epochs=3, clip_norm=clip_norm)
+    for rec in agent.train_rac(buffer, model, env, hyper):
+        for group in ("critic", "actor"):
+            norm, clipped = rec[f"{group}_grad_norm"], rec[f"{group}_clipped"]
+            assert norm > 0 and np.isfinite(norm)
+            assert clipped is (clip_norm == 1e-4)
 
 
 def test_delta_log_consistency():
@@ -536,6 +552,10 @@ def test_td_coupled_training():
     env = _net_env(index, copy.deepcopy(start_net))
     records = agent.train_rac(buffer, model, env, hyper)
     trained = _params(model, env.forecaster.net)
+    for rec in records:
+        assert rec["forecaster_grad_norm"] >= 0 and rec["forecaster_clipped"] is (
+            0 < hyper.clip_norm < rec["forecaster_grad_norm"])
+    assert any(rec["forecaster_grad_norm"] > 0 for rec in records)
     assert any(not np.array_equal(v, start_net.params[k]) for k, v in env.forecaster.net.params.items())
 
     twin_env = _net_env(index, copy.deepcopy(start_net))

@@ -4,12 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import T0, make_event
+from conftest import T0, checkpoint_mutations, make_event
 from evrac import checkpoint as ckpt
 from evrac.agent import RacHyper, RacModel
 from evrac.baselines import FpmcHyper, FpmcRecommender, MarkovRecommender, PopularityRecommender
-from evrac.errors import DataFormatError
+from evrac.errors import DataFormatError, EvracError
 from evrac.reward import RewardNetHyper, WaitForecastNet
 from evrac.seeding import rng_for
 
@@ -130,6 +132,52 @@ def test_reward_net_roundtrip(tmp_path):
     assert hyper.window == 6
     for name, p in net.params.items():
         assert np.array_equal(p, loaded.params[name])
+
+
+def _saved_reward_net(path) -> bytes:
+    net = WaitForecastNet(12, 3, 2, rng_for(0, "fuzz"))
+    ckpt.save_reward_net(net, RewardNetHyper(window=4, hidden=3, layers=2), path, {"config": {"seed": 1}})
+    return path.read_bytes()
+
+
+def test_reward_net_rejects_non_finite_weights(tmp_path):
+    path = tmp_path / "reward.ckpt"
+    raw = _saved_reward_net(path)
+    # The last 8 bytes are the last float64 of the payload; 0x7ff8... is NaN.
+    path.write_bytes(raw[:-8] + np.array([np.nan]).astype("<f8").tobytes())
+    with pytest.raises(DataFormatError, match="non-finite"):
+        ckpt.load_reward_net(path)
+
+
+def test_reward_net_meta_must_match_arrays(tmp_path):
+    """A meta size the arrays do not have is rejected before any net is
+    built, however large."""
+    path = tmp_path / "reward.ckpt"
+    raw = _saved_reward_net(path)
+    nl = raw.index(b"\n", len(ckpt.MAGIC))
+    end = nl + 1 + int(raw[len(ckpt.MAGIC) : nl])
+    for key, value in [("hidden", 2**40), ("input_dim", 2**40), ("layers", 2**40), ("layers", 3)]:
+        header = json.loads(raw[nl + 1 : end])
+        header["meta"][key] = value
+        encoded = (json.dumps(header, sort_keys=True) + "\n").encode()
+        path.write_bytes(ckpt.MAGIC + f"{len(encoded)}\n".encode() + encoded + raw[end:])
+        with pytest.raises(DataFormatError):
+            ckpt.load_reward_net(path)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_reward_checkpoint_loaders_raise_only_package_errors(tmp_path, data):
+    """Truncations, bit flips and header or manifest edits of a saved
+    forecaster either load or raise an `EvracError`; nothing else escapes."""
+    path = tmp_path / "reward.ckpt"
+    raw = _saved_reward_net(path)
+    path.write_bytes(data.draw(checkpoint_mutations(raw)))
+    for load in (ckpt.load_checkpoint, ckpt.load_reward_net):
+        try:
+            load(path)
+        except EvracError:
+            pass
 
 
 def _train_events():

@@ -4,11 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import km_to_lon_degrees, pattern_events
-from evrac.checkpoint import MAGIC
+from conftest import checkpoint_mutations, km_to_lon_degrees, pattern_events
+from evrac.checkpoint import MAGIC, load_reward_net
 from evrac.cli import main
 from evrac.dataset import write_events
+from evrac.errors import EvracError
 
 
 @pytest.fixture
@@ -253,7 +256,8 @@ def test_full_pipeline_and_determinism(synth, capsys):
     log_lines = (tmp_path / "a.ckpt.log.jsonl").read_text().strip().splitlines()
     assert len(log_lines) == 3
     rec = json.loads(log_lines[0])
-    assert set(rec) == {"epoch", "critic_mse", "ce_loss", "mean_reward", "wallclock_ms"}
+    assert set(rec) == {"epoch", "critic_mse", "ce_loss", "mean_reward", "wallclock_ms",
+                        "critic_grad_norm", "critic_clipped", "actor_grad_norm", "actor_clipped"}
 
     report_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"
@@ -367,6 +371,32 @@ def test_corrupt_checkpoint_exit_code(synth, capsys):
     bad.write_bytes(b"RACCKPT1\n12\nnot json here")
     rc = main(["eval", "--config", str(config), "--model", str(bad), "--k", "1"])
     assert rc == 4
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_eval_rejects_a_damaged_reward_checkpoint(synth, capsys, data):
+    """A forecaster checkpoint the loader rejects makes `eval --reward` exit
+    4 with one JSON error and no traceback."""
+    tmp_path, config = synth
+    reward = tmp_path / "reward.ckpt"
+    model = tmp_path / "pop.ckpt"
+    if not model.exists():
+        assert main(["train-reward", "--config", str(config), "--out", str(reward)]) == 0
+        assert main(["train-baseline", "--config", str(config), "--model", "popularity", "--out", str(model)]) == 0
+        reward.with_suffix(".good").write_bytes(reward.read_bytes())
+    capsys.readouterr()
+    damaged = tmp_path / "damaged.ckpt"
+    damaged.write_bytes(data.draw(checkpoint_mutations(reward.with_suffix(".good").read_bytes())))
+    try:
+        load_reward_net(damaged)
+        rejected = False
+    except EvracError:
+        rejected = True
+    assume(rejected)
+    assert main(["eval", "--config", str(config), "--model", str(model), "--reward", str(damaged), "--k", "1"]) == 4
+    error = json.loads(capsys.readouterr().err.strip())
+    assert error["error"] in ("DataFormatError", "ConfigError") and str(damaged) in error["message"]
 
 
 def test_sweep_and_case_study(synth, capsys):

@@ -17,6 +17,7 @@ from conftest import (
     reference_time_features,
 )
 from evrac import reward as rw
+from evrac.checkpoint import save_reward_net
 from evrac.errors import ConfigError, DomainError, UnknownStationError
 from evrac.geospatial import NUM_POI_TYPES, Station, StationIndex
 from evrac.gradcheck import PATHS, TOLERANCE
@@ -354,6 +355,24 @@ def _assert_rel_close(actual, expected, rel=1e-12):
     assert float(np.max(np.abs(actual - expected))) <= rel * scale
 
 
+def _random_forecaster(rng, m, k, n, hidden, layers, first_hour=0):
+    """Random `ForecastRows` over m stations with random POI mixes, rows
+    repeating stations, and a net with random first-layer and head biases."""
+    index = StationIndex({
+        f"s{i}": Station(f"s{i}", float(rng.uniform(-60, 60)), float(rng.uniform(-180, 180)),
+                         rng.integers(0, 4, NUM_POI_TYPES).astype(float))
+        for i in range(m)
+    })
+    cols = rng.integers(0, m, size=n)
+    cols[: n // 2] = cols[0]  # repeats
+    hours = first_hour + rng.integers(0, 2 * rw.HOURS_PER_WEEK, size=n)
+    rows = rw.ForecastRows(index, 2.0 * rng.random((n, k)), cols, hours)
+    net = rw.WaitForecastNet(rw.reward_net_input_dim(index), hidden, layers, rng)
+    for b in (net.lstm.layers[0].b, net.head.b):
+        b += rng.normal(size=b.shape)
+    return rows, net
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     m=st.integers(1, 6),
@@ -371,18 +390,7 @@ def test_forecast_rows_match_dense_form(m, k, n, hidden, layers, first_hour, see
     equal those of the dense input within rel 1e-12, over repeated stations,
     random POI mixes and hours on both sides of 1970."""
     rng = np.random.default_rng(seed)
-    index = StationIndex({
-        f"s{i}": Station(f"s{i}", float(rng.uniform(-60, 60)), float(rng.uniform(-180, 180)),
-                         rng.integers(0, 4, NUM_POI_TYPES).astype(float))
-        for i in range(m)
-    })
-    cols = rng.integers(0, m, size=n)
-    cols[: n // 2] = cols[0]  # repeats
-    hours = first_hour + rng.integers(0, 2 * rw.HOURS_PER_WEEK, size=n)
-    rows = rw.ForecastRows(index, 2.0 * rng.random((n, k)), cols, hours)
-    net = rw.WaitForecastNet(rw.reward_net_input_dim(index), hidden, layers, rng)
-    for b in (net.lstm.layers[0].b, net.head.b):
-        b += rng.normal(size=b.shape)
+    rows, net = _random_forecaster(rng, m, k, n, hidden, layers, first_hour)
     dy = rng.normal(size=n)
 
     y, cache = net.forward(rows)
@@ -392,6 +400,70 @@ def test_forecast_rows_match_dense_form(m, k, n, hidden, layers, first_hour, see
     assert grads.keys() == want.keys()
     for name in want:
         _assert_rel_close(grads[name], want[name])
+
+
+_FORECASTER_SIZES = dict(m=st.integers(1, 4), k=st.integers(1, 5), n=st.integers(1, 30),
+                         hidden=st.integers(1, 4), layers=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), **_FORECASTER_SIZES)
+def test_chunked_gradient_matches_one_shot(data, m, k, n, hidden, layers, seed):
+    """`mse_gradient` over chunks of any length from 1 to N+1, a partial
+    last chunk included, gives the forecasts and the gradient of one
+    `forward`/`backward` over all N rows, within rel 1e-12."""
+    chunk = data.draw(st.integers(1, n + 1), label="chunk")
+    rng = np.random.default_rng(seed)
+    rows, net = _random_forecaster(rng, m, k, n, hidden, layers)
+    targets = rng.normal(size=n)
+    pred, grads = net.mse_gradient(rows.chunks(chunk), targets)
+    want_pred, cache = net.forward(rows)
+    want = net.backward(cache, (want_pred - targets) / n)
+    assert [c.shape[0] for c in rows.chunks(chunk)] == [min(chunk, n - i) for i in range(0, n, chunk)]
+    _assert_rel_close(pred, want_pred)
+    assert grads.keys() == want.keys()
+    for name in want:
+        _assert_rel_close(grads[name], want[name])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), **_FORECASTER_SIZES)
+def test_predict_is_forward_in_chunks(data, m, k, n, hidden, layers, seed):
+    """Up to one chunk, `predict` has the bits of `forward`; over several
+    chunks it agrees within 1e-15 of the mean wait, the unit of the
+    forecasts (or of the largest forecast, when that is larger). Forecasts
+    near 0 keep no relative digits: a chunk's matmuls may round differently
+    from the whole batch's."""
+    chunk = data.draw(st.integers(1, n + 1), label="chunk")
+    rows, net = _random_forecaster(np.random.default_rng(seed), m, k, n, hidden, layers)
+    want, _ = net.forward(rows)
+    got = net.predict(rows, chunk)
+    if n <= chunk:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert float(np.max(np.abs(got - want))) <= 1e-15 * max(1.0, float(np.max(np.abs(want))))
+    assert net.predict(rows).tobytes() == want.tobytes()  # n < CHUNK_ROWS
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_chunked_fit_is_reproducible(tmp_path_factory, seed):
+    """Two fits over several chunks, the last one partial, write the same
+    checkpoint bytes."""
+    index = make_stations(["cs0", "cs1"], mean_wait=25.0)
+    series = rw.build_wait_series([
+        make_event(f"e{i}", "d", f"cs{i % 2}", T0 + timedelta(hours=i // 2), duration=float(5 + i * 37 % 50))
+        for i in range(1300)
+    ])
+    hyper = rw.RewardNetHyper(window=3, hidden=4, layers=2, alpha=0.1, epochs=2, seed=seed)
+    paths = []
+    for _ in range(2):
+        net, report = rw.train_reward_net(series, index, hyper)
+        n_train = report["samples"] - int(report["samples"] * hyper.val_frac)
+        assert n_train > rw.CHUNK_ROWS and n_train % rw.CHUNK_ROWS
+        paths.append(tmp_path_factory.mktemp("fit") / "reward.ckpt")
+        save_reward_net(net, hyper, paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 @pytest.mark.parametrize("block", ["lag", "station", "time"])

@@ -29,9 +29,10 @@ from .baselines import _rank_row
 from .config import RacHyper
 from .dataset import ChargingEvent, DriverTrajectory, Split
 from .errors import ConfigError, TrainingDiverged, UsageError
-from .evaluation import _driver_rankings, precision_at_k
+from .evaluation import Request, cut_points, precision_at_k
 from .geospatial import StationIndex
 from .reward import (
+    INFERENCE_ROWS,
     NetWaitForecaster,
     RewardEnvironment,
     TIME_FEATURE_WIDTH,
@@ -595,7 +596,7 @@ def recommend(
     if not history:
         raise UsageError("recommendation needs at least one past event")
     history = sorted(history, key=lambda e: (e.start_time, e.event_id))
-    p = rec.probabilities(driver_id, history, [len(history)])[0]
+    p = rec.probabilities([(driver_id, history, [len(history)])])[0]
     eh = epoch_hour(when or history[-1].start_time)
     last_station = history[-1].station_id
     ranked = _rank_row(p, stations, k)
@@ -611,15 +612,43 @@ class RacRecommender:
         self.model = model
         self.obs_space = obs_space
 
-    def probabilities(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int]) -> np.ndarray:
-        """Policy over stations at every cut, from one forward pass; uniform
-        at a cut of 0 (no history)."""
-        pi, _ = self.model.policy(self.obs_space.windows(events, cuts))
-        pi[np.asarray(cuts) == 0] = 1.0 / self.model.num_stations
+    def probabilities(self, requests: Sequence[Request]) -> np.ndarray:
+        """Policy over stations at every cut of every request; uniform at a
+        cut of 0 (no history). The policy runs over the requests' windows in
+        chunks of `INFERENCE_ROWS` cuts, a chunk spanning requests when they
+        are short, so only the returned rows grow with the number of cuts."""
+        rows = [self._chunk_policy(chunk) for chunk in _cut_chunks(requests, INFERENCE_ROWS)]
+        return np.concatenate([np.empty((0, self.model.num_stations))] + rows)
+
+    def _chunk_policy(self, chunk: list[tuple[list[ChargingEvent], np.ndarray]]) -> np.ndarray:
+        # A function of its own, so that the chunk's windows and forward cache
+        # are freed before the next chunk's are built.
+        pi, _ = self.model.policy(np.concatenate([self.obs_space.windows(events, cuts) for events, cuts in chunk]))
+        pi[np.concatenate([cuts for _, cuts in chunk]) == 0] = 1.0 / self.model.num_stations
         return pi
 
-    def rank(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int], k: int) -> list[list[str]]:
-        return [_rank_row(row, self.obs_space.index.order, k) for row in self.probabilities(driver_id, events, cuts)]
+    def rank(self, requests: Sequence[Request], k: int) -> list[list[str]]:
+        return [_rank_row(row, self.obs_space.index.order, k) for row in self.probabilities(requests)]
+
+
+def _cut_chunks(requests: Sequence[Request], size: int):
+    """The requests' cuts, in order, as chunks of `size` cuts (the last one
+    shorter). A chunk is a list of (events, cuts) pieces, one per request it
+    touches."""
+    chunk, rows = [], 0
+    for _, events, cuts in requests:
+        cuts = np.asarray(cuts, dtype=int)
+        start = 0
+        while start < cuts.size:
+            piece = cuts[start : start + size - rows]
+            chunk.append((events, piece))
+            rows += piece.size
+            start += piece.size
+            if rows == size:
+                yield chunk
+                chunk, rows = [], 0
+    if chunk:
+        yield chunk
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +673,9 @@ def build_buffer(
 
 def _val_p1(model: RacModel, obs_space: ObservationSpace, traj: DriverTrajectory,
             val_events: list[ChargingEvent]) -> float:
-    rankings, truths, _, _ = _driver_rankings(RacRecommender(model, obs_space), traj, val_events, 1)
-    return precision_at_k(rankings, truths, 1)
+    cuts = cut_points(traj, val_events)
+    rankings = RacRecommender(model, obs_space).rank([(traj.driver_id, traj.events, cuts)], 1)
+    return precision_at_k(rankings, [traj.events[j].station_id for j in cuts], 1)
 
 
 def finetune_driver(

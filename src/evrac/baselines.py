@@ -2,9 +2,10 @@
 visit-frequency baseline, all behind the same ranking interface as the
 actor-critic model so one evaluation harness serves everything.
 
-Every recommender exposes `probabilities(driver_id, events, cuts)`, one (M,)
-row over the sorted station list per cut j (conditioning on `events[:j]`),
-and ranks each row with `_rank_row`.
+Every recommender exposes `probabilities(requests)` over a list of
+`(driver_id, events, cuts)` requests: one (M,) row over the sorted station
+list per cut j (conditioning on `events[:j]`), in request order. Each row is
+ranked with `_rank_row`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .dataset import ChargingEvent
 from .errors import UsageError
+from .evaluation import Request
 from .nn import sigmoid, softmax
 from .seeding import rng_for
 
@@ -34,6 +36,18 @@ def _rank_row(row: np.ndarray, stations: list[str], k: int) -> list[str]:
     return [stations[i] for i in np.argsort(-row, kind="stable")[:k].tolist()]
 
 
+class _GatheredRows:
+    """The request loop of the baselines. A subclass has `stations` and gives
+    one request's rows with `_rows(driver_id, events, cuts)`, a gather whose
+    rows do not depend on which other requests share the call."""
+
+    def probabilities(self, requests: Sequence[Request]) -> np.ndarray:
+        return np.concatenate([np.empty((0, len(self.stations)))] + [self._rows(*request) for request in requests])
+
+    def rank(self, requests: Sequence[Request], k: int) -> list[list[str]]:
+        return [_rank_row(row, self.stations, k) for row in self.probabilities(requests)]
+
+
 def _train_sequences(train_events: dict[str, list[ChargingEvent]]) -> dict[str, list[str]]:
     out = {}
     for driver in sorted(train_events):
@@ -42,7 +56,7 @@ def _train_sequences(train_events: dict[str, list[ChargingEvent]]) -> dict[str, 
     return out
 
 
-class MarkovRecommender:
+class MarkovRecommender(_GatheredRows):
     """Per-driver first-order transition matrices with Laplace smoothing.
 
     Drivers without enough training data fall back to a matrix pooled over
@@ -81,15 +95,12 @@ class MarkovRecommender:
         self.global_matrix = self._normalize(global_counts)
         return self
 
-    def probabilities(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int]) -> np.ndarray:
+    def _rows(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int]) -> np.ndarray:
         """The transition row of each cut's last station; a uniform row (the
         extra last row of the table) without one or for an unknown station."""
         m = len(self.stations)
         table = np.vstack([self.per_driver.get(driver_id, self.global_matrix), np.full(m, 1.0 / m)])
         return table[[self.index.get(events[j - 1].station_id, m) if j else m for j in cuts]]
-
-    def rank(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int], k: int) -> list[list[str]]:
-        return [_rank_row(row, self.stations, k) for row in self.probabilities(driver_id, events, cuts)]
 
 
 @dataclass(frozen=True)
@@ -102,7 +113,7 @@ class FpmcHyper:
     seed: int = 0
 
 
-class FpmcRecommender:
+class FpmcRecommender(_GatheredRows):
     """Factorized personalized Markov chain trained by pairwise ranking.
 
     score(u, last, i) = <U_u, V_i> + <L_last, W_i>; each observed transition
@@ -163,7 +174,7 @@ class FpmcRecommender:
                     self.IL[neg] += h.lr * (-g * li - h.reg * il_n)
         return self
 
-    def probabilities(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int]) -> np.ndarray:
+    def _rows(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int]) -> np.ndarray:
         """softmax(score) at each cut. The driver term is computed once and the
         transition term once per distinct last station (-1: none or unknown)."""
         u = self.driver_index.get(driver_id)
@@ -173,11 +184,8 @@ class FpmcRecommender:
         rows = [softmax(base + self.IL @ self.LI[p] if p >= 0 else base) for p in distinct.tolist()]
         return np.stack(rows)[inverse]
 
-    def rank(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int], k: int) -> list[list[str]]:
-        return [_rank_row(row, self.stations, k) for row in self.probabilities(driver_id, events, cuts)]
 
-
-class PopularityRecommender:
+class PopularityRecommender(_GatheredRows):
     """Visit-frequency baseline: a driver's own station counts, falling back
     to global popularity for unseen drivers."""
 
@@ -196,12 +204,9 @@ class PopularityRecommender:
             self.global_counts += counts
         return self
 
-    def probabilities(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int]) -> np.ndarray:
+    def _rows(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int]) -> np.ndarray:
         """The driver's visit shares, the same row at every cut."""
         counts = self.per_driver.get(driver_id, self.global_counts)
         total = counts.sum()
         row = np.full(len(self.stations), 1.0 / len(self.stations)) if total == 0 else counts / total
         return np.repeat(row[None, :], len(cuts), axis=0)
-
-    def rank(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int], k: int) -> list[list[str]]:
-        return [_rank_row(row, self.stations, k) for row in self.probabilities(driver_id, events, cuts)]

@@ -155,6 +155,15 @@ def _check_shapes(arrays: dict[str, np.ndarray], shapes: dict[str, tuple], path:
             raise DataFormatError(f"{path}: array {name!r} has shape {arrays[name].shape}, expected {shape}")
 
 
+def _lstm_shapes(prefix: str, input_dim: int, hidden: int, layers: int) -> dict[str, tuple]:
+    """The array shapes of an `nn.StackedLstm`, named as in its params."""
+    shapes = {}
+    for l in range(layers):
+        shapes.update({f"{prefix}.l{l}.W": (input_dim if l == 0 else hidden, 4 * hidden),
+                       f"{prefix}.l{l}.U": (hidden, 4 * hidden), f"{prefix}.l{l}.b": (4 * hidden,)})
+    return shapes
+
+
 def _copy_into(params: dict[str, np.ndarray], arrays: dict[str, np.ndarray], path: str | Path) -> None:
     _check_shapes(arrays, {name: target.shape for name, target in params.items()}, path)
     for name, target in params.items():
@@ -183,7 +192,19 @@ def load_rac_model(path: str | Path) -> tuple[RacModel, dict]:
         raise DataFormatError(f"{path}: expected a rac checkpoint, got {header.get('kind')!r}")
     meta = _meta(header, path, obs_dim=_POSITIVE, num_stations=_POSITIVE, critic_updates=_COUNT)
     hyper = hyper_from_mapping(RacHyper, meta.get("hyper"), path)
-    model = RacModel(meta["obs_dim"], meta["num_stations"], hyper)
+    # The arrays must match the meta before the model is built, so that no
+    # meta value makes the loader allocate more than the file holds.
+    obs_dim, m, h, c = meta["obs_dim"], meta["num_stations"], hyper.hidden, hyper.critic_hidden
+    if 3 * hyper.layers + 12 > len(arrays):
+        raise DataFormatError(f"{path}: hyper 'layers' is {hyper.layers}, but the checkpoint holds {len(arrays)} arrays")
+    critic = {"l0.W": (h + m, c), "l0.b": (c,), "l1.W": (c, 1), "l1.b": (1,)}
+    _check_shapes(arrays, {
+        "encoder.embed.l0.W": (obs_dim, hyper.embed), "encoder.embed.l0.b": (hyper.embed,),
+        **_lstm_shapes("encoder.lstm", hyper.embed, h, hyper.layers),
+        "actor.W": (h, m), "actor.b": (m,),
+        **{f"{group}.{name}": shape for group in ("critic", "critic_target") for name, shape in critic.items()},
+    }, path)
+    model = RacModel(obs_dim, m, hyper)
     _copy_into(model.all_params(), arrays, path)
     model.critic_updates = meta["critic_updates"]
     return model, header
@@ -217,11 +238,7 @@ def load_reward_net(path: str | Path) -> tuple[WaitForecastNet, RewardNetHyper, 
     input_dim, hidden, layers = meta["input_dim"], meta["hidden"], meta["layers"]
     if 3 * layers + 2 > len(arrays):
         raise DataFormatError(f"{path}: meta 'layers' is {layers}, but the checkpoint holds {len(arrays)} arrays")
-    shapes = {"head.W": (hidden, 1), "head.b": (1,)}
-    for l in range(layers):
-        shapes.update({f"lstm.l{l}.W": (input_dim if l == 0 else hidden, 4 * hidden),
-                       f"lstm.l{l}.U": (hidden, 4 * hidden), f"lstm.l{l}.b": (4 * hidden,)})
-    _check_shapes(arrays, shapes, path)
+    _check_shapes(arrays, {"head.W": (hidden, 1), "head.b": (1,), **_lstm_shapes("lstm", input_dim, hidden, layers)}, path)
     net = WaitForecastNet(input_dim, hidden, layers, np.random.default_rng(0))
     _copy_into(net.params, arrays, path)
     return net, hyper, header
@@ -265,9 +282,11 @@ def load_baseline(path: str | Path):
     meta = _meta(header, path, stations=_NAMES, **rules)
     m = len(meta["stations"])
     if kind == "fpmc":
-        model = FpmcRecommender(meta["stations"], hyper_from_mapping(FpmcHyper, meta.get("hyper"), path))
-        f = model.hyper.factors
+        hyper = hyper_from_mapping(FpmcHyper, meta.get("hyper"), path)
+        f = hyper.factors
+        # Checked before the model is built, which allocates (m, factors) arrays.
         _check_shapes(arrays, {"UI": (len(meta["drivers"]), f), "IU": (m, f), "LI": (m, f), "IL": (m, f)}, path)
+        model = FpmcRecommender(meta["stations"], hyper)
         model.driver_index = {d: i for i, d in enumerate(meta["drivers"])}
         model.UI, model.IU = arrays["UI"], arrays["IU"]
         model.LI, model.IL = arrays["LI"], arrays["IL"]

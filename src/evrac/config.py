@@ -155,7 +155,7 @@ def hyper_from_mapping(cls: type, raw, where: str):
 
     Unknown keys and values of the wrong JSON type are DataFormatError;
     missing keys take their defaults; a value outside its declared rule is a
-    ConfigError, exactly as in a config file.
+    ConfigError, exactly as in a config file, with `where` in its message.
     """
     if not isinstance(raw, dict):
         raise DataFormatError(f"{where}: hyper must be a JSON object, got {type(raw).__name__}")
@@ -165,7 +165,10 @@ def hyper_from_mapping(cls: type, raw, where: str):
             raise DataFormatError(f"{where}: unknown hyper key {key!r}")
         if not _is_a(value, types[key]):
             raise DataFormatError(f"{where}: hyper {key} must be {types[key].__name__}, got {value!r}")
-    return cls(**raw)
+    try:
+        return cls(**raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_bool(raw: str) -> bool:

@@ -30,15 +30,22 @@ from .reward import RewardEnvironment, epoch_hour
 logger = logging.getLogger(__name__)
 
 
+# One scoring request: a driver, their events in time order and the cut
+# points to score. A cut j means "condition on `events[:j]`".
+Request = tuple[str, list[ChargingEvent], Sequence[int]]
+
+
 class Recommender(Protocol):
-    """A cut j of a driver's `events` means "condition on `events[:j]`".
-    `probabilities` scores every station in sorted-id order at each cut, one
-    row per cut; `rank` is each row's top-k by score with ties broken by
-    station id."""
+    """`probabilities` scores every station in sorted-id order at each cut of
+    each request: one row per cut, the rows of all requests stacked in
+    request order. `rank` is each row's top-k by score with ties broken by
+    station id. Evaluation sends every driver's cuts in one call; a row does
+    not depend on which other requests share the call, up to the last bits
+    of a batched forward pass."""
 
-    def probabilities(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int]) -> np.ndarray: ...
+    def probabilities(self, requests: Sequence[Request]) -> np.ndarray: ...
 
-    def rank(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int], k: int) -> list[list[str]]: ...
+    def rank(self, requests: Sequence[Request], k: int) -> list[list[str]]: ...
 
 
 # ---------------------------------------------------------------------------
@@ -152,23 +159,11 @@ class EvalReport:
 # Harness
 # ---------------------------------------------------------------------------
 
-def _driver_rankings(
-    recommender: Recommender,
-    traj: DriverTrajectory,
-    test_events: list[ChargingEvent],
-    max_k: int,
-):
-    """Ranked list per test event, using the driver's full actual past, from
-    one `rank` call over the events' cut points."""
-    events = traj.events
-    pos = {e.event_id: i for i, e in enumerate(events)}
-    scored = [e for e in test_events if pos[e.event_id] > 0]  # the first event has no history
-    if not scored:
-        return [], [], [], []
-    cuts = [pos[e.event_id] for e in scored]
-    rankings = recommender.rank(traj.driver_id, events, cuts, max_k)
-    prevs = [events[j - 1].station_id for j in cuts]
-    return rankings, [e.station_id for e in scored], prevs, [e.start_time for e in scored]
+def cut_points(traj: DriverTrajectory, events: list[ChargingEvent]) -> list[int]:
+    """The cut at each of `events` (a subset of the driver's) that has a
+    previous event to condition on, in the order given."""
+    pos = {e.event_id: i for i, e in enumerate(traj.events)}
+    return [j for j in (pos[e.event_id] for e in events) if j > 0]
 
 
 def evaluate(
@@ -182,63 +177,68 @@ def evaluate(
 ) -> EvalReport:
     """Score a recommender (or per-driver recommenders) on every test split.
 
-    MAR is skipped (NaN) when no reward environment is supplied.
+    Every driver's test cuts are ranked by one `rank` call (one per driver
+    with per-driver `models`), and every top-1 pick is priced by one
+    `breakdowns` call. MAR is skipped (NaN) when no reward environment is
+    supplied.
     """
     ks = sorted(set(int(k) for k in ks))
     max_k = max(ks)
+    requests = []
+    for driver_id in sorted(splits):
+        traj = trajectories[driver_id]
+        cuts = cut_points(traj, splits[driver_id].test)
+        if cuts:
+            requests.append((driver_id, traj.events, cuts))
+
+    if models is None:
+        rankings = recommender.rank(requests, max_k)
+    else:
+        rankings = [ranked for request in requests for ranked in models[request[0]].rank([request], max_k)]
+    truths = [events[j].station_id for _, events, cuts in requests for j in cuts]
+    priced = None
+    if env is not None and requests:
+        priced = env.breakdowns(
+            [driver_id for driver_id, _, cuts in requests for _ in cuts],
+            [events[j - 1].station_id for _, events, cuts in requests for j in cuts],
+            [ranked[0] for ranked in rankings],
+            [epoch_hour(events[j].start_time) for _, events, cuts in requests for j in cuts],
+        )
+
     per_driver: dict[str, DriverOutcome] = {}
     preds_by_driver: dict[str, list] = {}
     truths_by_driver: dict[str, list] = {}
-    all_rank, all_truth = [], []
-    mar_values = []
-    fallback_events = clamped_events = 0
-
-    for driver_id in sorted(splits):
-        split = splits[driver_id]
-        traj = trajectories[driver_id]
-        rec = models[driver_id] if models is not None else recommender
-        rankings, truths, prevs, whens = _driver_rankings(rec, traj, split.test, max_k)
-        if not truths:
-            continue
-        preds_by_driver[driver_id] = rankings
-        truths_by_driver[driver_id] = truths
-        all_rank.extend(rankings)
-        all_truth.extend(truths)
-
-        p_at = {k: precision_at_k(rankings, truths, k) for k in ks}
-        r_at = {k: recall_at_k({driver_id: rankings}, {driver_id: truths}, k) for k in ks}
-
-        driver_mar = float("nan")
-        norm_wait = norm_dist = float("nan")
-        if env is not None:
-            priced = env.breakdowns([driver_id] * len(rankings), prevs, [ranked[0] for ranked in rankings],
-                                    [epoch_hour(when) for when in whens])
-            driver_mar = float(np.mean(priced.reward))
-            norm_wait = float(np.mean(priced.wait_forecast / priced.mean_wait))
-            norm_dist = float(np.mean(priced.dist_km / priced.mean_dist))
-            fallback_events += sum("mean_fallback" in f for f in priced.flags)
-            clamped_events += sum("clamped" in f for f in priced.flags)
-            mar_values.extend(priced.reward.tolist())
-
+    start = 0
+    for driver_id, _, cuts in requests:
+        rows = slice(start, start + len(cuts))
+        start = rows.stop
+        preds_by_driver[driver_id] = driver_rankings = rankings[rows]
+        truths_by_driver[driver_id] = driver_truths = truths[rows]
+        driver_mar = norm_wait = norm_dist = float("nan")
+        if priced is not None:
+            driver_mar = float(np.mean(priced.reward[rows]))
+            norm_wait = float(np.mean(priced.wait_forecast[rows] / priced.mean_wait[rows]))
+            norm_dist = float(np.mean(priced.dist_km[rows] / priced.mean_dist[rows]))
         per_driver[driver_id] = DriverOutcome(
-            events=len(truths),
-            p_at=p_at,
-            r_at=r_at,
+            events=len(cuts),
+            p_at={k: precision_at_k(driver_rankings, driver_truths, k) for k in ks},
+            r_at={k: recall_at_k({driver_id: driver_rankings}, {driver_id: driver_truths}, k) for k in ks},
             mar=driver_mar,
             mean_norm_wait=norm_wait,
             mean_norm_dist=norm_dist,
         )
 
+    flags = priced.flags if priced is not None else []
     return EvalReport(
         ks=list(ks),
         per_driver=per_driver,
-        precision={k: precision_at_k(all_rank, all_truth, k) for k in ks},
+        precision={k: precision_at_k(rankings, truths, k) for k in ks},
         recall={k: recall_at_k(preds_by_driver, truths_by_driver, k) for k in ks},
-        mar=float(np.mean(mar_values)) if mar_values else float("nan"),
-        events=len(all_truth),
+        mar=float(np.mean(priced.reward)) if priced is not None else float("nan"),
+        events=len(truths),
         drivers=len(per_driver),
-        fallback_events=fallback_events,
-        clamped_events=clamped_events,
+        fallback_events=sum("mean_fallback" in f for f in flags),
+        clamped_events=sum("clamped" in f for f in flags),
         config=dict(config or {}),
     )
 

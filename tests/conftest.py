@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from evrac.checkpoint import MAGIC
 
 from evrac.dataset import ChargingEvent, build_trajectories, split_all
+from evrac.evaluation import DriverOutcome, EvalReport, precision_at_k, recall_at_k
 from evrac.geospatial import EARTH_RADIUS_KM, NUM_POI_TYPES, Station, StationIndex
 from evrac.reward import (
     DAY_FEATURES,
@@ -21,6 +22,7 @@ from evrac.reward import (
     ForecastRows,
     RewardEnvironment,
     TableWaitForecaster,
+    epoch_hour,
     time_features,
 )
 
@@ -145,6 +147,57 @@ def dense_forecast_inputs(rows: ForecastRows) -> np.ndarray:
     return xs
 
 
+def reference_evaluate(recommender, trajectories, splits, env, ks=(1, 3, 5), config=None, models=None):
+    """`evaluation.evaluate` as it ran before every driver was scored in one
+    pass: one `rank` request and one `breakdowns` call per driver. The
+    oracle the one-pass harness must match."""
+    ks = sorted(set(int(k) for k in ks))
+    per_driver, preds_by_driver, truths_by_driver = {}, {}, {}
+    all_rank, all_truth, mar_values = [], [], []
+    fallback_events = clamped_events = 0
+    for driver_id in sorted(splits):
+        events = trajectories[driver_id].events
+        pos = {e.event_id: i for i, e in enumerate(events)}
+        scored = [e for e in splits[driver_id].test if pos[e.event_id] > 0]
+        if not scored:
+            continue
+        cuts = [pos[e.event_id] for e in scored]
+        rec = models[driver_id] if models is not None else recommender
+        rankings = rec.rank([(driver_id, events, cuts)], max(ks))
+        truths = [e.station_id for e in scored]
+        preds_by_driver[driver_id], truths_by_driver[driver_id] = rankings, truths
+        all_rank.extend(rankings)
+        all_truth.extend(truths)
+        driver_mar = norm_wait = norm_dist = float("nan")
+        if env is not None:
+            priced = env.breakdowns([driver_id] * len(rankings), [events[j - 1].station_id for j in cuts],
+                                    [ranked[0] for ranked in rankings], [epoch_hour(e.start_time) for e in scored])
+            driver_mar = float(np.mean(priced.reward))
+            norm_wait = float(np.mean(priced.wait_forecast / priced.mean_wait))
+            norm_dist = float(np.mean(priced.dist_km / priced.mean_dist))
+            fallback_events += sum("mean_fallback" in f for f in priced.flags)
+            clamped_events += sum("clamped" in f for f in priced.flags)
+            mar_values.extend(priced.reward.tolist())
+        per_driver[driver_id] = DriverOutcome(
+            events=len(truths),
+            p_at={k: precision_at_k(rankings, truths, k) for k in ks},
+            r_at={k: recall_at_k({driver_id: rankings}, {driver_id: truths}, k) for k in ks},
+            mar=driver_mar, mean_norm_wait=norm_wait, mean_norm_dist=norm_dist,
+        )
+    return EvalReport(
+        ks=list(ks),
+        per_driver=per_driver,
+        precision={k: precision_at_k(all_rank, all_truth, k) for k in ks},
+        recall={k: recall_at_k(preds_by_driver, truths_by_driver, k) for k in ks},
+        mar=float(np.mean(mar_values)) if mar_values else float("nan"),
+        events=len(all_truth),
+        drivers=len(per_driver),
+        fallback_events=fallback_events,
+        clamped_events=clamped_events,
+        config=dict(config or {}),
+    )
+
+
 def constant_reward_env(
     index: StationIndex,
     waits: dict[str, float],
@@ -183,9 +236,9 @@ def bandit_fixture():
 # Checkpoint mutations
 # ---------------------------------------------------------------------------
 
+_INTS = st.one_of(st.integers(-2, 10), st.sampled_from([2**31, 2**62, 2**70, -(2**63)]))
 _JSON_LEAVES = st.one_of(
-    st.none(), st.booleans(), st.text(max_size=6),
-    st.integers(-2, 10), st.sampled_from([2**31, 2**62, 2**70, -(2**63)]),
+    st.none(), st.booleans(), st.text(max_size=6), _INTS,
     st.floats(allow_nan=True, allow_infinity=True),
 )
 _JSON_VALUES = st.recursive(
@@ -194,20 +247,23 @@ _JSON_VALUES = st.recursive(
 )
 
 
-def _json_paths(node, prefix=()):
-    yield prefix
+def _json_nodes(node, prefix=()):
+    """(path, value) of every node of a JSON value, the root first."""
+    yield prefix, node
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
     for key, child in items:
-        yield from _json_paths(child, prefix + (key,))
+        yield from _json_nodes(child, prefix + (key,))
 
 
 @st.composite
 def checkpoint_mutations(draw, raw: bytes) -> bytes:
-    """A saved checkpoint's bytes, damaged one of three ways: cut short,
-    with a few bits flipped anywhere, or with one header value (the meta and
-    the array manifest included) deleted or replaced by another JSON value
-    under a correct header length."""
-    how = draw(st.sampled_from(["truncate", "flip", "header"]))
+    """A saved checkpoint's bytes, damaged one of four ways: cut short, with
+    a few bits flipped anywhere, with one header value (the meta and the
+    array manifest included) deleted or replaced by another JSON value, or
+    with one integer of the meta (a size, a count or a seed) replaced by
+    another integer, small, negative or huge. Header edits keep a correct
+    header length."""
+    how = draw(st.sampled_from(["truncate", "flip", "header", "meta-int"]))
     if how == "truncate":
         return raw[: draw(st.integers(0, len(raw) - 1))]
     if how == "flip":
@@ -218,16 +274,21 @@ def checkpoint_mutations(draw, raw: bytes) -> bytes:
     nl = raw.index(b"\n", len(MAGIC))
     end = nl + 1 + int(raw[len(MAGIC) : nl])
     header = json.loads(raw[nl + 1 : end])
-    path = draw(st.sampled_from(list(_json_paths(header))))
+    nodes = list(_json_nodes(header))
+    meta_ints = [path for path, value in nodes if path[:1] == ("meta",) and type(value) is int]
+    if how == "meta-int" and meta_ints:
+        path, delete, value = draw(st.sampled_from(meta_ints)), False, draw(_INTS)
+    else:
+        path, delete, value = draw(st.sampled_from([p for p, _ in nodes])), draw(st.booleans()), draw(_JSON_VALUES)
     if not path:
-        header = draw(_JSON_VALUES)
+        header = value
     else:
         parent = header
         for key in path[:-1]:
             parent = parent[key]
-        if draw(st.booleans()):
+        if delete:
             del parent[path[-1]]
         else:
-            parent[path[-1]] = draw(_JSON_VALUES)
+            parent[path[-1]] = value
     encoded = (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
     return MAGIC + f"{len(encoded)}\n".encode("ascii") + encoded + raw[end:]

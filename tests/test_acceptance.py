@@ -137,7 +137,7 @@ def test_c04_reward_seeking_convergence(bandit_fixture):
     for driver_id, split in splits.items():
         events = trajectories[driver_id].events
         pos = {e.event_id: i for i, e in enumerate(events)}
-        for top in rec.rank(driver_id, events, [pos[e.event_id] for e in split.test], 1):
+        for top in rec.rank([(driver_id, events, [pos[e.event_id] for e in split.test])], 1):
             good += top[0] == "cs0"
             total += 1
     elapsed = time.monotonic() - start

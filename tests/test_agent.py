@@ -3,6 +3,7 @@
 import copy
 from dataclasses import replace
 from datetime import timedelta
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -183,7 +184,7 @@ def test_actor_uniform_with_zero_head():
     model.actor_head.W[:] = 0.0
     model.actor_head.b[:] = 0.0
     e = make_event("e", "d", "cs0", T0)
-    pi = agent.RacRecommender(model, space).probabilities("d", [e], [1])[0]
+    pi = agent.RacRecommender(model, space).probabilities([("d", [e], [1])])[0]
     assert pi == pytest.approx(np.full(4, 0.25), abs=1e-15)
 
 
@@ -191,7 +192,7 @@ def test_actor_output_is_distribution():
     space = _obs_space(8)
     model = agent.RacModel(space.obs_dim, 8, _small_hyper())
     e = make_event("e", "d", "cs3", T0)
-    pi = agent.RacRecommender(model, space).probabilities("d", [e], [1])[0]
+    pi = agent.RacRecommender(model, space).probabilities([("d", [e], [1])])[0]
     assert pi.shape == (8,)
     assert np.all(pi > 0)
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
@@ -428,7 +429,7 @@ def test_actor_stays_valid_distribution_during_training():
     index, env, space, buffer, model, hyper = _training_setup(0.5, epochs=5)
     agent.train_rac(buffer, model, env, hyper)
     e = make_event("e", "driver-0", "cs0", T0)
-    pi = agent.RacRecommender(model, space).probabilities("driver-0", [e], [1])[0]
+    pi = agent.RacRecommender(model, space).probabilities([("driver-0", [e], [1])])[0]
     assert np.all(np.isfinite(pi))
     assert pi.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -670,8 +671,8 @@ def test_recommend_ranks_like_rac_recommender():
     events = pattern_events("d1", ["cs0", "cs2", "cs1", "cs2"], 12)
     for j in range(1, len(events) + 1):
         items = agent.recommend(model, space, env, "d1", events[:j], 3)
-        assert [i.station_id for i in items] == rec.rank("d1", events, [j], 3)[0]
-        p = rec.probabilities("d1", events, [j])[0]
+        assert [i.station_id for i in items] == rec.rank([("d1", events, [j])], 3)[0]
+        p = rec.probabilities([("d1", events, [j])])[0]
         assert [i.prob for i in items] == [float(p[index.index_of(i.station_id)]) for i in items]
 
 
@@ -681,8 +682,8 @@ def test_recommend_serves_a_baseline():
     index, env, space, _, history = _recommend_setup()
     mc = MarkovRecommender(index.order).fit({"d1": history})
     items = agent.recommend(mc, space, env, "d1", history, 2)
-    assert [i.station_id for i in items] == mc.rank("d1", history, [len(history)], 2)[0]
-    assert items[0].prob == mc.probabilities("d1", history, [len(history)])[0][index.index_of(items[0].station_id)]
+    assert [i.station_id for i in items] == mc.rank([("d1", history, [len(history)])], 2)[0]
+    assert items[0].prob == mc.probabilities([("d1", history, [len(history)])])[0][index.index_of(items[0].station_id)]
 
 
 # Per-event forms of every recommender, as each scored one history before
@@ -737,9 +738,10 @@ def _random_events(rng, driver_id, stations, n):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_batched_probabilities_match_per_event_oracle(data):
-    """One forward over a driver's cut points gives the per-event rankings,
-    with RAC probabilities within 1e-15 (a batched forward rounds differently
-    from B=1) and the baselines' rows bitwise equal."""
+    """One call over several drivers' requests gives the per-event rows, in
+    request order: RAC probabilities within 1e-15 (a batched forward rounds
+    differently from B=1), whatever the forward's chunk length, and the
+    baselines' rows bitwise equal."""
     from evrac.baselines import FpmcHyper, FpmcRecommender, MarkovRecommender, PopularityRecommender, _rank_row
 
     m = data.draw(st.integers(1, 50), label="m")
@@ -748,29 +750,36 @@ def test_batched_probabilities_match_per_event_oracle(data):
     stations = [f"cs{i:02d}" for i in range(m)]
     space = agent.ObservationSpace(make_stations(stations, spacing_km=1.5), 60.0, 20.0, k)
     train = {f"d{d}": _random_events(rng, f"d{d}", stations, int(rng.integers(2, 12))) for d in range(3)}
-    driver = data.draw(st.sampled_from(["d0", "d1", "d2", "stranger"]), label="driver")
-    events = _random_events(rng, driver, stations, data.draw(st.integers(0, 25), label="n"))
-    cuts = data.draw(st.lists(st.integers(0, len(events)), min_size=1, max_size=12), label="cuts")
+    requests = []
+    for _ in range(data.draw(st.integers(1, 4), label="requests")):
+        driver = data.draw(st.sampled_from(["d0", "d1", "d2", "stranger"]), label="driver")
+        events = _random_events(rng, driver, stations, data.draw(st.integers(0, 25), label="n"))
+        cuts = data.draw(st.lists(st.integers(0, len(events)), min_size=1, max_size=12), label="cuts")
+        requests.append((driver, events, cuts))
 
     model = agent.RacModel(space.obs_dim, m, _small_hyper(history=k, seed=int(rng.integers(1000))))
     rac = agent.RacRecommender(model, space)
-    want = np.stack([_per_event_rac(model, space, events[:j]) for j in cuts])
-    got = rac.probabilities(driver, events, cuts)
-    assert got.shape == (len(cuts), m)
+    want = np.stack([_per_event_rac(model, space, events[:j]) for _, events, cuts in requests for j in cuts])
+    chunk = data.draw(st.sampled_from([1, 2, 3, 7, agent.INFERENCE_ROWS]), label="chunk")
+    with patch.object(agent, "INFERENCE_ROWS", chunk):
+        got = rac.probabilities(requests)
+        ranked = rac.rank(requests, m)
+    assert got.shape == (len(want), m)
     assert np.abs(got - want).max() <= 1e-15
-    assert rac.rank(driver, events, cuts, m) == [_rank_row(row, stations, m) for row in want]
+    assert ranked == [_rank_row(row, stations, m) for row in want]
 
     # The baselines also see previous stations they do not know.
-    seen = [replace(e, station_id="elsewhere") if rng.random() < 0.2 else e for e in events]
+    seen = [(driver, [replace(e, station_id="elsewhere") if rng.random() < 0.2 else e for e in events], cuts)
+            for driver, events, cuts in requests]
     baselines = [
         (MarkovRecommender(stations).fit(train), _per_event_mc),
         (FpmcRecommender(stations, FpmcHyper(factors=4, epochs=2, seed=1)).fit(train), _per_event_fpmc),
         (PopularityRecommender(stations).fit(train), _per_event_popularity),
     ]
     for baseline, per_event in baselines:
-        want = np.stack([per_event(baseline, driver, seen[:j]) for j in cuts])
-        assert np.array_equal(baseline.probabilities(driver, seen, cuts), want), type(baseline).__name__
-        assert baseline.rank(driver, seen, cuts, m) == [_rank_row(row, stations, m) for row in want]
+        want = np.stack([per_event(baseline, driver, events[:j]) for driver, events, cuts in seen for j in cuts])
+        assert np.array_equal(baseline.probabilities(seen), want), type(baseline).__name__
+        assert baseline.rank(seen, m) == [_rank_row(row, stations, m) for row in want]
 
 
 def test_val_p1_equals_evaluate_precision_at_1():

@@ -119,21 +119,21 @@ def test_mc_predict_top1():
     model = MarkovRecommender(["cs0", "cs1", "cs2"])
     model.per_driver["d"] = np.array([[0.1, 0.6, 0.3]] * 3)
     history = _events_from_sequence("d", ["cs0"])
-    assert model.rank("d", history, [1], 1) == [["cs1"]]
-    assert model.rank("d", history, [1], 3) == [["cs1", "cs2", "cs0"]]
+    assert model.rank([("d", history, [1])], 1) == [["cs1"]]
+    assert model.rank([("d", history, [1])], 3) == [["cs1", "cs2", "cs0"]]
 
 
 def test_mc_predict_tie_breaks_by_station_id():
     model = MarkovRecommender(["cs0", "cs1", "cs2"])
     model.per_driver["d"] = np.full((3, 3), 1 / 3)
-    assert model.rank("d", _events_from_sequence("d", ["cs2"]), [1], 1) == [["cs0"]]
+    assert model.rank([("d", _events_from_sequence("d", ["cs2"]), [1])], 1) == [["cs0"]]
 
 
 def test_mc_unknown_last_station_uniform_fallback():
     model = MarkovRecommender(["cs0", "cs1"]).fit(
         {"d": _events_from_sequence("d", ["cs0", "cs1", "cs0"])}
     )
-    row = model.probabilities("d", _events_from_sequence("d", ["unknown-station"]), [1])[0]
+    row = model.probabilities([("d", _events_from_sequence("d", ["unknown-station"]), [1])])[0]
     assert row == pytest.approx([0.5, 0.5])
 
 
@@ -141,7 +141,7 @@ def test_mc_unknown_driver_uses_global():
     model = MarkovRecommender(["cs0", "cs1"]).fit(
         {"d": _events_from_sequence("d", ["cs0", "cs1", "cs0", "cs1"])}
     )
-    row = model.probabilities("stranger", _events_from_sequence("stranger", ["cs0"]), [1])[0]
+    row = model.probabilities([("stranger", _events_from_sequence("stranger", ["cs0"]), [1])])[0]
     assert row == pytest.approx(model.global_matrix[0])
 
 
@@ -157,11 +157,11 @@ def test_fpmc_hand_fixed_factors_score():
     model.LI = np.array([[3.0], [0.0]])
     model.IL = np.array([[0.25], [0.75]])
     history = _events_from_sequence("d", ["cs0"])
-    probs = model.probabilities("d", history, [1])[0]
+    probs = model.probabilities([("d", history, [1])])[0]
     # <U_d, V_i> + <L_cs0, W_i> = 2*0.5 + 3*0.25 and 2*1.5 + 3*0.75
     assert probs == pytest.approx(softmax(np.array([1.75, 5.25])))
     # ranked by softmax(scores): same order as the scores
-    assert model.rank("d", history, [1], 2) == [["cs1", "cs0"]]
+    assert model.rank([("d", history, [1])], 2) == [["cs1", "cs0"]]
 
 
 def test_fpmc_deterministic_for_seed():
@@ -190,7 +190,7 @@ def test_fpmc_learns_deterministic_cycle():
     for d in range(4):
         for last, expected in (("cs0", "cs1"), ("cs1", "cs0")):
             hist = _events_from_sequence(f"d{d}", [last])
-            hits += model.rank(f"d{d}", hist, [1], 1)[0][0] == expected
+            hits += model.rank([(f"d{d}", hist, [1])], 1)[0][0] == expected
             total += 1
     assert hits / total >= 0.9
 
@@ -203,7 +203,7 @@ def test_fpmc_empty_train_errors():
 def test_fpmc_unknown_driver_ranks_by_transition_only():
     train = {"d": _events_from_sequence("d", ["cs0", "cs1"] * 8)}
     model = FpmcRecommender(["cs0", "cs1"], FpmcHyper(factors=4, epochs=30, seed=1)).fit(train)
-    [ranked] = model.rank("stranger", _events_from_sequence("stranger", ["cs0"]), [1], 2)
+    [ranked] = model.rank([("stranger", _events_from_sequence("stranger", ["cs0"]), [1])], 2)
     assert set(ranked) == {"cs0", "cs1"}
 
 
@@ -217,13 +217,13 @@ def test_popularity_per_driver_counts():
         "d2": _events_from_sequence("d2", ["cs2"] * 5),
     }
     model = PopularityRecommender(["cs0", "cs1", "cs2"]).fit(train)
-    assert model.rank("d1", [], [0], 1) == [["cs1"]]
-    assert model.rank("d2", [], [0], 1) == [["cs2"]]
+    assert model.rank([("d1", [], [0])], 1) == [["cs1"]]
+    assert model.rank([("d2", [], [0])], 1) == [["cs2"]]
     # unknown driver: global counts (cs2 dominates)
-    assert model.rank("nobody", [], [0], 1) == [["cs2"]]
+    assert model.rank([("nobody", [], [0])], 1) == [["cs2"]]
 
 
 def test_popularity_empty_model_uniform():
     model = PopularityRecommender(["cs0", "cs1"])
-    assert model.probabilities("x", [], [0])[0] == pytest.approx([0.5, 0.5])
-    assert model.rank("x", [], [0], 2) == [["cs0", "cs1"]]
+    assert model.probabilities([("x", [], [0])])[0] == pytest.approx([0.5, 0.5])
+    assert model.rank([("x", [], [0])], 2) == [["cs0", "cs1"]]

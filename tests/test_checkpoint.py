@@ -149,18 +149,36 @@ def test_reward_net_rejects_non_finite_weights(tmp_path):
         ckpt.load_reward_net(path)
 
 
+def _edited(raw: bytes, mutate) -> bytes:
+    """A saved checkpoint's bytes with its header replaced by mutate(header)."""
+    nl = raw.index(b"\n", len(ckpt.MAGIC))
+    end = nl + 1 + int(raw[len(ckpt.MAGIC) : nl])
+    header = mutate(json.loads(raw[nl + 1 : end]))
+    encoded = (json.dumps(header, sort_keys=True) + "\n").encode()
+    return ckpt.MAGIC + f"{len(encoded)}\n".encode() + encoded + raw[end:]
+
+
+def _set(*keys_and_value):
+    """A header edit that sets header[k0][k1]...[kn] to the last argument."""
+    *keys, value = keys_and_value
+
+    def mutate(header):
+        node = header
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return header
+
+    return mutate
+
+
 def test_reward_net_meta_must_match_arrays(tmp_path):
     """A meta size the arrays do not have is rejected before any net is
     built, however large."""
     path = tmp_path / "reward.ckpt"
     raw = _saved_reward_net(path)
-    nl = raw.index(b"\n", len(ckpt.MAGIC))
-    end = nl + 1 + int(raw[len(ckpt.MAGIC) : nl])
     for key, value in [("hidden", 2**40), ("input_dim", 2**40), ("layers", 2**40), ("layers", 3)]:
-        header = json.loads(raw[nl + 1 : end])
-        header["meta"][key] = value
-        encoded = (json.dumps(header, sort_keys=True) + "\n").encode()
-        path.write_bytes(ckpt.MAGIC + f"{len(encoded)}\n".encode() + encoded + raw[end:])
+        path.write_bytes(_edited(raw, _set("meta", key, value)))
         with pytest.raises(DataFormatError):
             ckpt.load_reward_net(path)
 
@@ -189,6 +207,65 @@ def _train_events():
     }
 
 
+def _saved_rac_model(path) -> bytes:
+    ckpt.save_rac_model(RacModel(20, 3, RacHyper(hidden=6, embed=4, critic_hidden=4, layers=2, seed=5)), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("edit", [
+    _set("meta", "obs_dim", 2**40), _set("meta", "num_stations", 2**40),
+    _set("meta", "hyper", "hidden", 2**40), _set("meta", "hyper", "embed", 2**40),
+    _set("meta", "hyper", "critic_hidden", 2**40), _set("meta", "hyper", "layers", 2**40),
+    _set("meta", "hyper", "layers", 3), _set("meta", "obs_dim", 21),
+], ids=["obs_dim-huge", "num_stations-huge", "hidden-huge", "embed-huge", "critic_hidden-huge",
+        "layers-huge", "layers-one-more", "obs_dim-one-more"])
+def test_rac_model_meta_must_match_arrays(tmp_path, edit):
+    """As for the forecaster: a meta or hyper size the arrays do not have is
+    a DataFormatError before any model is built, however large (before, a
+    huge one escaped as numpy's MemoryError)."""
+    path = tmp_path / "rac.ckpt"
+    path.write_bytes(_edited(_saved_rac_model(path), edit))
+    with pytest.raises(DataFormatError):
+        ckpt.load_rac_model(path)
+
+
+def _saved_baseline(path, kind: str) -> bytes:
+    build = {
+        "mc": lambda: MarkovRecommender(["cs0", "cs1"]).fit(_train_events()),
+        "fpmc": lambda: FpmcRecommender(["cs0", "cs1"], FpmcHyper(factors=3, epochs=2)).fit(_train_events()),
+        "popularity": lambda: PopularityRecommender(["cs0", "cs1"]).fit(_train_events()),
+    }[kind]
+    ckpt.save_baseline(build(), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("factors", [-1, 0, 4, 2**40])
+def test_fpmc_factors_must_match_arrays(tmp_path, factors):
+    """The FPMC arrays are checked against the meta's factor count before the
+    model is built: before, -1 escaped as numpy's ValueError and 2**40 as
+    MemoryError."""
+    path = tmp_path / "fpmc.ckpt"
+    path.write_bytes(_edited(_saved_baseline(path, "fpmc"), _set("meta", "hyper", "factors", factors)))
+    with pytest.raises(DataFormatError, match="expected"):
+        ckpt.load_baseline(path)
+
+
+@pytest.mark.parametrize("kind", ["rac", "mc", "fpmc", "popularity"])
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_model_checkpoint_loaders_raise_only_package_errors(tmp_path, kind, data):
+    """Truncations, bit flips and header or manifest edits of a saved RAC
+    model or baseline either load or raise an `EvracError`; nothing else
+    escapes."""
+    path = tmp_path / f"{kind}.ckpt"
+    raw = _saved_rac_model(path) if kind == "rac" else _saved_baseline(path, kind)
+    path.write_bytes(data.draw(checkpoint_mutations(raw)))
+    try:
+        (ckpt.load_rac_model if kind == "rac" else ckpt.load_baseline)(path)
+    except EvracError:
+        pass
+
+
 @pytest.mark.parametrize("build", [
     lambda: MarkovRecommender(["cs0", "cs1"]).fit(_train_events()),
     lambda: FpmcRecommender(["cs0", "cs1"], FpmcHyper(factors=3, epochs=5)).fit(_train_events()),
@@ -201,5 +278,5 @@ def test_baseline_roundtrip_preserves_ranking(tmp_path, build):
     loaded, _ = ckpt.load_baseline(path)
     history = _train_events()["d1"]
     cuts = list(range(len(history) + 1))
-    assert loaded.rank("d1", history, cuts, 2) == model.rank("d1", history, cuts, 2)
-    assert loaded.probabilities("d1", history, cuts) == pytest.approx(model.probabilities("d1", history, cuts))
+    assert loaded.rank([("d1", history, cuts)], 2) == model.rank([("d1", history, cuts)], 2)
+    assert loaded.probabilities([("d1", history, cuts)]) == pytest.approx(model.probabilities([("d1", history, cuts)]))

@@ -523,8 +523,11 @@ def _hyper(header, key, value):
     (lambda h: _with(h, "meta", _drop(h["meta"], "obs_dim")), "DataFormatError"),
     (lambda h: _with(h, "arrays", [_drop(e, "shape") for e in h["arrays"]]), "DataFormatError"),
     (lambda h: _with(h, "meta", _with(h["meta"], "critic_updates", "x")), "DataFormatError"),
+    (lambda h: _with(h, "meta", _with(h["meta"], "obs_dim", 2**40)), "DataFormatError"),
+    (lambda h: _hyper(h, "hidden", 2**40), "DataFormatError"),
 ], ids=["hyper-unknown-key", "hyper-hidden-string", "hyper-hidden-zero", "hyper-list",
-        "header-list", "no-meta", "no-obs-dim", "manifest-no-shape", "critic-updates-string"])
+        "header-list", "no-meta", "no-obs-dim", "manifest-no-shape", "critic-updates-string",
+        "obs-dim-huge", "hyper-hidden-huge"])
 def test_eval_rejects_malformed_rac_checkpoint(synth, capsys, mutate, error):
     tmp_path, config = synth
     ckpt = tmp_path / "rac.ckpt"
@@ -546,7 +549,7 @@ def test_reward_and_fpmc_hypers_are_checked_on_load(synth, capsys):
     _rewrite_header(reward, lambda h: _hyper(h, "window", 0))
     assert main(["eval", "--config", str(config), "--model", str(fpmc), "--reward", str(reward),
                  "--k", "1"]) == 4
-    _assert_one_json_error(capsys, "ConfigError")
+    assert str(reward) in _assert_one_json_error(capsys, "ConfigError")["message"]
 
     _rewrite_header(fpmc, lambda h: _hyper(h, "factors", "16"))
     assert main(["eval", "--config", str(config), "--model", str(fpmc), "--k", "1"]) == 4
@@ -590,9 +593,12 @@ def _first_driver(header):
     ("popularity", lambda h: _array(h, "global", shape=_shape(h, "global") + [1])),
     ("mc", lambda h: _array(h, "global", shape=[2**62, 4])),
     ("mc", lambda h: _array(h, "global", shape=[2**70, 0])),
+    ("fpmc", lambda h: _hyper(h, "factors", -1)),
+    ("fpmc", lambda h: _hyper(h, "factors", 2**40)),
 ], ids=["mc-no-lam", "mc-lam-string", "mc-no-stations", "mc-no-station", "mc-no-global",
         "mc-driver-shape", "fpmc-no-drivers", "fpmc-stations-string", "fpmc-no-IU", "fpmc-UI-shape",
-        "popularity-int-stations", "popularity-global-shape", "mc-size-wraps-int64", "mc-huge-empty-shape"])
+        "popularity-int-stations", "popularity-global-shape", "mc-size-wraps-int64", "mc-huge-empty-shape",
+        "fpmc-factors-negative", "fpmc-factors-huge"])
 def test_eval_rejects_malformed_baseline_checkpoint(synth, capsys, kind, mutate):
     tmp_path, config = synth
     ckpt = tmp_path / f"{kind}.ckpt"

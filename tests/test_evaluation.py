@@ -1,15 +1,26 @@
 """Metrics, the evaluation harness, sweeps and case studies."""
 
 import json
+from datetime import timedelta
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import constant_reward_env, make_stations, pattern_events, split_population
+from conftest import (
+    T0,
+    constant_reward_env,
+    make_event,
+    make_stations,
+    pattern_events,
+    reference_evaluate,
+    split_population,
+)
 from evrac import evaluation as ev
 from evrac import reward as rw
+from evrac.agent import ObservationSpace, RacHyper, RacModel, RacRecommender
+from evrac.baselines import MarkovRecommender
 from evrac.errors import UsageError
 from evrac.seeding import rng_for
 
@@ -121,8 +132,8 @@ class ScriptedRecommender:
     def __init__(self, ranking):
         self.ranking = ranking
 
-    def rank(self, driver_id, events, cuts, k):
-        return [self.ranking[:k] for _ in cuts]
+    def rank(self, requests, k):
+        return [self.ranking[:k] for _, _, cuts in requests for _ in cuts]
 
 
 def _population():
@@ -159,8 +170,8 @@ def test_mar_mean_of_two_rewards():
     env = constant_reward_env(index, {"cs0": 10.0, "cs1": 30.0})
 
     class PerDriverScripted:
-        def rank(self, driver_id, events, cuts, k):
-            return [["cs0", "cs1"] if driver_id == "d1" else ["cs1", "cs0"] for _ in cuts]
+        def rank(self, requests, k):
+            return [["cs0", "cs1"] if driver_id == "d1" else ["cs1", "cs0"] for driver_id, _, cuts in requests for _ in cuts]
 
     report = ev.evaluate(PerDriverScripted(), trajectories, splits, env, ks=(1,))
     assert report.mar == pytest.approx((-100.0 + -300.0) / 2)
@@ -177,8 +188,8 @@ def test_evaluate_counts_clamped_and_fallback_events():
     env = rw.RewardEnvironment(index, rw.NetWaitForecaster(net, rw.build_wait_series(events), index, 5), {})
 
     class PerDriverScripted:
-        def rank(self, driver_id, events, cuts, k):
-            return [["cs0"] if driver_id == "d1" else ["cs2"] for _ in cuts]
+        def rank(self, requests, k):
+            return [["cs0"] if driver_id == "d1" else ["cs2"] for driver_id, _, cuts in requests for _ in cuts]
 
     report = ev.evaluate(PerDriverScripted(), trajectories, splits, env, ks=(1,))
     assert (report.clamped_events, report.fallback_events) == (1, 1)
@@ -225,6 +236,110 @@ def test_report_writers(tmp_path):
     assert lines[0] == "driver_id,metric,value"
     assert any(line.startswith("AGGREGATE,p@1,") for line in lines)
     assert any(line.startswith("d1,mar,") for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# One pass over every driver, against the per-driver oracle
+# ---------------------------------------------------------------------------
+
+class _Recording:
+    """Passes `rank` or `breakdowns` calls to `inner` and logs what they
+    return: the rankings, the priced rewards and the number of calls."""
+
+    def __init__(self, inner, log):
+        self.inner, self.log = inner, log
+
+    def rank(self, requests, k):
+        self.log["rank_calls"] += 1
+        out = self.inner.rank(requests, k)
+        self.log["rankings"].extend(out)
+        return out
+
+    def breakdowns(self, *args):
+        self.log["pricing_calls"] += 1
+        out = self.inner.breakdowns(*args)
+        self.log["rewards"].extend(out.reward.tolist())
+        return out
+
+
+@pytest.fixture(scope="module")
+def chunked_city():
+    """60 drivers x 100 events over 8 stations: more test cuts than one
+    `CHUNK_ROWS` chunk (and so than one `INFERENCE_ROWS` pass), so the
+    one-pass RAC forward and the pricing call of the forecaster both run
+    over several passes."""
+    rng = np.random.default_rng(12)
+    stations = [f"cs{i}" for i in range(8)]
+    index = make_stations(stations, spacing_km=1.5, mean_wait=10.0, mean_dist=1.0)
+    events = []
+    for d in range(60):
+        hours = np.cumsum(rng.integers(1, 30, 100))
+        events += [make_event(f"d{d:02d}-{i:03d}", f"d{d:02d}", stations[int(rng.integers(8))],
+                              T0 + timedelta(hours=int(h)), duration=float(rng.uniform(1.0, 60.0)))
+                   for i, h in enumerate(hours)]
+    trajectories, splits, _ = split_population(events)
+    assert sum(len(ev.cut_points(trajectories[d], s.test)) for d, s in splits.items()) > rw.CHUNK_ROWS
+    space = ObservationSpace(index, 60.0, 10.0, 3)
+    hyper = RacHyper(hidden=10, embed=8, critic_hidden=8, history=3, seed=4)
+    train = {d: s.train for d, s in splits.items()}
+    recommenders = {
+        "rac": RacRecommender(RacModel(space.obs_dim, 8, hyper), space),
+        "mc": MarkovRecommender(stations).fit(train),
+    }
+    models = {d: RacRecommender(RacModel(space.obs_dim, 8, hyper, seed=i), space) for i, d in enumerate(sorted(splits))}
+    net = rw.WaitForecastNet(rw.reward_net_input_dim(index), 4, 1, rng_for(0, "one-pass"))
+    familiarity = rw.most_visited(e for s in splits.values() for e in s.train)
+    envs = {
+        "none": None,
+        "means": rw.RewardEnvironment(index, rw.MeanWaitForecaster(index), familiarity),
+        "net": rw.RewardEnvironment(index, rw.NetWaitForecaster(net, rw.build_wait_series(events), index, 3),
+                                    familiarity),
+    }
+    return trajectories, splits, recommenders, models, envs
+
+
+def _recorded_run(evaluate, chunked_city, kind, env_name):
+    trajectories, splits, recommenders, models, envs = chunked_city
+    log = {"rank_calls": 0, "pricing_calls": 0, "rankings": [], "rewards": []}
+    env = envs[env_name] and _Recording(envs[env_name], log)
+    if kind == "per-driver":
+        report = evaluate(None, trajectories, splits, env, ks=(1, 3), models={d: _Recording(m, log) for d, m in models.items()})
+    else:
+        report = evaluate(_Recording(recommenders[kind], log), trajectories, splits, env, ks=(1, 3))
+    return report, log
+
+
+@pytest.mark.parametrize("env_name", ["none", "means", "net"])
+@pytest.mark.parametrize("kind", ["rac", "mc", "per-driver"])
+def test_one_pass_evaluate_matches_per_driver_oracle(chunked_city, kind, env_name):
+    """One `rank` call (one per driver with per-driver models) and one pricing
+    call give the per-driver harness's rankings and counts, its rewards
+    within 4e-15 relative error (a forecaster pass over other rows rounds
+    differently) and, priced by station means or not at all, its report."""
+    got, got_log = _recorded_run(ev.evaluate, chunked_city, kind, env_name)
+    want, want_log = _recorded_run(reference_evaluate, chunked_city, kind, env_name)
+    assert got_log["rank_calls"] == (got.drivers if kind == "per-driver" else 1)
+    assert got_log["pricing_calls"] == (env_name != "none")
+    assert got_log["rankings"] == want_log["rankings"]
+    a, b = np.array(got_log["rewards"]), np.array(want_log["rewards"])
+    assert a.shape == b.shape and np.all(np.abs(a - b) <= 4e-15 * np.abs(b))
+    assert (got.fallback_events, got.clamped_events) == (want.fallback_events, want.clamped_events)
+    assert (got.precision, got.recall, got.events, got.drivers) == (want.precision, want.recall, want.events, want.drivers)
+    if env_name == "net":
+        assert abs(got.mar - want.mar) <= 4e-15 * abs(want.mar)
+    else:
+        assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(want.to_dict(), sort_keys=True)
+
+
+def test_one_pass_rac_probabilities_match_per_driver_rows(chunked_city):
+    """The chunked forward over every driver's cuts gives each driver's rows
+    within 1e-15 of a forward over that driver alone."""
+    trajectories, splits, recommenders, _, _ = chunked_city
+    requests = [(d, trajectories[d].events, ev.cut_points(trajectories[d], s.test)) for d, s in sorted(splits.items())]
+    rac = recommenders["rac"]
+    got = rac.probabilities(requests)
+    want = np.concatenate([rac.probabilities([request]) for request in requests])
+    assert got.shape == want.shape and np.abs(got - want).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------

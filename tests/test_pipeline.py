@@ -105,7 +105,7 @@ def test_train_baseline_kinds(tmp_path):
     bundle = load_data_bundle(Config(events=ev, stations=st, warmup=False))
     for kind in ("mc", "fpmc", "popularity"):
         model = train_baseline_model(bundle, kind)
-        [ranked] = model.rank("d1", bundle.trajectories["d1"].events, [4], 2)
+        [ranked] = model.rank([("d1", bundle.trajectories["d1"].events, [4])], 2)
         assert len(ranked) == 2
     with pytest.raises(Exception):
         train_baseline_model(bundle, "lstm")

@@ -29,7 +29,7 @@ from .baselines import _rank_row
 from .config import RacHyper
 from .dataset import ChargingEvent, DriverTrajectory, Split
 from .errors import ConfigError, TrainingDiverged, UsageError
-from .evaluation import Request, cut_points, precision_at_k
+from .evaluation import Request, check_requests, cut_points, precision_at_k
 from .geospatial import StationIndex
 from .reward import (
     INFERENCE_ROWS,
@@ -55,8 +55,7 @@ class TrajectoryTensors:
 
     driver_id: str
     obs: np.ndarray            # (n, obs_dim)
-    action_idx: np.ndarray     # (n,) station index of each event
-    station_ids: list[str]
+    action_idx: np.ndarray     # (n,) station column of each event
     hours: np.ndarray          # (n,) epoch hour of each event
 
     def __len__(self) -> int:
@@ -111,10 +110,9 @@ class ObservationSpace:
 
     def trajectory_tensors(self, traj: DriverTrajectory) -> TrajectoryTensors:
         obs = self.rows(traj.events, None)
-        ids = [e.station_id for e in traj.events]
-        actions = np.array([self.index.index[sid] for sid in ids], dtype=int)
+        actions = np.array([self.index.index[e.station_id] for e in traj.events], dtype=int)
         hours = np.array([epoch_hour(e.start_time) for e in traj.events], dtype=int)
-        return TrajectoryTensors(traj.driver_id, obs, actions, ids, hours)
+        return TrajectoryTensors(traj.driver_id, obs, actions, hours)
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +316,9 @@ def _onehot_rows(idx: np.ndarray, m: int) -> np.ndarray:
 class Batch:
     windows: list[Window]
     histories: np.ndarray        # (B, k, obs_dim)
-    actions: np.ndarray          # (B,) logged station indices
+    actions: np.ndarray          # (B,) logged station columns
     drivers: list[str]
-    prev_stations: list[str]
-    action_stations: list[str]
+    prev_cols: np.ndarray        # (B,) station column of each step's previous event
     hours: np.ndarray            # (B,)
     terminal: np.ndarray         # (B,) bool, true at each window's last step
 
@@ -333,17 +330,15 @@ def _gather_batch(buffer: ReplayBuffer, windows: list[Window]) -> Batch:
     """Each window's steps in order, so a step's next state is the next row's.
     A window's last step, which may also end its trajectory, is terminal."""
     lags = np.arange(buffer.history)
-    hists, actions, hours = [], [], []
-    drivers, prevs, act_ids = [], [], []
+    hists, actions, prevs, hours, drivers = [], [], [], [], []
     for w in windows:
         t = buffer.trajectories[w.driver_id]
         end = w.start + w.length
         hists.append(buffer.padded_obs[w.driver_id][np.arange(w.start, end)[:, None] + lags])
         actions.append(t.action_idx[w.start : end])
+        prevs.append(t.action_idx[w.start - 1 : end - 1])
         hours.append(t.hours[w.start : end])
         drivers += [t.driver_id] * w.length
-        prevs += t.station_ids[w.start - 1 : end - 1]
-        act_ids += t.station_ids[w.start : end]
     terminal = np.zeros(len(drivers), dtype=bool)
     terminal[np.cumsum([w.length for w in windows]) - 1] = True
     return Batch(
@@ -351,8 +346,7 @@ def _gather_batch(buffer: ReplayBuffer, windows: list[Window]) -> Batch:
         histories=np.concatenate(hists),
         actions=np.concatenate(actions),
         drivers=drivers,
-        prev_stations=prevs,
-        action_stations=act_ids,
+        prev_cols=np.concatenate(prevs),
         hours=np.concatenate(hours),
         terminal=terminal,
     )
@@ -483,7 +477,7 @@ def train_rac(
 
         # External rewards for the logged actions, priced before any
         # td-coupled forecaster update of this epoch.
-        rewards = env.breakdowns(batch.drivers, batch.prev_stations, batch.action_stations, batch.hours).reward
+        rewards = env.breakdowns(batch.drivers, batch.prev_cols, batch.actions, batch.hours).reward
 
         # TD target: bootstrap with the target critic at the next state (the
         # next row's; a window's masked last row borrows any) and a next
@@ -550,7 +544,7 @@ def _td_couple_reward_net(fc: NetWaitForecaster, batch: Batch, delta: np.ndarray
     logged decisions the forecaster prices from its own lags. Returns the
     update's clip telemetry; with no such decision the gradient is zero and
     no step is taken."""
-    rows, keep = forecast_inputs(fc.series, fc.index, batch.action_stations, batch.hours, fc.k)
+    rows, keep = forecast_inputs(fc.series, fc.index, batch.actions, batch.hours, fc.k)
     if not keep.size:
         return _clip_telemetry("forecaster", 0.0, hyper)
     _, cache = fc.net.forward(rows)
@@ -571,7 +565,8 @@ class Recommendation:
     est_wait_min: float
     est_dist_km: float
     est_reward: float
-    flags: frozenset[str] = frozenset()
+    fallback: bool  # the wait is the station's mean wait
+    clamped: bool   # the wait was a negative forecast, raised to 0
 
 
 def recommend(
@@ -590,19 +585,20 @@ def recommend(
     the decision time used for pricing; defaults to the last event's start time.
     """
     rec = RacRecommender(model, obs_space) if isinstance(model, RacModel) else model
-    stations = obs_space.index.order
-    if k < 1 or k > len(stations):
-        raise UsageError(f"k must be in [1, {len(stations)}]")
+    index = obs_space.index
+    if k < 1 or k > len(index):
+        raise UsageError(f"k must be in [1, {len(index)}]")
     if not history:
         raise UsageError("recommendation needs at least one past event")
     history = sorted(history, key=lambda e: (e.start_time, e.event_id))
     p = rec.probabilities([(driver_id, history, [len(history)])])[0]
     eh = epoch_hour(when or history[-1].start_time)
-    last_station = history[-1].station_id
-    ranked = _rank_row(p, stations, k)
-    priced = env.breakdowns([driver_id] * k, [last_station] * k, ranked, [eh] * k)
-    columns = zip(ranked, priced.wait_forecast.tolist(), priced.dist_km.tolist(), priced.reward.tolist(), priced.flags)
-    return [Recommendation(sid, float(p[obs_space.index.index[sid]]), *priced_row) for sid, *priced_row in columns]
+    ranked = _rank_row(p, index.order, k)
+    cols = np.array([index.index[sid] for sid in ranked], dtype=np.int64)
+    priced = env.breakdowns([driver_id] * k, np.full(k, index.index_of(history[-1].station_id)), cols, np.full(k, eh))
+    columns = zip(ranked, p[cols].tolist(), priced.wait_forecast.tolist(), priced.dist_km.tolist(),
+                  priced.reward.tolist(), priced.fallback.tolist(), priced.clamped.tolist())
+    return [Recommendation(*row) for row in columns]
 
 
 class RacRecommender:
@@ -617,6 +613,7 @@ class RacRecommender:
         cut of 0 (no history). The policy runs over the requests' windows in
         chunks of `INFERENCE_ROWS` cuts, a chunk spanning requests when they
         are short, so only the returned rows grow with the number of cuts."""
+        check_requests(requests)
         rows = [self._chunk_policy(chunk) for chunk in _cut_chunks(requests, INFERENCE_ROWS)]
         return np.concatenate([np.empty((0, self.model.num_stations))] + rows)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import ChargingEvent
 from .errors import UsageError
-from .evaluation import Request
+from .evaluation import Request, check_requests
 from .nn import sigmoid, softmax
 from .seeding import rng_for
 
@@ -42,6 +42,7 @@ class _GatheredRows:
     rows do not depend on which other requests share the call."""
 
     def probabilities(self, requests: Sequence[Request]) -> np.ndarray:
+        check_requests(requests)
         return np.concatenate([np.empty((0, len(self.stations)))] + [self._rows(*request) for request in requests])
 
     def rank(self, requests: Sequence[Request], k: int) -> list[list[str]]:

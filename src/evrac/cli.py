@@ -31,7 +31,7 @@ from .checkpoint import (
 from .config import Config, apply_overrides, load_config
 from .dataset import _parse_timestamp, parse_events, write_events, write_rejects
 from .errors import ConfigError, DataFormatError, DomainError, EvracError, UsageError
-from .evaluation import case_study, epsilon_sweep, write_case_study_csv, write_sweep_csv
+from .evaluation import CASE_STUDY_COLUMNS, SWEEP_COLUMNS, case_study, epsilon_sweep, write_rows_csv
 from .gradcheck import TOLERANCE, run_gradcheck
 from .pipeline import (
     evaluate_recommender,
@@ -277,7 +277,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     bundle = load_data_bundle(config)
     run = sweep_runner(bundle, _load_reward(args))
     rows = epsilon_sweep(run, _parse_floats(args.grid, "--grid"))
-    write_sweep_csv(rows, args.out)
+    write_rows_csv(rows, SWEEP_COLUMNS, args.out)
     _emit({"out": str(args.out), "rows": rows})
     return 0
 
@@ -288,7 +288,7 @@ def cmd_case_study(args: argparse.Namespace) -> int:
     run = sweep_runner(bundle, _load_reward(args))
     drivers = [d for d in args.drivers.split(",") if d]
     rows = case_study(run, drivers, _parse_floats(args.epsilons, "--epsilons"))
-    write_case_study_csv(rows, args.out)
+    write_rows_csv(rows, CASE_STUDY_COLUMNS, args.out)
     _emit({"out": str(args.out), "rows": rows})
     return 0
 

@@ -8,12 +8,12 @@ import hashlib
 import logging
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .errors import ConfigError, DataFormatError, DomainError, UsageError
+from .errors import DataFormatError, DomainError, UsageError
 
 logger = logging.getLogger(__name__)
 
@@ -68,15 +68,10 @@ class DriverTrajectory:
         return len(self.events)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_frac: float = 0.8
-    val_frac: float = 0.1
-    test_frac: float = 0.1
-
-    def __post_init__(self):
-        if abs(self.train_frac + self.val_frac + self.test_frac - 1.0) > 1e-12:
-            raise ConfigError("split fractions must sum to 1")
+# Chronological split: the first 80% of a driver's events train, the next 10%
+# validate and the rest test.
+TRAIN_FRAC = 0.8
+VAL_FRAC = 0.1
 
 
 @dataclass
@@ -291,33 +286,31 @@ def build_trajectories(events: Iterable[ChargingEvent]) -> dict[str, DriverTraje
     return out
 
 
-def chronological_split(traj: DriverTrajectory, spec: SplitSpec = SplitSpec()) -> Split:
+def chronological_split(traj: DriverTrajectory) -> Split:
     """Order-preserving train/val/test segments.
 
-    train = first floor(train_frac*n), val = next max(1, floor(val_frac*n)),
+    train = first floor(TRAIN_FRAC*n), val = next max(1, floor(VAL_FRAC*n)),
     test = remainder; train is reduced when the floors would leave the test
     segment empty, so all three segments are non-empty for n >= 3.
     """
     n = len(traj)
     if n < 3:
         raise DomainError(f"driver {traj.driver_id}: {n} events is too few to split")
-    n_train = math.floor(spec.train_frac * n)
-    n_val = max(1, math.floor(spec.val_frac * n))
+    n_train = math.floor(TRAIN_FRAC * n)
+    n_val = max(1, math.floor(VAL_FRAC * n))
     if n_train + n_val >= n:
         n_train = n - n_val - 1
     ev = traj.events
     return Split(ev[:n_train], ev[n_train : n_train + n_val], ev[n_train + n_val :])
 
 
-def split_all(
-    trajectories: dict[str, DriverTrajectory], spec: SplitSpec = SplitSpec()
-) -> tuple[dict[str, Split], list[str]]:
+def split_all(trajectories: dict[str, DriverTrajectory]) -> tuple[dict[str, Split], list[str]]:
     """Split every driver; returns (splits, excluded driver ids)."""
     splits: dict[str, Split] = {}
     excluded: list[str] = []
     for driver_id, traj in trajectories.items():
         try:
-            splits[driver_id] = chronological_split(traj, spec)
+            splits[driver_id] = chronological_split(traj)
         except DomainError:
             excluded.append(driver_id)
     if excluded:
@@ -329,50 +322,34 @@ def split_all(
 # Warm-up pool
 # ---------------------------------------------------------------------------
 
+# A driver with more than WARMUP_MIN_EVENTS events gives their earliest
+# max(1, floor(WARMUP_FRAC * n)) events to the pool.
+WARMUP_FRAC = 0.05
+WARMUP_MIN_EVENTS = 10
+WARMUP_SALT = "warmup"
+
+
 def anonymize_driver(driver_id: str, salt: str) -> str:
     return "anon-" + hashlib.sha256(f"{salt}:{driver_id}".encode("utf-8")).hexdigest()[:12]
 
 
-def warmup_pool(
-    trajectories: dict[str, DriverTrajectory],
-    salt: str = "warmup",
-    frac: float = 0.05,
-    min_events: int = 10,
-) -> list[ChargingEvent]:
-    """Earliest max(1, floor(frac*n)) events of each driver with n > min_events.
+def warmup_cut_counts(trajectories: dict[str, DriverTrajectory]) -> dict[str, int]:
+    """How many leading events each driver gives to the warm-up pool."""
+    return {
+        driver_id: max(1, math.floor(WARMUP_FRAC * len(traj))) if len(traj) > WARMUP_MIN_EVENTS else 0
+        for driver_id, traj in trajectories.items()
+    }
+
+
+def warmup_pool(trajectories: dict[str, DriverTrajectory]) -> list[ChargingEvent]:
+    """Each driver's `warmup_cut_counts` leading events, in driver-id order.
 
     Driver identity is replaced by a salted-hash token so the pool can be
     shared without user information.
     """
-    pool: list[ChargingEvent] = []
-    for driver_id in sorted(trajectories):
-        traj = trajectories[driver_id]
-        n = len(traj)
-        if n <= min_events:
-            continue
-        take = max(1, math.floor(frac * n))
-        token = anonymize_driver(driver_id, salt)
-        for e in traj.events[:take]:
-            pool.append(
-                ChargingEvent(
-                    event_id=e.event_id,
-                    driver_id=token,
-                    station_id=e.station_id,
-                    start_time=e.start_time,
-                    duration_min=e.duration_min,
-                    energy_kwh=e.energy_kwh,
-                )
-            )
-    return pool
-
-
-def warmup_cut_counts(
-    trajectories: dict[str, DriverTrajectory], frac: float = 0.05, min_events: int = 10
-) -> dict[str, int]:
-    """How many leading events each driver contributed to the warm-up pool."""
-    out = {}
-    for driver_id, traj in trajectories.items():
-        n = len(traj)
-        out[driver_id] = max(1, math.floor(frac * n)) if n > min_events else 0
-    return out
-
+    cuts = warmup_cut_counts(trajectories)
+    return [
+        replace(e, driver_id=anonymize_driver(driver_id, WARMUP_SALT))
+        for driver_id in sorted(trajectories)
+        for e in trajectories[driver_id].events[: cuts[driver_id]]
+    ]

@@ -35,6 +35,14 @@ logger = logging.getLogger(__name__)
 Request = tuple[str, list[ChargingEvent], Sequence[int]]
 
 
+def check_requests(requests: Sequence[Request]) -> None:
+    """A cut outside [0, len(events)] of its request is a UsageError."""
+    for driver_id, events, cuts in requests:
+        bad = [j for j in cuts if not 0 <= j <= len(events)]
+        if bad:
+            raise UsageError(f"driver {driver_id!r}: cut {bad[0]} outside [0, {len(events)}]")
+
+
 class Recommender(Protocol):
     """`probabilities` scores every station in sorted-id order at each cut of
     each request: one row per cut, the rows of all requests stacked in
@@ -198,10 +206,11 @@ def evaluate(
     truths = [events[j].station_id for _, events, cuts in requests for j in cuts]
     priced = None
     if env is not None and requests:
+        col = env.index.index_of
         priced = env.breakdowns(
             [driver_id for driver_id, _, cuts in requests for _ in cuts],
-            [events[j - 1].station_id for _, events, cuts in requests for j in cuts],
-            [ranked[0] for ranked in rankings],
+            [col(events[j - 1].station_id) for _, events, cuts in requests for j in cuts],
+            [col(ranked[0]) for ranked in rankings],
             [epoch_hour(events[j].start_time) for _, events, cuts in requests for j in cuts],
         )
 
@@ -228,7 +237,6 @@ def evaluate(
             mean_norm_dist=norm_dist,
         )
 
-    flags = priced.flags if priced is not None else []
     return EvalReport(
         ks=list(ks),
         per_driver=per_driver,
@@ -237,8 +245,8 @@ def evaluate(
         mar=float(np.mean(priced.reward)) if priced is not None else float("nan"),
         events=len(truths),
         drivers=len(per_driver),
-        fallback_events=sum("mean_fallback" in f for f in flags),
-        clamped_events=sum("clamped" in f for f in flags),
+        fallback_events=int(priced.fallback.sum()) if priced is not None else 0,
+        clamped_events=int(priced.clamped.sum()) if priced is not None else 0,
         config=dict(config or {}),
     )
 
@@ -247,10 +255,14 @@ def evaluate(
 # Experiments
 # ---------------------------------------------------------------------------
 
+SWEEP_COLUMNS = ("eps", "p1", "r1", "mar")
+CASE_STUDY_COLUMNS = ("driver_id", "eps", "p1", "r1", "mean_norm_wait", "mean_norm_dist")
+
+
 def epsilon_sweep(
     run: Callable[[float], EvalReport], grid: Sequence[float]
 ) -> list[dict]:
-    """Train/evaluate one model per epsilon; rows of (eps, p1, r1, mar)."""
+    """Train/evaluate one model per epsilon; one row of `SWEEP_COLUMNS` each."""
     rows = []
     for eps in grid:
         if not (0.0 <= eps <= 1.0):
@@ -267,21 +279,14 @@ def epsilon_sweep(
     return rows
 
 
-def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["eps", "p1", "r1", "mar"])
-        for row in rows:
-            writer.writerow([row["eps"], repr(row["p1"]), repr(row["r1"]), repr(row["mar"])])
-
-
 def case_study(
     run: Callable[[float], EvalReport],
     driver_ids: Sequence[str],
     eps_values: Sequence[float],
 ) -> list[dict]:
     """Per-driver decomposition across epsilon values: precision/recall plus
-    the mean normalized wait and distance of the top-1 recommendation."""
+    the mean normalized wait and distance of the top-1 recommendation, one
+    row of `CASE_STUDY_COLUMNS` per (epsilon, driver)."""
     rows = []
     for eps in eps_values:
         report = run(float(eps))
@@ -302,18 +307,11 @@ def case_study(
     return rows
 
 
-def write_case_study_csv(rows: list[dict], path: str | Path) -> None:
+def write_rows_csv(rows: list[dict], columns: Sequence[str], path: str | Path) -> None:
+    """A header of `columns`, then each row's values under them: strings as
+    they are, floats as `repr`."""
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["driver_id", "eps", "p1", "r1", "mean_norm_wait", "mean_norm_dist"])
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow(
-                [
-                    row["driver_id"],
-                    row["eps"],
-                    repr(row["p1"]),
-                    repr(row["r1"]),
-                    repr(row["mean_norm_wait"]),
-                    repr(row["mean_norm_dist"]),
-                ]
-            )
+            writer.writerow([v if isinstance(v, str) else repr(v) for v in (row[c] for c in columns)])

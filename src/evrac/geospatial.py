@@ -173,10 +173,13 @@ def load_poi(path: str | Path, station_ids: Sequence[str]) -> dict[str, np.ndarr
 # ---------------------------------------------------------------------------
 
 class StationIndex:
-    """Ordered station set with a distance table, POI features and the location
-    context of an observation.
+    """Ordered station set with a distance table, POI features, reward norms
+    and the location context of an observation.
 
-    Station order is the sorted id list, so indices are deterministic.
+    Station order is the sorted id list, so indices are deterministic. Array
+    code names a station by its column, its position in `order`;
+    `mean_wait` and `mean_dist` hold each column's reward norms, NaN where a
+    norm is unset.
     """
 
     def __init__(self, stations: dict[str, Station]):
@@ -197,6 +200,12 @@ class StationIndex:
         for i, a in enumerate(coords):
             for j in range(i + 1, len(coords)):
                 self.distances[i, j] = self.distances[j, i] = _haversine(*a, *coords[j])
+        self._set_norm_columns()
+
+    def _set_norm_columns(self) -> None:
+        # A float array holds an unset (None) norm as NaN.
+        norms = [(st.mean_wait, st.mean_dist) for st in self.stations.values()]
+        self.mean_wait, self.mean_dist = np.array(norms, dtype=float).T
 
     def __len__(self) -> int:
         return len(self.order)
@@ -240,15 +249,17 @@ class StationIndex:
             sid: replace(st, mean_wait=norms[sid][0], mean_dist=norms[sid][1])
             for sid, st in self.stations.items()
         }
+        out._set_norm_columns()
         return out
 
 
 def station_norms(
     events: Iterable[ChargingEvent],
-    stations: dict[str, Station] | StationIndex,
-    wait_series: dict | None = None,
+    index: StationIndex,
+    series: dict,
 ) -> dict[str, tuple[float, float]]:
-    """Per-station (mean wait, mean arrival distance) from training events.
+    """Per-station (mean wait, mean arrival distance) from training events and
+    their wait series (`reward.build_wait_series(events)`).
 
     Mean wait averages the occupied (positive) hourly wait-proxy buckets; mean
     distance averages the geodesic hop previous->current over observed
@@ -258,11 +269,6 @@ def station_norms(
     events = list(events)
     if not events:
         raise ConfigError("station norms need at least one training event")
-    index = stations if isinstance(stations, StationIndex) else StationIndex(stations)
-
-    from .reward import build_wait_series  # deferred: reward depends on geospatial
-
-    series = wait_series if wait_series is not None else build_wait_series(events)
     wait_means: dict[str, float] = {}
     all_positive: list[float] = []
     for sid in index.order:

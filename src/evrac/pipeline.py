@@ -69,8 +69,8 @@ class DataBundle:
         return {d: s.train for d, s in self.splits.items()}
 
 
-def load_data_bundle(config: Config, events: list[ChargingEvent] | None = None) -> DataBundle:
-    """Build features and splits from the configured files (or given events).
+def load_data_bundle(config: Config) -> DataBundle:
+    """Build features and splits from the configured files.
 
     With warm-up on, each eligible driver's earliest pool slice is moved into
     the anonymized shared pool and the private split covers the remainder.
@@ -78,10 +78,9 @@ def load_data_bundle(config: Config, events: list[ChargingEvent] | None = None) 
     window all come from training data only; drivers too small to split still
     contribute their events to the environment series.
     """
-    if events is None:
-        if not config.events:
-            raise ConfigError("no events file configured")
-        events, _ = parse_events(config.events, "canonical")
+    if not config.events:
+        raise ConfigError("no events file configured")
+    events, _ = parse_events(config.events, "canonical")
     if not events:
         raise ConfigError("no events to work with")
 

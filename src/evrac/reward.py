@@ -19,7 +19,7 @@ import numpy as np
 from . import nn
 from .config import RewardNetHyper
 from .dataset import ChargingEvent
-from .errors import ConfigError, DomainError, UsageError
+from .errors import ConfigError, DomainError
 from .geospatial import StationIndex
 from .seeding import rng_for
 
@@ -148,7 +148,7 @@ def compute_reward(
     scale: float = 100.0,
 ) -> float | np.ndarray:
     """-scale * (wait/mean_wait + zeta * dist/mean_dist), elementwise; <= 0 always."""
-    if np.any(mean_wait <= 0) or np.any(mean_dist <= 0):
+    if not (np.all(mean_wait > 0) and np.all(mean_dist > 0)):
         raise DomainError("reward norms must be positive")
     if np.any(wait_forecast < 0) or np.any(dist_km < 0):
         raise DomainError("wait forecast and distance must be non-negative")
@@ -317,23 +317,26 @@ class ForecastRows:
 def forecast_inputs(
     series: dict[str, WaitSeries],
     index: StationIndex,
-    station_ids: Sequence[str],
+    cols: Sequence[int],
     hours: Sequence[int],
     k: int,
 ) -> tuple[ForecastRows, np.ndarray]:
-    """Forecaster rows for the (station, hour) pairs that have k observable
-    lag hours, and those pairs' positions. Stations must have a positive mean
-    wait."""
+    """Forecaster rows for the (station column, hour) pairs that have k
+    observable lag hours, and those pairs' positions. Stations must have a
+    positive mean wait."""
+    cols = np.asarray(cols, dtype=np.int64)
     hours = np.asarray(hours, dtype=np.int64)
-    first = {sid: series[sid].first_hour for sid in set(station_ids) if sid in series}
-    keep = np.array([i for i, (sid, eh) in enumerate(zip(station_ids, hours.tolist()))
-                     if first.get(sid) is not None and eh - k >= first[sid]], dtype=np.int64)
-    hours = hours[keep]
-    cols = np.array([index.index_of(station_ids[i]) for i in keep], dtype=np.int64)
+    # First observable hour of each station of the call; one without a series never has lags.
+    first = np.full(len(index), np.iinfo(np.int64).max)
+    for c in set(cols.tolist()):
+        s = series.get(index.order[c])
+        if s is not None and s.buckets:
+            first[c] = s.first_hour
+    keep = np.flatnonzero(hours - k >= first[cols])
+    cols, hours = cols[keep], hours[keep]
     lags = np.empty((keep.size, k))
-    for row, (i, eh) in enumerate(zip(keep.tolist(), hours.tolist())):
-        sid = station_ids[i]
-        lags[row] = series[sid].lags(eh, k) / index.stations[sid].mean_wait
+    for row, (c, eh) in enumerate(zip(cols.tolist(), hours.tolist())):
+        lags[row] = series[index.order[c]].lags(eh, k) / index.mean_wait[c]
     return ForecastRows(index, lags, cols, hours), keep
 
 
@@ -360,14 +363,14 @@ def train_reward_net(
     fired.
     """
     k = hyper.window
-    sample_ids: list[str] = []
+    sample_cols: list[int] = []
     sample_hours: list[int] = []
     targets_scaled: list[float] = []
     scales: list[float] = []
     skipped: list[str] = []
-    for sid in index.order:
-        st = index.require(sid)
-        if st.mean_wait is None or st.mean_wait <= 0:
+    for col, sid in enumerate(index.order):
+        mean_wait = float(index.mean_wait[col])
+        if not mean_wait > 0:
             raise ConfigError(f"station {sid} has no positive mean wait; compute norms first")
         s = series.get(sid)
         first = s.first_hour if s is not None else None
@@ -378,17 +381,17 @@ def train_reward_net(
         if first + k > end:
             skipped.append(sid)
             continue
-        for eh in range(first + k, end + 1):
-            sample_ids.append(sid)
-            sample_hours.append(eh)
-            targets_scaled.append(s.value(eh) / st.mean_wait)
-            scales.append(st.mean_wait)
+        hours = range(first + k, end + 1)
+        sample_cols += [col] * len(hours)
+        sample_hours += hours
+        targets_scaled += [s.value(eh) / mean_wait for eh in hours]
+        scales += [mean_wait] * len(hours)
     if skipped:
         logger.warning("reward net: skipped %d stations with <%d hours of history", len(skipped), k + 1)
-    if not sample_ids:
+    if not sample_cols:
         raise ConfigError("no training samples for the reward net")
 
-    rows, _ = forecast_inputs(series, index, sample_ids, sample_hours, k)
+    rows, _ = forecast_inputs(series, index, sample_cols, sample_hours, k)
     ys = np.array(targets_scaled)
     sc = np.array(scales)
     n_val = int(len(ys) * hyper.val_frac)
@@ -435,49 +438,47 @@ def train_reward_net(
     return net, report
 
 
-_NO_FLAGS: frozenset[str] = frozenset()
-_MEAN_FALLBACK = frozenset({"mean_fallback"})
-_CLAMPED = frozenset({"clamped"})
-
-
-def _positive_mean_wait(index: StationIndex, station_id: str) -> float:
-    st = index.require(station_id)
-    if st.mean_wait is None or st.mean_wait <= 0:
-        raise DomainError(f"station {station_id} has no positive mean wait")
-    return st.mean_wait
+def _mean_waits(index: StationIndex, cols: np.ndarray) -> np.ndarray:
+    """The mean wait of each station column; every one must be positive."""
+    means = index.mean_wait[cols]
+    bad = ~(means > 0)
+    if bad.any():
+        raise DomainError(f"station {index.order[cols[bad][0]]} has no positive mean wait")
+    return means
 
 
 def predict_waits(
     net: WaitForecastNet,
     series: dict[str, WaitSeries],
     index: StationIndex,
-    station_ids: Sequence[str],
+    cols: Sequence[int],
     hours: Sequence[int],
     k: int,
-) -> tuple[np.ndarray, list[frozenset[str]]]:
-    """Forecast the wait in minutes for each (station, hour) pair, with one
-    `WaitForecastNet.predict` call over the distinct pairs.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forecast the wait in minutes for each (station column, hour) pair, with
+    one `WaitForecastNet.predict` call over the distinct pairs, and mark the
+    pairs that fell back and those clamped.
 
-    A pair falls back to the station's mean wait (flag "mean_fallback") when
-    fewer than k observable lag hours exist; negative raw outputs are clamped
-    to 0 (flag "clamped"). The distinct pairs are forecast in sorted order,
-    so a pair's value does not depend on the order or repeats of the input.
+    A pair falls back to the station's mean wait when fewer than k observable
+    lag hours exist; a negative raw output is clamped to 0. The distinct
+    pairs are forecast in sorted order, so a pair's value does not depend on
+    the order or repeats of the input.
     """
-    pairs = list(zip(station_ids, (int(h) for h in hours)))
+    pairs = list(zip(np.asarray(cols).tolist(), np.asarray(hours).tolist()))
     distinct = sorted(set(pairs))
-    means = [_positive_mean_wait(index, sid) for sid, _ in distinct]
-    result = {p: (mw, _MEAN_FALLBACK) for p, mw in zip(distinct, means)}
-    rows, keep = forecast_inputs(series, index, [sid for sid, _ in distinct], [eh for _, eh in distinct], k)
+    at = {p: i for i, p in enumerate(distinct)}
+    d_cols = np.array([c for c, _ in distinct], dtype=np.int64)
+    waits = _mean_waits(index, d_cols)
+    fallback = np.ones(len(distinct), dtype=bool)
+    clamped = np.zeros(len(distinct), dtype=bool)
+    rows, keep = forecast_inputs(series, index, d_cols, [eh for _, eh in distinct], k)
     if keep.size:
-        raw = net.predict(rows, INFERENCE_ROWS) * np.array([means[i] for i in keep.tolist()])
-        for i, value in zip(keep.tolist(), raw.tolist()):
-            if value < 0:
-                logger.debug("clamped negative wait forecast %.3f at %s", value, distinct[i][0])
-                result[distinct[i]] = (0.0, _CLAMPED)
-            else:
-                result[distinct[i]] = (value, _NO_FLAGS)
-    out = [result[p] for p in pairs]
-    return np.array([w for w, _ in out], dtype=float), [f for _, f in out]
+        raw = net.predict(rows, INFERENCE_ROWS) * waits[keep]
+        fallback[keep] = False
+        clamped[keep] = raw < 0
+        waits[keep] = np.where(raw < 0, 0.0, raw)
+    pos = np.array([at[p] for p in pairs], dtype=np.int64)
+    return waits[pos], fallback[pos], clamped[pos]
 
 
 def predict_wait(
@@ -488,9 +489,11 @@ def predict_wait(
     eh: int,
     k: int,
 ) -> tuple[float, frozenset[str]]:
-    """`predict_waits` for one (station, hour) pair."""
-    waits, flags = predict_waits(net, series, index, [station_id], [eh], k)
-    return float(waits[0]), flags[0]
+    """`predict_waits` for one (station, hour) pair, with its flags as a set
+    of "mean_fallback" and "clamped"."""
+    waits, fallback, clamped = predict_waits(net, series, index, [index.index_of(station_id)], [eh], k)
+    flags = {"mean_fallback"} if fallback[0] else {"clamped"} if clamped[0] else set()
+    return float(waits[0]), frozenset(flags)
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +502,11 @@ def predict_wait(
 
 class WaitForecaster(Protocol):
     def forecast_batch(
-        self, station_ids: Sequence[str], hours: Sequence[int]
-    ) -> tuple[np.ndarray, list[frozenset[str]]]:
-        """Wait in minutes and flags for each (station, epoch hour) pair."""
+        self, cols: np.ndarray, hours: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Wait in minutes for each (station column, epoch hour) pair, and
+        boolean arrays marking the pairs that fell back to the station's mean
+        wait and those clamped to 0."""
         ...
 
 
@@ -511,22 +516,9 @@ class MeanWaitForecaster:
     def __init__(self, index: StationIndex):
         self.index = index
 
-    def forecast_batch(self, station_ids, hours) -> tuple[np.ndarray, list[frozenset[str]]]:
-        waits = np.array([_positive_mean_wait(self.index, sid) for sid in station_ids], dtype=float)
-        return waits, [_MEAN_FALLBACK] * len(station_ids)
-
-
-class TableWaitForecaster:
-    """Fixed per-station forecasts; handy for tests and what-if runs."""
-
-    def __init__(self, table: dict[str, float]):
-        self.table = dict(table)
-
-    def forecast_batch(self, station_ids, hours) -> tuple[np.ndarray, list[frozenset[str]]]:
-        for sid in station_ids:
-            if sid not in self.table:
-                raise UsageError(f"no tabled wait for station {sid!r}")
-        return np.array([self.table[sid] for sid in station_ids], dtype=float), [_NO_FLAGS] * len(station_ids)
+    def forecast_batch(self, cols, hours) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        waits = _mean_waits(self.index, cols)
+        return waits, np.ones(waits.size, dtype=bool), np.zeros(waits.size, dtype=bool)
 
 
 class NetWaitForecaster:
@@ -538,13 +530,15 @@ class NetWaitForecaster:
         self.index = index
         self.k = k
 
-    def forecast_batch(self, station_ids, hours) -> tuple[np.ndarray, list[frozenset[str]]]:
-        return predict_waits(self.net, self.series, self.index, station_ids, hours, self.k)
+    def forecast_batch(self, cols, hours) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return predict_waits(self.net, self.series, self.index, cols, hours, self.k)
 
 
 @dataclass(frozen=True)
 class RewardBreakdown:
-    """Priced decisions: entry i of every field belongs to decision i."""
+    """Priced decisions: entry i of every field belongs to decision i.
+    `fallback` marks waits that are the station's mean wait, `clamped` those
+    raised from a negative forecast to 0."""
 
     reward: np.ndarray
     wait_forecast: np.ndarray
@@ -552,7 +546,8 @@ class RewardBreakdown:
     mean_wait: np.ndarray
     mean_dist: np.ndarray
     zeta: np.ndarray
-    flags: list[frozenset[str]]
+    fallback: np.ndarray
+    clamped: np.ndarray
 
 
 class RewardEnvironment:
@@ -566,34 +561,26 @@ class RewardEnvironment:
     ):
         self.index = index
         self.forecaster = forecaster
-        self.familiarity = familiarity
-
-    def zeta(self, driver_id: str, station_id: str) -> float:
-        """0.8 for the driver's strictly most-visited station, else 1.0."""
-        if self.familiarity.get(driver_id) == station_id:
-            return ZETA_FAMILIAR
-        return ZETA_DEFAULT
+        # Each driver's strictly most-visited station as a column; -1 for none.
+        self.familiar = {d: -1 if sid is None else index.index.get(sid, -1) for d, sid in familiarity.items()}
 
     def breakdowns(
         self,
         drivers: Sequence[str],
-        prev_stations: Sequence[str | None],
-        action_stations: Sequence[str],
+        prev_cols: Sequence[int],
+        cols: Sequence[int],
         hours: Sequence[int],
     ) -> RewardBreakdown:
-        """Price every (driver, previous station, action, hour) decision, with
-        one forecaster call for the whole batch; no previous station is 0 km."""
-        stations = [self.index.require(sid) for sid in action_stations]
-        for st in stations:
-            if st.mean_wait is None or st.mean_dist is None:
-                raise DomainError(f"station {st.station_id} is missing reward norms")
-        waits, flags = self.forecaster.forecast_batch(action_stations, hours)
-        cols = np.array([self.index.index[sid] for sid in action_stations], dtype=np.int64)
-        rows = np.array([-1 if prev is None else self.index.index_of(prev) for prev in prev_stations],
-                        dtype=np.int64)
-        dists = np.where(rows >= 0, self.index.distances[rows, cols], 0.0)
-        mean_wait = np.array([st.mean_wait for st in stations], dtype=float)
-        mean_dist = np.array([st.mean_dist for st in stations], dtype=float)
-        zeta = np.array([self.zeta(d, sid) for d, sid in zip(drivers, action_stations)], dtype=float)
+        """Price every (driver, previous station column, action column, hour)
+        decision, with one forecaster call for the whole batch. A previous
+        column of -1 means no previous station, 0 km. zeta is 0.8 at the
+        driver's most-visited station, else 1.0."""
+        cols = np.asarray(cols, dtype=np.int64)
+        prev_cols = np.asarray(prev_cols, dtype=np.int64)
+        waits, fallback, clamped = self.forecaster.forecast_batch(cols, hours)
+        dists = np.where(prev_cols >= 0, self.index.distances[prev_cols, cols], 0.0)
+        mean_wait, mean_dist = self.index.mean_wait[cols], self.index.mean_dist[cols]
+        familiar = np.array([self.familiar.get(d, -1) for d in drivers], dtype=np.int64)
+        zeta = np.where(cols == familiar, ZETA_FAMILIAR, ZETA_DEFAULT)
         rewards = compute_reward(waits, dists, mean_wait, mean_dist, zeta, REWARD_SCALE)
-        return RewardBreakdown(rewards, waits, dists, mean_wait, mean_dist, zeta, list(flags))
+        return RewardBreakdown(rewards, waits, dists, mean_wait, mean_dist, zeta, fallback, clamped)

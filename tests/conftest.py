@@ -21,7 +21,6 @@ from evrac.reward import (
     TIME_FEATURE_WIDTH,
     ForecastRows,
     RewardEnvironment,
-    TableWaitForecaster,
     epoch_hour,
     time_features,
 )
@@ -170,13 +169,14 @@ def reference_evaluate(recommender, trajectories, splits, env, ks=(1, 3, 5), con
         all_truth.extend(truths)
         driver_mar = norm_wait = norm_dist = float("nan")
         if env is not None:
-            priced = env.breakdowns([driver_id] * len(rankings), [events[j - 1].station_id for j in cuts],
-                                    [ranked[0] for ranked in rankings], [epoch_hour(e.start_time) for e in scored])
+            col = env.index.index_of
+            priced = env.breakdowns([driver_id] * len(rankings), [col(events[j - 1].station_id) for j in cuts],
+                                    [col(ranked[0]) for ranked in rankings], [epoch_hour(e.start_time) for e in scored])
             driver_mar = float(np.mean(priced.reward))
             norm_wait = float(np.mean(priced.wait_forecast / priced.mean_wait))
             norm_dist = float(np.mean(priced.dist_km / priced.mean_dist))
-            fallback_events += sum("mean_fallback" in f for f in priced.flags)
-            clamped_events += sum("clamped" in f for f in priced.flags)
+            fallback_events += int(priced.fallback.sum())
+            clamped_events += int(priced.clamped.sum())
             mar_values.extend(priced.reward.tolist())
         per_driver[driver_id] = DriverOutcome(
             events=len(truths),
@@ -198,6 +198,17 @@ def reference_evaluate(recommender, trajectories, splits, env, ks=(1, 3, 5), con
     )
 
 
+class TableWaitForecaster:
+    """Fixed per-station forecasts, one for each station of `index`."""
+
+    def __init__(self, index: StationIndex, table: dict[str, float]):
+        self.waits = np.array([table[sid] for sid in index.order], dtype=float)
+
+    def forecast_batch(self, cols, hours):
+        n = len(cols)
+        return self.waits[cols], np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+
+
 def constant_reward_env(
     index: StationIndex,
     waits: dict[str, float],
@@ -205,7 +216,7 @@ def constant_reward_env(
 ) -> RewardEnvironment:
     """Environment whose forecasts are fixed per station, so rewards are exact
     and time-independent."""
-    return RewardEnvironment(index, TableWaitForecaster(waits), familiarity or {})
+    return RewardEnvironment(index, TableWaitForecaster(index, waits), familiarity or {})
 
 
 def split_population(events: list[ChargingEvent]):

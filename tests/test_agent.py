@@ -352,8 +352,7 @@ def _reference_gather(buffer, windows):
         "actions": [int(t.action_idx[j]) for t, _, j in rows],
         "hours": [int(t.hours[j]) for t, _, j in rows],
         "drivers": [t.driver_id for t, _, _ in rows],
-        "prev_stations": [t.station_ids[j - 1] for t, _, j in rows],
-        "action_stations": [t.station_ids[j] for t, _, j in rows],
+        "prev_cols": [int(t.action_idx[j - 1]) for t, _, j in rows],
         "terminal": [j == w.start + w.length - 1 for _, w, j in rows],
     }
 
@@ -369,8 +368,7 @@ def test_gather_batch_matches_per_step_reference(data):
         n = data.draw(st.integers(2, 30), label=f"n_{driver}")
         max_step = data.draw(st.none() | st.integers(2, n + 2), label=f"max_step_{driver}")
         actions = rng.integers(0, 4, n)
-        tensors = agent.TrajectoryTensors(driver, rng.normal(size=(n, 3)), actions,
-                                          [f"cs{a}" for a in actions], rng.integers(400_000, 500_000, n))
+        tensors = agent.TrajectoryTensors(driver, rng.normal(size=(n, 3)), actions, rng.integers(400_000, 500_000, n))
         buffer.add_trajectory(tensors, max_step)
         ends[driver] = min(n if max_step is None else max_step, n) - 1
     windows = data.draw(st.lists(st.sampled_from(buffer.windows), min_size=1, max_size=8), label="windows")
@@ -379,7 +377,7 @@ def test_gather_batch_matches_per_step_reference(data):
     assert batch.windows == windows
     assert batch.histories.shape == want["histories"].shape
     assert np.array_equal(batch.histories, want["histories"])
-    for name in ("actions", "hours", "drivers", "prev_stations", "action_stations", "terminal"):
+    for name in ("actions", "hours", "drivers", "prev_cols", "terminal"):
         assert list(getattr(batch, name)) == want[name], name
     # A trajectory's (or training split's) last decision always ends a window.
     last_steps = [j == ends[w.driver_id] for w in windows for j in range(w.start, w.start + w.length)]
@@ -470,7 +468,7 @@ def test_delta_log_consistency():
     rng_actions = rng_for(hyper.seed, "actions")
     batch = agent._gather_batch(buffer, buffer.sample(rng_buffer, hyper.samples_per_epoch))
     pi, cache = twin.policy(batch.histories)
-    rewards = env.breakdowns(batch.drivers, batch.prev_stations, batch.action_stations, batch.hours).reward
+    rewards = env.breakdowns(batch.drivers, batch.prev_cols, batch.actions, batch.hours).reward
     # The next states in a second encoder pass of their own: step j's next
     # state is the history that includes event j.
     next_histories = np.stack([
@@ -513,8 +511,8 @@ def test_nan_reward_aborts_with_dump():
     index, env, space, buffer, model, hyper = _training_setup(0.5, epochs=2)
 
     class BadForecaster:
-        def forecast_batch(self, station_ids, hours):
-            return np.full(len(station_ids), np.nan), [frozenset()] * len(station_ids)
+        def forecast_batch(self, cols, hours):
+            return np.full(len(cols), np.nan), np.zeros(len(cols), dtype=bool), np.zeros(len(cols), dtype=bool)
 
     env.forecaster = BadForecaster()
     with pytest.raises(TrainingDiverged) as excinfo:
@@ -574,8 +572,7 @@ def test_td_coupled_training():
         if epoch:
             agent.train_rac(buffer, start_model.clone(), _net_env(index, net), replace(hyper, epochs=epoch))
         batch = agent._gather_batch(buffer, buffer.sample(rng_buffer, hyper.samples_per_epoch))
-        priced = _net_env(index, net).breakdowns(batch.drivers, batch.prev_stations, batch.action_stations,
-                                                 batch.hours)
+        priced = _net_env(index, net).breakdowns(batch.drivers, batch.prev_cols, batch.actions, batch.hours)
         assert float(np.mean(priced.reward)) == record["mean_reward"]
 
 

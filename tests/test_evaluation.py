@@ -20,7 +20,7 @@ from conftest import (
 from evrac import evaluation as ev
 from evrac import reward as rw
 from evrac.agent import ObservationSpace, RacHyper, RacModel, RacRecommender
-from evrac.baselines import MarkovRecommender
+from evrac.baselines import FpmcHyper, FpmcRecommender, MarkovRecommender, PopularityRecommender
 from evrac.errors import UsageError
 from evrac.seeding import rng_for
 
@@ -249,6 +249,9 @@ class _Recording:
     def __init__(self, inner, log):
         self.inner, self.log = inner, log
 
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
     def rank(self, requests, k):
         self.log["rank_calls"] += 1
         out = self.inner.rank(requests, k)
@@ -342,6 +345,31 @@ def test_one_pass_rac_probabilities_match_per_driver_rows(chunked_city):
     assert got.shape == want.shape and np.abs(got - want).max() <= 1e-15
 
 
+def _recommender(kind, stations, train):
+    if kind == "rac":
+        space = ObservationSpace(make_stations(stations), 60.0, 10.0, 3)
+        return RacRecommender(RacModel(space.obs_dim, len(stations), RacHyper(hidden=6, embed=4, history=3)), space)
+    if kind == "mc":
+        return MarkovRecommender(stations).fit(train)
+    if kind == "fpmc":
+        return FpmcRecommender(stations, FpmcHyper(factors=2, epochs=2)).fit(train)
+    return PopularityRecommender(stations).fit(train)
+
+
+@pytest.mark.parametrize("cut", [-1, 9, 13])
+@pytest.mark.parametrize("kind", ["rac", "mc", "fpmc", "popularity"])
+def test_cuts_outside_the_events_are_usage_errors(kind, cut):
+    """A cut j conditions on `events[:j]`, so j must lie in [0, len(events)];
+    any other cut is rejected before any row is built."""
+    events = pattern_events("d1", ["cs0", "cs1", "cs2"], 8)
+    rec = _recommender(kind, ["cs0", "cs1", "cs2"], {"d1": events})
+    assert rec.probabilities([("d1", events, [0, 8])]).shape == (2, 3)
+    with pytest.raises(UsageError, match="cut"):
+        rec.probabilities([("d1", events, [3, cut])])
+    with pytest.raises(UsageError, match="cut"):
+        rec.rank([("d1", events, [1]), ("d1", events, [cut])], 1)
+
+
 # ---------------------------------------------------------------------------
 # Sweeps and case studies (stubbed runner: no training here)
 # ---------------------------------------------------------------------------
@@ -364,10 +392,11 @@ def test_epsilon_sweep_shape(tmp_path):
     assert [r["eps"] for r in rows] == grid
     assert set(rows[0]) == {"eps", "p1", "r1", "mar"}
     path = tmp_path / "sweep.csv"
-    ev.write_sweep_csv(rows, path)
+    ev.write_rows_csv(rows, ev.SWEEP_COLUMNS, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "eps,p1,r1,mar"
     assert len(lines) == 4
+    assert path.read_bytes() == b"eps,p1,r1,mar\n0.0,0.0,0.0,-100.0\n0.5,0.5,0.25,-150.0\n1.0,1.0,0.5,-200.0\n"
 
 
 def test_epsilon_sweep_rejects_bad_grid():
@@ -384,8 +413,10 @@ def test_case_study_rows(tmp_path):
     assert len(rows) == 4  # two drivers x two epsilons
     assert {r["eps"] for r in rows} == {0.2, 0.8}
     path = tmp_path / "case.csv"
-    ev.write_case_study_csv(rows, path)
+    ev.write_rows_csv(rows, ev.CASE_STUDY_COLUMNS, path)
     assert path.read_text().startswith("driver_id,eps,p1,r1,mean_norm_wait,mean_norm_dist")
+    assert path.read_bytes().splitlines()[1:] == [b"d1,0.2,0.5,0.5,1.0,0.5", b"d2,0.2,0.5,0.5,1.0,0.5",
+                                                  b"d1,0.8,0.5,0.5,1.0,0.5", b"d2,0.8,0.5,0.5,1.0,0.5"]
 
 
 def test_case_study_unknown_driver():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import T0, km_to_lon_degrees, make_event, make_stations, reference_location_context
 from evrac import geospatial as geo
 from evrac.errors import ConfigError, DataFormatError, DomainError, EvracError, UnknownStationError
+from evrac.reward import build_wait_series
 
 _lat = st.floats(-90, 90)
 _lon = st.floats(-180, 180)
@@ -332,7 +333,7 @@ def test_station_norms_mean_wait():
         make_event("e2", "d1", "cs0", T0 + timedelta(hours=1), duration=20.0),
         make_event("e3", "d1", "cs0", T0 + timedelta(hours=2), duration=30.0),
     ]
-    norms = geo.station_norms(events, index)
+    norms = geo.station_norms(events, index, build_wait_series(events))
     assert norms["cs0"][0] == pytest.approx(20.0)
 
 
@@ -343,7 +344,7 @@ def test_station_norms_two_station_toy_distance():
         events.append(
             make_event(f"e{i}", "d1", "cs0" if i % 2 == 0 else "cs1", T0 + timedelta(hours=i))
         )
-    norms = geo.station_norms(events, index)
+    norms = geo.station_norms(events, index, build_wait_series(events))
     assert norms["cs0"][1] == pytest.approx(4.0, abs=1e-9)
     assert norms["cs1"][1] == pytest.approx(4.0, abs=1e-9)
 
@@ -356,13 +357,13 @@ def test_station_norms_distance_fallback_to_global():
         make_event("a1", "d1", "cs1", T0 + timedelta(hours=1)),
         make_event("b0", "d2", "cs2", T0),
     ]
-    norms = geo.station_norms(events, index)
+    norms = geo.station_norms(events, index, build_wait_series(events))
     assert norms["cs2"][1] == pytest.approx(3.0, abs=1e-9)  # global mean of the one hop
 
 
 def test_station_norms_requires_events():
     with pytest.raises(ConfigError):
-        geo.station_norms([], make_stations(["cs0"]))
+        geo.station_norms([], make_stations(["cs0"]), {})
 
 
 def test_station_norms_train_only_determinism():
@@ -371,8 +372,8 @@ def test_station_norms_train_only_determinism():
         make_event(f"e{i}", "d1", "cs0" if i % 2 == 0 else "cs1", T0 + timedelta(hours=i))
         for i in range(8)
     ]
-    a = geo.station_norms(train, index)
-    b = geo.station_norms(list(train), index)
+    a = geo.station_norms(train, index, build_wait_series(train))
+    b = geo.station_norms(list(train), index, build_wait_series(train))
     assert a == b
 
 

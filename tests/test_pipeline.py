@@ -94,9 +94,9 @@ def test_environments_split_series(tmp_path):
     train_env = training_environment(bundle, None)
     eval_env = evaluation_environment(bundle, None)
     # both price a decision; the mean-wait fallback flags it
-    b = eval_env.breakdowns(["d1"], ["cs0"], ["cs1"], [0])
-    assert "mean_fallback" in b.flags[0]
-    assert train_env.breakdowns(["d1"], ["cs0"], ["cs1"], [0]).reward.tolist() == b.reward.tolist()
+    b = eval_env.breakdowns(["d1"], [0], [1], [0])
+    assert b.fallback.tolist() == [True]
+    assert train_env.breakdowns(["d1"], [0], [1], [0]).reward.tolist() == b.reward.tolist()
 
 
 def test_train_baseline_kinds(tmp_path):

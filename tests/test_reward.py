@@ -10,15 +10,18 @@ from hypothesis import strategies as st
 
 from conftest import (
     T0,
+    TableWaitForecaster,
     dense_forecast_inputs,
     make_event,
     make_stations,
     reference_location_context,
     reference_time_features,
+    split_population,
 )
 from evrac import reward as rw
 from evrac.checkpoint import save_reward_net
 from evrac.errors import ConfigError, DomainError, UnknownStationError
+from evrac.evaluation import evaluate
 from evrac.geospatial import NUM_POI_TYPES, Station, StationIndex
 from evrac.gradcheck import PATHS, TOLERANCE
 from evrac.seeding import rng_for
@@ -100,7 +103,7 @@ def _visits(driver, counts):
 def _zeta(driver_id, station_id, events):
     index = make_stations(["cs1", "cs2"])
     env = rw.RewardEnvironment(index, rw.MeanWaitForecaster(index), rw.most_visited(events))
-    return env.zeta(driver_id, station_id)
+    return env.breakdowns([driver_id], [-1], [index.index_of(station_id)], [0]).zeta[0]
 
 
 def test_zeta_most_visited():
@@ -273,13 +276,13 @@ def test_predict_wait_clamps_negative():
 def test_environment_breakdown_and_zeta():
     index = make_stations(["cs0", "cs1"], spacing_km=5.0, mean_wait=20.0, mean_dist=5.0)
     env = rw.RewardEnvironment(
-        index, rw.TableWaitForecaster({"cs0": 20.0, "cs1": 20.0}), {"d1": "cs1"}
+        index, TableWaitForecaster(index, {"cs0": 20.0, "cs1": 20.0}), {"d1": "cs1"}
     )
-    b = env.breakdowns(["d1"], ["cs0"], ["cs1"], [rw.epoch_hour(T0)])
+    b = env.breakdowns(["d1"], [0], [1], [rw.epoch_hour(T0)])
     assert b.zeta.tolist() == [0.8]
     assert b.dist_km[0] == pytest.approx(5.0, abs=1e-9)
     assert b.reward[0] == pytest.approx(-180.0, abs=1e-9)
-    b2 = env.breakdowns(["other"], ["cs0"], ["cs1"], [rw.epoch_hour(T0)])
+    b2 = env.breakdowns(["other"], [0], [1], [rw.epoch_hour(T0)])
     assert b2.zeta.tolist() == [1.0]
     assert b2.reward[0] == pytest.approx(-200.0, abs=1e-9)
 
@@ -287,9 +290,9 @@ def test_environment_breakdown_and_zeta():
 def test_mean_wait_forecaster_flags():
     index = make_stations(["cs0"], mean_wait=33.0)
     fc = rw.MeanWaitForecaster(index)
-    values, flags = fc.forecast_batch(["cs0"], [0])
+    values, fallback, clamped = fc.forecast_batch(np.array([0]), [0])
     assert values.tolist() == [33.0]
-    assert "mean_fallback" in flags[0]
+    assert fallback.tolist() == [True] and clamped.tolist() == [False]
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +341,11 @@ def test_forecast_inputs_match_per_step_reference():
     k = 4
     h0 = rw.epoch_hour(T0)
     pairs = [(sid, h0 + dh) for sid in ("cs1", "cs0", "cs2") for dh in range(-2, 40, 3)]
-    rows, keep = rw.forecast_inputs(series, index, [p[0] for p in pairs], [p[1] for p in pairs], k)
+    cols = [index.index_of(sid) for sid, _ in pairs]
+    rows, keep = rw.forecast_inputs(series, index, cols, [p[1] for p in pairs], k)
     eligible = [i for i, (sid, eh) in enumerate(pairs) if sid != "cs2" and eh - k >= h0]
     assert keep.tolist() == eligible
-    assert rows.cols.tolist() == [index.index_of(pairs[i][0]) for i in eligible]
+    assert rows.cols.tolist() == [cols[i] for i in eligible]
     assert rows.hours.tolist() == [pairs[i][1] for i in eligible]
     want = np.stack([_reference_inputs(series, index, *pairs[i], k) for i in eligible])
     assert rows.shape == want.shape
@@ -484,20 +488,20 @@ def _forecaster(kind, index, series):
     if kind == "mean":
         return rw.MeanWaitForecaster(index)
     if kind == "table":
-        return rw.TableWaitForecaster({sid: 3.0 + i for i, sid in enumerate(index.order)})
+        return TableWaitForecaster(index, {sid: 3.0 + i for i, sid in enumerate(index.order)})
     net = rw.WaitForecastNet(rw.reward_net_input_dim(index), 6, 2, rng_for(3, "pricing"))
     net.head.b[:] = 0.5
     return rw.NetWaitForecaster(net, series, index, 4)
 
 
 def _decisions(index, n=60):
+    """(driver, previous column or -1, action column, hour) decisions."""
     rng = np.random.default_rng(9)
     h0 = rw.epoch_hour(T0)
     out = []
     for _ in range(n):
-        prev = None if rng.random() < 0.2 else index.order[int(rng.integers(len(index)))]
-        out.append((f"d{int(rng.integers(3))}", prev, index.order[int(rng.integers(len(index)))],
-                    h0 + int(rng.integers(-3, 40))))
+        prev = -1 if rng.random() < 0.2 else int(rng.integers(len(index)))
+        out.append((f"d{int(rng.integers(3))}", prev, int(rng.integers(len(index))), h0 + int(rng.integers(-3, 40))))
     return out
 
 
@@ -511,20 +515,23 @@ def test_breakdowns_match_per_pair(kind):
     decisions = _decisions(index)
     batched = env.breakdowns(*map(list, zip(*decisions)))
     single = [env.breakdowns([d], [p], [a], [eh]) for d, p, a, eh in decisions]
-    assert all(getattr(batched, name).shape == (len(decisions),) for name in _PRICED)
-    assert len(batched.flags) == len(decisions)
+    assert all(getattr(batched, name).shape == (len(decisions),) for name in _PRICED + ("fallback", "clamped"))
+    assert batched.fallback.dtype == batched.clamped.dtype == bool
     exact = _PRICED if kind != "net" else ("dist_km", "mean_wait", "mean_dist", "zeta")
     for i, s in enumerate(single):
-        assert batched.flags[i] == s.flags[0]
+        assert (batched.fallback[i], batched.clamped[i]) == (s.fallback[0], s.clamped[0])
         assert [getattr(batched, name)[i] for name in exact] == [getattr(s, name)[0] for name in exact]
-    # The array formula against the scalar one, and distances against the table.
+    # The array formula against the scalar one, distances against the per-pair
+    # haversine and zeta against each driver's most-visited station.
     for i, (driver, prev, station, _) in enumerate(decisions):
-        assert batched.dist_km[i] == (0.0 if prev is None else index.distance(prev, station))
-        assert batched.zeta[i] == env.zeta(driver, station)
+        sid = index.order[station]
+        assert batched.dist_km[i] == (0.0 if prev < 0 else index.distance(index.order[prev], sid))
+        assert batched.zeta[i] == (0.8 if (driver, sid) == ("d1", "cs1") else 1.0)
         assert batched.reward[i] == rw.compute_reward(*(float(getattr(batched, name)[i]) for name in _PRICED[1:]))
+    assert batched.fallback.all() == (kind == "mean") and not batched.clamped.any()
     if kind != "net":
         return
-    assert {f for fs in batched.flags for f in fs} == {"mean_fallback"}  # some pairs fall back
+    assert batched.fallback.any()  # some pairs fall back
     for i, s in enumerate(single):
         assert batched.wait_forecast[i] == pytest.approx(s.wait_forecast[0], rel=1e-12, abs=0.0)
         assert batched.reward[i] == pytest.approx(s.reward[0], rel=1e-12, abs=0.0)
@@ -534,13 +541,14 @@ def test_predict_waits_ignore_order_and_duplicates():
     index, series = _pricing_city()
     fc = _forecaster("net", index, series)
     fc.net.head.b[:] = -0.4  # some raw outputs clamp
-    pairs = sorted({(sid, eh) for _, _, sid, eh in _decisions(index)})
-    waits, flags = fc.forecast_batch([p[0] for p in pairs], [p[1] for p in pairs])
-    assert {f for fs in flags for f in fs} == {"mean_fallback", "clamped"}
+    pairs = sorted({(col, eh) for _, _, col, eh in _decisions(index)})
+    waits, fallback, clamped = fc.forecast_batch([p[0] for p in pairs], [p[1] for p in pairs])
+    assert fallback.any() and clamped.any() and not (fallback & clamped).any()
+    assert np.all(waits[clamped] == 0.0)
     shuffled = [pairs[i] for i in np.random.default_rng(1).permutation(len(pairs))] + pairs[::3]
-    waits2, flags2 = fc.forecast_batch([p[0] for p in shuffled], [p[1] for p in shuffled])
-    want = {p: (w, f) for p, w, f in zip(pairs, waits.tolist(), flags)}
-    assert [want[p] for p in shuffled] == list(zip(waits2.tolist(), flags2))
+    got = fc.forecast_batch([p[0] for p in shuffled], [p[1] for p in shuffled])
+    want = dict(zip(pairs, zip(waits.tolist(), fallback.tolist(), clamped.tolist())))
+    assert [want[p] for p in shuffled] == list(zip(*(a.tolist() for a in got)))
 
 
 @pytest.mark.parametrize("kind", ["mean", "table", "net"])
@@ -553,20 +561,33 @@ def test_pricing_rejects_missing_or_zero_mean_wait(kind, mean_wait):
     env = rw.RewardEnvironment(index, fc, {})
     eh = rw.epoch_hour(T0) + 20
     with pytest.raises(DomainError):
-        env.breakdowns(["d"], [None], ["cs0"], [eh])
+        env.breakdowns(["d"], [-1], [0], [eh])
     if kind != "table":
         with pytest.raises(DomainError):
-            fc.forecast_batch(["cs1", "cs0"], [eh, eh])
+            fc.forecast_batch(np.array([1, 0]), [eh, eh])
+
+
+class _RanksFirst:
+    """Ranks `station_id` first at every cut, known or not."""
+
+    def __init__(self, station_id):
+        self.station_id = station_id
+
+    def rank(self, requests, k):
+        return [[self.station_id] for _, _, cuts in requests for _ in cuts]
 
 
 @pytest.mark.parametrize("kind", ["mean", "table", "net"])
 def test_pricing_rejects_unknown_station(kind):
+    """Station ids become columns where they enter pricing: an unknown one is
+    an UnknownStationError there, whatever the forecaster."""
     index, series = _pricing_city()
-    fc = _forecaster(kind, index, series)
-    env = rw.RewardEnvironment(index, fc, {})
-    eh = rw.epoch_hour(T0) + 20
+    env = rw.RewardEnvironment(index, _forecaster(kind, index, series), {})
+    events = [make_event(f"e{i}", "d", "cs0", T0 + timedelta(hours=i)) for i in range(6)]
+    trajectories, splits, _ = split_population(events)
+    evaluate(_RanksFirst("cs0"), trajectories, splits, env)
     with pytest.raises(UnknownStationError):
-        env.breakdowns(["d", "d"], [None, None], ["cs0", "cs9"], [eh, eh])
-    if kind != "table":
+        evaluate(_RanksFirst("cs9"), trajectories, splits, env)
+    if kind == "net":
         with pytest.raises(UnknownStationError):
-            fc.forecast_batch(["cs0", "cs9"], [eh, eh])
+            rw.predict_wait(env.forecaster.net, series, index, "cs9", rw.epoch_hour(T0) + 20, 4)

@@ -284,17 +284,17 @@ def td_target(r: np.ndarray, gamma: float, q_next: np.ndarray, terminal: np.ndar
 PROB_CLAMP = 1e-7
 
 
-def regularization_gradient(pi: np.ndarray, a_hat: np.ndarray, m: int | None = None) -> np.ndarray:
+def regularization_gradient(pi: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
     """Elementwise ascent direction of the per-station binary cross-entropy
     preference term w.r.t. the policy outputs: (a_hat - pi) / ((1-pi) pi),
-    scaled by 1/M. Probabilities are clamped away from {0, 1}."""
+    scaled by 1/M over the M stations of the last axis. Probabilities are
+    clamped away from {0, 1}."""
     pi = np.asarray(pi, dtype=float)
     a_hat = np.asarray(a_hat, dtype=float)
     if pi.shape != a_hat.shape:
         raise UsageError("pi and a_hat shapes differ")
-    m_val = m if m is not None else pi.shape[-1]
     clamped = np.clip(pi, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return (a_hat - clamped) / ((1.0 - clamped) * clamped) / m_val
+    return (a_hat - clamped) / ((1.0 - clamped) * clamped) / pi.shape[-1]
 
 
 def update_target(model: RacModel, interval: int) -> bool:

@@ -136,11 +136,10 @@ def cmd_features(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     export_wait_series(bundle.full_series, out_dir / "wait_series.csv")
-    with open(out_dir / "station_norms.csv", "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("station_id,mean_wait_min,mean_dist_km\n")
-        for sid in bundle.index.order:
-            st = bundle.index.require(sid)
-            fh.write(f"{sid},{st.mean_wait!r},{st.mean_dist!r}\n")
+    columns = ("station_id", "mean_wait_min", "mean_dist_km")
+    index = bundle.index
+    norms = zip(index.order, index.mean_wait.tolist(), index.mean_dist.tolist())
+    write_rows_csv([dict(zip(columns, row)) for row in norms], columns, out_dir / "station_norms.csv")
     summary = {
         "config": config.as_dict(),
         "drivers": len(bundle.trajectories),

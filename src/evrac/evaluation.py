@@ -149,18 +149,16 @@ class EvalReport:
 
     def write_csv(self, path: str | Path) -> None:
         """One row per metric per driver plus AGGREGATE rows."""
-        with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["driver_id", "metric", "value"])
-            for d, o in sorted(self.per_driver.items()):
-                for k in self.ks:
-                    writer.writerow([d, f"p@{k}", repr(o.p_at[k])])
-                    writer.writerow([d, f"r@{k}", repr(o.r_at[k])])
-                writer.writerow([d, "mar", repr(o.mar)])
+        rows = []
+        for d, o in sorted(self.per_driver.items()):
             for k in self.ks:
-                writer.writerow(["AGGREGATE", f"p@{k}", repr(self.precision[k])])
-                writer.writerow(["AGGREGATE", f"r@{k}", repr(self.recall[k])])
-            writer.writerow(["AGGREGATE", "mar", repr(self.mar)])
+                rows += [(d, f"p@{k}", o.p_at[k]), (d, f"r@{k}", o.r_at[k])]
+            rows.append((d, "mar", o.mar))
+        for k in self.ks:
+            rows += [("AGGREGATE", f"p@{k}", self.precision[k]), ("AGGREGATE", f"r@{k}", self.recall[k])]
+        rows.append(("AGGREGATE", "mar", self.mar))
+        columns = ("driver_id", "metric", "value")
+        write_rows_csv([dict(zip(columns, row)) for row in rows], columns, path)
 
 
 # ---------------------------------------------------------------------------

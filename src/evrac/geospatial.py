@@ -7,7 +7,7 @@ import copy
 import csv
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -44,19 +44,14 @@ assert NUM_POI_TYPES == 76
 
 @dataclass(frozen=True)
 class Station:
-    """A charging station with coordinates, POI counts and reward norms.
-
-    mean_wait / mean_dist are the per-station normalization constants for the
-    reward; they are filled in from training data (with global-mean fallback
-    for degenerate stations) and must be positive wherever rewards are used.
-    """
+    """A charging station as the input files give it: id, coordinates and
+    POI counts. Values derived from training data, such as the reward norms,
+    are `StationIndex` column arrays."""
 
     station_id: str
     latitude: float
     longitude: float
     poi_counts: np.ndarray  # 76 non-negative ints
-    mean_wait: float | None = None
-    mean_dist: float | None = None
 
     def __post_init__(self):
         _check_coords(self.latitude, self.longitude)
@@ -177,9 +172,10 @@ class StationIndex:
     and the location context of an observation.
 
     Station order is the sorted id list, so indices are deterministic. Array
-    code names a station by its column, its position in `order`;
-    `mean_wait` and `mean_dist` hold each column's reward norms, NaN where a
-    norm is unset.
+    code names a station by its column, its position in `order`. Every
+    per-station value derived from training data is an array with one entry
+    per column: `mean_wait` and `mean_dist` hold the reward norms, NaN until
+    `with_norms` sets them.
     """
 
     def __init__(self, stations: dict[str, Station]):
@@ -200,21 +196,11 @@ class StationIndex:
         for i, a in enumerate(coords):
             for j in range(i + 1, len(coords)):
                 self.distances[i, j] = self.distances[j, i] = _haversine(*a, *coords[j])
-        self._set_norm_columns()
-
-    def _set_norm_columns(self) -> None:
-        # A float array holds an unset (None) norm as NaN.
-        norms = [(st.mean_wait, st.mean_dist) for st in self.stations.values()]
-        self.mean_wait, self.mean_dist = np.array(norms, dtype=float).T
+        self.mean_wait = np.full(len(coords), np.nan)
+        self.mean_dist = np.full(len(coords), np.nan)
 
     def __len__(self) -> int:
         return len(self.order)
-
-    def require(self, station_id: str) -> Station:
-        try:
-            return self.stations[station_id]
-        except KeyError:
-            raise UnknownStationError(f"unknown station {station_id!r}") from None
 
     def index_of(self, station_id: str) -> int:
         if station_id not in self.index:
@@ -241,15 +227,11 @@ class StationIndex:
     def context_width(self) -> int:
         return 1 + len(self.order) + NUM_POI_TYPES
 
-    def with_norms(self, norms: dict[str, tuple[float, float]]) -> "StationIndex":
-        # Norms leave coordinates and POIs alone, so the copy shares the
-        # distance table and POI matrix instead of rebuilding them.
+    def with_norms(self, mean_wait: np.ndarray, mean_dist: np.ndarray) -> "StationIndex":
+        """A copy that holds the reward norms `mean_wait` and `mean_dist`, one
+        entry per column, and shares everything else with this index."""
         out = copy.copy(self)
-        out.stations = {
-            sid: replace(st, mean_wait=norms[sid][0], mean_dist=norms[sid][1])
-            for sid, st in self.stations.items()
-        }
-        out._set_norm_columns()
+        out.mean_wait, out.mean_dist = mean_wait, mean_dist
         return out
 
 
@@ -257,9 +239,9 @@ def station_norms(
     events: Iterable[ChargingEvent],
     index: StationIndex,
     series: dict,
-) -> dict[str, tuple[float, float]]:
-    """Per-station (mean wait, mean arrival distance) from training events and
-    their wait series (`reward.build_wait_series(events)`).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column (mean wait, mean arrival distance) arrays from training
+    events and their wait series (`reward.build_wait_series(events)`).
 
     Mean wait averages the occupied (positive) hourly wait-proxy buckets; mean
     distance averages the geodesic hop previous->current over observed
@@ -269,31 +251,30 @@ def station_norms(
     events = list(events)
     if not events:
         raise ConfigError("station norms need at least one training event")
-    wait_means: dict[str, float] = {}
+    m = len(index)
+    mean_wait = np.zeros(m)
     all_positive: list[float] = []
-    for sid in index.order:
+    for col, sid in enumerate(index.order):
         buckets = series[sid].buckets if sid in series else {}
         positive = [v for v in buckets.values() if v > 0]
         all_positive.extend(positive)
-        wait_means[sid] = float(np.mean(positive)) if positive else 0.0
+        if positive:
+            mean_wait[col] = np.mean(positive)
     global_wait = float(np.mean(all_positive)) if all_positive else 1.0
 
-    hop_sums: dict[str, float] = {sid: 0.0 for sid in index.order}
-    hop_counts: dict[str, int] = {sid: 0 for sid in index.order}
+    hop_sums = np.zeros(m)
+    hop_counts = np.zeros(m, dtype=np.int64)
     all_hops: list[float] = []
     for traj in build_trajectories(events).values():
         for prev, cur in zip(traj.events, traj.events[1:]):
             d = index.distance(prev.station_id, cur.station_id)
-            hop_sums[cur.station_id] += d
-            hop_counts[cur.station_id] += 1
+            col = index.index[cur.station_id]
+            hop_sums[col] += d
+            hop_counts[col] += 1
             all_hops.append(d)
     positive_hops = [d for d in all_hops if d > 0]
     global_dist = float(np.mean(positive_hops)) if positive_hops else 1.0
 
-    out = {}
-    for sid in index.order:
-        zw = wait_means[sid] if wait_means[sid] > 0 else global_wait
-        dm = hop_sums[sid] / hop_counts[sid] if hop_counts[sid] else 0.0
-        dd = dm if dm > 0 else global_dist
-        out[sid] = (zw, dd)
-    return out
+    mean_dist = np.divide(hop_sums, hop_counts, out=np.zeros(m), where=hop_counts > 0)
+    return (np.where(mean_wait > 0, mean_wait, global_wait),
+            np.where(mean_dist > 0, mean_dist, global_dist))

@@ -61,7 +61,6 @@ class DataBundle:
     obs_space: ObservationSpace
     train_series: dict[str, WaitSeries]                # training-window series
     full_series: dict[str, WaitSeries]                 # all events, queried causally
-    train_events: list[ChargingEvent]
     familiarity: dict[str, str | None]
     train_end_hour: int = 0
 
@@ -116,8 +115,7 @@ def load_data_bundle(config: Config) -> DataBundle:
 
     train_series = build_wait_series(train_events)
     full_series = build_wait_series(events)
-    norms = station_norms(train_events, index, train_series)
-    index = index.with_norms(norms)
+    index = index.with_norms(*station_norms(train_events, index, train_series))
 
     max_duration = max(e.duration_min for e in train_events)
     max_energy = max(e.energy_kwh for e in train_events)
@@ -136,7 +134,6 @@ def load_data_bundle(config: Config) -> DataBundle:
         obs_space=obs_space,
         train_series=train_series,
         full_series=full_series,
-        train_events=train_events,
         familiarity=familiarity,
         train_end_hour=train_end,
     )

@@ -212,9 +212,7 @@ class WaitForecastNet:
 
     def predict(self, rows: "ForecastRows", chunk_rows: int = CHUNK_ROWS) -> np.ndarray:
         """`forward(rows)`'s forecasts, one chunk of rows at a time. Up to one
-        chunk this is `forward` itself. Pricing passes `INFERENCE_ROWS`."""
-        if rows.shape[0] <= chunk_rows:
-            return self.forward(rows)[0]
+        chunk this has the bits of `forward`. Pricing passes `INFERENCE_ROWS`."""
         return np.concatenate([self.forward(chunk)[0] for chunk in rows.chunks(chunk_rows)])
 
     def mse_gradient(self, chunks: Sequence["ForecastRows"], targets: np.ndarray

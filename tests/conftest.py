@@ -58,7 +58,7 @@ def make_stations(
     mean_dist: float = 1.0,
 ) -> StationIndex:
     """Stations along the equator `spacing_km` apart (0 = colocated), with
-    explicit reward norms."""
+    the same reward norms at every station."""
     stations = {}
     for i, sid in enumerate(ids):
         stations[sid] = Station(
@@ -66,10 +66,8 @@ def make_stations(
             latitude=0.0,
             longitude=i * km_to_lon_degrees(spacing_km),
             poi_counts=np.zeros(NUM_POI_TYPES),
-            mean_wait=mean_wait,
-            mean_dist=mean_dist,
         )
-    return StationIndex(stations)
+    return StationIndex(stations).with_norms(np.full(len(ids), mean_wait), np.full(len(ids), mean_dist))
 
 
 def pattern_events(

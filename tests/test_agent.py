@@ -224,7 +224,7 @@ def test_regularization_gradient_zero_at_match():
 
 
 def test_regularization_gradient_single_station_view():
-    eta = agent.regularization_gradient(np.array([0.9]), np.array([1.0]), m=1)
+    eta = agent.regularization_gradient(np.array([0.9]), np.array([1.0]))
     assert eta[0] == pytest.approx((1.0 - 0.9) / (0.1 * 0.9), abs=1e-9)
 
 

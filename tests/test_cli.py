@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, artifacts and pipeline determinism."""
 
+import csv
 import json
 
 import numpy as np
@@ -189,6 +190,26 @@ def test_features_outputs(synth, capsys):
     norms = (out_dir / "station_norms.csv").read_text().strip().splitlines()
     assert norms[0] == "station_id,mean_wait_min,mean_dist_km"
     assert len(norms) == 4
+
+
+def test_features_quotes_station_ids_with_commas(tmp_path, capsys):
+    ids = ["a,b", "cs0"]
+    events = pattern_events("d1", ids, 12) + pattern_events("d2", ids[::-1], 12)
+    write_events(events, tmp_path / "events.csv")
+    with open(tmp_path / "stations.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["station_id", "latitude", "longitude"])
+        writer.writerows([sid, 0.0, i * km_to_lon_degrees(1.0)] for i, sid in enumerate(ids))
+    out_dir = tmp_path / "features"
+    rc = main(["features", "--events", str(tmp_path / "events.csv"), "--stations", str(tmp_path / "stations.csv"),
+               "--no-warmup", "--out-dir", str(out_dir)])
+    assert rc == 0
+    with open(out_dir / "station_norms.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["station_id", "mean_wait_min", "mean_dist_km"]
+    assert all(len(row) == 3 for row in rows)
+    assert [row[0] for row in rows[1:]] == ids
+    assert all(0 < float(v) < float("inf") for row in rows[1:] for v in row[1:])
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -32,8 +32,8 @@ def test_bundle_basic_shapes(tmp_path):
     assert set(bundle.splits) == {"d1", "d2"}
     assert len(bundle.index) == 2
     assert bundle.obs_space.obs_dim == (1 + 2 + 76) + 2 + 31
-    st0 = bundle.index.require("cs0")
-    assert st0.mean_wait > 0 and st0.mean_dist > 0
+    col = bundle.index.index_of("cs0")
+    assert bundle.index.mean_wait[col] > 0 and bundle.index.mean_dist[col] > 0
 
 
 def test_bundle_warmup_removes_pool_from_private(tmp_path):
@@ -76,10 +76,9 @@ def test_bundle_norms_use_training_split_only(tmp_path):
     tmp2.mkdir()
     ev2, st2 = _files(tmp2, variant)
     bundle2 = load_data_bundle(Config(events=ev2, stations=st2, warmup=False))
-    for sid in ("cs0", "cs1"):
-        a, b = bundle1.index.require(sid), bundle2.index.require(sid)
-        assert a.mean_wait == b.mean_wait
-        assert a.mean_dist == b.mean_dist
+    assert bundle1.index.order == bundle2.index.order == ["cs0", "cs1"]
+    assert bundle1.index.mean_wait.tobytes() == bundle2.index.mean_wait.tobytes()
+    assert bundle1.index.mean_dist.tobytes() == bundle2.index.mean_dist.tobytes()
 
 
 def test_bundle_requires_events(tmp_path):

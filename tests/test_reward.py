@@ -312,11 +312,9 @@ def _pricing_city():
     """Three stations with distinct norms and POI mixes; cs0 and cs1 have
     hourly sessions over 30 hours, cs2 has none."""
     rng = np.random.default_rng(5)
-    stations = {
-        sid: Station(sid, 0.0, 0.01 * i, rng.integers(0, 4, NUM_POI_TYPES), mean_wait=mw, mean_dist=md)
-        for i, (sid, mw, md) in enumerate([("cs0", 20.0, 2.0), ("cs1", 7.0, 3.0), ("cs2", 13.0, 1.5)])
-    }
-    index = StationIndex(stations)
+    stations = {sid: Station(sid, 0.0, 0.01 * i, rng.integers(0, 4, NUM_POI_TYPES))
+                for i, sid in enumerate(["cs0", "cs1", "cs2"])}
+    index = StationIndex(stations).with_norms(np.array([20.0, 7.0, 13.0]), np.array([2.0, 3.0, 1.5]))
     events = [
         make_event(f"e{i}", "d", f"cs{i % 2}", T0 + timedelta(hours=i // 2, minutes=7 * (i % 3)),
                    duration=float(5 + (i * 37) % 80))
@@ -328,7 +326,7 @@ def _pricing_city():
 def _reference_inputs(series, index, station_id, eh, k):
     """Per-step construction of one forecaster input, the layout
     `forecast_inputs` vectorises."""
-    lags = series[station_id].lags(eh, k) / index.require(station_id).mean_wait
+    lags = series[station_id].lags(eh, k) / index.mean_wait[index.index_of(station_id)]
     ctx = reference_location_context(index, station_id, None)
     return np.stack([
         np.concatenate([[lags[j]], ctx, reference_time_features(rw.hour_to_datetime(eh - k + j))])
@@ -555,8 +553,9 @@ def test_predict_waits_ignore_order_and_duplicates():
 @pytest.mark.parametrize("mean_wait", [None, 0.0])
 def test_pricing_rejects_missing_or_zero_mean_wait(kind, mean_wait):
     index, series = _pricing_city()
-    index = StationIndex({sid: Station(sid, 0.0, 0.0, np.zeros(NUM_POI_TYPES), mean_wait=mean_wait, mean_dist=1.0)
-                          for sid in index.order})
+    m = len(index)
+    index = StationIndex({sid: Station(sid, 0.0, 0.0, np.zeros(NUM_POI_TYPES)) for sid in index.order}
+                         ).with_norms(np.full(m, mean_wait, dtype=float), np.ones(m))
     fc = _forecaster(kind, index, series)
     env = rw.RewardEnvironment(index, fc, {})
     eh = rw.epoch_hour(T0) + 20

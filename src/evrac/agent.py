@@ -686,19 +686,20 @@ def finetune_driver(
     patience: int,
 ) -> RacModel:
     """Clone the shared model and fine-tune on one driver's training split,
-    early-stopping on validation precision@1."""
+    early-stopping on validation precision@1. Each epoch draws its windows
+    and actions from its own seed. A td-coupled fine-tune updates a private
+    copy of the forecaster net, so no driver prices with another's updates."""
     model = shared.clone()
     n_train = len(split.train) if split is not None else len(traj)
     buffer = ReplayBuffer(hyper.history, hyper.horizon)
     buffer.add_trajectory(obs_space.trajectory_tensors(traj), n_train)
     if len(buffer) == 0:
         return model
-    per_driver = replace(
-        hyper,
-        epochs=1,
-        seed=derive_seed(hyper.seed, f"finetune:{traj.driver_id}"),
-        samples_per_epoch=min(hyper.samples_per_epoch, max(len(buffer), 1)),
-    )
+    if hyper.reward_update == "td_coupled" and isinstance(env.forecaster, NetWaitForecaster):
+        env = copy.copy(env)
+        env.forecaster = copy.copy(env.forecaster)
+        env.forecaster.net = copy.deepcopy(env.forecaster.net)
+    per_driver = replace(hyper, epochs=1, samples_per_epoch=min(hyper.samples_per_epoch, len(buffer)))
     val_events = split.val if split is not None else []
     best_params = None
     best_p1 = -1.0
@@ -708,8 +709,9 @@ def finetune_driver(
         # shared starting point on validation.
         best_p1 = _val_p1(model, obs_space, traj, val_events)
         best_params = {k: v.copy() for k, v in model.all_params().items()}
-    for _ in range(epochs):
-        train_rac(buffer, model, env, per_driver)
+    for epoch in range(epochs):
+        seed = derive_seed(hyper.seed, f"finetune:{traj.driver_id}:{epoch}")
+        train_rac(buffer, model, env, replace(per_driver, seed=seed))
         if not val_events:
             continue
         p1 = _val_p1(model, obs_space, traj, val_events)

@@ -834,25 +834,55 @@ def test_warmup_empty_pool_falls_back_to_scratch():
     assert set(models) == {"d1"}
 
 
-def test_per_driver_jobs_parallel_matches_serial():
+def test_finetune_epochs_draw_their_own_windows(monkeypatch):
+    """Each fine-tuning epoch samples windows from its own seed, so a second
+    epoch does not replay the first epoch's batch."""
+    draws = []
+    sample = agent.ReplayBuffer.sample
+
+    def spy(self, rng, count):
+        windows = sample(self, rng, count)
+        draws.append([w.start for w in windows])
+        return windows
+
+    monkeypatch.setattr(agent.ReplayBuffer, "sample", spy)
     index = make_stations(["cs0", "cs1"])
     env = constant_reward_env(index, {"cs0": 10.0, "cs1": 10.0})
+    space = agent.ObservationSpace(index, 30.0, 10.0, 5)
+    traj = build_trajectories(pattern_events("d1", ["cs0", "cs1"], 20))["d1"]
+    hyper = _small_hyper(epsilon=1.0, horizon=3, seed=6)
+    shared = agent.RacModel(space.obs_dim, len(index), hyper)
+    agent.finetune_driver(shared, space, env, traj, None, hyper, epochs=2, patience=1)
+    assert len(draws) == 2 and draws[0] != draws[1]
+
+
+def test_per_driver_jobs_parallel_matches_serial():
+    """Per-driver models do not depend on `jobs`, also when td-coupled
+    fine-tuning updates the forecaster it prices with (no splits there, so
+    no early-stopping restore can hide a difference)."""
+    index = make_stations(["cs0", "cs1"])
     space = agent.ObservationSpace(index, 30.0, 10.0, 5)
     events = []
     for d in range(3):
         events += pattern_events(f"d{d}", ["cs0", "cs1"], 10)
     trajectories, splits, _ = split_population(events)
-    hyper = _small_hyper(epsilon=1.0, epochs=2, seed=5)
-    _, serial = agent.warmup_then_finetune(
-        space, env, trajectories, splits, hyper, finetune_epochs=2, patience=1, jobs=1
-    )
-    _, parallel = agent.warmup_then_finetune(
-        space, env, trajectories, splits, hyper, finetune_epochs=2, patience=1, jobs=2
-    )
-    assert sorted(serial) == sorted(parallel)
-    for d in serial:
-        for name, p in serial[d].all_params().items():
-            assert np.array_equal(p, parallel[d].all_params()[name])
+    start_net = rw.WaitForecastNet(rw.reward_net_input_dim(index), 4, 1, rng_for(0, "td-net"))
+    cases = [
+        (lambda: constant_reward_env(index, {"cs0": 10.0, "cs1": 10.0}), splits,
+         _small_hyper(epsilon=1.0, epochs=2, seed=5)),
+        (lambda: _net_env(index, copy.deepcopy(start_net)), {},
+         _small_hyper(epsilon=0.5, epochs=2, seed=5, reward_update="td_coupled")),
+    ]
+    for make_env, case_splits, hyper in cases:
+        serial, parallel = (
+            agent.warmup_then_finetune(space, make_env(), trajectories, case_splits, hyper,
+                                       finetune_epochs=2, patience=1, jobs=jobs)[1]
+            for jobs in (1, 2)
+        )
+        assert sorted(serial) == sorted(parallel)
+        for d in serial:
+            for name, p in serial[d].all_params().items():
+                assert np.array_equal(p, parallel[d].all_params()[name]), (hyper.reward_update, d, name)
 
 
 def test_per_driver_pool_never_exceeds_driver_count(monkeypatch):

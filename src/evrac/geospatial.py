@@ -262,8 +262,8 @@ def station_norms(
             mean_wait[col] = np.mean(positive)
     global_wait = float(np.mean(all_positive)) if all_positive else 1.0
 
-    hop_sums = np.zeros(m)
-    hop_counts = np.zeros(m, dtype=np.int64)
+    hop_sums = [0.0] * m
+    hop_counts = [0] * m
     all_hops: list[float] = []
     for traj in build_trajectories(events).values():
         for prev, cur in zip(traj.events, traj.events[1:]):
@@ -275,6 +275,7 @@ def station_norms(
     positive_hops = [d for d in all_hops if d > 0]
     global_dist = float(np.mean(positive_hops)) if positive_hops else 1.0
 
-    mean_dist = np.divide(hop_sums, hop_counts, out=np.zeros(m), where=hop_counts > 0)
+    counts = np.array(hop_counts)
+    mean_dist = np.divide(hop_sums, counts, out=np.zeros(m), where=counts > 0)
     return (np.where(mean_wait > 0, mean_wait, global_wait),
             np.where(mean_dist > 0, mean_dist, global_dist))

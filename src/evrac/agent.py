@@ -196,12 +196,16 @@ class HistoryEncoder:
         out.update({f"lstm.{k}": v for k, v in self.lstm.params.items()})
         return out
 
-    def forward(self, histories: np.ndarray) -> tuple[np.ndarray, dict]:
+    def forward(self, histories: np.ndarray, keep_cache: bool = True) -> tuple[np.ndarray, dict | None]:
+        """The encoded states (B, hidden) and the cache `backward` reads, or
+        None with `keep_cache=False` (see `nn.LstmLayer.forward`)."""
         B, k, d = histories.shape
         flat = histories.reshape(B * k, d)
         emb, embed_cache = self.embed.forward(flat)
         seq = emb.reshape(B, k, self.embed_dim)
-        c, lstm_cache = self.lstm.final_hidden(seq)
+        c, lstm_cache = self.lstm.final_hidden(seq, keep_cache)
+        if not keep_cache:
+            return c, None
         return c, {"embed": embed_cache, "lstm": lstm_cache, "shape": (B, k)}
 
     def backward(self, cache: dict, dc: np.ndarray) -> dict[str, np.ndarray]:
@@ -257,10 +261,14 @@ class RacModel:
         return copy.deepcopy(self)
 
     # -- forward helpers ----------------------------------------------------
-    def policy(self, histories: np.ndarray) -> tuple[np.ndarray, dict]:
-        c, enc_cache = self.encoder.forward(histories)
+    def policy(self, histories: np.ndarray, keep_cache: bool = True) -> tuple[np.ndarray, dict | None]:
+        """The policy over stations (B, M) and the training cache, or None
+        with `keep_cache=False`, for callers that only rank."""
+        c, enc_cache = self.encoder.forward(histories, keep_cache)
         logits, head_cache = self.actor_head.forward(c)
         pi = nn.softmax(logits)
+        if not keep_cache:
+            return pi, None
         return pi, {"c": c, "enc": enc_cache, "head": head_cache, "pi": pi}
 
     def q_values(self, c: np.ndarray, action_onehot: np.ndarray, target: bool = False):
@@ -618,9 +626,10 @@ class RacRecommender:
         return np.concatenate([np.empty((0, self.model.num_stations))] + rows)
 
     def _chunk_policy(self, chunk: list[tuple[list[ChargingEvent], np.ndarray]]) -> np.ndarray:
-        # A function of its own, so that the chunk's windows and forward cache
-        # are freed before the next chunk's are built.
-        pi, _ = self.model.policy(np.concatenate([self.obs_space.windows(events, cuts) for events, cuts in chunk]))
+        # A function of its own, so that the chunk's windows are freed before
+        # the next chunk's are built. The pass keeps no cache.
+        pi, _ = self.model.policy(np.concatenate([self.obs_space.windows(events, cuts) for events, cuts in chunk]),
+                                  keep_cache=False)
         pi[np.concatenate([cuts for _, cuts in chunk]) == 0] = 1.0 / self.model.num_stations
         return pi
 

@@ -176,7 +176,7 @@ def cmd_train_rac(args: argparse.Namespace) -> int:
     if config.per_driver and args.log:
         raise UsageError("--log is not supported with --per-driver: fine-tuning keeps no training log")
     bundle = load_data_bundle(config)
-    net = _load_reward(args)
+    net, reward_hyper, _ = load_reward_net(args.reward) if args.reward else (None, None, None)
     env = training_environment(bundle, net)
 
     if config.per_driver:
@@ -203,8 +203,14 @@ def cmd_train_rac(args: argparse.Namespace) -> int:
     save_rac_model(model, args.out, {"config": config.as_dict()})
     log_path = args.log or f"{args.out}.log.jsonl"
     _write_log(records, log_path)
-    _emit({"out": str(args.out), "log": str(log_path), "epochs": len(records),
-           "final_ce_loss": records[-1]["ce_loss"] if records else None})
+    summary = {"out": str(args.out), "log": str(log_path), "epochs": len(records),
+               "final_ce_loss": records[-1]["ce_loss"] if records else None}
+    if config.reward_update == "td_coupled":
+        # Training updated the forecaster in place; eval and recommend price
+        # with the updated one only if it is saved.
+        summary["reward"] = f"{args.out}.reward.ckpt"
+        save_reward_net(net, reward_hyper, summary["reward"], extra_meta={"config": config.as_dict()})
+    _emit(summary)
     return 0
 
 

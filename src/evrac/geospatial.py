@@ -198,6 +198,10 @@ class StationIndex:
                 self.distances[i, j] = self.distances[j, i] = _haversine(*a, *coords[j])
         self.mean_wait = np.full(len(coords), np.nan)
         self.mean_dist = np.full(len(coords), np.nan)
+        # Each station's location context with no previous station, one row
+        # per column: the station table of the forecaster's first layer.
+        self.contexts = self.context(np.arange(len(coords)), np.full(len(coords), -1))
+        self.contexts.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.order)

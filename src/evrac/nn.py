@@ -11,7 +11,9 @@ Conventions:
   * parameters live in plain dicts name -> ndarray, so SGD, clipping,
     checkpointing and gradient checks all share the same machinery
   * forward passes return (output, cache); backward passes consume the cache
-    and return (input gradients, parameter gradients)
+    and return (input gradients, parameter gradients). The LSTM forwards take
+    `keep_cache=False` for inference: the same steps, with the same bits,
+    write reused buffers instead of the BPTT cache, and None stands in for it
 
 Initialization: weights ~ uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)); LSTM
 forget-gate bias starts at 1.0 for gradient flow; all other biases at 0.
@@ -20,6 +22,7 @@ forget-gate bias starts at 1.0 for gradient flow; all other biases at 0.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Callable
 
@@ -226,7 +229,11 @@ class LstmLayer:
     def params(self) -> dict[str, np.ndarray]:
         return {"W": self.W, "U": self.U, "b": self.b}
 
-    def forward(self, xs) -> tuple[np.ndarray, dict]:
+    def forward(self, xs, keep_cache: bool = True) -> tuple[np.ndarray, dict | None]:
+        """The hidden sequence (B, T, h), and the cache `backward` reads.
+        With `keep_cache=False` every step writes one reused gate buffer and
+        one cell buffer instead, and the cache is None: the same steps with
+        the same bits, for callers that never run backward."""
         inputs = _input_side(xs)
         if len(inputs.shape) != 3 or inputs.shape[2] != self.input_dim:
             raise ShapeError(
@@ -238,26 +245,45 @@ class LstmLayer:
         # sigmoid(z) = 0.5 + 0.5 tanh(z/2), so one tanh over the whole block
         # activates every gate once its i/f/o columns are halved. The halving
         # is folded into W, U and b; scaling by a power of two is exact.
-        # The input projection of all T steps is computed up front, into the
-        # gates buffer that each step then activates in place.
+        # The input projection of all T steps is computed up front, as a
+        # contiguous array so that the cache's block views below are views.
         U = self.U * scale
-        gates = inputs.project(self.W * scale)
+        gates = np.ascontiguousarray(inputs.project(self.W * scale))
         gates += self.b * scale
         hs = np.empty((B, T, h))
-        cs = np.empty((B, T, h))
-        for t in range(T):
-            a = gates[:, t]
+        # Where each step writes its activated gates `a`, their i/f/g/o block
+        # views and its cell `c`. With the cache, step t activates its own row
+        # of `gates` in place and writes its own row of `cs`; without it,
+        # every step reuses one gate buffer, one cell buffer and one set of
+        # block views.
+        if keep_cache:
+            cs = np.empty((B, T, h))
+            acts, cells = gates.swapaxes(0, 1), cs.swapaxes(0, 1)
+            blocks = gates.reshape(B, T, 4, h).transpose(1, 2, 0, 3)
+        else:
+            a, c = np.empty((B, 4 * h)), np.empty((B, h))
+            acts, cells = itertools.repeat(a), itertools.repeat(c)
+            blocks = itertools.repeat(tuple(a.reshape(B, 4, h).swapaxes(0, 1)))
+        ig = np.empty((B, h))
+        steps = zip(gates.swapaxes(0, 1), acts, blocks, cells, hs.swapaxes(0, 1))
+        for t, (z, a, (i, f, g, o), c, h_t) in enumerate(steps):
             if t:
-                a += hs[:, t - 1] @ U
-            np.tanh(a, out=a)
+                np.add(z, h_prev @ U, out=a)
+                np.tanh(a, out=a)
+            else:
+                np.tanh(z, out=a)
             a *= scale
             a += shift
-            c = cs[:, t]
-            np.multiply(a[:, :h], a[:, 2 * h : 3 * h], out=c)  # i * g
             if t:
-                c += a[:, h : 2 * h] * cs[:, t - 1]  # + f * c_prev
-            np.tanh(c, out=hs[:, t])
-            hs[:, t] *= a[:, 3 * h :]  # h_t = o * tanh(c_t)
+                np.multiply(f, c_prev, out=c)
+                c += np.multiply(i, g, out=ig)  # c_t = f * c_prev + i * g
+            else:
+                np.multiply(i, g, out=c)
+            np.tanh(c, out=h_t)
+            h_t *= o  # h_t = o * tanh(c_t)
+            h_prev, c_prev = h_t, c
+        if not keep_cache:
+            return hs, None
         return hs, {"xs": xs, "hs": hs, "cs": cs, "gates": gates}
 
     def backward(self, cache: dict, dhs: np.ndarray) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
@@ -335,17 +361,18 @@ class StackedLstm:
                 out[f"l{l}.{k}"] = v
         return out
 
-    def forward(self, xs: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Returns the top layer's full hidden sequence (B, T, h) and a cache."""
+    def forward(self, xs: np.ndarray, keep_cache: bool = True) -> tuple[np.ndarray, dict | None]:
+        """Returns the top layer's full hidden sequence (B, T, h) and a cache
+        (None with `keep_cache=False`, see `LstmLayer.forward`)."""
         caches = []
         seq = xs
         for layer in self.layers:
-            seq, cache = layer.forward(seq)
+            seq, cache = layer.forward(seq, keep_cache)
             caches.append(cache)
-        return seq, {"caches": caches}
+        return seq, {"caches": caches} if keep_cache else None
 
-    def final_hidden(self, xs: np.ndarray) -> tuple[np.ndarray, dict]:
-        hs, cache = self.forward(xs)
+    def final_hidden(self, xs: np.ndarray, keep_cache: bool = True) -> tuple[np.ndarray, dict | None]:
+        hs, cache = self.forward(xs, keep_cache)
         return hs[:, -1], cache
 
     def backward(self, cache: dict, dhs_top: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:

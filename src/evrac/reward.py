@@ -8,6 +8,7 @@ the timely reward  r = -scale * (wait/mean_wait + zeta * dist/mean_dist).
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -65,12 +66,14 @@ _WEEK_FEATURES.setflags(write=False)
 @dataclass
 class WaitSeries:
     """Hourly wait proxy for one station: occupied charging minutes per clock
-    hour, keyed by epoch hour. Hours without sessions are implicitly 0."""
+    hour, keyed by epoch hour. Hours without sessions are implicitly 0.
+    `buckets` is complete once `build_wait_series` returns: `first_hour` is
+    computed on first use and then kept."""
 
     station_id: str
     buckets: dict[int, float] = field(default_factory=dict)
 
-    @property
+    @functools.cached_property
     def first_hour(self) -> int | None:
         return min(self.buckets) if self.buckets else None
 
@@ -160,8 +163,9 @@ def compute_reward(
 # ---------------------------------------------------------------------------
 
 # Rows per forecaster pass in fitting and in `WaitForecastNet.predict`. A
-# pass holds the BPTT cache of its own rows only, so this, not the number of
-# lag windows, bounds the forecaster's memory.
+# fitting pass holds the BPTT cache of its own rows only (a `predict` pass
+# holds none), so this, not the number of lag windows, bounds the
+# forecaster's memory.
 CHUNK_ROWS = 512
 
 # Rows per inference pass: the forecaster's forward when it prices and the
@@ -182,8 +186,9 @@ class WaitForecastNet:
     on the way in and out so targets sit near 1 regardless of units.
 
     `forward` and `backward` run on all their rows at once. `predict` and
-    `mse_gradient` run over chunks of at most `CHUNK_ROWS` rows and drop each
-    chunk's cache before the next, so their memory does not grow with N.
+    `mse_gradient` run over chunks of at most `CHUNK_ROWS` rows, so their
+    memory does not grow with N: `mse_gradient` drops each chunk's cache
+    before the next, and `predict` keeps none.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, num_layers: int, rng: np.random.Generator):
@@ -198,10 +203,11 @@ class WaitForecastNet:
         out.update({f"head.{k}": v for k, v in self.head.params.items()})
         return out
 
-    def forward(self, rows: "ForecastRows | np.ndarray") -> tuple[np.ndarray, dict]:
-        h, lstm_cache = self.lstm.final_hidden(rows)
+    def forward(self, rows: "ForecastRows | np.ndarray", keep_cache: bool = True
+                ) -> tuple[np.ndarray, dict | None]:
+        h, lstm_cache = self.lstm.final_hidden(rows, keep_cache)
         y, head_cache = self.head.forward(h)
-        return y[:, 0], {"lstm": lstm_cache, "head": head_cache}
+        return y[:, 0], {"lstm": lstm_cache, "head": head_cache} if keep_cache else None
 
     def backward(self, cache: dict, dy: np.ndarray) -> dict[str, np.ndarray]:
         dh, head_grads = self.head.backward(cache["head"], dy[:, None])
@@ -211,9 +217,10 @@ class WaitForecastNet:
         return grads
 
     def predict(self, rows: "ForecastRows", chunk_rows: int = CHUNK_ROWS) -> np.ndarray:
-        """`forward(rows)`'s forecasts, one chunk of rows at a time. Up to one
-        chunk this has the bits of `forward`. Pricing passes `INFERENCE_ROWS`."""
-        return np.concatenate([self.forward(chunk)[0] for chunk in rows.chunks(chunk_rows)])
+        """`forward(rows)`'s forecasts, one cache-free pass per chunk of rows.
+        Up to one chunk this has the bits of `forward`. Pricing passes
+        `INFERENCE_ROWS`."""
+        return np.concatenate([self.forward(chunk, keep_cache=False)[0] for chunk in rows.chunks(chunk_rows)])
 
     def mse_gradient(self, chunks: Sequence["ForecastRows"], targets: np.ndarray
                      ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -284,15 +291,11 @@ class ForecastRows:
         k = self.lags.shape[1]
         return (self.hours[:, None] - k + np.arange(k)) % HOURS_PER_WEEK
 
-    def _contexts(self) -> np.ndarray:
-        m = len(self.index)
-        return self.index.context(np.arange(m), np.full(m, -1))
-
     def project(self, W: np.ndarray) -> np.ndarray:
         nn._require_finite("lstm input", self.lags)
         width = self.index.context_width()
         gates = _lookup(_WEEK_FEATURES, self._week_slots(), W[1 + width :])
-        gates += _lookup(self._contexts(), self.cols, W[1 : 1 + width])[:, None, :]
+        gates += _lookup(self.index.contexts, self.cols, W[1 : 1 + width])[:, None, :]
         gates += self.lags[:, :, None] * W[0]
         return gates
 
@@ -309,7 +312,7 @@ class ForecastRows:
             dz_sum += dz
         per_station = np.zeros((len(self.index), W.shape[1]))
         np.add.at(per_station, self.cols, dz_sum)
-        dW[1 : 1 + width] += self._contexts().T @ per_station
+        dW[1 : 1 + width] += self.index.contexts.T @ per_station
 
 
 def forecast_inputs(

@@ -732,6 +732,34 @@ def _random_events(rng, driver_id, stations, n):
     ]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_probabilities_rows_are_policy_rows(data):
+    """`probabilities` ranks with the cache-free pass: each of its rows has
+    the bits of the cached `model.policy` row over the same pass of windows
+    (passes of 1, 3 or 129 cuts and 1-3 encoder layers), and a cut of 0
+    gets the uniform row."""
+    m = data.draw(st.integers(1, 12), label="m")
+    k = data.draw(st.integers(1, 10), label="k")
+    layers = data.draw(st.integers(1, 3), label="layers")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    stations = [f"cs{i:02d}" for i in range(m)]
+    space = agent.ObservationSpace(make_stations(stations, spacing_km=1.5), 60.0, 20.0, k)
+    requests = []
+    for d in range(data.draw(st.integers(1, 3), label="requests")):
+        events = _random_events(rng, f"d{d}", stations, data.draw(st.integers(0, 25), label="n"))
+        cuts = data.draw(st.lists(st.integers(0, len(events)), min_size=1, max_size=60), label="cuts")
+        requests.append((f"d{d}", events, cuts))
+    model = agent.RacModel(space.obs_dim, m, _small_hyper(history=k, layers=layers, seed=int(rng.integers(1000))))
+    chunk = data.draw(st.sampled_from([1, 3, 129]), label="chunk")
+    with patch.object(agent, "INFERENCE_ROWS", chunk):
+        got = agent.RacRecommender(model, space).probabilities(requests)
+    windows = np.concatenate([space.windows(events, cuts) for _, events, cuts in requests])
+    want = np.concatenate([model.policy(windows[i : i + chunk])[0] for i in range(0, len(windows), chunk)])
+    want[np.concatenate([cuts for _, _, cuts in requests]) == 0] = 1.0 / m
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_batched_probabilities_match_per_event_oracle(data):

@@ -492,6 +492,31 @@ def test_train_reward_writes_epoch_log(synth, capsys):
     assert (tmp_path / "again.ckpt.log.jsonl").read_bytes() == log
 
 
+def test_td_coupled_training_saves_its_forecaster(synth, capsys):
+    """Shared td-coupled training writes the forecaster it updated to
+    `<out>.reward.ckpt` and names it in its JSON line; the input checkpoint
+    is left as it was."""
+    tmp_path, config = synth
+    reward_ckpt = tmp_path / "reward.ckpt"
+    assert main(["train-reward", "--config", str(config), "--out", str(reward_ckpt)]) == 0
+    capsys.readouterr()
+    before = reward_ckpt.read_bytes()
+    config.write_text(config.read_text().replace("[mode]\n", "[mode]\nreward_update = td_coupled\n"))
+    out = tmp_path / "td.ckpt"
+    assert main(["train-rac", "--config", str(config), "--out", str(out), "--reward", str(reward_ckpt)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    saved = tmp_path / "td.ckpt.reward.ckpt"
+    assert summary["reward"] == str(saved)
+    assert summary["log"] == str(tmp_path / "td.ckpt.log.jsonl")
+    assert reward_ckpt.read_bytes() == before
+    assert saved.read_bytes() != before
+    updated, _, _ = load_reward_net(saved)
+    original, _, _ = load_reward_net(reward_ckpt)
+    assert any(not np.array_equal(updated.params[k], original.params[k]) for k in original.params)
+    records = [json.loads(line) for line in (tmp_path / "td.ckpt.log.jsonl").read_text().splitlines()]
+    assert any(r["forecaster_grad_norm"] > 0 for r in records)
+
+
 def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--instances", "1", "--seed", "0"]) == 0
     out = capsys.readouterr().out

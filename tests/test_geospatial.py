@@ -281,6 +281,15 @@ def test_context_matches_per_event_oracle(m, seed, data):
     assert got.tobytes() == np.array(want).reshape(got.shape).tobytes()
 
 
+def test_station_contexts_are_built_once_and_shared_with_norm_copies():
+    index = make_stations(["cs0", "cs1", "cs2"], spacing_km=2.0)
+    want = index.context(np.arange(3), np.full(3, -1))
+    assert index.contexts.tobytes() == want.tobytes()
+    assert not index.contexts.flags.writeable
+    normed = index.with_norms(np.ones(3), np.ones(3))
+    assert normed.contexts is index.contexts
+
+
 @settings(max_examples=30)
 @given(st.lists(st.tuples(_lat, _lon), min_size=1, max_size=6))
 def test_distance_table_is_haversine_bitwise(coords):

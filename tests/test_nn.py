@@ -428,6 +428,80 @@ def test_lstm_backward_ignores_earlier_backward_calls():
 
 
 # ---------------------------------------------------------------------------
+# Cache-free inference pass
+# ---------------------------------------------------------------------------
+
+def _random_stack(rng, in_dim, hidden, layers):
+    net = nn.StackedLstm(in_dim, hidden, layers, rng)
+    for layer in net.layers:
+        layer.b += rng.normal(size=layer.b.shape)
+    return net
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    B=st.sampled_from([1, 3, 129]),
+    T=st.integers(1, 10),
+    layers=st.integers(1, 3),
+    in_dim=st.integers(1, 6),
+    hidden=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(B=3, T=10, layers=2, in_dim=5, hidden=8, seed=0)
+def test_cache_free_pass_has_the_bits_of_forward(B, T, layers, in_dim, hidden, seed):
+    """`keep_cache=False` returns the hidden sequence of the cached forward
+    bit for bit, layer by layer and stacked, over an array or a `DenseInput`,
+    and returns None for the cache."""
+    rng = np.random.default_rng(seed)
+    net = _random_stack(rng, in_dim, hidden, layers)
+    xs = 2.0 * rng.normal(size=(B, T, in_dim))
+    want, cache = net.forward(xs)
+    assert len(cache["caches"]) == layers
+    for given_xs in (xs, nn.DenseInput(xs)):
+        got, none = net.forward(given_xs, keep_cache=False)
+        assert none is None
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    last, none = net.final_hidden(xs, keep_cache=False)
+    assert none is None and last.tobytes() == net.final_hidden(xs)[0].tobytes()
+    seq = xs
+    for layer in net.layers:
+        want_layer, _ = layer.forward(seq)
+        got_layer, none = layer.forward(seq, keep_cache=False)
+        assert none is None and got_layer.tobytes() == want_layer.tobytes()
+        seq = want_layer
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bad=st.sampled_from(["width", "rank", "nan", "inf", "-inf"]),
+    B=st.sampled_from([1, 3, 129]),
+    T=st.integers(1, 10),
+    layers=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cache_free_pass_rejects_what_forward_rejects(bad, B, T, layers, seed):
+    """A wrong shape or a non-finite input raises the same error, with the
+    same message, with and without the cache."""
+    rng = np.random.default_rng(seed)
+    net = _random_stack(rng, 3, 4, layers)
+    xs = rng.normal(size=(B, T, 3))
+    if bad == "width":
+        xs = rng.normal(size=(B, T, 4))
+    elif bad == "rank":
+        xs = xs[0]
+    else:
+        xs[rng.integers(B), rng.integers(T), rng.integers(3)] = float(bad)
+
+    def raised(keep_cache):
+        with pytest.raises((ShapeError, DomainError)) as info:
+            net.forward(xs, keep_cache=keep_cache)
+        return type(info.value), str(info.value)
+
+    assert raised(True) == raised(False)
+    assert raised(False)[0] is (ShapeError if bad in ("width", "rank") else DomainError)
+
+
+# ---------------------------------------------------------------------------
 # Gradient checking harness
 # ---------------------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from conftest import (
 )
 from evrac import reward as rw
 from evrac.checkpoint import save_reward_net
-from evrac.errors import ConfigError, DomainError, UnknownStationError
+from evrac.errors import ConfigError, DomainError, ShapeError, UnknownStationError
 from evrac.evaluation import evaluate
 from evrac.geospatial import NUM_POI_TYPES, Station, StationIndex
 from evrac.gradcheck import PATHS, TOLERANCE
@@ -35,6 +35,13 @@ def test_wait_series_single_hour_session():
     series = rw.build_wait_series([make_event("e1", "d", "cs0", T0, duration=60.0)])
     buckets = series["cs0"].buckets
     assert buckets == {rw.epoch_hour(T0): 60.0}
+
+
+def test_wait_series_first_hour_is_its_earliest_bucket():
+    events = [make_event("e1", "d", "cs0", T0 + timedelta(hours=5)), make_event("e2", "d", "cs0", T0)]
+    s = rw.build_wait_series(events)["cs0"]
+    assert s.first_hour == min(s.buckets) == rw.epoch_hour(T0)
+    assert rw.WaitSeries("cs9").first_hour is None
 
 
 def test_wait_series_split_across_hours():
@@ -402,6 +409,53 @@ def test_forecast_rows_match_dense_form(m, k, n, hidden, layers, first_hour, see
     assert grads.keys() == want.keys()
     for name in want:
         _assert_rel_close(grads[name], want[name])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    B=st.sampled_from([1, 3, 129]),
+    k=st.integers(1, 10),
+    layers=st.integers(1, 3),
+    m=st.integers(1, 6),
+    hidden=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(B=3, k=10, layers=2, m=5, hidden=4, seed=0)  # a `recommend` call's pricing pass
+def test_cache_free_forecaster_has_the_bits_of_forward(B, k, layers, m, hidden, seed):
+    """The forecaster's cache-free pass, over `ForecastRows` and over the
+    dense array they stand for, has the bits of the cached `forward`, and
+    `predict` equals `forward(rows)[0]`."""
+    rows, net = _random_forecaster(np.random.default_rng(seed), m, k, B, hidden, layers)
+    for given_rows in (rows, dense_forecast_inputs(rows)):
+        want, _ = net.forward(given_rows)
+        got, none = net.forward(given_rows, keep_cache=False)
+        assert none is None and got.tobytes() == want.tobytes()
+    assert net.predict(rows).tobytes() == net.forward(rows)[0].tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(bad=st.sampled_from(["stations", "nan", "inf"]), B=st.sampled_from([1, 3, 129]),
+       k=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_cache_free_forecaster_rejects_what_forward_rejects(bad, B, k, seed):
+    """Rows of another station set (a wrong input width) raise the same
+    ShapeError, and a non-finite lag the same DomainError, with and without
+    the cache."""
+    rng = np.random.default_rng(seed)
+    rows, net = _random_forecaster(rng, 3, k, B, 2, 2)
+    if bad == "stations":
+        other, _ = _random_forecaster(rng, 4, k, B, 2, 2)
+        rows = other
+    else:
+        rows.lags[rng.integers(B), rng.integers(k)] = float(bad)
+
+    def raised(keep_cache):
+        with pytest.raises((ShapeError, DomainError)) as info:
+            net.forward(rows, keep_cache=keep_cache)
+        return type(info.value), str(info.value)
+
+    assert raised(True) == raised(False)
+    with pytest.raises(raised(True)[0]):
+        net.predict(rows)
 
 
 _FORECASTER_SIZES = dict(m=st.integers(1, 4), k=st.integers(1, 5), n=st.integers(1, 30),

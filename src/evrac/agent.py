@@ -196,16 +196,12 @@ class HistoryEncoder:
         out.update({f"lstm.{k}": v for k, v in self.lstm.params.items()})
         return out
 
-    def forward(self, histories: np.ndarray, keep_cache: bool = True) -> tuple[np.ndarray, dict | None]:
-        """The encoded states (B, hidden) and the cache `backward` reads, or
-        None with `keep_cache=False` (see `nn.LstmLayer.forward`)."""
+    def forward(self, histories: np.ndarray) -> tuple[np.ndarray, dict]:
         B, k, d = histories.shape
         flat = histories.reshape(B * k, d)
         emb, embed_cache = self.embed.forward(flat)
         seq = emb.reshape(B, k, self.embed_dim)
-        c, lstm_cache = self.lstm.final_hidden(seq, keep_cache)
-        if not keep_cache:
-            return c, None
+        c, lstm_cache = self.lstm.final_hidden(seq)
         return c, {"embed": embed_cache, "lstm": lstm_cache, "shape": (B, k)}
 
     def backward(self, cache: dict, dc: np.ndarray) -> dict[str, np.ndarray]:
@@ -261,14 +257,10 @@ class RacModel:
         return copy.deepcopy(self)
 
     # -- forward helpers ----------------------------------------------------
-    def policy(self, histories: np.ndarray, keep_cache: bool = True) -> tuple[np.ndarray, dict | None]:
-        """The policy over stations (B, M) and the training cache, or None
-        with `keep_cache=False`, for callers that only rank."""
-        c, enc_cache = self.encoder.forward(histories, keep_cache)
+    def policy(self, histories: np.ndarray) -> tuple[np.ndarray, dict]:
+        c, enc_cache = self.encoder.forward(histories)
         logits, head_cache = self.actor_head.forward(c)
         pi = nn.softmax(logits)
-        if not keep_cache:
-            return pi, None
         return pi, {"c": c, "enc": enc_cache, "head": head_cache, "pi": pi}
 
     def q_values(self, c: np.ndarray, action_onehot: np.ndarray, target: bool = False):
@@ -589,8 +581,11 @@ def recommend(
     """Top-k stations by probability (ties by station id), each annotated
     with the forecast wait, distance and reward it would earn.
 
-    `model` is a RacModel or any recommender with `probabilities`. `when` is
-    the decision time used for pricing; defaults to the last event's start time.
+    `history` is the driver's past events in trajectory order, by
+    (start_time, event_id), as `DriverTrajectory.events` holds them, or a
+    prefix of it. `model` is a RacModel or any recommender with
+    `probabilities`. `when` is the decision time used for pricing; defaults
+    to the last event's start time.
     """
     rec = RacRecommender(model, obs_space) if isinstance(model, RacModel) else model
     index = obs_space.index
@@ -598,7 +593,6 @@ def recommend(
         raise UsageError(f"k must be in [1, {len(index)}]")
     if not history:
         raise UsageError("recommendation needs at least one past event")
-    history = sorted(history, key=lambda e: (e.start_time, e.event_id))
     p = rec.probabilities([(driver_id, history, [len(history)])])[0]
     eh = epoch_hour(when or history[-1].start_time)
     ranked = _rank_row(p, index.order, k)
@@ -626,10 +620,9 @@ class RacRecommender:
         return np.concatenate([np.empty((0, self.model.num_stations))] + rows)
 
     def _chunk_policy(self, chunk: list[tuple[list[ChargingEvent], np.ndarray]]) -> np.ndarray:
-        # A function of its own, so that the chunk's windows are freed before
-        # the next chunk's are built. The pass keeps no cache.
-        pi, _ = self.model.policy(np.concatenate([self.obs_space.windows(events, cuts) for events, cuts in chunk]),
-                                  keep_cache=False)
+        # A function of its own, so that the chunk's windows and forward cache
+        # are freed before the next chunk's are built.
+        pi, _ = self.model.policy(np.concatenate([self.obs_space.windows(events, cuts) for events, cuts in chunk]))
         pi[np.concatenate([cuts for _, cuts in chunk]) == 0] = 1.0 / self.model.num_stations
         return pi
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,9 @@ def save_checkpoint(arrays: dict[str, np.ndarray], kind: str, meta: dict, path: 
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    # A device would be read until memory runs out, and a FIFO would block.
+    if not stat.S_ISREG(Path(path).stat().st_mode):
+        raise DataFormatError(f"{path}: not a regular file")
     raw = Path(path).read_bytes()
     if not raw.startswith(MAGIC):
         raise DataFormatError(f"{path}: bad checkpoint magic")

@@ -15,7 +15,7 @@ import dataclasses
 import json
 import logging
 import sys
-from pathlib import Path
+from pathlib import Path, PurePath
 
 from . import __version__
 from .agent import RacRecommender, recommend
@@ -233,9 +233,16 @@ def _load_recommender(path: str, obs_space):
     return model
 
 
+def _is_plain_name(name: str) -> bool:
+    """Whether `name` names a file inside the directory it is joined onto:
+    no separator, no absolute path, not `.` or `..`, no NUL byte."""
+    return name not in ("", "..") and "\0" not in name and PurePath(name).name == name
+
+
 def _load_index(path: Path) -> tuple[str, dict[str, str]]:
     """The per-driver index: the shared checkpoint's file name and a
-    driver id -> file name map."""
+    driver id -> file name map. Every name is a plain file name, so the
+    checkpoints it points to stay inside the index's directory."""
     try:
         index = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -244,6 +251,9 @@ def _load_index(path: Path) -> tuple[str, dict[str, str]]:
     if not (isinstance(files, dict) and isinstance(index.get("shared"), str)
             and all(isinstance(name, str) for name in files.values())):
         raise DataFormatError(f"{path}: index needs a string 'shared' and a 'files' object of strings")
+    for name in [index["shared"], *files.values()]:
+        if not _is_plain_name(name):
+            raise DataFormatError(f"{path}: {name!r} is not a plain file name in the model directory")
     return index["shared"], files
 
 

@@ -15,9 +15,8 @@ floor orders of magnitude below the pass tolerance even for near-zero
 gradient entries, while any systematic backward bug still scales with the
 gradient and is caught.
 
-The finite-difference losses run the cache-free inference passes
-(`keep_cache=False`), which have the bits of the cached forward; only the
-analytic side builds the cache that backward reads.
+Both sides run the one forward the trainers run; the finite-difference
+losses drop the cache it returns.
 """
 
 from __future__ import annotations
@@ -44,21 +43,20 @@ def _check_regression(
     rng: np.random.Generator,
     h: float,
     params: Arrays,
-    forward: Callable[[bool], tuple[np.ndarray, object]],
+    forward: Callable[[], tuple[np.ndarray, object]],
     backward: Callable[[object, np.ndarray], Arrays],
 ) -> float:
     """Check `backward(cache, dy)` against the scaled loss ½‖y − target‖²,
-    with the target a small random offset from the clean output.
-    `forward(keep_cache)` returns the output and, when asked, the cache."""
-    clean, _ = forward(False)
+    with the target a small random offset from the clean output `forward()`."""
+    clean, _ = forward()
     target = clean + RESIDUAL * rng.normal(size=clean.shape)
 
     def loss_fn() -> float:
-        y, _ = forward(False)
+        y, _ = forward()
         return LOSS_SCALE * float(np.sum(0.5 * (y - target) ** 2))
 
     def grads_fn() -> Arrays:
-        y, cache = forward(True)
+        y, cache = forward()
         return backward(cache, LOSS_SCALE * (y - target))
 
     return nn.grad_check(params, loss_fn, grads_fn, h)
@@ -68,7 +66,7 @@ def _check_mlp(rng: np.random.Generator, h: float) -> float:
     widths = [int(rng.integers(2, 6)) for _ in range(3)]
     model = nn.Mlp(widths, rng)
     x = rng.normal(size=(2, widths[0]))
-    return _check_regression(rng, h, model.params, lambda keep_cache: model.forward(x),
+    return _check_regression(rng, h, model.params, lambda: model.forward(x),
                              lambda cache, dy: model.backward(cache, dy)[1])
 
 
@@ -76,7 +74,7 @@ def _check_lstm_cell(rng: np.random.Generator, h: float) -> float:
     in_dim, hidden = int(rng.integers(2, 6)), int(rng.integers(2, 6))
     layer = nn.LstmLayer(in_dim, hidden, rng)
     x = rng.normal(size=(1, 1, in_dim))
-    return _check_regression(rng, h, layer.params, lambda keep_cache: layer.forward(x, keep_cache),
+    return _check_regression(rng, h, layer.params, lambda: layer.forward(x),
                              lambda cache, dy: layer.backward(cache, dy)[1])
 
 
@@ -107,7 +105,7 @@ def _check_actor(regularizer: str, loss: Callable[[np.ndarray, np.ndarray], floa
         a_hat = _onehot_rows(actions, model.num_stations)
 
         def loss_fn() -> float:
-            pi, _ = model.policy(histories, keep_cache=False)
+            pi, _ = model.policy(histories)
             return LOSS_SCALE * loss(pi, actions)
 
         def grads_fn() -> Arrays:
@@ -128,10 +126,7 @@ def _check_critic(rng: np.random.Generator, h: float) -> float:
     params = {k: v for k, v in model.actor_params().items() if k.startswith("encoder.")}
     params.update(model.critic_params())
 
-    def forward(keep_cache: bool):
-        if not keep_cache:
-            c, _ = model.encoder.forward(histories, keep_cache=False)
-            return model.q_values(c, a_hat)[0], None
+    def forward():
         _, cache = model.policy(histories)
         q, critic_cache = model.q_values(cache["c"], a_hat)
         return q, (cache, critic_cache)
@@ -153,7 +148,7 @@ def _check_reward(rng: np.random.Generator, h: float) -> float:
     the first layer are checked too. Rows repeat stations and some lag hours
     fall before 1970. The gradient is `mse_gradient`'s, as `train_reward_net`
     applies it, summed over chunks of 2 rows; the row count is odd, so the
-    last chunk is partial. The loss is the one-shot cache-free pass's."""
+    last chunk is partial. The loss is the one-shot forward's."""
     m, hidden, k = int(rng.integers(2, 5)), int(rng.integers(2, 5)), int(rng.integers(2, 5))
     index = StationIndex({
         f"s{i}": Station(f"s{i}", float(rng.uniform(-60, 60)), float(rng.uniform(-180, 180)),
@@ -164,11 +159,11 @@ def _check_reward(rng: np.random.Generator, h: float) -> float:
     rows = ForecastRows(index, rng.normal(size=(n, k)), rng.integers(0, m, size=n),
                         rng.integers(-2 * HOURS_PER_WEEK, 2 * HOURS_PER_WEEK, size=n))
     net = WaitForecastNet(reward_net_input_dim(index), hidden, 2, rng)
-    target = net.forward(rows, keep_cache=False)[0] + RESIDUAL * rng.normal(size=n)
+    target = net.forward(rows)[0] + RESIDUAL * rng.normal(size=n)
     chunks = rows.chunks(2)
 
     def loss_fn() -> float:
-        y, _ = net.forward(rows, keep_cache=False)
+        y, _ = net.forward(rows)
         return LOSS_SCALE * float(np.mean(0.5 * (y - target) ** 2))
 
     def grads_fn() -> Arrays:

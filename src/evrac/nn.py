@@ -11,9 +11,11 @@ Conventions:
   * parameters live in plain dicts name -> ndarray, so SGD, clipping,
     checkpointing and gradient checks all share the same machinery
   * forward passes return (output, cache); backward passes consume the cache
-    and return (input gradients, parameter gradients). The LSTM forwards take
-    `keep_cache=False` for inference: the same steps, with the same bits,
-    write reused buffers instead of the BPTT cache, and None stands in for it
+    and return (input gradients, parameter gradients). Callers that never run
+    backward drop the cache
+  * inside `LstmLayer` the step state is time-major, (T, B, ·), so that step
+    t reads and writes contiguous rows; its forward and backward take and
+    return batch-first views of it
 
 Initialization: weights ~ uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)); LSTM
 forget-gate bias starts at 1.0 for gradient flow; all other biases at 0.
@@ -22,7 +24,6 @@ forget-gate bias starts at 1.0 for gradient flow; all other biases at 0.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Callable
 
@@ -174,11 +175,11 @@ class DenseInput:
     """The input side of an `LstmLayer` over a (B, T, in) array.
 
     An `LstmLayer` touches its input in two places only: `project(W)` gives
-    every step's input pre-activations x_t W, (B, T, 4h), on the way in, and
-    `backward(W, dW, steps)` adds the input-weight gradient to `dW` on the way
-    out, from the (t, dz) pairs of the BPTT loop, and returns the input
-    gradient. Any object with a (B, T, in) `shape` and these two methods can
-    stand in for the array; `reward.ForecastRows` is one.
+    every step's input pre-activations x_t W, time-major (T, B, 4h), on the
+    way in, and `backward(W, dW, steps)` adds the input-weight gradient to
+    `dW` on the way out, from the (t, dz) pairs of the BPTT loop, and returns
+    the input gradient (B, T, in). Any object with a (B, T, in) `shape` and
+    these two methods can stand in for the array; `reward.ForecastRows` is one.
     """
 
     def __init__(self, xs: np.ndarray):
@@ -188,14 +189,15 @@ class DenseInput:
     def project(self, W: np.ndarray) -> np.ndarray:
         _require_finite("lstm input", self.xs)
         B, T, _ = self.shape
-        return (self.xs.reshape(B * T, -1) @ W).reshape(B, T, W.shape[1])
+        return (self.xs.swapaxes(0, 1).reshape(T * B, -1) @ W).reshape(T, B, W.shape[1])
 
     def backward(self, W: np.ndarray, dW: np.ndarray, steps) -> np.ndarray:
-        dxs = np.empty_like(self.xs)
+        B, T, in_dim = self.shape
+        dxs = np.empty((T, B, in_dim))
         for t, dz in steps:
             dW += self.xs[:, t].T @ dz
-            np.matmul(dz, W.T, out=dxs[:, t])
-        return dxs
+            np.matmul(dz, W.T, out=dxs[t])
+        return dxs.swapaxes(0, 1)
 
 
 def _input_side(xs):
@@ -229,11 +231,10 @@ class LstmLayer:
     def params(self) -> dict[str, np.ndarray]:
         return {"W": self.W, "U": self.U, "b": self.b}
 
-    def forward(self, xs, keep_cache: bool = True) -> tuple[np.ndarray, dict | None]:
-        """The hidden sequence (B, T, h), and the cache `backward` reads.
-        With `keep_cache=False` every step writes one reused gate buffer and
-        one cell buffer instead, and the cache is None: the same steps with
-        the same bits, for callers that never run backward."""
+    def forward(self, xs) -> tuple[np.ndarray, dict]:
+        """The hidden sequence (B, T, h), and the cache `backward` reads. The
+        cache holds the step state time-major: "hs" and "cs" are (T, B, h),
+        "gates" (T, B, 4h); the returned sequence is a view of "hs"."""
         inputs = _input_side(xs)
         if len(inputs.shape) != 3 or inputs.shape[2] != self.input_dim:
             raise ShapeError(
@@ -245,33 +246,20 @@ class LstmLayer:
         # sigmoid(z) = 0.5 + 0.5 tanh(z/2), so one tanh over the whole block
         # activates every gate once its i/f/o columns are halved. The halving
         # is folded into W, U and b; scaling by a power of two is exact.
-        # The input projection of all T steps is computed up front, as a
-        # contiguous array so that the cache's block views below are views.
+        # The input projection of all T steps is computed up front, into the
+        # gates buffer that each step then activates in place; it is made
+        # contiguous so that the block views below are views.
         U = self.U * scale
         gates = np.ascontiguousarray(inputs.project(self.W * scale))
         gates += self.b * scale
-        hs = np.empty((B, T, h))
-        # Where each step writes its activated gates `a`, their i/f/g/o block
-        # views and its cell `c`. With the cache, step t activates its own row
-        # of `gates` in place and writes its own row of `cs`; without it,
-        # every step reuses one gate buffer, one cell buffer and one set of
-        # block views.
-        if keep_cache:
-            cs = np.empty((B, T, h))
-            acts, cells = gates.swapaxes(0, 1), cs.swapaxes(0, 1)
-            blocks = gates.reshape(B, T, 4, h).transpose(1, 2, 0, 3)
-        else:
-            a, c = np.empty((B, 4 * h)), np.empty((B, h))
-            acts, cells = itertools.repeat(a), itertools.repeat(c)
-            blocks = itertools.repeat(tuple(a.reshape(B, 4, h).swapaxes(0, 1)))
+        hs = np.empty((T, B, h))
+        cs = np.empty((T, B, h))
+        blocks = gates.reshape(T, B, 4, h).swapaxes(1, 2)  # step t's i, f, g, o
         ig = np.empty((B, h))
-        steps = zip(gates.swapaxes(0, 1), acts, blocks, cells, hs.swapaxes(0, 1))
-        for t, (z, a, (i, f, g, o), c, h_t) in enumerate(steps):
+        for t, (a, (i, f, g, o), c, h_t) in enumerate(zip(gates, blocks, cs, hs)):
             if t:
-                np.add(z, h_prev @ U, out=a)
-                np.tanh(a, out=a)
-            else:
-                np.tanh(z, out=a)
+                a += h_prev @ U
+            np.tanh(a, out=a)
             a *= scale
             a += shift
             if t:
@@ -282,35 +270,35 @@ class LstmLayer:
             np.tanh(c, out=h_t)
             h_t *= o  # h_t = o * tanh(c_t)
             h_prev, c_prev = h_t, c
-        if not keep_cache:
-            return hs, None
-        return hs, {"xs": xs, "hs": hs, "cs": cs, "gates": gates}
+        return hs.swapaxes(0, 1), {"xs": xs, "hs": hs, "cs": cs, "gates": gates}
 
     def backward(self, cache: dict, dhs: np.ndarray) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
-        """BPTT. `dhs` is the upstream gradient on every step's hidden state.
-        The input gradient is whatever the input side returns (None when it
-        has no use for one)."""
+        """BPTT. `dhs` (B, T, h) is the upstream gradient on every step's
+        hidden state. The input gradient is whatever the input side returns
+        (None when it has no use for one)."""
         dW = np.zeros_like(self.W)
         dU = np.zeros_like(self.U)
         db = np.zeros_like(self.b)
-        dxs = _input_side(cache["xs"]).backward(self.W, dW, self._steps(cache, dhs, dU, db))
+        steps = self._steps(cache, dhs.swapaxes(0, 1), dU, db)
+        dxs = _input_side(cache["xs"]).backward(self.W, dW, steps)
         return dxs, {"W": dW, "U": dU, "b": db}
 
     def _steps(self, cache: dict, dhs: np.ndarray, dU: np.ndarray, db: np.ndarray):
-        """The BPTT step loop, last step first. Yields (t, dz), the gradient
-        on step t's pre-activations, and adds that step's terms to dU and db.
-        `dz` is one buffer, rewritten block by block each step."""
+        """The BPTT step loop over time-major `dhs` (T, B, h), last step
+        first. Yields (t, dz), the gradient on step t's pre-activations, and
+        adds that step's terms to dU and db. `dz` is one buffer, rewritten
+        block by block each step."""
         hs, cs, gates = cache["hs"], cache["cs"], cache["gates"]
-        B, T, h = hs.shape
+        T, B, h = hs.shape
         _, _, tanh_cols = _gate_affine(h)
         dz = np.empty((B, 4 * h))
         di, df, dg, do = dz[:, :h], dz[:, h : 2 * h], dz[:, 2 * h : 3 * h], dz[:, 3 * h :]
         dh_carry = dc_carry = None
         for t in range(T - 1, -1, -1):
-            a = gates[:, t]
+            a = gates[t]
             i, f, g, o = a[:, :h], a[:, h : 2 * h], a[:, 2 * h : 3 * h], a[:, 3 * h :]
-            tanh_c = np.tanh(cs[:, t])
-            dh = dhs[:, t] if dh_carry is None else dhs[:, t] + dh_carry
+            tanh_c = np.tanh(cs[t])
+            dh = dhs[t] if dh_carry is None else dhs[t] + dh_carry
             np.multiply(dh, tanh_c, out=do)
             dc = dh * o
             tanh_c *= tanh_c
@@ -319,7 +307,7 @@ class LstmLayer:
                 dc += dc_carry
             np.multiply(dc, g, out=di)
             if t:
-                np.multiply(dc, cs[:, t - 1], out=df)
+                np.multiply(dc, cs[t - 1], out=df)
             else:
                 df.fill(0.0)  # c_{-1} = 0
             np.multiply(dc, i, out=dg)
@@ -328,7 +316,7 @@ class LstmLayer:
             dz *= (1.0 - a) * (a + tanh_cols)
             yield t, dz
             if t:
-                dU += hs[:, t - 1].T @ dz
+                dU += hs[t - 1].T @ dz
             db += dz.sum(axis=0)
             dh_carry = dz @ self.U.T
             dc_carry = dc
@@ -361,18 +349,17 @@ class StackedLstm:
                 out[f"l{l}.{k}"] = v
         return out
 
-    def forward(self, xs: np.ndarray, keep_cache: bool = True) -> tuple[np.ndarray, dict | None]:
-        """Returns the top layer's full hidden sequence (B, T, h) and a cache
-        (None with `keep_cache=False`, see `LstmLayer.forward`)."""
+    def forward(self, xs: np.ndarray) -> tuple[np.ndarray, dict]:
+        """Returns the top layer's full hidden sequence (B, T, h) and a cache."""
         caches = []
         seq = xs
         for layer in self.layers:
-            seq, cache = layer.forward(seq, keep_cache)
+            seq, cache = layer.forward(seq)
             caches.append(cache)
-        return seq, {"caches": caches} if keep_cache else None
+        return seq, {"caches": caches}
 
-    def final_hidden(self, xs: np.ndarray, keep_cache: bool = True) -> tuple[np.ndarray, dict | None]:
-        hs, cache = self.forward(xs, keep_cache)
+    def final_hidden(self, xs: np.ndarray) -> tuple[np.ndarray, dict]:
+        hs, cache = self.forward(xs)
         return hs[:, -1], cache
 
     def backward(self, cache: dict, dhs_top: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -386,11 +373,10 @@ class StackedLstm:
 
     def backward_last(self, cache: dict, dh_last: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Backward when only the final step's hidden state was consumed."""
-        top = cache["caches"][-1]
-        B, T, _ = top["xs"].shape
-        dhs = np.zeros((B, T, self.hidden_dim))
-        dhs[:, -1] = dh_last
-        return self.backward(cache, dhs)
+        T, B, h = cache["caches"][-1]["hs"].shape
+        dhs = np.zeros((T, B, h))
+        dhs[-1] = dh_last
+        return self.backward(cache, dhs.swapaxes(0, 1))
 
 
 # ---------------------------------------------------------------------------

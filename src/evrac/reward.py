@@ -163,9 +163,8 @@ def compute_reward(
 # ---------------------------------------------------------------------------
 
 # Rows per forecaster pass in fitting and in `WaitForecastNet.predict`. A
-# fitting pass holds the BPTT cache of its own rows only (a `predict` pass
-# holds none), so this, not the number of lag windows, bounds the
-# forecaster's memory.
+# pass holds the BPTT cache of its own rows only, so this, not the number of
+# lag windows, bounds the forecaster's memory.
 CHUNK_ROWS = 512
 
 # Rows per inference pass: the forecaster's forward when it prices and the
@@ -186,9 +185,8 @@ class WaitForecastNet:
     on the way in and out so targets sit near 1 regardless of units.
 
     `forward` and `backward` run on all their rows at once. `predict` and
-    `mse_gradient` run over chunks of at most `CHUNK_ROWS` rows, so their
-    memory does not grow with N: `mse_gradient` drops each chunk's cache
-    before the next, and `predict` keeps none.
+    `mse_gradient` run over chunks of at most `CHUNK_ROWS` rows and drop each
+    chunk's cache before the next, so their memory does not grow with N.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, num_layers: int, rng: np.random.Generator):
@@ -203,11 +201,10 @@ class WaitForecastNet:
         out.update({f"head.{k}": v for k, v in self.head.params.items()})
         return out
 
-    def forward(self, rows: "ForecastRows | np.ndarray", keep_cache: bool = True
-                ) -> tuple[np.ndarray, dict | None]:
-        h, lstm_cache = self.lstm.final_hidden(rows, keep_cache)
+    def forward(self, rows: "ForecastRows | np.ndarray") -> tuple[np.ndarray, dict]:
+        h, lstm_cache = self.lstm.final_hidden(rows)
         y, head_cache = self.head.forward(h)
-        return y[:, 0], {"lstm": lstm_cache, "head": head_cache} if keep_cache else None
+        return y[:, 0], {"lstm": lstm_cache, "head": head_cache}
 
     def backward(self, cache: dict, dy: np.ndarray) -> dict[str, np.ndarray]:
         dh, head_grads = self.head.backward(cache["head"], dy[:, None])
@@ -217,10 +214,10 @@ class WaitForecastNet:
         return grads
 
     def predict(self, rows: "ForecastRows", chunk_rows: int = CHUNK_ROWS) -> np.ndarray:
-        """`forward(rows)`'s forecasts, one cache-free pass per chunk of rows.
-        Up to one chunk this has the bits of `forward`. Pricing passes
-        `INFERENCE_ROWS`."""
-        return np.concatenate([self.forward(chunk, keep_cache=False)[0] for chunk in rows.chunks(chunk_rows)])
+        """`forward(rows)`'s forecasts, one chunk of rows at a time; each
+        chunk's cache is dropped. Up to one chunk this has the bits of
+        `forward`. Pricing passes `INFERENCE_ROWS`."""
+        return np.concatenate([self.forward(chunk)[0] for chunk in rows.chunks(chunk_rows)])
 
     def mse_gradient(self, chunks: Sequence["ForecastRows"], targets: np.ndarray
                      ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -292,11 +289,12 @@ class ForecastRows:
         return (self.hours[:, None] - k + np.arange(k)) % HOURS_PER_WEEK
 
     def project(self, W: np.ndarray) -> np.ndarray:
+        """Every step's input pre-activations, time-major (k, N, 4h)."""
         nn._require_finite("lstm input", self.lags)
         width = self.index.context_width()
-        gates = _lookup(_WEEK_FEATURES, self._week_slots(), W[1 + width :])
-        gates += _lookup(self.index.contexts, self.cols, W[1 : 1 + width])[:, None, :]
-        gates += self.lags[:, :, None] * W[0]
+        gates = _lookup(_WEEK_FEATURES, self._week_slots().T, W[1 + width :])
+        gates += _lookup(self.index.contexts, self.cols, W[1 : 1 + width])
+        gates += self.lags.T[:, :, None] * W[0]
         return gates
 
     def backward(self, W: np.ndarray, dW: np.ndarray, steps) -> None:

@@ -18,6 +18,7 @@ from evrac.evaluation import DriverOutcome, EvalReport, precision_at_k, recall_a
 from evrac.geospatial import EARTH_RADIUS_KM, NUM_POI_TYPES, Station, StationIndex
 from evrac.reward import (
     DAY_FEATURES,
+    HOURS_PER_WEEK,
     TIME_FEATURE_WIDTH,
     ForecastRows,
     RewardEnvironment,
@@ -128,6 +129,20 @@ def reference_rows(space, events: list[ChargingEvent], prev_station: str | None)
         rows.append(reference_observation(space, e, prev_station))
         prev_station = e.station_id
     return np.array(rows).reshape(len(events), space.obs_dim)
+
+
+def random_forecast_rows(rng: np.random.Generator, m: int, k: int, n: int, first_hour: int = 0) -> ForecastRows:
+    """n random `ForecastRows` with k lags over m stations with random POI
+    mixes; the first half of the rows repeat one station."""
+    index = StationIndex({
+        f"s{i}": Station(f"s{i}", float(rng.uniform(-60, 60)), float(rng.uniform(-180, 180)),
+                         rng.integers(0, 4, NUM_POI_TYPES).astype(float))
+        for i in range(m)
+    })
+    cols = rng.integers(0, m, size=n)
+    cols[: n // 2] = cols[0]  # repeats
+    hours = first_hour + rng.integers(0, 2 * HOURS_PER_WEEK, size=n)
+    return ForecastRows(index, 2.0 * rng.random((n, k)), cols, hours)
 
 
 def dense_forecast_inputs(rows: ForecastRows) -> np.ndarray:

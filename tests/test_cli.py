@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import checkpoint_mutations, km_to_lon_degrees, pattern_events
+import evrac
 from evrac.checkpoint import MAGIC, load_reward_net
 from evrac.cli import main
 from evrac.dataset import write_events
@@ -655,18 +660,56 @@ def test_eval_rejects_malformed_baseline_checkpoint(synth, capsys, kind, mutate)
     _assert_one_json_error(capsys, "DataFormatError")
 
 
+def _with_file(index, name):
+    """`index` with its first driver's checkpoint file name set to `name`."""
+    first = sorted(index["files"])[0]
+    return _with(index, "files", {**index["files"], first: name})
+
+
 @pytest.mark.parametrize("mutate", [
     lambda index: _drop(index, "shared"),
     lambda index: _drop(index, "files"),
     lambda index: _with(index, "files", {d: 7 for d in index["files"]}),
     lambda index: [index],
-], ids=["no-shared", "no-files", "non-string-file", "list"])
+    lambda index: _with_file(index, "/dev/zero"),
+    lambda index: _with(index, "shared", "/dev/zero"),
+    lambda index: _with_file(index, "../x.ckpt"),
+    lambda index: _with_file(index, "sub/x.ckpt"),
+    lambda index: _with_file(index, "."),
+    lambda index: _with_file(index, "x\0.ckpt"),
+    lambda index: _with_file(index, "dir.ckpt"),
+], ids=["no-shared", "no-files", "non-string-file", "list", "dev-zero", "shared-dev-zero", "parent-dir",
+        "separator", "dot", "nul", "directory"])
 def test_eval_rejects_malformed_index(synth, capsys, mutate):
     tmp_path, config = synth
     out_dir = tmp_path / "per-driver"
     assert main(["train-rac", "--config", str(config), "--per-driver", "--out-dir", str(out_dir)]) == 0
     capsys.readouterr()
+    (out_dir / "dir.ckpt").mkdir()
     index_path = out_dir / "index.json"
     index_path.write_text(json.dumps(mutate(json.loads(index_path.read_text()))))
     assert main(["eval", "--config", str(config), "--model-dir", str(out_dir), "--k", "1"]) == 4
     _assert_one_json_error(capsys, "DataFormatError")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_eval_rejects_fifo_checkpoint(synth, capsys):
+    """A FIFO in place of a per-driver checkpoint is a format error, refused
+    before it is opened. The eval runs in a subprocess with a timeout, so
+    that a blocking read fails the test instead of hanging it."""
+    tmp_path, config = synth
+    out_dir = tmp_path / "per-driver"
+    assert main(["train-rac", "--config", str(config), "--per-driver", "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    index = json.loads((out_dir / "index.json").read_text())
+    ckpt = out_dir / index["files"][sorted(index["files"])[0]]
+    ckpt.unlink()
+    os.mkfifo(ckpt)
+    src = Path(evrac.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "evrac", "eval", "--config", str(config), "--model-dir",
+                           str(out_dir), "--k", "1"], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 4
+    assert "Traceback" not in done.stderr
+    errors = [json.loads(line) for line in done.stderr.splitlines() if line.startswith("{")]
+    assert len(errors) == 1 and errors[0]["error"] == "DataFormatError"

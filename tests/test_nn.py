@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_forecast_rows
 from evrac import agent, nn
+from evrac import reward as rw
 from evrac.errors import DomainError, ShapeError
 from evrac.seeding import rng_for
 
@@ -392,8 +394,8 @@ def test_lstm_kernel_matches_per_gate_reference(B, T, in_dim, hidden, seed):
     hs, cache = layer.forward(xs)
     ref_hs, ref_cache = _reference_lstm_forward(layer, xs)
     _assert_rel_close(hs, ref_hs)
-    _assert_rel_close(cache["cs"], ref_cache["cs"])
-    _assert_rel_close(cache["gates"], ref_cache["gates"])
+    _assert_rel_close(cache["cs"].swapaxes(0, 1), ref_cache["cs"])
+    _assert_rel_close(cache["gates"].swapaxes(0, 1), ref_cache["gates"])
     assert cache["xs"] is xs
 
     dxs, grads = layer.backward(cache, dhs)
@@ -428,14 +430,131 @@ def test_lstm_backward_ignores_earlier_backward_calls():
 
 
 # ---------------------------------------------------------------------------
-# Cache-free inference pass
+# Time-major step state against the batch-major kernel
 # ---------------------------------------------------------------------------
 
-def _random_stack(rng, in_dim, hidden, layers):
-    net = nn.StackedLstm(in_dim, hidden, layers, rng)
+class _BatchMajorDense:
+    """`nn.DenseInput` as it was when the LSTM kept its step state batch-first."""
+
+    def __init__(self, xs):
+        self.xs = xs
+        self.shape = xs.shape
+
+    def project(self, W):
+        nn._require_finite("lstm input", self.xs)
+        B, T, _ = self.shape
+        return (self.xs.reshape(B * T, -1) @ W).reshape(B, T, W.shape[1])
+
+    def backward(self, W, dW, steps):
+        dxs = np.empty_like(self.xs)
+        for t, dz in steps:
+            dW += self.xs[:, t].T @ dz
+            np.matmul(dz, W.T, out=dxs[:, t])
+        return dxs
+
+
+class _BatchMajorRows(rw.ForecastRows):
+    """`reward.ForecastRows` with the batch-major projection it had then; its
+    backward has not changed."""
+
+    def project(self, W):
+        nn._require_finite("lstm input", self.lags)
+        width = self.index.context_width()
+        gates = rw._lookup(rw._WEEK_FEATURES, self._week_slots(), W[1 + width :])
+        gates += rw._lookup(self.index.contexts, self.cols, W[1 : 1 + width])[:, None, :]
+        gates += self.lags[:, :, None] * W[0]
+        return gates
+
+
+def _batch_major_forward(layer, inputs):
+    # `LstmLayer.forward` with batch-first (B, T, ·) step state, verbatim but
+    # for the cache-free branch it also had.
+    B, T, _ = inputs.shape
+    h = layer.hidden_dim
+    scale, shift, _ = nn._gate_affine(h)
+    U = layer.U * scale
+    gates = np.ascontiguousarray(inputs.project(layer.W * scale))
+    gates += layer.b * scale
+    hs = np.empty((B, T, h))
+    cs = np.empty((B, T, h))
+    acts, cells = gates.swapaxes(0, 1), cs.swapaxes(0, 1)
+    blocks = gates.reshape(B, T, 4, h).transpose(1, 2, 0, 3)
+    ig = np.empty((B, h))
+    steps = zip(gates.swapaxes(0, 1), acts, blocks, cells, hs.swapaxes(0, 1))
+    for t, (z, a, (i, f, g, o), c, h_t) in enumerate(steps):
+        if t:
+            np.add(z, h_prev @ U, out=a)
+            np.tanh(a, out=a)
+        else:
+            np.tanh(z, out=a)
+        a *= scale
+        a += shift
+        if t:
+            np.multiply(f, c_prev, out=c)
+            c += np.multiply(i, g, out=ig)  # c_t = f * c_prev + i * g
+        else:
+            np.multiply(i, g, out=c)
+        np.tanh(c, out=h_t)
+        h_t *= o  # h_t = o * tanh(c_t)
+        h_prev, c_prev = h_t, c
+    return hs, {"inputs": inputs, "hs": hs, "cs": cs, "gates": gates}
+
+
+def _batch_major_steps(layer, cache, dhs, dU, db):
+    # `LstmLayer._steps` with batch-first step state, verbatim.
+    hs, cs, gates = cache["hs"], cache["cs"], cache["gates"]
+    B, T, h = hs.shape
+    _, _, tanh_cols = nn._gate_affine(h)
+    dz = np.empty((B, 4 * h))
+    di, df, dg, do = dz[:, :h], dz[:, h : 2 * h], dz[:, 2 * h : 3 * h], dz[:, 3 * h :]
+    dh_carry = dc_carry = None
+    for t in range(T - 1, -1, -1):
+        a = gates[:, t]
+        i, f, g, o = a[:, :h], a[:, h : 2 * h], a[:, 2 * h : 3 * h], a[:, 3 * h :]
+        tanh_c = np.tanh(cs[:, t])
+        dh = dhs[:, t] if dh_carry is None else dhs[:, t] + dh_carry
+        np.multiply(dh, tanh_c, out=do)
+        dc = dh * o
+        tanh_c *= tanh_c
+        dc *= np.subtract(1.0, tanh_c, out=tanh_c)
+        if dc_carry is not None:
+            dc += dc_carry
+        np.multiply(dc, g, out=di)
+        if t:
+            np.multiply(dc, cs[:, t - 1], out=df)
+        else:
+            df.fill(0.0)  # c_{-1} = 0
+        np.multiply(dc, i, out=dg)
+        dz *= (1.0 - a) * (a + tanh_cols)
+        yield t, dz
+        if t:
+            dU += hs[:, t - 1].T @ dz
+        db += dz.sum(axis=0)
+        dh_carry = dz @ layer.U.T
+        dc_carry = dc
+        dc_carry *= f
+
+
+def _batch_major_stack(net, inputs, dhs):
+    """Every layer's hidden sequence, the input gradient and the parameter
+    gradients of the batch-major stacked forward and backward."""
+    seqs, caches = [], []
     for layer in net.layers:
-        layer.b += rng.normal(size=layer.b.shape)
-    return net
+        seq, cache = _batch_major_forward(layer, inputs)
+        seqs.append(seq)
+        caches.append(cache)
+        inputs = _BatchMajorDense(seq)
+    grads, d = {}, dhs
+    for l in range(len(net.layers) - 1, -1, -1):
+        layer, cache = net.layers[l], caches[l]
+        dW, dU, db = np.zeros_like(layer.W), np.zeros_like(layer.U), np.zeros_like(layer.b)
+        d = cache["inputs"].backward(layer.W, dW, _batch_major_steps(layer, cache, d, dU, db))
+        grads.update({f"l{l}.W": dW, f"l{l}.U": dU, f"l{l}.b": db})
+    return seqs, d, grads
+
+
+def _assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -443,32 +562,58 @@ def _random_stack(rng, in_dim, hidden, layers):
     B=st.sampled_from([1, 3, 129]),
     T=st.integers(1, 10),
     layers=st.integers(1, 3),
+    source=st.sampled_from(["array", "dense", "rows"]),
     in_dim=st.integers(1, 6),
     hidden=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(B=3, T=10, layers=2, in_dim=5, hidden=8, seed=0)
-def test_cache_free_pass_has_the_bits_of_forward(B, T, layers, in_dim, hidden, seed):
-    """`keep_cache=False` returns the hidden sequence of the cached forward
-    bit for bit, layer by layer and stacked, over an array or a `DenseInput`,
-    and returns None for the cache."""
+@example(B=3, T=10, layers=2, source="rows", in_dim=5, hidden=4, seed=0)  # a `recommend` pricing pass
+@example(B=129, T=10, layers=3, source="array", in_dim=6, hidden=8, seed=1)
+def test_time_major_lstm_has_the_bits_of_batch_major(B, T, layers, source, in_dim, hidden, seed):
+    """The time-major stack gives the hidden sequence of every layer, the
+    input gradient and every parameter gradient of the batch-major kernel
+    bit for bit, over an array, a `DenseInput` and `ForecastRows` (where
+    `in_dim` is the station count), through `backward` and `backward_last`.
+    The input projection and the BPTT weight gradients run as GEMMs over
+    rows in another order, which BLAS does not promise to sum alike. A
+    width-1 layer's gradients are compared within rel 1e-12 (see below)."""
     rng = np.random.default_rng(seed)
-    net = _random_stack(rng, in_dim, hidden, layers)
-    xs = 2.0 * rng.normal(size=(B, T, in_dim))
-    want, cache = net.forward(xs)
-    assert len(cache["caches"]) == layers
-    for given_xs in (xs, nn.DenseInput(xs)):
-        got, none = net.forward(given_xs, keep_cache=False)
-        assert none is None
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    last, none = net.final_hidden(xs, keep_cache=False)
-    assert none is None and last.tobytes() == net.final_hidden(xs)[0].tobytes()
-    seq = xs
+    if source == "rows":
+        xs = random_forecast_rows(rng, in_dim, T, B, first_hour=-200)
+        reference = _BatchMajorRows(xs.index, xs.lags, xs.cols, xs.hours)
+        given_xs = xs
+    else:
+        xs = 2.0 * rng.normal(size=(B, T, in_dim))
+        reference = _BatchMajorDense(xs)
+        given_xs = xs if source == "array" else nn.DenseInput(xs)
+    net = nn.StackedLstm(xs.shape[2], hidden, layers, rng)
     for layer in net.layers:
-        want_layer, _ = layer.forward(seq)
-        got_layer, none = layer.forward(seq, keep_cache=False)
-        assert none is None and got_layer.tobytes() == want_layer.tobytes()
-        seq = want_layer
+        layer.b += rng.normal(size=layer.b.shape)
+    dhs = rng.normal(size=(B, T, hidden))
+    dh_last = rng.normal(size=(B, hidden))
+    last_only = np.zeros((B, T, hidden))
+    last_only[:, -1] = dh_last
+
+    top, cache = net.forward(given_xs)
+    want_seqs, _, _ = _batch_major_stack(net, reference, dhs)
+    _assert_same_bits(top, want_seqs[-1])
+    for layer_cache, want in zip(cache["caches"], want_seqs):
+        _assert_same_bits(layer_cache["hs"].swapaxes(0, 1), want)
+    for got, upstream in ((net.backward(cache, dhs), dhs), (net.backward_last(cache, dh_last), last_only)):
+        _, want_dxs, want_grads = _batch_major_stack(net, reference, upstream)
+        dxs, grads = got
+        if source == "rows":
+            assert dxs is None and want_dxs is None
+        else:
+            _assert_same_bits(dxs, want_dxs)
+        assert grads.keys() == want_grads.keys()
+        for name, g in want_grads.items():
+            # A width-1 layer's hidden row at step t is a (1, B) operand of
+            # its U gradient and of the next layer's W gradient. Time-major,
+            # it has unit stride and numpy hands it to BLAS gemv, where the
+            # strided batch-major row ran numpy's own loop; for some B the
+            # sums then differ in the last bits.
+            (_assert_rel_close if hidden == 1 else _assert_same_bits)(grads[name], g)
 
 
 @settings(max_examples=40, deadline=None)
@@ -479,11 +624,11 @@ def test_cache_free_pass_has_the_bits_of_forward(B, T, layers, in_dim, hidden, s
     layers=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_cache_free_pass_rejects_what_forward_rejects(bad, B, T, layers, seed):
-    """A wrong shape or a non-finite input raises the same error, with the
-    same message, with and without the cache."""
+def test_stacked_lstm_rejects_bad_input(bad, B, T, layers, seed):
+    """A wrong width or rank raises ShapeError and a non-finite input
+    DomainError."""
     rng = np.random.default_rng(seed)
-    net = _random_stack(rng, 3, 4, layers)
+    net = nn.StackedLstm(3, 4, layers, rng)
     xs = rng.normal(size=(B, T, 3))
     if bad == "width":
         xs = rng.normal(size=(B, T, 4))
@@ -491,14 +636,8 @@ def test_cache_free_pass_rejects_what_forward_rejects(bad, B, T, layers, seed):
         xs = xs[0]
     else:
         xs[rng.integers(B), rng.integers(T), rng.integers(3)] = float(bad)
-
-    def raised(keep_cache):
-        with pytest.raises((ShapeError, DomainError)) as info:
-            net.forward(xs, keep_cache=keep_cache)
-        return type(info.value), str(info.value)
-
-    assert raised(True) == raised(False)
-    assert raised(False)[0] is (ShapeError if bad in ("width", "rank") else DomainError)
+    with pytest.raises(ShapeError if bad in ("width", "rank") else DomainError):
+        net.forward(xs)
 
 
 # ---------------------------------------------------------------------------

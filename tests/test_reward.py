@@ -14,6 +14,7 @@ from conftest import (
     dense_forecast_inputs,
     make_event,
     make_stations,
+    random_forecast_rows,
     reference_location_context,
     reference_time_features,
     split_population,
@@ -365,18 +366,10 @@ def _assert_rel_close(actual, expected, rel=1e-12):
 
 
 def _random_forecaster(rng, m, k, n, hidden, layers, first_hour=0):
-    """Random `ForecastRows` over m stations with random POI mixes, rows
-    repeating stations, and a net with random first-layer and head biases."""
-    index = StationIndex({
-        f"s{i}": Station(f"s{i}", float(rng.uniform(-60, 60)), float(rng.uniform(-180, 180)),
-                         rng.integers(0, 4, NUM_POI_TYPES).astype(float))
-        for i in range(m)
-    })
-    cols = rng.integers(0, m, size=n)
-    cols[: n // 2] = cols[0]  # repeats
-    hours = first_hour + rng.integers(0, 2 * rw.HOURS_PER_WEEK, size=n)
-    rows = rw.ForecastRows(index, 2.0 * rng.random((n, k)), cols, hours)
-    net = rw.WaitForecastNet(rw.reward_net_input_dim(index), hidden, layers, rng)
+    """`random_forecast_rows` and a net with random first-layer and head
+    biases."""
+    rows = random_forecast_rows(rng, m, k, n, first_hour)
+    net = rw.WaitForecastNet(rw.reward_net_input_dim(rows.index), hidden, layers, rng)
     for b in (net.lstm.layers[0].b, net.head.b):
         b += rng.normal(size=b.shape)
     return rows, net
@@ -411,35 +404,12 @@ def test_forecast_rows_match_dense_form(m, k, n, hidden, layers, first_hour, see
         _assert_rel_close(grads[name], want[name])
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    B=st.sampled_from([1, 3, 129]),
-    k=st.integers(1, 10),
-    layers=st.integers(1, 3),
-    m=st.integers(1, 6),
-    hidden=st.integers(1, 5),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(B=3, k=10, layers=2, m=5, hidden=4, seed=0)  # a `recommend` call's pricing pass
-def test_cache_free_forecaster_has_the_bits_of_forward(B, k, layers, m, hidden, seed):
-    """The forecaster's cache-free pass, over `ForecastRows` and over the
-    dense array they stand for, has the bits of the cached `forward`, and
-    `predict` equals `forward(rows)[0]`."""
-    rows, net = _random_forecaster(np.random.default_rng(seed), m, k, B, hidden, layers)
-    for given_rows in (rows, dense_forecast_inputs(rows)):
-        want, _ = net.forward(given_rows)
-        got, none = net.forward(given_rows, keep_cache=False)
-        assert none is None and got.tobytes() == want.tobytes()
-    assert net.predict(rows).tobytes() == net.forward(rows)[0].tobytes()
-
-
 @settings(max_examples=20, deadline=None)
 @given(bad=st.sampled_from(["stations", "nan", "inf"]), B=st.sampled_from([1, 3, 129]),
        k=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
-def test_cache_free_forecaster_rejects_what_forward_rejects(bad, B, k, seed):
-    """Rows of another station set (a wrong input width) raise the same
-    ShapeError, and a non-finite lag the same DomainError, with and without
-    the cache."""
+def test_forecaster_rejects_bad_rows(bad, B, k, seed):
+    """Rows of another station set (a wrong input width) raise ShapeError,
+    and a non-finite lag DomainError, from `forward` and from `predict`."""
     rng = np.random.default_rng(seed)
     rows, net = _random_forecaster(rng, 3, k, B, 2, 2)
     if bad == "stations":
@@ -447,14 +417,10 @@ def test_cache_free_forecaster_rejects_what_forward_rejects(bad, B, k, seed):
         rows = other
     else:
         rows.lags[rng.integers(B), rng.integers(k)] = float(bad)
-
-    def raised(keep_cache):
-        with pytest.raises((ShapeError, DomainError)) as info:
-            net.forward(rows, keep_cache=keep_cache)
-        return type(info.value), str(info.value)
-
-    assert raised(True) == raised(False)
-    with pytest.raises(raised(True)[0]):
+    error = ShapeError if bad == "stations" else DomainError
+    with pytest.raises(error):
+        net.forward(rows)
+    with pytest.raises(error):
         net.predict(rows)
 
 

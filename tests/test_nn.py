@@ -640,6 +640,39 @@ def test_stacked_lstm_rejects_bad_input(bad, B, T, layers, seed):
         net.forward(xs)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    B=st.sampled_from([1, 3, 129]),
+    T=st.integers(1, 10),
+    layers=st.integers(1, 3),
+    in_dim=st.integers(1, 6),
+    hidden=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(B=3, T=10, layers=2, in_dim=5, hidden=8, seed=0)
+def test_cache_free_pass_has_the_bits_of_forward(B, T, layers, in_dim, hidden, seed):
+    """What an inference caller keeps of `forward`, its cache dropped, is
+    the hidden sequence of the forward that keeps its cache, bit for bit:
+    over an array or a `DenseInput`, stacked or layer by layer, and through
+    `final_hidden`. A later pass does not write over an earlier output."""
+    rng = np.random.default_rng(seed)
+    net = nn.StackedLstm(in_dim, hidden, layers, rng)
+    for layer in net.layers:
+        layer.b += rng.normal(size=layer.b.shape)
+    xs = 2.0 * rng.normal(size=(B, T, in_dim))
+    want, cache = net.forward(xs)
+    assert len(cache["caches"]) == layers
+    kept = want.copy()
+    for given_xs in (xs, nn.DenseInput(xs)):
+        _assert_same_bits(net.forward(given_xs)[0], kept)
+    _assert_same_bits(net.final_hidden(xs)[0], kept[:, -1])
+    seq = xs
+    for layer in net.layers:
+        seq = layer.forward(seq)[0]
+    _assert_same_bits(seq, kept)
+    _assert_same_bits(want, kept)
+
+
 # ---------------------------------------------------------------------------
 # Gradient checking harness
 # ---------------------------------------------------------------------------

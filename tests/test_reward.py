@@ -404,6 +404,29 @@ def test_forecast_rows_match_dense_form(m, k, n, hidden, layers, first_hour, see
         _assert_rel_close(grads[name], want[name])
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    B=st.sampled_from([1, 3, rw.INFERENCE_ROWS]),
+    k=st.integers(1, 10),
+    layers=st.integers(1, 3),
+    m=st.integers(1, 6),
+    hidden=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(B=3, k=10, layers=2, m=5, hidden=4, seed=0)  # a `recommend` call's pricing pass
+def test_cache_free_forecaster_has_the_bits_of_forward(B, k, layers, m, hidden, seed):
+    """The pricing pass, `predict` in `INFERENCE_ROWS` chunks with each
+    chunk's cache dropped, has the bits of the `forward` that keeps its
+    cache on up to one chunk of rows, and leaves that output as it was."""
+    rows, net = _random_forecaster(np.random.default_rng(seed), m, k, B, hidden, layers)
+    want, cache = net.forward(rows)
+    assert len(cache["lstm"]["caches"]) == layers
+    kept = want.copy()
+    assert net.predict(rows, rw.INFERENCE_ROWS).tobytes() == kept.tobytes()
+    assert net.forward(rows)[0].tobytes() == kept.tobytes()
+    assert want.tobytes() == kept.tobytes()
+
+
 @settings(max_examples=20, deadline=None)
 @given(bad=st.sampled_from(["stations", "nan", "inf"]), B=st.sampled_from([1, 3, 129]),
        k=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))

@@ -144,35 +144,36 @@ class FpmcRecommender(_GatheredRows):
 
         h = self.hyper
         rng = rng_for(h.seed, "fpmc-init")
-        m, f = len(self.stations), h.factors
-        self.UI = rng.normal(0.0, 0.1, size=(len(self.driver_index), f))
-        self.IU = rng.normal(0.0, 0.1, size=(m, f))
-        self.LI = rng.normal(0.0, 0.1, size=(m, f))
-        self.IL = rng.normal(0.0, 0.1, size=(m, f))
+        d, m, f = len(self.driver_index), len(self.stations), h.factors
+        ui, iu, li, il = (rng.normal(0.0, 0.1, size=(rows, f)) for rows in (d, m, m, m))
+        # The fit keeps the factors as row blocks [UI; LI; IU; IL] of one
+        # array, so a BPR step reads its six rows with one gather and writes
+        # them with one scatter. The rows of one step are distinct (pos != neg).
+        params = np.concatenate((ui, li, iu, il))
+        at_iu, at_il = d + m, d + 2 * m
+        rows_of = np.array([(u, d + last, at_iu + pos, at_il + pos, pos) for u, last, pos in samples])
+        sign = np.array([[1.0], [1.0], [1.0], [1.0], [-1.0], [-1.0]])
 
         neg_rng = rng_for(h.seed, "fpmc-negatives")
         order_rng = rng_for(h.seed, "fpmc-order")
-        samples = np.array(samples, dtype=int)
         for _ in range(h.epochs):
-            for row in order_rng.permutation(samples.shape[0]):
-                u, last, pos = samples[row]
-                for _n in range(h.negatives):
-                    neg = int(neg_rng.integers(0, m))
+            order = order_rng.permutation(len(samples))
+            # One draw per epoch is the stream of len(samples) * negatives
+            # scalar draws, in the same order (a property of numpy's PCG64
+            # bounded integers; tests/test_baselines.py checks it).
+            negatives = neg_rng.integers(0, m, size=(len(samples), h.negatives)).tolist()
+            for (u, li_last, iu_pos, il_pos, pos), negs in zip(rows_of[order].tolist(), negatives):
+                for neg in negs:
                     if neg == pos:
                         continue
-                    x = (
-                        self.UI[u] @ (self.IU[pos] - self.IU[neg])
-                        + self.LI[last] @ (self.IL[pos] - self.IL[neg])
-                    )
-                    g = float(sigmoid(np.array([-x]))[0])
-                    ui, iu_p, iu_n = self.UI[u].copy(), self.IU[pos].copy(), self.IU[neg].copy()
-                    li, il_p, il_n = self.LI[last].copy(), self.IL[pos].copy(), self.IL[neg].copy()
-                    self.UI[u] += h.lr * (g * (iu_p - iu_n) - h.reg * ui)
-                    self.IU[pos] += h.lr * (g * ui - h.reg * iu_p)
-                    self.IU[neg] += h.lr * (-g * ui - h.reg * iu_n)
-                    self.LI[last] += h.lr * (g * (il_p - il_n) - h.reg * li)
-                    self.IL[pos] += h.lr * (g * li - h.reg * il_p)
-                    self.IL[neg] += h.lr * (-g * li - h.reg * il_n)
+                    rows = [u, li_last, iu_pos, il_pos, at_iu + neg, at_il + neg]
+                    R = params[rows]
+                    # V: the gradient direction of each row, before the sign.
+                    V = np.concatenate((R[2:4] - R[4:6], R[:2], R[:2]))
+                    x = R[0] @ V[0] + R[1] @ V[1]
+                    g = sigmoid(-x)
+                    params[rows] = R + h.lr * ((g * sign) * V - h.reg * R)
+        self.UI, self.LI, self.IU, self.IL = (block.copy() for block in np.split(params, [d, d + m, at_il]))
         return self
 
     def _rows(self, driver_id: str, events: list[ChargingEvent], cuts: Sequence[int]) -> np.ndarray:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import stat
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ from . import __version__
 from .agent import RacHyper, RacModel
 from .baselines import FpmcHyper, FpmcRecommender, MarkovRecommender, PopularityRecommender
 from .config import hyper_from_mapping
-from .errors import DataFormatError
+from .errors import DataFormatError, require_regular_file
 from .reward import RewardNetHyper, WaitForecastNet
 
 MAGIC = b"RACCKPT1\n"
@@ -61,9 +60,7 @@ def save_checkpoint(arrays: dict[str, np.ndarray], kind: str, meta: dict, path: 
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    # A device would be read until memory runs out, and a FIFO would block.
-    if not stat.S_ISREG(Path(path).stat().st_mode):
-        raise DataFormatError(f"{path}: not a regular file")
+    require_regular_file(path, DataFormatError)
     raw = Path(path).read_bytes()
     if not raw.startswith(MAGIC):
         raise DataFormatError(f"{path}: bad checkpoint magic")

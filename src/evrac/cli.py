@@ -30,7 +30,7 @@ from .checkpoint import (
 )
 from .config import Config, apply_overrides, load_config
 from .dataset import _parse_timestamp, parse_events, write_events, write_rejects
-from .errors import ConfigError, DataFormatError, DomainError, EvracError, UsageError
+from .errors import ConfigError, DataFormatError, DomainError, EvracError, UsageError, require_regular_file
 from .evaluation import CASE_STUDY_COLUMNS, SWEEP_COLUMNS, case_study, epsilon_sweep, write_rows_csv
 from .gradcheck import TOLERANCE, run_gradcheck
 from .pipeline import (
@@ -243,6 +243,7 @@ def _load_index(path: Path) -> tuple[str, dict[str, str]]:
     """The per-driver index: the shared checkpoint's file name and a
     driver id -> file name map. Every name is a plain file name, so the
     checkpoints it points to stay inside the index's directory."""
+    require_regular_file(path, DataFormatError)
     try:
         index = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

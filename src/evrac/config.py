@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, require_regular_file
 
 
 class Rule(NamedTuple):
@@ -185,6 +185,7 @@ _PARSERS = {int: int, float: float, str: str, bool: _parse_bool}
 
 def load_config(path: str | Path) -> Config:
     """Parse and validate a config file; unknown sections or keys are errors."""
+    require_regular_file(path, ConfigError)
     parser = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as fh:

@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .errors import DataFormatError, DomainError, UsageError
+from .errors import DataFormatError, DomainError, UsageError, require_regular_file
 
 logger = logging.getLogger(__name__)
 
@@ -87,8 +87,10 @@ class Split:
 
 @contextmanager
 def open_csv(path: str | Path) -> Iterator[TextIO]:
-    """Open a UTF-8 CSV file to read; a byte that is not UTF-8 or a field over
-    the csv module's size limit, met in the block, is a DataFormatError."""
+    """Open a UTF-8 CSV file to read; a path that is not a regular file, or a
+    byte that is not UTF-8 or a field over the csv module's size limit, met in
+    the block, is a DataFormatError."""
+    require_regular_file(path, DataFormatError)
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             yield fh
@@ -212,7 +214,9 @@ def parse_events(
     rejects: list[RejectedRow] = []
     seen: set[str] = set()
     with open_csv(path) as fh:
-        reader = csv.DictReader(fh)
+        # A short row's missing fields read as empty ones, which the adapters
+        # reject as they would an empty field in the file.
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None:
             raise DataFormatError(f"{path}: empty file")
         if adapter == "canonical":
@@ -221,7 +225,6 @@ def parse_events(
                 raise DataFormatError(f"{path}: missing canonical columns {missing}")
         for row in reader:
             line_no = reader.line_num  # physical lines read, so blank lines and quoted newlines count
-            raw = ",".join("" if v is None else str(v) for v in row.values())
             try:
                 if adapter == "canonical":
                     event = _canonical_row(row, line_no)
@@ -230,6 +233,8 @@ def parse_events(
                 if event.event_id in seen:
                     raise ValueError("duplicate event_id")
             except (ValueError, KeyError, DomainError) as exc:
+                # The adapters never change `row`, so its text can wait for a reject.
+                raw = ",".join(str(v) for v in row.values())
                 rejects.append(RejectedRow(line_no, raw, str(exc)))
                 continue
             seen.add(event.event_id)

@@ -15,9 +15,11 @@ from evrac.baselines import (
     MarkovRecommender,
     PopularityRecommender,
     _rank_row,
+    _train_sequences,
 )
 from evrac.errors import UsageError
-from evrac.nn import softmax
+from evrac.nn import sigmoid, softmax
+from evrac.seeding import rng_for
 
 
 def _events_from_sequence(driver, stations):
@@ -205,6 +207,103 @@ def test_fpmc_unknown_driver_ranks_by_transition_only():
     model = FpmcRecommender(["cs0", "cs1"], FpmcHyper(factors=4, epochs=30, seed=1)).fit(train)
     [ranked] = model.rank([("stranger", _events_from_sequence("stranger", ["cs0"]), [1])], 2)
     assert set(ranked) == {"cs0", "cs1"}
+
+
+# ---------------------------------------------------------------------------
+# FPMC: the block fit against the scalar loop
+# ---------------------------------------------------------------------------
+
+class _ScalarFpmc(FpmcRecommender):
+    """`FpmcRecommender` with the fit it had before the factors became one
+    parameter block: per-row copies and updates, and one scalar negative draw
+    per step."""
+
+    def fit(self, train_events):
+        # Verbatim.
+        sequences = _train_sequences(train_events)
+        samples: list[tuple[int, int, int]] = []
+        self.driver_index = {d: i for i, d in enumerate(sorted(sequences))}
+        for driver, seq in sequences.items():
+            u = self.driver_index[driver]
+            for a, b in zip(seq, seq[1:]):
+                samples.append((u, self.index[a], self.index[b]))
+        if not samples:
+            raise UsageError("FPMC needs at least one training transition")
+
+        h = self.hyper
+        rng = rng_for(h.seed, "fpmc-init")
+        m, f = len(self.stations), h.factors
+        self.UI = rng.normal(0.0, 0.1, size=(len(self.driver_index), f))
+        self.IU = rng.normal(0.0, 0.1, size=(m, f))
+        self.LI = rng.normal(0.0, 0.1, size=(m, f))
+        self.IL = rng.normal(0.0, 0.1, size=(m, f))
+
+        neg_rng = rng_for(h.seed, "fpmc-negatives")
+        order_rng = rng_for(h.seed, "fpmc-order")
+        samples = np.array(samples, dtype=int)
+        for _ in range(h.epochs):
+            for row in order_rng.permutation(samples.shape[0]):
+                u, last, pos = samples[row]
+                for _n in range(h.negatives):
+                    neg = int(neg_rng.integers(0, m))
+                    if neg == pos:
+                        continue
+                    x = (
+                        self.UI[u] @ (self.IU[pos] - self.IU[neg])
+                        + self.LI[last] @ (self.IL[pos] - self.IL[neg])
+                    )
+                    g = float(sigmoid(np.array([-x]))[0])
+                    ui, iu_p, iu_n = self.UI[u].copy(), self.IU[pos].copy(), self.IU[neg].copy()
+                    li, il_p, il_n = self.LI[last].copy(), self.IL[pos].copy(), self.IL[neg].copy()
+                    self.UI[u] += h.lr * (g * (iu_p - iu_n) - h.reg * ui)
+                    self.IU[pos] += h.lr * (g * ui - h.reg * iu_p)
+                    self.IU[neg] += h.lr * (-g * ui - h.reg * iu_n)
+                    self.LI[last] += h.lr * (g * (il_p - il_n) - h.reg * li)
+                    self.IL[pos] += h.lr * (g * li - h.reg * il_p)
+                    self.IL[neg] += h.lr * (-g * li - h.reg * il_n)
+        return self
+
+
+@st.composite
+def _fpmc_cases(draw):
+    # Few stations make neg == pos skips common; M = 1 skips every step.
+    m = draw(st.integers(1, 9))
+    stations = [f"cs{i}" for i in range(m)]
+    seqs = draw(st.lists(st.lists(st.sampled_from(stations), max_size=8), min_size=1, max_size=4)
+                .filter(lambda seqs: any(len(seq) >= 2 for seq in seqs)))
+    train = {f"d{d}": _events_from_sequence(f"d{d}", seq) for d, seq in enumerate(seqs)}
+    hyper = FpmcHyper(factors=draw(st.integers(1, 16)), negatives=draw(st.integers(1, 5)),
+                      epochs=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32 - 1)))
+    return stations, train, hyper
+
+
+@settings(max_examples=80, deadline=None)
+@given(_fpmc_cases())
+def test_fpmc_block_fit_has_the_bits_of_the_scalar_loop(case):
+    stations, train, hyper = case
+    fitted = FpmcRecommender(stations, hyper).fit(train)
+    reference = _ScalarFpmc(stations, hyper).fit(train)
+    assert fitted.driver_index == reference.driver_index
+    for name in ("UI", "IU", "LI", "IL"):
+        got, want = getattr(fitted, name), getattr(reference, name)
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 7, 50, 1000])
+def test_epoch_negatives_draw_is_the_scalar_stream(m):
+    """One `integers(0, m, size=(n, k))` call per epoch gives the values, and
+    leaves the generator in the state, of n * k scalar `integers(0, m)` calls.
+
+    This is a property of numpy's PCG64 bounded-integer sampler (checked on
+    numpy 2.4.6), not of evrac; the FPMC fit relies on it to keep the
+    negatives of the scalar loop. Odd n * k leave half of a 64-bit draw
+    buffered between epochs."""
+    batched, scalar = rng_for(3, "fpmc-negatives"), rng_for(3, "fpmc-negatives")
+    for n, k in [(7, 4), (1, 1), (13, 3), (40, 1), (5, 5)]:
+        block = batched.integers(0, m, size=(n, k))
+        assert block.tolist() == [[int(scalar.integers(0, m)) for _ in range(k)] for _ in range(n)]
+        assert batched.bit_generator.state == scalar.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -692,11 +692,24 @@ def test_eval_rejects_malformed_index(synth, capsys, mutate):
     _assert_one_json_error(capsys, "DataFormatError")
 
 
+def _eval_fails_in_subprocess(config, out_dir, error: str) -> None:
+    """`evrac eval --model-dir` exits 4 with one JSON `error`. It runs in a
+    subprocess with a timeout, so that a blocking open or read fails the test
+    instead of hanging it."""
+    src = Path(evrac.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "evrac", "eval", "--config", str(config), "--model-dir",
+                           str(out_dir), "--k", "1"], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 4
+    assert "Traceback" not in done.stderr
+    errors = [json.loads(line) for line in done.stderr.splitlines() if line.startswith("{")]
+    assert len(errors) == 1 and errors[0]["error"] == error
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_eval_rejects_fifo_checkpoint(synth, capsys):
     """A FIFO in place of a per-driver checkpoint is a format error, refused
-    before it is opened. The eval runs in a subprocess with a timeout, so
-    that a blocking read fails the test instead of hanging it."""
+    before it is opened."""
     tmp_path, config = synth
     out_dir = tmp_path / "per-driver"
     assert main(["train-rac", "--config", str(config), "--per-driver", "--out-dir", str(out_dir)]) == 0
@@ -705,11 +718,21 @@ def test_eval_rejects_fifo_checkpoint(synth, capsys):
     ckpt = out_dir / index["files"][sorted(index["files"])[0]]
     ckpt.unlink()
     os.mkfifo(ckpt)
-    src = Path(evrac.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "evrac", "eval", "--config", str(config), "--model-dir",
-                           str(out_dir), "--k", "1"], capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 4
-    assert "Traceback" not in done.stderr
-    errors = [json.loads(line) for line in done.stderr.splitlines() if line.startswith("{")]
-    assert len(errors) == 1 and errors[0]["error"] == "DataFormatError"
+    _eval_fails_in_subprocess(config, out_dir, "DataFormatError")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("name, error", [
+    ("per-driver/index.json", "DataFormatError"),
+    ("run.cfg", "ConfigError"),
+    ("events.csv", "DataFormatError"),
+], ids=["index", "config", "events-csv"])
+def test_eval_rejects_fifo_input(synth, name, error):
+    """A FIFO in place of the per-driver index, the config file or the events
+    CSV is refused by its loader before it is opened."""
+    tmp_path, config = synth
+    (tmp_path / "per-driver").mkdir()
+    fifo = tmp_path / name
+    fifo.unlink(missing_ok=True)
+    os.mkfifo(fifo)
+    _eval_fails_in_subprocess(config, tmp_path / "per-driver", error)

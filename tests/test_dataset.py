@@ -1,5 +1,7 @@
 """Ingestion, trajectories, splits, warm-up pool and SOC proxy."""
 
+import copy
+import csv
 import math
 from datetime import timedelta, timezone
 
@@ -168,6 +170,91 @@ def test_repeated_event_id_goes_to_rejects(tmp_path, adapter, header, rows):
     events, rejects = dataset.parse_events(path, adapter)
     assert [(e.event_id, e.driver_id) for e in events] == [tuple(r.split(",")[:2]) for r in rows[:2]]
     assert [(r.line_no, r.reason) for r in rejects] == [(4, "duplicate event_id")]
+
+
+# Good rows, an accepted row with an extra field, and then a repeated id (not
+# in the Dundee layout, which has no id column), a short row and a rejected
+# row with extra fields.
+_REJECT_TEXT_CASES = [
+    ("canonical", "event_id,driver_id,station_id,start_time,duration_min,energy_kwh",
+     ["e1,d1,cs0,2018-06-06T08:00:00Z,30,10",
+      "e2,d1,cs1,2018-06-06T09:00:00Z,30,10,extra",
+      "e3,d2,cs0,2018-06-06T10:00:00Z,30,10",
+      "e4,d2,cs2,2018-06-06T11:00:00Z,30,10",
+      "e5,d2,cs1,2018-06-06T12:00:00Z,30,10",
+      "e1,d3,cs2,2018-06-06T13:00:00Z,30,10",
+      "e6,d1,cs2",
+      'e7,d1,cs2,not-a-time,30,10,x,"y,z"']),
+    ("glasgow", "CHARGING EVENT ID,USER_ID,CP_ID,START_DATE,START_TIME,END_DATE,END_TIME,CONSUMED_KWH",
+     ["s1,u1,G0,01/09/2013,08:00,01/09/2013,08:30,7.5",
+      "s2,u1,G1,01/09/2013,09:00,01/09/2013,09:30,7.5,extra",
+      "s3,u2,G0,01/09/2013,10:00,01/09/2013,10:30,7.5",
+      "s4,u2,G2,01/09/2013,11:00,01/09/2013,11:30,7.5",
+      "s5,u2,G1,01/09/2013,12:00,01/09/2013,12:30,7.5",
+      "s1,u3,G2,01/09/2013,13:00,01/09/2013,13:30,7.5",
+      "s6,u1,G2,01/09/2013",
+      "s7,u1,G2,99/99/2013,14:00,01/09/2013,14:30,7.5,x"]),
+    ("dundee", "CP ID,Connector,Start Date,Start Time,End Date,End Time,Total kWh,Site,Model,User ID",
+     ["50911,1,06/06/2018,08:30,06/06/2018,09:15,11.2,Somewhere,EVO,driver-9",
+      "50912,1,06/06/2018,10:30,06/06/2018,11:15,11.2,Somewhere,EVO,driver-9,extra",
+      "50911,2,07/06/2018,08:30,07/06/2018,09:15,8.0,Somewhere,EVO,driver-8",
+      "50913,1,08/06/2018,08:30,08/06/2018,09:00,5.5,Elsewhere,EVO,driver-8",
+      "50912,1,06/06/2018,08:30",
+      "50913,1,06/06/2018,xx:30,06/06/2018,09:15,11.2,S,EVO,driver-9,extra"]),
+]
+
+
+def _adapt(row, line_no, adapter):
+    if adapter == "canonical":
+        return dataset._canonical_row(row, line_no)
+    return dataset._session_row(row, line_no, adapter)
+
+
+def _eager_parse(path, adapter):
+    """`parse_events` as it was when it built every row's reject text before
+    parsing the row, verbatim but for the header and majority checks and the
+    reader, which pads short rows with empty fields as `parse_events` does."""
+    events, rejects, seen = [], [], set()
+    with dataset.open_csv(path) as fh:
+        reader = csv.DictReader(fh, restval="")
+        for row in reader:
+            line_no = reader.line_num
+            raw = ",".join("" if v is None else str(v) for v in row.values())
+            try:
+                event = _adapt(row, line_no, adapter)
+                if event.event_id in seen:
+                    raise ValueError("duplicate event_id")
+            except (ValueError, KeyError, DomainError) as exc:
+                rejects.append(dataset.RejectedRow(line_no, raw, str(exc)))
+                continue
+            seen.add(event.event_id)
+            events.append(event)
+    return events, rejects
+
+
+@pytest.mark.parametrize("adapter,header,rows", _REJECT_TEXT_CASES, ids=[c[0] for c in _REJECT_TEXT_CASES])
+def test_row_adapters_never_mutate_row(tmp_path, adapter, header, rows):
+    path = _write(tmp_path, "ev.csv", "\n".join([header] + rows) + "\n")
+    with dataset.open_csv(path) as fh:
+        reader = csv.DictReader(fh, restval="")
+        for row in reader:
+            before = copy.deepcopy(row)
+            try:
+                _adapt(row, reader.line_num, adapter)
+            except (ValueError, KeyError, DomainError):
+                pass
+            assert row == before
+
+
+@pytest.mark.parametrize("adapter,header,rows", _REJECT_TEXT_CASES, ids=[c[0] for c in _REJECT_TEXT_CASES])
+def test_reject_text_built_on_reject_matches_eager_text(tmp_path, adapter, header, rows):
+    path = _write(tmp_path, "ev.csv", "\n".join([header] + rows) + "\n")
+    events, rejects = dataset.parse_events(path, adapter)
+    assert (events, rejects) == _eager_parse(path, adapter)
+    assert len(rejects) == 3 - (adapter == "dundee")
+    short = rows[-2]  # rejected, not a crash, with the text it had when short fields read None
+    assert short + "," * (header.count(",") - short.count(",")) in [r.raw for r in rejects]
+    assert any(r.raw.endswith("]") for r in rejects)  # the extra fields' list
 
 
 _ids = st.text(alphabet="abcdefghij0123456789-", min_size=1, max_size=8)

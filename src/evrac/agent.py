@@ -49,19 +49,6 @@ logger = logging.getLogger(__name__)
 # Observations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TrajectoryTensors:
-    """Precomputed per-event features for one driver, in event order."""
-
-    driver_id: str
-    obs: np.ndarray            # (n, obs_dim)
-    action_idx: np.ndarray     # (n,) station column of each event
-    hours: np.ndarray          # (n,) epoch hour of each event
-
-    def __len__(self) -> int:
-        return self.obs.shape[0]
-
-
 class ObservationSpace:
     """Builds observation vectors [location || charging || time] per event.
 
@@ -95,24 +82,22 @@ class ObservationSpace:
         out[:, width + 2 :] = time_features([epoch_hour(e.start_time) for e in events])
         return out
 
+    def padded(self, events: Sequence[ChargingEvent], lo: int, hi: int) -> np.ndarray:
+        """(history + hi - lo, obs_dim): `history` zero rows, then the
+        observations of `events[lo:hi]`, the first linked to the station of
+        event lo - 1. Rows j - lo .. j - lo + history - 1 are cut j's window."""
+        out = np.zeros((self.history + hi - lo, self.obs_dim))
+        out[self.history :] = self.rows(events[lo:hi], events[lo - 1].station_id if lo else None)
+        return out
+
     def windows(self, events: list[ChargingEvent], cuts: Sequence[int]) -> np.ndarray:
         """(len(cuts), history, obs_dim): for each cut j, the observations of
         the last `history` events of `events[:j]`, left-padded with zero rows.
         Each observation links to the station charged at just before it, even
         when that event is cut off. Cuts must be non-empty."""
-        k = self.history
         cuts = np.asarray(cuts, dtype=int)
-        lo, hi = max(int(cuts.min()) - k, 0), int(cuts.max())
-        # Row k + i holds event lo + i, so cut j's window starts at row j - lo.
-        rows = np.zeros((k + hi - lo, self.obs_dim))
-        rows[k:] = self.rows(events[lo:hi], events[lo - 1].station_id if lo else None)
-        return rows[(cuts - lo)[:, None] + np.arange(k)]
-
-    def trajectory_tensors(self, traj: DriverTrajectory) -> TrajectoryTensors:
-        obs = self.rows(traj.events, None)
-        actions = np.array([self.index.index[e.station_id] for e in traj.events], dtype=int)
-        hours = np.array([epoch_hour(e.start_time) for e in traj.events], dtype=int)
-        return TrajectoryTensors(traj.driver_id, obs, actions, hours)
+        lo = max(int(cuts.min()) - self.history, 0)
+        return self.padded(events, lo, int(cuts.max()))[(cuts - lo)[:, None] + np.arange(self.history)]
 
 
 # ---------------------------------------------------------------------------
@@ -139,29 +124,32 @@ class ReplayBuffer:
     def __init__(self, history: int, horizon: int):
         self.history = history
         self.horizon = horizon
-        self.trajectories: dict[str, TrajectoryTensors] = {}
-        # Observations after `history` zero rows: rows j..j+history-1 are step j's history.
-        self.padded_obs: dict[str, np.ndarray] = {}
+        # Per driver: the observations `ObservationSpace.padded` gives up to
+        # the last decision step, so rows j..j+history-1 are step j's history,
+        # then the station column and the epoch hour of each event up to it.
+        self.trajectories: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.windows: list[Window] = []
 
-    def add_trajectory(self, tensors: TrajectoryTensors, max_step: int | None = None) -> int:
+    def add_trajectory(self, obs_space: ObservationSpace, traj: DriverTrajectory,
+                       max_step: int | None = None) -> int:
         """Add windows over decision steps [1, max_step); max_step defaults to n.
 
         Returns the number of windows added.
         """
-        n = len(tensors)
-        hi = n if max_step is None else min(max_step, n)
+        if obs_space.history != self.history:
+            raise UsageError(f"observation history {obs_space.history} != buffer history {self.history}")
+        hi = len(traj) if max_step is None else min(max_step, len(traj))
         steps = hi - 1  # decisions 1..hi-1
         if steps < 1:
             return 0
-        self.trajectories[tensors.driver_id] = tensors
-        self.padded_obs[tensors.driver_id] = np.vstack([np.zeros((self.history, tensors.obs.shape[1])), tensors.obs])
-        added = []
-        if steps <= self.horizon:
-            added.append(Window(tensors.driver_id, 1, steps))
-        else:
-            for start in range(1, hi - self.horizon + 1):
-                added.append(Window(tensors.driver_id, start, self.horizon))
+        events = traj.events[:hi]
+        self.trajectories[traj.driver_id] = (
+            obs_space.padded(events, 0, steps),
+            np.array([obs_space.index.index_of(e.station_id) for e in events], dtype=int),
+            np.array([epoch_hour(e.start_time) for e in events], dtype=int),
+        )
+        length = min(steps, self.horizon)
+        added = [Window(traj.driver_id, start, length) for start in range(1, hi - length + 1)]
         self.windows.extend(added)
         return len(added)
 
@@ -332,13 +320,13 @@ def _gather_batch(buffer: ReplayBuffer, windows: list[Window]) -> Batch:
     lags = np.arange(buffer.history)
     hists, actions, prevs, hours, drivers = [], [], [], [], []
     for w in windows:
-        t = buffer.trajectories[w.driver_id]
+        obs, cols, step_hours = buffer.trajectories[w.driver_id]
         end = w.start + w.length
-        hists.append(buffer.padded_obs[w.driver_id][np.arange(w.start, end)[:, None] + lags])
-        actions.append(t.action_idx[w.start : end])
-        prevs.append(t.action_idx[w.start - 1 : end - 1])
-        hours.append(t.hours[w.start : end])
-        drivers += [t.driver_id] * w.length
+        hists.append(obs[np.arange(w.start, end)[:, None] + lags])
+        actions.append(cols[w.start : end])
+        prevs.append(cols[w.start - 1 : end - 1])
+        hours.append(step_hours[w.start : end])
+        drivers += [w.driver_id] * w.length
     terminal = np.zeros(len(drivers), dtype=bool)
     terminal[np.cumsum([w.length for w in windows]) - 1] = True
     return Batch(
@@ -664,9 +652,8 @@ def build_buffer(
     the training-split boundary)."""
     buffer = ReplayBuffer(hyper.history, hyper.horizon)
     for driver_id in sorted(trajectories):
-        tensors = obs_space.trajectory_tensors(trajectories[driver_id])
         cap = None if max_steps is None else max_steps.get(driver_id)
-        buffer.add_trajectory(tensors, cap)
+        buffer.add_trajectory(obs_space, trajectories[driver_id], cap)
     return buffer
 
 
@@ -694,7 +681,7 @@ def finetune_driver(
     model = shared.clone()
     n_train = len(split.train) if split is not None else len(traj)
     buffer = ReplayBuffer(hyper.history, hyper.horizon)
-    buffer.add_trajectory(obs_space.trajectory_tensors(traj), n_train)
+    buffer.add_trajectory(obs_space, traj, n_train)
     if len(buffer) == 0:
         return model
     if hyper.reward_update == "td_coupled" and isinstance(env.forecaster, NetWaitForecaster):

@@ -194,6 +194,8 @@ def load_config(path: str | Path) -> Config:
         raise ConfigError(f"{path}: {exc}") from exc
     sections = {f.name: f.metadata["section"] for f in dataclasses.fields(Config)}
     types = typing.get_type_hints(Config)
+    for key in parser.defaults():  # configparser would copy them into every section
+        raise ConfigError(f"{path}: unknown key [DEFAULT] {key}")
     values: dict[str, object] = {}
     for section in parser.sections():
         for key in parser[section]:

@@ -29,7 +29,7 @@ from .dataset import (
     warmup_cut_counts,
     warmup_pool,
 )
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, DataFormatError, UsageError
 from .evaluation import EvalReport, evaluate
 from .geospatial import StationIndex, load_poi, load_stations, station_norms
 from .reward import (
@@ -84,6 +84,10 @@ def load_data_bundle(config: Config) -> DataBundle:
         raise ConfigError("no events to work with")
 
     stations = load_stations(config.stations) if config.stations else _stations_from_events(events)
+    unknown = [e.station_id for e in events if e.station_id not in stations]
+    if unknown:
+        raise DataFormatError(f"{config.stations}: no station {unknown[0]!r}, "
+                              f"which {unknown.count(unknown[0])} events name")
     if config.poi:
         poi = load_poi(config.poi, sorted(stations))
         stations = {

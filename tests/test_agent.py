@@ -114,7 +114,7 @@ def test_rows_and_windows_match_per_event_oracle(m, history, max_energy, seed, d
 def test_windows_left_pad_with_zero_rows():
     events = pattern_events("d", ["cs0", "cs1", "cs2"], 4)
     space = _obs_space(3, history=4)
-    obs = space.trajectory_tensors(build_trajectories(events)["d"]).obs
+    obs = space.rows(events, None)
     padded = space.windows(events, [2])[0]
     assert padded.shape == (4, space.obs_dim)
     assert np.array_equal(padded[:2], np.zeros((2, space.obs_dim)))
@@ -279,15 +279,14 @@ def test_update_target_interval_one():
 # Replay buffer
 # ---------------------------------------------------------------------------
 
-def _tensors(space, driver, n):
-    events = pattern_events(driver, ["cs0", "cs1", "cs2"], n)
-    return space.trajectory_tensors(build_trajectories(events)[driver])
+def _trajectory(driver, n):
+    return build_trajectories(pattern_events(driver, ["cs0", "cs1", "cs2"], n))[driver]
 
 
 def test_buffer_windows_full_horizon():
     space = _obs_space(3)
     buffer = agent.ReplayBuffer(history=5, horizon=10)
-    buffer.add_trajectory(_tensors(space, "d", 15))
+    buffer.add_trajectory(space, _trajectory("d", 15))
     # decision steps 1..14 -> starts 1..5
     assert len(buffer) == 5
     assert all(w.length == 10 for w in buffer.windows)
@@ -297,7 +296,7 @@ def test_buffer_windows_full_horizon():
 def test_buffer_short_trajectory_single_window():
     space = _obs_space(3)
     buffer = agent.ReplayBuffer(history=5, horizon=10)
-    buffer.add_trajectory(_tensors(space, "d", 5))
+    buffer.add_trajectory(space, _trajectory("d", 5))
     assert len(buffer) == 1
     assert buffer.windows[0].length == 4
 
@@ -305,7 +304,7 @@ def test_buffer_short_trajectory_single_window():
 def test_buffer_max_step_cap():
     space = _obs_space(3)
     buffer = agent.ReplayBuffer(history=5, horizon=10)
-    buffer.add_trajectory(_tensors(space, "d", 20), max_step=8)
+    buffer.add_trajectory(space, _trajectory("d", 20), max_step=8)
     # steps 1..7 -> single window of 7
     assert len(buffer) == 1
     assert buffer.windows[0].length == 7
@@ -314,7 +313,7 @@ def test_buffer_max_step_cap():
 def test_buffer_sampling_reproducible():
     space = _obs_space(3)
     buffer = agent.ReplayBuffer(history=5, horizon=10)
-    buffer.add_trajectory(_tensors(space, "d", 40))
+    buffer.add_trajectory(space, _trajectory("d", 40))
     a = buffer.sample(np.random.default_rng(42), 16)
     b = buffer.sample(np.random.default_rng(42), 16)
     assert a == b
@@ -328,7 +327,7 @@ def test_buffer_empty_sample_errors():
 def test_terminal_flag_at_episode_end():
     space = _obs_space(3)
     buffer = agent.ReplayBuffer(history=5, horizon=10)
-    buffer.add_trajectory(_tensors(space, "d", 6))
+    buffer.add_trajectory(space, _trajectory("d", 6))
     batch = agent._gather_batch(buffer, buffer.windows)
     assert batch.terminal.tolist() == [False, False, False, False, True]
 
@@ -338,21 +337,24 @@ def test_terminal_flag_at_horizon_boundary():
     # even when the trajectory continues past it.
     space = _obs_space(3)
     buffer = agent.ReplayBuffer(history=5, horizon=4)
-    buffer.add_trajectory(_tensors(space, "d", 12))
+    buffer.add_trajectory(space, _trajectory("d", 12))
     first = buffer.windows[0]
     batch = agent._gather_batch(buffer, [first])
     assert batch.terminal.tolist() == [False, False, False, True]
 
 
-def _reference_gather(buffer, windows):
-    """Per-step construction of a batch, the layout `_gather_batch` slices."""
-    rows = [(buffer.trajectories[w.driver_id], w, j) for w in windows for j in range(w.start, w.start + w.length)]
+def _reference_gather(space, trajectories, windows):
+    """Per-step construction of a batch from the per-event oracle, the layout
+    `_gather_batch` slices."""
+    obs = {d: reference_rows(space, t.events, None) for d, t in trajectories.items()}
+    rows = [(trajectories[w.driver_id].events, w, j) for w in windows for j in range(w.start, w.start + w.length)]
+    col = space.index.index_of
     return {
-        "histories": np.stack([_pad_history(t.obs[:j], buffer.history) for t, _, j in rows]),
-        "actions": [int(t.action_idx[j]) for t, _, j in rows],
-        "hours": [int(t.hours[j]) for t, _, j in rows],
-        "drivers": [t.driver_id for t, _, _ in rows],
-        "prev_cols": [int(t.action_idx[j - 1]) for t, _, j in rows],
+        "histories": np.stack([_pad_history(obs[w.driver_id][:j], space.history) for _, w, j in rows]),
+        "actions": [col(events[j].station_id) for events, _, j in rows],
+        "hours": [rw.epoch_hour(events[j].start_time) for events, _, j in rows],
+        "drivers": [w.driver_id for _, w, _ in rows],
+        "prev_cols": [col(events[j - 1].station_id) for events, _, j in rows],
         "terminal": [j == w.start + w.length - 1 for _, w, j in rows],
     }
 
@@ -361,22 +363,26 @@ def _reference_gather(buffer, windows):
 @given(st.data())
 def test_gather_batch_matches_per_step_reference(data):
     k = data.draw(st.integers(1, 6), label="k")
+    space = _obs_space(4, history=k)
     buffer = agent.ReplayBuffer(history=k, horizon=data.draw(st.integers(1, 12), label="horizon"))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    ends = {}
+    trajectories, ends = {}, {}
     for driver in ("a", "b"):
         n = data.draw(st.integers(2, 30), label=f"n_{driver}")
         max_step = data.draw(st.none() | st.integers(2, n + 2), label=f"max_step_{driver}")
-        actions = rng.integers(0, 4, n)
-        tensors = agent.TrajectoryTensors(driver, rng.normal(size=(n, 3)), actions, rng.integers(400_000, 500_000, n))
-        buffer.add_trajectory(tensors, max_step)
+        minutes = np.cumsum(rng.integers(1, 5000, n))
+        events = [make_event(f"{driver}{i}", driver, f"cs{c}", T0 + timedelta(minutes=int(t)),
+                             duration=float(rng.uniform(0, 60)), energy=float(rng.uniform(0, 20)))
+                  for i, (c, t) in enumerate(zip(rng.integers(0, 4, n), minutes))]
+        trajectories[driver] = build_trajectories(events)[driver]
+        buffer.add_trajectory(space, trajectories[driver], max_step)
         ends[driver] = min(n if max_step is None else max_step, n) - 1
     windows = data.draw(st.lists(st.sampled_from(buffer.windows), min_size=1, max_size=8), label="windows")
     batch = agent._gather_batch(buffer, windows)
-    want = _reference_gather(buffer, windows)
+    want = _reference_gather(space, trajectories, windows)
     assert batch.windows == windows
     assert batch.histories.shape == want["histories"].shape
-    assert np.array_equal(batch.histories, want["histories"])
+    assert batch.histories.tobytes() == want["histories"].tobytes()
     for name in ("actions", "hours", "drivers", "prev_cols", "terminal"):
         assert list(getattr(batch, name)) == want[name], name
     # A trajectory's (or training split's) last decision always ends a window.
@@ -388,13 +394,17 @@ def test_gather_batch_matches_per_step_reference(data):
 # Training contracts
 # ---------------------------------------------------------------------------
 
-def _training_setup(eps, n_stations=3, seed=11, **hyper_kw):
-    index = make_stations([f"cs{i}" for i in range(n_stations)])
-    env = constant_reward_env(index, {f"cs{i}": 10.0 * (i + 1) for i in range(n_stations)})
+def _training_events(n_stations):
     events = []
     for d in range(4):
         events += pattern_events(f"driver-{d}", [f"cs{i}" for i in range(n_stations)], 12)
-    trajectories, splits, _ = split_population(events)
+    return events
+
+
+def _training_setup(eps, n_stations=3, seed=11, **hyper_kw):
+    index = make_stations([f"cs{i}" for i in range(n_stations)])
+    env = constant_reward_env(index, {f"cs{i}": 10.0 * (i + 1) for i in range(n_stations)})
+    trajectories, splits, _ = split_population(_training_events(n_stations))
     space = agent.ObservationSpace(index, 30.0, 10.0, 5)
     hyper = _small_hyper(epsilon=eps, seed=seed, **hyper_kw)
     buffer = agent.build_buffer(space, trajectories, {d: len(s.train) for d, s in splits.items()}, hyper)
@@ -471,8 +481,9 @@ def test_delta_log_consistency():
     rewards = env.breakdowns(batch.drivers, batch.prev_cols, batch.actions, batch.hours).reward
     # The next states in a second encoder pass of their own: step j's next
     # state is the history that includes event j.
+    trajectories = build_trajectories(_training_events(3))
     next_histories = np.stack([
-        _pad_history(buffer.trajectories[w.driver_id].obs[: j + 1], hyper.history)
+        _pad_history(space.rows(trajectories[w.driver_id].events, None)[: j + 1], hyper.history)
         for w in batch.windows
         for j in range(w.start, w.start + w.length)
     ])
@@ -648,17 +659,42 @@ def test_recommend_learned_preference_top1():
     assert items[0].station_id == "cs2"
 
 
-def test_windows_match_trajectory_tensors():
-    # The ranking path and the training path see the same observations,
-    # including the previous-station link of the first row kept.
+@pytest.mark.parametrize("max_step", [None, 7])
+def test_gather_batch_histories_match_windows(max_step):
+    # The training path and the ranking path see the same observations,
+    # bit for bit, at every decision step, including the previous-station
+    # link of the first row kept and the left padding.
     space = _obs_space(3, history=3)
-    events = pattern_events("d", ["cs0", "cs2", "cs1", "cs1"], 9)
-    tensors = space.trajectory_tensors(build_trajectories(events)["d"])
-    cuts = list(range(1, len(events) + 1))
-    for window, j in zip(space.windows(events, cuts), cuts):
-        kept = min(j, 3)
-        assert np.array_equal(window[3 - kept :], tensors.obs[j - kept : j])
-        assert not window[: 3 - kept].any()
+    buffer = agent.ReplayBuffer(history=3, horizon=4)
+    traj = build_trajectories(pattern_events("d", ["cs0", "cs2", "cs1", "cs1"], 11))["d"]
+    buffer.add_trajectory(space, traj, max_step)
+    batch = agent._gather_batch(buffer, buffer.windows)
+    steps = [j for w in buffer.windows for j in range(w.start, w.start + w.length)]
+    assert set(steps) == set(range(1, max_step or len(traj)))
+    for history, j in zip(batch.histories, steps, strict=True):
+        assert history.tobytes() == space.windows(traj.events, [j])[0].tobytes()
+
+
+@pytest.mark.parametrize("n, max_step", [(2, None), (6, None), (20, None), (20, 8), (20, 30), (20, 1)])
+def test_buffer_stores_each_observation_once(n, max_step):
+    # One observation array per driver, `history` zero rows then one row per
+    # decision step, and one station column and hour per event up to the
+    # last step: no event past the training cap is kept.
+    space = _obs_space(3, history=5)
+    buffer = agent.ReplayBuffer(history=5, horizon=10)
+    buffer.add_trajectory(space, _trajectory("d", n), max_step)
+    steps = min(n, max_step or n) - 1
+    if steps < 1:
+        assert buffer.trajectories == {}
+        return
+    obs, cols, hours = buffer.trajectories["d"]
+    assert obs.shape == (5 + steps, space.obs_dim)
+    assert cols.shape == hours.shape == (steps + 1,)
+
+
+def test_buffer_rejects_a_mismatched_history():
+    with pytest.raises(UsageError):
+        agent.ReplayBuffer(history=4, horizon=10).add_trajectory(_obs_space(3, history=5), _trajectory("d", 6))
 
 
 def test_recommend_ranks_like_rac_recommender():

@@ -245,6 +245,17 @@ def test_features_rejects_bad_station_row(synth, capsys, row, why):
     assert f"{stations}:5: {why}" in _assert_one_json_error(capsys, "DataFormatError")["message"]
 
 
+def test_features_rejects_events_at_a_station_not_listed(synth, capsys):
+    # Each of the fixture's 4 drivers charges at cs2 on 4 of its 14 events.
+    tmp_path, config = synth
+    stations = tmp_path / "stations.csv"
+    stations.write_text("".join(stations.read_text(encoding="utf-8").splitlines(True)[:3]), encoding="utf-8")
+    rc = main(["features", "--config", str(config), "--out-dir", str(tmp_path / "f")])
+    assert rc == 4
+    message = _assert_one_json_error(capsys, "DataFormatError")["message"]
+    assert message == f"{stations}: no station 'cs2', which 16 events name"
+
+
 @pytest.mark.parametrize("reader", ["ingest", "events", "stations", "poi", "config"])
 def test_non_utf8_input_is_format_error(synth, capsys, reader):
     tmp_path, config = synth

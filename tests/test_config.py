@@ -73,6 +73,17 @@ def test_bad_value_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text", ["[DEFAULT]\nbogus = 1\nepochs = 7\n", "[DEFAULT]\nepochs = 7\n[training]\nseed = 1\n"],
+                         ids=["alone", "beside-a-section"])
+def test_default_section_keys_rejected(tmp_path, text):
+    # configparser copies [DEFAULT] keys into every section, and with no
+    # other section it would drop them unread.
+    path = tmp_path / "c.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"unknown key \[DEFAULT\] (bogus|epochs)$"):
+        load_config(path)
+
+
 def test_bad_interpolation_rejected(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("[data]\nevents = ev%ents.csv\n", encoding="utf-8")
@@ -129,20 +140,27 @@ def _file_keys() -> set[tuple[str, str]]:
     return {(f.metadata["section"], f.name) for f in dataclasses.fields(Config)}
 
 
-def test_readme_configuration_block_matches_declaration(tmp_path):
+def _readme_config_block() -> str:
     text = README.read_text(encoding="utf-8")
     section = text[text.index("## Configuration"):]
-    block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
-    documented = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    documented.read_string(block)
+    return re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_configuration_block_matches_declaration():
+    documented = configparser.ConfigParser()
+    documented.read_string(_readme_config_block())
     assert {(s, k) for s in documented.sections() for k in documented[s]} == _file_keys()
 
-    # The shown values outside [data] are the defaults, and load as such.
-    documented.remove_section("data")
+
+def test_readme_configuration_block_loads_as_written(tmp_path):
+    # The block loads through load_config verbatim (an inline `#` comment
+    # would be read as part of its value), and the shown values outside
+    # [data] are the defaults.
     path = tmp_path / "readme.cfg"
-    with open(path, "w", encoding="utf-8") as fh:
-        documented.write(fh)
-    assert dataclasses.replace(load_config(path), events=None, stations=None, poi=None) == Config()
+    path.write_text(_readme_config_block(), encoding="utf-8")
+    loaded = load_config(path)
+    assert (loaded.events, loaded.stations, loaded.poi) == ("events.csv", "stations.csv", "poi.csv")
+    assert dataclasses.replace(loaded, events=None, stations=None, poi=None) == Config()
 
 
 _counts = st.integers(1, 10**9)
@@ -203,3 +221,45 @@ def test_config_file_round_trip_and_views(values):
     for f in dataclasses.fields(rew):
         if f.name != "val_frac":
             assert getattr(rew, f.name) == getattr(c, _REWARD_RENAMED.get(f.name, f.name)), f.name
+
+
+_FUZZ_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "0", "-1", "1e400", "nan", "-inf", "yes", "%(seed)s", "%", "9" * 5000, "ev.csv"]),
+)
+_FUZZ_NOISE = st.text(max_size=30) | st.sampled_from(["[", "# note", "  continued", "key value"])
+
+
+def _fuzz_section(name: str):
+    """`key = value` lines for a section's own keys (an unknown section's are
+    `bogus` and `epochs`), each key once, so that most sections get past the
+    parser to the key and value checks."""
+    keys = sorted(k for s, k in _file_keys() if s == name) or ["bogus", "epochs"]
+    entries = st.tuples(st.sampled_from(keys), st.sampled_from(["=", " = ", ": "]), _FUZZ_VALUES)
+    return st.lists(entries, max_size=4, unique_by=lambda e: e[0].lower()).map(
+        lambda entries: [f"[{name}]", *("".join(e) for e in entries)])
+
+
+# A file: sections in any order, then at most one noise line.
+_FUZZ_FILES = st.tuples(
+    st.lists(st.sampled_from(["data", "model", "training", "mode", "DEFAULT", "bogus"]), unique=True, max_size=4)
+    .flatmap(lambda names: st.tuples(*map(_fuzz_section, names))),
+    st.lists(_FUZZ_NOISE, max_size=1),
+).map(lambda parts: [line for section in parts[0] for line in section] + parts[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FUZZ_FILES)
+def test_load_config_fuzz_raises_only_config_error(lines):
+    """Whatever the file holds, load_config returns a valid Config or raises
+    ConfigError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.cfg"
+        path.write_text("\n".join(lines), encoding="utf-8", errors="surrogatepass")
+        try:
+            c = load_config(path)
+        except ConfigError:
+            return
+    assert c == c.validate()

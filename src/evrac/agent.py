@@ -20,6 +20,7 @@ import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -180,9 +181,7 @@ class HistoryEncoder:
 
     @property
     def params(self) -> dict[str, np.ndarray]:
-        out = {f"embed.{k}": v for k, v in self.embed.params.items()}
-        out.update({f"lstm.{k}": v for k, v in self.lstm.params.items()})
-        return out
+        return nn.named({"embed": self.embed.params, "lstm": self.lstm.params})
 
     def forward(self, histories: np.ndarray) -> tuple[np.ndarray, dict]:
         B, k, d = histories.shape
@@ -196,50 +195,37 @@ class HistoryEncoder:
         B, k = cache["shape"]
         dseq, lstm_grads = self.lstm.backward_last(cache["lstm"], dc)
         _, embed_grads = self.embed.backward(cache["embed"], dseq.reshape(B * k, self.embed_dim))
-        grads = {f"embed.{k2}": v for k2, v in embed_grads.items()}
-        grads.update({f"lstm.{k2}": v for k2, v in lstm_grads.items()})
-        return grads
+        return nn.named({"embed": embed_grads, "lstm": lstm_grads})
 
 
 class RacModel:
     """Parameter bundle: encoder, actor head, critic and target critic."""
 
-    def __init__(
-        self,
-        obs_dim: int,
-        num_stations: int,
-        hyper: RacHyper,
-        seed: int | None = None,
-    ):
+    def __init__(self, obs_dim: int, num_stations: int, hyper: RacHyper):
         self.obs_dim = obs_dim
         self.num_stations = num_stations
         self.hyper = hyper
-        init_seed = hyper.seed if seed is None else seed
         self.encoder = HistoryEncoder(
-            obs_dim, hyper.embed, hyper.hidden, hyper.layers, rng_for(init_seed, "encoder-init")
+            obs_dim, hyper.embed, hyper.hidden, hyper.layers, rng_for(hyper.seed, "encoder-init")
         )
-        self.actor_head = nn.Dense(hyper.hidden, num_stations, rng_for(init_seed, "actor-init"))
+        self.actor_head = nn.Dense(hyper.hidden, num_stations, rng_for(hyper.seed, "actor-init"))
         self.critic = nn.Mlp(
             [hyper.hidden + num_stations, hyper.critic_hidden, 1],
-            rng_for(init_seed, "critic-init"),
+            rng_for(hyper.seed, "critic-init"),
         )
         self.critic_target = copy.deepcopy(self.critic)
         self.critic_updates = 0
 
     # -- parameter views ----------------------------------------------------
     def actor_params(self) -> dict[str, np.ndarray]:
-        out = {f"encoder.{k}": v for k, v in self.encoder.params.items()}
-        out.update({f"actor.{k}": v for k, v in self.actor_head.params.items()})
-        return out
+        return nn.named({"encoder": self.encoder.params, "actor": self.actor_head.params})
 
     def critic_params(self) -> dict[str, np.ndarray]:
-        return {f"critic.{k}": v for k, v in self.critic.params.items()}
+        return nn.named({"critic": self.critic.params})
 
     def all_params(self) -> dict[str, np.ndarray]:
-        out = self.actor_params()
-        out.update(self.critic_params())
-        out.update({f"critic_target.{k}": v for k, v in self.critic_target.params.items()})
-        return out
+        return nn.named({"encoder": self.encoder.params, "actor": self.actor_head.params,
+                         "critic": self.critic.params, "critic_target": self.critic_target.params})
 
     def clone(self) -> "RacModel":
         return copy.deepcopy(self)
@@ -356,16 +342,13 @@ def _ce_loss(pi: np.ndarray, actions: np.ndarray) -> float:
 def _actor_grads(model: RacModel, cache: dict, ascent_dlogits: np.ndarray,
                  extra_dc: np.ndarray | None) -> dict[str, np.ndarray]:
     """Descent gradients of the actor group (head + shared encoder), keyed as
-    `actor_params`, for a mean-ascent logits direction plus an optional extra
-    descent gradient on the encoded state."""
+    `actor_params` but head first, for a mean-ascent logits direction plus an
+    optional extra descent gradient on the encoded state."""
     dlogits = -ascent_dlogits / ascent_dlogits.shape[0]
     dc, head_grads = model.actor_head.backward(cache["head"], dlogits)
     if extra_dc is not None:
         dc = dc + extra_dc
-    enc_grads = model.encoder.backward(cache["enc"], dc)
-    grads = {f"actor.{k}": v for k, v in head_grads.items()}
-    grads.update({f"encoder.{k}": v for k, v in enc_grads.items()})
-    return grads
+    return nn.named({"actor": head_grads, "encoder": model.encoder.backward(cache["enc"], dc)})
 
 
 def _clip_telemetry(group: str, norm: float, hyper: RacHyper) -> dict:
@@ -484,7 +467,7 @@ def train_rac(
         _require_finite_losses(epoch, batch, critic_mse=critic_mse, ce_loss=ce_loss, mean_reward=mean_reward)
 
         dqin, critic_grads = model.critic.backward(critic_cache, (delta / B)[:, None])
-        critic_grads = {f"critic.{k}": v for k, v in critic_grads.items()}
+        critic_grads = nn.named({"critic": critic_grads})
         dc_critic = dqin[:, : hyper.hidden]
 
         # Actor ascent: policy-gradient and preference terms.
@@ -600,42 +583,28 @@ class RacRecommender:
 
     def probabilities(self, requests: Sequence[Request]) -> np.ndarray:
         """Policy over stations at every cut of every request; uniform at a
-        cut of 0 (no history). The policy runs over the requests' windows in
-        chunks of `INFERENCE_ROWS` cuts, a chunk spanning requests when they
-        are short, so only the returned rows grow with the number of cuts."""
+        cut of 0 (no history). The requests' cuts, in order, go through the
+        policy in passes of `INFERENCE_ROWS`, a pass spanning requests when
+        they are short, so only the returned rows grow with the number of
+        cuts. Within a pass, consecutive cuts of one events list build their
+        windows with one `windows` call."""
         check_requests(requests)
-        rows = [self._chunk_policy(chunk) for chunk in _cut_chunks(requests, INFERENCE_ROWS)]
-        return np.concatenate([np.empty((0, self.model.num_stations))] + rows)
-
-    def _chunk_policy(self, chunk: list[tuple[list[ChargingEvent], np.ndarray]]) -> np.ndarray:
-        # A function of its own, so that the chunk's windows and forward cache
-        # are freed before the next chunk's are built.
-        pi, _ = self.model.policy(np.concatenate([self.obs_space.windows(events, cuts) for events, cuts in chunk]))
-        pi[np.concatenate([cuts for _, cuts in chunk]) == 0] = 1.0 / self.model.num_stations
-        return pi
+        cuts = [(events, j) for _, events, request_cuts in requests for j in request_cuts]
+        m = self.model.num_stations
+        out = np.empty((len(cuts), m))
+        for start in range(0, len(cuts), INFERENCE_ROWS):
+            piece = cuts[start : start + INFERENCE_ROWS]
+            runs = [list(run) for _, run in groupby(piece, key=lambda cut: id(cut[0]))]
+            # The windows and the forward cache are temporaries, freed before
+            # the next pass.
+            pi = self.model.policy(np.concatenate([self.obs_space.windows(run[0][0], [j for _, j in run])
+                                                  for run in runs]))[0]
+            pi[np.array([j for _, j in piece]) == 0] = 1.0 / m
+            out[start : start + len(piece)] = pi
+        return out
 
     def rank(self, requests: Sequence[Request], k: int) -> list[list[str]]:
         return [_rank_row(row, self.obs_space.index.order, k) for row in self.probabilities(requests)]
-
-
-def _cut_chunks(requests: Sequence[Request], size: int):
-    """The requests' cuts, in order, as chunks of `size` cuts (the last one
-    shorter). A chunk is a list of (events, cuts) pieces, one per request it
-    touches."""
-    chunk, rows = [], 0
-    for _, events, cuts in requests:
-        cuts = np.asarray(cuts, dtype=int)
-        start = 0
-        while start < cuts.size:
-            piece = cuts[start : start + size - rows]
-            chunk.append((events, piece))
-            rows += piece.size
-            start += piece.size
-            if rows == size:
-                yield chunk
-                chunk, rows = [], 0
-    if chunk:
-        yield chunk
 
 
 # ---------------------------------------------------------------------------

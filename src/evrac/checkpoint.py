@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, nn
 from .agent import RacHyper, RacModel
 from .baselines import FpmcHyper, FpmcRecommender, MarkovRecommender, PopularityRecommender
 from .config import hyper_from_mapping
@@ -156,13 +156,15 @@ def _check_shapes(arrays: dict[str, np.ndarray], shapes: dict[str, tuple], path:
             raise DataFormatError(f"{path}: array {name!r} has shape {arrays[name].shape}, expected {shape}")
 
 
-def _lstm_shapes(prefix: str, input_dim: int, hidden: int, layers: int) -> dict[str, tuple]:
+def _lstm_shapes(input_dim: int, hidden: int, layers: int) -> dict[str, tuple]:
     """The array shapes of an `nn.StackedLstm`, named as in its params."""
-    shapes = {}
-    for l in range(layers):
-        shapes.update({f"{prefix}.l{l}.W": (input_dim if l == 0 else hidden, 4 * hidden),
-                       f"{prefix}.l{l}.U": (hidden, 4 * hidden), f"{prefix}.l{l}.b": (4 * hidden,)})
-    return shapes
+    return nn.named({f"l{l}": {"W": (input_dim if l == 0 else hidden, 4 * hidden), "U": (hidden, 4 * hidden),
+                               "b": (4 * hidden,)} for l in range(layers)})
+
+
+def _mlp_shapes(widths: list[int]) -> dict[str, tuple]:
+    """The array shapes of an `nn.Mlp`, named as in its params."""
+    return nn.named({f"l{i}": {"W": (a, b), "b": (b,)} for i, (a, b) in enumerate(zip(widths[:-1], widths[1:]))})
 
 
 def _copy_into(params: dict[str, np.ndarray], arrays: dict[str, np.ndarray], path: str | Path) -> None:
@@ -198,13 +200,10 @@ def load_rac_model(path: str | Path) -> tuple[RacModel, dict]:
     obs_dim, m, h, c = meta["obs_dim"], meta["num_stations"], hyper.hidden, hyper.critic_hidden
     if 3 * hyper.layers + 12 > len(arrays):
         raise DataFormatError(f"{path}: hyper 'layers' is {hyper.layers}, but the checkpoint holds {len(arrays)} arrays")
-    critic = {"l0.W": (h + m, c), "l0.b": (c,), "l1.W": (c, 1), "l1.b": (1,)}
-    _check_shapes(arrays, {
-        "encoder.embed.l0.W": (obs_dim, hyper.embed), "encoder.embed.l0.b": (hyper.embed,),
-        **_lstm_shapes("encoder.lstm", hyper.embed, h, hyper.layers),
-        "actor.W": (h, m), "actor.b": (m,),
-        **{f"{group}.{name}": shape for group in ("critic", "critic_target") for name, shape in critic.items()},
-    }, path)
+    encoder = {"embed": _mlp_shapes([obs_dim, hyper.embed]), "lstm": _lstm_shapes(hyper.embed, h, hyper.layers)}
+    critic = _mlp_shapes([h + m, c, 1])
+    _check_shapes(arrays, nn.named({"encoder": nn.named(encoder), "actor": {"W": (h, m), "b": (m,)},
+                                    "critic": critic, "critic_target": critic}), path)
     model = RacModel(obs_dim, m, hyper)
     _copy_into(model.all_params(), arrays, path)
     model.critic_updates = meta["critic_updates"]
@@ -239,7 +238,8 @@ def load_reward_net(path: str | Path) -> tuple[WaitForecastNet, RewardNetHyper, 
     input_dim, hidden, layers = meta["input_dim"], meta["hidden"], meta["layers"]
     if 3 * layers + 2 > len(arrays):
         raise DataFormatError(f"{path}: meta 'layers' is {layers}, but the checkpoint holds {len(arrays)} arrays")
-    _check_shapes(arrays, {"head.W": (hidden, 1), "head.b": (1,), **_lstm_shapes("lstm", input_dim, hidden, layers)}, path)
+    _check_shapes(arrays, nn.named({"head": {"W": (hidden, 1), "b": (1,)},
+                                    "lstm": _lstm_shapes(input_dim, hidden, layers)}), path)
     net = WaitForecastNet(input_dim, hidden, layers, np.random.default_rng(0))
     _copy_into(net.params, arrays, path)
     return net, hyper, header
@@ -252,8 +252,7 @@ def load_reward_net(path: str | Path) -> tuple[WaitForecastNet, RewardNetHyper, 
 def save_baseline(model, path: str | Path, extra_meta: dict | None = None) -> None:
     extra = extra_meta or {}
     if isinstance(model, MarkovRecommender):
-        arrays = {"global": model.global_matrix}
-        arrays.update({f"driver.{d}": m for d, m in model.per_driver.items()})
+        arrays = {"global": model.global_matrix, **nn.named({"driver": model.per_driver})}
         meta = {"stations": model.stations, "lam": model.lam, **extra}
         save_checkpoint(arrays, "markov", meta, path)
     elif isinstance(model, FpmcRecommender):
@@ -266,8 +265,7 @@ def save_baseline(model, path: str | Path, extra_meta: dict | None = None) -> No
         }
         save_checkpoint(arrays, "fpmc", meta, path)
     elif isinstance(model, PopularityRecommender):
-        arrays = {"global": model.global_counts}
-        arrays.update({f"driver.{d}": c for d, c in model.per_driver.items()})
+        arrays = {"global": model.global_counts, **nn.named({"driver": model.per_driver})}
         meta = {"stations": model.stations, **extra}
         save_checkpoint(arrays, "popularity", meta, path)
     else:
@@ -294,7 +292,7 @@ def load_baseline(path: str | Path):
         return model, header
     per_driver = {name[len("driver.") :]: arr for name, arr in arrays.items() if name.startswith("driver.")}
     shape = (m, m) if kind == "markov" else (m,)
-    _check_shapes(arrays, {"global": shape, **{f"driver.{d}": shape for d in per_driver}}, path)
+    _check_shapes(arrays, {"global": shape, **nn.named({"driver": dict.fromkeys(per_driver, shape)})}, path)
     if kind == "markov":
         model = MarkovRecommender(meta["stations"], lam=meta["lam"])
         model.global_matrix = arrays["global"]

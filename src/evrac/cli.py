@@ -31,7 +31,14 @@ from .checkpoint import (
 from .config import Config, apply_overrides, load_config
 from .dataset import _parse_timestamp, parse_events, write_events, write_rejects
 from .errors import ConfigError, DataFormatError, DomainError, EvracError, UsageError, require_regular_file
-from .evaluation import CASE_STUDY_COLUMNS, SWEEP_COLUMNS, case_study, epsilon_sweep, write_rows_csv
+from .evaluation import (
+    CASE_STUDY_COLUMNS,
+    SWEEP_COLUMNS,
+    case_study,
+    epsilon_sweep,
+    scored_drivers,
+    write_rows_csv,
+)
 from .gradcheck import TOLERANCE, run_gradcheck
 from .pipeline import (
     evaluate_recommender,
@@ -223,13 +230,27 @@ def cmd_train_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_recommender(path: str, obs_space):
-    """Any model checkpoint as a recommender (RAC or a baseline)."""
+def _load_rac(path: str | Path, bundle):
+    """A RAC checkpoint as a model of the bundle's city: its observation
+    width and station count must be the city's."""
+    model, _ = load_rac_model(path)
+    got, city = (model.obs_dim, model.num_stations), (bundle.obs_space.obs_dim, len(bundle.index))
+    if got != city:
+        raise DataFormatError(f"{path}: checkpoint has obs_dim {got[0]} and {got[1]} stations, "
+                              f"but this city has obs_dim {city[0]} and {city[1]} stations")
+    return model
+
+
+def _load_recommender(path: str, bundle):
+    """Any model checkpoint (RAC or a baseline) as a recommender of the
+    bundle's city. A baseline must rank the city's stations."""
     _, header = load_checkpoint(path)
     if header.get("kind") == "rac":
-        model, _ = load_rac_model(path)
-        return RacRecommender(model, obs_space)
+        return RacRecommender(_load_rac(path, bundle), bundle.obs_space)
     model, _ = load_baseline(path)
+    if model.stations != bundle.index.order:
+        raise DataFormatError(f"{path}: checkpoint ranks another city's stations "
+                              f"({len(model.stations)} stations; this city has {len(bundle.index)})")
     return model
 
 
@@ -267,17 +288,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
     per_driver_models = None
     if args.model_dir:
         shared_name, files = _load_index(Path(args.model_dir) / "index.json")
-        shared, _ = load_rac_model(Path(args.model_dir) / shared_name)
+        shared = _load_rac(Path(args.model_dir) / shared_name, bundle)
         per_driver_models = {}
         for driver_id in bundle.splits:
             name = files.get(driver_id)
             if name is None:
                 per_driver_models[driver_id] = shared
             else:
-                per_driver_models[driver_id], _ = load_rac_model(Path(args.model_dir) / name)
+                per_driver_models[driver_id] = _load_rac(Path(args.model_dir) / name, bundle)
         recommender = RacRecommender(shared, bundle.obs_space)
     else:
-        recommender = _load_recommender(args.model, bundle.obs_space)
+        recommender = _load_recommender(args.model, bundle)
 
     report = evaluate_recommender(bundle, recommender, env, ks=ks, per_driver_models=per_driver_models)
     if args.out:
@@ -300,10 +321,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_case_study(args: argparse.Namespace) -> int:
     config = _build_config(args)
+    epsilons = _parse_floats(args.epsilons, "--epsilons")
     bundle = load_data_bundle(config)
-    run = sweep_runner(bundle, _load_reward(args))
     drivers = [d for d in args.drivers.split(",") if d]
-    rows = case_study(run, drivers, _parse_floats(args.epsilons, "--epsilons"))
+    if not drivers:
+        raise UsageError("empty --drivers list")
+    scored = scored_drivers(bundle.trajectories, bundle.splits)
+    unknown = [d for d in drivers if d not in scored]
+    if unknown:
+        raise UsageError(f"driver {unknown[0]!r} has no evaluated test events")
+    run = sweep_runner(bundle, _load_reward(args))
+    rows = case_study(run, drivers, epsilons)
     write_rows_csv(rows, CASE_STUDY_COLUMNS, args.out)
     _emit({"out": str(args.out), "rows": rows})
     return 0
@@ -327,7 +355,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         if not history:
             raise UsageError(f"driver {args.driver!r} has no events before {args.at}")
 
-    recommender = _load_recommender(args.model, bundle.obs_space)
+    recommender = _load_recommender(args.model, bundle)
     items = recommend(recommender, bundle.obs_space, env, args.driver, history, args.k, when)
     payload = [
         {

@@ -206,7 +206,10 @@ def load_config(path: str | Path) -> Config:
                 values[key] = conv(parser[section][key])
             except (ValueError, configparser.Error) as exc:  # a bad `%` interpolation too
                 raise ConfigError(f"{path}: bad value for [{section}] {key}: {exc}") from exc
-    return Config(**values).validate()
+    try:
+        return Config(**values).validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def apply_overrides(config: Config, **overrides) -> Config:

@@ -172,6 +172,11 @@ def cut_points(traj: DriverTrajectory, events: list[ChargingEvent]) -> list[int]
     return [j for j in (pos[e.event_id] for e in events) if j > 0]
 
 
+def scored_drivers(trajectories: dict[str, DriverTrajectory], splits: dict[str, Split]) -> set[str]:
+    """The drivers `evaluate` scores: those with a test cut."""
+    return {d for d, split in splits.items() if cut_points(trajectories[d], split.test)}
+
+
 def evaluate(
     recommender: Recommender,
     trajectories: dict[str, DriverTrajectory],
@@ -257,14 +262,21 @@ SWEEP_COLUMNS = ("eps", "p1", "r1", "mar")
 CASE_STUDY_COLUMNS = ("driver_id", "eps", "p1", "r1", "mean_norm_wait", "mean_norm_dist")
 
 
+def check_epsilons(values: Sequence[float]) -> None:
+    """An epsilon outside [0, 1] (NaN included) is a UsageError."""
+    bad = [eps for eps in values if not 0.0 <= eps <= 1.0]
+    if bad:
+        raise UsageError(f"epsilon {bad[0]} outside [0, 1]")
+
+
 def epsilon_sweep(
     run: Callable[[float], EvalReport], grid: Sequence[float]
 ) -> list[dict]:
-    """Train/evaluate one model per epsilon; one row of `SWEEP_COLUMNS` each."""
+    """Train/evaluate one model per epsilon; one row of `SWEEP_COLUMNS` each.
+    The whole grid is checked before the first run."""
+    check_epsilons(grid)
     rows = []
     for eps in grid:
-        if not (0.0 <= eps <= 1.0):
-            raise UsageError(f"epsilon {eps} outside [0, 1]")
         report = run(float(eps))
         rows.append(
             {
@@ -284,7 +296,9 @@ def case_study(
 ) -> list[dict]:
     """Per-driver decomposition across epsilon values: precision/recall plus
     the mean normalized wait and distance of the top-1 recommendation, one
-    row of `CASE_STUDY_COLUMNS` per (epsilon, driver)."""
+    row of `CASE_STUDY_COLUMNS` per (epsilon, driver). The epsilons are
+    checked before the first run."""
+    check_epsilons(eps_values)
     rows = []
     for eps in eps_values:
         report = run(float(eps))

@@ -81,8 +81,8 @@ def _check_lstm_cell(rng: np.random.Generator, h: float) -> float:
 def _tiny_rac(rng: np.random.Generator) -> tuple[RacModel, np.ndarray, np.ndarray]:
     """A small RacModel with a batch of random histories and logged actions."""
     m, obs_dim = 3, 5
-    hyper = RacHyper(embed=4, hidden=4, layers=2, critic_hidden=5)
-    model = RacModel(obs_dim, m, hyper, seed=int(rng.integers(2**31)))
+    hyper = RacHyper(embed=4, hidden=4, layers=2, critic_hidden=5, seed=int(rng.integers(2**31)))
+    model = RacModel(obs_dim, m, hyper)
     histories = rng.normal(size=(2, int(rng.integers(2, 5)), obs_dim))
     return model, histories, rng.integers(0, m, size=2)
 
@@ -123,8 +123,7 @@ def _check_critic(rng: np.random.Generator, h: float) -> float:
     state gradient as `extra_dc`, as in `train_rac`."""
     model, histories, actions = _tiny_rac(rng)
     a_hat = _onehot_rows(actions, model.num_stations)
-    params = {k: v for k, v in model.actor_params().items() if k.startswith("encoder.")}
-    params.update(model.critic_params())
+    params = nn.named({"encoder": model.encoder.params, "critic": model.critic.params})
 
     def forward():
         _, cache = model.policy(histories)
@@ -135,9 +134,7 @@ def _check_critic(rng: np.random.Generator, h: float) -> float:
         cache, critic_cache = caches
         dqin, critic_grads = model.critic.backward(critic_cache, dq[:, None])
         actor_grads = _actor_grads(model, cache, np.zeros_like(a_hat), dqin[:, : model.hyper.hidden])
-        grads = {k: v for k, v in actor_grads.items() if k.startswith("encoder.")}
-        grads.update({f"critic.{k}": v for k, v in critic_grads.items()})
-        return grads
+        return {**actor_grads, **nn.named({"critic": critic_grads})}  # the head's go unread
 
     return _check_regression(rng, h, params, forward, backward)
 

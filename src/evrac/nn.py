@@ -9,7 +9,8 @@ Conventions:
   * everything is float64; non-finite inputs are rejected at layer entry
   * arrays are batch-first: vectors (B, D), sequences (B, T, D)
   * parameters live in plain dicts name -> ndarray, so SGD, clipping,
-    checkpointing and gradient checks all share the same machinery
+    checkpointing and gradient checks all share the same machinery. A
+    composite names its parts' arrays with `named`, "<part>.<name>"
   * forward passes return (output, cache); backward passes consume the cache
     and return (input gradients, parameter gradients). Callers that never run
     backward drop the cache
@@ -54,6 +55,14 @@ def _require_finite(name: str, arr: np.ndarray) -> None:
         raise DomainError(f"non-finite values in {name}")
 
 
+def named(groups: dict[str, dict]) -> dict:
+    """One dict of every group's entries, each keyed "<group>.<key>", in group
+    order and then in each group's own order. The one place parameter names
+    are joined. A gradient dict's order is the summation order of
+    `global_norm`, so it fixes the bits of every clipped step."""
+    return {f"{g}.{k}": v for g, d in groups.items() for k, v in d.items()}
+
+
 def uniform_init(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
     bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
@@ -89,13 +98,10 @@ def sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> np.ndarra
 class Dense:
     """Affine map y = x @ W + b."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.in_dim = in_dim
         self.out_dim = out_dim
-        if rng is None:
-            self.W = np.zeros((in_dim, out_dim))
-        else:
-            self.W = uniform_init(rng, in_dim, (in_dim, out_dim))
+        self.W = uniform_init(rng, in_dim, (in_dim, out_dim))
         self.b = np.zeros(out_dim)
 
     @property
@@ -136,11 +142,7 @@ class Mlp:
 
     @property
     def params(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.layers):
-            for k, v in layer.params.items():
-                out[f"l{i}.{k}"] = v
-        return out
+        return named({f"l{i}": layer.params for i, layer in enumerate(self.layers)})
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
         caches = []
@@ -159,16 +161,14 @@ class Mlp:
     def backward(self, cache: dict, dy: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         caches, acts, out = cache["caches"], cache["acts"], cache["out"]
         d = dy * (1.0 - out * out) if self.output_activation == "tanh" else dy
-        grads: dict[str, np.ndarray] = {}
+        grads: dict[str, dict] = {}  # last layer first
         last = len(self.layers) - 1
         for i in range(last, -1, -1):
             if i < last:
                 # acts[i] is the tanh output feeding layer i+1
                 d = d * (1.0 - acts[i] * acts[i])
-            d, layer_grads = self.layers[i].backward(caches[i], d)
-            for k, v in layer_grads.items():
-                grads[f"l{i}.{k}"] = v
-        return d, grads
+            d, grads[f"l{i}"] = self.layers[i].backward(caches[i], d)
+        return d, named(grads)
 
 
 class DenseInput:
@@ -343,11 +343,7 @@ class StackedLstm:
 
     @property
     def params(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for l, layer in enumerate(self.layers):
-            for k, v in layer.params.items():
-                out[f"l{l}.{k}"] = v
-        return out
+        return named({f"l{l}": layer.params for l, layer in enumerate(self.layers)})
 
     def forward(self, xs: np.ndarray) -> tuple[np.ndarray, dict]:
         """Returns the top layer's full hidden sequence (B, T, h) and a cache."""
@@ -363,13 +359,11 @@ class StackedLstm:
         return hs[:, -1], cache
 
     def backward(self, cache: dict, dhs_top: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        grads: dict[str, np.ndarray] = {}
+        grads: dict[str, dict] = {}  # top layer first
         d = dhs_top
         for l in range(self.num_layers - 1, -1, -1):
-            d, layer_grads = self.layers[l].backward(cache["caches"][l], d)
-            for k, v in layer_grads.items():
-                grads[f"l{l}.{k}"] = v
-        return d, grads
+            d, grads[f"l{l}"] = self.layers[l].backward(cache["caches"][l], d)
+        return d, named(grads)
 
     def backward_last(self, cache: dict, dh_last: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Backward when only the final step's hidden state was consumed."""

@@ -52,7 +52,6 @@ class DataBundle:
     """Everything derived from the raw files that models and reports need."""
 
     config: Config
-    events: list[ChargingEvent]
     trajectories: dict[str, DriverTrajectory]          # private (post warm-up cut)
     splits: dict[str, Split]
     excluded: list[str]
@@ -129,7 +128,6 @@ def load_data_bundle(config: Config) -> DataBundle:
 
     return DataBundle(
         config=config,
-        events=events,
         trajectories=private,
         splits=splits,
         excluded=excluded,

@@ -197,9 +197,7 @@ class WaitForecastNet:
 
     @property
     def params(self) -> dict[str, np.ndarray]:
-        out = {f"lstm.{k}": v for k, v in self.lstm.params.items()}
-        out.update({f"head.{k}": v for k, v in self.head.params.items()})
-        return out
+        return nn.named({"lstm": self.lstm.params, "head": self.head.params})
 
     def forward(self, rows: "ForecastRows | np.ndarray") -> tuple[np.ndarray, dict]:
         h, lstm_cache = self.lstm.final_hidden(rows)
@@ -209,9 +207,7 @@ class WaitForecastNet:
     def backward(self, cache: dict, dy: np.ndarray) -> dict[str, np.ndarray]:
         dh, head_grads = self.head.backward(cache["head"], dy[:, None])
         _, lstm_grads = self.lstm.backward_last(cache["lstm"], dh)
-        grads = {f"lstm.{k}": v for k, v in lstm_grads.items()}
-        grads.update({f"head.{k}": v for k, v in head_grads.items()})
-        return grads
+        return nn.named({"lstm": lstm_grads, "head": head_grads})
 
     def predict(self, rows: "ForecastRows", chunk_rows: int = CHUNK_ROWS) -> np.ndarray:
         """`forward(rows)`'s forecasts, one chunk of rows at a time; each

@@ -3,6 +3,7 @@ constant-reward environments used across the suite."""
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from datetime import datetime, timedelta, timezone
@@ -257,15 +258,39 @@ def bandit_fixture():
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint mutations
+# Hostile inputs: CSV rows, JSON values and checkpoints
 # ---------------------------------------------------------------------------
+
+def mutated_rows(lines: list[bytes], data) -> bytes:
+    """`lines` after a few random edits: a row cut short, an extra field, a
+    stray quote, a repeated row, raw bytes (not always UTF-8) or a random row."""
+    lines = list(lines)
+    for _ in range(data.draw(st.integers(0, 4))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        at = data.draw(st.integers(0, len(line)))
+        kind = data.draw(st.sampled_from(["short", "extra", "quote", "repeat", "bytes", "row"]))
+        if kind == "short":
+            lines[i] = line.rsplit(b",", 1)[0]
+        elif kind == "extra":
+            lines[i] = line + b"," + data.draw(st.binary(max_size=6))
+        elif kind == "quote":
+            lines[i] = line[:at] + b'"' + line[at:]
+        elif kind == "repeat":
+            lines.insert(at % (len(lines) + 1), line)
+        elif kind == "bytes":
+            lines[i] = line[:at] + data.draw(st.binary(min_size=1, max_size=4)) + line[at:]
+        else:
+            lines[i] = data.draw(st.text(max_size=60)).encode("utf-8")
+    return b"\n".join(lines) + b"\n"
+
 
 _INTS = st.one_of(st.integers(-2, 10), st.sampled_from([2**31, 2**62, 2**70, -(2**63)]))
 _JSON_LEAVES = st.one_of(
     st.none(), st.booleans(), st.text(max_size=6), _INTS,
     st.floats(allow_nan=True, allow_infinity=True),
 )
-_JSON_VALUES = st.recursive(
+JSON_VALUES = st.recursive(
     _JSON_LEAVES, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,
 )
@@ -277,6 +302,30 @@ def _json_nodes(node, prefix=()):
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
     for key, child in items:
         yield from _json_nodes(child, prefix + (key,))
+
+
+@st.composite
+def json_mutations(draw, value, leaves=JSON_VALUES):
+    """`value`, a JSON value, with one node deleted or replaced by a draw of
+    `leaves` (the root can only be replaced). `value` is not changed."""
+    value = copy.deepcopy(value)
+    path = draw(st.sampled_from([p for p, _ in _json_nodes(value)]))
+    return _set_node(value, path, draw(st.booleans()), draw(leaves))
+
+
+def _set_node(value, path, delete: bool, new):
+    """`value` with the node at `path` deleted or set to `new`, in place;
+    the root is replaced."""
+    if not path:
+        return new
+    parent = value
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return value
 
 
 @st.composite
@@ -298,21 +347,10 @@ def checkpoint_mutations(draw, raw: bytes) -> bytes:
     nl = raw.index(b"\n", len(MAGIC))
     end = nl + 1 + int(raw[len(MAGIC) : nl])
     header = json.loads(raw[nl + 1 : end])
-    nodes = list(_json_nodes(header))
-    meta_ints = [path for path, value in nodes if path[:1] == ("meta",) and type(value) is int]
+    meta_ints = [path for path, value in _json_nodes(header) if path[:1] == ("meta",) and type(value) is int]
     if how == "meta-int" and meta_ints:
-        path, delete, value = draw(st.sampled_from(meta_ints)), False, draw(_INTS)
+        header = _set_node(header, draw(st.sampled_from(meta_ints)), False, draw(_INTS))
     else:
-        path, delete, value = draw(st.sampled_from([p for p, _ in nodes])), draw(st.booleans()), draw(_JSON_VALUES)
-    if not path:
-        header = value
-    else:
-        parent = header
-        for key in path[:-1]:
-            parent = parent[key]
-        if delete:
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = value
+        header = draw(json_mutations(header))
     encoded = (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
     return MAGIC + f"{len(encoded)}\n".encode("ascii") + encoded + raw[end:]

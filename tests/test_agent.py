@@ -412,6 +412,40 @@ def _training_setup(eps, n_stations=3, seed=11, **hyper_kw):
     return index, env, space, buffer, model, hyper
 
 
+_ENCODER = ["encoder.embed.l0.W", "encoder.embed.l0.b", "encoder.lstm.l0.W", "encoder.lstm.l0.U",
+            "encoder.lstm.l0.b", "encoder.lstm.l1.W", "encoder.lstm.l1.U", "encoder.lstm.l1.b"]
+
+
+def test_parameter_key_orders():
+    _, _, _, _, model, _ = _training_setup(0.5)
+    assert list(model.actor_params()) == _ENCODER + ["actor.W", "actor.b"]
+    assert list(model.critic_params()) == ["critic.l0.W", "critic.l0.b", "critic.l1.W", "critic.l1.b"]
+    assert list(model.all_params()) == _ENCODER + [
+        "actor.W", "actor.b", "critic.l0.W", "critic.l0.b", "critic.l1.W", "critic.l1.b",
+        "critic_target.l0.W", "critic_target.l0.b", "critic_target.l1.W", "critic_target.l1.b"]
+
+
+def test_clipped_gradient_key_orders(monkeypatch):
+    """The gradient dicts `train_rac` clips, in their pinned orders: the
+    critic's last layer first, and the actor group head first, then the
+    encoder with its top LSTM layer first. Each order is the summation order
+    of the global norm, so it fixes the bits of every clipped step."""
+    _, env, _, buffer, model, hyper = _training_setup(0.5, epochs=1)
+    clipped, clip = [], nn.clip_global_norm
+
+    def recording_clip(grads, max_norm):
+        clipped.append(list(grads))
+        return clip(grads, max_norm)
+
+    monkeypatch.setattr(nn, "clip_global_norm", recording_clip)
+    agent.train_rac(buffer, model, env, hyper)
+    assert clipped == [
+        ["critic.l1.W", "critic.l1.b", "critic.l0.W", "critic.l0.b"],
+        ["actor.W", "actor.b", "encoder.embed.l0.W", "encoder.embed.l0.b", "encoder.lstm.l1.W",
+         "encoder.lstm.l1.U", "encoder.lstm.l1.b", "encoder.lstm.l0.W", "encoder.lstm.l0.U", "encoder.lstm.l0.b"],
+    ]
+
+
 def test_epsilon_one_matches_supervised_bitwise():
     _, env, _, buffer, model, hyper = _training_setup(1.0, epochs=1)
     twin = model.clone()
@@ -771,10 +805,10 @@ def _random_events(rng, driver_id, stations, n):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_probabilities_rows_are_policy_rows(data):
-    """`probabilities` ranks with the cache-free pass: each of its rows has
-    the bits of the cached `model.policy` row over the same pass of windows
-    (passes of 1, 3 or 129 cuts and 1-3 encoder layers), and a cut of 0
-    gets the uniform row."""
+    """`probabilities` runs the policy in passes: each of its rows has the
+    bits of the `model.policy` row over the same pass of windows
+    (passes of 1, 3 or 129 cuts and 1-3 encoder layers, consecutive requests
+    sometimes over one events list), and a cut of 0 gets the uniform row."""
     m = data.draw(st.integers(1, 12), label="m")
     k = data.draw(st.integers(1, 10), label="k")
     layers = data.draw(st.integers(1, 3), label="layers")
@@ -783,7 +817,10 @@ def test_probabilities_rows_are_policy_rows(data):
     space = agent.ObservationSpace(make_stations(stations, spacing_km=1.5), 60.0, 20.0, k)
     requests = []
     for d in range(data.draw(st.integers(1, 3), label="requests")):
-        events = _random_events(rng, f"d{d}", stations, data.draw(st.integers(0, 25), label="n"))
+        if requests and data.draw(st.booleans(), label="same events list"):
+            events = requests[-1][1]  # one `windows` call serves both requests' cuts in a pass
+        else:
+            events = _random_events(rng, f"d{d}", stations, data.draw(st.integers(0, 25), label="n"))
         cuts = data.draw(st.lists(st.integers(0, len(events)), min_size=1, max_size=60), label="cuts")
         requests.append((f"d{d}", events, cuts))
     model = agent.RacModel(space.obs_dim, m, _small_hyper(history=k, layers=layers, seed=int(rng.integers(1000))))

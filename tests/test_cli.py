@@ -12,12 +12,16 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import checkpoint_mutations, km_to_lon_degrees, pattern_events
+from conftest import JSON_VALUES, checkpoint_mutations, json_mutations, km_to_lon_degrees, pattern_events
 import evrac
-from evrac.checkpoint import MAGIC, load_reward_net
+from evrac.agent import RacModel
+from evrac.baselines import MarkovRecommender, PopularityRecommender
+from evrac.checkpoint import MAGIC, load_reward_net, save_baseline, save_rac_model
 from evrac.cli import main
+from evrac.config import load_config
 from evrac.dataset import write_events
 from evrac.errors import EvracError
+from evrac.pipeline import load_data_bundle
 
 
 @pytest.fixture
@@ -453,6 +457,97 @@ def test_sweep_and_case_study(synth, capsys):
     assert len(rows) == 4
 
 
+def _fails_before_training(monkeypatch):
+    def train(*args):
+        raise AssertionError("a model was trained")
+
+    monkeypatch.setattr("evrac.pipeline.train_shared_model", train)
+
+
+@pytest.mark.parametrize("drivers, epsilons", [
+    ("driver-0", "0.5,1.5"), ("driver-0", "nan"), ("driver-0,ghost", "0.5"), ("", "0.5"),
+], ids=["epsilon-over-one", "epsilon-nan", "unknown-driver", "no-driver"])
+def test_case_study_checks_its_arguments_before_training(synth, capsys, monkeypatch, drivers, epsilons):
+    tmp_path, config = synth
+    _fails_before_training(monkeypatch)
+    rc = main(["case-study", "--config", str(config), "--drivers", drivers, "--epsilons", epsilons,
+               "--out", str(tmp_path / "case.csv")])
+    assert rc == 2
+    _assert_one_json_error(capsys, "UsageError")
+    assert not (tmp_path / "case.csv").exists()
+
+
+def test_case_study_rejects_a_driver_with_no_test_cut(synth, capsys, monkeypatch):
+    """A driver too small to split has events but no evaluated test cut."""
+    tmp_path, config = synth
+    events = tmp_path / "events.csv"
+    rows = [f"small-e{i},small,cs0,2018-06-0{i + 1}T08:00:00Z,30,10" for i in range(2)]
+    events.write_text(events.read_text() + "\n".join(rows) + "\n")
+    _fails_before_training(monkeypatch)
+    rc = main(["case-study", "--config", str(config), "--drivers", "small", "--epsilons", "0.5",
+               "--out", str(tmp_path / "case.csv")])
+    assert rc == 2
+    assert "'small'" in _assert_one_json_error(capsys, "UsageError")["message"]
+
+
+def test_sweep_checks_its_grid_before_training(synth, capsys, monkeypatch):
+    tmp_path, config = synth
+    _fails_before_training(monkeypatch)
+    assert main(["sweep", "--config", str(config), "--grid", "0.5,1.5", "--out", str(tmp_path / "s.csv")]) == 2
+    _assert_one_json_error(capsys, "UsageError")
+
+
+def _rac_checkpoint(config, path, num_stations, obs_dim_offset=0):
+    """A RAC checkpoint for `num_stations` stations, with the synth city's
+    observation width plus `obs_dim_offset`."""
+    bundle = load_data_bundle(load_config(config))
+    model = RacModel(bundle.obs_space.obs_dim + obs_dim_offset, num_stations, bundle.config.rac_hyper())
+    save_rac_model(model, path)
+    return path
+
+
+@pytest.mark.parametrize("num_stations, obs_dim_offset", [(2, 0), (5, 0), (3, 1)],
+                         ids=["fewer-stations", "more-stations", "other-obs-dim"])
+def test_eval_and_recommend_reject_a_rac_checkpoint_of_another_city(synth, capsys, num_stations, obs_dim_offset):
+    """The synth city has 3 stations. A checkpoint for another station count
+    or observation width is refused by name, where it ranked the wrong
+    stations or raised an IndexError before."""
+    tmp_path, config = synth
+    ckpt = _rac_checkpoint(config, tmp_path / "other.ckpt", num_stations, obs_dim_offset)
+    assert main(["eval", "--config", str(config), "--model", str(ckpt), "--k", "1,3"]) == 4
+    assert str(ckpt) in _assert_one_json_error(capsys, "DataFormatError")["message"]
+    assert main(["recommend", "--config", str(config), "--model", str(ckpt), "--driver", "driver-0",
+                 "--k", "2"]) == 4
+    assert str(ckpt) in _assert_one_json_error(capsys, "DataFormatError")["message"]
+
+
+@pytest.mark.parametrize("which", ["shared", "driver"])
+def test_eval_model_dir_rejects_a_checkpoint_of_another_city(synth, capsys, which):
+    tmp_path, config = synth
+    out_dir = tmp_path / "per-driver"
+    assert main(["train-rac", "--config", str(config), "--per-driver", "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    index = json.loads((out_dir / "index.json").read_text())
+    ckpt = out_dir / (index["shared"] if which == "shared" else index["files"]["driver-2"])
+    _rac_checkpoint(config, ckpt, 2)
+    assert main(["eval", "--config", str(config), "--model-dir", str(out_dir), "--k", "1"]) == 4
+    assert str(ckpt) in _assert_one_json_error(capsys, "DataFormatError")["message"]
+
+
+@pytest.mark.parametrize("stations", [["cs0", "cs1"], ["cs0", "cs1", "cs2", "cs3"], ["cs0", "cs1", "cs9"]],
+                         ids=["fewer", "more", "other-ids"])
+@pytest.mark.parametrize("kind", [MarkovRecommender, PopularityRecommender])
+def test_eval_and_recommend_reject_a_baseline_of_another_city(synth, capsys, stations, kind):
+    tmp_path, config = synth
+    ckpt = tmp_path / "other.ckpt"
+    save_baseline(kind(stations).fit({}), ckpt)
+    assert main(["eval", "--config", str(config), "--model", str(ckpt), "--k", "1"]) == 4
+    assert str(ckpt) in _assert_one_json_error(capsys, "DataFormatError")["message"]
+    assert main(["recommend", "--config", str(config), "--model", str(ckpt), "--driver", "driver-0",
+                 "--k", "1"]) == 4
+    assert str(ckpt) in _assert_one_json_error(capsys, "DataFormatError")["message"]
+
+
 def test_per_driver_training_and_eval(synth, capsys):
     tmp_path, config = synth
     out_dir = tmp_path / "per-driver"
@@ -701,6 +796,48 @@ def test_eval_rejects_malformed_index(synth, capsys, mutate):
     index_path.write_text(json.dumps(mutate(json.loads(index_path.read_text()))))
     assert main(["eval", "--config", str(config), "--model-dir", str(out_dir), "--k", "1"]) == 4
     _assert_one_json_error(capsys, "DataFormatError")
+
+
+# File names an index may point at: outside the directory, not a regular
+# file, not a checkpoint, missing, or not a name at all.
+_INDEX_NAMES = st.sampled_from(["/dev/zero", "../x.ckpt", "sub/x.ckpt", ".", "..", "", "x\0.ckpt", "dir.ckpt",
+                                "index.json", "missing.ckpt", "shared.ckpt", "driver-00001.ckpt"])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_eval_survives_a_mutated_index(synth, capsys, data):
+    """Whatever `index.json` holds, `evrac eval --model-dir` scores the
+    models or exits 2, 3 or 4 with one JSON error line and no traceback."""
+    tmp_path, config = synth
+    out_dir = tmp_path / "per-driver"
+    good = out_dir / "index.good"
+    if not good.exists():
+        assert main(["train-rac", "--config", str(config), "--per-driver", "--out-dir", str(out_dir)]) == 0
+        (out_dir / "dir.ckpt").mkdir()
+        (out_dir / "index.json").rename(good)
+    raw = good.read_bytes()
+    how = data.draw(st.sampled_from(["name", "json", "bytes"]), label="how")
+    if how == "name":
+        index = json.loads(raw)
+        key = data.draw(st.sampled_from(["shared", *index["files"]]), label="key")
+        (index if key == "shared" else index["files"])[key] = data.draw(_INDEX_NAMES, label="name")
+        raw = json.dumps(index).encode()
+    elif how == "json":
+        raw = json.dumps(data.draw(json_mutations(json.loads(raw), _INDEX_NAMES | JSON_VALUES))).encode()
+    else:
+        raw = data.draw(st.binary(max_size=8), label="prefix") + raw[data.draw(st.integers(0, len(raw)), label="cut"):]
+    (out_dir / "index.json").write_bytes(raw)
+    capsys.readouterr()
+    rc = main(["eval", "--config", str(config), "--model-dir", str(out_dir), "--k", "1"])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if rc == 0:
+        assert json.loads(out)["drivers"] == 4
+    else:
+        assert rc in (2, 3, 4)
+        errors = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        assert len(errors) == 1
 
 
 def _eval_fails_in_subprocess(config, out_dir, error: str) -> None:

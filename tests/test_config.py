@@ -66,6 +66,19 @@ def test_unknown_section_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text, rule", [
+    ("[model]\ncritic_hidden = 0\n", "critic_hidden must be >= 1, got 0"),
+    ("[training]\nepsilon = 1.5\n", "epsilon must be in [0, 1], got 1.5"),
+    ("[mode]\nregularizer = l2\n", "regularizer must be one of softmax_ce, eta, got 'l2'"),
+])
+def test_rule_error_names_the_file(tmp_path, text, rule):
+    path = tmp_path / "c.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == f"{path}: {rule}"
+
+
 def test_bad_value_rejected(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("[training]\nepochs = soon\n", encoding="utf-8")
@@ -254,12 +267,13 @@ _FUZZ_FILES = st.tuples(
 @given(_FUZZ_FILES)
 def test_load_config_fuzz_raises_only_config_error(lines):
     """Whatever the file holds, load_config returns a valid Config or raises
-    ConfigError."""
+    ConfigError, whose message names the file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.cfg"
         path.write_text("\n".join(lines), encoding="utf-8", errors="surrogatepass")
         try:
             c = load_config(path)
-        except ConfigError:
+        except ConfigError as exc:
+            assert str(path) in str(exc)
             return
     assert c == c.validate()

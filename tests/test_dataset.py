@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import T0, make_event, make_stations
+from conftest import T0, make_event, make_stations, mutated_rows
 from evrac import dataset
 from evrac.agent import ObservationSpace
-from evrac.errors import ConfigError, DataFormatError, DomainError, UsageError
+from evrac.errors import ConfigError, DataFormatError, DomainError, EvracError, UsageError
 
 
 def _write(tmp_path, name, text):
@@ -279,6 +279,28 @@ def test_roundtrip_write_parse_identity(tmp_path_factory, rows):
     parsed, rejects = dataset.parse_events(path)
     assert rejects == []
     assert parsed == events
+
+
+_ADAPTER_FILES = {adapter: [header, *rows] for adapter, header, rows in _REJECT_TEXT_CASES}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_events_hostile_rows_raise_only_evrac_errors(tmp_path_factory, data):
+    """Random rows, or an adapter's own file after a few random edits: each
+    adapter returns finite events or raises an `EvracError`, nothing else."""
+    adapter = data.draw(st.sampled_from(sorted(_ADAPTER_FILES)), label="adapter")
+    lines = [line.encode() for line in _ADAPTER_FILES[adapter]]
+    if data.draw(st.booleans(), label="random rows"):
+        lines = lines[:1] + [row.encode() for row in data.draw(st.lists(st.text(max_size=80)))]
+    path = tmp_path_factory.getbasetemp() / "fuzz-events.csv"
+    path.write_bytes(mutated_rows(lines, data))
+    try:
+        events, rejects = dataset.parse_events(path, adapter)
+    except EvracError:
+        return
+    assert all(math.isfinite(e.duration_min) and math.isfinite(e.energy_kwh) for e in events)
+    assert len({e.event_id for e in events}) == len(events)
 
 
 # ---------------------------------------------------------------------------

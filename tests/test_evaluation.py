@@ -1,6 +1,7 @@
 """Metrics, the evaluation harness, sweeps and case studies."""
 
 import json
+from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
@@ -289,7 +290,8 @@ def chunked_city():
         "rac": RacRecommender(RacModel(space.obs_dim, 8, hyper), space),
         "mc": MarkovRecommender(stations).fit(train),
     }
-    models = {d: RacRecommender(RacModel(space.obs_dim, 8, hyper, seed=i), space) for i, d in enumerate(sorted(splits))}
+    models = {d: RacRecommender(RacModel(space.obs_dim, 8, replace(hyper, seed=i)), space)
+              for i, d in enumerate(sorted(splits))}
     net = rw.WaitForecastNet(rw.reward_net_input_dim(index), 4, 1, rng_for(0, "one-pass"))
     familiarity = rw.most_visited(e for s in splits.values() for e in s.train)
     envs = {

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import T0, km_to_lon_degrees, make_event, make_stations, reference_location_context
+from conftest import T0, km_to_lon_degrees, make_event, make_stations, mutated_rows, reference_location_context
 from evrac import geospatial as geo
 from evrac.errors import ConfigError, DataFormatError, DomainError, EvracError, UnknownStationError
 from evrac.reward import build_wait_series
@@ -180,35 +180,11 @@ _POI_LINES = [("station_id," + ",".join(f"c{i}" for i in range(76))).encode()] +
 ]
 
 
-def _mutated(lines: list[bytes], data) -> bytes:
-    """`lines` after a few random edits: a row cut short, an extra field, a
-    stray quote, a repeated row, raw bytes (not always UTF-8) or a random row."""
-    lines = list(lines)
-    for _ in range(data.draw(st.integers(0, 4))):
-        i = data.draw(st.integers(0, len(lines) - 1))
-        line = lines[i]
-        at = data.draw(st.integers(0, len(line)))
-        kind = data.draw(st.sampled_from(["short", "extra", "quote", "repeat", "bytes", "row"]))
-        if kind == "short":
-            lines[i] = line.rsplit(b",", 1)[0]
-        elif kind == "extra":
-            lines[i] = line + b"," + data.draw(st.binary(max_size=6))
-        elif kind == "quote":
-            lines[i] = line[:at] + b'"' + line[at:]
-        elif kind == "repeat":
-            lines.insert(at % (len(lines) + 1), line)
-        elif kind == "bytes":
-            lines[i] = line[:at] + data.draw(st.binary(min_size=1, max_size=4)) + line[at:]
-        else:
-            lines[i] = data.draw(st.text(max_size=60)).encode("utf-8")
-    return b"\n".join(lines) + b"\n"
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_load_stations_hostile_rows_raise_only_evrac_errors(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz-stations.csv"
-    path.write_bytes(_mutated(_STATION_LINES, data))
+    path.write_bytes(mutated_rows(_STATION_LINES, data))
     try:
         out = geo.load_stations(path)
     except EvracError:
@@ -220,7 +196,7 @@ def test_load_stations_hostile_rows_raise_only_evrac_errors(tmp_path_factory, da
 @given(st.data())
 def test_load_poi_hostile_rows_raise_only_evrac_errors(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz-poi.csv"
-    path.write_bytes(_mutated(_POI_LINES, data))
+    path.write_bytes(mutated_rows(_POI_LINES, data))
     try:
         out = geo.load_poi(path, ["cs0", "cs1", "cs2"])
     except EvracError:

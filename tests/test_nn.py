@@ -163,6 +163,27 @@ def test_clip_global_norm():
     assert g3["a"][0] == pytest.approx(100.0)
 
 
+def test_named_joins_group_and_key_in_order():
+    groups = {"b": {"y": 1, "x": 2}, "a": {"z": 3}}
+    assert list(nn.named(groups).items()) == [("b.y", 1), ("b.x", 2), ("a.z", 3)]
+    assert nn.named({}) == {} and nn.named({"a": {}}) == {}
+
+
+def test_parameter_and_gradient_key_orders():
+    """Parameters are named first layer first; gradients come back in
+    backward order, last layer first. A gradient dict's order is the
+    summation order of `global_norm`, so it is pinned here."""
+    rng = np.random.default_rng(0)
+    mlp = nn.Mlp([3, 4, 2], rng)
+    assert list(mlp.params) == ["l0.W", "l0.b", "l1.W", "l1.b"]
+    y, cache = mlp.forward(rng.normal(size=(2, 3)))
+    assert list(mlp.backward(cache, np.ones_like(y))[1]) == ["l1.W", "l1.b", "l0.W", "l0.b"]
+    lstm = nn.StackedLstm(3, 2, 2, rng)
+    assert list(lstm.params) == ["l0.W", "l0.U", "l0.b", "l1.W", "l1.U", "l1.b"]
+    hs, cache = lstm.forward(rng.normal(size=(2, 4, 3)))
+    assert list(lstm.backward(cache, np.ones_like(hs))[1]) == ["l1.W", "l1.U", "l1.b", "l0.W", "l0.U", "l0.b"]
+
+
 # ---------------------------------------------------------------------------
 # LSTM forward
 # ---------------------------------------------------------------------------

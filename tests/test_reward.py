@@ -181,6 +181,17 @@ def test_reward_wait_term_scale_invariance(z, d, mz, md):
 # Forecaster training and prediction
 # ---------------------------------------------------------------------------
 
+def test_forecaster_key_orders():
+    """The forecaster's parameters and the gradients `mse_gradient` sums and
+    `train_reward_net` clips, in their pinned orders."""
+    net = rw.WaitForecastNet(3, 2, 2, np.random.default_rng(0))
+    assert list(net.params) == ["lstm.l0.W", "lstm.l0.U", "lstm.l0.b", "lstm.l1.W", "lstm.l1.U", "lstm.l1.b",
+                                "head.W", "head.b"]
+    _, cache = net.forward(np.zeros((2, 4, 3)))
+    assert list(net.backward(cache, np.ones(2))) == ["lstm.l1.W", "lstm.l1.U", "lstm.l1.b", "lstm.l0.W",
+                                                     "lstm.l0.U", "lstm.l0.b", "head.W", "head.b"]
+
+
 def _constant_series(index, value, hours):
     events = [
         make_event(f"e{i}", "d", "cs0", T0 + timedelta(hours=i), duration=value)

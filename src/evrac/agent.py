@@ -183,19 +183,33 @@ class HistoryEncoder:
     def params(self) -> dict[str, np.ndarray]:
         return nn.named({"embed": self.embed.params, "lstm": self.lstm.params})
 
-    def forward(self, histories: np.ndarray) -> tuple[np.ndarray, dict]:
-        B, k, d = histories.shape
-        flat = histories.reshape(B * k, d)
+    def forward(self, histories: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+        """Encode the U histories once; with `rows` (B,), return the encoded
+        state of history `rows[i]` as row i, so rows sharing a history share
+        its encoding."""
+        U, k, d = histories.shape
+        flat = histories.reshape(U * k, d)
         emb, embed_cache = self.embed.forward(flat)
-        seq = emb.reshape(B, k, self.embed_dim)
+        seq = emb.reshape(U, k, self.embed_dim)
         c, lstm_cache = self.lstm.final_hidden(seq)
-        return c, {"embed": embed_cache, "lstm": lstm_cache, "shape": (B, k)}
+        return (c if rows is None else c[rows]), {"embed": embed_cache, "lstm": lstm_cache,
+                                                  "shape": (U, k), "rows": rows}
 
     def backward(self, cache: dict, dc: np.ndarray) -> dict[str, np.ndarray]:
-        B, k = cache["shape"]
+        U, k = cache["shape"]
+        if cache["rows"] is not None:
+            dc = _sum_rows(dc, cache["rows"], U)
         dseq, lstm_grads = self.lstm.backward_last(cache["lstm"], dc)
-        _, embed_grads = self.embed.backward(cache["embed"], dseq.reshape(B * k, self.embed_dim))
+        _, embed_grads = self.embed.backward(cache["embed"], dseq.reshape(U * k, self.embed_dim))
         return nn.named({"embed": embed_grads, "lstm": lstm_grads})
+
+
+def _sum_rows(dc: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """(count, h): row u is the sum of the rows i of `dc` with rows[i] == u,
+    added in batch order (`np.add.at` is unbuffered and sequential)."""
+    out = np.zeros((count, dc.shape[1]))
+    np.add.at(out, rows, dc)
+    return out
 
 
 class RacModel:
@@ -231,8 +245,8 @@ class RacModel:
         return copy.deepcopy(self)
 
     # -- forward helpers ----------------------------------------------------
-    def policy(self, histories: np.ndarray) -> tuple[np.ndarray, dict]:
-        c, enc_cache = self.encoder.forward(histories)
+    def policy(self, histories: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+        c, enc_cache = self.encoder.forward(histories, rows)
         logits, head_cache = self.actor_head.forward(c)
         pi = nn.softmax(logits)
         return pi, {"c": c, "enc": enc_cache, "head": head_cache, "pi": pi}
@@ -289,7 +303,8 @@ def _onehot_rows(idx: np.ndarray, m: int) -> np.ndarray:
 @dataclass
 class Batch:
     windows: list[Window]
-    histories: np.ndarray        # (B, k, obs_dim)
+    histories: np.ndarray        # (U, k, obs_dim), one per distinct (driver, step)
+    rows: np.ndarray             # (B,) each row's index into histories
     actions: np.ndarray          # (B,) logged station columns
     drivers: list[str]
     prev_cols: np.ndarray        # (B,) station column of each step's previous event
@@ -302,13 +317,21 @@ class Batch:
 
 def _gather_batch(buffer: ReplayBuffer, windows: list[Window]) -> Batch:
     """Each window's steps in order, so a step's next state is the next row's.
-    A window's last step, which may also end its trajectory, is terminal."""
+    A window's last step, which may also end its trajectory, is terminal.
+    Windows drawn with replacement, or overlapping, repeat steps: each
+    distinct (driver, step) keeps one history, in first-appearance order."""
     lags = np.arange(buffer.history)
-    hists, actions, prevs, hours, drivers = [], [], [], [], []
+    first: dict[tuple[str, int], int] = {}
+    hists, rows, actions, prevs, hours, drivers = [], [], [], [], [], []
     for w in windows:
         obs, cols, step_hours = buffer.trajectories[w.driver_id]
         end = w.start + w.length
-        hists.append(obs[np.arange(w.start, end)[:, None] + lags])
+        new = [j for j in range(w.start, end) if (w.driver_id, j) not in first]
+        for j in new:
+            first[w.driver_id, j] = len(first)
+        if new:
+            hists.append(obs[np.array(new)[:, None] + lags])
+        rows += [first[w.driver_id, j] for j in range(w.start, end)]
         actions.append(cols[w.start : end])
         prevs.append(cols[w.start - 1 : end - 1])
         hours.append(step_hours[w.start : end])
@@ -318,6 +341,7 @@ def _gather_batch(buffer: ReplayBuffer, windows: list[Window]) -> Batch:
     return Batch(
         windows=windows,
         histories=np.concatenate(hists),
+        rows=np.array(rows, dtype=np.intp),
         actions=np.concatenate(actions),
         drivers=drivers,
         prev_cols=np.concatenate(prevs),
@@ -394,7 +418,7 @@ def train_supervised(buffer: ReplayBuffer, model: RacModel, hyper: RacHyper) -> 
     for epoch in range(hyper.epochs):
         start = time.perf_counter()
         batch = _gather_batch(buffer, buffer.sample(rng_buffer, hyper.samples_per_epoch))
-        pi, cache = model.policy(batch.histories)
+        pi, cache = model.policy(batch.histories, batch.rows)
         a_hat = _onehot_rows(batch.actions, model.num_stations)
         ce_loss = _ce_loss(pi, batch.actions)
         _require_finite_losses(epoch, batch, ce_loss=ce_loss)
@@ -442,7 +466,7 @@ def train_rac(
         start = time.perf_counter()
         batch = _gather_batch(buffer, buffer.sample(rng_buffer, hyper.samples_per_epoch))
         B = len(batch)
-        pi, cache = model.policy(batch.histories)
+        pi, cache = model.policy(batch.histories, batch.rows)
         a_hat = _onehot_rows(batch.actions, m)
         ce_loss = _ce_loss(pi, batch.actions)
 

@@ -11,6 +11,7 @@ logs go to stderr; data goes to files or stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -30,7 +31,8 @@ from .checkpoint import (
 )
 from .config import Config, apply_overrides, load_config
 from .dataset import _parse_timestamp, parse_events, write_events, write_rejects
-from .errors import ConfigError, DataFormatError, DomainError, EvracError, UsageError, require_regular_file
+from .errors import (ConfigError, DataFormatError, DomainError, EvracError, TrainingDiverged, UsageError,
+                     require_regular_file)
 from .evaluation import (
     CASE_STUDY_COLUMNS,
     SWEEP_COLUMNS,
@@ -178,6 +180,17 @@ def _write_log(records: list[dict], path: str) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+@contextlib.contextmanager
+def _divergence_dump(path: str | Path):
+    """On `TrainingDiverged`, write its diagnostic dump (epoch, losses and
+    the batch's windows) to `path` as JSON, and name the file in the error."""
+    try:
+        yield
+    except TrainingDiverged as exc:
+        Path(path).write_text(json.dumps(exc.dump, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        raise TrainingDiverged(f"{exc}; dump in {path}", exc.dump) from exc
+
+
 def cmd_train_rac(args: argparse.Namespace) -> int:
     config = _build_config(args)
     if config.per_driver and args.log:
@@ -191,7 +204,8 @@ def cmd_train_rac(args: argparse.Namespace) -> int:
             raise UsageError("--per-driver training needs --out-dir")
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        shared, models = train_per_driver_models(bundle, env)
+        with _divergence_dump(out_dir / "diverged.json"):
+            shared, models = train_per_driver_models(bundle, env)
         save_rac_model(shared, out_dir / "shared.ckpt", {"config": config.as_dict()})
         files = {}
         for i, driver_id in enumerate(sorted(models)):
@@ -206,7 +220,8 @@ def cmd_train_rac(args: argparse.Namespace) -> int:
 
     if not args.out:
         raise UsageError("shared training needs --out")
-    model, records = train_shared_model(bundle, env)
+    with _divergence_dump(f"{args.out}.diverged.json"):
+        model, records = train_shared_model(bundle, env)
     save_rac_model(model, args.out, {"config": config.as_dict()})
     log_path = args.log or f"{args.out}.log.jsonl"
     _write_log(records, log_path)

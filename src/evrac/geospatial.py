@@ -266,20 +266,20 @@ def station_norms(
             mean_wait[col] = np.mean(positive)
     global_wait = float(np.mean(all_positive)) if all_positive else 1.0
 
-    hop_sums = [0.0] * m
-    hop_counts = [0] * m
-    all_hops: list[float] = []
+    # Every hop previous -> current in one table lookup. bincount adds each
+    # column's hops one by one in hop order, as a running sum would.
+    prev, cur = [], []
     for traj in build_trajectories(events).values():
-        for prev, cur in zip(traj.events, traj.events[1:]):
-            d = index.distance(prev.station_id, cur.station_id)
-            col = index.index[cur.station_id]
-            hop_sums[col] += d
-            hop_counts[col] += 1
-            all_hops.append(d)
-    positive_hops = [d for d in all_hops if d > 0]
-    global_dist = float(np.mean(positive_hops)) if positive_hops else 1.0
+        cols = [index.index_of(e.station_id) for e in traj.events]
+        prev += cols[:-1]
+        cur += cols[1:]
+    cur = np.array(cur, dtype=np.intp)
+    hops = index.distances[np.array(prev, dtype=np.intp), cur]
+    positive_hops = hops[hops > 0]
+    global_dist = float(np.mean(positive_hops)) if positive_hops.size else 1.0
 
-    counts = np.array(hop_counts)
+    counts = np.bincount(cur, minlength=m)
+    hop_sums = np.bincount(cur, weights=hops, minlength=m)
     mean_dist = np.divide(hop_sums, counts, out=np.zeros(m), where=counts > 0)
     return (np.where(mean_wait > 0, mean_wait, global_wait),
             np.where(mean_dist > 0, mean_dist, global_dist))

@@ -78,13 +78,19 @@ def _check_lstm_cell(rng: np.random.Generator, h: float) -> float:
                              lambda cache, dy: layer.backward(cache, dy)[1])
 
 
+SHARED_ROWS = np.array([0, 1, 0])
+
+
 def _tiny_rac(rng: np.random.Generator) -> tuple[RacModel, np.ndarray, np.ndarray]:
-    """A small RacModel with a batch of random histories and logged actions."""
+    """A small RacModel with two random histories and a batch of three
+    logged actions whose first and last rows share history 0 through
+    `SHARED_ROWS`, as `_gather_batch` shares a repeated decision step: the
+    encoder's gather and its sum of the repeats' gradients are checked too."""
     m, obs_dim = 3, 5
     hyper = RacHyper(embed=4, hidden=4, layers=2, critic_hidden=5, seed=int(rng.integers(2**31)))
     model = RacModel(obs_dim, m, hyper)
     histories = rng.normal(size=(2, int(rng.integers(2, 5)), obs_dim))
-    return model, histories, rng.integers(0, m, size=2)
+    return model, histories, rng.integers(0, m, size=SHARED_ROWS.size)
 
 
 def _station_bce(pi: np.ndarray, actions: np.ndarray) -> float:
@@ -105,11 +111,11 @@ def _check_actor(regularizer: str, loss: Callable[[np.ndarray, np.ndarray], floa
         a_hat = _onehot_rows(actions, model.num_stations)
 
         def loss_fn() -> float:
-            pi, _ = model.policy(histories)
+            pi, _ = model.policy(histories, SHARED_ROWS)
             return LOSS_SCALE * loss(pi, actions)
 
         def grads_fn() -> Arrays:
-            pi, cache = model.policy(histories)
+            pi, cache = model.policy(histories, SHARED_ROWS)
             ascent = _preference_ascent(pi, a_hat, regularizer)
             return _actor_grads(model, cache, LOSS_SCALE * ascent, None)
 
@@ -126,7 +132,7 @@ def _check_critic(rng: np.random.Generator, h: float) -> float:
     params = nn.named({"encoder": model.encoder.params, "critic": model.critic.params})
 
     def forward():
-        _, cache = model.policy(histories)
+        _, cache = model.policy(histories, SHARED_ROWS)
         q, critic_cache = model.q_values(cache["c"], a_hat)
         return q, (cache, critic_cache)
 

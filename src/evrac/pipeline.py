@@ -124,7 +124,7 @@ def load_data_bundle(config: Config) -> DataBundle:
     max_energy = max(e.energy_kwh for e in train_events)
     obs_space = ObservationSpace(index, max_duration, max_energy, config.k_actor)
     familiarity = most_visited([e for s in splits.values() for e in s.train])
-    train_end = max(epoch_hour(e.start_time) for e in train_events)
+    train_end = epoch_hour(train_events[-1].start_time)  # sorted by start time
 
     return DataBundle(
         config=config,

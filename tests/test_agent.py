@@ -248,6 +248,21 @@ def test_gradcheck_catches_a_wrong_eta_ascent(monkeypatch):
     assert all(err < TOLERANCE for name, err in results.items() if name != "actor_eta")
 
 
+def test_gradcheck_catches_a_lost_repeat_gradient(monkeypatch):
+    # Rows that share a history must add their gradients; a fancy assignment
+    # keeps only the last row's, which every path through the encoder catches.
+    def overwrite(dc, rows, count):
+        out = np.zeros((count, dc.shape[1]))
+        out[rows] = dc
+        return out
+
+    monkeypatch.setattr(agent, "_sum_rows", overwrite)
+    results = run_gradcheck(instances=2)
+    encoder_paths = {"actor_softmax_ce", "actor_eta", "critic_mse"}
+    assert all(results[name] >= TOLERANCE for name in encoder_paths)
+    assert all(err < TOLERANCE for name, err in results.items() if name not in encoder_paths)
+
+
 # ---------------------------------------------------------------------------
 # Target network schedule
 # ---------------------------------------------------------------------------
@@ -359,9 +374,9 @@ def _reference_gather(space, trajectories, windows):
     }
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_gather_batch_matches_per_step_reference(data):
+def _drawn_buffer(data):
+    """Two drivers' random trajectories in a buffer of random history and
+    horizon, each capped at a random step (or not)."""
     k = data.draw(st.integers(1, 6), label="k")
     space = _obs_space(4, history=k)
     buffer = agent.ReplayBuffer(history=k, horizon=data.draw(st.integers(1, 12), label="horizon"))
@@ -377,17 +392,75 @@ def test_gather_batch_matches_per_step_reference(data):
         trajectories[driver] = build_trajectories(events)[driver]
         buffer.add_trajectory(space, trajectories[driver], max_step)
         ends[driver] = min(n if max_step is None else max_step, n) - 1
-    windows = data.draw(st.lists(st.sampled_from(buffer.windows), min_size=1, max_size=8), label="windows")
+    return space, buffer, trajectories, ends
+
+
+def _drawn_windows(data, buffer):
+    """Windows drawn with replacement, so steps repeat within and across them."""
+    return data.draw(st.lists(st.sampled_from(buffer.windows), min_size=1, max_size=8), label="windows")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gather_batch_matches_per_step_reference(data):
+    space, buffer, trajectories, ends = _drawn_buffer(data)
+    windows = _drawn_windows(data, buffer)
     batch = agent._gather_batch(buffer, windows)
     want = _reference_gather(space, trajectories, windows)
     assert batch.windows == windows
-    assert batch.histories.shape == want["histories"].shape
-    assert batch.histories.tobytes() == want["histories"].tobytes()
+    histories = batch.histories[batch.rows]
+    assert histories.shape == want["histories"].shape
+    assert histories.tobytes() == want["histories"].tobytes()
     for name in ("actions", "hours", "drivers", "prev_cols", "terminal"):
         assert list(getattr(batch, name)) == want[name], name
     # A trajectory's (or training split's) last decision always ends a window.
     last_steps = [j == ends[w.driver_id] for w in windows for j in range(w.start, w.start + w.length)]
     assert all(batch.terminal[last_steps])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gather_batch_keeps_one_history_per_distinct_step(data):
+    # Each distinct (driver, step) of the batch is stored once, in the order
+    # of its first row, and every row points at its own.
+    space, buffer, _, _ = _drawn_buffer(data)
+    windows = _drawn_windows(data, buffer)
+    batch = agent._gather_batch(buffer, windows)
+    keys = [(w.driver_id, j) for w in windows for j in range(w.start, w.start + w.length)]
+    distinct = list(dict.fromkeys(keys))
+    assert batch.histories.shape == (len(distinct), space.history, space.obs_dim)
+    assert batch.rows.tolist() == [distinct.index(key) for key in keys]
+    for history, (driver, j) in zip(batch.histories, distinct, strict=True):
+        assert history.tobytes() == buffer.trajectories[driver][0][j : j + space.history].tobytes()
+
+
+def _assert_close(got, want, rel=1e-12):
+    """Equal up to `rel` of `want`'s largest magnitude."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), histories=st.integers(1, 5), batch=st.integers(1, 12),
+       steps=st.integers(1, 4), case=st.sampled_from(["drawn", "distinct", "equal"]))
+def test_encoder_rows_match_a_pass_over_the_repeated_histories(seed, histories, batch, steps, case):
+    # Encoding U histories and gathering B rows, then summing the rows'
+    # gradients before BPTT, is a pass over the B gathered histories: the
+    # encoded states and every gradient agree to rounding.
+    rng = np.random.default_rng(seed)
+    encoder = agent.HistoryEncoder(obs_dim=6, embed=4, hidden=3, layers=2, rng=rng)
+    unique = rng.normal(size=(histories, steps, 6))
+    rows = {"drawn": rng.integers(0, histories, size=batch),
+            "distinct": rng.permutation(histories),
+            "equal": np.full(batch, rng.integers(histories))}[case]
+    dc = rng.normal(size=(rows.size, 3))
+    c, cache = encoder.forward(unique, rows)
+    want_c, want_cache = encoder.forward(unique[rows])
+    _assert_close(c, want_c)
+    grads, want = encoder.backward(cache, dc), encoder.backward(want_cache, dc)
+    assert list(grads) == list(want)
+    for name in want:
+        _assert_close(grads[name], want[name])
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +584,7 @@ def test_delta_log_consistency():
     rng_buffer = rng_for(hyper.seed, "buffer")
     rng_actions = rng_for(hyper.seed, "actions")
     batch = agent._gather_batch(buffer, buffer.sample(rng_buffer, hyper.samples_per_epoch))
-    pi, cache = twin.policy(batch.histories)
+    pi, cache = twin.policy(batch.histories, batch.rows)
     rewards = env.breakdowns(batch.drivers, batch.prev_cols, batch.actions, batch.hours).reward
     # The next states in a second encoder pass of their own: step j's next
     # state is the history that includes event j.
@@ -705,7 +778,7 @@ def test_gather_batch_histories_match_windows(max_step):
     batch = agent._gather_batch(buffer, buffer.windows)
     steps = [j for w in buffer.windows for j in range(w.start, w.start + w.length)]
     assert set(steps) == set(range(1, max_step or len(traj)))
-    for history, j in zip(batch.histories, steps, strict=True):
+    for history, j in zip(batch.histories[batch.rows], steps, strict=True):
         assert history.tobytes() == space.windows(traj.events, [j])[0].tobytes()
 
 

@@ -573,6 +573,31 @@ def test_per_driver_training_rejects_log(synth, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("per_driver", [False, True])
+def test_train_rac_writes_its_divergence_dump(synth, capsys, monkeypatch, per_driver):
+    # A NaN wait makes the first epoch's losses non-finite. The run exits 1
+    # with one JSON error that names the dump, and the dump on disk holds
+    # the epoch, the losses and the diverged batch's windows.
+    tmp_path, config = synth
+
+    def nan_waits(self, cols, hours):
+        return np.full(len(cols), np.nan), np.ones(len(cols), dtype=bool), np.zeros(len(cols), dtype=bool)
+
+    monkeypatch.setattr("evrac.reward.MeanWaitForecaster.forecast_batch", nan_waits)
+    if per_driver:
+        args, dump = ["--per-driver", "--out-dir", str(tmp_path / "pd")], tmp_path / "pd" / "diverged.json"
+    else:
+        args, dump = ["--out", str(tmp_path / "rac.ckpt")], tmp_path / "rac.ckpt.diverged.json"
+    assert main(["train-rac", "--config", str(config), *args]) == 1
+    error = _assert_one_json_error(capsys, "TrainingDiverged")
+    assert "non-finite losses at epoch 0" in error["message"] and str(dump) in error["message"]
+    record = json.loads(dump.read_text(encoding="utf-8"))
+    assert record["epoch"] == 0
+    assert not np.isfinite(record["losses"]["mean_reward"])
+    assert record["windows"] and all(len(w) == 3 for w in record["windows"])
+    assert not list(tmp_path.glob("**/*.ckpt"))
+
+
 def test_memory_error_is_one_json_error(synth, capsys, monkeypatch):
     tmp_path, config = synth
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import nn
 from .baselines import _rank_row
 from .config import RacHyper
-from .dataset import ChargingEvent, DriverTrajectory, Split
+from .dataset import DriverTrajectory, EventColumns, Events, Split
 from .errors import ConfigError, TrainingDiverged, UsageError
 from .evaluation import Request, check_requests, cut_points, precision_at_k
 from .geospatial import StationIndex
@@ -67,31 +67,31 @@ class ObservationSpace:
         self.history = history
         self.obs_dim = index.context_width() + 2 + TIME_FEATURE_WIDTH
 
-    def rows(self, events: Sequence[ChargingEvent], prev_station: str | None) -> np.ndarray:
+    def rows(self, events: Events, prev_station: str | None) -> np.ndarray:
         """(len(events), obs_dim): the observations of consecutive events.
         Each links to the station charged at just before it, the first to
         `prev_station` (None: no previous station)."""
+        events = EventColumns.of(events)
         index, width = self.index, self.index.context_width()
-        cols = np.array([index.index_of(e.station_id) for e in events], dtype=np.int64)
+        cols = events.station_cols(index)
         first = -1 if prev_station is None else index.index_of(prev_station)
-        durations = np.array([e.duration_min for e in events], dtype=float)
-        energies = np.array([e.energy_kwh for e in events], dtype=float)
         out = np.empty((cols.size, self.obs_dim))
         out[:, :width] = index.context(cols, np.concatenate([[first], cols[:-1]])[: cols.size])
-        out[:, width] = np.minimum(durations / self.max_duration, 1.0)
-        out[:, width + 1] = energies / self.max_energy if self.max_energy > 0 else 0.0
-        out[:, width + 2 :] = time_features([epoch_hour(e.start_time) for e in events])
+        out[:, width] = np.minimum(events.duration_min / self.max_duration, 1.0)
+        out[:, width + 1] = events.energy_kwh / self.max_energy if self.max_energy > 0 else 0.0
+        out[:, width + 2 :] = time_features(events.hours)
         return out
 
-    def padded(self, events: Sequence[ChargingEvent], lo: int, hi: int) -> np.ndarray:
+    def padded(self, events: Events, lo: int, hi: int) -> np.ndarray:
         """(history + hi - lo, obs_dim): `history` zero rows, then the
         observations of `events[lo:hi]`, the first linked to the station of
         event lo - 1. Rows j - lo .. j - lo + history - 1 are cut j's window."""
         out = np.zeros((self.history + hi - lo, self.obs_dim))
-        out[self.history :] = self.rows(events[lo:hi], events[lo - 1].station_id if lo else None)
+        # Event lo - 1, when there is one, is read only for its station.
+        out[self.history :] = self.rows(events[max(lo - 1, 0) : hi], None)[1 if lo else 0 :]
         return out
 
-    def windows(self, events: list[ChargingEvent], cuts: Sequence[int]) -> np.ndarray:
+    def windows(self, events: Events, cuts: Sequence[int]) -> np.ndarray:
         """(len(cuts), history, obs_dim): for each cut j, the observations of
         the last `history` events of `events[:j]`, left-padded with zero rows.
         Each observation links to the station charged at just before it, even
@@ -146,8 +146,8 @@ class ReplayBuffer:
         events = traj.events[:hi]
         self.trajectories[traj.driver_id] = (
             obs_space.padded(events, 0, steps),
-            np.array([obs_space.index.index_of(e.station_id) for e in events], dtype=int),
-            np.array([epoch_hour(e.start_time) for e in events], dtype=int),
+            events.station_cols(obs_space.index),
+            events.hours,
         )
         length = min(steps, self.horizon)
         added = [Window(traj.driver_id, start, length) for start in range(1, hi - length + 1)]
@@ -569,7 +569,7 @@ def recommend(
     obs_space: ObservationSpace,
     env: RewardEnvironment,
     driver_id: str,
-    history: list[ChargingEvent],
+    history: Events,
     k: int,
     when=None,
 ) -> list[Recommendation]:
@@ -578,9 +578,9 @@ def recommend(
 
     `history` is the driver's past events in trajectory order, by
     (start_time, event_id), as `DriverTrajectory.events` holds them, or a
-    prefix of it. `model` is a RacModel or any recommender with
-    `probabilities`. `when` is the decision time used for pricing; defaults
-    to the last event's start time.
+    prefix of it, as columns or as a list of ChargingEvents. `model` is a
+    RacModel or any recommender with `probabilities`. `when` is the
+    decision time used for pricing; defaults to the last event's start time.
     """
     rec = RacRecommender(model, obs_space) if isinstance(model, RacModel) else model
     index = obs_space.index
@@ -589,10 +589,11 @@ def recommend(
     if not history:
         raise UsageError("recommendation needs at least one past event")
     p = rec.probabilities([(driver_id, history, [len(history)])])[0]
-    eh = epoch_hour(when or history[-1].start_time)
+    last = history[-1]
+    eh = epoch_hour(when or last.start_time)
     ranked = _rank_row(p, index.order, k)
     cols = np.array([index.index[sid] for sid in ranked], dtype=np.int64)
-    priced = env.breakdowns([driver_id] * k, np.full(k, index.index_of(history[-1].station_id)), cols, np.full(k, eh))
+    priced = env.breakdowns([driver_id] * k, np.full(k, index.index_of(last.station_id)), cols, np.full(k, eh))
     columns = zip(ranked, p[cols].tolist(), priced.wait_forecast.tolist(), priced.dist_km.tolist(),
                   priced.reward.tolist(), priced.fallback.tolist(), priced.clamped.tolist())
     return [Recommendation(*row) for row in columns]
@@ -651,10 +652,10 @@ def build_buffer(
 
 
 def _val_p1(model: RacModel, obs_space: ObservationSpace, traj: DriverTrajectory,
-            val_events: list[ChargingEvent]) -> float:
+            val_events: Events) -> float:
     cuts = cut_points(traj, val_events)
     rankings = RacRecommender(model, obs_space).rank([(traj.driver_id, traj.events, cuts)], 1)
-    return precision_at_k(rankings, [traj.events[j].station_id for j in cuts], 1)
+    return precision_at_k(rankings, traj.events.station_id[cuts].tolist(), 1)
 
 
 def finetune_driver(

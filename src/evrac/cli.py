@@ -130,8 +130,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         {
             "events": len(events),
             "rejected": len(rejects),
-            "drivers": len({e.driver_id for e in events}),
-            "stations": len({e.station_id for e in events}),
+            "drivers": len(events.drivers),
+            "stations": len(events.stations),
             "output": str(args.output),
             "rejects": str(rejects_path),
         }
@@ -157,7 +157,7 @@ def cmd_features(args: argparse.Namespace) -> int:
         "stations": len(bundle.index),
         "max_duration_min": bundle.obs_space.max_duration,
         "max_energy_kwh": bundle.obs_space.max_energy,
-        "warmup_pool_events": sum(len(t.events) for t in bundle.warmup_trajectories.values()),
+        "warmup_pool_events": sum(len(t) for t in bundle.warmup_trajectories.values()),
     }
     (out_dir / "features.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _emit({"out_dir": str(out_dir), "stations": len(bundle.index), "drivers": len(bundle.trajectories)})
@@ -379,6 +379,8 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             "est_wait_min": it.est_wait_min,
             "est_dist_km": it.est_dist_km,
             "est_reward": it.est_reward,
+            "fallback": it.fallback,
+            "clamped": it.clamped,
         }
         for it in items
     ]

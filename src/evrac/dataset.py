@@ -1,5 +1,15 @@
 """Charging-event ingestion, per-driver trajectories, chronological splits
-and the anonymized warm-up pool."""
+and the anonymized warm-up pool.
+
+Events travel as columns. `parse_events` reads a canonical file with one
+`csv.reader` pass into an `EventColumns` table and checks its values with
+array masks. Trajectories, splits and the warm-up pool are views or takes of
+that table, and the set-up path reads only their arrays. A `ChargingEvent`
+object is built where an event arrives or leaves as one: the session
+adapters, `write_events`, a list of events handed to a reader (which takes
+it as columns with `EventColumns.of`), and each event that code reads from
+columns by index or iteration.
+"""
 
 from __future__ import annotations
 
@@ -9,11 +19,14 @@ import logging
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .errors import DataFormatError, DomainError, UsageError, require_regular_file
+import numpy as np
+
+from .errors import DataFormatError, DomainError, UnknownStationError, UsageError, require_regular_file
 
 logger = logging.getLogger(__name__)
 
@@ -24,6 +37,16 @@ ADAPTERS = ("canonical", "dundee", "glasgow")
 # Longest accepted session, one week in minutes. Wait-series building walks
 # every clock hour a session covers, so an unbounded duration is unbounded work.
 MAX_DURATION_MIN = 7 * 24 * 60
+
+# The value checks of an event, in the order a reject names the first that
+# fails: `ChargingEvent` raises them one by one, `parse_events` as masks.
+NON_FINITE = "non-finite duration or energy for event {}"
+NEGATIVE_DURATION = "negative duration for event {}"
+OVER_ONE_WEEK = f"duration over one week ({MAX_DURATION_MIN} min) for event {{}}"
+NEGATIVE_ENERGY = "negative energy for event {}"
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
 
 @dataclass(frozen=True, order=True)
@@ -39,15 +62,152 @@ class ChargingEvent:
 
     def __post_init__(self):
         if not math.isfinite(self.duration_min) or not math.isfinite(self.energy_kwh):
-            raise DomainError(f"non-finite duration or energy for event {self.event_id}")
+            raise DomainError(NON_FINITE.format(self.event_id))
         if self.duration_min < 0:
-            raise DomainError(f"negative duration for event {self.event_id}")
+            raise DomainError(NEGATIVE_DURATION.format(self.event_id))
         if self.duration_min > MAX_DURATION_MIN:
-            raise DomainError(
-                f"duration over one week ({MAX_DURATION_MIN} min) for event {self.event_id}"
-            )
+            raise DomainError(OVER_ONE_WEEK.format(self.event_id))
         if self.energy_kwh < 0:
-            raise DomainError(f"negative energy for event {self.event_id}")
+            raise DomainError(NEGATIVE_ENERGY.format(self.event_id))
+
+
+# The per-event arrays of `EventColumns`, in field order.
+_PER_EVENT = ("event_id", "driver", "station", "start_us", "start_s", "duration_min", "energy_kwh", "id_rank", "row")
+
+
+@dataclass(eq=False)
+class EventColumns:
+    """Charging events as columns, one array entry per event.
+
+    A driver and a station are codes into the `drivers` and `stations` name
+    tuples; a table that `build` makes names exactly the drivers and stations
+    its events use, in order of first use. `start_us` is the start in exact
+    microseconds since the epoch, the key that orders events, and `start_s`
+    is the same instant as `datetime.timestamp()` gives it, the float that
+    hours and wait minutes are computed from. `id_rank` orders the event ids
+    as Python orders strings (a numpy string array would drop a trailing
+    NUL), and `row` is each event's position in the table `build` made, so
+    every table taken from that one can index its per-event work.
+
+    Indexing with an int, or iterating, builds `ChargingEvent`s on each
+    access; a slice or `take` gives columns again, which share the name
+    tuples.
+    """
+
+    event_id: np.ndarray      # object array of str
+    driver: np.ndarray        # codes into `drivers`
+    station: np.ndarray       # codes into `stations`
+    start_us: np.ndarray      # int64
+    start_s: np.ndarray
+    duration_min: np.ndarray
+    energy_kwh: np.ndarray
+    id_rank: np.ndarray
+    row: np.ndarray
+    drivers: tuple[str, ...]
+    stations: tuple[str, ...]
+
+    @classmethod
+    def build(cls, event_id: list[str], driver_id: list[str], station_id: list[str],
+              start_time: list[datetime], duration_min, energy_kwh) -> "EventColumns":
+        """A table of one list per field, in event order."""
+        n = len(event_id)
+        drivers, stations = tuple(dict.fromkeys(driver_id)), tuple(dict.fromkeys(station_id))
+        id_rank = np.empty(n, dtype=np.intp)
+        id_rank[sorted(range(n), key=event_id.__getitem__)] = np.arange(n)
+        ids = np.empty(n, dtype=object)
+        ids[:] = event_id
+        since = map(EPOCH.__rsub__, start_time)  # t - EPOCH, exact
+        return cls(
+            ids,
+            np.array(list(map({d: i for i, d in enumerate(drivers)}.__getitem__, driver_id)), dtype=np.intp),
+            np.array(list(map({s: i for i, s in enumerate(stations)}.__getitem__, station_id)), dtype=np.intp),
+            np.array(list(map(_MICROSECOND.__rfloordiv__, since)), dtype=np.int64),
+            np.array(list(map(datetime.timestamp, start_time)), dtype=float),
+            np.array(duration_min, dtype=float),
+            np.array(energy_kwh, dtype=float),
+            id_rank,
+            np.arange(n),
+            drivers,
+            stations,
+        )
+
+    @classmethod
+    def of(cls, events: "Events") -> "EventColumns":
+        """`events` as columns: columns as they are, or ChargingEvents in the
+        order given."""
+        if isinstance(events, cls):
+            return events
+        events = list(events)
+        return cls.build([e.event_id for e in events], [e.driver_id for e in events],
+                         [e.station_id for e in events], [e.start_time for e in events],
+                         [e.duration_min for e in events], [e.energy_kwh for e in events])
+
+    @classmethod
+    def concat(cls, parts: Sequence["EventColumns"]) -> "EventColumns":
+        """The events of `parts`, in order. Parts taken from one table are
+        joined column by column; others are rebuilt through `ChargingEvent`."""
+        if parts and all(p.drivers is parts[0].drivers and p.stations is parts[0].stations for p in parts):
+            return cls(*(np.concatenate([getattr(p, name) for p in parts]) for name in _PER_EVENT),
+                       parts[0].drivers, parts[0].stations)
+        return cls.of([e for p in parts for e in p])
+
+    def __len__(self) -> int:
+        return self.event_id.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self.take(key)
+        i = range(len(self))[key]
+        return ChargingEvent(EPOCH + timedelta(microseconds=int(self.start_us[i])), self.event_id[i],
+                             self.drivers[self.driver[i]], self.stations[self.station[i]],
+                             float(self.duration_min[i]), float(self.energy_kwh[i]))
+
+    def __iter__(self) -> Iterator[ChargingEvent]:
+        drivers, stations = self.drivers, self.stations
+        for us, event_id, d, s, duration, energy in zip(
+            self.start_us.tolist(), self.event_id.tolist(), self.driver.tolist(), self.station.tolist(),
+            self.duration_min.tolist(), self.energy_kwh.tolist(),
+        ):
+            yield ChargingEvent(EPOCH + timedelta(microseconds=us), event_id, drivers[d], stations[s],
+                                duration, energy)
+
+    def take(self, rows) -> "EventColumns":
+        """The events at `rows` (an index array, or a slice for views)."""
+        return EventColumns(*(getattr(self, name)[rows] for name in _PER_EVENT), self.drivers, self.stations)
+
+    def time_order(self) -> np.ndarray:
+        """Positions by (start_time, event_id); a stable sort."""
+        return np.lexsort((self.id_rank, self.start_us))
+
+    def trajectory_order(self) -> np.ndarray:
+        """Positions by (driver_id, start_time, event_id): every driver's
+        trajectory in turn, drivers in id order."""
+        rank = np.empty(len(self.drivers), dtype=np.intp)
+        rank[sorted(range(len(self.drivers)), key=self.drivers.__getitem__)] = np.arange(len(self.drivers))
+        return np.lexsort((self.id_rank, self.start_us, rank[self.driver]))
+
+    @property
+    def hours(self) -> np.ndarray:
+        """The epoch hour of each start, as `reward.epoch_hour` gives it."""
+        return np.floor_divide(self.start_s, 3600.0).astype(np.int64)
+
+    @property
+    def station_id(self) -> np.ndarray:
+        """Each event's station id, an object array."""
+        return np.array(self.stations, dtype=object)[self.station]
+
+    def station_cols(self, index) -> np.ndarray:
+        """Each event's station column in the `geospatial.StationIndex`
+        `index`; a station it does not list is an UnknownStationError."""
+        lookup = map(index.index.get, self.stations, repeat(-1))
+        cols = np.fromiter(lookup, dtype=np.int64, count=len(self.stations))[self.station]
+        if cols.size and cols.min() < 0:
+            raise UnknownStationError(f"unknown station {self.stations[self.station[np.argmin(cols)]]!r}")
+        return cols
+
+
+# What the readers of events take: columns, or ChargingEvents in order.
+Events = EventColumns | Sequence[ChargingEvent]
 
 
 @dataclass(frozen=True)
@@ -57,12 +217,16 @@ class RejectedRow:
     reason: str
 
 
-@dataclass
+@dataclass(eq=False)
 class DriverTrajectory:
-    """A driver's charging events, ascending by (start_time, event_id)."""
+    """A driver's charging events as columns, ascending by (start_time,
+    event_id). ChargingEvents given are taken as columns."""
 
     driver_id: str
-    events: list[ChargingEvent]
+    events: EventColumns
+
+    def __post_init__(self):
+        self.events = EventColumns.of(self.events)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -74,11 +238,14 @@ TRAIN_FRAC = 0.8
 VAL_FRAC = 0.1
 
 
-@dataclass
+@dataclass(eq=False)
 class Split:
-    train: list[ChargingEvent]
-    val: list[ChargingEvent]
-    test: list[ChargingEvent]
+    """A driver's train, validation and test segments, column views of their
+    trajectory."""
+
+    train: EventColumns
+    val: EventColumns
+    test: EventColumns
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +297,19 @@ def _parse_uk_datetime(date_s: str, time_s: str) -> datetime:
     return d.replace(hour=h, minute=m, second=s, tzinfo=timezone.utc)
 
 
-def _canonical_row(row: dict[str, str], line_no: int) -> ChargingEvent:
-    return ChargingEvent(
-        event_id=row["event_id"].strip(),
-        driver_id=row["driver_id"].strip(),
-        station_id=row["station_id"].strip(),
-        start_time=_parse_timestamp(row["start_time"]),
-        duration_min=float(row["duration_min"]),
-        energy_kwh=float(row["energy_kwh"]),
-    )
+def _row_dict(header: list[str], row: list[str]) -> dict:
+    """`row` keyed by `header` as `csv.DictReader` keys it: a repeated name
+    reads its last field, a short row's missing fields read as empty ones
+    and a long row's extra fields are listed under None."""
+    out: dict = dict(zip(header, row + [""] * (len(header) - len(row))))
+    if len(row) > len(header):
+        out[None] = row[len(header):]
+    return out
+
+
+def _raw_text(header: list[str], row: list[str]) -> str:
+    """A rejected row's text: its `_row_dict` values joined by commas."""
+    return ",".join(str(v) for v in _row_dict(header, row).values())
 
 
 def _lookup(row: dict[str, str], aliases: Sequence[str], what: str) -> str:
@@ -198,47 +369,127 @@ def _session_row(row: dict[str, str], line_no: int, prefix: str) -> ChargingEven
     )
 
 
-def parse_events(
-    source: str | Path, adapter: str = "canonical"
-) -> tuple[list[ChargingEvent], list[RejectedRow]]:
-    """Parse a raw event file into canonical events plus a rejects report.
+# Rows converted before their values are checked together; the parse holds
+# no more raw rows than this, so its memory does not grow with the file.
+_BLOCK_ROWS = 1024
 
-    Malformed rows are collected, never silently dropped; so is a row whose
-    event_id repeats an earlier row's. Raises DataFormatError when more than
-    half of the data rows are rejected.
+
+def _failed_checks(duration: np.ndarray, energy: np.ndarray) -> np.ndarray:
+    """The number (1-4, 0 for none) of the first value check each event fails,
+    with array masks: NON_FINITE, NEGATIVE_DURATION, OVER_ONE_WEEK or
+    NEGATIVE_ENERGY, in the order `ChargingEvent` raises them."""
+    masks = (~(np.isfinite(duration) & np.isfinite(energy)), duration < 0, duration > MAX_DURATION_MIN, energy < 0)
+    failed = np.zeros(duration.shape, dtype=np.intp)
+    for k in range(len(masks), 0, -1):
+        failed[masks[k - 1]] = k
+    return failed
+
+
+_CHECK_REASONS = (None, NON_FINITE, NEGATIVE_DURATION, OVER_ONE_WEEK, NEGATIVE_ENERGY)
+
+
+def _parse_canonical(reader, header: list[str], path: Path) -> tuple[EventColumns, list[RejectedRow]]:
+    """The canonical layout in one pass: each row's fields are read by
+    header name and its time and numbers converted; then each block of rows
+    has its values checked at once with array masks, and its ids in order."""
+    missing = [c for c in CANONICAL_HEADER if c not in header]
+    if missing:
+        raise DataFormatError(f"{path}: missing canonical columns {missing}")
+    at = {name: i for i, name in enumerate(header)}  # a repeated name reads its last field
+    i_id, i_driver, i_station, i_start, i_duration, i_energy = (at[c] for c in CANONICAL_HEADER)
+    width = len(header)
+    ids, drivers, stations, starts, durations, energies = [], [], [], [], [], []  # accepted rows
+    rejects: list[RejectedRow] = []
+    seen: set[str] = set()
+    block: list[tuple] = []  # (line number, row, start, duration, energy) of rows not yet checked
+
+    def check_block() -> None:
+        failed = _failed_checks(np.array([b[3] for b in block]), np.array([b[4] for b in block]))
+        for (line_no, row, start, duration, energy), k in zip(block, failed.tolist()):
+            event_id = row[i_id].strip()
+            if k or event_id in seen:
+                reason = _CHECK_REASONS[k].format(event_id) if k else "duplicate event_id"
+                rejects.append(RejectedRow(line_no, _raw_text(header, row), reason))
+                continue
+            seen.add(event_id)
+            ids.append(event_id)
+            drivers.append(row[i_driver].strip())
+            stations.append(row[i_station].strip())
+            starts.append(start)
+            durations.append(duration)
+            energies.append(energy)
+        block.clear()
+
+    for row in reader:
+        if not row:
+            continue  # a blank line, which csv.DictReader skips too
+        line_no = reader.line_num  # physical lines read, so blank lines and quoted newlines count
+        if len(row) != width:
+            if len(row) > width:
+                rejects.append(RejectedRow(line_no, _raw_text(header, row),
+                                           f"row has {len(row)} fields, header has {width}"))
+                continue
+            # A short row's missing fields read as empty ones, which are
+            # rejected as an empty field in the file is.
+            row = row + [""] * (width - len(row))
+        try:
+            start = _parse_timestamp(row[i_start])
+            duration = float(row[i_duration])
+            energy = float(row[i_energy])
+        except ValueError as exc:
+            rejects.append(RejectedRow(line_no, _raw_text(header, row), str(exc)))
+            continue
+        block.append((line_no, row, start, duration, energy))
+        if len(block) == _BLOCK_ROWS:
+            check_block()
+    check_block()
+    rejects.sort(key=lambda r: r.line_no)
+    return EventColumns.build(ids, drivers, stations, starts, durations, energies), rejects
+
+
+def _parse_sessions(reader, header: list[str], adapter: str) -> tuple[EventColumns, list[RejectedRow]]:
+    """A Dundee or Glasgow layout, one `_session_row` per row."""
+    events: list[ChargingEvent] = []
+    rejects: list[RejectedRow] = []
+    seen: set[str] = set()
+    for row in reader:
+        if not row:
+            continue  # a blank line, which csv.DictReader skips too
+        line_no = reader.line_num
+        try:
+            event = _session_row(_row_dict(header, row), line_no, adapter)
+            if event.event_id in seen:
+                raise ValueError("duplicate event_id")
+        except (ValueError, KeyError, DomainError) as exc:
+            rejects.append(RejectedRow(line_no, _raw_text(header, row), str(exc)))
+            continue
+        seen.add(event.event_id)
+        events.append(event)
+    return EventColumns.of(events), rejects
+
+
+def parse_events(source: str | Path, adapter: str = "canonical") -> tuple[EventColumns, list[RejectedRow]]:
+    """Parse a raw event file into event columns, in file order, plus a
+    rejects report.
+
+    Malformed rows are collected, never silently dropped: a row with more
+    fields than the header, a value that does not convert or fails a check,
+    or an event_id that repeats an earlier accepted row's. Each reject gives
+    its line number, its text and the first reason. Raises DataFormatError
+    when more than half of the data rows are rejected.
     """
     if adapter not in ADAPTERS:
         raise UsageError(f"unknown adapter {adapter!r}; expected one of {ADAPTERS}")
     path = Path(source)
-    events: list[ChargingEvent] = []
-    rejects: list[RejectedRow] = []
-    seen: set[str] = set()
     with open_csv(path) as fh:
-        # A short row's missing fields read as empty ones, which the adapters
-        # reject as they would an empty field in the file.
-        reader = csv.DictReader(fh, restval="")
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataFormatError(f"{path}: empty file")
         if adapter == "canonical":
-            missing = [c for c in CANONICAL_HEADER if c not in reader.fieldnames]
-            if missing:
-                raise DataFormatError(f"{path}: missing canonical columns {missing}")
-        for row in reader:
-            line_no = reader.line_num  # physical lines read, so blank lines and quoted newlines count
-            try:
-                if adapter == "canonical":
-                    event = _canonical_row(row, line_no)
-                else:
-                    event = _session_row(row, line_no, adapter)
-                if event.event_id in seen:
-                    raise ValueError("duplicate event_id")
-            except (ValueError, KeyError, DomainError) as exc:
-                # The adapters never change `row`, so its text can wait for a reject.
-                raw = ",".join(str(v) for v in row.values())
-                rejects.append(RejectedRow(line_no, raw, str(exc)))
-                continue
-            seen.add(event.event_id)
-            events.append(event)
+            events, rejects = _parse_canonical(reader, header, path)
+        else:
+            events, rejects = _parse_sessions(reader, header, adapter)
     total = len(events) + len(rejects)
     if total > 0 and len(rejects) > total / 2:
         raise DataFormatError(
@@ -279,15 +530,19 @@ def write_rejects(rejects: Iterable[RejectedRow], path: str | Path) -> None:
 # Trajectories and splits
 # ---------------------------------------------------------------------------
 
-def build_trajectories(events: Iterable[ChargingEvent]) -> dict[str, DriverTrajectory]:
-    """Group by driver and sort by (start_time, event_id)."""
-    by_driver: dict[str, list[ChargingEvent]] = {}
-    for e in events:
-        by_driver.setdefault(e.driver_id, []).append(e)
+def build_trajectories(events: Events) -> dict[str, DriverTrajectory]:
+    """Group by driver and sort by (start_time, event_id): the events are
+    taken once in `trajectory_order`, and each driver's trajectory is a view
+    of that table."""
+    table = EventColumns.of(events)
+    table = table.take(table.trajectory_order())
+    drivers = table.driver
+    cuts = [0, *(np.flatnonzero(drivers[1:] != drivers[:-1]) + 1).tolist(), len(table)]
     out = {}
-    for driver_id in sorted(by_driver):
-        evs = sorted(by_driver[driver_id], key=lambda e: (e.start_time, e.event_id))
-        out[driver_id] = DriverTrajectory(driver_id, evs)
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi > lo:
+            driver_id = table.drivers[drivers[lo]]
+            out[driver_id] = DriverTrajectory(driver_id, table[lo:hi])
     return out
 
 
@@ -346,15 +601,12 @@ def warmup_cut_counts(trajectories: dict[str, DriverTrajectory]) -> dict[str, in
     }
 
 
-def warmup_pool(trajectories: dict[str, DriverTrajectory]) -> list[ChargingEvent]:
+def warmup_pool(trajectories: dict[str, DriverTrajectory]) -> EventColumns:
     """Each driver's `warmup_cut_counts` leading events, in driver-id order.
 
     Driver identity is replaced by a salted-hash token so the pool can be
     shared without user information.
     """
     cuts = warmup_cut_counts(trajectories)
-    return [
-        replace(e, driver_id=anonymize_driver(driver_id, WARMUP_SALT))
-        for driver_id in sorted(trajectories)
-        for e in trajectories[driver_id].events[: cuts[driver_id]]
-    ]
+    pool = EventColumns.concat([trajectories[d].events[: cuts[d]] for d in sorted(trajectories)])
+    return replace(pool, drivers=tuple(anonymize_driver(d, WARMUP_SALT) for d in pool.drivers))

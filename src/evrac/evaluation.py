@@ -23,16 +23,16 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .dataset import ChargingEvent, DriverTrajectory, Split
+from .dataset import DriverTrajectory, EventColumns, Events, Split
 from .errors import UsageError
-from .reward import RewardEnvironment, epoch_hour
+from .reward import RewardEnvironment
 
 logger = logging.getLogger(__name__)
 
 
 # One scoring request: a driver, their events in time order and the cut
 # points to score. A cut j means "condition on `events[:j]`".
-Request = tuple[str, list[ChargingEvent], Sequence[int]]
+Request = tuple[str, Events, Sequence[int]]
 
 
 def check_requests(requests: Sequence[Request]) -> None:
@@ -165,11 +165,11 @@ class EvalReport:
 # Harness
 # ---------------------------------------------------------------------------
 
-def cut_points(traj: DriverTrajectory, events: list[ChargingEvent]) -> list[int]:
+def cut_points(traj: DriverTrajectory, events: Events) -> list[int]:
     """The cut at each of `events` (a subset of the driver's) that has a
     previous event to condition on, in the order given."""
-    pos = {e.event_id: i for i, e in enumerate(traj.events)}
-    return [j for j in (pos[e.event_id] for e in events) if j > 0]
+    pos = dict(zip(traj.events.event_id.tolist(), range(len(traj))))
+    return [j for j in map(pos.__getitem__, EventColumns.of(events).event_id.tolist()) if j > 0]
 
 
 def scored_drivers(trajectories: dict[str, DriverTrajectory], splits: dict[str, Split]) -> set[str]:
@@ -206,15 +206,14 @@ def evaluate(
         rankings = recommender.rank(requests, max_k)
     else:
         rankings = [ranked for request in requests for ranked in models[request[0]].rank([request], max_k)]
-    truths = [events[j].station_id for _, events, cuts in requests for j in cuts]
+    truths = [sid for _, events, cuts in requests for sid in events.station_id[cuts].tolist()]
     priced = None
     if env is not None and requests:
-        col = env.index.index_of
         priced = env.breakdowns(
             [driver_id for driver_id, _, cuts in requests for _ in cuts],
-            [col(events[j - 1].station_id) for _, events, cuts in requests for j in cuts],
-            [col(ranked[0]) for ranked in rankings],
-            [epoch_hour(events[j].start_time) for _, events, cuts in requests for j in cuts],
+            np.concatenate([events.station_cols(env.index)[np.array(cuts) - 1] for _, events, cuts in requests]),
+            [env.index.index_of(ranked[0]) for ranked in rankings],
+            np.concatenate([events.hours[cuts] for _, events, cuts in requests]),
         )
 
     per_driver: dict[str, DriverOutcome] = {}

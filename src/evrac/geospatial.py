@@ -9,11 +9,11 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dataset import ChargingEvent, build_trajectories, open_csv
+from .dataset import EventColumns, Events, open_csv
 from .errors import ConfigError, DataFormatError, DomainError, UnknownStationError
 
 logger = logging.getLogger(__name__)
@@ -240,7 +240,7 @@ class StationIndex:
 
 
 def station_norms(
-    events: Iterable[ChargingEvent],
+    events: Events,
     index: StationIndex,
     series: dict,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -252,8 +252,8 @@ def station_norms(
     arrivals. Degenerate stations (no occupancy / no arrivals with a previous
     station) fall back to the global means so both norms stay positive.
     """
-    events = list(events)
-    if not events:
+    events = EventColumns.of(events)
+    if not len(events):
         raise ConfigError("station norms need at least one training event")
     m = len(index)
     mean_wait = np.zeros(m)
@@ -266,15 +266,14 @@ def station_norms(
             mean_wait[col] = np.mean(positive)
     global_wait = float(np.mean(all_positive)) if all_positive else 1.0
 
-    # Every hop previous -> current in one table lookup. bincount adds each
-    # column's hops one by one in hop order, as a running sum would.
-    prev, cur = [], []
-    for traj in build_trajectories(events).values():
-        cols = [index.index_of(e.station_id) for e in traj.events]
-        prev += cols[:-1]
-        cur += cols[1:]
-    cur = np.array(cur, dtype=np.intp)
-    hops = index.distances[np.array(prev, dtype=np.intp), cur]
+    # Every hop previous -> current of each driver's trajectory, drivers in id
+    # order, in one table lookup. bincount adds each column's hops one by one
+    # in hop order, as a running sum would.
+    order = events.trajectory_order()
+    cols, drivers = events.station_cols(index)[order], events.driver[order]
+    same = drivers[1:] == drivers[:-1]
+    cur = cols[1:][same]
+    hops = index.distances[cols[:-1][same], cur]
     positive_hops = hops[hops > 0]
     global_dist = float(np.mean(positive_hops)) if positive_hops.size else 1.0
 

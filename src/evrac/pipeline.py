@@ -20,8 +20,8 @@ from .agent import (
 from .baselines import FpmcHyper, FpmcRecommender, MarkovRecommender, PopularityRecommender
 from .config import Config, apply_overrides
 from .dataset import (
-    ChargingEvent,
     DriverTrajectory,
+    EventColumns,
     Split,
     build_trajectories,
     parse_events,
@@ -39,7 +39,7 @@ from .reward import (
     WaitForecastNet,
     WaitSeries,
     build_wait_series,
-    epoch_hour,
+    hour_chunks,
     most_visited,
     train_reward_net,
 )
@@ -63,7 +63,7 @@ class DataBundle:
     familiarity: dict[str, str | None]
     train_end_hour: int = 0
 
-    def train_events_by_driver(self) -> dict[str, list[ChargingEvent]]:
+    def train_events_by_driver(self) -> dict[str, EventColumns]:
         return {d: s.train for d, s in self.splits.items()}
 
 
@@ -75,18 +75,22 @@ def load_data_bundle(config: Config) -> DataBundle:
     Feature scalers, reward norms, familiarity and the reward-net training
     window all come from training data only; drivers too small to split still
     contribute their events to the environment series.
+
+    Events stay columns throughout: trajectories and splits are views of one
+    table, and each event's hour chunks are computed once for both series.
     """
     if not config.events:
         raise ConfigError("no events file configured")
     events, _ = parse_events(config.events, "canonical")
-    if not events:
+    if not len(events):
         raise ConfigError("no events to work with")
 
     stations = load_stations(config.stations) if config.stations else _stations_from_events(events)
-    unknown = [e.station_id for e in events if e.station_id not in stations]
-    if unknown:
-        raise DataFormatError(f"{config.stations}: no station {unknown[0]!r}, "
-                              f"which {unknown.count(unknown[0])} events name")
+    unknown = ~np.array([sid in stations for sid in events.stations], dtype=bool)[events.station]
+    if unknown.any():
+        code = events.station[np.argmax(unknown)]
+        raise DataFormatError(f"{config.stations}: no station {events.stations[code]!r}, "
+                              f"which {np.count_nonzero(events.station == code)} events name")
     if config.poi:
         poi = load_poi(config.poi, sorted(stations))
         stations = {
@@ -96,35 +100,36 @@ def load_data_bundle(config: Config) -> DataBundle:
 
     all_trajectories = build_trajectories(events)
     if config.warmup:
-        pool = warmup_pool(all_trajectories)
         cuts = warmup_cut_counts(all_trajectories)
         private = {
-            d: DriverTrajectory(d, t.events[cuts.get(d, 0) :])
+            d: DriverTrajectory(d, t.events[cuts[d] :])
             for d, t in all_trajectories.items()
-            if len(t.events) > cuts.get(d, 0)
+            if len(t) > cuts[d]
         }
-        warmup_trajs = build_trajectories(pool)
+        warmup_trajs = build_trajectories(warmup_pool(all_trajectories))
     else:
         private = all_trajectories
         warmup_trajs = {}
 
     splits, excluded = split_all(private)
-    train_events = [e for d in sorted(splits) for e in splits[d].train]
     # Unsplittable drivers still shape the station-side environment.
-    train_events += [e for d in excluded for e in private[d].events]
-    train_events.sort(key=lambda e: (e.start_time, e.event_id))
-    if not train_events:
+    train = EventColumns.concat([splits[d].train for d in sorted(splits)]
+                                + [private[d].events for d in excluded])
+    train = train.take(train.time_order())
+    if not len(train):
         raise ConfigError("no training events after splitting")
 
-    train_series = build_wait_series(train_events)
-    full_series = build_wait_series(events)
-    index = index.with_norms(*station_norms(train_events, index, train_series))
+    chunks = hour_chunks(events)
+    train_series = build_wait_series(events, train.row, chunks)
+    full_series = build_wait_series(events, chunks=chunks)
+    index = index.with_norms(*station_norms(train, index, train_series))
 
-    max_duration = max(e.duration_min for e in train_events)
-    max_energy = max(e.energy_kwh for e in train_events)
+    # Python's max over the sorted events, so a tie of 0.0 and -0.0 keeps the first.
+    max_duration = max(train.duration_min.tolist())
+    max_energy = max(train.energy_kwh.tolist())
     obs_space = ObservationSpace(index, max_duration, max_energy, config.k_actor)
-    familiarity = most_visited([e for s in splits.values() for e in s.train])
-    train_end = epoch_hour(train_events[-1].start_time)  # sorted by start time
+    familiarity = most_visited(EventColumns.concat([s.train for s in splits.values()]))
+    train_end = int(train.hours[-1])  # sorted by start time
 
     return DataBundle(
         config=config,
@@ -141,11 +146,11 @@ def load_data_bundle(config: Config) -> DataBundle:
     )
 
 
-def _stations_from_events(events: list[ChargingEvent]):
+def _stations_from_events(events: EventColumns):
     """Fallback station set at the origin when no stations file is given."""
     from .geospatial import NUM_POI_TYPES, Station
 
-    ids = sorted({e.station_id for e in events})
+    ids = sorted(events.stations)
     logger.warning("no stations file; placing %d stations at (0, 0)", len(ids))
     return {sid: Station(sid, 0.0, 0.0, np.zeros(NUM_POI_TYPES)) for sid in ids}
 

@@ -13,13 +13,13 @@ import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
 from . import nn
 from .config import RewardNetHyper
-from .dataset import ChargingEvent
+from .dataset import EventColumns, Events
 from .errors import ConfigError, DomainError
 from .geospatial import StationIndex
 from .seeding import rng_for
@@ -84,24 +84,53 @@ class WaitSeries:
         return np.array([self.value(h) for h in range(eh - k, eh)])
 
 
-def build_wait_series(events: Iterable[ChargingEvent]) -> dict[str, WaitSeries]:
-    """Occupied minutes per (station, clock hour), split across hour boundaries.
+def hour_chunks(events: EventColumns) -> list[list[tuple[int, float]]]:
+    """Each event's occupied minutes per clock hour, as (epoch hour, minutes)
+    pairs from its start hour on: a session split across hour boundaries.
+    Every hour after the first starts on the boundary, so it holds 60.0
+    minutes unless the session ends in it."""
+    out = []
+    for start_s, duration in zip(events.start_s.tolist(), events.duration_min.tolist()):
+        end_s = start_s + duration * 60.0
+        bucket = int(start_s // 3600)
+        cursor = (bucket + 1) * 3600.0  # the end of the start hour
+        if end_s <= cursor:
+            out.append([(bucket, (end_s - start_s) / 60.0)] if start_s < end_s else [])
+            continue
+        chunks = [(bucket, (cursor - start_s) / 60.0)]
+        while cursor < end_s:
+            bucket += 1
+            hour_end = cursor + 3600.0
+            chunks.append((bucket, 60.0 if hour_end <= end_s else (end_s - cursor) / 60.0))
+            cursor = hour_end
+        out.append(chunks)
+    return out
+
+
+def build_wait_series(events: Events, order: np.ndarray | None = None,
+                      chunks: list[list[tuple[int, float]]] | None = None) -> dict[str, WaitSeries]:
+    """Occupied minutes per (station, clock hour) of the events at positions
+    `order` of `events` (all, in order, by default), added in that order.
+    `chunks` is `hour_chunks(events)`, computed here when not given, so one
+    table's chunks can feed several series.
 
     Time-causal by construction: an event only contributes to buckets at or
     after its start hour.
     """
+    events = EventColumns.of(events)
+    if chunks is None:
+        chunks = hour_chunks(events)
+    codes = events.station.tolist()
+    by_code: list[WaitSeries | None] = [None] * len(events.stations)
     out: dict[str, WaitSeries] = {}
-    for e in events:
-        series = out.setdefault(e.station_id, WaitSeries(e.station_id))
-        start_s = e.start_time.timestamp()
-        end_s = start_s + e.duration_min * 60.0
-        cursor = start_s
-        while cursor < end_s:
-            bucket = int(cursor // 3600)
-            bucket_end = (bucket + 1) * 3600.0
-            chunk_end = min(bucket_end, end_s)
-            series.buckets[bucket] = series.buckets.get(bucket, 0.0) + (chunk_end - cursor) / 60.0
-            cursor = chunk_end
+    for i in range(len(events)) if order is None else order.tolist():
+        series = by_code[codes[i]]
+        if series is None:
+            sid = events.stations[codes[i]]
+            series = by_code[codes[i]] = out[sid] = WaitSeries(sid)
+        buckets = series.buckets
+        for bucket, minutes in chunks[i]:
+            buckets[bucket] = buckets.get(bucket, 0.0) + minutes
     return out
 
 
@@ -125,21 +154,25 @@ ZETA_FAMILIAR = 0.8  # distance weight at the driver's most-visited station
 ZETA_DEFAULT = 1.0
 
 
-def most_visited(train_events: Iterable[ChargingEvent]) -> dict[str, str | None]:
+def most_visited(train_events: Events) -> dict[str, str | None]:
     """Each driver's strictly most-visited station in the training split.
 
     Ties (or no events) map to None: no station gets the familiarity discount.
     """
-    counts: dict[str, dict[str, int]] = {}
-    for e in train_events:
-        counts.setdefault(e.driver_id, {}).setdefault(e.station_id, 0)
-        counts[e.driver_id][e.station_id] += 1
-    out: dict[str, str | None] = {}
-    for driver, per_station in counts.items():
-        best = max(per_station.values())
-        top = [sid for sid, c in per_station.items() if c == best]
-        out[driver] = top[0] if len(top) == 1 else None
-    return out
+    events = EventColumns.of(train_events)
+    m = len(events.stations)
+    pairs, counts = np.unique(events.driver.astype(np.int64) * m + events.station, return_counts=True)
+    best: dict[int, tuple[int, int | None]] = {}  # driver code -> (top count, its only station or None)
+    for pair, count in zip(pairs.tolist(), counts.tolist()):
+        driver, station = divmod(pair, m)
+        top = best.get(driver)
+        if top is None or count > top[0]:
+            best[driver] = (count, station)
+        elif count == top[0]:
+            best[driver] = (count, None)
+    drivers, first = np.unique(events.driver, return_index=True)
+    return {events.drivers[d]: None if best[d][1] is None else events.stations[best[d][1]]
+            for d in drivers[np.argsort(first)].tolist()}
 
 
 def compute_reward(

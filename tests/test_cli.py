@@ -360,6 +360,22 @@ def test_recommend_fpmc_checkpoint_and_k_bounds(synth, capsys):
     capsys.readouterr()
 
 
+def test_recommend_prints_reward_flags(synth, capsys):
+    """Each item carries its pricing's fallback and clamp flags as JSON
+    booleans: without a forecaster every wait is the mean-wait fallback."""
+    tmp_path, config = synth
+    ckpt, reward = tmp_path / "pop.ckpt", tmp_path / "reward.ckpt"
+    assert main(["train-baseline", "--config", str(config), "--model", "popularity", "--out", str(ckpt)]) == 0
+    assert main(["train-reward", "--config", str(config), "--out", str(reward)]) == 0
+    capsys.readouterr()
+    argv = ["recommend", "--config", str(config), "--model", str(ckpt), "--driver", "driver-1", "--k", "3"]
+    for extra, fallback in (([], [True] * 3), (["--reward", str(reward)], [False] * 3)):
+        assert main(argv + extra) == 0
+        items = json.loads(capsys.readouterr().out)["items"]
+        assert all(type(it["fallback"]) is bool and type(it["clamped"]) is bool for it in items)
+        assert [it["fallback"] for it in items] == fallback
+
+
 def test_recommend_at_sees_only_earlier_sessions(synth, capsys):
     from evrac.agent import recommend
     from evrac.checkpoint import load_rac_model
@@ -383,7 +399,8 @@ def test_recommend_at_sees_only_earlier_sessions(synth, capsys):
         assert payload["timestamp"] == at
         assert payload["items"] == [
             {"station_id": it.station_id, "prob": it.prob, "est_wait_min": it.est_wait_min,
-             "est_dist_km": it.est_dist_km, "est_reward": it.est_reward}
+             "est_dist_km": it.est_dist_km, "est_reward": it.est_reward, "fallback": it.fallback,
+             "clamped": it.clamped}
             for it in expected
         ]
     first = events[0].start_time.strftime("%Y-%m-%dT%H:%M:%SZ")

@@ -2,13 +2,16 @@
 
 import copy
 import csv
+import io
 import math
+import struct
 from datetime import timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import T0, make_event, make_stations, mutated_rows
 from evrac import dataset
 from evrac.agent import ObservationSpace
@@ -172,9 +175,10 @@ def test_repeated_event_id_goes_to_rejects(tmp_path, adapter, header, rows):
     assert [(r.line_no, r.reason) for r in rejects] == [(4, "duplicate event_id")]
 
 
-# Good rows, an accepted row with an extra field, and then a repeated id (not
-# in the Dundee layout, which has no id column), a short row and a rejected
-# row with extra fields.
+# Good rows, a row with an extra field (accepted by the session adapters,
+# rejected in the canonical layout), and then a repeated id (not in the
+# Dundee layout, which has no id column), a short row and a rejected row with
+# extra fields.
 _REJECT_TEXT_CASES = [
     ("canonical", "event_id,driver_id,station_id,start_time,duration_min,energy_kwh",
      ["e1,d1,cs0,2018-06-06T08:00:00Z,30,10",
@@ -204,16 +208,11 @@ _REJECT_TEXT_CASES = [
 ]
 
 
-def _adapt(row, line_no, adapter):
-    if adapter == "canonical":
-        return dataset._canonical_row(row, line_no)
-    return dataset._session_row(row, line_no, adapter)
-
-
 def _eager_parse(path, adapter):
     """`parse_events` as it was when it built every row's reject text before
-    parsing the row, verbatim but for the header and majority checks and the
-    reader, which pads short rows with empty fields as `parse_events` does."""
+    parsing the row, verbatim but for the header and majority checks, the
+    reader, which pads short rows with empty fields as `parse_events` does,
+    and the canonical layout's reject of a long row."""
     events, rejects, seen = [], [], set()
     with dataset.open_csv(path) as fh:
         reader = csv.DictReader(fh, restval="")
@@ -221,7 +220,7 @@ def _eager_parse(path, adapter):
             line_no = reader.line_num
             raw = ",".join("" if v is None else str(v) for v in row.values())
             try:
-                event = _adapt(row, line_no, adapter)
+                event = oracles.adapt(row, line_no, adapter, len(reader.fieldnames))
                 if event.event_id in seen:
                     raise ValueError("duplicate event_id")
             except (ValueError, KeyError, DomainError) as exc:
@@ -240,7 +239,7 @@ def test_row_adapters_never_mutate_row(tmp_path, adapter, header, rows):
         for row in reader:
             before = copy.deepcopy(row)
             try:
-                _adapt(row, reader.line_num, adapter)
+                oracles.adapt(row, reader.line_num, adapter, len(reader.fieldnames))
             except (ValueError, KeyError, DomainError):
                 pass
             assert row == before
@@ -250,8 +249,8 @@ def test_row_adapters_never_mutate_row(tmp_path, adapter, header, rows):
 def test_reject_text_built_on_reject_matches_eager_text(tmp_path, adapter, header, rows):
     path = _write(tmp_path, "ev.csv", "\n".join([header] + rows) + "\n")
     events, rejects = dataset.parse_events(path, adapter)
-    assert (events, rejects) == _eager_parse(path, adapter)
-    assert len(rejects) == 3 - (adapter == "dundee")
+    assert (list(events), rejects) == _eager_parse(path, adapter)
+    assert len(rejects) == {"canonical": 4, "glasgow": 3, "dundee": 2}[adapter]
     short = rows[-2]  # rejected, not a crash, with the text it had when short fields read None
     assert short + "," * (header.count(",") - short.count(",")) in [r.raw for r in rejects]
     assert any(r.raw.endswith("]") for r in rejects)  # the extra fields' list
@@ -278,7 +277,7 @@ def test_roundtrip_write_parse_identity(tmp_path_factory, rows):
     dataset.write_events(events, path)
     parsed, rejects = dataset.parse_events(path)
     assert rejects == []
-    assert parsed == events
+    assert list(parsed) == events
 
 
 _ADAPTER_FILES = {adapter: [header, *rows] for adapter, header, rows in _REJECT_TEXT_CASES}
@@ -301,6 +300,109 @@ def test_parse_events_hostile_rows_raise_only_evrac_errors(tmp_path_factory, dat
         return
     assert all(math.isfinite(e.duration_min) and math.isfinite(e.energy_kwh) for e in events)
     assert len({e.event_id for e in events}) == len(events)
+
+
+def test_long_canonical_row_is_rejected(tmp_path):
+    # csv.DictReader listed the extra fields under None, and the row was read
+    # as event "a".
+    path = _write(
+        tmp_path,
+        "ev.csv",
+        "event_id,driver_id,station_id,start_time,duration_min,energy_kwh\n"
+        "a,d1,cs1,2018-06-06T06:00:00Z,120,42,EXTRA,MORE\n"
+        "b,d1,cs1,2018-06-06T07:00:00Z,120,42\n"
+        "c,d1,cs1,2018-06-06T08:00:00Z,120,42\n",
+    )
+    events, rejects = dataset.parse_events(path)
+    assert [e.event_id for e in events] == ["b", "c"]
+    assert rejects == [dataset.RejectedRow(2, "a,d1,cs1,2018-06-06T06:00:00Z,120,42,['EXTRA', 'MORE']",
+                                           "row has 8 fields, header has 6")]
+
+
+def _mostly(valid, hostile, one_in: int = 12):
+    """Draws of `valid`, but one in `one_in` (on average) of `hostile`."""
+    return st.integers(1, one_in).flatmap(lambda i: hostile if i == 1 else valid)
+
+
+# Well-formed values per canonical column, and hostile ones.
+_OFFSETS = st.integers(-23 * 60 - 59, 23 * 60 + 59).map(lambda m: timezone(timedelta(minutes=m)))
+_TEXT_COLUMNS = {
+    "event_id": _mostly(st.integers(0, 40).map(lambda i: f"e{i}"),
+                        st.sampled_from(["e1", " e1", "e1\x00", "e1\x00\x00", "e\n2", "", "a,b", 'q"t'])),
+    "driver_id": _mostly(st.sampled_from(["d1", "d2", "d3"]), st.sampled_from([" d1 ", "d\n3", ""])),
+    "station_id": _mostly(st.sampled_from(["cs0", "cs1"]), st.sampled_from(["cs1 ", "cs\x00", ""])),
+    "start_time": _mostly(
+        st.one_of(  # one instant three ways, so that starts tie and event ids order them
+            st.sampled_from(["2018-06-06T06:00:00Z", "2018-06-06T08:00:00+02:00", "2018-06-06T06:00:00"]),
+            st.datetimes(timezones=st.one_of(st.none(), st.just(timezone.utc), _OFFSETS))
+            .map(lambda t: t.isoformat().replace("+00:00", "Z")),
+        ),
+        st.sampled_from(["2018-06-06T06:00:00Z", " 2018-06-06 07:59:59.999999-01:00 ", "0001-01-01T00:30:00+01:00",
+                         "9999-12-31T23:30:00-01:00", "not-a-time", ""]),
+    ),
+    "duration_min": _mostly(st.floats(0, 10_080).map(repr),
+                            st.sampled_from(["-0", "-5", "nan", "-inf", "1e400", "12_0", " 12 ", "", "10080",
+                                             "10080.000001", "5e-324", "abc"])),
+    "energy_kwh": _mostly(st.floats(0, 100).map(repr), st.sampled_from(["-0", "-1e-9", "nan", "1e400", "12_0", " 12 ", ""])),
+}
+
+
+@st.composite
+def canonical_texts(draw) -> str:
+    """A canonical events file, maybe with an extra or a repeated header
+    column, whose rows may be blank, short, long, or hold quoted newlines."""
+    header = list(dataset.CANONICAL_HEADER)
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, len(header))), draw(st.sampled_from(["note", "event_id", "duration_min"])))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["row"] * 12 + ["blank", "short", "long"]))
+        if shape == "blank":
+            out.write("\n")
+            continue
+        row = [draw(_TEXT_COLUMNS.get(name, st.sampled_from(["x", ""]))) for name in header]
+        if shape == "short":
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        elif shape == "long":
+            row += draw(st.lists(st.sampled_from(["EXTRA", "", "y,z", "w\nv"]), min_size=1, max_size=3))
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def _parse_outcome(parse, group, path):
+    """Events field by field (floats as their bits, times with their zone),
+    rejects, and each trajectory's event ids as `group` orders them; or the
+    error."""
+    try:
+        events, rejects = parse(path)
+    except EvracError as exc:
+        return type(exc), str(exc)
+    fields = [(e.event_id, e.driver_id, e.station_id, e.start_time, e.start_time.tzinfo,
+               struct.pack("<d", e.duration_min), struct.pack("<d", e.energy_kwh)) for e in events]
+    return fields, rejects, {d: [e.event_id for e in t] for d, t in group(events).items()}
+
+
+_HEADER = ",".join(dataset.CANONICAL_HEADER) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_texts())
+# Ids that differ by a trailing NUL (a numpy string array drops it), at one
+# instant written three ways.
+@example(_HEADER + "e1\x00,d1,cs0,2018-06-06T06:00:00Z,30,10\n"
+                   "e1,d1,cs1,2018-06-06T08:00:00+02:00,30,10\n"
+                   "e0,d1,cs1,2018-06-06T06:00:00,30,10\n")
+# Starts 1 us apart whose float seconds are equal: only the microseconds order them.
+@example(_HEADER + "e2,d1,cs0,9000-01-01T00:00:00.000001Z,30,10\n"
+                   "e1,d1,cs1,9000-01-01T00:00:00.000002Z,30,10\n")
+def test_columnar_parse_matches_per_row_parser(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "oracle-events.csv"
+    path.write_text(text, encoding="utf-8")
+    columnar = _parse_outcome(
+        dataset.parse_events, lambda events: {d: t.events for d, t in dataset.build_trajectories(events).items()}, path)
+    assert columnar == _parse_outcome(oracles.parse_events, oracles.build_trajectories, path)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +469,7 @@ def test_split_partitions_trajectory(n):
     s = dataset.chronological_split(traj)
     assert len(s.train) + len(s.val) + len(s.test) == n
     assert len(s.test) >= 1 and len(s.val) >= 1 and len(s.train) >= 1
-    assert s.train + s.val + s.test == traj.events  # order preserved, disjoint
+    assert list(s.train) + list(s.val) + list(s.test) == list(traj.events)  # order preserved, disjoint
     # floors hold whenever they leave room for a non-empty test
     if math.floor(0.8 * n) + max(1, math.floor(0.1 * n)) < n:
         assert len(s.train) == math.floor(0.8 * n)

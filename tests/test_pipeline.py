@@ -1,9 +1,16 @@
 """Data-bundle assembly: warm-up slicing, train-only statistics, environments."""
 
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import oracles
 from conftest import T0, km_to_lon_degrees, make_event, pattern_events
-from evrac.config import Config
+from evrac.config import Config, apply_overrides, load_config
 from evrac.dataset import write_events
 from evrac.errors import ConfigError
 from evrac.pipeline import (
@@ -108,3 +115,56 @@ def test_train_baseline_kinds(tmp_path):
         assert len(ranked) == 2
     with pytest.raises(Exception):
         train_baseline_model(bundle, "lstm")
+
+
+# ---------------------------------------------------------------------------
+# The columnar bundle against the per-event set-up path
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module", params=["demo-seed1", "small-city"])
+def generated_city(request, tmp_path_factory):
+    """The seed-1 demo city, or a 9-station city with a driver too small to
+    split, as scripts/generate_synthetic.py writes them."""
+    out = tmp_path_factory.mktemp(request.param)
+    size = [] if request.param == "demo-seed1" else ["--drivers", "15", "--events-per-driver", "24",
+                                                       "--stations", "9"]
+    seed = "1" if request.param == "demo-seed1" else "4"
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "generate_synthetic.py"), "--out-dir", str(out),
+                    "--seed", seed, *size], check=True, stdout=subprocess.DEVNULL,
+                   env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    if request.param == "small-city":
+        with open(out / "events.csv", "a", encoding="utf-8") as fh:
+            fh.write("tiny-0,tiny,cs3,2018-06-07T09:30:00Z,50,17.5\ntiny-1,tiny,cs8,2018-06-08T23:40:00Z,300,80\n")
+    return load_config(out / "config.cfg")
+
+
+def _bits(series: dict) -> list:
+    """Stations and buckets in insertion order, values as their bits."""
+    buckets = {sid: s.buckets if hasattr(s, "buckets") else s for sid, s in series.items()}
+    return [(sid, [(h, struct.pack("<d", v)) for h, v in b.items()]) for sid, b in buckets.items()]
+
+
+@pytest.mark.parametrize("warmup", [True, False])
+def test_bundle_bits_match_per_event_setup(generated_city, warmup):
+    config = apply_overrides(generated_city, warmup=warmup)
+    bundle = load_data_bundle(config)
+    want = oracles.bundle_parts(config, bundle.index)
+    assert {d: [e.event_id for e in t.events] for d, t in bundle.trajectories.items()} == \
+        {d: [e.event_id for e in evs] for d, evs in want["trajectories"].items()}
+    assert _bits(bundle.train_series) == _bits(want["train_series"])
+    assert _bits(bundle.full_series) == _bits(want["full_series"])
+    mean_wait, mean_dist = want["norms"]
+    assert bundle.index.mean_wait.tobytes() == mean_wait.tobytes()
+    assert bundle.index.mean_dist.tobytes() == mean_dist.tobytes()
+    space = bundle.obs_space
+    assert struct.pack("<dd", space.max_duration, space.max_energy) == \
+        struct.pack("<dd", want["max_duration"], want["max_energy"])
+    assert bundle.familiarity == want["familiarity"]
+    assert bundle.train_end_hour == want["train_end_hour"]
+    for driver_id, traj in bundle.trajectories.items():
+        cuts = range(len(traj) + 1)
+        assert space.windows(traj.events, cuts).tobytes() == \
+            oracles.windows(space, want["trajectories"][driver_id], cuts).tobytes()

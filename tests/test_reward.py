@@ -1,13 +1,15 @@
 """Wait series, forecaster, familiarity coefficient and the reward formula."""
 
 import dataclasses
-from datetime import timedelta
+import struct
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import (
     T0,
     TableWaitForecaster,
@@ -21,6 +23,7 @@ from conftest import (
 )
 from evrac import reward as rw
 from evrac.checkpoint import save_reward_net
+from evrac.dataset import EventColumns
 from evrac.errors import ConfigError, DomainError, ShapeError, UnknownStationError
 from evrac.evaluation import evaluate
 from evrac.geospatial import NUM_POI_TYPES, Station, StationIndex
@@ -83,6 +86,29 @@ def test_wait_series_time_causal(sessions, horizon):
     for eh, v in full.items():
         if eh <= cutoff:
             assert part_buckets.get(eh, 0.0) == pytest.approx(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["cs0", "cs1", "cs2"]),
+                          st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30)),
+                          st.one_of(st.floats(0, 10_080), st.sampled_from([0.0, 60.0, 120.0, 10_080.0]))),
+                max_size=20),
+       st.randoms(use_true_random=False))
+def test_wait_series_have_the_bits_of_the_per_event_loop(sessions, random):
+    """Each event's hour chunks are computed once and summed in any order;
+    the series equal those of the per-event loop over the events in that
+    order, bucket by bucket and bit for bit, in insertion order too."""
+    events = [make_event(f"e{i}", "d", sid, start.replace(tzinfo=timezone.utc), duration=duration)
+              for i, (sid, start, duration) in enumerate(sessions)]
+    columns = EventColumns.of(events)
+    chunks = rw.hour_chunks(columns)
+    order = list(range(len(events)))
+    random.shuffle(order)
+    for got, want in ((rw.build_wait_series(events), oracles.build_wait_series(events)),
+                      (rw.build_wait_series(columns, np.array(order, dtype=np.intp), chunks),
+                       oracles.build_wait_series([events[i] for i in order]))):
+        assert [(sid, [(h, struct.pack("<d", v)) for h, v in s.buckets.items()]) for sid, s in got.items()] == \
+            [(sid, [(h, struct.pack("<d", v)) for h, v in b.items()]) for sid, b in want.items()]
 
 
 def test_export_wait_series(tmp_path):

@@ -26,11 +26,11 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .baselines import _rank_row
+from .baselines import _rank_row, rank_rows
 from .config import RacHyper
 from .dataset import DriverTrajectory, EventColumns, Events, Split
 from .errors import ConfigError, TrainingDiverged, UsageError
-from .evaluation import Request, check_requests, cut_points, precision_at_k
+from .evaluation import Request, check_requests, cut_points
 from .geospatial import StationIndex
 from .reward import (
     INFERENCE_ROWS,
@@ -72,15 +72,22 @@ class ObservationSpace:
         Each links to the station charged at just before it, the first to
         `prev_station` (None: no previous station)."""
         events = EventColumns.of(events)
-        index, width = self.index, self.index.context_width()
-        cols = events.station_cols(index)
-        first = -1 if prev_station is None else index.index_of(prev_station)
+        cols = events.station_cols(self.index)
+        first = -1 if prev_station is None else self.index.index_of(prev_station)
         out = np.empty((cols.size, self.obs_dim))
-        out[:, :width] = index.context(cols, np.concatenate([[first], cols[:-1]])[: cols.size])
+        self._fill_rows(out, events, cols, np.concatenate([[first], cols[:-1]])[: cols.size])
+        return out
+
+    def _fill_rows(self, out: np.ndarray, events: EventColumns, cols: np.ndarray, prev_cols: np.ndarray) -> None:
+        """Write into `out` the observation of each event at station column
+        `cols[i]`, linked to station column `prev_cols[i]` (-1: none). Every
+        row is computed on its own, so a row's bits do not depend on the
+        others."""
+        width = self.index.context_width()
+        out[:, :width] = self.index.context(cols, prev_cols)
         out[:, width] = np.minimum(events.duration_min / self.max_duration, 1.0)
         out[:, width + 1] = events.energy_kwh / self.max_energy if self.max_energy > 0 else 0.0
         out[:, width + 2 :] = time_features(events.hours)
-        return out
 
     def padded(self, events: Events, lo: int, hi: int) -> np.ndarray:
         """(history + hi - lo, obs_dim): `history` zero rows, then the
@@ -96,9 +103,33 @@ class ObservationSpace:
         the last `history` events of `events[:j]`, left-padded with zero rows.
         Each observation links to the station charged at just before it, even
         when that event is cut off. Cuts must be non-empty."""
-        cuts = np.asarray(cuts, dtype=int)
-        lo = max(int(cuts.min()) - self.history, 0)
-        return self.padded(events, lo, int(cuts.max()))[(cuts - lo)[:, None] + np.arange(self.history)]
+        return self.run_windows([(events, cuts)])
+
+    def run_windows(self, runs: Sequence[tuple[Events, Sequence[int]]]) -> np.ndarray:
+        """The `windows` of each (events, cuts) run, stacked in run order,
+        from one observation pass. Each run's events from `history` before its
+        first cut, and the one before those for its station, are joined into
+        one table by `EventColumns.concat`; each run's first joined event links
+        to no station (it is event 0, or read only for its station). Every
+        window is then one gather from the rows, behind one zero row."""
+        parts, starts, gathers, size = [], [], [], 0
+        steps = np.arange(self.history) - self.history
+        for events, cuts in runs:
+            cuts = np.asarray(cuts, dtype=np.intp)
+            lo = max(int(cuts.min()) - self.history - 1, 0)
+            parts.append(EventColumns.of(events[lo : int(cuts.max())]))
+            at = cuts[:, None] + steps  # the event index of each window row
+            gathers.append(np.where(at >= 0, 1 + size + at - lo, 0))
+            starts.append(size)
+            size += len(parts[-1])
+        table = EventColumns.concat(parts)
+        cols = table.station_cols(self.index)
+        prev_cols = np.concatenate([[-1], cols[:-1]])[:size]
+        prev_cols[[start for start in starts if start < size]] = -1
+        obs = np.empty((1 + size, self.obs_dim))
+        obs[0] = 0.0
+        self._fill_rows(obs[1:], table, cols, prev_cols)
+        return obs[np.concatenate(gathers)]
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +394,11 @@ def _ce_loss(pi: np.ndarray, actions: np.ndarray) -> float:
     return float(-np.mean(np.log(np.clip(picked, 1e-300, None))))
 
 
+def _mean_entropy(pi: np.ndarray) -> float:
+    """Mean over rows of the entropy of each row of `pi`, in nats (0 log 0 = 0)."""
+    return float(-np.mean(np.sum(pi * np.log(np.where(pi > 0, pi, 1.0)), axis=1)))
+
+
 def _actor_grads(model: RacModel, cache: dict, ascent_dlogits: np.ndarray,
                  extra_dc: np.ndarray | None) -> dict[str, np.ndarray]:
     """Descent gradients of the actor group (head + shared encoder), keyed as
@@ -445,10 +481,12 @@ def train_rac(
     semi-gradient TD; update the actor by (1-eps) * policy gradient +
     eps * preference cross-entropy. Deterministic for a fixed seed.
 
-    Returns one record per epoch: the losses, the mean reward, the wall-clock
-    time and, for each clipped update, its pre-clip gradient norm and whether
-    clipping fired (`critic_`, `actor_` and, when td-coupled, `forecaster_`
-    `grad_norm` and `clipped`).
+    Returns one record per epoch: the losses, the critic's explained variance
+    of its TD targets (1 - critic_mse / var(y); None when every target is
+    equal), the policy's mean entropy in nats, the mean reward, the
+    wall-clock time and, for each clipped update, its pre-clip gradient norm
+    and whether clipping fired (`critic_`, `actor_` and, when td-coupled,
+    `forecaster_` `grad_norm` and `clipped`).
     """
     if len(buffer) == 0:
         raise UsageError("replay buffer is empty")
@@ -488,6 +526,7 @@ def train_rac(
         delta = q_logged - y
         critic_mse = float(np.mean(delta * delta))
         mean_reward = float(np.mean(rewards))
+        var_y = float(np.var(y))
         _require_finite_losses(epoch, batch, critic_mse=critic_mse, ce_loss=ce_loss, mean_reward=mean_reward)
 
         dqin, critic_grads = model.critic.backward(critic_cache, (delta / B)[:, None])
@@ -523,7 +562,9 @@ def train_rac(
             {
                 "epoch": epoch,
                 "critic_mse": critic_mse,
+                "critic_explained_var": 1.0 - critic_mse / var_y if var_y > 0 else None,
                 "ce_loss": ce_loss,
+                "policy_entropy": _mean_entropy(pi),
                 "mean_reward": mean_reward,
                 **_clip_telemetry("critic", critic_norm, hyper),
                 **actor_telemetry,
@@ -611,8 +652,8 @@ class RacRecommender:
         cut of 0 (no history). The requests' cuts, in order, go through the
         policy in passes of `INFERENCE_ROWS`, a pass spanning requests when
         they are short, so only the returned rows grow with the number of
-        cuts. Within a pass, consecutive cuts of one events list build their
-        windows with one `windows` call."""
+        cuts. Each pass builds its windows in one `run_windows` pass over
+        its runs of consecutive cuts of one events list."""
         check_requests(requests)
         cuts = [(events, j) for _, events, request_cuts in requests for j in request_cuts]
         m = self.model.num_stations
@@ -622,14 +663,13 @@ class RacRecommender:
             runs = [list(run) for _, run in groupby(piece, key=lambda cut: id(cut[0]))]
             # The windows and the forward cache are temporaries, freed before
             # the next pass.
-            pi = self.model.policy(np.concatenate([self.obs_space.windows(run[0][0], [j for _, j in run])
-                                                  for run in runs]))[0]
+            pi = self.model.policy(self.obs_space.run_windows([(run[0][0], [j for _, j in run]) for run in runs]))[0]
             pi[np.array([j for _, j in piece]) == 0] = 1.0 / m
             out[start : start + len(piece)] = pi
         return out
 
     def rank(self, requests: Sequence[Request], k: int) -> list[list[str]]:
-        return [_rank_row(row, self.obs_space.index.order, k) for row in self.probabilities(requests)]
+        return rank_rows(self.probabilities(requests), self.obs_space.index.order, k)
 
 
 # ---------------------------------------------------------------------------
@@ -653,9 +693,13 @@ def build_buffer(
 
 def _val_p1(model: RacModel, obs_space: ObservationSpace, traj: DriverTrajectory,
             val_events: Events) -> float:
+    """Validation precision@1: the share of `val_events` (with a previous
+    event) whose station is the model's top pick."""
     cuts = cut_points(traj, val_events)
+    if not cuts:
+        return 0.0
     rankings = RacRecommender(model, obs_space).rank([(traj.driver_id, traj.events, cuts)], 1)
-    return precision_at_k(rankings, traj.events.station_id[cuts].tolist(), 1)
+    return sum(ranked[0] == sid for ranked, sid in zip(rankings, traj.events.station_id[cuts].tolist())) / len(cuts)
 
 
 def finetune_driver(

@@ -4,8 +4,8 @@ actor-critic model so one evaluation harness serves everything.
 
 Every recommender exposes `probabilities(requests)` over a list of
 `(driver_id, events, cuts)` requests: one (M,) row over the sorted station
-list per cut j (conditioning on `events[:j]`), in request order. Each row is
-ranked with `_rank_row`.
+list per cut j (conditioning on `events[:j]`), in request order. The rows of
+one call are ranked together by `rank_rows`.
 """
 
 from __future__ import annotations
@@ -25,15 +25,23 @@ from .seeding import rng_for
 logger = logging.getLogger(__name__)
 
 
-def _rank_row(row: np.ndarray, stations: list[str], k: int) -> list[str]:
-    """Top-k station ids by score, ties broken by station id.
+def rank_rows(scores: np.ndarray, stations: Sequence[str], k: int) -> list[list[str]]:
+    """Each row's top-k station ids by score, ties broken by station id: one
+    stable sort of the whole (N, M) matrix, which orders every row as a
+    stable sort of that row alone does.
 
     `stations` must be sorted: a stable sort then keeps tied scores in
     station-id order.
     """
     if k < 1:
         raise UsageError("k must be >= 1")
-    return [stations[i] for i in np.argsort(-row, kind="stable")[:k].tolist()]
+    top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    return np.array(stations, dtype=object)[top].tolist()
+
+
+def _rank_row(row: np.ndarray, stations: Sequence[str], k: int) -> list[str]:
+    """`rank_rows` of one (M,) row."""
+    return rank_rows(row[None, :], stations, k)[0]
 
 
 class _GatheredRows:
@@ -46,7 +54,7 @@ class _GatheredRows:
         return np.concatenate([np.empty((0, len(self.stations)))] + [self._rows(*request) for request in requests])
 
     def rank(self, requests: Sequence[Request], k: int) -> list[list[str]]:
-        return [_rank_row(row, self.stations, k) for row in self.probabilities(requests)]
+        return rank_rows(self.probabilities(requests), self.stations, k)
 
 
 def _train_sequences(train_events: dict[str, Events]) -> dict[str, list[str]]:

@@ -145,7 +145,10 @@ class EventColumns:
     @classmethod
     def concat(cls, parts: Sequence["EventColumns"]) -> "EventColumns":
         """The events of `parts`, in order. Parts taken from one table are
-        joined column by column; others are rebuilt through `ChargingEvent`."""
+        joined column by column; others are rebuilt through `ChargingEvent`.
+        One part is returned as it is."""
+        if len(parts) == 1:
+            return parts[0]
         if parts and all(p.drivers is parts[0].drivers and p.stations is parts[0].stations for p in parts):
             return cls(*(np.concatenate([getattr(p, name) for p in parts]) for name in _PER_EVENT),
                        parts[0].drivers, parts[0].stations)
@@ -448,7 +451,8 @@ def _parse_canonical(reader, header: list[str], path: Path) -> tuple[EventColumn
 
 
 def _parse_sessions(reader, header: list[str], adapter: str) -> tuple[EventColumns, list[RejectedRow]]:
-    """A Dundee or Glasgow layout, one `_session_row` per row."""
+    """A Dundee or Glasgow layout, one `_session_row` per row. A row with
+    more fields than the header is rejected, as in the canonical layout."""
     events: list[ChargingEvent] = []
     rejects: list[RejectedRow] = []
     seen: set[str] = set()
@@ -457,6 +461,8 @@ def _parse_sessions(reader, header: list[str], adapter: str) -> tuple[EventColum
             continue  # a blank line, which csv.DictReader skips too
         line_no = reader.line_num
         try:
+            if len(row) > len(header):
+                raise ValueError(f"row has {len(row)} fields, header has {len(header)}")
             event = _session_row(_row_dict(header, row), line_no, adapter)
             if event.event_id in seen:
                 raise ValueError("duplicate event_id")

@@ -10,6 +10,14 @@ Metric conventions (both are non-decreasing in K):
            recommendation would earn at that event's forecast wait and the
            driver's distance from their previous station (<= 0; closer to 0
            is better).
+
+`evaluate` scores in array passes. One `rank` call ranks every test event
+(one per driver with per-driver models) to the largest K, and one
+`breakdowns` call prices every top-1 pick. Every P@K and R@K then comes from
+one integer vector: each event's position of its true station in its ranking,
+the largest K when it is absent. P@K counts the positions below K; R@K counts
+the distinct true stations whose best position is below K. The counts are
+whole numbers, so each ratio is the one a per-list scan gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -47,48 +55,15 @@ class Recommender(Protocol):
     """`probabilities` scores every station in sorted-id order at each cut of
     each request: one row per cut, the rows of all requests stacked in
     request order. `rank` is each row's top-k by score with ties broken by
-    station id. Evaluation sends every driver's cuts in one call; a row does
-    not depend on which other requests share the call, up to the last bits
-    of a batched forward pass."""
+    station id, all rows of the call ranked by one stable sort
+    (`baselines.rank_rows`). Evaluation sends every driver's cuts in one
+    call; a row does not depend on which other requests share the call, up
+    to the last bits of a batched forward pass, whose edges fall every
+    `reward.INFERENCE_ROWS` cuts of the call."""
 
     def probabilities(self, requests: Sequence[Request]) -> np.ndarray: ...
 
     def rank(self, requests: Sequence[Request], k: int) -> list[list[str]]: ...
-
-
-# ---------------------------------------------------------------------------
-# Metric primitives
-# ---------------------------------------------------------------------------
-
-def precision_at_k(predictions: Sequence[Sequence[str]], truths: Sequence[str], k: int) -> float:
-    """Fraction of events whose truth appears in the event's top-k."""
-    if k < 1:
-        raise UsageError("k must be >= 1")
-    if len(predictions) != len(truths):
-        raise UsageError("predictions and truths differ in length")
-    if not truths:
-        return 0.0
-    hits = sum(1 for ranked, truth in zip(predictions, truths) if truth in list(ranked)[:k])
-    return hits / len(truths)
-
-
-def recall_at_k(
-    predictions_by_driver: dict[str, Sequence[Sequence[str]]],
-    truths_by_driver: dict[str, Sequence[str]],
-    k: int,
-) -> float:
-    """Distinct-station coverage within top-k, macro-averaged over drivers."""
-    if k < 1:
-        raise UsageError("k must be >= 1")
-    per_driver = []
-    for driver, truths in truths_by_driver.items():
-        if not truths:
-            continue
-        preds = predictions_by_driver[driver]
-        distinct = set(truths)
-        hit = {t for ranked, t in zip(preds, truths) if t in list(ranked)[:k]}
-        per_driver.append(len(hit) / len(distinct))
-    return float(np.mean(per_driver)) if per_driver else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +152,39 @@ def scored_drivers(trajectories: dict[str, DriverTrajectory], splits: dict[str, 
     return {d for d, split in splits.items() if cut_points(trajectories[d], split.test)}
 
 
+def hit_rates(
+    rankings: Sequence[Sequence[str]], truths: Sequence[str], sizes: Sequence[int], ks: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, list[float], list[float]]:
+    """P@k and R@k from hit positions, for events ranked in driver runs of
+    `sizes` events each: the per-driver values as (len(ks), len(sizes))
+    arrays, then the aggregate P@k (over events) and R@k (over drivers),
+    each 0.0 without events. Every value is a quotient of whole-number
+    counts, so it is the one a scan of the ranking lists gives, bit for bit."""
+    max_k = max(ks)
+    # Where each event's truth sits in its ranking: max_k when it is absent.
+    pos = np.array([ranked.index(t) if t in ranked else max_k for ranked, t in zip(rankings, truths)],
+                   dtype=np.intp)
+    drivers = len(sizes)
+    driver_of = np.repeat(np.arange(drivers), sizes)
+    # Each distinct (driver, true station) pair and the best position it reaches.
+    codes: dict[str, int] = {}
+    truth_code = np.array([codes.setdefault(t, len(codes)) for t in truths], dtype=np.intp)
+    stride = len(codes) + 1
+    pairs, pair_of = np.unique(driver_of * stride + truth_code, return_inverse=True)
+    best = np.full(pairs.size, max_k)
+    np.minimum.at(best, pair_of, pos)
+    pair_driver = pairs // stride
+    hits = np.array([np.bincount(driver_of, weights=pos < k, minlength=drivers) for k in ks])
+    covered = np.array([np.bincount(pair_driver, weights=best < k, minlength=drivers) for k in ks])
+    recall = covered / np.bincount(pair_driver, minlength=drivers)
+    return (
+        hits / np.array(sizes),
+        recall,
+        [int(np.count_nonzero(pos < k)) / pos.size if pos.size else 0.0 for k in ks],
+        [float(np.mean(r)) if drivers else 0.0 for r in recall],
+    )
+
+
 def evaluate(
     recommender: Recommender,
     trajectories: dict[str, DriverTrajectory],
@@ -190,7 +198,8 @@ def evaluate(
 
     Every driver's test cuts are ranked by one `rank` call (one per driver
     with per-driver `models`), and every top-1 pick is priced by one
-    `breakdowns` call. MAR is skipped (NaN) when no reward environment is
+    `breakdowns` call; the metrics come from the hit positions (see the
+    module docstring). MAR is skipped (NaN) when no reward environment is
     supplied.
     """
     ks = sorted(set(int(k) for k in ks))
@@ -216,15 +225,14 @@ def evaluate(
             np.concatenate([events.hours[cuts] for _, events, cuts in requests]),
         )
 
+    sizes = [len(cuts) for _, _, cuts in requests]
+    precision, recall, total_precision, total_recall = hit_rates(rankings, truths, sizes, ks)
+
     per_driver: dict[str, DriverOutcome] = {}
-    preds_by_driver: dict[str, list] = {}
-    truths_by_driver: dict[str, list] = {}
     start = 0
-    for driver_id, _, cuts in requests:
+    for (driver_id, _, cuts), p_row, r_row in zip(requests, precision.T.tolist(), recall.T.tolist()):
         rows = slice(start, start + len(cuts))
         start = rows.stop
-        preds_by_driver[driver_id] = driver_rankings = rankings[rows]
-        truths_by_driver[driver_id] = driver_truths = truths[rows]
         driver_mar = norm_wait = norm_dist = float("nan")
         if priced is not None:
             driver_mar = float(np.mean(priced.reward[rows]))
@@ -232,8 +240,8 @@ def evaluate(
             norm_dist = float(np.mean(priced.dist_km[rows] / priced.mean_dist[rows]))
         per_driver[driver_id] = DriverOutcome(
             events=len(cuts),
-            p_at={k: precision_at_k(driver_rankings, driver_truths, k) for k in ks},
-            r_at={k: recall_at_k({driver_id: driver_rankings}, {driver_id: driver_truths}, k) for k in ks},
+            p_at=dict(zip(ks, p_row)),
+            r_at=dict(zip(ks, r_row)),
             mar=driver_mar,
             mean_norm_wait=norm_wait,
             mean_norm_dist=norm_dist,
@@ -242,8 +250,8 @@ def evaluate(
     return EvalReport(
         ks=list(ks),
         per_driver=per_driver,
-        precision={k: precision_at_k(rankings, truths, k) for k in ks},
-        recall={k: recall_at_k(preds_by_driver, truths_by_driver, k) for k in ks},
+        precision=dict(zip(ks, total_precision)),
+        recall=dict(zip(ks, total_recall)),
         mar=float(np.mean(priced.reward)) if priced is not None else float("nan"),
         events=len(truths),
         drivers=len(per_driver),

@@ -68,9 +68,15 @@ def uniform_init(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) 
     return rng.uniform(-bound, bound, size=shape)
 
 
+_SIGMOID_NUDGE = 2.0**-600
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # 0.5 * (1 + tanh(x/2)) equals 1 / (1 + exp(-x)) and cannot overflow.
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    # Halving x below 2**-1021 can round into the subnormals and underflow;
+    # adding 2**-600 first leaves every |x| >= 2**-547 unchanged and puts the
+    # rest, whose sigmoid rounds to 0.5 either way, at 0 or above 2**-653.
+    return 0.5 * (1.0 + np.tanh(0.5 * (x + _SIGMOID_NUDGE)))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -67,8 +67,8 @@ _WEEK_FEATURES.setflags(write=False)
 class WaitSeries:
     """Hourly wait proxy for one station: occupied charging minutes per clock
     hour, keyed by epoch hour. Hours without sessions are implicitly 0.
-    `buckets` is complete once `build_wait_series` returns: `first_hour` is
-    computed on first use and then kept."""
+    `buckets` is complete once `build_wait_series` returns: `first_hour` and
+    the dense view `hourly` are computed on first use and then kept."""
 
     station_id: str
     buckets: dict[int, float] = field(default_factory=dict)
@@ -77,11 +77,25 @@ class WaitSeries:
     def first_hour(self) -> int | None:
         return min(self.buckets) if self.buckets else None
 
+    @functools.cached_property
+    def hourly(self) -> np.ndarray:
+        """The value of every hour from `first_hour` through the last bucket,
+        then one 0.0 that stands for every hour outside that span."""
+        if not self.buckets:
+            return np.zeros(1)
+        out = np.zeros(max(self.buckets) - self.first_hour + 2)
+        out[np.fromiter(self.buckets, dtype=np.int64, count=len(self.buckets)) - self.first_hour] = \
+            np.fromiter(self.buckets.values(), dtype=float, count=len(self.buckets))
+        return out
+
     def value(self, eh: int) -> float:
         return self.buckets.get(eh, 0.0)
 
-    def lags(self, eh: int, k: int) -> np.ndarray:
-        return np.array([self.value(h) for h in range(eh - k, eh)])
+    def values(self, hours: np.ndarray) -> np.ndarray:
+        """`value` of each of `hours` (any shape), gathered from `hourly`:
+        an hour outside its span reads the last entry, directly or as -1."""
+        hourly = self.hourly
+        return hourly[np.clip(np.asarray(hours, dtype=np.int64) - (self.first_hour or 0), -1, hourly.size - 1)]
 
 
 def hour_chunks(events: EventColumns) -> list[list[tuple[int, float]]]:
@@ -354,17 +368,24 @@ def forecast_inputs(
     positive mean wait."""
     cols = np.asarray(cols, dtype=np.int64)
     hours = np.asarray(hours, dtype=np.int64)
-    # First observable hour of each station of the call; one without a series never has lags.
-    first = np.full(len(index), np.iinfo(np.int64).max)
+    # Each station of the call with a series: its first observable hour (one
+    # without a series never has lags) and where its dense view starts and
+    # ends when the views are laid end to end, so every lag is one gather.
+    m = len(index)
+    first = np.full(m, np.iinfo(np.int64).max)
+    origin, last = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+    views, size = [np.zeros(0)], 0
     for c in set(cols.tolist()):
         s = series.get(index.order[c])
         if s is not None and s.buckets:
-            first[c] = s.first_hour
+            first[c], origin[c] = s.first_hour, size - s.first_hour
+            views.append(s.hourly)
+            size += s.hourly.size
+            last[c] = size - 1  # the view's trailing 0.0, read for every hour past its span
     keep = np.flatnonzero(hours - k >= first[cols])
     cols, hours = cols[keep], hours[keep]
-    lags = np.empty((keep.size, k))
-    for row, (c, eh) in enumerate(zip(cols.tolist(), hours.tolist())):
-        lags[row] = series[index.order[c]].lags(eh, k) / index.mean_wait[c]
+    at = (origin[cols] + hours)[:, None] + (np.arange(k) - k)
+    lags = np.concatenate(views)[np.minimum(at, last[cols][:, None])] / index.mean_wait[cols][:, None]
     return ForecastRows(index, lags, cols, hours), keep
 
 
@@ -393,7 +414,7 @@ def train_reward_net(
     k = hyper.window
     sample_cols: list[int] = []
     sample_hours: list[int] = []
-    targets_scaled: list[float] = []
+    targets_scaled: list[np.ndarray] = []
     scales: list[float] = []
     skipped: list[str] = []
     for col, sid in enumerate(index.order):
@@ -412,7 +433,7 @@ def train_reward_net(
         hours = range(first + k, end + 1)
         sample_cols += [col] * len(hours)
         sample_hours += hours
-        targets_scaled += [s.value(eh) / mean_wait for eh in hours]
+        targets_scaled.append(s.values(np.arange(first + k, end + 1)) / mean_wait)
         scales += [mean_wait] * len(hours)
     if skipped:
         logger.warning("reward net: skipped %d stations with <%d hours of history", len(skipped), k + 1)
@@ -420,7 +441,7 @@ def train_reward_net(
         raise ConfigError("no training samples for the reward net")
 
     rows, _ = forecast_inputs(series, index, sample_cols, sample_hours, k)
-    ys = np.array(targets_scaled)
+    ys = np.concatenate(targets_scaled)
     sc = np.array(scales)
     n_val = int(len(ys) * hyper.val_frac)
     # Chronology is per station; a seeded permutation keeps val representative.

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from evrac.checkpoint import MAGIC
 
 from evrac.dataset import ChargingEvent, build_trajectories, split_all
-from evrac.evaluation import DriverOutcome, EvalReport, precision_at_k, recall_at_k
+from evrac.evaluation import DriverOutcome, EvalReport
 from evrac.geospatial import EARTH_RADIUS_KM, NUM_POI_TYPES, Station, StationIndex
 from evrac.reward import (
     DAY_FEATURES,
@@ -162,8 +162,11 @@ def dense_forecast_inputs(rows: ForecastRows) -> np.ndarray:
 
 def reference_evaluate(recommender, trajectories, splits, env, ks=(1, 3, 5), config=None, models=None):
     """`evaluation.evaluate` as it ran before every driver was scored in one
-    pass: one `rank` request and one `breakdowns` call per driver. The
-    oracle the one-pass harness must match."""
+    pass: one `rank` request and one `breakdowns` call per driver, and the
+    metrics by scanning ranking lists. The oracle the one-pass harness must
+    match."""
+    from oracles import precision_at_k, recall_at_k  # oracles imports this module
+
     ks = sorted(set(int(k) for k in ks))
     per_driver, preds_by_driver, truths_by_driver = {}, {}, {}
     all_rank, all_truth, mar_values = [], [], []

@@ -1,6 +1,7 @@
 """The set-up path one event object at a time, as it ran before events were
-carried as columns: the oracles the columnar code must match, field by field
-and bit for bit."""
+carried as columns, and the metrics one ranking list at a time, as they ran
+before evaluation scored from hit positions: the oracles the array code must
+match, field by field and bit for bit."""
 
 from __future__ import annotations
 
@@ -12,16 +13,12 @@ import numpy as np
 from conftest import reference_rows
 from evrac import dataset
 from evrac.dataset import ChargingEvent, RejectedRow, _session_row
-from evrac.errors import ConfigError, DataFormatError, DomainError
+from evrac.errors import ConfigError, DataFormatError, DomainError, UsageError
 from evrac.reward import epoch_hour
 
 
-def canonical_row(row: dict, width: int) -> ChargingEvent:
-    """A `csv.DictReader` row of a `width`-field canonical header as one
-    event. The one change since the per-row parser: a long row, whose extra
-    fields DictReader lists under None, is rejected instead of read."""
-    if None in row:
-        raise ValueError(f"row has {width + len(row[None])} fields, header has {width}")
+def canonical_row(row: dict) -> ChargingEvent:
+    """A `csv.DictReader` row of the canonical header as one event."""
     return ChargingEvent(
         event_id=row["event_id"].strip(),
         driver_id=row["driver_id"].strip(),
@@ -33,8 +30,14 @@ def canonical_row(row: dict, width: int) -> ChargingEvent:
 
 
 def adapt(row: dict, line_no: int, adapter: str, width: int) -> ChargingEvent:
+    """A `csv.DictReader` row of a `width`-field header as one event. The one
+    change since the per-row parser: a long row, whose extra fields
+    DictReader lists under None, is rejected instead of read, in every
+    layout."""
+    if None in row:
+        raise ValueError(f"row has {width + len(row[None])} fields, header has {width}")
     if adapter == "canonical":
-        return canonical_row(row, width)
+        return canonical_row(row)
     return _session_row(row, line_no, adapter)
 
 
@@ -169,3 +172,30 @@ def windows(space, events: list[ChargingEvent], cuts) -> np.ndarray:
     """`ObservationSpace.windows` from per-event observations."""
     obs = np.concatenate([np.zeros((space.history, space.obs_dim)), reference_rows(space, events, None)])
     return np.stack([obs[j : j + space.history] for j in cuts])
+
+
+def precision_at_k(predictions, truths, k: int) -> float:
+    """Fraction of events whose truth appears in the event's top-k."""
+    if k < 1:
+        raise UsageError("k must be >= 1")
+    if len(predictions) != len(truths):
+        raise UsageError("predictions and truths differ in length")
+    if not truths:
+        return 0.0
+    hits = sum(1 for ranked, truth in zip(predictions, truths) if truth in list(ranked)[:k])
+    return hits / len(truths)
+
+
+def recall_at_k(predictions_by_driver: dict, truths_by_driver: dict, k: int) -> float:
+    """Distinct-station coverage within top-k, macro-averaged over drivers."""
+    if k < 1:
+        raise UsageError("k must be >= 1")
+    per_driver = []
+    for driver, truths in truths_by_driver.items():
+        if not truths:
+            continue
+        preds = predictions_by_driver[driver]
+        distinct = set(truths)
+        hit = {t for ranked, t in zip(preds, truths) if t in list(ranked)[:k]}
+        per_driver.append(len(hit) / len(distinct))
+    return float(np.mean(per_driver)) if per_driver else 0.0

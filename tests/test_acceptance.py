@@ -41,7 +41,7 @@ from evrac.dataset import (
     warmup_pool,
 )
 from evrac.errors import DataFormatError
-from evrac.evaluation import evaluate, precision_at_k, recall_at_k
+from evrac.evaluation import evaluate, hit_rates
 from evrac.gradcheck import TOLERANCE, run_gradcheck
 
 CYCLE = ["cs0", "cs1", "cs2"]
@@ -312,14 +312,12 @@ def test_c08_metric_oracles():
             per_driver[f"d{d}"] = (preds, truths)
         all_preds = [p for preds, _ in per_driver.values() for p in preds]
         all_truths = [t for _, truths in per_driver.values() for t in truths]
-        preds_by = {d: p for d, (p, _) in per_driver.items()}
-        truths_by = {d: t for d, (_, t) in per_driver.items()}
-
+        sizes = [len(truths) for _, truths in per_driver.values()]
+        _, _, precision, recall = hit_rates(all_preds, all_truths, sizes, range(1, m + 1))
         prev_p = prev_r = 0.0
         for k in range(1, m + 1):
             expect_p, expect_r = brute_force_metrics(per_driver, k)
-            got_p = precision_at_k(all_preds, all_truths, k)
-            got_r = recall_at_k(preds_by, truths_by, k)
+            got_p, got_r = precision[k - 1], recall[k - 1]
             assert got_p == expect_p
             assert got_r == pytest.approx(expect_r, abs=1e-12)
             assert got_p >= prev_p and got_r >= prev_r - 1e-12

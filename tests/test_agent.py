@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import (
     T0,
     constant_reward_env,
@@ -122,6 +123,37 @@ def test_windows_left_pad_with_zero_rows():
     short = _obs_space(3, history=2)
     assert np.array_equal(short.windows(events, [2])[0], obs[:2])
     assert np.array_equal(short.windows(events, [4])[0], obs[2:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(history=st.integers(1, 4), seed=st.integers(0, 2**16), data=st.data())
+def test_run_windows_match_per_run_windows(history, seed, data):
+    """One observation pass over several runs gives each run's `windows` bit
+    for bit: cut 0 and cut 1 (no previous station), mid-trajectory cuts, a
+    `ChargingEvent`-list history and runs over two tables (the `concat`
+    rebuild path), in any order and repeated."""
+    rng = np.random.default_rng(seed)
+    space = agent.ObservationSpace(
+        StationIndex({f"cs{i}": Station(f"cs{i}", rng.uniform(-60, 60), rng.uniform(-170, 170),
+                                        rng.integers(0, 3, NUM_POI_TYPES)) for i in range(4)}),
+        max_duration=30.0, max_energy=10.0, history=history)
+    events = []
+    for d in ("a", "b"):
+        events += [make_event(f"{d}{i:02d}", d, f"cs{int(rng.integers(4))}", T0 + timedelta(hours=int(h)),
+                              duration=float(rng.uniform(1, 60)), energy=float(rng.uniform(0, 20)))
+                   for i, h in enumerate(np.cumsum(rng.integers(1, 40, 12)))]
+    table = build_trajectories(events)       # one table: "a" and "b" share it
+    other = build_trajectories(events[12:])  # a second table for "b"
+    histories = [table["a"].events, table["b"].events, other["b"].events, list(table["a"].events)]
+    runs = data.draw(st.lists(
+        st.tuples(st.integers(0, 3), st.lists(st.sampled_from([0, 1, 2, 5, 7, 11, 12]), min_size=1, max_size=4)),
+        min_size=1, max_size=4))
+    runs = [(histories[h], cuts) for h, cuts in runs]
+    got = space.run_windows(runs)
+    want = np.concatenate([space.windows(events, cuts) for events, cuts in runs])
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == np.concatenate([oracles.windows(space, list(events), cuts)
+                                            for events, cuts in runs]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +634,23 @@ def test_delta_log_consistency():
     q_logged, _ = twin.q_values(cache["c"], agent._onehot_rows(batch.actions, 3))
     delta = q_logged - y
     assert float(np.mean(delta * delta)) == records[0]["critic_mse"]
+    assert records[0]["critic_explained_var"] == 1.0 - records[0]["critic_mse"] / float(np.var(y))
+    entropy = -np.sum(pi * np.log(pi), axis=1)
+    assert records[0]["policy_entropy"] == pytest.approx(float(np.mean(entropy)), rel=1e-12)
+
+
+def test_explained_variance_is_null_when_targets_are_equal():
+    """Colocated stations with equal waits and gamma = 0 make every TD target
+    the same reward: the explained variance is None, and the entropy of the
+    two-station policy lies in [0, log 2]."""
+    index = make_stations(["cs0", "cs1"])
+    env = constant_reward_env(index, {"cs0": 10.0, "cs1": 10.0})
+    space = agent.ObservationSpace(index, max_duration=30.0, max_energy=10.0, history=3)
+    hyper = _small_hyper(history=3, horizon=3, gamma=0.0)
+    buffer = agent.build_buffer(space, build_trajectories(pattern_events("d", ["cs0", "cs1"], 12)), None, hyper)
+    records = agent.train_rac(buffer, agent.RacModel(space.obs_dim, 2, hyper), env, hyper)
+    assert [r["critic_explained_var"] for r in records] == [None] * hyper.epochs
+    assert all(0.0 <= r["policy_entropy"] <= np.log(2) for r in records)
 
 
 def test_critic_semigradient_drives_q_to_reward():

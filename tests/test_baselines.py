@@ -16,6 +16,7 @@ from evrac.baselines import (
     PopularityRecommender,
     _rank_row,
     _train_sequences,
+    rank_rows,
 )
 from evrac.errors import UsageError
 from evrac.nn import sigmoid, softmax
@@ -45,6 +46,21 @@ def test_rank_row_matches_sort_oracle(data):
     k = data.draw(st.integers(1, m))
     expected = sorted(range(m), key=lambda i: (-row[i], ids[i]))[:k]
     assert _rank_row(np.array(row), ids, k) == [ids[i] for i in expected]
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_rank_rows_matches_per_row_stable_sort(data):
+    """One stable sort of a matrix of tie-prone rows ranks each row as that
+    row's own stable sort does, for any k, k above M included."""
+    m = data.draw(st.integers(1, 6))
+    ids = [f"cs{i}" for i in range(m)]
+    rows = np.array(data.draw(st.lists(st.lists(_tie_prone, min_size=m, max_size=m), max_size=6)),
+                    dtype=float).reshape(-1, m)
+    k = data.draw(st.integers(1, m + 2))
+    want = [[ids[i] for i in np.argsort(-row, kind="stable")[:k].tolist()] for row in rows]
+    assert rank_rows(rows, ids, k) == want
+    assert [_rank_row(row, ids, k) for row in rows] == want
 
 
 def test_rank_row_rejects_k_below_one():

@@ -297,8 +297,11 @@ def test_full_pipeline_and_determinism(synth, capsys):
     log_lines = (tmp_path / "a.ckpt.log.jsonl").read_text().strip().splitlines()
     assert len(log_lines) == 3
     rec = json.loads(log_lines[0])
-    assert set(rec) == {"epoch", "critic_mse", "ce_loss", "mean_reward", "wallclock_ms",
+    assert set(rec) == {"epoch", "critic_mse", "critic_explained_var", "ce_loss", "policy_entropy",
+                        "mean_reward", "wallclock_ms",
                         "critic_grad_norm", "critic_clipped", "actor_grad_norm", "actor_clipped"}
+    assert rec["critic_explained_var"] is None or rec["critic_explained_var"] <= 1.0
+    assert rec["policy_entropy"] >= 0.0
 
     report_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"

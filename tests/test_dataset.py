@@ -212,7 +212,7 @@ def _eager_parse(path, adapter):
     """`parse_events` as it was when it built every row's reject text before
     parsing the row, verbatim but for the header and majority checks, the
     reader, which pads short rows with empty fields as `parse_events` does,
-    and the canonical layout's reject of a long row."""
+    and the reject of a long row in every layout (`oracles.adapt`)."""
     events, rejects, seen = [], [], set()
     with dataset.open_csv(path) as fh:
         reader = csv.DictReader(fh, restval="")
@@ -250,7 +250,7 @@ def test_reject_text_built_on_reject_matches_eager_text(tmp_path, adapter, heade
     path = _write(tmp_path, "ev.csv", "\n".join([header] + rows) + "\n")
     events, rejects = dataset.parse_events(path, adapter)
     assert (list(events), rejects) == _eager_parse(path, adapter)
-    assert len(rejects) == {"canonical": 4, "glasgow": 3, "dundee": 2}[adapter]
+    assert len(rejects) == {"canonical": 4, "glasgow": 4, "dundee": 3}[adapter]
     short = rows[-2]  # rejected, not a crash, with the text it had when short fields read None
     assert short + "," * (header.count(",") - short.count(",")) in [r.raw for r in rejects]
     assert any(r.raw.endswith("]") for r in rejects)  # the extra fields' list
@@ -317,6 +317,16 @@ def test_long_canonical_row_is_rejected(tmp_path):
     assert [e.event_id for e in events] == ["b", "c"]
     assert rejects == [dataset.RejectedRow(2, "a,d1,cs1,2018-06-06T06:00:00Z,120,42,['EXTRA', 'MORE']",
                                            "row has 8 fields, header has 6")]
+
+
+@pytest.mark.parametrize("adapter,header,rows", _REJECT_TEXT_CASES[1:], ids=[c[0] for c in _REJECT_TEXT_CASES[1:]])
+def test_long_session_row_is_rejected(tmp_path, adapter, header, rows):
+    # The session layouts read such a row and dropped its extra fields.
+    path = _write(tmp_path, "ev.csv", "\n".join([header, rows[0], rows[1]]) + "\n")
+    events, rejects = dataset.parse_events(path, adapter)
+    width = header.count(",") + 1
+    assert len(events) == 1
+    assert [(r.line_no, r.reason) for r in rejects] == [(3, f"row has {width + 1} fields, header has {width}")]
 
 
 def _mostly(valid, hostile, one_in: int = 12):

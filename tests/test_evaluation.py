@@ -18,10 +18,11 @@ from conftest import (
     reference_evaluate,
     split_population,
 )
+import oracles
 from evrac import evaluation as ev
 from evrac import reward as rw
 from evrac.agent import ObservationSpace, RacHyper, RacModel, RacRecommender
-from evrac.baselines import FpmcHyper, FpmcRecommender, MarkovRecommender, PopularityRecommender
+from evrac.baselines import FpmcHyper, FpmcRecommender, MarkovRecommender, PopularityRecommender, rank_rows
 from evrac.errors import UsageError
 from evrac.seeding import rng_for
 
@@ -32,39 +33,39 @@ from evrac.seeding import rng_for
 
 def test_precision_all_hits():
     preds = [["a", "b"], ["a", "c"]]
-    assert ev.precision_at_k(preds, ["a", "a"], 1) == 1.0
-    assert ev.precision_at_k(preds, ["a", "a"], 2) == 1.0
+    assert oracles.precision_at_k(preds, ["a", "a"], 1) == 1.0
+    assert oracles.precision_at_k(preds, ["a", "a"], 2) == 1.0
 
 
 def test_precision_no_hits():
-    assert ev.precision_at_k([["a"], ["b"]], ["x", "y"], 1) == 0.0
+    assert oracles.precision_at_k([["a"], ["b"]], ["x", "y"], 1) == 0.0
 
 
 def test_precision_hand_case():
     preds = [["a", "b", "c"], ["b", "a", "c"], ["c", "b", "a"], ["a", "c", "b"]]
     truths = ["a", "a", "a", "x"]
-    assert ev.precision_at_k(preds, truths, 3) == 0.75
+    assert oracles.precision_at_k(preds, truths, 3) == 0.75
 
 
 def test_precision_k_validation():
     with pytest.raises(UsageError):
-        ev.precision_at_k([], [], 0)
+        oracles.precision_at_k([], [], 0)
 
 
 def test_recall_single_truth_hit():
-    assert ev.recall_at_k({"d": [["a"]]}, {"d": ["a"]}, 1) == 1.0
+    assert oracles.recall_at_k({"d": [["a"]]}, {"d": ["a"]}, 1) == 1.0
 
 
 def test_recall_half_coverage():
     preds = {"d": [["cs1"], ["cs1"], ["cs1"]]}
     truths = {"d": ["cs1", "cs2", "cs1"]}
-    assert ev.recall_at_k(preds, truths, 1) == 0.5
+    assert oracles.recall_at_k(preds, truths, 1) == 0.5
 
 
 def test_recall_all_perfect():
     preds = {"a": [["x"]], "b": [["y"]]}
     truths = {"a": ["x"], "b": ["y"]}
-    assert ev.recall_at_k(preds, truths, 1) == 1.0
+    assert oracles.recall_at_k(preds, truths, 1) == 1.0
 
 
 @settings(max_examples=40)
@@ -77,8 +78,8 @@ def test_metrics_non_decreasing_in_k(data):
     rng = np.random.default_rng(rng_seed)
     preds = [list(rng.permutation(stations)) for _ in range(n)]
     truths = [stations[int(rng.integers(0, m))] for _ in range(n)]
-    p_values = [ev.precision_at_k(preds, truths, k) for k in range(1, m + 1)]
-    r_values = [ev.recall_at_k({"d": preds}, {"d": truths}, k) for k in range(1, m + 1)]
+    p_values = [oracles.precision_at_k(preds, truths, k) for k in range(1, m + 1)]
+    r_values = [oracles.recall_at_k({"d": preds}, {"d": truths}, k) for k in range(1, m + 1)]
     assert all(b >= a for a, b in zip(p_values, p_values[1:]))
     assert all(b >= a for a, b in zip(r_values, r_values[1:]))
     assert p_values[-1] == 1.0  # truth always within top-M
@@ -115,8 +116,8 @@ def test_metrics_match_brute_force_oracle():
         expect_p, expect_r = brute_force_metrics(per_driver, k)
         all_preds = [p for preds, _ in per_driver.values() for p in preds]
         all_truths = [t for _, truths in per_driver.values() for t in truths]
-        assert ev.precision_at_k(all_preds, all_truths, k) == expect_p
-        assert ev.recall_at_k(
+        assert oracles.precision_at_k(all_preds, all_truths, k) == expect_p
+        assert oracles.recall_at_k(
             {d: p for d, (p, _) in per_driver.items()},
             {d: t for d, (_, t) in per_driver.items()},
             k,
@@ -345,6 +346,69 @@ def test_one_pass_rac_probabilities_match_per_driver_rows(chunked_city):
     got = rac.probabilities(requests)
     want = np.concatenate([rac.probabilities([request]) for request in requests])
     assert got.shape == want.shape and np.abs(got - want).max() <= 1e-15
+
+
+class _TableRecommender:
+    """Fixed rows per (driver, cut), drawn from few values so that rows tie,
+    ranked by the one-sort `rank_rows`."""
+
+    def __init__(self, stations, rows):
+        self.stations, self.rows = stations, rows
+
+    def probabilities(self, requests):
+        return np.array([self.rows[driver_id, j] for driver_id, _, cuts in requests for j in cuts])
+
+    def rank(self, requests, k):
+        return rank_rows(self.probabilities(requests), self.stations, k)
+
+
+class _PerRowRanking:
+    """`inner`'s rows, each ranked by its own stable sort."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def rank(self, requests, k):
+        return [[self.inner.stations[i] for i in np.argsort(-row, kind="stable")[:k].tolist()]
+                for row in self.inner.probabilities(requests)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 4), seed=st.integers(0, 2**16), data=st.data())
+def test_evaluate_matches_per_driver_reference(m, seed, data):
+    """The hit-position `evaluate` gives the per-driver reference's report
+    (NaN-aware, bit for bit) on tied probability rows, repeated truths,
+    drivers with one test event, ks above M, with and without a reward
+    environment and with per-driver models; each row's one-sort ranking is
+    its own stable sort's."""
+    rng = np.random.default_rng(seed)
+    stations = [f"cs{i}" for i in range(m)]
+    counts = data.draw(st.lists(st.integers(3, 12), min_size=1, max_size=5), label="events per driver")
+    events = []
+    for d, n in enumerate(counts):
+        events += [make_event(f"d{d}-{i:02d}", f"d{d}", stations[int(rng.integers(m))], T0 + timedelta(hours=8 * i))
+                   for i in range(n)]
+    trajectories, splits, _ = split_population(events)
+    ks = data.draw(st.lists(st.integers(1, m + 2), min_size=1, max_size=4), label="ks")
+
+    def table():
+        return _TableRecommender(stations, {(d, j): rng.integers(0, 3, m) / 2.0
+                                            for d, t in trajectories.items() for j in range(len(t) + 1)})
+
+    env = None
+    if data.draw(st.booleans(), label="env"):
+        index = make_stations(stations, spacing_km=1.0)
+        env = constant_reward_env(index, {sid: float(rng.uniform(1.0, 30.0)) for sid in stations})
+    if data.draw(st.booleans(), label="per-driver"):
+        models = {d: table() for d in splits}
+        got = ev.evaluate(None, trajectories, splits, env, ks=ks, models=models)
+        want = reference_evaluate(None, trajectories, splits, env, ks=ks,
+                                  models={d: _PerRowRanking(r) for d, r in models.items()})
+    else:
+        rec = table()
+        got = ev.evaluate(rec, trajectories, splits, env, ks=ks)
+        want = reference_evaluate(_PerRowRanking(rec), trajectories, splits, env, ks=ks)
+    assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(want.to_dict(), sort_keys=True)
 
 
 def _recommender(kind, stations, train):

@@ -48,6 +48,33 @@ def test_wait_series_first_hour_is_its_earliest_bucket():
     assert rw.WaitSeries("cs9").first_hour is None
 
 
+@settings(max_examples=60)
+@given(st.lists(st.tuples(st.integers(0, 72), st.floats(1, 200)), max_size=10),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(-20, 100)), max_size=12), st.integers(1, 6))
+def test_dense_series_view_matches_bucket_lookups(sessions, queries, k):
+    """The dense view gives `buckets.get`'s values before the first bucket,
+    inside the series and after the last, and for a series without buckets;
+    `forecast_inputs` reads its lags from it, for the rows it keeps, over
+    three stations' views (cs2 has no series)."""
+    events = [make_event(f"e{i}", "d", f"cs{i % 2}", T0 + timedelta(hours=h), duration=dur)
+              for i, (h, dur) in enumerate(sessions)]
+    series = rw.build_wait_series(events)
+    base = rw.epoch_hour(T0)
+    hours = np.array([base + h for _, h in queries], dtype=np.int64)
+    for sid in ("cs0", "cs1", "cs2"):
+        s = series.get(sid, rw.WaitSeries(sid))
+        assert s.values(hours).tobytes() == np.array([s.buckets.get(int(eh), 0.0) for eh in hours]).tobytes()
+    index = make_stations(["cs0", "cs1", "cs2"], mean_wait=3.0)
+    cols = np.array([c for c, _ in queries], dtype=np.int64)
+    rows, keep = rw.forecast_inputs(series, index, cols, hours, k)
+    first = [series[sid].first_hour if sid in series else None for sid in index.order]
+    assert keep.tolist() == [i for i, (c, eh) in enumerate(zip(cols.tolist(), hours.tolist()))
+                             if first[c] is not None and eh - k >= first[c]]
+    want = np.array([[series[index.order[c]].buckets.get(int(eh) - k + t, 0.0) for t in range(k)]
+                     for c, eh in zip(cols[keep].tolist(), hours[keep].tolist())]).reshape(-1, k) / 3.0
+    assert rows.lags.tobytes() == want.tobytes()
+
+
 def test_wait_series_split_across_hours():
     start = T0.replace(minute=30)  # 08:30, 90 minutes -> 30 + 60
     series = rw.build_wait_series([make_event("e1", "d", "cs0", start, duration=90.0)])
@@ -371,7 +398,7 @@ def _pricing_city():
 def _reference_inputs(series, index, station_id, eh, k):
     """Per-step construction of one forecaster input, the layout
     `forecast_inputs` vectorises."""
-    lags = series[station_id].lags(eh, k) / index.mean_wait[index.index_of(station_id)]
+    lags = np.array([series[station_id].value(h) for h in range(eh - k, eh)]) / index.mean_wait[index.index_of(station_id)]
     ctx = reference_location_context(index, station_id, None)
     return np.stack([
         np.concatenate([[lags[j]], ctx, reference_time_features(rw.hour_to_datetime(eh - k + j))])

@@ -21,7 +21,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import groupby
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -641,32 +641,76 @@ def recommend(
 
 
 class RacRecommender:
-    """Ranking adapter used by the shared evaluation harness."""
+    """Ranking adapter used by the shared evaluation harness: the shared
+    `model`, or with a driver -> model map `models`, each driver's own model
+    (a driver missing from the map uses the shared one).
 
-    def __init__(self, model: RacModel, obs_space: ObservationSpace):
+    The policy runs in pieces of at most `INFERENCE_ROWS` cuts. With the
+    shared model alone, a piece is the next `INFERENCE_ROWS` cuts of the
+    call, spanning requests when they are short. With a map, a piece is the
+    next `INFERENCE_ROWS` cuts of one driver, counted over that driver's
+    cuts alone, so every row has the bits that a single-model
+    `RacRecommender` gives over that driver's requests. Whole pieces are
+    packed, in the order the policy reads them, into passes of at most
+    `INFERENCE_ROWS` cuts, and each pass builds the windows of all its cuts
+    in one `run_windows` pass, whatever model each piece goes through."""
+
+    def __init__(self, model: RacModel, obs_space: ObservationSpace,
+                 models: dict[str, RacModel] | None = None):
         self.model = model
         self.obs_space = obs_space
+        self.models = models
+
+    def _pieces(self, requests: Sequence[Request], total: int) -> tuple[list[int] | None, list[tuple]]:
+        """The order in which the policy reads the rows of the call (None:
+        call order; with a map, driver by driver, in the order of their
+        first cuts), and each policy call's model and [start, stop) in that
+        order."""
+        if self.models is None:
+            return None, [(self.model, start, min(start + INFERENCE_ROWS, total))
+                          for start in range(0, total, INFERENCE_ROWS)]
+        rows_of: dict[str, list[int]] = {}
+        start = 0
+        for driver_id, _, cuts in requests:
+            rows_of.setdefault(driver_id, []).extend(range(start, start + len(cuts)))
+            start += len(cuts)
+        order, pieces = [], []
+        for driver_id, rows in rows_of.items():
+            model = self.models.get(driver_id, self.model)
+            pieces += [(model, len(order) + at, len(order) + min(at + INFERENCE_ROWS, len(rows)))
+                       for at in range(0, len(rows), INFERENCE_ROWS)]
+            order += rows
+        return order, pieces
 
     def probabilities(self, requests: Sequence[Request]) -> np.ndarray:
         """Policy over stations at every cut of every request; uniform at a
-        cut of 0 (no history). The requests' cuts, in order, go through the
-        policy in passes of `INFERENCE_ROWS`, a pass spanning requests when
-        they are short, so only the returned rows grow with the number of
-        cuts. Each pass builds its windows in one `run_windows` pass over
-        its runs of consecutive cuts of one events list."""
+        cut of 0 (no history). Only the returned rows grow with the number
+        of cuts: each pass's windows and forward caches are freed before the
+        next pass."""
         check_requests(requests)
         cuts = [(events, j) for _, events, request_cuts in requests for j in request_cuts]
-        m = self.model.num_stations
-        out = np.empty((len(cuts), m))
-        for start in range(0, len(cuts), INFERENCE_ROWS):
-            piece = cuts[start : start + INFERENCE_ROWS]
-            runs = [list(run) for _, run in groupby(piece, key=lambda cut: id(cut[0]))]
-            # The windows and the forward cache are temporaries, freed before
-            # the next pass.
-            pi = self.model.policy(self.obs_space.run_windows([(run[0][0], [j for _, j in run]) for run in runs]))[0]
-            pi[np.array([j for _, j in piece]) == 0] = 1.0 / m
-            out[start : start + len(piece)] = pi
-        return out
+        order, pieces = self._pieces(requests, len(cuts))
+        if order is not None:
+            cuts = [cuts[i] for i in order]
+        passes: list[tuple[int, list[tuple]]] = []
+        for piece in pieces:
+            if not passes or piece[2] - passes[-1][0] > INFERENCE_ROWS:
+                passes.append((piece[1], []))
+            passes[-1][1].append(piece)
+        out = np.empty((len(cuts), self.model.num_stations))
+        for lo, group in passes:
+            runs = [list(run) for _, run in groupby(cuts[lo : group[-1][2]], key=lambda cut: id(cut[0]))]
+            windows = self.obs_space.run_windows([(run[0][0], [j for _, j in run]) for run in runs])
+            for model, start, stop in group:
+                out[start:stop] = model.policy(windows[start - lo : stop - lo])[0]
+        uniform = [i for i, (_, j) in enumerate(cuts) if j == 0]
+        if uniform:
+            out[uniform] = 1.0 / self.model.num_stations
+        if order is None:
+            return out
+        in_call_order = np.empty_like(out)
+        in_call_order[order] = out
+        return in_call_order
 
     def rank(self, requests: Sequence[Request], k: int) -> list[list[str]]:
         return rank_rows(self.probabilities(requests), self.obs_space.index.order, k)
@@ -691,15 +735,43 @@ def build_buffer(
     return buffer
 
 
-def _val_p1(model: RacModel, obs_space: ObservationSpace, traj: DriverTrajectory,
-            val_events: Events) -> float:
-    """Validation precision@1: the share of `val_events` (with a previous
-    event) whose station is the model's top pick."""
-    cuts = cut_points(traj, val_events)
-    if not cuts:
+class Validation(NamedTuple):
+    """One driver's validation cuts as the policy reads them: the window of
+    each cut (`ObservationSpace.windows`) and the station charged at it."""
+
+    windows: np.ndarray
+    truths: list[str]
+
+
+def validation_sets(obs_space: ObservationSpace, trajectories: dict[str, DriverTrajectory],
+                    splits: dict[str, Split]) -> dict[str, Validation]:
+    """The `Validation` of every driver with validation events, in driver-id
+    order, with every driver's windows built in one observation pass. The
+    cuts are the validation events that have a previous event; a driver
+    whose validation events have none gets no rows."""
+    runs = {d: (trajectories[d].events, cut_points(trajectories[d], splits[d].val))
+            for d in sorted(trajectories) if d in splits and len(splits[d].val)}
+    with_cuts = [run for run in runs.values() if run[1]]
+    windows = (obs_space.run_windows(with_cuts) if with_cuts
+               else np.empty((0, obs_space.history, obs_space.obs_dim)))
+    out, start = {}, 0
+    for driver_id, (events, cuts) in runs.items():
+        out[driver_id] = Validation(windows[start : start + len(cuts)], events.station_id[cuts].tolist())
+        start += len(cuts)
+    return out
+
+
+def _val_p1(model: RacModel, stations: Sequence[str], val: Validation) -> float:
+    """Validation precision@1: the share of the validation cuts whose station
+    is the model's top pick, 0.0 without cuts. The policy reads the prebuilt
+    windows in pieces of `INFERENCE_ROWS`, as `RacRecommender` runs one
+    driver's cuts."""
+    if not val.truths:
         return 0.0
-    rankings = RacRecommender(model, obs_space).rank([(traj.driver_id, traj.events, cuts)], 1)
-    return sum(ranked[0] == sid for ranked, sid in zip(rankings, traj.events.station_id[cuts].tolist())) / len(cuts)
+    pi = np.concatenate([model.policy(val.windows[start : start + INFERENCE_ROWS])[0]
+                         for start in range(0, len(val.truths), INFERENCE_ROWS)])
+    top = rank_rows(pi, stations, 1)
+    return sum(ranked[0] == sid for ranked, sid in zip(top, val.truths)) / len(val.truths)
 
 
 def finetune_driver(
@@ -711,11 +783,17 @@ def finetune_driver(
     hyper: RacHyper,
     epochs: int,
     patience: int,
+    val: Validation | None = None,
 ) -> RacModel:
-    """Clone the shared model and fine-tune on one driver's training split,
-    early-stopping on validation precision@1. Each epoch draws its windows
-    and actions from its own seed. A td-coupled fine-tune updates a private
-    copy of the forecaster net, so no driver prices with another's updates."""
+    """Clone the shared model and fine-tune on one driver's training split
+    (the whole trajectory without a split). With `val`, the driver's
+    validation windows from `validation_sets`, every epoch, and the shared
+    starting point as epoch 0, is scored by validation precision@1 on those
+    windows; training stops after `patience` epochs without a gain and
+    keeps the best-scoring parameters. Without `val` every epoch runs. Each
+    epoch draws its windows and actions from its own seed. A td-coupled
+    fine-tune updates a private copy of the forecaster net, so no driver
+    prices with another's updates."""
     model = shared.clone()
     n_train = len(split.train) if split is not None else len(traj)
     buffer = ReplayBuffer(hyper.history, hyper.horizon)
@@ -727,21 +805,21 @@ def finetune_driver(
         env.forecaster = copy.copy(env.forecaster)
         env.forecaster.net = copy.deepcopy(env.forecaster.net)
     per_driver = replace(hyper, epochs=1, samples_per_epoch=min(hyper.samples_per_epoch, len(buffer)))
-    val_events = split.val if split is not None else []
+    stations = obs_space.index.order
     best_params = None
     best_p1 = -1.0
     stale = 0
-    if val_events:
+    if val is not None:
         # Epoch-0 snapshot: fine-tuning must never end up worse than the
         # shared starting point on validation.
-        best_p1 = _val_p1(model, obs_space, traj, val_events)
+        best_p1 = _val_p1(model, stations, val)
         best_params = {k: v.copy() for k, v in model.all_params().items()}
     for epoch in range(epochs):
         seed = derive_seed(hyper.seed, f"finetune:{traj.driver_id}:{epoch}")
         train_rac(buffer, model, env, replace(per_driver, seed=seed))
-        if not val_events:
+        if val is None:
             continue
-        p1 = _val_p1(model, obs_space, traj, val_events)
+        p1 = _val_p1(model, stations, val)
         if p1 > best_p1:
             best_p1 = p1
             best_params = {k: v.copy() for k, v in model.all_params().items()}
@@ -758,8 +836,8 @@ def finetune_driver(
 
 
 def _finetune_job(args) -> tuple[str, RacModel]:
-    shared, obs_space, env, traj, split, hyper, epochs, patience = args
-    return traj.driver_id, finetune_driver(shared, obs_space, env, traj, split, hyper, epochs, patience)
+    shared, obs_space, env, traj, split, hyper, epochs, patience, val = args
+    return traj.driver_id, finetune_driver(shared, obs_space, env, traj, split, hyper, epochs, patience, val)
 
 
 def warmup_then_finetune(
@@ -778,8 +856,10 @@ def warmup_then_finetune(
     then clone and fine-tune it per driver on that driver's training split.
 
     An empty pool falls back to from-scratch per-driver training (the
-    zero-warm-up variant). Per-driver jobs are independent; results merge in
-    driver-id order regardless of worker scheduling.
+    zero-warm-up variant). Every driver's validation windows are built
+    once, before fine-tuning (`validation_sets`). Per-driver jobs are
+    independent; results merge in driver-id order regardless of worker
+    scheduling.
     """
     shared = RacModel(obs_space.obs_dim, len(obs_space.index), hyper)
     if warmup_trajectories:
@@ -789,8 +869,9 @@ def warmup_then_finetune(
         else:
             logger.warning("warm-up pool has no usable windows; training from scratch")
 
+    val = validation_sets(obs_space, trajectories, splits)
     job_args = [
-        (shared, obs_space, env, trajectories[d], splits.get(d), hyper, finetune_epochs, patience)
+        (shared, obs_space, env, trajectories[d], splits.get(d), hyper, finetune_epochs, patience, val.get(d))
         for d in sorted(trajectories)
     ]
     # Never more workers than drivers: the fork start method spawns them all up front.

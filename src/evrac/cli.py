@@ -302,16 +302,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     per_driver_models = None
     if args.model_dir:
+        # A driver the index does not name is ranked by the shared model.
         shared_name, files = _load_index(Path(args.model_dir) / "index.json")
-        shared = _load_rac(Path(args.model_dir) / shared_name, bundle)
-        per_driver_models = {}
-        for driver_id in bundle.splits:
-            name = files.get(driver_id)
-            if name is None:
-                per_driver_models[driver_id] = shared
-            else:
-                per_driver_models[driver_id] = _load_rac(Path(args.model_dir) / name, bundle)
-        recommender = RacRecommender(shared, bundle.obs_space)
+        recommender = RacRecommender(_load_rac(Path(args.model_dir) / shared_name, bundle), bundle.obs_space)
+        per_driver_models = {d: _load_rac(Path(args.model_dir) / files[d], bundle) for d in bundle.splits if d in files}
     else:
         recommender = _load_recommender(args.model, bundle)
 

@@ -12,7 +12,7 @@ Metric conventions (both are non-decreasing in K):
            is better).
 
 `evaluate` scores in array passes. One `rank` call ranks every test event
-(one per driver with per-driver models) to the largest K, and one
+(per-driver models included) to the largest K, and one
 `breakdowns` call prices every top-1 pick. Every P@K and R@K then comes from
 one integer vector: each event's position of its true station in its ranking,
 the largest K when it is absent. P@K counts the positions below K; R@K counts
@@ -59,7 +59,8 @@ class Recommender(Protocol):
     (`baselines.rank_rows`). Evaluation sends every driver's cuts in one
     call; a row does not depend on which other requests share the call, up
     to the last bits of a batched forward pass, whose edges fall every
-    `reward.INFERENCE_ROWS` cuts of the call."""
+    `reward.INFERENCE_ROWS` cuts of the call (of each driver's cuts, with
+    per-driver models)."""
 
     def probabilities(self, requests: Sequence[Request]) -> np.ndarray: ...
 
@@ -142,9 +143,22 @@ class EvalReport:
 
 def cut_points(traj: DriverTrajectory, events: Events) -> list[int]:
     """The cut at each of `events` (a subset of the driver's) that has a
-    previous event to condition on, in the order given."""
-    pos = dict(zip(traj.events.event_id.tolist(), range(len(traj))))
-    return [j for j in map(pos.__getitem__, EventColumns.of(events).event_id.tolist()) if j > 0]
+    previous event to condition on, in the order given. A split segment is
+    a contiguous run of the trajectory, found from its first event; any
+    other subset is looked up in the trajectory's sorted event ids."""
+    ids = traj.events.event_id
+    want = EventColumns.of(events).event_id.tolist()
+    listed = ids.tolist()
+    start = listed.index(want[0]) if want and want[0] in listed else 0
+    if listed[start : start + len(want)] == want:
+        return list(range(max(start, 1), start + len(want)))
+    order = np.argsort(ids)
+    wanted = np.array(want, dtype=object)
+    pos = order[np.minimum(np.searchsorted(ids, wanted, sorter=order), ids.size - 1)]
+    missing = np.flatnonzero(ids[pos] != wanted)
+    if missing.size:
+        raise KeyError(want[missing[0]])
+    return pos[pos > 0].tolist()
 
 
 def scored_drivers(trajectories: dict[str, DriverTrajectory], splits: dict[str, Split]) -> set[str]:
@@ -192,15 +206,14 @@ def evaluate(
     env: RewardEnvironment | None,
     ks: Sequence[int] = (1, 3, 5),
     config: dict | None = None,
-    models: dict[str, Recommender] | None = None,
 ) -> EvalReport:
-    """Score a recommender (or per-driver recommenders) on every test split.
+    """Score a recommender on every test split.
 
-    Every driver's test cuts are ranked by one `rank` call (one per driver
-    with per-driver `models`), and every top-1 pick is priced by one
-    `breakdowns` call; the metrics come from the hit positions (see the
-    module docstring). MAR is skipped (NaN) when no reward environment is
-    supplied.
+    Every driver's test cuts are ranked by one `rank` call, per-driver
+    models included (a `RacRecommender` with a driver -> model map), and
+    every top-1 pick is priced by one `breakdowns` call; the metrics come
+    from the hit positions (see the module docstring). MAR is skipped (NaN)
+    when no reward environment is supplied.
     """
     ks = sorted(set(int(k) for k in ks))
     max_k = max(ks)
@@ -211,10 +224,7 @@ def evaluate(
         if cuts:
             requests.append((driver_id, traj.events, cuts))
 
-    if models is None:
-        rankings = recommender.rank(requests, max_k)
-    else:
-        rankings = [ranked for request in requests for ranked in models[request[0]].rank([request], max_k)]
+    rankings = recommender.rank(requests, max_k)
     truths = [sid for _, events, cuts in requests for sid in events.station_id[cuts].tolist()]
     priced = None
     if env is not None and requests:

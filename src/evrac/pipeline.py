@@ -239,20 +239,12 @@ def evaluate_recommender(
     ks=(1, 3, 5),
     per_driver_models: dict[str, RacModel] | None = None,
 ) -> EvalReport:
-    models = None
+    """`evaluate` on the bundle's test splits. With `per_driver_models`,
+    `recommender` is the shared `RacRecommender`, and each driver in the map
+    is ranked by their own model in the same `rank` call."""
     if per_driver_models is not None:
-        models = {
-            d: RacRecommender(m, bundle.obs_space) for d, m in per_driver_models.items()
-        }
-    return evaluate(
-        recommender,
-        bundle.trajectories,
-        bundle.splits,
-        env,
-        ks=ks,
-        config=bundle.config.as_dict(),
-        models=models,
-    )
+        recommender = RacRecommender(recommender.model, bundle.obs_space, per_driver_models)
+    return evaluate(recommender, bundle.trajectories, bundle.splits, env, ks=ks, config=bundle.config.as_dict())
 
 
 def sweep_runner(bundle: DataBundle, net: WaitForecastNet | None):

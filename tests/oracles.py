@@ -1,18 +1,21 @@
 """The set-up path one event object at a time, as it ran before events were
-carried as columns, and the metrics one ranking list at a time, as they ran
-before evaluation scored from hit positions: the oracles the array code must
+carried as columns, the metrics one ranking list at a time, as they ran
+before evaluation scored from hit positions, and per-driver fine-tuning with
+validation windows rebuilt on every call: the oracles the array code must
 match, field by field and bit for bit."""
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from conftest import reference_rows
-from evrac import dataset
-from evrac.dataset import ChargingEvent, RejectedRow, _session_row
+from evrac import agent, dataset
+from evrac.dataset import ChargingEvent, EventColumns, RejectedRow, _session_row
 from evrac.errors import ConfigError, DataFormatError, DomainError, UsageError
 from evrac.reward import epoch_hour
 
@@ -199,3 +202,80 @@ def recall_at_k(predictions_by_driver: dict, truths_by_driver: dict, k: int) -> 
         hit = {t for ranked, t in zip(preds, truths) if t in list(ranked)[:k]}
         per_driver.append(len(hit) / len(distinct))
     return float(np.mean(per_driver)) if per_driver else 0.0
+
+
+def cut_points(traj, events) -> list[int]:
+    """`evaluation.cut_points` as a lookup in a dict over every event id of
+    the trajectory, built on each call."""
+    pos = dict(zip(traj.events.event_id.tolist(), range(len(traj))))
+    return [j for j in map(pos.__getitem__, EventColumns.of(events).event_id.tolist()) if j > 0]
+
+
+def val_p1(model, obs_space, traj, val_events) -> float:
+    """Validation precision@1 as one `RacRecommender.rank` request, which
+    builds the driver's validation windows on every call."""
+    cuts = cut_points(traj, val_events)
+    if not cuts:
+        return 0.0
+    rankings = agent.RacRecommender(model, obs_space).rank([(traj.driver_id, traj.events, cuts)], 1)
+    return sum(ranked[0] == sid for ranked, sid in zip(rankings, traj.events.station_id[cuts].tolist())) / len(cuts)
+
+
+def finetune_driver(shared, obs_space, env, traj, split, hyper, epochs, patience, log=None):
+    """`agent.finetune_driver` scoring each epoch with `val_p1`. With `log`,
+    appends (driver id, [validation P@1 of epoch 0, 1, ...], epochs run)."""
+    model = shared.clone()
+    n_train = len(split.train) if split is not None else len(traj)
+    buffer = agent.ReplayBuffer(hyper.history, hyper.horizon)
+    buffer.add_trajectory(obs_space, traj, n_train)
+    if len(buffer) == 0:
+        return model
+    if hyper.reward_update == "td_coupled" and isinstance(env.forecaster, agent.NetWaitForecaster):
+        env = copy.copy(env)
+        env.forecaster = copy.copy(env.forecaster)
+        env.forecaster.net = copy.deepcopy(env.forecaster.net)
+    per_driver = replace(hyper, epochs=1, samples_per_epoch=min(hyper.samples_per_epoch, len(buffer)))
+    val_events = split.val if split is not None else []
+    best_params, best_p1, stale, scores, ran = None, -1.0, 0, [], 0
+    if len(val_events):
+        best_p1 = val_p1(model, obs_space, traj, val_events)
+        scores.append(best_p1)
+        best_params = {k: v.copy() for k, v in model.all_params().items()}
+    for epoch in range(epochs):
+        seed = agent.derive_seed(hyper.seed, f"finetune:{traj.driver_id}:{epoch}")
+        agent.train_rac(buffer, model, env, replace(per_driver, seed=seed))
+        ran += 1
+        if not len(val_events):
+            continue
+        p1 = val_p1(model, obs_space, traj, val_events)
+        scores.append(p1)
+        if p1 > best_p1:
+            best_p1 = p1
+            best_params = {k: v.copy() for k, v in model.all_params().items()}
+            stale = 0
+        else:
+            stale += 1
+            if stale >= patience:
+                break
+    if best_params is not None:
+        params = model.all_params()
+        for k, v in best_params.items():
+            np.copyto(params[k], v)
+    if log is not None:
+        log.append((traj.driver_id, scores, ran))
+    return model
+
+
+def warmup_then_finetune(obs_space, env, trajectories, splits, hyper, warmup_trajectories=None, *,
+                         finetune_epochs, patience, log=None):
+    """`agent.warmup_then_finetune` run serially, each driver through the
+    per-call `finetune_driver` above."""
+    shared = agent.RacModel(obs_space.obs_dim, len(obs_space.index), hyper)
+    if warmup_trajectories:
+        pool_buffer = agent.build_buffer(obs_space, warmup_trajectories, None, hyper)
+        if len(pool_buffer) > 0:
+            agent.train_rac(pool_buffer, shared, env, hyper)
+    models = {d: finetune_driver(shared, obs_space, env, trajectories[d], splits.get(d), hyper,
+                                 finetune_epochs, patience, log)
+              for d in sorted(trajectories)}
+    return shared, models

@@ -47,11 +47,8 @@ from evrac.gradcheck import TOLERANCE, run_gradcheck
 CYCLE = ["cs0", "cs1", "cs2"]
 
 
-def _report(models_or_model, obs_space, trajectories, splits, env, ks=(1,)):
-    if isinstance(models_or_model, dict):
-        recs = {d: RacRecommender(m, obs_space) for d, m in models_or_model.items()}
-        return evaluate(None, trajectories, splits, env, ks=ks, models=recs)
-    return evaluate(RacRecommender(models_or_model, obs_space), trajectories, splits, env, ks=ks)
+def _report(model, obs_space, trajectories, splits, env, ks=(1,), models=None):
+    return evaluate(RacRecommender(model, obs_space, models), trajectories, splits, env, ks=ks)
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +270,11 @@ def _warmup_run(seed, warm):
     obs_space = ObservationSpace(index, 30.0, 10.0, 5)
     hyper = RacHyper(epsilon=1.0, alpha=1.0, hidden=24, embed=16, critic_hidden=16,
                      epochs=400, samples_per_epoch=32, seed=seed)
-    _, models = warmup_then_finetune(
+    shared, models = warmup_then_finetune(
         obs_space, env, private, splits, hyper,
         warmup_trajectories=warm_trajs, finetune_epochs=15, patience=4,
     )
-    report = _report(models, obs_space, private, splits, env)
+    report = _report(shared, obs_space, private, splits, env, models=models)
     return float(np.mean([o.p_at[1] for o in report.per_driver.values()]))
 
 

@@ -1,6 +1,7 @@
 """History encoding, replay buffer, training loop contracts and inference."""
 
 import copy
+import json
 from dataclasses import replace
 from datetime import timedelta
 from unittest.mock import patch
@@ -17,12 +18,14 @@ from conftest import (
     make_event,
     make_stations,
     pattern_events,
+    reference_evaluate,
     reference_rows,
     split_population,
 )
 from evrac import agent, nn
 from evrac import reward as rw
 from evrac.dataset import build_trajectories
+from evrac.evaluation import evaluate
 from evrac.errors import ConfigError, TrainingDiverged, UnknownStationError, UsageError
 from evrac.geospatial import NUM_POI_TYPES, Station, StationIndex
 from evrac.gradcheck import TOLERANCE, run_gradcheck
@@ -1002,11 +1005,87 @@ def test_batched_probabilities_match_per_event_oracle(data):
         assert baseline.rank(seen, m) == [_rank_row(row, stations, m) for row in want]
 
 
+def _per_driver_case(data, rng, space, m):
+    """A shared model and a driver -> model map drawn for `drivers`: some
+    drivers are missing from it, and one model object can serve several."""
+    shared = agent.RacModel(space.obs_dim, m, _small_hyper(history=space.history, seed=int(rng.integers(1000))))
+    pool = [agent.RacModel(space.obs_dim, m, _small_hyper(history=space.history, seed=int(rng.integers(1000))))
+            for _ in range(2)]
+    choices = st.sampled_from([None, "shared", 0, 1])
+
+    def draw_models(drivers):
+        picks = {d: data.draw(choices, label=f"model of {d}") for d in drivers}
+        return {d: shared if pick == "shared" else pool[pick] for d, pick in picks.items() if pick is not None}
+
+    return shared, draw_models
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_per_driver_probabilities_match_one_recommender_per_driver(data):
+    """With a driver -> model map, every row has the bits of a single-model
+    `RacRecommender` over that driver's requests alone, run through the
+    driver's model, or the shared one for a driver the map lacks: requests
+    with 0, 1 and more than `INFERENCE_ROWS` cuts, cuts of 0, a driver's
+    requests apart in the call, and one model object shared by several
+    drivers."""
+    m = data.draw(st.integers(1, 6), label="m")
+    k = data.draw(st.integers(1, 4), label="k")
+    chunk = data.draw(st.sampled_from([1, 2, 3]), label="chunk")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    stations = [f"cs{i:02d}" for i in range(m)]
+    space = agent.ObservationSpace(make_stations(stations, spacing_km=1.5), 60.0, 20.0, k)
+    drivers = [f"d{i}" for i in range(data.draw(st.integers(1, 4), label="drivers"))]
+    events_of = {d: _random_events(rng, d, stations, data.draw(st.integers(0, 12), label="n")) for d in drivers}
+    requests = []
+    for _ in range(data.draw(st.integers(1, 6), label="requests")):
+        d = data.draw(st.sampled_from(drivers), label="driver")
+        cuts = data.draw(st.lists(st.integers(0, len(events_of[d])), max_size=2 * chunk + 1), label="cuts")
+        requests.append((d, events_of[d], cuts))
+    shared, draw_models = _per_driver_case(data, rng, space, m)
+    models = draw_models(drivers)
+
+    starts = np.cumsum([0] + [len(cuts) for _, _, cuts in requests])
+    with patch.object(agent, "INFERENCE_ROWS", chunk):
+        got = agent.RacRecommender(shared, space, models).probabilities(requests)
+        want = np.full_like(got, np.nan)
+        for d in drivers:
+            mine = [i for i, request in enumerate(requests) if request[0] == d]
+            rows = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in mine] + [np.empty(0, np.intp)])
+            want[rows] = agent.RacRecommender(models.get(d, shared), space).probabilities([requests[i] for i in mine])
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_per_driver_evaluation_matches_reference(data):
+    """`evaluate` with one per-driver `RacRecommender` gives the report of
+    the per-driver reference harness, one single-model recommender per
+    driver, NaN-aware and bit for bit, with and without a reward
+    environment."""
+    m = data.draw(st.integers(1, 5), label="m")
+    chunk = data.draw(st.sampled_from([1, 2, agent.INFERENCE_ROWS]), label="chunk")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    stations = [f"cs{i:02d}" for i in range(m)]
+    index = make_stations(stations, spacing_km=1.5)
+    space = agent.ObservationSpace(index, 60.0, 20.0, data.draw(st.integers(1, 4), label="k"))
+    events = []
+    for d in range(data.draw(st.integers(1, 4), label="drivers")):
+        events += _random_events(rng, f"d{d}", stations, data.draw(st.integers(1, 40), label="n"))
+    trajectories, splits, _ = split_population(events)
+    shared, draw_models = _per_driver_case(data, rng, space, m)
+    models = draw_models(sorted(trajectories))
+    env = None
+    if data.draw(st.booleans(), label="env"):
+        env = constant_reward_env(index, {sid: float(rng.uniform(1.0, 30.0)) for sid in stations})
+    with patch.object(agent, "INFERENCE_ROWS", chunk):
+        got = evaluate(agent.RacRecommender(shared, space, models), trajectories, splits, env, ks=(1, 2, 3))
+        want = reference_evaluate(None, trajectories, splits, env, ks=(1, 2, 3),
+                                  models={d: agent.RacRecommender(models.get(d, shared), space) for d in splits})
+    assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(want.to_dict(), sort_keys=True)
+
+
 def test_val_p1_equals_evaluate_precision_at_1():
-    from dataclasses import replace
-
-    from evrac.evaluation import evaluate
-
     space = _obs_space(3, history=2)
     events = []
     for d, pattern in enumerate((["cs0", "cs1", "cs2"], ["cs2", "cs2", "cs0"], ["cs1", "cs0"])):
@@ -1014,10 +1093,62 @@ def test_val_p1_equals_evaluate_precision_at_1():
     trajectories, splits, _ = split_population(events)
     model = agent.RacModel(space.obs_dim, 3, _small_hyper(seed=11))
     rec = agent.RacRecommender(model, space)
+    val = agent.validation_sets(space, trajectories, splits)
     for d, split in splits.items():
         assert split.val
+        cuts = oracles.cut_points(trajectories[d], split.val)
+        assert val[d].windows.tobytes() == space.windows(trajectories[d].events, cuts).tobytes()
+        assert val[d].truths == [e.station_id for e in split.val]
         report = evaluate(rec, {d: trajectories[d]}, {d: replace(split, test=split.val)}, None, ks=(1,))
-        assert agent._val_p1(model, space, trajectories[d], split.val) == report.precision[1]
+        assert agent._val_p1(model, space.index.order, val[d]) == report.precision[1]
+
+
+@pytest.mark.parametrize("chunk", [1, agent.INFERENCE_ROWS])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_prebuilt_validation_windows_change_no_model(monkeypatch, jobs, chunk):
+    """Fine-tuning that scores every epoch on validation windows built once
+    returns, bit for bit, the shared and per-driver models of the loop that
+    rebuilt them on every `_val_p1` call (`oracles.warmup_then_finetune`),
+    serially and with two workers, in one-row and in full policy pieces. The
+    city has a driver whose fine-tune improves, patience stops, restores to
+    the epoch-0 snapshot and a driver without validation events; the
+    validation windows of every driver take one observation pass, and each
+    validation P@1 is the oracle's."""
+    index = make_stations(["cs0", "cs1", "cs2"], spacing_km=1.0)
+    env = constant_reward_env(index, {"cs0": 10.0, "cs1": 20.0, "cs2": 30.0})
+    space = agent.ObservationSpace(index, 30.0, 10.0, 5)
+    events = []
+    for d, pattern in enumerate([["cs0", "cs1"], ["cs2", "cs2", "cs0"], ["cs1", "cs0", "cs2"], ["cs0"],
+                                 ["cs2", "cs1"]]):
+        events += pattern_events(f"d{d}", pattern, 30 + 10 * d)
+    trajectories, splits, _ = split_population(events)
+    trajectories["loner"] = build_trajectories(pattern_events("loner", ["cs1", "cs0"], 2))["loner"]
+    pool = build_trajectories(pattern_events("anon-0", ["cs0", "cs2"], 12) + pattern_events("anon-1", ["cs1"], 8))
+    hyper = _small_hyper(epochs=2, seed=2, epsilon=1.0, alpha=0.5)
+    kwargs = dict(warmup_trajectories=pool, finetune_epochs=6, patience=2)
+    monkeypatch.setattr(agent, "INFERENCE_ROWS", chunk)
+    log = []
+    want_shared, want = oracles.warmup_then_finetune(space, env, trajectories, splits, hyper, **kwargs, log=log)
+    scores = {d: p1s for d, p1s, _ in log if p1s}
+    assert any(max(p1s[1:]) > p1s[0] for p1s in scores.values()), "no fine-tune improves"
+    assert any(max(p1s[1:]) <= p1s[0] for p1s in scores.values()), "no restore to the epoch-0 snapshot"
+    assert any(ran < 6 for d, _, ran in log if d in scores), "no patience stop"
+    assert "loner" not in splits and "loner" not in scores
+
+    passes, p1s = [], []
+    run_windows, val_p1 = agent.ObservationSpace.run_windows, agent._val_p1
+    monkeypatch.setattr(agent.ObservationSpace, "run_windows",
+                        lambda self, runs: passes.append(len(runs)) or run_windows(self, runs))
+    monkeypatch.setattr(agent, "_val_p1", lambda *args: p1s.append(val_p1(*args)) or p1s[-1])
+    got_shared, got = agent.warmup_then_finetune(space, env, trajectories, splits, hyper, **kwargs, jobs=jobs)
+    assert passes == [len(scores)]
+    if jobs == 1:  # workers score in their own processes
+        assert p1s == [p1 for d in sorted(scores) for p1 in scores[d]]
+    assert sorted(got) == sorted(want)
+    for d, model in [("shared", got_shared), *got.items()]:
+        reference = want_shared if d == "shared" else want[d]
+        for name, p in model.all_params().items():
+            assert p.tobytes() == reference.all_params()[name].tobytes(), (d, name)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from evrac import evaluation as ev
 from evrac import reward as rw
 from evrac.agent import ObservationSpace, RacHyper, RacModel, RacRecommender
 from evrac.baselines import FpmcHyper, FpmcRecommender, MarkovRecommender, PopularityRecommender, rank_rows
+from evrac.dataset import build_trajectories
 from evrac.errors import UsageError
 from evrac.seeding import rng_for
 
@@ -240,6 +241,30 @@ def test_report_writers(tmp_path):
     assert any(line.startswith("d1,mar,") for line in lines)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cut_points_match_dict_lookup(data):
+    """`cut_points` gives the cuts of the per-call dict lookup, in the order
+    given, for split segments, for any other subset in any order (repeats
+    included), as columns and as a list of events; an event of another
+    driver is a KeyError in both."""
+    n = data.draw(st.integers(1, 30), label="n")
+    events = [make_event(f"e{(7 * i) % 31:02d}", "d", f"cs{i % 3}", T0 + timedelta(hours=3 * i)) for i in range(n)]
+    traj = build_trajectories(events + pattern_events("other", ["cs0"], 2))["d"]
+    if data.draw(st.booleans(), label="segment"):
+        lo = data.draw(st.integers(0, n), label="lo")
+        subset = traj.events[lo : data.draw(st.integers(lo, n), label="hi")]
+    else:
+        subset = traj.events.take(np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=12)), dtype=np.intp))
+    if data.draw(st.booleans(), label="as a list"):
+        subset = list(subset)
+    assert ev.cut_points(traj, subset) == oracles.cut_points(traj, subset)
+    stranger = pattern_events("other", ["cs0"], 1)
+    for lookup in (ev.cut_points, oracles.cut_points):
+        with pytest.raises(KeyError):
+            lookup(traj, list(subset) + stranger)
+
+
 # ---------------------------------------------------------------------------
 # One pass over every driver, against the per-driver oracle
 # ---------------------------------------------------------------------------
@@ -287,12 +312,15 @@ def chunked_city():
     space = ObservationSpace(index, 60.0, 10.0, 3)
     hyper = RacHyper(hidden=10, embed=8, critic_hidden=8, history=3, seed=4)
     train = {d: s.train for d, s in splits.items()}
+    shared = RacModel(space.obs_dim, 8, hyper)
+    driver_models = {d: RacModel(space.obs_dim, 8, replace(hyper, seed=i)) for i, d in enumerate(sorted(splits))}
     recommenders = {
-        "rac": RacRecommender(RacModel(space.obs_dim, 8, hyper), space),
+        "rac": RacRecommender(shared, space),
         "mc": MarkovRecommender(stations).fit(train),
+        "per-driver": RacRecommender(shared, space, driver_models),
     }
-    models = {d: RacRecommender(RacModel(space.obs_dim, 8, replace(hyper, seed=i)), space)
-              for i, d in enumerate(sorted(splits))}
+    # The oracle's per-driver recommenders: one single-model adapter each.
+    models = {d: RacRecommender(m, space) for d, m in driver_models.items()}
     net = rw.WaitForecastNet(rw.reward_net_input_dim(index), 4, 1, rng_for(0, "one-pass"))
     familiarity = rw.most_visited(e for s in splits.values() for e in s.train)
     envs = {
@@ -308,7 +336,7 @@ def _recorded_run(evaluate, chunked_city, kind, env_name):
     trajectories, splits, recommenders, models, envs = chunked_city
     log = {"rank_calls": 0, "pricing_calls": 0, "rankings": [], "rewards": []}
     env = envs[env_name] and _Recording(envs[env_name], log)
-    if kind == "per-driver":
+    if kind == "per-driver" and evaluate is reference_evaluate:
         report = evaluate(None, trajectories, splits, env, ks=(1, 3), models={d: _Recording(m, log) for d, m in models.items()})
     else:
         report = evaluate(_Recording(recommenders[kind], log), trajectories, splits, env, ks=(1, 3))
@@ -318,13 +346,13 @@ def _recorded_run(evaluate, chunked_city, kind, env_name):
 @pytest.mark.parametrize("env_name", ["none", "means", "net"])
 @pytest.mark.parametrize("kind", ["rac", "mc", "per-driver"])
 def test_one_pass_evaluate_matches_per_driver_oracle(chunked_city, kind, env_name):
-    """One `rank` call (one per driver with per-driver models) and one pricing
-    call give the per-driver harness's rankings and counts, its rewards
-    within 4e-15 relative error (a forecaster pass over other rows rounds
+    """One `rank` call, per-driver models included, and one pricing call
+    give the per-driver harness's rankings and counts, its rewards within
+    4e-15 relative error (a forecaster pass over other rows rounds
     differently) and, priced by station means or not at all, its report."""
     got, got_log = _recorded_run(ev.evaluate, chunked_city, kind, env_name)
     want, want_log = _recorded_run(reference_evaluate, chunked_city, kind, env_name)
-    assert got_log["rank_calls"] == (got.drivers if kind == "per-driver" else 1)
+    assert got_log["rank_calls"] == 1
     assert got_log["pricing_calls"] == (env_name != "none")
     assert got_log["rankings"] == want_log["rankings"]
     a, b = np.array(got_log["rewards"]), np.array(want_log["rewards"])
@@ -379,8 +407,7 @@ def test_evaluate_matches_per_driver_reference(m, seed, data):
     """The hit-position `evaluate` gives the per-driver reference's report
     (NaN-aware, bit for bit) on tied probability rows, repeated truths,
     drivers with one test event, ks above M, with and without a reward
-    environment and with per-driver models; each row's one-sort ranking is
-    its own stable sort's."""
+    environment; each row's one-sort ranking is its own stable sort's."""
     rng = np.random.default_rng(seed)
     stations = [f"cs{i}" for i in range(m)]
     counts = data.draw(st.lists(st.integers(3, 12), min_size=1, max_size=5), label="events per driver")
@@ -391,23 +418,14 @@ def test_evaluate_matches_per_driver_reference(m, seed, data):
     trajectories, splits, _ = split_population(events)
     ks = data.draw(st.lists(st.integers(1, m + 2), min_size=1, max_size=4), label="ks")
 
-    def table():
-        return _TableRecommender(stations, {(d, j): rng.integers(0, 3, m) / 2.0
-                                            for d, t in trajectories.items() for j in range(len(t) + 1)})
-
     env = None
     if data.draw(st.booleans(), label="env"):
         index = make_stations(stations, spacing_km=1.0)
         env = constant_reward_env(index, {sid: float(rng.uniform(1.0, 30.0)) for sid in stations})
-    if data.draw(st.booleans(), label="per-driver"):
-        models = {d: table() for d in splits}
-        got = ev.evaluate(None, trajectories, splits, env, ks=ks, models=models)
-        want = reference_evaluate(None, trajectories, splits, env, ks=ks,
-                                  models={d: _PerRowRanking(r) for d, r in models.items()})
-    else:
-        rec = table()
-        got = ev.evaluate(rec, trajectories, splits, env, ks=ks)
-        want = reference_evaluate(_PerRowRanking(rec), trajectories, splits, env, ks=ks)
+    rec = _TableRecommender(stations, {(d, j): rng.integers(0, 3, m) / 2.0
+                                       for d, t in trajectories.items() for j in range(len(t) + 1)})
+    got = ev.evaluate(rec, trajectories, splits, env, ks=ks)
+    want = reference_evaluate(_PerRowRanking(rec), trajectories, splits, env, ks=ks)
     assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(want.to_dict(), sort_keys=True)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import nn
 from .baselines import _rank_row, rank_rows
 from .config import RacHyper
-from .dataset import DriverTrajectory, EventColumns, Events, Split
+from .dataset import DriverTrajectory, EventColumns, Split
 from .errors import ConfigError, TrainingDiverged, UsageError
 from .evaluation import Request, check_requests, cut_points
 from .geospatial import StationIndex
@@ -67,11 +67,10 @@ class ObservationSpace:
         self.history = history
         self.obs_dim = index.context_width() + 2 + TIME_FEATURE_WIDTH
 
-    def rows(self, events: Events, prev_station: str | None) -> np.ndarray:
+    def rows(self, events: EventColumns, prev_station: str | None) -> np.ndarray:
         """(len(events), obs_dim): the observations of consecutive events.
         Each links to the station charged at just before it, the first to
         `prev_station` (None: no previous station)."""
-        events = EventColumns.of(events)
         cols = events.station_cols(self.index)
         first = -1 if prev_station is None else self.index.index_of(prev_station)
         out = np.empty((cols.size, self.obs_dim))
@@ -89,23 +88,21 @@ class ObservationSpace:
         out[:, width + 1] = events.energy_kwh / self.max_energy if self.max_energy > 0 else 0.0
         out[:, width + 2 :] = time_features(events.hours)
 
-    def padded(self, events: Events, lo: int, hi: int) -> np.ndarray:
-        """(history + hi - lo, obs_dim): `history` zero rows, then the
-        observations of `events[lo:hi]`, the first linked to the station of
-        event lo - 1. Rows j - lo .. j - lo + history - 1 are cut j's window."""
-        out = np.zeros((self.history + hi - lo, self.obs_dim))
-        # Event lo - 1, when there is one, is read only for its station.
-        out[self.history :] = self.rows(events[max(lo - 1, 0) : hi], None)[1 if lo else 0 :]
+    def padded(self, events: EventColumns) -> np.ndarray:
+        """(history + len(events), obs_dim): `history` zero rows, then
+        `rows(events, None)`. Rows j .. j + history - 1 are cut j's window."""
+        out = np.zeros((self.history + len(events), self.obs_dim))
+        out[self.history :] = self.rows(events, None)
         return out
 
-    def windows(self, events: Events, cuts: Sequence[int]) -> np.ndarray:
+    def windows(self, events: EventColumns, cuts: Sequence[int]) -> np.ndarray:
         """(len(cuts), history, obs_dim): for each cut j, the observations of
         the last `history` events of `events[:j]`, left-padded with zero rows.
         Each observation links to the station charged at just before it, even
         when that event is cut off. Cuts must be non-empty."""
         return self.run_windows([(events, cuts)])
 
-    def run_windows(self, runs: Sequence[tuple[Events, Sequence[int]]]) -> np.ndarray:
+    def run_windows(self, runs: Sequence[tuple[EventColumns, Sequence[int]]]) -> np.ndarray:
         """The `windows` of each (events, cuts) run, stacked in run order,
         from one observation pass. Each run's events from `history` before its
         first cut, and the one before those for its station, are joined into
@@ -117,7 +114,7 @@ class ObservationSpace:
         for events, cuts in runs:
             cuts = np.asarray(cuts, dtype=np.intp)
             lo = max(int(cuts.min()) - self.history - 1, 0)
-            parts.append(EventColumns.of(events[lo : int(cuts.max())]))
+            parts.append(events[lo : int(cuts.max())])
             at = cuts[:, None] + steps  # the event index of each window row
             gathers.append(np.where(at >= 0, 1 + size + at - lo, 0))
             starts.append(size)
@@ -156,9 +153,10 @@ class ReplayBuffer:
     def __init__(self, history: int, horizon: int):
         self.history = history
         self.horizon = horizon
-        # Per driver: the observations `ObservationSpace.padded` gives up to
-        # the last decision step, so rows j..j+history-1 are step j's history,
-        # then the station column and the epoch hour of each event up to it.
+        # Per driver: the observations `ObservationSpace.padded` gives of the
+        # events before the last decision step, so rows j..j+history-1 are
+        # step j's history, then the station column and the epoch hour of
+        # each event up to that step.
         self.trajectories: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.windows: list[Window] = []
 
@@ -176,7 +174,7 @@ class ReplayBuffer:
             return 0
         events = traj.events[:hi]
         self.trajectories[traj.driver_id] = (
-            obs_space.padded(events, 0, steps),
+            obs_space.padded(events[:steps]),
             events.station_cols(obs_space.index),
             events.hours,
         )
@@ -610,7 +608,7 @@ def recommend(
     obs_space: ObservationSpace,
     env: RewardEnvironment,
     driver_id: str,
-    history: Events,
+    history: EventColumns,
     k: int,
     when=None,
 ) -> list[Recommendation]:
@@ -618,10 +616,10 @@ def recommend(
     with the forecast wait, distance and reward it would earn.
 
     `history` is the driver's past events in trajectory order, by
-    (start_time, event_id), as `DriverTrajectory.events` holds them, or a
-    prefix of it, as columns or as a list of ChargingEvents. `model` is a
-    RacModel or any recommender with `probabilities`. `when` is the
-    decision time used for pricing; defaults to the last event's start time.
+    (start_time, event_id): `DriverTrajectory.events` or a prefix sliced
+    from it. `model` is a RacModel or any recommender with `probabilities`.
+    `when` is the decision time used for pricing; defaults to the last
+    event's start time.
     """
     rec = RacRecommender(model, obs_space) if isinstance(model, RacModel) else model
     index = obs_space.index

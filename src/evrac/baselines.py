@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import EventColumns, Events
+from .dataset import EventColumns
 from .errors import UsageError
 from .evaluation import Request, check_requests
 from .nn import sigmoid, softmax
@@ -57,11 +57,11 @@ class _GatheredRows:
         return rank_rows(self.probabilities(requests), self.stations, k)
 
 
-def _train_sequences(train_events: dict[str, Events]) -> dict[str, list[str]]:
+def _train_sequences(train_events: dict[str, EventColumns]) -> dict[str, list[str]]:
     """Each driver's training stations by (start_time, event_id)."""
     out = {}
     for driver in sorted(train_events):
-        events = EventColumns.of(train_events[driver])
+        events = train_events[driver]
         out[driver] = events.station_id[events.time_order()].tolist()
     return out
 
@@ -92,7 +92,7 @@ class MarkovRecommender(_GatheredRows):
                 rows[i] = (counts[i] + self.lam) / total
         return rows
 
-    def fit(self, train_events: dict[str, Events]) -> "MarkovRecommender":
+    def fit(self, train_events: dict[str, EventColumns]) -> "MarkovRecommender":
         m = len(self.stations)
         global_counts = np.zeros((m, m))
         for driver, seq in _train_sequences(train_events).items():
@@ -105,12 +105,12 @@ class MarkovRecommender(_GatheredRows):
         self.global_matrix = self._normalize(global_counts)
         return self
 
-    def _rows(self, driver_id: str, events: Events, cuts: Sequence[int]) -> np.ndarray:
+    def _rows(self, driver_id: str, events: EventColumns, cuts: Sequence[int]) -> np.ndarray:
         """The transition row of each cut's last station; a uniform row (the
         extra last row of the table) without one or for an unknown station."""
         m = len(self.stations)
         table = np.vstack([self.per_driver.get(driver_id, self.global_matrix), np.full(m, 1.0 / m)])
-        stations = EventColumns.of(events).station_id
+        stations = events.station_id
         return table[[self.index.get(stations[j - 1], m) if j else m for j in cuts]]
 
 
@@ -141,7 +141,7 @@ class FpmcRecommender(_GatheredRows):
         self.LI = np.zeros((len(self.stations), hyper.factors))
         self.IL = np.zeros((len(self.stations), hyper.factors))
 
-    def fit(self, train_events: dict[str, Events]) -> "FpmcRecommender":
+    def fit(self, train_events: dict[str, EventColumns]) -> "FpmcRecommender":
         sequences = _train_sequences(train_events)
         samples: list[tuple[int, int, int]] = []
         self.driver_index = {d: i for i, d in enumerate(sorted(sequences))}
@@ -186,12 +186,12 @@ class FpmcRecommender(_GatheredRows):
         self.UI, self.LI, self.IU, self.IL = (block.copy() for block in np.split(params, [d, d + m, at_il]))
         return self
 
-    def _rows(self, driver_id: str, events: Events, cuts: Sequence[int]) -> np.ndarray:
+    def _rows(self, driver_id: str, events: EventColumns, cuts: Sequence[int]) -> np.ndarray:
         """softmax(score) at each cut. The driver term is computed once and the
         transition term once per distinct last station (-1: none or unknown)."""
         u = self.driver_index.get(driver_id)
         base = self.IU @ self.UI[u] if u is not None else np.zeros(len(self.stations))
-        stations = EventColumns.of(events).station_id
+        stations = events.station_id
         lasts = [self.index.get(stations[j - 1], -1) if j else -1 for j in cuts]
         distinct, inverse = np.unique(lasts, return_inverse=True)
         rows = [softmax(base + self.IL @ self.LI[p] if p >= 0 else base) for p in distinct.tolist()]
@@ -208,7 +208,7 @@ class PopularityRecommender(_GatheredRows):
         self.per_driver: dict[str, np.ndarray] = {}
         self.global_counts = np.zeros(len(self.stations))
 
-    def fit(self, train_events: dict[str, Events]) -> "PopularityRecommender":
+    def fit(self, train_events: dict[str, EventColumns]) -> "PopularityRecommender":
         for driver, seq in _train_sequences(train_events).items():
             counts = np.zeros(len(self.stations))
             for sid in seq:
@@ -217,7 +217,7 @@ class PopularityRecommender(_GatheredRows):
             self.global_counts += counts
         return self
 
-    def _rows(self, driver_id: str, events: Events, cuts: Sequence[int]) -> np.ndarray:
+    def _rows(self, driver_id: str, events: EventColumns, cuts: Sequence[int]) -> np.ndarray:
         """The driver's visit shares, the same row at every cut."""
         counts = self.per_driver.get(driver_id, self.global_counts)
         total = counts.sum()

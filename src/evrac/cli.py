@@ -30,7 +30,7 @@ from .checkpoint import (
     save_reward_net,
 )
 from .config import Config, apply_overrides, load_config
-from .dataset import _parse_timestamp, parse_events, write_events, write_rejects
+from .dataset import EPOCH, _MICROSECOND, _parse_timestamp, parse_events, write_events, write_rejects
 from .errors import (ConfigError, DataFormatError, DomainError, EvracError, TrainingDiverged, UsageError,
                      require_regular_file)
 from .evaluation import (
@@ -359,8 +359,9 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             when = _parse_timestamp(args.at)
         except ValueError as exc:
             raise UsageError(f"bad --at timestamp {args.at!r}: {exc}") from exc
-        # A decision at `when` may only see sessions that started before it.
-        history = [e for e in history if e.start_time < when]
+        # A decision at `when` may only see sessions that started before it;
+        # the history is sorted by its exact start.
+        history = history[: int(history.start_us.searchsorted((when - EPOCH) // _MICROSECOND))]
         if not history:
             raise UsageError(f"driver {args.driver!r} has no events before {args.at}")
 

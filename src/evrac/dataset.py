@@ -4,11 +4,11 @@ and the anonymized warm-up pool.
 Events travel as columns. `parse_events` reads a canonical file with one
 `csv.reader` pass into an `EventColumns` table and checks its values with
 array masks. Trajectories, splits and the warm-up pool are views or takes of
-that table, and the set-up path reads only their arrays. A `ChargingEvent`
-object is built where an event arrives or leaves as one: the session
-adapters, `write_events`, a list of events handed to a reader (which takes
-it as columns with `EventColumns.of`), and each event that code reads from
-columns by index or iteration.
+that table, and every reader of events takes them as columns. A
+`ChargingEvent` object is built where an event arrives or leaves as one: the
+session adapters (whose events become columns with `EventColumns.of`),
+`write_events`, and each event that code reads from columns by index or
+iteration.
 """
 
 from __future__ import annotations
@@ -132,12 +132,8 @@ class EventColumns:
         )
 
     @classmethod
-    def of(cls, events: "Events") -> "EventColumns":
-        """`events` as columns: columns as they are, or ChargingEvents in the
-        order given."""
-        if isinstance(events, cls):
-            return events
-        events = list(events)
+    def of(cls, events: Sequence[ChargingEvent]) -> "EventColumns":
+        """ChargingEvents as columns, in the order given."""
         return cls.build([e.event_id for e in events], [e.driver_id for e in events],
                          [e.station_id for e in events], [e.start_time for e in events],
                          [e.duration_min for e in events], [e.energy_kwh for e in events])
@@ -209,10 +205,6 @@ class EventColumns:
         return cols
 
 
-# What the readers of events take: columns, or ChargingEvents in order.
-Events = EventColumns | Sequence[ChargingEvent]
-
-
 @dataclass(frozen=True)
 class RejectedRow:
     line_no: int
@@ -223,13 +215,10 @@ class RejectedRow:
 @dataclass(eq=False)
 class DriverTrajectory:
     """A driver's charging events as columns, ascending by (start_time,
-    event_id). ChargingEvents given are taken as columns."""
+    event_id)."""
 
     driver_id: str
     events: EventColumns
-
-    def __post_init__(self):
-        self.events = EventColumns.of(self.events)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -536,12 +525,11 @@ def write_rejects(rejects: Iterable[RejectedRow], path: str | Path) -> None:
 # Trajectories and splits
 # ---------------------------------------------------------------------------
 
-def build_trajectories(events: Events) -> dict[str, DriverTrajectory]:
+def build_trajectories(events: EventColumns) -> dict[str, DriverTrajectory]:
     """Group by driver and sort by (start_time, event_id): the events are
     taken once in `trajectory_order`, and each driver's trajectory is a view
     of that table."""
-    table = EventColumns.of(events)
-    table = table.take(table.trajectory_order())
+    table = events.take(events.trajectory_order())
     drivers = table.driver
     cuts = [0, *(np.flatnonzero(drivers[1:] != drivers[:-1]) + 1).tolist(), len(table)]
     out = {}

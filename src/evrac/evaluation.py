@@ -31,7 +31,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .dataset import DriverTrajectory, EventColumns, Events, Split
+from .dataset import DriverTrajectory, EventColumns, Split
 from .errors import UsageError
 from .reward import RewardEnvironment
 
@@ -40,7 +40,7 @@ logger = logging.getLogger(__name__)
 
 # One scoring request: a driver, their events in time order and the cut
 # points to score. A cut j means "condition on `events[:j]`".
-Request = tuple[str, Events, Sequence[int]]
+Request = tuple[str, EventColumns, Sequence[int]]
 
 
 def check_requests(requests: Sequence[Request]) -> None:
@@ -141,13 +141,13 @@ class EvalReport:
 # Harness
 # ---------------------------------------------------------------------------
 
-def cut_points(traj: DriverTrajectory, events: Events) -> list[int]:
+def cut_points(traj: DriverTrajectory, events: EventColumns) -> list[int]:
     """The cut at each of `events` (a subset of the driver's) that has a
     previous event to condition on, in the order given. A split segment is
     a contiguous run of the trajectory, found from its first event; any
     other subset is looked up in the trajectory's sorted event ids."""
     ids = traj.events.event_id
-    want = EventColumns.of(events).event_id.tolist()
+    want = events.event_id.tolist()
     listed = ids.tolist()
     start = listed.index(want[0]) if want and want[0] in listed else 0
     if listed[start : start + len(want)] == want:

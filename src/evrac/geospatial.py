@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import EventColumns, Events, open_csv
+from .dataset import EventColumns, open_csv
 from .errors import ConfigError, DataFormatError, DomainError, UnknownStationError
 
 logger = logging.getLogger(__name__)
@@ -240,7 +240,7 @@ class StationIndex:
 
 
 def station_norms(
-    events: Events,
+    events: EventColumns,
     index: StationIndex,
     series: dict,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -252,7 +252,6 @@ def station_norms(
     arrivals. Degenerate stations (no occupancy / no arrivals with a previous
     station) fall back to the global means so both norms stay positive.
     """
-    events = EventColumns.of(events)
     if not len(events):
         raise ConfigError("station norms need at least one training event")
     m = len(index)

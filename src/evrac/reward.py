@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn
 from .config import RewardNetHyper
-from .dataset import EventColumns, Events
+from .dataset import EventColumns
 from .errors import ConfigError, DomainError
 from .geospatial import StationIndex
 from .seeding import rng_for
@@ -88,12 +88,10 @@ class WaitSeries:
             np.fromiter(self.buckets.values(), dtype=float, count=len(self.buckets))
         return out
 
-    def value(self, eh: int) -> float:
-        return self.buckets.get(eh, 0.0)
-
     def values(self, hours: np.ndarray) -> np.ndarray:
-        """`value` of each of `hours` (any shape), gathered from `hourly`:
-        an hour outside its span reads the last entry, directly or as -1."""
+        """The bucket of each of `hours` (any shape), 0.0 for an hour
+        without one, gathered from `hourly`: an hour outside its span reads
+        the last entry, directly or as -1."""
         hourly = self.hourly
         return hourly[np.clip(np.asarray(hours, dtype=np.int64) - (self.first_hour or 0), -1, hourly.size - 1)]
 
@@ -121,7 +119,7 @@ def hour_chunks(events: EventColumns) -> list[list[tuple[int, float]]]:
     return out
 
 
-def build_wait_series(events: Events, order: np.ndarray | None = None,
+def build_wait_series(events: EventColumns, order: np.ndarray | None = None,
                       chunks: list[list[tuple[int, float]]] | None = None) -> dict[str, WaitSeries]:
     """Occupied minutes per (station, clock hour) of the events at positions
     `order` of `events` (all, in order, by default), added in that order.
@@ -131,7 +129,6 @@ def build_wait_series(events: Events, order: np.ndarray | None = None,
     Time-causal by construction: an event only contributes to buckets at or
     after its start hour.
     """
-    events = EventColumns.of(events)
     if chunks is None:
         chunks = hour_chunks(events)
     codes = events.station.tolist()
@@ -168,12 +165,11 @@ ZETA_FAMILIAR = 0.8  # distance weight at the driver's most-visited station
 ZETA_DEFAULT = 1.0
 
 
-def most_visited(train_events: Events) -> dict[str, str | None]:
+def most_visited(events: EventColumns) -> dict[str, str | None]:
     """Each driver's strictly most-visited station in the training split.
 
     Ties (or no events) map to None: no station gets the familiarity discount.
     """
-    events = EventColumns.of(train_events)
     m = len(events.stations)
     pairs, counts = np.unique(events.driver.astype(np.int64) * m + events.station, return_counts=True)
     best: dict[int, tuple[int, int | None]] = {}  # driver code -> (top count, its only station or None)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from evrac.checkpoint import MAGIC
 
-from evrac.dataset import ChargingEvent, build_trajectories, split_all
+from evrac.dataset import ChargingEvent, EventColumns, build_trajectories, split_all
 from evrac.evaluation import DriverOutcome, EvalReport
 from evrac.geospatial import EARTH_RADIUS_KM, NUM_POI_TYPES, Station, StationIndex
 from evrac.reward import (
@@ -237,7 +237,7 @@ def constant_reward_env(
 
 
 def split_population(events: list[ChargingEvent]):
-    trajectories = build_trajectories(events)
+    trajectories = build_trajectories(EventColumns.of(events))
     splits, excluded = split_all(trajectories)
     return trajectories, splits, excluded
 

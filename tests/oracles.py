@@ -15,7 +15,7 @@ import numpy as np
 
 from conftest import reference_rows
 from evrac import agent, dataset
-from evrac.dataset import ChargingEvent, EventColumns, RejectedRow, _session_row
+from evrac.dataset import ChargingEvent, RejectedRow, _session_row
 from evrac.errors import ConfigError, DataFormatError, DomainError, UsageError
 from evrac.reward import epoch_hour
 
@@ -208,7 +208,7 @@ def cut_points(traj, events) -> list[int]:
     """`evaluation.cut_points` as a lookup in a dict over every event id of
     the trajectory, built on each call."""
     pos = dict(zip(traj.events.event_id.tolist(), range(len(traj))))
-    return [j for j in map(pos.__getitem__, EventColumns.of(events).event_id.tolist()) if j > 0]
+    return [j for j in map(pos.__getitem__, events.event_id.tolist()) if j > 0]
 
 
 def val_p1(model, obs_space, traj, val_events) -> float:

@@ -24,7 +24,7 @@ from conftest import (
 )
 from evrac import agent, nn
 from evrac import reward as rw
-from evrac.dataset import build_trajectories
+from evrac.dataset import EventColumns, build_trajectories
 from evrac.evaluation import evaluate
 from evrac.errors import ConfigError, TrainingDiverged, UnknownStationError, UsageError
 from evrac.geospatial import NUM_POI_TYPES, Station, StationIndex
@@ -57,16 +57,16 @@ def test_observation_width_invariant():
 def test_observation_content():
     space = _obs_space(3)
     e = make_event("e", "d", "cs1", T0, duration=15.0, energy=5.0)
-    obs = space.rows([e], None)[0]
+    obs = space.rows(EventColumns.of([e]), None)[0]
     assert obs[0] == 0.0                      # no previous station
     assert obs[1 + 1] == 1.0                  # one-hot of cs1
     offset = 1 + 3 + NUM_POI_TYPES
     assert obs[offset] == pytest.approx(0.5)   # soc proxy 15/30
     assert obs[offset + 1] == pytest.approx(0.5)  # energy 5/10
     with pytest.raises(UnknownStationError):
-        space.rows([make_event("e", "d", "nope", T0)], None)
+        space.rows(EventColumns.of([make_event("e", "d", "nope", T0)]), None)
     with pytest.raises(UnknownStationError):
-        space.rows([e], "nope")
+        space.rows(EventColumns.of([e]), "nope")
 
 
 def test_observation_space_requires_positive_duration_scale():
@@ -95,14 +95,14 @@ def test_rows_and_windows_match_per_event_oracle(m, history, max_energy, seed, d
     # (negative epoch hours) at any minute.
     specs = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(-3 * 10**7, 3 * 10**7),
                                          st.floats(0.0, 120.0), st.floats(0.0, 50.0)), max_size=8))
-    events = [make_event(f"e{i}", "d", ids[c], T0 + timedelta(minutes=minutes), duration=dur, energy=en)
-              for i, (c, minutes, dur, en) in enumerate(specs)]
+    events = EventColumns.of([make_event(f"e{i}", "d", ids[c], T0 + timedelta(minutes=minutes), duration=dur,
+                                         energy=en) for i, (c, minutes, dur, en) in enumerate(specs)])
     prev = data.draw(st.one_of(st.none(), st.sampled_from(ids)))
 
     got = space.rows(events, prev)
     assert got.shape == (len(events), space.obs_dim)
     assert got.tobytes() == reference_rows(space, events, prev).tobytes()
-    assert space.rows([], prev).shape == (0, space.obs_dim)
+    assert space.rows(events[:0], prev).shape == (0, space.obs_dim)
 
     cuts = data.draw(st.lists(st.integers(0, len(events)), min_size=1, max_size=6))
     windows = space.windows(events, cuts)
@@ -116,7 +116,7 @@ def test_rows_and_windows_match_per_event_oracle(m, history, max_energy, seed, d
 
 
 def test_windows_left_pad_with_zero_rows():
-    events = pattern_events("d", ["cs0", "cs1", "cs2"], 4)
+    events = EventColumns.of(pattern_events("d", ["cs0", "cs1", "cs2"], 4))
     space = _obs_space(3, history=4)
     obs = space.rows(events, None)
     padded = space.windows(events, [2])[0]
@@ -132,9 +132,9 @@ def test_windows_left_pad_with_zero_rows():
 @given(history=st.integers(1, 4), seed=st.integers(0, 2**16), data=st.data())
 def test_run_windows_match_per_run_windows(history, seed, data):
     """One observation pass over several runs gives each run's `windows` bit
-    for bit: cut 0 and cut 1 (no previous station), mid-trajectory cuts, a
-    `ChargingEvent`-list history and runs over two tables (the `concat`
-    rebuild path), in any order and repeated."""
+    for bit: cut 0 and cut 1 (no previous station), mid-trajectory cuts and
+    runs over three tables (the `concat` rebuild path), in any order and
+    repeated."""
     rng = np.random.default_rng(seed)
     space = agent.ObservationSpace(
         StationIndex({f"cs{i}": Station(f"cs{i}", rng.uniform(-60, 60), rng.uniform(-170, 170),
@@ -145,9 +145,10 @@ def test_run_windows_match_per_run_windows(history, seed, data):
         events += [make_event(f"{d}{i:02d}", d, f"cs{int(rng.integers(4))}", T0 + timedelta(hours=int(h)),
                               duration=float(rng.uniform(1, 60)), energy=float(rng.uniform(0, 20)))
                    for i, h in enumerate(np.cumsum(rng.integers(1, 40, 12)))]
-    table = build_trajectories(events)       # one table: "a" and "b" share it
-    other = build_trajectories(events[12:])  # a second table for "b"
-    histories = [table["a"].events, table["b"].events, other["b"].events, list(table["a"].events)]
+    table = build_trajectories(EventColumns.of(events))       # one table: "a" and "b" share it
+    other = build_trajectories(EventColumns.of(events[12:]))  # a second table for "b"
+    histories = [table["a"].events, table["b"].events, other["b"].events,
+                 EventColumns.of(list(table["a"].events))]  # a third table for "a"
     runs = data.draw(st.lists(
         st.tuples(st.integers(0, 3), st.lists(st.sampled_from([0, 1, 2, 5, 7, 11, 12]), min_size=1, max_size=4)),
         min_size=1, max_size=4))
@@ -219,7 +220,7 @@ def test_actor_uniform_with_zero_head():
     model.actor_head.W[:] = 0.0
     model.actor_head.b[:] = 0.0
     e = make_event("e", "d", "cs0", T0)
-    pi = agent.RacRecommender(model, space).probabilities([("d", [e], [1])])[0]
+    pi = agent.RacRecommender(model, space).probabilities([("d", EventColumns.of([e]), [1])])[0]
     assert pi == pytest.approx(np.full(4, 0.25), abs=1e-15)
 
 
@@ -227,7 +228,7 @@ def test_actor_output_is_distribution():
     space = _obs_space(8)
     model = agent.RacModel(space.obs_dim, 8, _small_hyper())
     e = make_event("e", "d", "cs3", T0)
-    pi = agent.RacRecommender(model, space).probabilities([("d", [e], [1])])[0]
+    pi = agent.RacRecommender(model, space).probabilities([("d", EventColumns.of([e]), [1])])[0]
     assert pi.shape == (8,)
     assert np.all(pi > 0)
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
@@ -330,7 +331,7 @@ def test_update_target_interval_one():
 # ---------------------------------------------------------------------------
 
 def _trajectory(driver, n):
-    return build_trajectories(pattern_events(driver, ["cs0", "cs1", "cs2"], n))[driver]
+    return build_trajectories(EventColumns.of(pattern_events(driver, ["cs0", "cs1", "cs2"], n)))[driver]
 
 
 def test_buffer_windows_full_horizon():
@@ -424,7 +425,7 @@ def _drawn_buffer(data):
         events = [make_event(f"{driver}{i}", driver, f"cs{c}", T0 + timedelta(minutes=int(t)),
                              duration=float(rng.uniform(0, 60)), energy=float(rng.uniform(0, 20)))
                   for i, (c, t) in enumerate(zip(rng.integers(0, 4, n), minutes))]
-        trajectories[driver] = build_trajectories(events)[driver]
+        trajectories[driver] = build_trajectories(EventColumns.of(events))[driver]
         buffer.add_trajectory(space, trajectories[driver], max_step)
         ends[driver] = min(n if max_step is None else max_step, n) - 1
     return space, buffer, trajectories, ends
@@ -579,7 +580,7 @@ def test_actor_stays_valid_distribution_during_training():
     index, env, space, buffer, model, hyper = _training_setup(0.5, epochs=5)
     agent.train_rac(buffer, model, env, hyper)
     e = make_event("e", "driver-0", "cs0", T0)
-    pi = agent.RacRecommender(model, space).probabilities([("driver-0", [e], [1])])[0]
+    pi = agent.RacRecommender(model, space).probabilities([("driver-0", EventColumns.of([e]), [1])])[0]
     assert np.all(np.isfinite(pi))
     assert pi.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -623,7 +624,7 @@ def test_delta_log_consistency():
     rewards = env.breakdowns(batch.drivers, batch.prev_cols, batch.actions, batch.hours).reward
     # The next states in a second encoder pass of their own: step j's next
     # state is the history that includes event j.
-    trajectories = build_trajectories(_training_events(3))
+    trajectories = build_trajectories(EventColumns.of(_training_events(3)))
     next_histories = np.stack([
         _pad_history(space.rows(trajectories[w.driver_id].events, None)[: j + 1], hyper.history)
         for w in batch.windows
@@ -650,7 +651,8 @@ def test_explained_variance_is_null_when_targets_are_equal():
     env = constant_reward_env(index, {"cs0": 10.0, "cs1": 10.0})
     space = agent.ObservationSpace(index, max_duration=30.0, max_energy=10.0, history=3)
     hyper = _small_hyper(history=3, horizon=3, gamma=0.0)
-    buffer = agent.build_buffer(space, build_trajectories(pattern_events("d", ["cs0", "cs1"], 12)), None, hyper)
+    trajectories = build_trajectories(EventColumns.of(pattern_events("d", ["cs0", "cs1"], 12)))
+    buffer = agent.build_buffer(space, trajectories, None, hyper)
     records = agent.train_rac(buffer, agent.RacModel(space.obs_dim, 2, hyper), env, hyper)
     assert [r["critic_explained_var"] for r in records] == [None] * hyper.epochs
     assert all(0.0 <= r["policy_entropy"] <= np.log(2) for r in records)
@@ -703,7 +705,7 @@ def _net_env(index, net):
     events = []
     for d in range(4):
         events += pattern_events(f"driver-{d}", list(index.order), 12)
-    forecaster = rw.NetWaitForecaster(net, rw.build_wait_series(events), index, 3)
+    forecaster = rw.NetWaitForecaster(net, rw.build_wait_series(EventColumns.of(events)), index, 3)
     return rw.RewardEnvironment(index, forecaster, {})
 
 
@@ -767,7 +769,7 @@ def _recommend_setup():
     env = constant_reward_env(index, {"cs0": 10.0, "cs1": 10.0, "cs2": 10.0})
     space = agent.ObservationSpace(index, 30.0, 10.0, 5)
     model = agent.RacModel(space.obs_dim, 3, _small_hyper())
-    history = pattern_events("d1", ["cs0", "cs1"], 4)
+    history = EventColumns.of(pattern_events("d1", ["cs0", "cs1"], 4))
     return index, env, space, model, history
 
 
@@ -791,7 +793,7 @@ def test_recommend_k_bounds():
     with pytest.raises(UsageError):
         agent.recommend(model, space, env, "d1", history, 4)
     with pytest.raises(UsageError):
-        agent.recommend(model, space, env, "d1", [], 1)
+        agent.recommend(model, space, env, "d1", history[:0], 1)
 
 
 def test_recommend_annotations():
@@ -808,7 +810,7 @@ def test_recommend_learned_preference_top1():
     index = make_stations(["cs0", "cs1", "cs2"])
     env = constant_reward_env(index, {"cs0": 10.0, "cs1": 10.0, "cs2": 10.0})
     space = agent.ObservationSpace(index, 30.0, 10.0, 5)
-    events = pattern_events("loyal", ["cs2"], 20)
+    events = EventColumns.of(pattern_events("loyal", ["cs2"], 20))
     trajectories = build_trajectories(events)
     hyper = _small_hyper(epsilon=1.0, alpha=0.5, epochs=120, samples_per_epoch=8, seed=2)
     buffer = agent.build_buffer(space, trajectories, None, hyper)
@@ -825,7 +827,7 @@ def test_gather_batch_histories_match_windows(max_step):
     # link of the first row kept and the left padding.
     space = _obs_space(3, history=3)
     buffer = agent.ReplayBuffer(history=3, horizon=4)
-    traj = build_trajectories(pattern_events("d", ["cs0", "cs2", "cs1", "cs1"], 11))["d"]
+    traj = build_trajectories(EventColumns.of(pattern_events("d", ["cs0", "cs2", "cs1", "cs1"], 11)))["d"]
     buffer.add_trajectory(space, traj, max_step)
     batch = agent._gather_batch(buffer, buffer.windows)
     steps = [j for w in buffer.windows for j in range(w.start, w.start + w.length)]
@@ -860,7 +862,7 @@ def test_recommend_ranks_like_rac_recommender():
     index, env, space, _, _ = _recommend_setup()
     model = agent.RacModel(space.obs_dim, 3, _small_hyper(seed=7))
     rec = agent.RacRecommender(model, space)
-    events = pattern_events("d1", ["cs0", "cs2", "cs1", "cs2"], 12)
+    events = EventColumns.of(pattern_events("d1", ["cs0", "cs2", "cs1", "cs2"], 12))
     for j in range(1, len(events) + 1):
         items = agent.recommend(model, space, env, "d1", events[:j], 3)
         assert [i.station_id for i in items] == rec.rank([("d1", events, [j])], 3)[0]
@@ -933,7 +935,7 @@ def test_probabilities_rows_are_policy_rows(data):
     """`probabilities` runs the policy in passes: each of its rows has the
     bits of the `model.policy` row over the same pass of windows
     (passes of 1, 3 or 129 cuts and 1-3 encoder layers, consecutive requests
-    sometimes over one events list), and a cut of 0 gets the uniform row."""
+    sometimes over one events table), and a cut of 0 gets the uniform row."""
     m = data.draw(st.integers(1, 12), label="m")
     k = data.draw(st.integers(1, 10), label="k")
     layers = data.draw(st.integers(1, 3), label="layers")
@@ -945,7 +947,7 @@ def test_probabilities_rows_are_policy_rows(data):
         if requests and data.draw(st.booleans(), label="same events list"):
             events = requests[-1][1]  # one `windows` call serves both requests' cuts in a pass
         else:
-            events = _random_events(rng, f"d{d}", stations, data.draw(st.integers(0, 25), label="n"))
+            events = EventColumns.of(_random_events(rng, f"d{d}", stations, data.draw(st.integers(0, 25), label="n")))
         cuts = data.draw(st.lists(st.integers(0, len(events)), min_size=1, max_size=60), label="cuts")
         requests.append((f"d{d}", events, cuts))
     model = agent.RacModel(space.obs_dim, m, _small_hyper(history=k, layers=layers, seed=int(rng.integers(1000))))
@@ -972,11 +974,12 @@ def test_batched_probabilities_match_per_event_oracle(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     stations = [f"cs{i:02d}" for i in range(m)]
     space = agent.ObservationSpace(make_stations(stations, spacing_km=1.5), 60.0, 20.0, k)
-    train = {f"d{d}": _random_events(rng, f"d{d}", stations, int(rng.integers(2, 12))) for d in range(3)}
+    train = {f"d{d}": EventColumns.of(_random_events(rng, f"d{d}", stations, int(rng.integers(2, 12))))
+             for d in range(3)}
     requests = []
     for _ in range(data.draw(st.integers(1, 4), label="requests")):
         driver = data.draw(st.sampled_from(["d0", "d1", "d2", "stranger"]), label="driver")
-        events = _random_events(rng, driver, stations, data.draw(st.integers(0, 25), label="n"))
+        events = EventColumns.of(_random_events(rng, driver, stations, data.draw(st.integers(0, 25), label="n")))
         cuts = data.draw(st.lists(st.integers(0, len(events)), min_size=1, max_size=12), label="cuts")
         requests.append((driver, events, cuts))
 
@@ -992,7 +995,8 @@ def test_batched_probabilities_match_per_event_oracle(data):
     assert ranked == [_rank_row(row, stations, m) for row in want]
 
     # The baselines also see previous stations they do not know.
-    seen = [(driver, [replace(e, station_id="elsewhere") if rng.random() < 0.2 else e for e in events], cuts)
+    seen = [(driver, EventColumns.of([replace(e, station_id="elsewhere") if rng.random() < 0.2 else e
+                                      for e in events]), cuts)
             for driver, events, cuts in requests]
     baselines = [
         (MarkovRecommender(stations).fit(train), _per_event_mc),
@@ -1036,7 +1040,8 @@ def test_per_driver_probabilities_match_one_recommender_per_driver(data):
     stations = [f"cs{i:02d}" for i in range(m)]
     space = agent.ObservationSpace(make_stations(stations, spacing_km=1.5), 60.0, 20.0, k)
     drivers = [f"d{i}" for i in range(data.draw(st.integers(1, 4), label="drivers"))]
-    events_of = {d: _random_events(rng, d, stations, data.draw(st.integers(0, 12), label="n")) for d in drivers}
+    events_of = {d: EventColumns.of(_random_events(rng, d, stations, data.draw(st.integers(0, 12), label="n")))
+                 for d in drivers}
     requests = []
     for _ in range(data.draw(st.integers(1, 6), label="requests")):
         d = data.draw(st.sampled_from(drivers), label="driver")
@@ -1122,8 +1127,9 @@ def test_prebuilt_validation_windows_change_no_model(monkeypatch, jobs, chunk):
                                  ["cs2", "cs1"]]):
         events += pattern_events(f"d{d}", pattern, 30 + 10 * d)
     trajectories, splits, _ = split_population(events)
-    trajectories["loner"] = build_trajectories(pattern_events("loner", ["cs1", "cs0"], 2))["loner"]
-    pool = build_trajectories(pattern_events("anon-0", ["cs0", "cs2"], 12) + pattern_events("anon-1", ["cs1"], 8))
+    trajectories["loner"] = build_trajectories(EventColumns.of(pattern_events("loner", ["cs1", "cs0"], 2)))["loner"]
+    pool = build_trajectories(EventColumns.of(pattern_events("anon-0", ["cs0", "cs2"], 12)
+                                              + pattern_events("anon-1", ["cs1"], 8)))
     hyper = _small_hyper(epochs=2, seed=2, epsilon=1.0, alpha=0.5)
     kwargs = dict(warmup_trajectories=pool, finetune_epochs=6, patience=2)
     monkeypatch.setattr(agent, "INFERENCE_ROWS", chunk)
@@ -1162,12 +1168,12 @@ def test_warmup_cold_start_recommendation_defined():
     pool_events = []
     for d in range(3):
         pool_events += pattern_events(f"anon-{d}", ["cs0", "cs1"], 6)
-    cold = pattern_events("newbie", ["cs0", "cs1"], 2)
+    cold = EventColumns.of(pattern_events("newbie", ["cs0", "cs1"], 2))
     trajectories = build_trajectories(cold)
     hyper = _small_hyper(epsilon=1.0, epochs=5, seed=3)
     shared, models = agent.warmup_then_finetune(
         space, env, trajectories, {}, hyper,
-        warmup_trajectories=build_trajectories(pool_events),
+        warmup_trajectories=build_trajectories(EventColumns.of(pool_events)),
         finetune_epochs=2, patience=1,
     )
     items = agent.recommend(models["newbie"], space, env, "newbie", cold, 1)
@@ -1203,7 +1209,7 @@ def test_finetune_epochs_draw_their_own_windows(monkeypatch):
     index = make_stations(["cs0", "cs1"])
     env = constant_reward_env(index, {"cs0": 10.0, "cs1": 10.0})
     space = agent.ObservationSpace(index, 30.0, 10.0, 5)
-    traj = build_trajectories(pattern_events("d1", ["cs0", "cs1"], 20))["d1"]
+    traj = build_trajectories(EventColumns.of(pattern_events("d1", ["cs0", "cs1"], 20)))["d1"]
     hyper = _small_hyper(epsilon=1.0, horizon=3, seed=6)
     shared = agent.RacModel(space.obs_dim, len(index), hyper)
     agent.finetune_driver(shared, space, env, traj, None, hyper, epochs=2, patience=1)

@@ -18,16 +18,17 @@ from evrac.baselines import (
     _train_sequences,
     rank_rows,
 )
+from evrac.dataset import EventColumns
 from evrac.errors import UsageError
 from evrac.nn import sigmoid, softmax
 from evrac.seeding import rng_for
 
 
 def _events_from_sequence(driver, stations):
-    return [
+    return EventColumns.of([
         make_event(f"{driver}-{i:03d}", driver, sid, T0 + timedelta(hours=i))
         for i, sid in enumerate(stations)
-    ]
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +333,13 @@ def test_popularity_per_driver_counts():
         "d2": _events_from_sequence("d2", ["cs2"] * 5),
     }
     model = PopularityRecommender(["cs0", "cs1", "cs2"]).fit(train)
-    assert model.rank([("d1", [], [0])], 1) == [["cs1"]]
-    assert model.rank([("d2", [], [0])], 1) == [["cs2"]]
+    assert model.rank([("d1", EventColumns.of([]), [0])], 1) == [["cs1"]]
+    assert model.rank([("d2", EventColumns.of([]), [0])], 1) == [["cs2"]]
     # unknown driver: global counts (cs2 dominates)
-    assert model.rank([("nobody", [], [0])], 1) == [["cs2"]]
+    assert model.rank([("nobody", EventColumns.of([]), [0])], 1) == [["cs2"]]
 
 
 def test_popularity_empty_model_uniform():
     model = PopularityRecommender(["cs0", "cs1"])
-    assert model.probabilities([("x", [], [0])])[0] == pytest.approx([0.5, 0.5])
-    assert model.rank([("x", [], [0])], 2) == [["cs0", "cs1"]]
+    assert model.probabilities([("x", EventColumns.of([]), [0])])[0] == pytest.approx([0.5, 0.5])
+    assert model.rank([("x", EventColumns.of([]), [0])], 2) == [["cs0", "cs1"]]

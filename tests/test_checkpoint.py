@@ -11,6 +11,7 @@ from conftest import T0, checkpoint_mutations, make_event
 from evrac import checkpoint as ckpt
 from evrac.agent import RacHyper, RacModel
 from evrac.baselines import FpmcHyper, FpmcRecommender, MarkovRecommender, PopularityRecommender
+from evrac.dataset import EventColumns
 from evrac.errors import DataFormatError, EvracError
 from evrac.reward import RewardNetHyper, WaitForecastNet
 from evrac.seeding import rng_for
@@ -200,10 +201,10 @@ def test_reward_checkpoint_loaders_raise_only_package_errors(tmp_path, data):
 
 def _train_events():
     return {
-        "d1": [
+        "d1": EventColumns.of([
             make_event(f"e{i}", "d1", sid, T0)
             for i, sid in enumerate(["cs0", "cs1", "cs0", "cs1"])
-        ]
+        ])
     }
 
 

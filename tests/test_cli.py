@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -393,19 +394,25 @@ def test_recommend_at_sees_only_earlier_sessions(synth, capsys):
     model, _ = load_rac_model(ckpt)
     env = evaluation_environment(bundle, None)
     events = bundle.trajectories["driver-1"].events
+    # At an event's exact start the history ends before that event; one
+    # microsecond later it includes it.
     for j in (1, 5, len(events) - 1):
-        at = events[j].start_time.strftime("%Y-%m-%dT%H:%M:%SZ")
-        assert main(["recommend", "--config", str(config), "--model", str(ckpt),
-                     "--driver", "driver-1", "--k", "2", "--at", at]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        expected = recommend(model, bundle.obs_space, env, "driver-1", events[:j], 2, events[j].start_time)
-        assert payload["timestamp"] == at
-        assert payload["items"] == [
-            {"station_id": it.station_id, "prob": it.prob, "est_wait_min": it.est_wait_min,
-             "est_dist_km": it.est_dist_km, "est_reward": it.est_reward, "fallback": it.fallback,
-             "clamped": it.clamped}
-            for it in expected
-        ]
+        start = events[j].start_time
+        later = start + timedelta(microseconds=1)
+        assert j + 1 == len(events) or events[j + 1].start_time >= later
+        for when, at, seen in ((start, start.strftime("%Y-%m-%dT%H:%M:%SZ"), j),
+                               (later, later.strftime("%Y-%m-%dT%H:%M:%S.%fZ"), j + 1)):
+            assert main(["recommend", "--config", str(config), "--model", str(ckpt),
+                         "--driver", "driver-1", "--k", "2", "--at", at]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            expected = recommend(model, bundle.obs_space, env, "driver-1", events[:seen], 2, when)
+            assert payload["timestamp"] == start.strftime("%Y-%m-%dT%H:%M:%SZ")
+            assert payload["items"] == [
+                {"station_id": it.station_id, "prob": it.prob, "est_wait_min": it.est_wait_min,
+                 "est_dist_km": it.est_dist_km, "est_reward": it.est_reward, "fallback": it.fallback,
+                 "clamped": it.clamped}
+                for it in expected
+            ]
     first = events[0].start_time.strftime("%Y-%m-%dT%H:%M:%SZ")
     for k, at in (("2", first), ("0", None)):
         argv = ["recommend", "--config", str(config), "--model", str(ckpt), "--driver", "driver-1", "--k", k]

@@ -15,6 +15,7 @@ import oracles
 from conftest import T0, make_event, make_stations, mutated_rows
 from evrac import dataset
 from evrac.agent import ObservationSpace
+from evrac.dataset import EventColumns
 from evrac.errors import ConfigError, DataFormatError, DomainError, EvracError, UsageError
 
 
@@ -425,7 +426,7 @@ def test_build_trajectories_sorts_by_time():
         make_event("e1", "d1", "cs2", T0),
         make_event("e2", "d1", "cs3", T0 + timedelta(hours=1)),
     ]
-    trajs = dataset.build_trajectories(events)
+    trajs = dataset.build_trajectories(EventColumns.of(events))
     assert [e.event_id for e in trajs["d1"].events] == ["e1", "e2", "e3"]
 
 
@@ -436,7 +437,7 @@ def test_build_trajectories_two_drivers():
         make_event("a2", "d1", "cs2", T0 + timedelta(hours=1)),
         make_event("b2", "d2", "cs2", T0 + timedelta(hours=1)),
     ]
-    trajs = dataset.build_trajectories(events)
+    trajs = dataset.build_trajectories(EventColumns.of(events))
     assert len(trajs) == 2
     assert all(len(t.events) == 2 for t in trajs.values())
     assert sum(len(t.events) for t in trajs.values()) == len(events)
@@ -447,7 +448,7 @@ def test_simultaneous_events_tie_break_on_event_id():
         make_event("z", "d1", "cs1", T0),
         make_event("a", "d1", "cs2", T0),
     ]
-    trajs = dataset.build_trajectories(events)
+    trajs = dataset.build_trajectories(EventColumns.of(events))
     assert [e.event_id for e in trajs["d1"].events] == ["a", "z"]
 
 
@@ -457,7 +458,7 @@ def test_simultaneous_events_tie_break_on_event_id():
 
 def _traj(n):
     return dataset.DriverTrajectory(
-        "d", [make_event(f"e{i:03d}", "d", "cs1", T0 + timedelta(hours=i)) for i in range(n)]
+        "d", EventColumns.of([make_event(f"e{i:03d}", "d", "cs1", T0 + timedelta(hours=i)) for i in range(n)])
     )
 
 
@@ -497,7 +498,7 @@ def test_no_test_event_precedes_train(n):
 def test_split_all_excludes_small_drivers():
     trajs = {
         "big": _traj(10),
-        "small": dataset.DriverTrajectory("small", [make_event("x", "small", "cs1", T0)]),
+        "small": dataset.DriverTrajectory("small", EventColumns.of([make_event("x", "small", "cs1", T0)])),
     }
     splits, excluded = dataset.split_all(trajs)
     assert set(splits) == {"big"}
@@ -512,7 +513,7 @@ def _pool_trajs(sizes):
     return {
         f"d{j}": dataset.DriverTrajectory(
             f"d{j}",
-            [make_event(f"d{j}-e{i:03d}", f"d{j}", "cs1", T0 + timedelta(hours=i)) for i in range(n)],
+            EventColumns.of([make_event(f"d{j}-e{i:03d}", f"d{j}", "cs1", T0 + timedelta(hours=i)) for i in range(n)]),
         )
         for j, n in enumerate(sizes)
     }
@@ -551,7 +552,8 @@ def test_warmup_pool_anonymizes_and_keeps_earliest():
 def _soc(duration: float, max_duration: float = 30.0) -> float:
     """The SOC column of one observation: duration / train max, clipped to 1."""
     space = ObservationSpace(make_stations(["cs1"]), max_duration, 10.0, 5)
-    return space.rows([make_event("e", "d", "cs1", T0, duration=duration)], None)[0, space.index.context_width()]
+    events = EventColumns.of([make_event("e", "d", "cs1", T0, duration=duration)])
+    return space.rows(events, None)[0, space.index.context_width()]
 
 
 def test_soc_proxy_values():

@@ -23,7 +23,7 @@ from evrac import evaluation as ev
 from evrac import reward as rw
 from evrac.agent import ObservationSpace, RacHyper, RacModel, RacRecommender
 from evrac.baselines import FpmcHyper, FpmcRecommender, MarkovRecommender, PopularityRecommender, rank_rows
-from evrac.dataset import build_trajectories
+from evrac.dataset import EventColumns, build_trajectories
 from evrac.errors import UsageError
 from evrac.seeding import rng_for
 
@@ -185,7 +185,7 @@ def test_evaluate_counts_clamped_and_fallback_events():
     # (clamped); d2's top-1 cs2 has no sessions (mean fallback).
     trajectories, splits, _ = _population()
     index = make_stations(["cs0", "cs1", "cs2"], mean_wait=10.0, mean_dist=1.0)
-    events = [e for t in trajectories.values() for e in t.events]
+    events = EventColumns.concat([t.events for t in trajectories.values()])
     net = rw.WaitForecastNet(rw.reward_net_input_dim(index), 4, 1, rng_for(0, "clamp"))
     net.head.b[:] = -100.0
     env = rw.RewardEnvironment(index, rw.NetWaitForecaster(net, rw.build_wait_series(events), index, 5), {})
@@ -245,24 +245,21 @@ def test_report_writers(tmp_path):
 @given(st.data())
 def test_cut_points_match_dict_lookup(data):
     """`cut_points` gives the cuts of the per-call dict lookup, in the order
-    given, for split segments, for any other subset in any order (repeats
-    included), as columns and as a list of events; an event of another
-    driver is a KeyError in both."""
+    given, for split segments and for any other subset in any order
+    (repeats included); an event of another driver is a KeyError in both."""
     n = data.draw(st.integers(1, 30), label="n")
     events = [make_event(f"e{(7 * i) % 31:02d}", "d", f"cs{i % 3}", T0 + timedelta(hours=3 * i)) for i in range(n)]
-    traj = build_trajectories(events + pattern_events("other", ["cs0"], 2))["d"]
+    traj = build_trajectories(EventColumns.of(events + pattern_events("other", ["cs0"], 2)))["d"]
     if data.draw(st.booleans(), label="segment"):
         lo = data.draw(st.integers(0, n), label="lo")
         subset = traj.events[lo : data.draw(st.integers(lo, n), label="hi")]
     else:
         subset = traj.events.take(np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=12)), dtype=np.intp))
-    if data.draw(st.booleans(), label="as a list"):
-        subset = list(subset)
     assert ev.cut_points(traj, subset) == oracles.cut_points(traj, subset)
     stranger = pattern_events("other", ["cs0"], 1)
     for lookup in (ev.cut_points, oracles.cut_points):
         with pytest.raises(KeyError):
-            lookup(traj, list(subset) + stranger)
+            lookup(traj, EventColumns.of(list(subset) + stranger))
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +319,12 @@ def chunked_city():
     # The oracle's per-driver recommenders: one single-model adapter each.
     models = {d: RacRecommender(m, space) for d, m in driver_models.items()}
     net = rw.WaitForecastNet(rw.reward_net_input_dim(index), 4, 1, rng_for(0, "one-pass"))
-    familiarity = rw.most_visited(e for s in splits.values() for e in s.train)
+    familiarity = rw.most_visited(EventColumns.concat([s.train for s in splits.values()]))
     envs = {
         "none": None,
         "means": rw.RewardEnvironment(index, rw.MeanWaitForecaster(index), familiarity),
-        "net": rw.RewardEnvironment(index, rw.NetWaitForecaster(net, rw.build_wait_series(events), index, 3),
+        "net": rw.RewardEnvironment(index, rw.NetWaitForecaster(net, rw.build_wait_series(EventColumns.of(events)),
+                                                                index, 3),
                                     familiarity),
     }
     return trajectories, splits, recommenders, models, envs
@@ -445,7 +443,7 @@ def _recommender(kind, stations, train):
 def test_cuts_outside_the_events_are_usage_errors(kind, cut):
     """A cut j conditions on `events[:j]`, so j must lie in [0, len(events)];
     any other cut is rejected before any row is built."""
-    events = pattern_events("d1", ["cs0", "cs1", "cs2"], 8)
+    events = EventColumns.of(pattern_events("d1", ["cs0", "cs1", "cs2"], 8))
     rec = _recommender(kind, ["cs0", "cs1", "cs2"], {"d1": events})
     assert rec.probabilities([("d1", events, [0, 8])]).shape == (2, 3)
     with pytest.raises(UsageError, match="cut"):

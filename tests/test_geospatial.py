@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import T0, km_to_lon_degrees, make_event, make_stations, mutated_rows, reference_location_context
 from evrac import geospatial as geo
+from evrac.dataset import EventColumns
 from evrac.errors import ConfigError, DataFormatError, DomainError, EvracError, UnknownStationError
 from evrac.reward import build_wait_series
 
@@ -313,11 +314,11 @@ def test_unknown_station_lookup():
 def test_station_norms_mean_wait():
     # three sessions in separate hours: 10, 20, 30 occupied minutes
     index = make_stations(["cs0"])
-    events = [
+    events = EventColumns.of([
         make_event("e1", "d1", "cs0", T0, duration=10.0),
         make_event("e2", "d1", "cs0", T0 + timedelta(hours=1), duration=20.0),
         make_event("e3", "d1", "cs0", T0 + timedelta(hours=2), duration=30.0),
-    ]
+    ])
     mean_wait, _ = geo.station_norms(events, index, build_wait_series(events))
     assert mean_wait == pytest.approx([20.0])
 
@@ -329,6 +330,7 @@ def test_station_norms_two_station_toy_distance():
         events.append(
             make_event(f"e{i}", "d1", "cs0" if i % 2 == 0 else "cs1", T0 + timedelta(hours=i))
         )
+    events = EventColumns.of(events)
     _, mean_dist = geo.station_norms(events, index, build_wait_series(events))
     assert mean_dist == pytest.approx([4.0, 4.0], abs=1e-9)
 
@@ -336,28 +338,28 @@ def test_station_norms_two_station_toy_distance():
 def test_station_norms_distance_fallback_to_global():
     # cs2 is only ever the first event of its driver: no arrival hops
     index = make_stations(["cs0", "cs1", "cs2"], spacing_km=3.0)
-    events = [
+    events = EventColumns.of([
         make_event("a0", "d1", "cs0", T0),
         make_event("a1", "d1", "cs1", T0 + timedelta(hours=1)),
         make_event("b0", "d2", "cs2", T0),
-    ]
+    ])
     _, mean_dist = geo.station_norms(events, index, build_wait_series(events))
     assert mean_dist[index.index_of("cs2")] == pytest.approx(3.0, abs=1e-9)  # global mean of the one hop
 
 
 def test_station_norms_requires_events():
     with pytest.raises(ConfigError):
-        geo.station_norms([], make_stations(["cs0"]), {})
+        geo.station_norms(EventColumns.of([]), make_stations(["cs0"]), {})
 
 
 def test_station_norms_train_only_determinism():
     index = make_stations(["cs0", "cs1"], spacing_km=2.0)
-    train = [
+    train = EventColumns.of([
         make_event(f"e{i}", "d1", "cs0" if i % 2 == 0 else "cs1", T0 + timedelta(hours=i))
         for i in range(8)
-    ]
+    ])
     a = geo.station_norms(train, index, build_wait_series(train))
-    b = geo.station_norms(list(train), index, build_wait_series(train))
+    b = geo.station_norms(EventColumns.of(list(train)), index, build_wait_series(train))
     assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 

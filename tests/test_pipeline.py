@@ -67,7 +67,7 @@ def test_bundle_small_drivers_feed_environment_only(tmp_path):
     # the excluded driver's occupancy is still in the training wait series
     from evrac.reward import epoch_hour
 
-    assert bundle.train_series["cs1"].value(epoch_hour(T0)) >= 45.0
+    assert bundle.train_series["cs1"].buckets.get(epoch_hour(T0), 0.0) >= 45.0
 
 
 def test_bundle_norms_use_training_split_only(tmp_path):

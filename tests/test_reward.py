@@ -36,14 +36,14 @@ from evrac.seeding import rng_for
 # ---------------------------------------------------------------------------
 
 def test_wait_series_single_hour_session():
-    series = rw.build_wait_series([make_event("e1", "d", "cs0", T0, duration=60.0)])
+    series = rw.build_wait_series(EventColumns.of([make_event("e1", "d", "cs0", T0, duration=60.0)]))
     buckets = series["cs0"].buckets
     assert buckets == {rw.epoch_hour(T0): 60.0}
 
 
 def test_wait_series_first_hour_is_its_earliest_bucket():
     events = [make_event("e1", "d", "cs0", T0 + timedelta(hours=5)), make_event("e2", "d", "cs0", T0)]
-    s = rw.build_wait_series(events)["cs0"]
+    s = rw.build_wait_series(EventColumns.of(events))["cs0"]
     assert s.first_hour == min(s.buckets) == rw.epoch_hour(T0)
     assert rw.WaitSeries("cs9").first_hour is None
 
@@ -58,7 +58,7 @@ def test_dense_series_view_matches_bucket_lookups(sessions, queries, k):
     three stations' views (cs2 has no series)."""
     events = [make_event(f"e{i}", "d", f"cs{i % 2}", T0 + timedelta(hours=h), duration=dur)
               for i, (h, dur) in enumerate(sessions)]
-    series = rw.build_wait_series(events)
+    series = rw.build_wait_series(EventColumns.of(events))
     base = rw.epoch_hour(T0)
     hours = np.array([base + h for _, h in queries], dtype=np.int64)
     for sid in ("cs0", "cs1", "cs2"):
@@ -77,7 +77,7 @@ def test_dense_series_view_matches_bucket_lookups(sessions, queries, k):
 
 def test_wait_series_split_across_hours():
     start = T0.replace(minute=30)  # 08:30, 90 minutes -> 30 + 60
-    series = rw.build_wait_series([make_event("e1", "d", "cs0", start, duration=90.0)])
+    series = rw.build_wait_series(EventColumns.of([make_event("e1", "d", "cs0", start, duration=90.0)]))
     buckets = series["cs0"].buckets
     eh = rw.epoch_hour(start)
     assert buckets[eh] == pytest.approx(30.0)
@@ -88,12 +88,10 @@ def test_wait_series_split_across_hours():
 def test_wait_series_additive_within_hour():
     t1 = T0.replace(hour=10, minute=0)
     t2 = T0.replace(hour=10, minute=30)
-    series = rw.build_wait_series(
-        [
-            make_event("e1", "d", "cs0", t1, duration=30.0),
-            make_event("e2", "d2", "cs0", t2, duration=30.0),
-        ]
-    )
+    series = rw.build_wait_series(EventColumns.of([
+        make_event("e1", "d", "cs0", t1, duration=30.0),
+        make_event("e2", "d2", "cs0", t2, duration=30.0),
+    ]))
     assert series["cs0"].buckets[rw.epoch_hour(t1)] == pytest.approx(60.0)
 
 
@@ -106,9 +104,9 @@ def test_wait_series_time_causal(sessions, horizon):
         for i, (h, d) in enumerate(sessions)
     ]
     cutoff = rw.epoch_hour(T0) + horizon
-    full = rw.build_wait_series(events)["cs0"].buckets
+    full = rw.build_wait_series(EventColumns.of(events))["cs0"].buckets
     truncated_events = [e for e in events if rw.epoch_hour(e.start_time) <= cutoff]
-    part = rw.build_wait_series(truncated_events) if truncated_events else {}
+    part = rw.build_wait_series(EventColumns.of(truncated_events)) if truncated_events else {}
     part_buckets = part["cs0"].buckets if "cs0" in part else {}
     for eh, v in full.items():
         if eh <= cutoff:
@@ -131,7 +129,7 @@ def test_wait_series_have_the_bits_of_the_per_event_loop(sessions, random):
     chunks = rw.hour_chunks(columns)
     order = list(range(len(events)))
     random.shuffle(order)
-    for got, want in ((rw.build_wait_series(events), oracles.build_wait_series(events)),
+    for got, want in ((rw.build_wait_series(columns), oracles.build_wait_series(events)),
                       (rw.build_wait_series(columns, np.array(order, dtype=np.intp), chunks),
                        oracles.build_wait_series([events[i] for i in order]))):
         assert [(sid, [(h, struct.pack("<d", v)) for h, v in s.buckets.items()]) for sid, s in got.items()] == \
@@ -139,7 +137,7 @@ def test_wait_series_have_the_bits_of_the_per_event_loop(sessions, random):
 
 
 def test_export_wait_series(tmp_path):
-    series = rw.build_wait_series([make_event("e1", "d", "cs0", T0, duration=90.0)])
+    series = rw.build_wait_series(EventColumns.of([make_event("e1", "d", "cs0", T0, duration=90.0)]))
     path = tmp_path / "w.csv"
     rw.export_wait_series(series, path)
     lines = path.read_text().strip().splitlines()
@@ -158,7 +156,7 @@ def _visits(driver, counts):
         for _ in range(n):
             events.append(make_event(f"{driver}-{i}", driver, sid, T0 + timedelta(hours=i)))
             i += 1
-    return events
+    return EventColumns.of(events)
 
 
 def _zeta(driver_id, station_id, events):
@@ -250,7 +248,7 @@ def _constant_series(index, value, hours):
         make_event(f"e{i}", "d", "cs0", T0 + timedelta(hours=i), duration=value)
         for i in range(hours)
     ]
-    return rw.build_wait_series(events)
+    return rw.build_wait_series(EventColumns.of(events))
 
 
 def test_train_reward_net_constant_series():
@@ -268,10 +266,10 @@ def test_train_reward_net_constant_series():
 @pytest.mark.parametrize("clip_norm", [0.0, 1e-3, 1e6])
 def test_train_reward_net_logs_every_epoch(clip_norm):
     index = make_stations(["cs0", "cs1"], mean_wait=25.0)
-    series = rw.build_wait_series([
+    series = rw.build_wait_series(EventColumns.of([
         make_event(f"e{i}", "d", f"cs{i % 2}", T0 + timedelta(hours=i // 2), duration=float(10 + i % 7 * 9))
         for i in range(80)
-    ])
+    ]))
     hyper = rw.RewardNetHyper(window=3, hidden=4, layers=1, alpha=0.1, epochs=4, clip_norm=clip_norm, seed=2)
     _, report = rw.train_reward_net(series, index, hyper)
     log = report["epoch_log"]
@@ -294,7 +292,7 @@ def test_train_reward_net_sawtooth_beats_mean():
         make_event(f"e{i}", "d", "cs0", T0 + timedelta(hours=i), duration=pattern[i % 4])
         for i in range(96)
     ]
-    series = rw.build_wait_series(events)
+    series = rw.build_wait_series(EventColumns.of(events))
     hyper = rw.RewardNetHyper(window=4, hidden=8, layers=2, alpha=0.1, epochs=400, seed=1)
     net, report = rw.train_reward_net(series, index, hyper)
     variance = float(np.var(pattern))
@@ -307,7 +305,7 @@ def test_train_reward_net_skips_short_stations(caplog):
         make_event(f"e{i}", "d", "cs0", T0 + timedelta(hours=i), duration=30.0) for i in range(40)
     ]
     events.append(make_event("x", "d", "cs1", T0, duration=30.0))
-    series = rw.build_wait_series(events)
+    series = rw.build_wait_series(EventColumns.of(events))
     hyper = rw.RewardNetHyper(window=10, hidden=4, layers=1, epochs=1, seed=0)
     with caplog.at_level("WARNING"):
         net, report = rw.train_reward_net(series, index, hyper)
@@ -392,13 +390,13 @@ def _pricing_city():
                    duration=float(5 + (i * 37) % 80))
         for i in range(60)
     ]
-    return index, rw.build_wait_series(events)
+    return index, rw.build_wait_series(EventColumns.of(events))
 
 
 def _reference_inputs(series, index, station_id, eh, k):
     """Per-step construction of one forecaster input, the layout
     `forecast_inputs` vectorises."""
-    lags = np.array([series[station_id].value(h) for h in range(eh - k, eh)]) / index.mean_wait[index.index_of(station_id)]
+    lags = series[station_id].values(np.arange(eh - k, eh)) / index.mean_wait[index.index_of(station_id)]
     ctx = reference_location_context(index, station_id, None)
     return np.stack([
         np.concatenate([[lags[j]], ctx, reference_time_features(rw.hour_to_datetime(eh - k + j))])
@@ -560,10 +558,10 @@ def test_chunked_fit_is_reproducible(tmp_path_factory, seed):
     """Two fits over several chunks, the last one partial, write the same
     checkpoint bytes."""
     index = make_stations(["cs0", "cs1"], mean_wait=25.0)
-    series = rw.build_wait_series([
+    series = rw.build_wait_series(EventColumns.of([
         make_event(f"e{i}", "d", f"cs{i % 2}", T0 + timedelta(hours=i // 2), duration=float(5 + i * 37 % 50))
         for i in range(1300)
-    ])
+    ]))
     hyper = rw.RewardNetHyper(window=3, hidden=4, layers=2, alpha=0.1, epochs=2, seed=seed)
     paths = []
     for _ in range(2):

@@ -295,6 +295,8 @@ def _load_index(path: Path) -> tuple[str, dict[str, str]]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if (args.model is None) == (args.model_dir is None):
+        raise UsageError("eval needs exactly one of --model and --model-dir")
     config = _build_config(args)
     bundle = load_data_bundle(config)
     env = evaluation_environment(bundle, _load_reward(args))

@@ -1,14 +1,14 @@
 """Charging-event ingestion, per-driver trajectories, chronological splits
 and the anonymized warm-up pool.
 
-Events travel as columns. `parse_events` reads a canonical file with one
-`csv.reader` pass into an `EventColumns` table and checks its values with
-array masks. Trajectories, splits and the warm-up pool are views or takes of
-that table, and every reader of events takes them as columns. A
-`ChargingEvent` object is built where an event arrives or leaves as one: the
-session adapters (whose events become columns with `EventColumns.of`),
-`write_events`, and each event that code reads from columns by index or
-iteration.
+Events travel as columns. `parse_events` reads every layout (canonical,
+Dundee, Glasgow) with one `csv.reader` pass: a per-layout mapper converts
+each row to its `CANONICAL_HEADER` fields, whose values are checked with
+array masks into an `EventColumns` table. Trajectories, splits and the
+warm-up pool are views or takes of that table, and every reader of events
+takes them as columns. A `ChargingEvent` object is built only where an event
+leaves as one: `write_events`, and each event that code reads from columns by
+index or iteration; `EventColumns.of` turns such objects back into columns.
 """
 
 from __future__ import annotations
@@ -107,9 +107,9 @@ class EventColumns:
     stations: tuple[str, ...]
 
     @classmethod
-    def build(cls, event_id: list[str], driver_id: list[str], station_id: list[str],
-              start_time: list[datetime], duration_min, energy_kwh) -> "EventColumns":
-        """A table of one list per field, in event order."""
+    def build(cls, event_id: Sequence[str], driver_id: Sequence[str], station_id: Sequence[str],
+              start_time: Sequence[datetime], duration_min, energy_kwh) -> "EventColumns":
+        """A table of one sequence per field, in event order."""
         n = len(event_id)
         drivers, stations = tuple(dict.fromkeys(driver_id)), tuple(dict.fromkeys(station_id))
         id_rank = np.empty(n, dtype=np.intp)
@@ -133,7 +133,8 @@ class EventColumns:
 
     @classmethod
     def of(cls, events: Sequence[ChargingEvent]) -> "EventColumns":
-        """ChargingEvents as columns, in the order given."""
+        """ChargingEvents as columns, in the order given. No parse builds
+        one: this serves `concat`'s fallback and events made one at a time."""
         return cls.build([e.event_id for e in events], [e.driver_id for e in events],
                          [e.station_id for e in events], [e.start_time for e in events],
                          [e.duration_min for e in events], [e.energy_kwh for e in events])
@@ -311,8 +312,11 @@ def _lookup(row: dict[str, str], aliases: Sequence[str], what: str) -> str:
     raise ValueError(f"missing {what} column (tried {', '.join(aliases)})")
 
 
-def _session_row(row: dict[str, str], line_no: int, prefix: str) -> ChargingEvent:
-    """Shared mapper for the Dundee/Glasgow session layouts.
+def _session_row(row: dict[str, str], line_no: int, prefix: str) -> tuple:
+    """Shared mapper for the Dundee/Glasgow session layouts: a row's
+    `CANONICAL_HEADER` fields, whose values `parse_events` checks as it
+    checks the canonical layout's. It builds no `ChargingEvent`; the
+    reference parser of the tests wraps its fields into one.
 
     Expects per-transaction rows with a charge-point id, user id, start/end
     date+time and consumed energy; headers are matched case-insensitively
@@ -351,14 +355,22 @@ def _session_row(row: dict[str, str], line_no: int, prefix: str) -> ChargingEven
     else:
         raise ValueError("no duration or end time")
 
-    return ChargingEvent(
-        event_id=event_id,
-        driver_id=driver.strip(),
-        station_id=station.strip(),
-        start_time=start,
-        duration_min=duration,
-        energy_kwh=energy,
-    )
+    return event_id, driver.strip(), station.strip(), start, duration, energy
+
+
+def _canonical_row(header: list[str], path: Path):
+    """The canonical layout's mapper: a row's fields read by header
+    position (a repeated name reads its last field)."""
+    missing = [c for c in CANONICAL_HEADER if c not in header]
+    if missing:
+        raise DataFormatError(f"{path}: missing canonical columns {missing}")
+    at = {name: i for i, name in enumerate(header)}
+    i_id, i_driver, i_station, i_start, i_duration, i_energy = (at[c] for c in CANONICAL_HEADER)
+
+    def fields(row: list[str], line_no: int) -> tuple:
+        return (row[i_id].strip(), row[i_driver].strip(), row[i_station].strip(),
+                _parse_timestamp(row[i_start]), float(row[i_duration]), float(row[i_energy]))
+    return fields
 
 
 # Rows converted before their values are checked together; the parse holds
@@ -380,36 +392,27 @@ def _failed_checks(duration: np.ndarray, energy: np.ndarray) -> np.ndarray:
 _CHECK_REASONS = (None, NON_FINITE, NEGATIVE_DURATION, OVER_ONE_WEEK, NEGATIVE_ENERGY)
 
 
-def _parse_canonical(reader, header: list[str], path: Path) -> tuple[EventColumns, list[RejectedRow]]:
-    """The canonical layout in one pass: each row's fields are read by
-    header name and its time and numbers converted; then each block of rows
-    has its values checked at once with array masks, and its ids in order."""
-    missing = [c for c in CANONICAL_HEADER if c not in header]
-    if missing:
-        raise DataFormatError(f"{path}: missing canonical columns {missing}")
-    at = {name: i for i, name in enumerate(header)}  # a repeated name reads its last field
-    i_id, i_driver, i_station, i_start, i_duration, i_energy = (at[c] for c in CANONICAL_HEADER)
+def _parse_rows(reader, header: list[str], to_fields) -> tuple[EventColumns, list[RejectedRow]]:
+    """Every layout in one pass: `to_fields(row, line_no)` converts each row
+    of the header's width to its `CANONICAL_HEADER` fields, or raises
+    ValueError; then each block of rows has its values checked at once with
+    array masks, and its ids in order."""
     width = len(header)
-    ids, drivers, stations, starts, durations, energies = [], [], [], [], [], []  # accepted rows
+    accepted: list[tuple] = []
     rejects: list[RejectedRow] = []
     seen: set[str] = set()
-    block: list[tuple] = []  # (line number, row, start, duration, energy) of rows not yet checked
+    block: list[tuple] = []  # (line number, row, fields) of rows not yet checked
 
     def check_block() -> None:
-        failed = _failed_checks(np.array([b[3] for b in block]), np.array([b[4] for b in block]))
-        for (line_no, row, start, duration, energy), k in zip(block, failed.tolist()):
-            event_id = row[i_id].strip()
+        failed = _failed_checks(np.array([b[2][4] for b in block]), np.array([b[2][5] for b in block]))
+        for (line_no, row, fields), k in zip(block, failed.tolist()):
+            event_id = fields[0]
             if k or event_id in seen:
                 reason = _CHECK_REASONS[k].format(event_id) if k else "duplicate event_id"
                 rejects.append(RejectedRow(line_no, _raw_text(header, row), reason))
                 continue
             seen.add(event_id)
-            ids.append(event_id)
-            drivers.append(row[i_driver].strip())
-            stations.append(row[i_station].strip())
-            starts.append(start)
-            durations.append(duration)
-            energies.append(energy)
+            accepted.append(fields)
         block.clear()
 
     for row in reader:
@@ -425,42 +428,16 @@ def _parse_canonical(reader, header: list[str], path: Path) -> tuple[EventColumn
             # rejected as an empty field in the file is.
             row = row + [""] * (width - len(row))
         try:
-            start = _parse_timestamp(row[i_start])
-            duration = float(row[i_duration])
-            energy = float(row[i_energy])
+            fields = to_fields(row, line_no)
         except ValueError as exc:
             rejects.append(RejectedRow(line_no, _raw_text(header, row), str(exc)))
             continue
-        block.append((line_no, row, start, duration, energy))
+        block.append((line_no, row, fields))
         if len(block) == _BLOCK_ROWS:
             check_block()
     check_block()
     rejects.sort(key=lambda r: r.line_no)
-    return EventColumns.build(ids, drivers, stations, starts, durations, energies), rejects
-
-
-def _parse_sessions(reader, header: list[str], adapter: str) -> tuple[EventColumns, list[RejectedRow]]:
-    """A Dundee or Glasgow layout, one `_session_row` per row. A row with
-    more fields than the header is rejected, as in the canonical layout."""
-    events: list[ChargingEvent] = []
-    rejects: list[RejectedRow] = []
-    seen: set[str] = set()
-    for row in reader:
-        if not row:
-            continue  # a blank line, which csv.DictReader skips too
-        line_no = reader.line_num
-        try:
-            if len(row) > len(header):
-                raise ValueError(f"row has {len(row)} fields, header has {len(header)}")
-            event = _session_row(_row_dict(header, row), line_no, adapter)
-            if event.event_id in seen:
-                raise ValueError("duplicate event_id")
-        except (ValueError, KeyError, DomainError) as exc:
-            rejects.append(RejectedRow(line_no, _raw_text(header, row), str(exc)))
-            continue
-        seen.add(event.event_id)
-        events.append(event)
-    return EventColumns.of(events), rejects
+    return EventColumns.build(*(zip(*accepted) if accepted else [()] * len(CANONICAL_HEADER))), rejects
 
 
 def parse_events(source: str | Path, adapter: str = "canonical") -> tuple[EventColumns, list[RejectedRow]]:
@@ -482,9 +459,11 @@ def parse_events(source: str | Path, adapter: str = "canonical") -> tuple[EventC
         if header is None:
             raise DataFormatError(f"{path}: empty file")
         if adapter == "canonical":
-            events, rejects = _parse_canonical(reader, header, path)
+            to_fields = _canonical_row(header, path)
         else:
-            events, rejects = _parse_sessions(reader, header, adapter)
+            def to_fields(row: list[str], line_no: int) -> tuple:
+                return _session_row(_row_dict(header, row), line_no, adapter)
+        events, rejects = _parse_rows(reader, header, to_fields)
     total = len(events) + len(rejects)
     if total > 0 and len(rejects) > total / 2:
         raise DataFormatError(

@@ -220,16 +220,12 @@ class LstmLayer:
     `DenseInput`); the cache keeps it as given under "xs".
     """
 
-    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator | None = None):
+    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         h = hidden_dim
-        if rng is None:
-            self.W = np.zeros((input_dim, 4 * h))
-            self.U = np.zeros((h, 4 * h))
-        else:
-            self.W = uniform_init(rng, input_dim, (input_dim, 4 * h))
-            self.U = uniform_init(rng, h, (h, 4 * h))
+        self.W = uniform_init(rng, input_dim, (input_dim, 4 * h))
+        self.U = uniform_init(rng, h, (h, 4 * h))
         self.b = np.zeros(4 * h)
         self.b[h : 2 * h] = 1.0  # forget gate starts open
 
@@ -332,13 +328,7 @@ class LstmLayer:
 class StackedLstm:
     """Stack of LSTM layers; layer l consumes layer l-1's hidden sequence."""
 
-    def __init__(
-        self,
-        input_dim: int,
-        hidden_dim: int,
-        num_layers: int = 2,
-        rng: np.random.Generator | None = None,
-    ):
+    def __init__(self, input_dim: int, hidden_dim: int, num_layers: int, rng: np.random.Generator):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.num_layers = num_layers

@@ -33,15 +33,16 @@ def canonical_row(row: dict) -> ChargingEvent:
 
 
 def adapt(row: dict, line_no: int, adapter: str, width: int) -> ChargingEvent:
-    """A `csv.DictReader` row of a `width`-field header as one event. The one
-    change since the per-row parser: a long row, whose extra fields
-    DictReader lists under None, is rejected instead of read, in every
-    layout."""
+    """A `csv.DictReader` row of a `width`-field header as one event, whose
+    `__post_init__` runs the value checks one by one. The session layouts'
+    fields come from `_session_row`, which builds no event. The one change
+    since the per-row parser: a long row, whose extra fields DictReader lists
+    under None, is rejected instead of read, in every layout."""
     if None in row:
         raise ValueError(f"row has {width + len(row[None])} fields, header has {width}")
     if adapter == "canonical":
         return canonical_row(row)
-    return _session_row(row, line_no, adapter)
+    return ChargingEvent(**dict(zip(dataset.CANONICAL_HEADER, _session_row(row, line_no, adapter))))
 
 
 def parse_events(path, adapter: str = "canonical") -> tuple[list[ChargingEvent], list[RejectedRow]]:

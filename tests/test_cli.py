@@ -332,6 +332,21 @@ def test_eval_baseline_model(synth, capsys):
     assert 0.0 <= aggregate["precision"]["1"] <= 1.0
 
 
+@pytest.mark.parametrize("models", [[], ["--model", "mc.ckpt", "--model-dir", "per-driver"]],
+                         ids=["neither", "both"])
+def test_eval_needs_exactly_one_model_flag(synth, capsys, monkeypatch, models):
+    """Without a model flag eval printed a TypeError traceback after loading
+    the bundle; with both it ignored --model."""
+    tmp_path, config = synth
+
+    def load(*args):
+        raise AssertionError("the bundle was loaded")
+
+    monkeypatch.setattr("evrac.cli.load_data_bundle", load)
+    assert main(["eval", "--config", str(config), *models]) == 2
+    assert "--model-dir" in _assert_one_json_error(capsys, "UsageError")["message"]
+
+
 def test_recommend_baseline_and_unknown_driver(synth, capsys):
     tmp_path, config = synth
     ckpt = tmp_path / "pop.ckpt"

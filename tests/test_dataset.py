@@ -6,6 +6,7 @@ import io
 import math
 import struct
 from datetime import timedelta, timezone
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -135,6 +136,7 @@ def test_dundee_adapter_layout(tmp_path):
     events, rejects = dataset.parse_events(path, "dundee")
     assert rejects == []
     (e,) = events
+    assert e.event_id == "dundee-000002"  # no id column: the adapter and line number
     assert e.station_id == "50911"
     assert e.driver_id == "driver-9"
     assert e.duration_min == 45.0
@@ -395,6 +397,10 @@ def _parse_outcome(parse, group, path):
     return fields, rejects, {d: [e.event_id for e in t] for d, t in group(events).items()}
 
 
+def _columnar_trajectories(events):
+    return {d: t.events for d, t in dataset.build_trajectories(events).items()}
+
+
 _HEADER = ",".join(dataset.CANONICAL_HEADER) + "\n"
 
 
@@ -411,9 +417,22 @@ _HEADER = ",".join(dataset.CANONICAL_HEADER) + "\n"
 def test_columnar_parse_matches_per_row_parser(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "oracle-events.csv"
     path.write_text(text, encoding="utf-8")
-    columnar = _parse_outcome(
-        dataset.parse_events, lambda events: {d: t.events for d, t in dataset.build_trajectories(events).items()}, path)
+    columnar = _parse_outcome(dataset.parse_events, _columnar_trajectories, path)
     assert columnar == _parse_outcome(oracles.parse_events, oracles.build_trajectories, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_layout_matches_per_row_parser_across_block_edges(tmp_path_factory, data):
+    """Each adapter's own file after a few random edits, as the hostile-rows
+    test makes them, parsed with blocks of 1, 2 or 3 rows so that block edges
+    fall inside the file: events and rejects are the per-row parser's."""
+    adapter = data.draw(st.sampled_from(sorted(_ADAPTER_FILES)), label="adapter")
+    path = tmp_path_factory.getbasetemp() / "layout-events.csv"
+    path.write_bytes(mutated_rows([line.encode() for line in _ADAPTER_FILES[adapter]], data))
+    with patch.object(dataset, "_BLOCK_ROWS", data.draw(st.sampled_from([1, 2, 3, 1024]), label="block rows")):
+        columnar = _parse_outcome(lambda p: dataset.parse_events(p, adapter), _columnar_trajectories, path)
+    assert columnar == _parse_outcome(lambda p: oracles.parse_events(p, adapter), oracles.build_trajectories, path)
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,9 @@ def test_parameter_and_gradient_key_orders():
 # ---------------------------------------------------------------------------
 
 def _zero_layer(in_dim, h):
-    layer = nn.LstmLayer(in_dim, h)
-    layer.b[:] = 0.0
+    layer = nn.LstmLayer(in_dim, h, np.random.default_rng(0))
+    for value in layer.params.values():
+        value[:] = 0.0
     return layer
 
 
@@ -205,7 +206,7 @@ def test_lstm_zero_parameters_zero_output():
 def test_lstm_single_cell_hand_computed():
     # 1-dim everything with hand-set gate parameters; recompute the five
     # recurrences with plain floats as the oracle.
-    layer = nn.LstmLayer(1, 1)
+    layer = nn.LstmLayer(1, 1, np.random.default_rng(0))
     wi, wf, wg, wo = 0.4, -0.3, 0.8, 0.2
     bi, bf, bg, bo = 0.1, 1.0, -0.2, 0.05
     layer.W[0] = [wi, wf, wg, wo]
@@ -243,14 +244,14 @@ def test_lstm_forward_deterministic():
 
 
 def test_lstm_rejects_non_finite():
-    layer = nn.LstmLayer(2, 2)
+    layer = nn.LstmLayer(2, 2, np.random.default_rng(0))
     bad = np.array([[[1.0, np.nan]]])
     with pytest.raises(DomainError):
         layer.forward(bad)
 
 
 def test_lstm_shape_error():
-    layer = nn.LstmLayer(2, 2)
+    layer = nn.LstmLayer(2, 2, np.random.default_rng(0))
     with pytest.raises(ShapeError):
         layer.forward(np.zeros((1, 3, 5)))
 

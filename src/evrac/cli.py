@@ -193,15 +193,22 @@ def _divergence_dump(path: str | Path):
 
 def cmd_train_rac(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    if config.per_driver and args.log:
-        raise UsageError("--log is not supported with --per-driver: fine-tuning keeps no training log")
+    if config.per_driver:
+        if args.log:
+            raise UsageError("--log is not supported with --per-driver: fine-tuning keeps no training log")
+        if not args.out_dir:
+            raise UsageError("--per-driver training needs --out-dir")
+        if args.out:
+            raise UsageError("--out is not used with --per-driver: the models go to --out-dir")
+    elif not args.out:
+        raise UsageError("shared training needs --out")
+    elif args.out_dir:
+        raise UsageError("--out-dir is used only with --per-driver: shared training writes --out")
     bundle = load_data_bundle(config)
     net, reward_hyper, _ = load_reward_net(args.reward) if args.reward else (None, None, None)
     env = training_environment(bundle, net)
 
     if config.per_driver:
-        if not args.out_dir:
-            raise UsageError("--per-driver training needs --out-dir")
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         with _divergence_dump(out_dir / "diverged.json"):
@@ -218,8 +225,6 @@ def cmd_train_rac(args: argparse.Namespace) -> int:
         _emit({"out_dir": str(out_dir), "drivers": len(models)})
         return 0
 
-    if not args.out:
-        raise UsageError("shared training needs --out")
     with _divergence_dump(f"{args.out}.diverged.json"):
         model, records = train_shared_model(bundle, env)
     save_rac_model(model, args.out, {"config": config.as_dict()})

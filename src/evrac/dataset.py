@@ -2,9 +2,13 @@
 and the anonymized warm-up pool.
 
 Events travel as columns. `parse_events` reads every layout (canonical,
-Dundee, Glasgow) with one `csv.reader` pass: a per-layout mapper converts
-each row to its `CANONICAL_HEADER` fields, whose values are checked with
-array masks into an `EventColumns` table. Trajectories, splits and the
+Dundee, Glasgow) with one `csv.reader` pass, a block of rows at a time, into
+an `EventColumns` table. The canonical layout converts a block column by
+column, each distinct start string parsed once per file. A block that does
+not convert, and every session-layout block, is converted row by row by a
+per-layout mapper to its `CANONICAL_HEADER` fields. The values are checked
+with array masks: a block is accepted whole when they pass and its ids are
+new, and checked row by row otherwise. Trajectories, splits and the
 warm-up pool are views or takes of that table, and every reader of events
 takes them as columns. A `ChargingEvent` object is built only where an event
 leaves as one: `write_events`, and each event that code reads from columns by
@@ -47,6 +51,12 @@ NEGATIVE_ENERGY = "negative energy for event {}"
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
+
+
+def _instant(t: datetime) -> tuple[int, float]:
+    """An aware time as exact microseconds since the epoch and as its
+    `timestamp()` seconds."""
+    return (t - EPOCH) // _MICROSECOND, t.timestamp()
 
 
 @dataclass(frozen=True, order=True)
@@ -108,21 +118,22 @@ class EventColumns:
 
     @classmethod
     def build(cls, event_id: Sequence[str], driver_id: Sequence[str], station_id: Sequence[str],
-              start_time: Sequence[datetime], duration_min, energy_kwh) -> "EventColumns":
-        """A table of one sequence per field, in event order."""
+              start_us, start_s, duration_min, energy_kwh) -> "EventColumns":
+        """A table of one sequence per field, in event order; each start is
+        given as its exact microseconds and its `timestamp()` seconds, as
+        `_instant` gives them."""
         n = len(event_id)
         drivers, stations = tuple(dict.fromkeys(driver_id)), tuple(dict.fromkeys(station_id))
         id_rank = np.empty(n, dtype=np.intp)
         id_rank[sorted(range(n), key=event_id.__getitem__)] = np.arange(n)
         ids = np.empty(n, dtype=object)
         ids[:] = event_id
-        since = map(EPOCH.__rsub__, start_time)  # t - EPOCH, exact
         return cls(
             ids,
             np.array(list(map({d: i for i, d in enumerate(drivers)}.__getitem__, driver_id)), dtype=np.intp),
             np.array(list(map({s: i for i, s in enumerate(stations)}.__getitem__, station_id)), dtype=np.intp),
-            np.array(list(map(_MICROSECOND.__rfloordiv__, since)), dtype=np.int64),
-            np.array(list(map(datetime.timestamp, start_time)), dtype=float),
+            np.array(start_us, dtype=np.int64),
+            np.array(start_s, dtype=float),
             np.array(duration_min, dtype=float),
             np.array(energy_kwh, dtype=float),
             id_rank,
@@ -135,8 +146,9 @@ class EventColumns:
     def of(cls, events: Sequence[ChargingEvent]) -> "EventColumns":
         """ChargingEvents as columns, in the order given. No parse builds
         one: this serves `concat`'s fallback and events made one at a time."""
+        instants = [_instant(e.start_time) for e in events]
         return cls.build([e.event_id for e in events], [e.driver_id for e in events],
-                         [e.station_id for e in events], [e.start_time for e in events],
+                         [e.station_id for e in events], [us for us, _ in instants], [s for _, s in instants],
                          [e.duration_min for e in events], [e.energy_kwh for e in events])
 
     @classmethod
@@ -358,9 +370,11 @@ def _session_row(row: dict[str, str], line_no: int, prefix: str) -> tuple:
     return event_id, driver.strip(), station.strip(), start, duration, energy
 
 
-def _canonical_row(header: list[str], path: Path):
-    """The canonical layout's mapper: a row's fields read by header
-    position (a repeated name reads its last field)."""
+def _canonical_layout(header: list[str], path: Path):
+    """The canonical layout's two converters, both reading fields by header
+    position (a repeated name reads its last field): `fields(row, line_no)`
+    gives one row's `CANONICAL_HEADER` fields, and `columns(rows)` a block's,
+    one list per field with the starts left as strings."""
     missing = [c for c in CANONICAL_HEADER if c not in header]
     if missing:
         raise DataFormatError(f"{path}: missing canonical columns {missing}")
@@ -370,10 +384,16 @@ def _canonical_row(header: list[str], path: Path):
     def fields(row: list[str], line_no: int) -> tuple:
         return (row[i_id].strip(), row[i_driver].strip(), row[i_station].strip(),
                 _parse_timestamp(row[i_start]), float(row[i_duration]), float(row[i_energy]))
-    return fields
+
+    def columns(rows: list[list[str]]) -> tuple:
+        cols = list(zip(*rows))
+        return (list(map(str.strip, cols[i_id])), list(map(str.strip, cols[i_driver])),
+                list(map(str.strip, cols[i_station])), cols[i_start],
+                list(map(float, cols[i_duration])), list(map(float, cols[i_energy])))
+    return fields, columns
 
 
-# Rows converted before their values are checked together; the parse holds
+# Rows read before they are converted and checked together; the parse holds
 # no more raw rows than this, so its memory does not grow with the file.
 _BLOCK_ROWS = 1024
 
@@ -392,28 +412,75 @@ def _failed_checks(duration: np.ndarray, energy: np.ndarray) -> np.ndarray:
 _CHECK_REASONS = (None, NON_FINITE, NEGATIVE_DURATION, OVER_ONE_WEEK, NEGATIVE_ENERGY)
 
 
-def _parse_rows(reader, header: list[str], to_fields) -> tuple[EventColumns, list[RejectedRow]]:
-    """Every layout in one pass: `to_fields(row, line_no)` converts each row
-    of the header's width to its `CANONICAL_HEADER` fields, or raises
-    ValueError; then each block of rows has its values checked at once with
-    array masks, and its ids in order."""
+def _parse_rows(reader, header: list[str], to_fields, to_columns) -> tuple[EventColumns, list[RejectedRow]]:
+    """Every layout in one pass, a block of up to `_BLOCK_ROWS` rows at a time.
+
+    `to_columns(rows)`, which only the canonical layout has (None for the
+    others), converts a block column by column, and each distinct start
+    string is parsed once per call. A block it cannot convert, and every
+    block of the other layouts, is converted row by row instead:
+    `to_fields(row, line_no)` gives a row's `CANONICAL_HEADER` fields or
+    raises ValueError, which rejects the row. The converted rows' values are
+    then checked at once with array masks: a block whose values pass and
+    whose ids are new is accepted whole, any other is checked row by row, in
+    order. So every reject keeps its line, its text and its first reason."""
     width = len(header)
-    accepted: list[tuple] = []
+    accepted: list[list] = [[] for _ in CANONICAL_HEADER]  # per field; starts as codes
     rejects: list[RejectedRow] = []
     seen: set[str] = set()
-    block: list[tuple] = []  # (line number, row, fields) of rows not yet checked
+    rows: list[list[str]] = []  # the rows of the block, and their line numbers
+    lines: list[int] = []
+    code_of: dict[str, int] = {}  # start string -> start code
+    instants: list[tuple[int, float]] = []  # each start code's `_instant`
 
-    def check_block() -> None:
-        failed = _failed_checks(np.array([b[2][4] for b in block]), np.array([b[2][5] for b in block]))
-        for (line_no, row, fields), k in zip(block, failed.tolist()):
-            event_id = fields[0]
+    def code(start: datetime) -> int:
+        instants.append(_instant(start))
+        return len(instants) - 1
+
+    def start_codes(texts: Sequence[str]) -> list[int]:
+        for text in texts:
+            if text not in code_of:
+                code_of[text] = code(_parse_timestamp(text))
+        return list(map(code_of.__getitem__, texts))
+
+    def check(line_nos: Sequence[int], raw_rows: Sequence[list[str]], columns: Sequence[Sequence]) -> None:
+        ids = columns[0]
+        failed = _failed_checks(np.array(columns[4]), np.array(columns[5]))
+        fresh = set(ids)
+        if len(fresh) == len(ids) and seen.isdisjoint(fresh) and not failed.any():
+            seen.update(fresh)
+            for column, values in zip(accepted, columns):
+                column.extend(values)
+            return
+        for i, (line_no, row, event_id, k) in enumerate(zip(line_nos, raw_rows, ids, failed.tolist())):
             if k or event_id in seen:
                 reason = _CHECK_REASONS[k].format(event_id) if k else "duplicate event_id"
                 rejects.append(RejectedRow(line_no, _raw_text(header, row), reason))
                 continue
             seen.add(event_id)
-            accepted.append(fields)
-        block.clear()
+            for column, values in zip(accepted, columns):
+                column.append(values[i])
+
+    def check_block() -> None:
+        if to_columns is not None:
+            try:
+                ids, drivers, stations, starts, durations, energies = to_columns(rows)
+                columns = (ids, drivers, stations, start_codes(starts), durations, energies)
+            except ValueError:
+                pass
+            else:
+                check(lines, rows, columns)
+                return
+        converted = []  # (line number, row, fields) of the rows that convert
+        for line_no, row in zip(lines, rows):
+            try:
+                converted.append((line_no, row, to_fields(row, line_no)))
+            except ValueError as exc:
+                rejects.append(RejectedRow(line_no, _raw_text(header, row), str(exc)))
+        if converted:
+            kept_lines, kept_rows, fields = zip(*converted)
+            ids, drivers, stations, starts, durations, energies = zip(*fields)
+            check(kept_lines, kept_rows, (ids, drivers, stations, list(map(code, starts)), durations, energies))
 
     for row in reader:
         if not row:
@@ -427,17 +494,18 @@ def _parse_rows(reader, header: list[str], to_fields) -> tuple[EventColumns, lis
             # A short row's missing fields read as empty ones, which are
             # rejected as an empty field in the file is.
             row = row + [""] * (width - len(row))
-        try:
-            fields = to_fields(row, line_no)
-        except ValueError as exc:
-            rejects.append(RejectedRow(line_no, _raw_text(header, row), str(exc)))
-            continue
-        block.append((line_no, row, fields))
-        if len(block) == _BLOCK_ROWS:
+        rows.append(row)
+        lines.append(line_no)
+        if len(rows) == _BLOCK_ROWS:
             check_block()
-    check_block()
+            rows.clear()
+            lines.clear()
+    if rows:
+        check_block()
     rejects.sort(key=lambda r: r.line_no)
-    return EventColumns.build(*(zip(*accepted) if accepted else [()] * len(CANONICAL_HEADER))), rejects
+    ids, drivers, stations, codes, durations, energies = accepted
+    starts = np.array(instants, dtype=[("us", np.int64), ("s", float)])[np.array(codes, dtype=np.intp)]
+    return EventColumns.build(ids, drivers, stations, starts["us"], starts["s"], durations, energies), rejects
 
 
 def parse_events(source: str | Path, adapter: str = "canonical") -> tuple[EventColumns, list[RejectedRow]]:
@@ -459,11 +527,13 @@ def parse_events(source: str | Path, adapter: str = "canonical") -> tuple[EventC
         if header is None:
             raise DataFormatError(f"{path}: empty file")
         if adapter == "canonical":
-            to_fields = _canonical_row(header, path)
+            to_fields, to_columns = _canonical_layout(header, path)
         else:
+            to_columns = None
+
             def to_fields(row: list[str], line_no: int) -> tuple:
                 return _session_row(_row_dict(header, row), line_no, adapter)
-        events, rejects = _parse_rows(reader, header, to_fields)
+        events, rejects = _parse_rows(reader, header, to_fields, to_columns)
     total = len(events) + len(rejects)
     if total > 0 and len(rejects) > total / 2:
         raise DataFormatError(
@@ -474,8 +544,19 @@ def parse_events(source: str | Path, adapter: str = "canonical") -> tuple[EventC
     return events, rejects
 
 
+def _float_text(x: float) -> str:
+    """`repr(x)`, the shortest text that reads back to `x`, without a
+    trailing `.0`, so a whole number of up to six digits keeps the text
+    `format(x, "g")` gave it."""
+    text = repr(x)
+    return text[:-2] if text.endswith(".0") else text
+
+
 def write_events(events: Iterable[ChargingEvent], path: str | Path) -> None:
-    """Serialize events as canonical CSV (ISO-8601 UTC, LF line endings)."""
+    """Serialize events as canonical CSV (LF line endings) that reads back to
+    the same events bit for bit: starts as ISO-8601 UTC with a `Z`, the year
+    in four digits and microseconds only when there are any, and durations
+    and energies as `_float_text`."""
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CANONICAL_HEADER)
@@ -485,9 +566,9 @@ def write_events(events: Iterable[ChargingEvent], path: str | Path) -> None:
                     e.event_id,
                     e.driver_id,
                     e.station_id,
-                    e.start_time.strftime("%Y-%m-%dT%H:%M:%SZ"),
-                    format(e.duration_min, "g"),
-                    format(e.energy_kwh, "g"),
+                    e.start_time.astimezone(timezone.utc).replace(tzinfo=None).isoformat() + "Z",
+                    _float_text(e.duration_min),
+                    _float_text(e.energy_kwh),
                 ]
             )
 

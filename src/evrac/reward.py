@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -96,52 +96,75 @@ class WaitSeries:
         return hourly[np.clip(np.asarray(hours, dtype=np.int64) - (self.first_hour or 0), -1, hourly.size - 1)]
 
 
-def hour_chunks(events: EventColumns) -> list[list[tuple[int, float]]]:
-    """Each event's occupied minutes per clock hour, as (epoch hour, minutes)
-    pairs from its start hour on: a session split across hour boundaries.
-    Every hour after the first starts on the boundary, so it holds 60.0
-    minutes unless the session ends in it."""
-    out = []
-    for start_s, duration in zip(events.start_s.tolist(), events.duration_min.tolist()):
-        end_s = start_s + duration * 60.0
-        bucket = int(start_s // 3600)
-        cursor = (bucket + 1) * 3600.0  # the end of the start hour
-        if end_s <= cursor:
-            out.append([(bucket, (end_s - start_s) / 60.0)] if start_s < end_s else [])
-            continue
-        chunks = [(bucket, (cursor - start_s) / 60.0)]
-        while cursor < end_s:
-            bucket += 1
-            hour_end = cursor + 3600.0
-            chunks.append((bucket, 60.0 if hour_end <= end_s else (end_s - cursor) / 60.0))
-            cursor = hour_end
-        out.append(chunks)
-    return out
+class HourChunks(NamedTuple):
+    """Every event's occupied minutes per clock hour, flat: event i's chunks
+    are entries `offsets[i]` to `offsets[i + 1]` of `bucket` (epoch hours,
+    from its start hour on) and `minutes`."""
+
+    offsets: np.ndarray
+    bucket: np.ndarray
+    minutes: np.ndarray
+
+
+def hour_chunks(events: EventColumns) -> HourChunks:
+    """Each event's session split across clock-hour boundaries, with array
+    operations that repeat the per-event loop's float operations: a session
+    of `end_s = start_s + duration * 60.0` has one chunk per hour from
+    `start_s // 3600` through the last whose start is before `end_s` (none
+    when `end_s` is not after `start_s`), and each chunk holds `(min(hour end,
+    end_s) - chunk start) / 60.0` minutes, a chunk starting at its hour's
+    start except the first, which starts at `start_s`. Hour boundaries are
+    `hour * 3600.0`, exact below 2**53, so every hour after the first holds
+    60.0 minutes unless the session ends in it."""
+    start_s = events.start_s
+    end_s = start_s + events.duration_min * 60.0
+    first = np.floor_divide(start_s, 3600.0).astype(np.int64)
+    # One past the last chunk's hour: the least h with h * 3600.0 >= end_s.
+    # The exact comparisons put right the rounding of the quotient.
+    last = np.ceil(end_s / 3600.0).astype(np.int64)
+    last -= (last - 1) * 3600.0 >= end_s
+    last += last * 3600.0 < end_s
+    counts = np.where(start_s < end_s, last - first, 0)
+    offsets = np.zeros(len(events) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    owner = np.repeat(np.arange(len(events)), counts)
+    bucket = np.arange(offsets[-1]) - np.repeat(offsets[:-1] - first, counts)
+    lo = np.where(bucket == first[owner], start_s[owner], bucket * 3600.0)
+    minutes = (np.minimum((bucket + 1) * 3600.0, end_s[owner]) - lo) / 60.0
+    return HourChunks(offsets, bucket, minutes)
 
 
 def build_wait_series(events: EventColumns, order: np.ndarray | None = None,
-                      chunks: list[list[tuple[int, float]]] | None = None) -> dict[str, WaitSeries]:
+                      chunks: HourChunks | None = None) -> dict[str, WaitSeries]:
     """Occupied minutes per (station, clock hour) of the events at positions
     `order` of `events` (all, in order, by default), added in that order.
     `chunks` is `hour_chunks(events)`, computed here when not given, so one
-    table's chunks can feed several series.
+    table's chunks can feed several series. The chunks of the events in
+    `order` are gathered into flat arrays and summed in one loop, so each
+    bucket adds its minutes, and each series gains its buckets and the result
+    its series (one per station of those events), in the per-event order.
 
     Time-causal by construction: an event only contributes to buckets at or
     after its start hour.
     """
     if chunks is None:
         chunks = hour_chunks(events)
-    codes = events.station.tolist()
-    by_code: list[WaitSeries | None] = [None] * len(events.stations)
+    offsets, bucket, minutes = chunks
+    if order is None:
+        order = np.arange(len(events))
+    codes = events.station[order]
+    counts = offsets[1:][order] - offsets[:-1][order]
+    at = np.arange(counts.sum()) + np.repeat(offsets[:-1][order] - (np.cumsum(counts) - counts), counts)
+    first_use = np.unique(codes, return_index=True)[1]
+    by_code: list[dict | None] = [None] * len(events.stations)
     out: dict[str, WaitSeries] = {}
-    for i in range(len(events)) if order is None else order.tolist():
-        series = by_code[codes[i]]
-        if series is None:
-            sid = events.stations[codes[i]]
-            series = by_code[codes[i]] = out[sid] = WaitSeries(sid)
-        buckets = series.buckets
-        for bucket, minutes in chunks[i]:
-            buckets[bucket] = buckets.get(bucket, 0.0) + minutes
+    for code in codes[np.sort(first_use)].tolist():
+        sid = events.stations[code]
+        out[sid] = WaitSeries(sid)
+        by_code[code] = out[sid].buckets
+    for code, hour, value in zip(np.repeat(codes, counts).tolist(), bucket[at].tolist(), minutes[at].tolist()):
+        buckets = by_code[code]
+        buckets[hour] = buckets.get(hour, 0.0) + value
     return out
 
 

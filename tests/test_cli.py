@@ -615,6 +615,28 @@ def test_per_driver_training_rejects_log(synth, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--per-driver", "--out", "x.ckpt", "--out-dir", "pd"], "--out is not used with --per-driver"),
+    (["--per-driver"], "--per-driver training needs --out-dir"),
+    ([], "shared training needs --out"),
+    (["--out", "x.ckpt", "--out-dir", "pd"], "--out-dir is used only with --per-driver"),
+], ids=["per-driver-with-out", "per-driver-without-out-dir", "shared-without-out", "shared-with-out-dir"])
+def test_train_rac_refuses_flags_it_would_ignore(synth, capsys, flags, message):
+    """--per-driver ignored --out, and shared training --out-dir; a missing
+    output flag was an error only after the bundle and the forecaster were
+    loaded. The events file and the forecaster here do not exist, so the
+    refusal must come before either is read (exit 2, not 3)."""
+    tmp_path, config = synth
+    cfg = tmp_path / "missing-events.cfg"
+    cfg.write_text(config.read_text(encoding="utf-8").replace(str(tmp_path / "events.csv"),
+                                                              str(tmp_path / "missing.csv")), encoding="utf-8")
+    paths = [str(tmp_path / flag) if flag in ("x.ckpt", "pd") else flag for flag in flags]
+    rc = main(["train-rac", "--config", str(cfg), "--reward", str(tmp_path / "missing.ckpt"), *paths])
+    assert rc == 2
+    assert message in _assert_one_json_error(capsys, "UsageError")["message"]
+    assert not (tmp_path / "x.ckpt").exists() and not (tmp_path / "pd").exists()
+
+
 @pytest.mark.parametrize("per_driver", [False, True])
 def test_train_rac_writes_its_divergence_dump(synth, capsys, monkeypatch, per_driver):
     # A NaN wait makes the first epoch's losses non-finite. The run exits 1

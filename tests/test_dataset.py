@@ -5,7 +5,7 @@ import csv
 import io
 import math
 import struct
-from datetime import timedelta, timezone
+from datetime import datetime, timedelta, timezone
 from unittest.mock import patch
 
 import pytest
@@ -16,6 +16,7 @@ import oracles
 from conftest import T0, make_event, make_stations, mutated_rows
 from evrac import dataset
 from evrac.agent import ObservationSpace
+from evrac.cli import main
 from evrac.dataset import EventColumns
 from evrac.errors import ConfigError, DataFormatError, DomainError, EvracError, UsageError
 
@@ -433,6 +434,73 @@ def test_every_layout_matches_per_row_parser_across_block_edges(tmp_path_factory
     with patch.object(dataset, "_BLOCK_ROWS", data.draw(st.sampled_from([1, 2, 3, 1024]), label="block rows")):
         columnar = _parse_outcome(lambda p: dataset.parse_events(p, adapter), _columnar_trajectories, path)
     assert columnar == _parse_outcome(lambda p: oracles.parse_events(p, adapter), oracles.build_trajectories, path)
+
+
+# One instant written three ways, each also with surrounding spaces, and two
+# starts that do not parse.
+_START_POOL = ["2018-06-06T06:00:00Z", "2018-06-06T08:00:00+02:00", "2018-06-06T06:00:00"]
+_START_POOL += [f" {start} " for start in _START_POOL] + ["not-a-time", ""]
+
+
+@st.composite
+def pooled_start_texts(draw) -> str:
+    """A canonical events file whose starts repeat, drawn from `_START_POOL`."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(dataset.CANONICAL_HEADER)
+    for _ in range(draw(st.integers(0, 24))):
+        writer.writerow([draw(st.sampled_from(_START_POOL) if name == "start_time" else _TEXT_COLUMNS[name])
+                         for name in dataset.CANONICAL_HEADER])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 1024])
+@settings(max_examples=100, deadline=None)
+@given(text=pooled_start_texts())
+def test_start_cache_matches_per_row_parser_across_block_edges(tmp_path_factory, block_rows, text):
+    """Each distinct start string is parsed once per file, whichever block
+    it first appears in; a string that does not parse sends every block it
+    appears in row by row. Events and rejects are the per-row parser's."""
+    path = tmp_path_factory.getbasetemp() / "pooled-events.csv"
+    path.write_text(text, encoding="utf-8")
+    with patch.object(dataset, "_BLOCK_ROWS", block_rows):
+        columnar = _parse_outcome(dataset.parse_events, _columnar_trajectories, path)
+    assert columnar == _parse_outcome(oracles.parse_events, oracles.build_trajectories, path)
+
+
+def _column_bits(events: EventColumns) -> tuple:
+    """Every column of `events`, names for codes and floats as their bytes."""
+    return (events.event_id.tolist(), [events.drivers[d] for d in events.driver.tolist()],
+            [events.stations[s] for s in events.station.tolist()], events.start_us.tolist(),
+            events.start_s.tobytes(), events.duration_min.tobytes(), events.energy_kwh.tobytes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30),
+                                       timezones=st.one_of(st.none(), st.just(timezone.utc), _OFFSETS)),
+                          st.floats(0, dataset.MAX_DURATION_MIN), st.floats(0, allow_infinity=False)),
+                max_size=12))
+@example([(datetime(2018, 6, 6, 6, 0, 0, 750000, tzinfo=timezone.utc), 123.456789, 12.3456789),
+          (datetime(999, 1, 2, 3, 4, 5), 30.0, 1234567.5)])
+def test_ingest_writes_what_it_read(tmp_path_factory, rows):
+    """Ingest wrote floats to 6 significant digits (123.456789 as 123.457,
+    1234567.5 as 1.23457e+06), dropped microseconds and wrote the year 999
+    unpadded, which the next ingest rejected. Every column of the ingested
+    file now parses to the bits of the input's, and a second ingest writes
+    the same bytes as the first."""
+    tmp = tmp_path_factory.mktemp("ingest")
+    source, once, twice = tmp / "source.csv", tmp / "once.csv", tmp / "twice.csv"
+    with open(source, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(dataset.CANONICAL_HEADER)
+        for i, (start, duration, energy) in enumerate(rows):
+            writer.writerow([f"e{i}", f"d{i % 3}", f"cs{i % 2}", start.isoformat(), repr(duration), repr(energy)])
+    assert main(["ingest", "--input", str(source), "--adapter", "canonical", "--output", str(once)]) == 0
+    assert main(["ingest", "--input", str(once), "--adapter", "canonical", "--output", str(twice)]) == 0
+    (read, rejects), (again, again_rejects) = dataset.parse_events(source), dataset.parse_events(once)
+    assert rejects == again_rejects == []
+    assert _column_bits(again) == _column_bits(read)
+    assert twice.read_bytes() == once.read_bytes()
 
 
 # ---------------------------------------------------------------------------

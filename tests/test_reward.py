@@ -3,6 +3,7 @@
 import dataclasses
 import struct
 from datetime import datetime, timedelta, timezone
+from random import Random
 
 import numpy as np
 import pytest
@@ -119,6 +120,13 @@ def test_wait_series_time_causal(sessions, horizon):
                           st.one_of(st.floats(0, 10_080), st.sampled_from([0.0, 60.0, 120.0, 10_080.0]))),
                 max_size=20),
        st.randoms(use_true_random=False))
+# A session ending exactly on an hour, a zero-length one on an hour, a one-week
+# one, and one starting 1 us before an hour.
+@example([("cs0", datetime(2018, 6, 6, 6, 30), 30.0), ("cs0", datetime(2018, 6, 6, 6, 45), 75.0)], Random(0))
+@example([("cs1", datetime(2018, 6, 6, 7), 0.0), ("cs0", datetime(2018, 6, 6, 6, 50), 10.0),
+          ("cs0", datetime(2018, 6, 6, 7), 0.0)], Random(0))
+@example([("cs2", datetime(2018, 6, 6, 6, 15), 10_080.0), ("cs2", datetime(2018, 6, 12, 23, 59), 30.0)], Random(0))
+@example([("cs0", datetime(2018, 6, 6, 5, 59, 59, 999_999), 1.0), ("cs1", datetime(2018, 6, 6, 6), 1.0)], Random(0))
 def test_wait_series_have_the_bits_of_the_per_event_loop(sessions, random):
     """Each event's hour chunks are computed once and summed in any order;
     the series equal those of the per-event loop over the events in that

@@ -370,11 +370,40 @@ def _session_row(row: dict[str, str], line_no: int, prefix: str) -> tuple:
     return event_id, driver.strip(), station.strip(), start, duration, energy
 
 
-def _canonical_layout(header: list[str], path: Path):
+class _StartCodes:
+    """The start instants of one parse, each under an integer code, as
+    `_instant` gives them. `of_text` parses each distinct start string once
+    and keeps only the strings that parse, so a string that fails raises
+    again on every row that holds it."""
+
+    def __init__(self):
+        self.instants: list[tuple[int, float]] = []
+        self._code_of: dict[str, int] = {}
+
+    def of_time(self, start: datetime) -> int:
+        self.instants.append(_instant(start))
+        return len(self.instants) - 1
+
+    def of_text(self, text: str) -> int:
+        code = self._code_of.get(text)
+        if code is None:
+            code = self._code_of[text] = self.of_time(_parse_timestamp(text))
+        return code
+
+    def of_texts(self, texts: Sequence[str]) -> list[int]:
+        """`of_text` of each string, calling it only for new ones."""
+        for text in texts:
+            if text not in self._code_of:
+                self.of_text(text)
+        return list(map(self._code_of.__getitem__, texts))
+
+
+def _canonical_layout(header: list[str], path: Path, starts: _StartCodes):
     """The canonical layout's two converters, both reading fields by header
-    position (a repeated name reads its last field): `fields(row, line_no)`
-    gives one row's `CANONICAL_HEADER` fields, and `columns(rows)` a block's,
-    one list per field with the starts left as strings."""
+    position (a repeated name reads its last field) and giving each start
+    as its code in `starts`: `fields(row, line_no)` gives one row's
+    `CANONICAL_HEADER` fields, converted in that order, and `columns(rows)` a
+    block's, one list per field."""
     missing = [c for c in CANONICAL_HEADER if c not in header]
     if missing:
         raise DataFormatError(f"{path}: missing canonical columns {missing}")
@@ -383,12 +412,12 @@ def _canonical_layout(header: list[str], path: Path):
 
     def fields(row: list[str], line_no: int) -> tuple:
         return (row[i_id].strip(), row[i_driver].strip(), row[i_station].strip(),
-                _parse_timestamp(row[i_start]), float(row[i_duration]), float(row[i_energy]))
+                starts.of_text(row[i_start]), float(row[i_duration]), float(row[i_energy]))
 
     def columns(rows: list[list[str]]) -> tuple:
         cols = list(zip(*rows))
         return (list(map(str.strip, cols[i_id])), list(map(str.strip, cols[i_driver])),
-                list(map(str.strip, cols[i_station])), cols[i_start],
+                list(map(str.strip, cols[i_station])), starts.of_texts(cols[i_start]),
                 list(map(float, cols[i_duration])), list(map(float, cols[i_energy])))
     return fields, columns
 
@@ -412,17 +441,19 @@ def _failed_checks(duration: np.ndarray, energy: np.ndarray) -> np.ndarray:
 _CHECK_REASONS = (None, NON_FINITE, NEGATIVE_DURATION, OVER_ONE_WEEK, NEGATIVE_ENERGY)
 
 
-def _parse_rows(reader, header: list[str], to_fields, to_columns) -> tuple[EventColumns, list[RejectedRow]]:
+def _parse_rows(reader, header: list[str], to_fields, to_columns,
+                starts: _StartCodes) -> tuple[EventColumns, list[RejectedRow]]:
     """Every layout in one pass, a block of up to `_BLOCK_ROWS` rows at a time.
 
     `to_columns(rows)`, which only the canonical layout has (None for the
-    others), converts a block column by column, and each distinct start
-    string is parsed once per call. A block it cannot convert, and every
-    block of the other layouts, is converted row by row instead:
+    others), converts a block column by column. A block it cannot convert,
+    and every block of the other layouts, is converted row by row instead:
     `to_fields(row, line_no)` gives a row's `CANONICAL_HEADER` fields or
-    raises ValueError, which rejects the row. The converted rows' values are
-    then checked at once with array masks: a block whose values pass and
-    whose ids are new is accepted whole, any other is checked row by row, in
+    raises ValueError, which rejects the row. Both give each start as its
+    code in `starts`; the canonical layout's parse each distinct start string
+    once per call, in either path. The converted rows' values are then
+    checked at once with array masks: a block whose values pass and whose
+    ids are new is accepted whole, any other is checked row by row, in
     order. So every reject keeps its line, its text and its first reason."""
     width = len(header)
     accepted: list[list] = [[] for _ in CANONICAL_HEADER]  # per field; starts as codes
@@ -430,18 +461,6 @@ def _parse_rows(reader, header: list[str], to_fields, to_columns) -> tuple[Event
     seen: set[str] = set()
     rows: list[list[str]] = []  # the rows of the block, and their line numbers
     lines: list[int] = []
-    code_of: dict[str, int] = {}  # start string -> start code
-    instants: list[tuple[int, float]] = []  # each start code's `_instant`
-
-    def code(start: datetime) -> int:
-        instants.append(_instant(start))
-        return len(instants) - 1
-
-    def start_codes(texts: Sequence[str]) -> list[int]:
-        for text in texts:
-            if text not in code_of:
-                code_of[text] = code(_parse_timestamp(text))
-        return list(map(code_of.__getitem__, texts))
 
     def check(line_nos: Sequence[int], raw_rows: Sequence[list[str]], columns: Sequence[Sequence]) -> None:
         ids = columns[0]
@@ -464,8 +483,7 @@ def _parse_rows(reader, header: list[str], to_fields, to_columns) -> tuple[Event
     def check_block() -> None:
         if to_columns is not None:
             try:
-                ids, drivers, stations, starts, durations, energies = to_columns(rows)
-                columns = (ids, drivers, stations, start_codes(starts), durations, energies)
+                columns = to_columns(rows)
             except ValueError:
                 pass
             else:
@@ -479,8 +497,7 @@ def _parse_rows(reader, header: list[str], to_fields, to_columns) -> tuple[Event
                 rejects.append(RejectedRow(line_no, _raw_text(header, row), str(exc)))
         if converted:
             kept_lines, kept_rows, fields = zip(*converted)
-            ids, drivers, stations, starts, durations, energies = zip(*fields)
-            check(kept_lines, kept_rows, (ids, drivers, stations, list(map(code, starts)), durations, energies))
+            check(kept_lines, kept_rows, tuple(zip(*fields)))
 
     for row in reader:
         if not row:
@@ -504,8 +521,8 @@ def _parse_rows(reader, header: list[str], to_fields, to_columns) -> tuple[Event
         check_block()
     rejects.sort(key=lambda r: r.line_no)
     ids, drivers, stations, codes, durations, energies = accepted
-    starts = np.array(instants, dtype=[("us", np.int64), ("s", float)])[np.array(codes, dtype=np.intp)]
-    return EventColumns.build(ids, drivers, stations, starts["us"], starts["s"], durations, energies), rejects
+    instants = np.array(starts.instants, dtype=[("us", np.int64), ("s", float)])[np.array(codes, dtype=np.intp)]
+    return EventColumns.build(ids, drivers, stations, instants["us"], instants["s"], durations, energies), rejects
 
 
 def parse_events(source: str | Path, adapter: str = "canonical") -> tuple[EventColumns, list[RejectedRow]]:
@@ -526,14 +543,16 @@ def parse_events(source: str | Path, adapter: str = "canonical") -> tuple[EventC
         header = next(reader, None)
         if header is None:
             raise DataFormatError(f"{path}: empty file")
+        starts = _StartCodes()
         if adapter == "canonical":
-            to_fields, to_columns = _canonical_layout(header, path)
+            to_fields, to_columns = _canonical_layout(header, path, starts)
         else:
             to_columns = None
 
             def to_fields(row: list[str], line_no: int) -> tuple:
-                return _session_row(_row_dict(header, row), line_no, adapter)
-        events, rejects = _parse_rows(reader, header, to_fields, to_columns)
+                fields = _session_row(_row_dict(header, row), line_no, adapter)
+                return fields[:3] + (starts.of_time(fields[3]),) + fields[4:]
+        events, rejects = _parse_rows(reader, header, to_fields, to_columns, starts)
     total = len(events) + len(rejects)
     if total > 0 and len(rejects) > total / 2:
         raise DataFormatError(

@@ -17,6 +17,11 @@ Conventions:
   * inside `LstmLayer` the step state is time-major, (T, B, ·), so that step
     t reads and writes contiguous rows; its forward and backward take and
     return batch-first views of it
+  * a forward may be given a `Workspace`, which keeps its per-call arrays
+    (gates and step state) across calls instead of allocating them. An array
+    a workspace hands out, and so a cache built in it, is valid until the
+    next call through that workspace: each cache that must stay live needs
+    its own. Without one (`work=None`) every call allocates
 
 Initialization: weights ~ uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)); LSTM
 forget-gate bias starts at 1.0 for gradient flow; all other biases at 0.
@@ -177,25 +182,55 @@ class Mlp:
         return d, named(grads)
 
 
+class Workspace:
+    """Named float64 arrays kept across calls by the caller that runs a loop
+    of forwards, with one named part per layer. `array(name, shape)` is a
+    C-contiguous view of the buffer kept under `name`, reused while it is
+    large enough and replaced by a larger one otherwise, so a smaller pass
+    takes a view of a larger pass's buffer. Its contents are whatever the
+    last call left there."""
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+        self._parts: dict[str, Workspace] = {}
+
+    def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+    def part(self, name: str) -> Workspace:
+        if name not in self._parts:
+            self._parts[name] = Workspace()
+        return self._parts[name]
+
+
 class DenseInput:
     """The input side of an `LstmLayer` over a (B, T, in) array.
 
-    An `LstmLayer` touches its input in two places only: `project(W)` gives
-    every step's input pre-activations x_t W, time-major (T, B, 4h), on the
-    way in, and `backward(W, dW, steps)` adds the input-weight gradient to
-    `dW` on the way out, from the (t, dz) pairs of the BPTT loop, and returns
-    the input gradient (B, T, in). Any object with a (B, T, in) `shape` and
-    these two methods can stand in for the array; `reward.ForecastRows` is one.
+    An `LstmLayer` touches its input in two places only: `project(W, out)`
+    gives every step's input pre-activations x_t W, time-major (T, B, 4h), on
+    the way in, written into `out` when given, and `backward(W, dW, steps)`
+    adds the input-weight gradient to `dW` on the way out, from the (t, dz)
+    pairs of the BPTT loop, and returns the input gradient (B, T, in). Any
+    object with a (B, T, in) `shape` and these two methods can stand in for
+    the array; `reward.ForecastRows` is one.
     """
 
     def __init__(self, xs: np.ndarray):
         self.xs = xs
         self.shape = xs.shape
 
-    def project(self, W: np.ndarray) -> np.ndarray:
+    def project(self, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         _require_finite("lstm input", self.xs)
         B, T, _ = self.shape
-        return (self.xs.swapaxes(0, 1).reshape(T * B, -1) @ W).reshape(T, B, W.shape[1])
+        flat = self.xs.swapaxes(0, 1).reshape(T * B, -1)
+        if out is None:
+            return (flat @ W).reshape(T, B, W.shape[1])
+        np.matmul(flat, W, out=out.reshape(T * B, -1))
+        return out
 
     def backward(self, W: np.ndarray, dW: np.ndarray, steps) -> np.ndarray:
         B, T, in_dim = self.shape
@@ -233,10 +268,11 @@ class LstmLayer:
     def params(self) -> dict[str, np.ndarray]:
         return {"W": self.W, "U": self.U, "b": self.b}
 
-    def forward(self, xs) -> tuple[np.ndarray, dict]:
+    def forward(self, xs, work: Workspace | None = None) -> tuple[np.ndarray, dict]:
         """The hidden sequence (B, T, h), and the cache `backward` reads. The
         cache holds the step state time-major: "hs" and "cs" are (T, B, h),
-        "gates" (T, B, 4h); the returned sequence is a view of "hs"."""
+        "gates" (T, B, 4h); the returned sequence is a view of "hs". With a
+        workspace the three are views of its arrays, not new ones."""
         inputs = _input_side(xs)
         if len(inputs.shape) != 3 or inputs.shape[2] != self.input_dim:
             raise ShapeError(
@@ -252,10 +288,15 @@ class LstmLayer:
         # gates buffer that each step then activates in place; it is made
         # contiguous so that the block views below are views.
         U = self.U * scale
-        gates = np.ascontiguousarray(inputs.project(self.W * scale))
+        if work is None:
+            gates = np.ascontiguousarray(inputs.project(self.W * scale))
+            hs = np.empty((T, B, h))
+            cs = np.empty((T, B, h))
+        else:
+            gates = inputs.project(self.W * scale, out=work.array("gates", (T, B, 4 * h)))
+            hs = work.array("hs", (T, B, h))
+            cs = work.array("cs", (T, B, h))
         gates += self.b * scale
-        hs = np.empty((T, B, h))
-        cs = np.empty((T, B, h))
         blocks = gates.reshape(T, B, 4, h).swapaxes(1, 2)  # step t's i, f, g, o
         ig = np.empty((B, h))
         for t, (a, (i, f, g, o), c, h_t) in enumerate(zip(gates, blocks, cs, hs)):
@@ -341,17 +382,18 @@ class StackedLstm:
     def params(self) -> dict[str, np.ndarray]:
         return named({f"l{l}": layer.params for l, layer in enumerate(self.layers)})
 
-    def forward(self, xs: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Returns the top layer's full hidden sequence (B, T, h) and a cache."""
+    def forward(self, xs: np.ndarray, work: Workspace | None = None) -> tuple[np.ndarray, dict]:
+        """Returns the top layer's full hidden sequence (B, T, h) and a cache.
+        Layer l runs in part "l<l>" of `work`."""
         caches = []
         seq = xs
-        for layer in self.layers:
-            seq, cache = layer.forward(seq)
+        for l, layer in enumerate(self.layers):
+            seq, cache = layer.forward(seq, None if work is None else work.part(f"l{l}"))
             caches.append(cache)
         return seq, {"caches": caches}
 
-    def final_hidden(self, xs: np.ndarray) -> tuple[np.ndarray, dict]:
-        hs, cache = self.forward(xs)
+    def final_hidden(self, xs: np.ndarray, work: Workspace | None = None) -> tuple[np.ndarray, dict]:
+        hs, cache = self.forward(xs, work)
         return hs[:, -1], cache
 
     def backward(self, cache: dict, dhs_top: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:

@@ -253,6 +253,11 @@ class WaitForecastNet:
     `forward` and `backward` run on all their rows at once. `predict` and
     `mse_gradient` run over chunks of at most `CHUNK_ROWS` rows and drop each
     chunk's cache before the next, so their memory does not grow with N.
+    Each of `forward`, `predict` and `mse_gradient` takes an optional
+    `nn.Workspace`, whose arrays then hold every LSTM layer's gates and step
+    state in place of new ones: a cache from `forward` is valid until the
+    next call through the same workspace, while the forecasts and gradients
+    returned are always new arrays.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, num_layers: int, rng: np.random.Generator):
@@ -265,8 +270,9 @@ class WaitForecastNet:
     def params(self) -> dict[str, np.ndarray]:
         return nn.named({"lstm": self.lstm.params, "head": self.head.params})
 
-    def forward(self, rows: "ForecastRows | np.ndarray") -> tuple[np.ndarray, dict]:
-        h, lstm_cache = self.lstm.final_hidden(rows)
+    def forward(self, rows: "ForecastRows | np.ndarray", work: nn.Workspace | None = None
+                ) -> tuple[np.ndarray, dict]:
+        h, lstm_cache = self.lstm.final_hidden(rows, work)
         y, head_cache = self.head.forward(h)
         return y[:, 0], {"lstm": lstm_cache, "head": head_cache}
 
@@ -275,14 +281,15 @@ class WaitForecastNet:
         _, lstm_grads = self.lstm.backward_last(cache["lstm"], dh)
         return nn.named({"lstm": lstm_grads, "head": head_grads})
 
-    def predict(self, rows: "ForecastRows", chunk_rows: int = CHUNK_ROWS) -> np.ndarray:
+    def predict(self, rows: "ForecastRows", chunk_rows: int = CHUNK_ROWS,
+                work: nn.Workspace | None = None) -> np.ndarray:
         """`forward(rows)`'s forecasts, one chunk of rows at a time; each
         chunk's cache is dropped. Up to one chunk this has the bits of
         `forward`. Pricing passes `INFERENCE_ROWS`."""
-        return np.concatenate([self.forward(chunk)[0] for chunk in rows.chunks(chunk_rows)])
+        return np.concatenate([self.forward(chunk, work)[0] for chunk in rows.chunks(chunk_rows)])
 
-    def mse_gradient(self, chunks: Sequence["ForecastRows"], targets: np.ndarray
-                     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    def mse_gradient(self, chunks: Sequence["ForecastRows"], targets: np.ndarray,
+                     work: nn.Workspace | None = None) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Forecasts for the rows of `chunks`, in order, and the gradient of
         the loss ½·mean((forecast − target)²) over all N of them. Each chunk
         runs forward and backward on its own, with its residuals over N, and
@@ -290,10 +297,10 @@ class WaitForecastNet:
         n = targets.shape[0]
         preds, total, start = [], {}, 0
         for chunk in chunks:
-            pred, cache = self.forward(chunk)
+            pred, cache = self.forward(chunk, work)
             stop = start + pred.shape[0]
             grads = self.backward(cache, (pred - targets[start:stop]) / n)
-            del cache  # before the next chunk's forward allocates its own
+            del cache  # before the next chunk's forward allocates its own or reuses its arrays
             if not total:
                 total = grads
             else:
@@ -304,13 +311,22 @@ class WaitForecastNet:
         return np.concatenate(preds), total
 
 
-def _lookup(table: np.ndarray, idx: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """`table[idx] @ W`, as a new array. Projecting the whole table and then
-    gathering is cheaper once `idx` has as many entries as the table has
-    rows; pricing a few pairs projects only their own rows."""
+def _lookup(table: np.ndarray, idx: np.ndarray, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`table[idx] @ W`, as a new array or written into `out`. Projecting the
+    whole table and then gathering is cheaper once `idx` has as many entries
+    as the table has rows; pricing a few pairs projects only their own rows.
+    With `out`, every index must be in range: the gather clips, because
+    `np.take` with `out` and its default `mode="raise"` buffers the whole
+    output in a temporary."""
     if idx.size < table.shape[0]:
-        return (table[idx.ravel()] @ W).reshape(idx.shape + W.shape[1:])
-    return (table @ W)[idx]
+        rows = table[idx.ravel()]
+        if out is None:
+            return (rows @ W).reshape(idx.shape + W.shape[1:])
+        np.matmul(rows, W, out=out.reshape(rows.shape[0], -1))
+        return out
+    if out is None:
+        return (table @ W)[idx]
+    return np.take(table @ W, idx, axis=0, out=out, mode="clip")
 
 
 @dataclass(frozen=True)
@@ -350,13 +366,20 @@ class ForecastRows:
         k = self.lags.shape[1]
         return (self.hours[:, None] - k + np.arange(k)) % HOURS_PER_WEEK
 
-    def project(self, W: np.ndarray) -> np.ndarray:
-        """Every step's input pre-activations, time-major (k, N, 4h)."""
+    def project(self, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Every step's input pre-activations, time-major (k, N, 4h), as a new
+        array or written into `out`. Into `out` the lag term is added one step
+        at a time, so no temporary is as large as `out`."""
         nn._require_finite("lstm input", self.lags)
         width = self.index.context_width()
-        gates = _lookup(_WEEK_FEATURES, self._week_slots().T, W[1 + width :])
+        gates = _lookup(_WEEK_FEATURES, self._week_slots().T, W[1 + width :], out)
         gates += _lookup(self.index.contexts, self.cols, W[1 : 1 + width])
-        gates += self.lags.T[:, :, None] * W[0]
+        if out is None:
+            gates += self.lags.T[:, :, None] * W[0]
+        else:
+            lag_term = np.empty(gates.shape[1:])
+            for step, lags in zip(gates, self.lags.T):
+                step += np.multiply(lags[:, None], W[0], out=lag_term)
         return gates
 
     def backward(self, W: np.ndarray, dW: np.ndarray, steps) -> None:
@@ -421,7 +444,10 @@ def train_reward_net(
     """Fit one-step-ahead wait prediction by full-batch gradient descent on
     MSE. Each epoch's gradient is summed over the `CHUNK_ROWS`-row chunks of
     the training rows (`WaitForecastNet.mse_gradient`), then clipped and
-    applied in one step.
+    applied in one step. Every forward of the fit, the closing predictions
+    included, runs through one `nn.Workspace`, so the LSTM layers' gates and
+    step state are allocated once per fit, not once per chunk; a shorter
+    chunk runs in views of the full chunk's arrays.
 
     Uses hours up to train_end_hour (inclusive); stations without at least
     window+1 observable hours are skipped with a warning. Returns the net and
@@ -476,9 +502,10 @@ def train_reward_net(
     net = WaitForecastNet(rows_train.shape[2], hyper.hidden, hyper.layers, rng_for(hyper.seed, "reward-init"))
     params = net.params
     chunks = rows_train.chunks()
+    work = nn.Workspace()
     records = []
     for epoch in range(hyper.epochs):
-        pred, grads = net.mse_gradient(chunks, ys_train)
+        pred, grads = net.mse_gradient(chunks, ys_train, work)
         norm = nn.clip_global_norm(grads, hyper.clip_norm)
         nn.sgd_step(params, grads, hyper.alpha)
         records.append(
@@ -493,7 +520,7 @@ def train_reward_net(
     def _mse(split: ForecastRows, idx: np.ndarray) -> float:
         if idx.size == 0:
             return float("nan")
-        pred = net.predict(split)
+        pred = net.predict(split, work=work)
         return float(np.mean(((pred - ys[idx]) * sc[idx]) ** 2))
 
     report = {

@@ -639,6 +639,92 @@ def test_time_major_lstm_has_the_bits_of_batch_major(B, T, layers, source, in_di
             (_assert_rel_close if hidden == 1 else _assert_same_bits)(grads[name], g)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    B=st.sampled_from([1, 3, 129]),
+    T=st.integers(1, 10),
+    layers=st.integers(1, 3),
+    source=st.sampled_from(["array", "dense", "rows"]),
+    in_dim=st.integers(1, 6),
+    hidden=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(B=3, T=10, layers=2, source="rows", in_dim=5, hidden=4, seed=0)  # 30 lag steps: rows of the hour table
+@example(B=129, T=10, layers=2, source="rows", in_dim=5, hidden=4, seed=1)  # 1,290 lag steps: the whole table
+def test_workspace_path_has_the_bits_of_allocating_path(B, T, layers, source, in_dim, hidden, seed):
+    """A forward through a workspace, after a 512-row pass through the same
+    workspace, gives every layer's hidden sequence, cells and gates, and
+    `backward` and `backward_last` give the gradients, of the forward that
+    allocates, bit for bit, over an array, a `DenseInput` and `ForecastRows`.
+    The smaller pass runs in views of the 512-row pass's arrays. An input
+    side's `project(W, out=...)` writes `project(W)`'s bits, for
+    `ForecastRows` on both sides of the 168-row hour-of-week table."""
+    rng = np.random.default_rng(seed)
+    if source == "rows":
+        xs = random_forecast_rows(rng, in_dim, T, B, first_hour=-200)
+        larger = random_forecast_rows(rng, in_dim, T, 512)
+    else:
+        xs = 2.0 * rng.normal(size=(B, T, in_dim))
+        larger = rng.normal(size=(512, T, in_dim))
+    given_xs = nn.DenseInput(xs) if source == "dense" else xs
+    net = nn.StackedLstm(xs.shape[2], hidden, layers, rng)
+    for layer in net.layers:
+        layer.b += rng.normal(size=layer.b.shape)
+
+    inputs = xs if source == "rows" else nn.DenseInput(xs)
+    projected = inputs.project(net.layers[0].W)
+    out = np.full(projected.shape, np.nan)
+    assert inputs.project(net.layers[0].W, out=out) is out
+    _assert_same_bits(out, projected)
+
+    work = nn.Workspace()
+    _, big = net.forward(larger, work)
+    top, cache = net.forward(given_xs, work)
+    want_top, want = net.forward(given_xs)
+    _assert_same_bits(top, want_top)
+    for got_layer, want_layer, big_layer in zip(cache["caches"], want["caches"], big["caches"]):
+        for key in ("hs", "cs", "gates"):
+            _assert_same_bits(got_layer[key], want_layer[key])
+            assert np.shares_memory(got_layer[key], big_layer[key])
+    dhs = rng.normal(size=(B, T, hidden))
+    dh_last = rng.normal(size=(B, hidden))
+    for run in (lambda c: net.backward(c, dhs), lambda c: net.backward_last(c, dh_last)):
+        (dxs, grads), (want_dxs, want_grads) = run(cache), run(want)
+        if source == "rows":
+            assert dxs is None and want_dxs is None
+        else:
+            _assert_same_bits(dxs, want_dxs)
+        assert grads.keys() == want_grads.keys()
+        for name, g in want_grads.items():
+            _assert_same_bits(grads[name], g)
+
+
+def test_live_caches_need_their_own_workspaces():
+    """Two forwards through two workspaces, then their backwards in reverse
+    order: each forward/backward pair gives the bits of the pair that
+    allocates. Through one workspace, the second forward writes over the
+    first one's cache."""
+    rng = np.random.default_rng(5)
+    net = nn.StackedLstm(3, 4, 2, rng)
+    xs = [rng.normal(size=(7, 5, 3)), rng.normal(size=(4, 5, 3))]
+    dhs = [rng.normal(size=(7, 5, 4)), rng.normal(size=(4, 5, 4))]
+    wants = [net.backward(net.forward(x)[1], d) for x, d in zip(xs, dhs)]
+
+    caches = [net.forward(x, nn.Workspace())[1] for x in xs]
+    got = {i: net.backward(caches[i], dhs[i]) for i in (1, 0)}
+    for i, (want_dxs, want_grads) in enumerate(wants):
+        dxs, grads = got[i]
+        _assert_same_bits(dxs, want_dxs)
+        assert grads.keys() == want_grads.keys()
+        for name, g in want_grads.items():
+            _assert_same_bits(grads[name], g)
+
+    shared = nn.Workspace()
+    _, cache = net.forward(xs[0], shared)
+    net.forward(xs[1], shared)
+    assert not np.array_equal(cache["caches"][-1]["hs"].swapaxes(0, 1), net.forward(xs[0])[0])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     bad=st.sampled_from(["width", "rank", "nan", "inf", "-inf"]),

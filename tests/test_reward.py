@@ -560,16 +560,23 @@ def test_predict_is_forward_in_chunks(data, m, k, n, hidden, layers, seed):
     assert net.predict(rows).tobytes() == want.tobytes()  # n < CHUNK_ROWS
 
 
-@settings(max_examples=3, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1))
-def test_chunked_fit_is_reproducible(tmp_path_factory, seed):
-    """Two fits over several chunks, the last one partial, write the same
-    checkpoint bytes."""
+def _chunked_city():
+    """Two stations whose training rows fill two `CHUNK_ROWS` chunks and part
+    of a third, at `window=3`."""
     index = make_stations(["cs0", "cs1"], mean_wait=25.0)
     series = rw.build_wait_series(EventColumns.of([
         make_event(f"e{i}", "d", f"cs{i % 2}", T0 + timedelta(hours=i // 2), duration=float(5 + i * 37 % 50))
         for i in range(1300)
     ]))
+    return index, series
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_chunked_fit_is_reproducible(tmp_path_factory, seed):
+    """Two fits over several chunks, the last one partial, write the same
+    checkpoint bytes."""
+    index, series = _chunked_city()
     hyper = rw.RewardNetHyper(window=3, hidden=4, layers=2, alpha=0.1, epochs=2, seed=seed)
     paths = []
     for _ in range(2):
@@ -579,6 +586,48 @@ def test_chunked_fit_is_reproducible(tmp_path_factory, seed):
         paths.append(tmp_path_factory.mktemp("fit") / "reward.ckpt")
         save_reward_net(net, hyper, paths[-1])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_fit_through_a_workspace_has_the_bits_of_the_allocating_fit(monkeypatch):
+    """`train_reward_net` runs its chunks, a partial last chunk included, and
+    its closing predictions through one workspace. Its parameters and report
+    are those of the same fit with every forward allocating."""
+    index, series = _chunked_city()
+    hyper = rw.RewardNetHyper(window=3, hidden=4, layers=2, alpha=0.1, epochs=3, seed=4)
+    net, report = rw.train_reward_net(series, index, hyper)
+
+    forward = rw.WaitForecastNet.forward
+    works = []
+
+    def allocating(self, rows, work=None):
+        works.append(work)
+        return forward(self, rows)
+
+    monkeypatch.setattr(rw.WaitForecastNet, "forward", allocating)
+    want_net, want_report = rw.train_reward_net(series, index, hyper)
+    assert works and all(isinstance(w, rw.nn.Workspace) for w in works) and len({id(w) for w in works}) == 1
+    assert net.params.keys() == want_net.params.keys()
+    for name, p in want_net.params.items():
+        assert net.params[name].tobytes() == p.tobytes()
+    assert repr(report) == repr(want_report)
+
+
+def test_forecasts_survive_later_calls_through_the_workspace():
+    """The forecasts `predict` and `mse_gradient` return through a workspace,
+    and the gradient, are their own arrays: later calls through the same
+    workspace leave them as they were."""
+    rng = np.random.default_rng(6)
+    rows, net = _random_forecaster(rng, 4, 5, 700, 3, 2)
+    targets = rng.normal(size=700)
+    work = rw.nn.Workspace()
+    pred = net.predict(rows, work=work)
+    fit_pred, grads = net.mse_gradient(rows.chunks(), targets, work)
+    kept = [pred.copy(), fit_pred.copy()] + [g.copy() for g in grads.values()]
+    net.predict(rows.take(slice(100, 400)), work=work)
+    net.mse_gradient(rows.take(slice(0, 600)).chunks(), targets[:600], work)
+    for got, want in zip([pred, fit_pred, *grads.values()], kept):
+        assert got.tobytes() == want.tobytes()
+    assert pred.tobytes() == net.predict(rows).tobytes()
 
 
 @pytest.mark.parametrize("block", ["lag", "station", "time"])

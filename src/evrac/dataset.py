@@ -390,13 +390,6 @@ class _StartCodes:
             code = self._code_of[text] = self.of_time(_parse_timestamp(text))
         return code
 
-    def of_texts(self, texts: Sequence[str]) -> list[int]:
-        """`of_text` of each string, calling it only for new ones."""
-        for text in texts:
-            if text not in self._code_of:
-                self.of_text(text)
-        return list(map(self._code_of.__getitem__, texts))
-
 
 def _canonical_layout(header: list[str], path: Path, starts: _StartCodes):
     """The canonical layout's two converters, both reading fields by header
@@ -417,7 +410,7 @@ def _canonical_layout(header: list[str], path: Path, starts: _StartCodes):
     def columns(rows: list[list[str]]) -> tuple:
         cols = list(zip(*rows))
         return (list(map(str.strip, cols[i_id])), list(map(str.strip, cols[i_driver])),
-                list(map(str.strip, cols[i_station])), starts.of_texts(cols[i_start]),
+                list(map(str.strip, cols[i_station])), list(map(starts.of_text, cols[i_start])),
                 list(map(float, cols[i_duration])), list(map(float, cols[i_energy])))
     return fields, columns
 

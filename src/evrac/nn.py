@@ -17,11 +17,11 @@ Conventions:
   * inside `LstmLayer` the step state is time-major, (T, B, ·), so that step
     t reads and writes contiguous rows; its forward and backward take and
     return batch-first views of it
-  * a forward may be given a `Workspace`, which keeps its per-call arrays
-    (gates and step state) across calls instead of allocating them. An array
-    a workspace hands out, and so a cache built in it, is valid until the
-    next call through that workspace: each cache that must stay live needs
-    its own. Without one (`work=None`) every call allocates
+  * a caller that runs a loop of LSTM forwards may hand them a `Workspace`,
+    which keeps each layer's gates and step state across calls; a forward
+    without one allocates them. An array a workspace hands out, and so a
+    cache built in it, is valid until the next call through that workspace:
+    each cache that must stay live needs its own
 
 Initialization: weights ~ uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)); LSTM
 forget-gate bias starts at 1.0 for gradient flow; all other biases at 0.
@@ -183,23 +183,25 @@ class Mlp:
 
 
 class Workspace:
-    """Named float64 arrays kept across calls by the caller that runs a loop
-    of forwards, with one named part per layer. `array(name, shape)` is a
-    C-contiguous view of the buffer kept under `name`, reused while it is
-    large enough and replaced by a larger one otherwise, so a smaller pass
-    takes a view of a larger pass's buffer. Its contents are whatever the
-    last call left there."""
+    """Named float64 arrays kept across calls, with one named part per
+    layer. `array(name, shape)` is a C-contiguous view of the buffer kept
+    under `name`, reused while it is large enough and replaced by a larger
+    one otherwise, so a smaller pass takes a view of a larger pass's buffer.
+    Its contents are whatever the last call left there."""
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
         self._parts: dict[str, Workspace] = {}
 
     def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
         buf = self._buffers.get(name)
+        if buf is not None and buf.shape == shape:
+            return buf
+        size = math.prod(shape)
         if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size)
-        return buf[:size].reshape(shape)
+            buf = self._buffers[name] = np.empty(shape)
+            return buf
+        return buf.reshape(-1)[:size].reshape(shape)
 
     def part(self, name: str) -> Workspace:
         if name not in self._parts:
@@ -211,8 +213,8 @@ class DenseInput:
     """The input side of an `LstmLayer` over a (B, T, in) array.
 
     An `LstmLayer` touches its input in two places only: `project(W, out)`
-    gives every step's input pre-activations x_t W, time-major (T, B, 4h), on
-    the way in, written into `out` when given, and `backward(W, dW, steps)`
+    writes every step's input pre-activations x_t W, time-major (T, B, 4h),
+    into the C-contiguous `out` on the way in, and `backward(W, dW, steps)`
     adds the input-weight gradient to `dW` on the way out, from the (t, dz)
     pairs of the BPTT loop, and returns the input gradient (B, T, in). Any
     object with a (B, T, in) `shape` and these two methods can stand in for
@@ -223,13 +225,10 @@ class DenseInput:
         self.xs = xs
         self.shape = xs.shape
 
-    def project(self, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def project(self, W: np.ndarray, out: np.ndarray) -> np.ndarray:
         _require_finite("lstm input", self.xs)
         B, T, _ = self.shape
-        flat = self.xs.swapaxes(0, 1).reshape(T * B, -1)
-        if out is None:
-            return (flat @ W).reshape(T, B, W.shape[1])
-        np.matmul(flat, W, out=out.reshape(T * B, -1))
+        np.matmul(self.xs.swapaxes(0, 1).reshape(T * B, -1), W, out=out.reshape(T * B, W.shape[1], copy=False))
         return out
 
     def backward(self, W: np.ndarray, dW: np.ndarray, steps) -> np.ndarray:
@@ -271,8 +270,8 @@ class LstmLayer:
     def forward(self, xs, work: Workspace | None = None) -> tuple[np.ndarray, dict]:
         """The hidden sequence (B, T, h), and the cache `backward` reads. The
         cache holds the step state time-major: "hs" and "cs" are (T, B, h),
-        "gates" (T, B, 4h); the returned sequence is a view of "hs". With a
-        workspace the three are views of its arrays, not new ones."""
+        "gates" (T, B, 4h), all three views of `work`'s arrays when it is
+        given and new ones otherwise; the returned sequence is a view of "hs"."""
         inputs = _input_side(xs)
         if len(inputs.shape) != 3 or inputs.shape[2] != self.input_dim:
             raise ShapeError(
@@ -285,17 +284,15 @@ class LstmLayer:
         # activates every gate once its i/f/o columns are halved. The halving
         # is folded into W, U and b; scaling by a power of two is exact.
         # The input projection of all T steps is computed up front, into the
-        # gates buffer that each step then activates in place; it is made
-        # contiguous so that the block views below are views.
+        # gates buffer that each step then activates in place; it is
+        # contiguous, so the block views below are views.
         U = self.U * scale
-        if work is None:
-            gates = np.ascontiguousarray(inputs.project(self.W * scale))
-            hs = np.empty((T, B, h))
-            cs = np.empty((T, B, h))
+        if work is None:  # a one-off call: a Workspace would cost more than it saves
+            gates, hs, cs = np.empty((T, B, 4 * h)), np.empty((T, B, h)), np.empty((T, B, h))
         else:
-            gates = inputs.project(self.W * scale, out=work.array("gates", (T, B, 4 * h)))
-            hs = work.array("hs", (T, B, h))
-            cs = work.array("cs", (T, B, h))
+            gates = work.array("gates", (T, B, 4 * h))
+            hs, cs = work.array("hs", (T, B, h)), work.array("cs", (T, B, h))
+        inputs.project(self.W * scale, out=gates)
         gates += self.b * scale
         blocks = gates.reshape(T, B, 4, h).swapaxes(1, 2)  # step t's i, f, g, o
         ig = np.empty((B, h))
@@ -384,7 +381,7 @@ class StackedLstm:
 
     def forward(self, xs: np.ndarray, work: Workspace | None = None) -> tuple[np.ndarray, dict]:
         """Returns the top layer's full hidden sequence (B, T, h) and a cache.
-        Layer l runs in part "l<l>" of `work`."""
+        Layer l runs in part "l<l>" of `work`, when given."""
         caches = []
         seq = xs
         for l, layer in enumerate(self.layers):

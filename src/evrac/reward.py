@@ -253,11 +253,9 @@ class WaitForecastNet:
     `forward` and `backward` run on all their rows at once. `predict` and
     `mse_gradient` run over chunks of at most `CHUNK_ROWS` rows and drop each
     chunk's cache before the next, so their memory does not grow with N.
-    Each of `forward`, `predict` and `mse_gradient` takes an optional
-    `nn.Workspace`, whose arrays then hold every LSTM layer's gates and step
-    state in place of new ones: a cache from `forward` is valid until the
-    next call through the same workspace, while the forecasts and gradients
-    returned are always new arrays.
+    `forward`, `predict` and `mse_gradient` take an optional `nn.Workspace`
+    from a caller that loops over them, which then holds the LSTM layers'
+    gates and step state; forecasts and gradients are always new arrays.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, num_layers: int, rng: np.random.Generator):
@@ -312,21 +310,23 @@ class WaitForecastNet:
 
 
 def _lookup(table: np.ndarray, idx: np.ndarray, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """`table[idx] @ W`, as a new array or written into `out`. Projecting the
-    whole table and then gathering is cheaper once `idx` has as many entries
-    as the table has rows; pricing a few pairs projects only their own rows.
-    With `out`, every index must be in range: the gather clips, because
-    `np.take` with `out` and its default `mode="raise"` buffers the whole
-    output in a temporary."""
-    if idx.size < table.shape[0]:
-        rows = table[idx.ravel()]
-        if out is None:
-            return (rows @ W).reshape(idx.shape + W.shape[1:])
-        np.matmul(rows, W, out=out.reshape(rows.shape[0], -1))
-        return out
+    """`table[idx] @ W`, written into `out` (a new array when None).
+    Projecting the whole table and then gathering is cheaper once `idx` has
+    as many entries as the table has rows; pricing a few pairs projects only
+    their own rows. An index out of range raises IndexError before anything
+    is written. The gather clips once the indices are checked, because
+    `np.take` into `out` with its default `mode="raise"` would first gather
+    into a temporary as large as `out`."""
     if out is None:
-        return (table @ W)[idx]
-    return np.take(table @ W, idx, axis=0, out=out, mode="clip")
+        out = np.empty(idx.shape + W.shape[1:])
+    rows = out.reshape(idx.size, W.shape[1], copy=False)
+    if idx.size < table.shape[0]:
+        np.matmul(table[idx.ravel()], W, out=rows)
+    elif idx.min() < 0 or idx.max() >= table.shape[0]:
+        raise IndexError(f"lookup index out of range for a table of {table.shape[0]} rows")
+    else:
+        np.take(table @ W, idx.ravel(), axis=0, out=rows, mode="clip")
+    return out
 
 
 @dataclass(frozen=True)
@@ -366,20 +366,21 @@ class ForecastRows:
         k = self.lags.shape[1]
         return (self.hours[:, None] - k + np.arange(k)) % HOURS_PER_WEEK
 
-    def project(self, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Every step's input pre-activations, time-major (k, N, 4h), as a new
-        array or written into `out`. Into `out` the lag term is added one step
-        at a time, so no temporary is as large as `out`."""
+    def project(self, W: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Every step's input pre-activations, time-major (k, N, 4h), written
+        into `out`. The lag term is added a block of whole steps at a time,
+        through a temporary of at most `CHUNK_ROWS` rows: all k steps at once
+        for a few pricing rows, one step at a time for a full fit chunk."""
         nn._require_finite("lstm input", self.lags)
         width = self.index.context_width()
         gates = _lookup(_WEEK_FEATURES, self._week_slots().T, W[1 + width :], out)
         gates += _lookup(self.index.contexts, self.cols, W[1 : 1 + width])
-        if out is None:
-            gates += self.lags.T[:, :, None] * W[0]
-        else:
-            lag_term = np.empty(gates.shape[1:])
-            for step, lags in zip(gates, self.lags.T):
-                step += np.multiply(lags[:, None], W[0], out=lag_term)
+        n, k = self.lags.shape
+        steps = max(1, min(k, CHUNK_ROWS // max(n, 1)))
+        term = np.empty((steps, n, W.shape[1]))
+        for lo in range(0, k, steps):
+            block = gates[lo : lo + steps]
+            block += np.multiply(self.lags.T[lo : lo + steps, :, None], W[0], out=term[: len(block)])
         return gates
 
     def backward(self, W: np.ndarray, dW: np.ndarray, steps) -> None:
@@ -445,9 +446,8 @@ def train_reward_net(
     MSE. Each epoch's gradient is summed over the `CHUNK_ROWS`-row chunks of
     the training rows (`WaitForecastNet.mse_gradient`), then clipped and
     applied in one step. Every forward of the fit, the closing predictions
-    included, runs through one `nn.Workspace`, so the LSTM layers' gates and
-    step state are allocated once per fit, not once per chunk; a shorter
-    chunk runs in views of the full chunk's arrays.
+    included, runs through one `nn.Workspace`, so the LSTM arrays are
+    allocated once per fit, not once per chunk.
 
     Uses hours up to train_end_hour (inclusive); stations without at least
     window+1 observable hours are skipped with a warning. Returns the net and

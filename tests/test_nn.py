@@ -476,6 +476,13 @@ class _BatchMajorDense:
         return dxs
 
 
+def _allocating_lookup(table, idx, W):
+    # `reward._lookup` as it was before it wrote into a given array.
+    if idx.size < table.shape[0]:
+        return (table[idx.ravel()] @ W).reshape(idx.shape + W.shape[1:])
+    return (table @ W)[idx]
+
+
 class _BatchMajorRows(rw.ForecastRows):
     """`reward.ForecastRows` with the batch-major projection it had then; its
     backward has not changed."""
@@ -483,8 +490,8 @@ class _BatchMajorRows(rw.ForecastRows):
     def project(self, W):
         nn._require_finite("lstm input", self.lags)
         width = self.index.context_width()
-        gates = rw._lookup(rw._WEEK_FEATURES, self._week_slots(), W[1 + width :])
-        gates += rw._lookup(self.index.contexts, self.cols, W[1 : 1 + width])[:, None, :]
+        gates = _allocating_lookup(rw._WEEK_FEATURES, self._week_slots(), W[1 + width :])
+        gates += _allocating_lookup(self.index.contexts, self.cols, W[1 : 1 + width])[:, None, :]
         gates += self.lags[:, :, None] * W[0]
         return gates
 
@@ -657,8 +664,10 @@ def test_workspace_path_has_the_bits_of_allocating_path(B, T, layers, source, in
     `backward` and `backward_last` give the gradients, of the forward that
     allocates, bit for bit, over an array, a `DenseInput` and `ForecastRows`.
     The smaller pass runs in views of the 512-row pass's arrays. An input
-    side's `project(W, out=...)` writes `project(W)`'s bits, for
-    `ForecastRows` on both sides of the 168-row hour-of-week table."""
+    side's `project(W, out)` writes the bits of the projection that
+    allocated its result, for `ForecastRows` on both sides of the 168-row
+    hour-of-week table and with its lag term added all at once, in blocks
+    of steps and step by step."""
     rng = np.random.default_rng(seed)
     if source == "rows":
         xs = random_forecast_rows(rng, in_dim, T, B, first_hour=-200)
@@ -671,11 +680,19 @@ def test_workspace_path_has_the_bits_of_allocating_path(B, T, layers, source, in
     for layer in net.layers:
         layer.b += rng.normal(size=layer.b.shape)
 
-    inputs = xs if source == "rows" else nn.DenseInput(xs)
-    projected = inputs.project(net.layers[0].W)
-    out = np.full(projected.shape, np.nan)
-    assert inputs.project(net.layers[0].W, out=out) is out
-    _assert_same_bits(out, projected)
+    W = net.layers[0].W
+    for given in (xs, larger):  # a full 512-row chunk adds its lag term step by step
+        if source == "rows":
+            inputs, width = given, given.index.context_width()
+            projected = _allocating_lookup(rw._WEEK_FEATURES, given._week_slots().T, W[1 + width :])
+            projected += _allocating_lookup(given.index.contexts, given.cols, W[1 : 1 + width])
+            projected += given.lags.T[:, :, None] * W[0]
+        else:
+            inputs = nn.DenseInput(given)
+            projected = (given.swapaxes(0, 1).reshape(T * len(given), -1) @ W).reshape(T, len(given), -1)
+        out = np.full(projected.shape, np.nan)
+        assert inputs.project(W, out) is out
+        _assert_same_bits(out, projected)
 
     work = nn.Workspace()
     _, big = net.forward(larger, work)

@@ -630,6 +630,30 @@ def test_forecasts_survive_later_calls_through_the_workspace():
     assert pred.tobytes() == net.predict(rows).tobytes()
 
 
+@pytest.mark.parametrize("n", [3, 400])  # fewer and more indices than the table's 168 rows
+def test_lookup_refuses_what_it_cannot_write_in_place(n):
+    """`_lookup` raises IndexError on an index out of range, on either side
+    of the table's row count, and leaves `out` unwritten; a non-contiguous
+    `out`, which would reshape to a copy, raises instead of leaving `out`
+    unwritten."""
+    rng = np.random.default_rng(n)
+    W = rng.normal(size=(rw._WEEK_FEATURES.shape[1], 8))
+    idx = rng.integers(0, rw.HOURS_PER_WEEK, size=(2, n))
+    want = rw._lookup(rw._WEEK_FEATURES, idx, W)
+    out = np.full(want.shape, np.nan)
+    assert rw._lookup(rw._WEEK_FEATURES, idx, W, out) is out
+    assert out.tobytes() == want.tobytes()
+    for bad in (rw.HOURS_PER_WEEK, -rw.HOURS_PER_WEEK - 1):
+        wrong = idx.copy()
+        wrong[1, -1] = bad
+        out = np.full(want.shape, np.nan)
+        with pytest.raises(IndexError):
+            rw._lookup(rw._WEEK_FEATURES, wrong, W, out)
+        assert np.isnan(out).all()
+    with pytest.raises(ValueError):
+        rw._lookup(rw._WEEK_FEATURES, idx, W, np.empty((n, 2, 8)).swapaxes(0, 1))
+
+
 @pytest.mark.parametrize("block", ["lag", "station", "time"])
 def test_gradcheck_catches_a_wrong_first_layer_gradient(monkeypatch, block):
     true_backward = rw.ForecastRows.backward

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from evrac.dataset import ChargingEvent, write_events
+from evrac.dataset import EventColumns, _instant, write_events
 from evrac.geospatial import EARTH_RADIUS_KM, NUM_POI_TYPES
 
 T0 = datetime(2018, 6, 6, 6, 0, tzinfo=timezone.utc)
@@ -25,8 +25,8 @@ def lon_for_km(km: float) -> float:
 
 
 def build_events(rng: np.random.Generator, drivers: int, events_per_driver: int,
-                 stations: list[str], busy: dict[str, float]) -> list[ChargingEvent]:
-    events = []
+                 stations: list[str], busy: dict[str, float]) -> EventColumns:
+    rows = []  # (event_id, driver_id, station_id, start_us, start_s, duration_min, energy_kwh)
     for d in range(drivers):
         driver_id = f"driver-{d:03d}"
         favorite = stations[d % len(stations)]
@@ -39,19 +39,11 @@ def build_events(rng: np.random.Generator, drivers: int, events_per_driver: int,
                 sid = stations[int(rng.integers(0, len(stations)))]
             # busier stations hold the charger longer
             duration = float(np.clip(rng.normal(busy[sid], 8.0), 5.0, 120.0))
-            events.append(
-                ChargingEvent(
-                    event_id=f"{driver_id}-e{i:04d}",
-                    driver_id=driver_id,
-                    station_id=sid,
-                    start_time=t,
-                    duration_min=round(duration, 1),
-                    energy_kwh=round(duration * 0.35, 2),
-                )
-            )
+            rows.append((f"{driver_id}-e{i:04d}", driver_id, sid, *_instant(t),
+                         round(duration, 1), round(duration * 0.35, 2)))
             t += timedelta(hours=float(rng.integers(6, 36)))
-    events.sort(key=lambda e: (e.start_time, e.event_id))
-    return events
+    events = EventColumns.build(*(zip(*rows) if rows else [()] * 7))
+    return events.take(events.time_order())
 
 
 def main() -> int:

@@ -628,11 +628,11 @@ def recommend(
     if not history:
         raise UsageError("recommendation needs at least one past event")
     p = rec.probabilities([(driver_id, history, [len(history)])])[0]
-    last = history[-1]
-    eh = epoch_hour(when or last.start_time)
+    eh = epoch_hour(when) if when else int(history.hours[-1])
     ranked = _rank_row(p, index.order, k)
     cols = np.array([index.index[sid] for sid in ranked], dtype=np.int64)
-    priced = env.breakdowns([driver_id] * k, np.full(k, index.index_of(last.station_id)), cols, np.full(k, eh))
+    prev = index.index_of(history.stations[history.station[-1]])
+    priced = env.breakdowns([driver_id] * k, np.full(k, prev), cols, np.full(k, eh))
     columns = zip(ranked, p[cols].tolist(), priced.wait_forecast.tolist(), priced.dist_km.tolist(),
                   priced.reward.tolist(), priced.fallback.tolist(), priced.clamped.tolist())
     return [Recommendation(*row) for row in columns]

@@ -30,7 +30,7 @@ from .checkpoint import (
     save_reward_net,
 )
 from .config import Config, apply_overrides, load_config
-from .dataset import EPOCH, _MICROSECOND, _parse_timestamp, parse_events, write_events, write_rejects
+from .dataset import EPOCH, _MICROSECOND, _parse_timestamp, _start_text, parse_events, write_events, write_rejects
 from .errors import (ConfigError, DataFormatError, DomainError, EvracError, TrainingDiverged, UsageError,
                      require_regular_file)
 from .evaluation import (
@@ -386,11 +386,11 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         }
         for it in items
     ]
-    when_eff = when or history[-1].start_time
+    at_us = (when - EPOCH) // _MICROSECOND if when else int(history.start_us[-1])
     _emit(
         {
             "driver_id": args.driver,
-            "timestamp": when_eff.strftime("%Y-%m-%dT%H:%M:%SZ"),
+            "timestamp": _start_text(at_us - at_us % 1_000_000),
             "items": payload,
         }
     )

@@ -10,9 +10,9 @@ per-layout mapper to its `CANONICAL_HEADER` fields. The values are checked
 with array masks: a block is accepted whole when they pass and its ids are
 new, and checked row by row otherwise. Trajectories, splits and the
 warm-up pool are views or takes of that table, and every reader of events
-takes them as columns. A `ChargingEvent` object is built only where an event
-leaves as one: `write_events`, and each event that code reads from columns by
-index or iteration; `EventColumns.of` turns such objects back into columns.
+takes them as columns, as `write_events` does. Only an int index or an
+iteration of a table builds `ChargingEvent`s, for the tests and for the
+benchmark harness's reads of single events; no code path here does either.
 """
 
 from __future__ import annotations
@@ -99,9 +99,9 @@ class EventColumns:
     NUL), and `row` is each event's position in the table `build` made, so
     every table taken from that one can index its per-event work.
 
-    Indexing with an int, or iterating, builds `ChargingEvent`s on each
-    access; a slice or `take` gives columns again, which share the name
-    tuples.
+    Only indexing with an int, or iterating, builds `ChargingEvent`s, for the
+    tests and the benchmark harness; a slice or `take` gives columns again,
+    which share the name tuples.
     """
 
     event_id: np.ndarray      # object array of str
@@ -143,25 +143,21 @@ class EventColumns:
         )
 
     @classmethod
-    def of(cls, events: Sequence[ChargingEvent]) -> "EventColumns":
-        """ChargingEvents as columns, in the order given. No parse builds
-        one: this serves `concat`'s fallback and events made one at a time."""
-        instants = [_instant(e.start_time) for e in events]
-        return cls.build([e.event_id for e in events], [e.driver_id for e in events],
-                         [e.station_id for e in events], [us for us, _ in instants], [s for _, s in instants],
-                         [e.duration_min for e in events], [e.energy_kwh for e in events])
-
-    @classmethod
     def concat(cls, parts: Sequence["EventColumns"]) -> "EventColumns":
-        """The events of `parts`, in order. Parts taken from one table are
-        joined column by column; others are rebuilt through `ChargingEvent`.
-        One part is returned as it is."""
+        """The events of `parts`, in order. One part is returned as it is.
+        Parts taken from one table are joined column by column, keeping its
+        name tuples and rows; others, and no parts, go through `build`, which
+        codes the names again and numbers the rows from 0."""
         if len(parts) == 1:
             return parts[0]
-        if parts and all(p.drivers is parts[0].drivers and p.stations is parts[0].stations for p in parts):
+        if not parts:
+            return cls.build([], [], [], [], [], [], [])
+        if all(p.drivers is parts[0].drivers and p.stations is parts[0].stations for p in parts):
             return cls(*(np.concatenate([getattr(p, name) for p in parts]) for name in _PER_EVENT),
                        parts[0].drivers, parts[0].stations)
-        return cls.of([e for p in parts for e in p])
+        columns = zip(*((p.event_id, np.array(p.drivers, dtype=object)[p.driver], p.station_id, p.start_us,
+                         p.start_s, p.duration_min, p.energy_kwh) for p in parts))
+        return cls.build(*map(np.concatenate, columns))
 
     def __len__(self) -> int:
         return self.event_id.shape[0]
@@ -564,25 +560,24 @@ def _float_text(x: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def write_events(events: Iterable[ChargingEvent], path: str | Path) -> None:
-    """Serialize events as canonical CSV (LF line endings) that reads back to
-    the same events bit for bit: starts as ISO-8601 UTC with a `Z`, the year
-    in four digits and microseconds only when there are any, and durations
-    and energies as `_float_text`."""
+def _start_text(start_us: int) -> str:
+    """A start in microseconds since the epoch as ISO-8601 UTC with a `Z`,
+    the year in four digits and microseconds only when there are any."""
+    return (datetime(1970, 1, 1) + timedelta(microseconds=start_us)).isoformat() + "Z"
+
+
+def write_events(events: EventColumns, path: str | Path) -> None:
+    """Serialize event columns as canonical CSV (LF line endings), each row
+    read from the columns, in table order, with no `ChargingEvent` between.
+    It reads back to the same events bit for bit: starts as `_start_text`,
+    durations and energies as `_float_text`."""
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CANONICAL_HEADER)
-        for e in events:
-            writer.writerow(
-                [
-                    e.event_id,
-                    e.driver_id,
-                    e.station_id,
-                    e.start_time.astimezone(timezone.utc).replace(tzinfo=None).isoformat() + "Z",
-                    _float_text(e.duration_min),
-                    _float_text(e.energy_kwh),
-                ]
-            )
+        writer.writerows(zip(events.event_id.tolist(), map(events.drivers.__getitem__, events.driver.tolist()),
+                             map(events.stations.__getitem__, events.station.tolist()),
+                             map(_start_text, events.start_us.tolist()), map(_float_text, events.duration_min.tolist()),
+                             map(_float_text, events.energy_kwh.tolist())))
 
 
 def write_rejects(rejects: Iterable[RejectedRow], path: str | Path) -> None:

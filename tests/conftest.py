@@ -7,6 +7,7 @@ import copy
 import json
 import math
 from datetime import datetime, timedelta, timezone
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from evrac.checkpoint import MAGIC
 
-from evrac.dataset import ChargingEvent, EventColumns, build_trajectories, split_all
+from evrac.dataset import ChargingEvent, EventColumns, _instant, build_trajectories, split_all
 from evrac.evaluation import DriverOutcome, EvalReport
 from evrac.geospatial import EARTH_RADIUS_KM, NUM_POI_TYPES, Station, StationIndex
 from evrac.reward import (
@@ -51,6 +52,14 @@ def make_event(
         duration_min=duration,
         energy_kwh=energy,
     )
+
+
+def columns_of(events: Sequence[ChargingEvent]) -> EventColumns:
+    """`events` as columns, in the order given."""
+    instants = [_instant(e.start_time) for e in events]
+    return EventColumns.build([e.event_id for e in events], [e.driver_id for e in events],
+                              [e.station_id for e in events], [us for us, _ in instants], [s for _, s in instants],
+                              [e.duration_min for e in events], [e.energy_kwh for e in events])
 
 
 def make_stations(
@@ -237,7 +246,7 @@ def constant_reward_env(
 
 
 def split_population(events: list[ChargingEvent]):
-    trajectories = build_trajectories(EventColumns.of(events))
+    trajectories = build_trajectories(columns_of(events))
     splits, excluded = split_all(trajectories)
     return trajectories, splits, excluded
 

@@ -1,8 +1,8 @@
-"""The set-up path one event object at a time, as it ran before events were
-carried as columns, the metrics one ranking list at a time, as they ran
-before evaluation scored from hit positions, and per-driver fine-tuning with
-validation windows rebuilt on every call: the oracles the array code must
-match, field by field and bit for bit."""
+"""The set-up path and the event writer one event object at a time, as they
+ran before events were carried as columns, the metrics one ranking list at a
+time, as they ran before evaluation scored from hit positions, and
+per-driver fine-tuning with validation windows rebuilt on every call: the
+oracles the array code must match, field by field and bit for bit."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import copy
 import csv
 import math
 from dataclasses import replace
+from datetime import timezone
 
 import numpy as np
 
@@ -72,6 +73,24 @@ def parse_events(path, adapter: str = "canonical") -> tuple[list[ChargingEvent],
     if total > 0 and len(rejects) > total / 2:
         raise DataFormatError(f"{path}: {len(rejects)}/{total} rows rejected; wrong adapter or corrupt file")
     return events, rejects
+
+
+def write_events(events: list[ChargingEvent], path) -> None:
+    """`dataset.write_events` as a loop over `ChargingEvent`s."""
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(dataset.CANONICAL_HEADER)
+        for e in events:
+            writer.writerow(
+                [
+                    e.event_id,
+                    e.driver_id,
+                    e.station_id,
+                    e.start_time.astimezone(timezone.utc).replace(tzinfo=None).isoformat() + "Z",
+                    dataset._float_text(e.duration_min),
+                    dataset._float_text(e.energy_kwh),
+                ]
+            )
 
 
 def build_trajectories(events) -> dict[str, list[ChargingEvent]]:

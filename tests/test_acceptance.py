@@ -15,6 +15,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from conftest import (
+    columns_of,
     constant_reward_env,
     make_stations,
     pattern_events,
@@ -35,7 +36,6 @@ from evrac.agent import (
 from evrac.baselines import MarkovRecommender
 from evrac.dataset import (
     DriverTrajectory,
-    EventColumns,
     build_trajectories,
     split_all,
     warmup_cut_counts,
@@ -255,7 +255,7 @@ def _warmup_population():
 def _warmup_run(seed, warm):
     index = make_stations(CYCLE)
     env = constant_reward_env(index, {sid: 10.0 for sid in CYCLE})
-    all_traj = build_trajectories(EventColumns.of(_warmup_population()))
+    all_traj = build_trajectories(columns_of(_warmup_population()))
     if warm:
         pool = warmup_pool(all_traj)
         cuts = warmup_cut_counts(all_traj)

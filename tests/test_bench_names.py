@@ -1,15 +1,19 @@
 """Every evrac name the benchmark harness in `perfbench/` patches, imports or
-reads still exists, so a refactor that deletes or renames one fails here in
-seconds rather than in a traced benchmark run. The harness files are read,
-never changed."""
+reads still exists, and its reads of single events from columns still work,
+so a refactor that deletes or renames one fails here in seconds rather than
+in a traced benchmark run. The harness files are read, never changed."""
 
 import ast
 import importlib
 import importlib.util
 import types
+from datetime import timedelta, timezone
 from pathlib import Path
 
 import pytest
+
+from conftest import T0, columns_of, make_event
+from evrac.dataset import EPOCH, build_trajectories
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -58,3 +62,19 @@ def test_harness_names_exist():
     assert ("evrac.reward", "reward_net_input_dim") in used
     missing = [f"{m}.{n}" for m, n in used if not hasattr(importlib.import_module(m), n)]
     assert not missing
+
+
+def test_harness_reads_of_single_events():
+    """The harness reads single events off a trajectory's columns: serve's
+    request stream takes `events[0].driver_id` and `events[cut].start_time`,
+    and `expected_eval_events` iterates the events for `.event_id`. Each read
+    gives the columns' values, the start as a UTC datetime."""
+    events = build_trajectories(columns_of([
+        make_event(f"e{i}", f"d{i % 2}", f"cs{i % 3}", T0 + timedelta(hours=-5 * i, microseconds=7 * i))
+        for i in range(9)]))["d1"].events
+    assert events[0].driver_id == "d1" == events.drivers[events.driver[0]]
+    for cut in range(len(events)):
+        start = events[cut].start_time
+        assert start.tzinfo is timezone.utc
+        assert start == EPOCH + timedelta(microseconds=int(events.start_us[cut]))
+    assert [e.event_id for e in events] == events.event_id.tolist() == ["e7", "e5", "e3", "e1"]

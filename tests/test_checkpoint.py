@@ -7,11 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import T0, checkpoint_mutations, make_event
+from conftest import T0, checkpoint_mutations, columns_of, make_event
 from evrac import checkpoint as ckpt
 from evrac.agent import RacHyper, RacModel
 from evrac.baselines import FpmcHyper, FpmcRecommender, MarkovRecommender, PopularityRecommender
-from evrac.dataset import EventColumns
 from evrac.errors import DataFormatError, EvracError
 from evrac.reward import RewardNetHyper, WaitForecastNet
 from evrac.seeding import rng_for
@@ -201,7 +200,7 @@ def test_reward_checkpoint_loaders_raise_only_package_errors(tmp_path, data):
 
 def _train_events():
     return {
-        "d1": EventColumns.of([
+        "d1": columns_of([
             make_event(f"e{i}", "d1", sid, T0)
             for i, sid in enumerate(["cs0", "cs1", "cs0", "cs1"])
         ])

@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import JSON_VALUES, checkpoint_mutations, json_mutations, km_to_lon_degrees, pattern_events
+from conftest import JSON_VALUES, checkpoint_mutations, columns_of, json_mutations, km_to_lon_degrees, pattern_events
 import evrac
 from evrac.agent import RacModel
 from evrac.baselines import MarkovRecommender, PopularityRecommender
@@ -33,7 +33,7 @@ def synth(tmp_path):
         events += pattern_events(f"driver-{d}", ["cs0", "cs1", "cs2"], 14, gap_hours=6.0)
     events.sort(key=lambda e: (e.start_time, e.event_id))
     events_path = tmp_path / "events.csv"
-    write_events(events, events_path)
+    write_events(columns_of(events), events_path)
 
     stations_path = tmp_path / "stations.csv"
     rows = ["station_id,latitude,longitude"]
@@ -205,7 +205,7 @@ def test_features_outputs(synth, capsys):
 def test_features_quotes_station_ids_with_commas(tmp_path, capsys):
     ids = ["a,b", "cs0"]
     events = pattern_events("d1", ids, 12) + pattern_events("d2", ids[::-1], 12)
-    write_events(events, tmp_path / "events.csv")
+    write_events(columns_of(events), tmp_path / "events.csv")
     with open(tmp_path / "stations.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["station_id", "latitude", "longitude"])
@@ -433,6 +433,24 @@ def test_recommend_at_sees_only_earlier_sessions(synth, capsys):
         argv = ["recommend", "--config", str(config), "--model", str(ckpt), "--driver", "driver-1", "--k", k]
         assert main(argv + (["--at", at] if at else [])) == 2
     capsys.readouterr()
+
+
+def test_recommend_timestamp_has_a_four_digit_year(synth, capsys):
+    """`strftime("%Y")` wrote the year 999 as "999", which `--at` rejects.
+    The timestamp is now the events writer's start text, in whole seconds,
+    and reads back as `--at`."""
+    tmp_path, config = synth
+    start = datetime(999, 6, 6, 8, 0, tzinfo=timezone.utc)
+    events = [e for d in range(4) for e in pattern_events(f"driver-{d}", ["cs0", "cs1", "cs2"], 14, start, 6.0)]
+    write_events(columns_of(sorted(events)), tmp_path / "events.csv")
+    ckpt = tmp_path / "pop.ckpt"
+    assert main(["train-baseline", "--config", str(config), "--model", "popularity", "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    argv = ["recommend", "--config", str(config), "--model", str(ckpt), "--driver", "driver-1", "--k", "1"]
+    for at, timestamp in ((None, "0999-06-09T14:00:00Z"), ("0999-06-08T11:30:00.250000Z", "0999-06-08T11:30:00Z"),
+                          ("0999-06-09T14:00:00Z", "0999-06-09T14:00:00Z")):
+        assert main(argv + (["--at", at] if at else [])) == 0
+        assert json.loads(capsys.readouterr().out)["timestamp"] == timestamp
 
 
 @pytest.mark.parametrize("at", ["notatime", "9999-12-31T23:59:59-01:00"])

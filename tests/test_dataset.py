@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import T0, make_event, make_stations, mutated_rows
+from conftest import T0, columns_of, make_event, make_stations, mutated_rows
 from evrac import dataset
 from evrac.agent import ObservationSpace
 from evrac.cli import main
@@ -278,7 +278,7 @@ def test_roundtrip_write_parse_identity(tmp_path_factory, rows):
         for i, (driver, station, offset, duration, energy) in enumerate(rows)
     ]
     path = tmp_path_factory.mktemp("rt") / "events.csv"
-    dataset.write_events(events, path)
+    dataset.write_events(columns_of(events), path)
     parsed, rejects = dataset.parse_events(path)
     assert rejects == []
     assert list(parsed) == events
@@ -503,6 +503,75 @@ def test_ingest_writes_what_it_read(tmp_path_factory, rows):
     assert twice.read_bytes() == once.read_bytes()
 
 
+_NAMES = st.one_of(st.text(st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=6),
+                   st.sampled_from(["a,b", 'q"t', " pad ", "e\n2"]))
+_SPECIAL_FLOATS = st.sampled_from([-0.0, 0.1 + 0.2, 5.0, 1e-7])  # 0.30000000000000004 needs 17 digits
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_NAMES, _NAMES, _NAMES,
+                          st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30),
+                                       timezones=st.one_of(st.just(timezone.utc), _OFFSETS)),
+                          st.one_of(st.floats(0, dataset.MAX_DURATION_MIN), _SPECIAL_FLOATS),
+                          st.one_of(st.floats(0, allow_infinity=False), _SPECIAL_FLOATS, st.just(1e22))),
+                max_size=12))
+@example([("e1", "d1", "cs0", datetime(2018, 6, 6, 6, 0, 0, 750000, tzinfo=timezone.utc), 0.1 + 0.2, -0.0),
+          ("e2", "d1", "cs1", datetime(999, 1, 2, 3, 4, 5, tzinfo=timezone.utc), 30.0, 1234567.0),
+          ("e3", "d2", "cs0", datetime(45, 1, 2, 3, 4, 5, 6, tzinfo=timezone.utc), -0.0, 1e22)])
+def test_write_events_from_columns_writes_the_per_event_bytes(tmp_path_factory, rows):
+    """The writer reads the columns, not `ChargingEvent`s, and writes the
+    bytes the per-event writer wrote: microsecond starts, years below 1000,
+    offsets other than UTC, -0.0, 17-digit and whole-number floats."""
+    events = [dataset.ChargingEvent(start, event_id, driver, station, duration, energy)
+              for event_id, driver, station, start, duration, energy in rows]
+    tmp = tmp_path_factory.mktemp("write")
+    oracles.write_events(events, tmp / "objects.csv")
+    dataset.write_events(columns_of(events), tmp / "columns.csv")
+    assert (tmp / "columns.csv").read_bytes() == (tmp / "objects.csv").read_bytes()
+
+
+def _table_bits(events: EventColumns) -> tuple:
+    """`_column_bits`, every integer array with its dtype and bytes, and the
+    name tuples."""
+    return _column_bits(events) + tuple((a.dtype, a.tobytes()) for a in (
+        events.driver, events.station, events.start_us, events.id_rank, events.row)) + (events.drivers, events.stations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_concat_of_different_tables_is_build_over_the_joined_events(data):
+    """Tables whose name tuples differ are joined through `build`, with no
+    `ChargingEvent` between: names coded again in order of first use, event
+    ids ranked again and rows numbered from 0, bit for bit as `build` over
+    the joined events gives them."""
+    drivers, stations = ["d0", "d1", "d2"], ["cs0", "cs1", "cs2", "cs3"]
+
+    def table(n: int) -> EventColumns:
+        return columns_of([
+            make_event(f"e{data.draw(st.integers(0, 99), label='id')}", data.draw(st.sampled_from(drivers)),
+                       data.draw(st.sampled_from(stations)),
+                       T0 + timedelta(microseconds=data.draw(st.integers(-10**12, 10**12))),
+                       duration=data.draw(st.floats(0, 600)), energy=data.draw(st.floats(0, 90)))
+            for _ in range(n)])
+    base = table(data.draw(st.integers(0, 8), label="base"))
+    parts = [table(data.draw(st.integers(0, 5), label="fresh"))]  # a table of its own
+    for _ in range(data.draw(st.integers(0, 3), label="more")):
+        if data.draw(st.booleans(), label="slice of base"):
+            lo = data.draw(st.integers(0, len(base)))
+            parts.append(base[lo : data.draw(st.integers(lo, len(base)))])
+        else:
+            parts.append(table(data.draw(st.integers(0, 5))))
+    data.draw(st.randoms()).shuffle(parts)
+    joined = EventColumns.concat(parts)
+    assert _table_bits(joined) == _table_bits(columns_of([e for p in parts for e in p]))
+
+
+def test_concat_of_no_parts_is_an_empty_table():
+    empty = EventColumns.concat([])
+    assert len(empty) == 0 and empty.drivers == () and empty.stations == ()
+    assert _table_bits(empty) == _table_bits(columns_of([]))
+
+
 # ---------------------------------------------------------------------------
 # Trajectories
 # ---------------------------------------------------------------------------
@@ -513,7 +582,7 @@ def test_build_trajectories_sorts_by_time():
         make_event("e1", "d1", "cs2", T0),
         make_event("e2", "d1", "cs3", T0 + timedelta(hours=1)),
     ]
-    trajs = dataset.build_trajectories(EventColumns.of(events))
+    trajs = dataset.build_trajectories(columns_of(events))
     assert [e.event_id for e in trajs["d1"].events] == ["e1", "e2", "e3"]
 
 
@@ -524,7 +593,7 @@ def test_build_trajectories_two_drivers():
         make_event("a2", "d1", "cs2", T0 + timedelta(hours=1)),
         make_event("b2", "d2", "cs2", T0 + timedelta(hours=1)),
     ]
-    trajs = dataset.build_trajectories(EventColumns.of(events))
+    trajs = dataset.build_trajectories(columns_of(events))
     assert len(trajs) == 2
     assert all(len(t.events) == 2 for t in trajs.values())
     assert sum(len(t.events) for t in trajs.values()) == len(events)
@@ -535,7 +604,7 @@ def test_simultaneous_events_tie_break_on_event_id():
         make_event("z", "d1", "cs1", T0),
         make_event("a", "d1", "cs2", T0),
     ]
-    trajs = dataset.build_trajectories(EventColumns.of(events))
+    trajs = dataset.build_trajectories(columns_of(events))
     assert [e.event_id for e in trajs["d1"].events] == ["a", "z"]
 
 
@@ -545,7 +614,7 @@ def test_simultaneous_events_tie_break_on_event_id():
 
 def _traj(n):
     return dataset.DriverTrajectory(
-        "d", EventColumns.of([make_event(f"e{i:03d}", "d", "cs1", T0 + timedelta(hours=i)) for i in range(n)])
+        "d", columns_of([make_event(f"e{i:03d}", "d", "cs1", T0 + timedelta(hours=i)) for i in range(n)])
     )
 
 
@@ -585,7 +654,7 @@ def test_no_test_event_precedes_train(n):
 def test_split_all_excludes_small_drivers():
     trajs = {
         "big": _traj(10),
-        "small": dataset.DriverTrajectory("small", EventColumns.of([make_event("x", "small", "cs1", T0)])),
+        "small": dataset.DriverTrajectory("small", columns_of([make_event("x", "small", "cs1", T0)])),
     }
     splits, excluded = dataset.split_all(trajs)
     assert set(splits) == {"big"}
@@ -600,7 +669,7 @@ def _pool_trajs(sizes):
     return {
         f"d{j}": dataset.DriverTrajectory(
             f"d{j}",
-            EventColumns.of([make_event(f"d{j}-e{i:03d}", f"d{j}", "cs1", T0 + timedelta(hours=i)) for i in range(n)]),
+            columns_of([make_event(f"d{j}-e{i:03d}", f"d{j}", "cs1", T0 + timedelta(hours=i)) for i in range(n)]),
         )
         for j, n in enumerate(sizes)
     }
@@ -639,7 +708,7 @@ def test_warmup_pool_anonymizes_and_keeps_earliest():
 def _soc(duration: float, max_duration: float = 30.0) -> float:
     """The SOC column of one observation: duration / train max, clipped to 1."""
     space = ObservationSpace(make_stations(["cs1"]), max_duration, 10.0, 5)
-    events = EventColumns.of([make_event("e", "d", "cs1", T0, duration=duration)])
+    events = columns_of([make_event("e", "d", "cs1", T0, duration=duration)])
     return space.rows(events, None)[0, space.index.context_width()]
 
 

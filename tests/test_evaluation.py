@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     T0,
+    columns_of,
     constant_reward_env,
     make_event,
     make_stations,
@@ -249,7 +250,7 @@ def test_cut_points_match_dict_lookup(data):
     (repeats included); an event of another driver is a KeyError in both."""
     n = data.draw(st.integers(1, 30), label="n")
     events = [make_event(f"e{(7 * i) % 31:02d}", "d", f"cs{i % 3}", T0 + timedelta(hours=3 * i)) for i in range(n)]
-    traj = build_trajectories(EventColumns.of(events + pattern_events("other", ["cs0"], 2)))["d"]
+    traj = build_trajectories(columns_of(events + pattern_events("other", ["cs0"], 2)))["d"]
     if data.draw(st.booleans(), label="segment"):
         lo = data.draw(st.integers(0, n), label="lo")
         subset = traj.events[lo : data.draw(st.integers(lo, n), label="hi")]
@@ -259,7 +260,7 @@ def test_cut_points_match_dict_lookup(data):
     stranger = pattern_events("other", ["cs0"], 1)
     for lookup in (ev.cut_points, oracles.cut_points):
         with pytest.raises(KeyError):
-            lookup(traj, EventColumns.of(list(subset) + stranger))
+            lookup(traj, columns_of(list(subset) + stranger))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,7 @@ def chunked_city():
     envs = {
         "none": None,
         "means": rw.RewardEnvironment(index, rw.MeanWaitForecaster(index), familiarity),
-        "net": rw.RewardEnvironment(index, rw.NetWaitForecaster(net, rw.build_wait_series(EventColumns.of(events)),
+        "net": rw.RewardEnvironment(index, rw.NetWaitForecaster(net, rw.build_wait_series(columns_of(events)),
                                                                 index, 3),
                                     familiarity),
     }
@@ -443,7 +444,7 @@ def _recommender(kind, stations, train):
 def test_cuts_outside_the_events_are_usage_errors(kind, cut):
     """A cut j conditions on `events[:j]`, so j must lie in [0, len(events)];
     any other cut is rejected before any row is built."""
-    events = EventColumns.of(pattern_events("d1", ["cs0", "cs1", "cs2"], 8))
+    events = columns_of(pattern_events("d1", ["cs0", "cs1", "cs2"], 8))
     rec = _recommender(kind, ["cs0", "cs1", "cs2"], {"d1": events})
     assert rec.probabilities([("d1", events, [0, 8])]).shape == (2, 3)
     with pytest.raises(UsageError, match="cut"):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from conftest import T0, km_to_lon_degrees, make_event, pattern_events
+from conftest import T0, columns_of, km_to_lon_degrees, make_event, pattern_events
 from evrac.config import Config, apply_overrides, load_config
 from evrac.dataset import write_events
 from evrac.errors import ConfigError
@@ -23,7 +23,7 @@ from evrac.pipeline import (
 
 def _files(tmp_path, events, stations=("cs0", "cs1")):
     events_path = tmp_path / "events.csv"
-    write_events(sorted(events, key=lambda e: (e.start_time, e.event_id)), events_path)
+    write_events(columns_of(sorted(events, key=lambda e: (e.start_time, e.event_id))), events_path)
     stations_path = tmp_path / "stations.csv"
     rows = ["station_id,latitude,longitude"]
     for i, sid in enumerate(stations):

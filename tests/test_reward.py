@@ -14,6 +14,7 @@ import oracles
 from conftest import (
     T0,
     TableWaitForecaster,
+    columns_of,
     dense_forecast_inputs,
     make_event,
     make_stations,
@@ -24,7 +25,6 @@ from conftest import (
 )
 from evrac import reward as rw
 from evrac.checkpoint import save_reward_net
-from evrac.dataset import EventColumns
 from evrac.errors import ConfigError, DomainError, ShapeError, UnknownStationError
 from evrac.evaluation import evaluate
 from evrac.geospatial import NUM_POI_TYPES, Station, StationIndex
@@ -37,14 +37,14 @@ from evrac.seeding import rng_for
 # ---------------------------------------------------------------------------
 
 def test_wait_series_single_hour_session():
-    series = rw.build_wait_series(EventColumns.of([make_event("e1", "d", "cs0", T0, duration=60.0)]))
+    series = rw.build_wait_series(columns_of([make_event("e1", "d", "cs0", T0, duration=60.0)]))
     buckets = series["cs0"].buckets
     assert buckets == {rw.epoch_hour(T0): 60.0}
 
 
 def test_wait_series_first_hour_is_its_earliest_bucket():
     events = [make_event("e1", "d", "cs0", T0 + timedelta(hours=5)), make_event("e2", "d", "cs0", T0)]
-    s = rw.build_wait_series(EventColumns.of(events))["cs0"]
+    s = rw.build_wait_series(columns_of(events))["cs0"]
     assert s.first_hour == min(s.buckets) == rw.epoch_hour(T0)
     assert rw.WaitSeries("cs9").first_hour is None
 
@@ -59,7 +59,7 @@ def test_dense_series_view_matches_bucket_lookups(sessions, queries, k):
     three stations' views (cs2 has no series)."""
     events = [make_event(f"e{i}", "d", f"cs{i % 2}", T0 + timedelta(hours=h), duration=dur)
               for i, (h, dur) in enumerate(sessions)]
-    series = rw.build_wait_series(EventColumns.of(events))
+    series = rw.build_wait_series(columns_of(events))
     base = rw.epoch_hour(T0)
     hours = np.array([base + h for _, h in queries], dtype=np.int64)
     for sid in ("cs0", "cs1", "cs2"):
@@ -78,7 +78,7 @@ def test_dense_series_view_matches_bucket_lookups(sessions, queries, k):
 
 def test_wait_series_split_across_hours():
     start = T0.replace(minute=30)  # 08:30, 90 minutes -> 30 + 60
-    series = rw.build_wait_series(EventColumns.of([make_event("e1", "d", "cs0", start, duration=90.0)]))
+    series = rw.build_wait_series(columns_of([make_event("e1", "d", "cs0", start, duration=90.0)]))
     buckets = series["cs0"].buckets
     eh = rw.epoch_hour(start)
     assert buckets[eh] == pytest.approx(30.0)
@@ -89,7 +89,7 @@ def test_wait_series_split_across_hours():
 def test_wait_series_additive_within_hour():
     t1 = T0.replace(hour=10, minute=0)
     t2 = T0.replace(hour=10, minute=30)
-    series = rw.build_wait_series(EventColumns.of([
+    series = rw.build_wait_series(columns_of([
         make_event("e1", "d", "cs0", t1, duration=30.0),
         make_event("e2", "d2", "cs0", t2, duration=30.0),
     ]))
@@ -105,9 +105,9 @@ def test_wait_series_time_causal(sessions, horizon):
         for i, (h, d) in enumerate(sessions)
     ]
     cutoff = rw.epoch_hour(T0) + horizon
-    full = rw.build_wait_series(EventColumns.of(events))["cs0"].buckets
+    full = rw.build_wait_series(columns_of(events))["cs0"].buckets
     truncated_events = [e for e in events if rw.epoch_hour(e.start_time) <= cutoff]
-    part = rw.build_wait_series(EventColumns.of(truncated_events)) if truncated_events else {}
+    part = rw.build_wait_series(columns_of(truncated_events)) if truncated_events else {}
     part_buckets = part["cs0"].buckets if "cs0" in part else {}
     for eh, v in full.items():
         if eh <= cutoff:
@@ -133,7 +133,7 @@ def test_wait_series_have_the_bits_of_the_per_event_loop(sessions, random):
     order, bucket by bucket and bit for bit, in insertion order too."""
     events = [make_event(f"e{i}", "d", sid, start.replace(tzinfo=timezone.utc), duration=duration)
               for i, (sid, start, duration) in enumerate(sessions)]
-    columns = EventColumns.of(events)
+    columns = columns_of(events)
     chunks = rw.hour_chunks(columns)
     order = list(range(len(events)))
     random.shuffle(order)
@@ -145,7 +145,7 @@ def test_wait_series_have_the_bits_of_the_per_event_loop(sessions, random):
 
 
 def test_export_wait_series(tmp_path):
-    series = rw.build_wait_series(EventColumns.of([make_event("e1", "d", "cs0", T0, duration=90.0)]))
+    series = rw.build_wait_series(columns_of([make_event("e1", "d", "cs0", T0, duration=90.0)]))
     path = tmp_path / "w.csv"
     rw.export_wait_series(series, path)
     lines = path.read_text().strip().splitlines()
@@ -164,7 +164,7 @@ def _visits(driver, counts):
         for _ in range(n):
             events.append(make_event(f"{driver}-{i}", driver, sid, T0 + timedelta(hours=i)))
             i += 1
-    return EventColumns.of(events)
+    return columns_of(events)
 
 
 def _zeta(driver_id, station_id, events):
@@ -256,7 +256,7 @@ def _constant_series(index, value, hours):
         make_event(f"e{i}", "d", "cs0", T0 + timedelta(hours=i), duration=value)
         for i in range(hours)
     ]
-    return rw.build_wait_series(EventColumns.of(events))
+    return rw.build_wait_series(columns_of(events))
 
 
 def test_train_reward_net_constant_series():
@@ -274,7 +274,7 @@ def test_train_reward_net_constant_series():
 @pytest.mark.parametrize("clip_norm", [0.0, 1e-3, 1e6])
 def test_train_reward_net_logs_every_epoch(clip_norm):
     index = make_stations(["cs0", "cs1"], mean_wait=25.0)
-    series = rw.build_wait_series(EventColumns.of([
+    series = rw.build_wait_series(columns_of([
         make_event(f"e{i}", "d", f"cs{i % 2}", T0 + timedelta(hours=i // 2), duration=float(10 + i % 7 * 9))
         for i in range(80)
     ]))
@@ -300,7 +300,7 @@ def test_train_reward_net_sawtooth_beats_mean():
         make_event(f"e{i}", "d", "cs0", T0 + timedelta(hours=i), duration=pattern[i % 4])
         for i in range(96)
     ]
-    series = rw.build_wait_series(EventColumns.of(events))
+    series = rw.build_wait_series(columns_of(events))
     hyper = rw.RewardNetHyper(window=4, hidden=8, layers=2, alpha=0.1, epochs=400, seed=1)
     net, report = rw.train_reward_net(series, index, hyper)
     variance = float(np.var(pattern))
@@ -313,7 +313,7 @@ def test_train_reward_net_skips_short_stations(caplog):
         make_event(f"e{i}", "d", "cs0", T0 + timedelta(hours=i), duration=30.0) for i in range(40)
     ]
     events.append(make_event("x", "d", "cs1", T0, duration=30.0))
-    series = rw.build_wait_series(EventColumns.of(events))
+    series = rw.build_wait_series(columns_of(events))
     hyper = rw.RewardNetHyper(window=10, hidden=4, layers=1, epochs=1, seed=0)
     with caplog.at_level("WARNING"):
         net, report = rw.train_reward_net(series, index, hyper)
@@ -398,7 +398,7 @@ def _pricing_city():
                    duration=float(5 + (i * 37) % 80))
         for i in range(60)
     ]
-    return index, rw.build_wait_series(EventColumns.of(events))
+    return index, rw.build_wait_series(columns_of(events))
 
 
 def _reference_inputs(series, index, station_id, eh, k):
@@ -564,7 +564,7 @@ def _chunked_city():
     """Two stations whose training rows fill two `CHUNK_ROWS` chunks and part
     of a third, at `window=3`."""
     index = make_stations(["cs0", "cs1"], mean_wait=25.0)
-    series = rw.build_wait_series(EventColumns.of([
+    series = rw.build_wait_series(columns_of([
         make_event(f"e{i}", "d", f"cs{i % 2}", T0 + timedelta(hours=i // 2), duration=float(5 + i * 37 % 50))
         for i in range(1300)
     ]))

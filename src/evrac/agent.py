@@ -30,7 +30,7 @@ from .baselines import _rank_row, rank_rows
 from .config import RacHyper
 from .dataset import DriverTrajectory, EventColumns, Split
 from .errors import ConfigError, TrainingDiverged, UsageError
-from .evaluation import Request, check_requests, cut_points
+from .evaluation import Request, check_requests
 from .geospatial import StationIndex
 from .reward import (
     INFERENCE_ROWS,
@@ -646,12 +646,12 @@ class RacRecommender:
     The policy runs in pieces of at most `INFERENCE_ROWS` cuts. With the
     shared model alone, a piece is the next `INFERENCE_ROWS` cuts of the
     call, spanning requests when they are short. With a map, a piece is the
-    next `INFERENCE_ROWS` cuts of one driver, counted over that driver's
-    cuts alone, so every row has the bits that a single-model
-    `RacRecommender` gives over that driver's requests. Whole pieces are
-    packed, in the order the policy reads them, into passes of at most
-    `INFERENCE_ROWS` cuts, and each pass builds the windows of all its cuts
-    in one `run_windows` pass, whatever model each piece goes through."""
+    next `INFERENCE_ROWS` cuts of one request, through its driver's model,
+    so every row has the bits of a single-model `RacRecommender` over its
+    request alone. Whole pieces are packed, in call order, into passes of
+    at most `INFERENCE_ROWS` cuts, and each pass builds the windows of all
+    its cuts in one `run_windows` pass, whatever model each piece goes
+    through."""
 
     def __init__(self, model: RacModel, obs_space: ObservationSpace,
                  models: dict[str, RacModel] | None = None):
@@ -659,26 +659,17 @@ class RacRecommender:
         self.obs_space = obs_space
         self.models = models
 
-    def _pieces(self, requests: Sequence[Request], total: int) -> tuple[list[int] | None, list[tuple]]:
-        """The order in which the policy reads the rows of the call (None:
-        call order; with a map, driver by driver, in the order of their
-        first cuts), and each policy call's model and [start, stop) in that
-        order."""
+    def _pieces(self, requests: Sequence[Request], total: int) -> list[tuple]:
+        """Each policy call's model and [start, stop) rows of the call."""
         if self.models is None:
-            return None, [(self.model, start, min(start + INFERENCE_ROWS, total))
-                          for start in range(0, total, INFERENCE_ROWS)]
-        rows_of: dict[str, list[int]] = {}
-        start = 0
+            return [(self.model, start, min(start + INFERENCE_ROWS, total))
+                    for start in range(0, total, INFERENCE_ROWS)]
+        pieces, stop = [], 0
         for driver_id, _, cuts in requests:
-            rows_of.setdefault(driver_id, []).extend(range(start, start + len(cuts)))
-            start += len(cuts)
-        order, pieces = [], []
-        for driver_id, rows in rows_of.items():
             model = self.models.get(driver_id, self.model)
-            pieces += [(model, len(order) + at, len(order) + min(at + INFERENCE_ROWS, len(rows)))
-                       for at in range(0, len(rows), INFERENCE_ROWS)]
-            order += rows
-        return order, pieces
+            start, stop = stop, stop + len(cuts)
+            pieces += [(model, at, min(at + INFERENCE_ROWS, stop)) for at in range(start, stop, INFERENCE_ROWS)]
+        return pieces
 
     def probabilities(self, requests: Sequence[Request]) -> np.ndarray:
         """Policy over stations at every cut of every request; uniform at a
@@ -687,11 +678,8 @@ class RacRecommender:
         next pass."""
         check_requests(requests)
         cuts = [(events, j) for _, events, request_cuts in requests for j in request_cuts]
-        order, pieces = self._pieces(requests, len(cuts))
-        if order is not None:
-            cuts = [cuts[i] for i in order]
         passes: list[tuple[int, list[tuple]]] = []
-        for piece in pieces:
+        for piece in self._pieces(requests, len(cuts)):
             if not passes or piece[2] - passes[-1][0] > INFERENCE_ROWS:
                 passes.append((piece[1], []))
             passes[-1][1].append(piece)
@@ -704,11 +692,7 @@ class RacRecommender:
         uniform = [i for i, (_, j) in enumerate(cuts) if j == 0]
         if uniform:
             out[uniform] = 1.0 / self.model.num_stations
-        if order is None:
-            return out
-        in_call_order = np.empty_like(out)
-        in_call_order[order] = out
-        return in_call_order
+        return out
 
     def rank(self, requests: Sequence[Request], k: int) -> list[list[str]]:
         return rank_rows(self.probabilities(requests), self.obs_space.index.order, k)
@@ -743,14 +727,11 @@ class Validation(NamedTuple):
 
 def validation_sets(obs_space: ObservationSpace, trajectories: dict[str, DriverTrajectory],
                     splits: dict[str, Split]) -> dict[str, Validation]:
-    """The `Validation` of every driver with validation events, in driver-id
-    order, with every driver's windows built in one observation pass. The
-    cuts are the validation events that have a previous event; a driver
-    whose validation events have none gets no rows."""
-    runs = {d: (trajectories[d].events, cut_points(trajectories[d], splits[d].val))
-            for d in sorted(trajectories) if d in splits and len(splits[d].val)}
-    with_cuts = [run for run in runs.values() if run[1]]
-    windows = (obs_space.run_windows(with_cuts) if with_cuts
+    """The `Validation` of every split driver, in driver-id order, at the
+    cuts of their validation events (`Split.val_cuts`), with every driver's
+    windows built in one observation pass."""
+    runs = {d: (trajectories[d].events, splits[d].val_cuts) for d in sorted(splits)}
+    windows = (obs_space.run_windows(list(runs.values())) if runs
                else np.empty((0, obs_space.history, obs_space.obs_dim)))
     out, start = {}, 0
     for driver_id, (events, cuts) in runs.items():
@@ -760,12 +741,10 @@ def validation_sets(obs_space: ObservationSpace, trajectories: dict[str, DriverT
 
 
 def _val_p1(model: RacModel, stations: Sequence[str], val: Validation) -> float:
-    """Validation precision@1: the share of the validation cuts whose station
-    is the model's top pick, 0.0 without cuts. The policy reads the prebuilt
-    windows in pieces of `INFERENCE_ROWS`, as `RacRecommender` runs one
-    driver's cuts."""
-    if not val.truths:
-        return 0.0
+    """Validation precision@1: the share of the driver's validation cuts
+    whose station is the model's top pick. The policy reads the prebuilt
+    windows in pieces of `INFERENCE_ROWS`, as `RacRecommender` runs the
+    driver's validation request alone."""
     pi = np.concatenate([model.policy(val.windows[start : start + INFERENCE_ROWS])[0]
                          for start in range(0, len(val.truths), INFERENCE_ROWS)])
     top = rank_rows(pi, stations, 1)

@@ -37,8 +37,8 @@ from .evaluation import (
     CASE_STUDY_COLUMNS,
     SWEEP_COLUMNS,
     case_study,
+    check_epsilons,
     epsilon_sweep,
-    scored_drivers,
     write_rows_csv,
 )
 from .gradcheck import TOLERANCE, run_gradcheck
@@ -95,13 +95,15 @@ def _parse_ks(raw: str) -> list[int]:
     return ks
 
 
-def _parse_floats(raw: str, flag: str) -> list[float]:
+def _parse_epsilons(raw: str, flag: str) -> list[float]:
+    """A comma-separated list of epsilons, each in [0, 1]."""
     try:
         vals = [float(v) for v in raw.split(",") if v.strip()]
     except ValueError as exc:
         raise UsageError(f"bad {flag} list {raw!r}") from exc
     if not vals:
         raise UsageError(f"empty {flag} list")
+    check_epsilons(vals)
     return vals
 
 
@@ -303,9 +305,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if (args.model is None) == (args.model_dir is None):
         raise UsageError("eval needs exactly one of --model and --model-dir")
     config = _build_config(args)
+    ks = _parse_ks(args.k)
     bundle = load_data_bundle(config)
     env = evaluation_environment(bundle, _load_reward(args))
-    ks = _parse_ks(args.k)
 
     per_driver_models = None
     if args.model_dir:
@@ -327,9 +329,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _build_config(args)
+    grid = _parse_epsilons(args.grid, "--grid")
     bundle = load_data_bundle(config)
     run = sweep_runner(bundle, _load_reward(args))
-    rows = epsilon_sweep(run, _parse_floats(args.grid, "--grid"))
+    rows = epsilon_sweep(run, grid)
     write_rows_csv(rows, SWEEP_COLUMNS, args.out)
     _emit({"out": str(args.out), "rows": rows})
     return 0
@@ -337,13 +340,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_case_study(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    epsilons = _parse_floats(args.epsilons, "--epsilons")
-    bundle = load_data_bundle(config)
+    epsilons = _parse_epsilons(args.epsilons, "--epsilons")
     drivers = [d for d in args.drivers.split(",") if d]
     if not drivers:
         raise UsageError("empty --drivers list")
-    scored = scored_drivers(bundle.trajectories, bundle.splits)
-    unknown = [d for d in drivers if d not in scored]
+    bundle = load_data_bundle(config)
+    # Every split driver has test cuts; a driver too small to split has none.
+    unknown = [d for d in drivers if d not in bundle.splits]
     if unknown:
         raise UsageError(f"driver {unknown[0]!r} has no evaluated test events")
     run = sweep_runner(bundle, _load_reward(args))
@@ -355,17 +358,18 @@ def cmd_case_study(args: argparse.Namespace) -> int:
 
 def cmd_recommend(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    bundle = load_data_bundle(config)
-    env = evaluation_environment(bundle, _load_reward(args))
-    if args.driver not in bundle.trajectories:
-        raise UsageError(f"unknown driver {args.driver!r}")
-    history = bundle.trajectories[args.driver].events
     when = None
     if args.at:
         try:
             when = _parse_timestamp(args.at)
         except ValueError as exc:
             raise UsageError(f"bad --at timestamp {args.at!r}: {exc}") from exc
+    bundle = load_data_bundle(config)
+    env = evaluation_environment(bundle, _load_reward(args))
+    if args.driver not in bundle.trajectories:
+        raise UsageError(f"unknown driver {args.driver!r}")
+    history = bundle.trajectories[args.driver].events
+    if when:
         # A decision at `when` may only see sessions that started before it;
         # the history is sorted by its exact start.
         history = history[: int(history.start_us.searchsorted((when - EPOCH) // _MICROSECOND))]

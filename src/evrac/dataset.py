@@ -241,12 +241,24 @@ VAL_FRAC = 0.1
 
 @dataclass(eq=False)
 class Split:
-    """A driver's train, validation and test segments, column views of their
-    trajectory."""
+    """A driver's train, validation and test segments: consecutive column
+    views of their trajectory from its first event, train non-empty (as
+    `chronological_split` cuts them). So each validation and test event's
+    trajectory position is a cut with a previous event, read from the
+    segment lengths."""
 
     train: EventColumns
     val: EventColumns
     test: EventColumns
+
+    @property
+    def val_cuts(self) -> range:
+        return range(len(self.train), len(self.train) + len(self.val))
+
+    @property
+    def test_cuts(self) -> range:
+        start = len(self.train) + len(self.val)
+        return range(start, start + len(self.test))
 
 
 # ---------------------------------------------------------------------------

@@ -57,10 +57,10 @@ class Recommender(Protocol):
     request order. `rank` is each row's top-k by score with ties broken by
     station id, all rows of the call ranked by one stable sort
     (`baselines.rank_rows`). Evaluation sends every driver's cuts in one
-    call; a row does not depend on which other requests share the call, up
-    to the last bits of a batched forward pass, whose edges fall every
-    `reward.INFERENCE_ROWS` cuts of the call (of each driver's cuts, with
-    per-driver models)."""
+    call, one request per driver, its cuts `Split.test_cuts`; a row does not
+    depend on which other requests share the call, up to the last bits of a
+    batched forward pass, whose edges fall every `reward.INFERENCE_ROWS`
+    cuts of the call (of each request's cuts, with per-driver models)."""
 
     def probabilities(self, requests: Sequence[Request]) -> np.ndarray: ...
 
@@ -141,31 +141,6 @@ class EvalReport:
 # Harness
 # ---------------------------------------------------------------------------
 
-def cut_points(traj: DriverTrajectory, events: EventColumns) -> list[int]:
-    """The cut at each of `events` (a subset of the driver's) that has a
-    previous event to condition on, in the order given. A split segment is
-    a contiguous run of the trajectory, found from its first event; any
-    other subset is looked up in the trajectory's sorted event ids."""
-    ids = traj.events.event_id
-    want = events.event_id.tolist()
-    listed = ids.tolist()
-    start = listed.index(want[0]) if want and want[0] in listed else 0
-    if listed[start : start + len(want)] == want:
-        return list(range(max(start, 1), start + len(want)))
-    order = np.argsort(ids)
-    wanted = np.array(want, dtype=object)
-    pos = order[np.minimum(np.searchsorted(ids, wanted, sorter=order), ids.size - 1)]
-    missing = np.flatnonzero(ids[pos] != wanted)
-    if missing.size:
-        raise KeyError(want[missing[0]])
-    return pos[pos > 0].tolist()
-
-
-def scored_drivers(trajectories: dict[str, DriverTrajectory], splits: dict[str, Split]) -> set[str]:
-    """The drivers `evaluate` scores: those with a test cut."""
-    return {d for d, split in splits.items() if cut_points(trajectories[d], split.test)}
-
-
 def hit_rates(
     rankings: Sequence[Sequence[str]], truths: Sequence[str], sizes: Sequence[int], ks: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, list[float], list[float]]:
@@ -209,20 +184,16 @@ def evaluate(
 ) -> EvalReport:
     """Score a recommender on every test split.
 
-    Every driver's test cuts are ranked by one `rank` call, per-driver
-    models included (a `RacRecommender` with a driver -> model map), and
-    every top-1 pick is priced by one `breakdowns` call; the metrics come
-    from the hit positions (see the module docstring). MAR is skipped (NaN)
+    Every driver's test cuts (`Split.test_cuts`, one request per driver in
+    driver-id order) are ranked by one `rank` call, per-driver models
+    included (a `RacRecommender` with a driver -> model map), and every
+    top-1 pick is priced by one `breakdowns` call; the metrics come from
+    the hit positions (see the module docstring). MAR is skipped (NaN)
     when no reward environment is supplied.
     """
     ks = sorted(set(int(k) for k in ks))
     max_k = max(ks)
-    requests = []
-    for driver_id in sorted(splits):
-        traj = trajectories[driver_id]
-        cuts = cut_points(traj, splits[driver_id].test)
-        if cuts:
-            requests.append((driver_id, traj.events, cuts))
+    requests = [(d, trajectories[d].events, splits[d].test_cuts) for d in sorted(splits)]
 
     rankings = recommender.rank(requests, max_k)
     truths = [sid for _, events, cuts in requests for sid in events.station_id[cuts].tolist()]

@@ -28,6 +28,7 @@ import numpy as np
 from . import nn
 from .agent import RacModel, _actor_grads, _ce_loss, _onehot_rows, _preference_ascent
 from .config import RacHyper
+from .errors import UsageError
 from .geospatial import NUM_POI_TYPES, Station, StationIndex
 from .reward import HOURS_PER_WEEK, ForecastRows, WaitForecastNet, reward_net_input_dim
 from .seeding import rng_for
@@ -187,7 +188,10 @@ PATHS = {
 
 
 def run_gradcheck(instances: int = 20, seed: int = 0, h: float = 1e-6) -> dict[str, float]:
-    """Max relative error per path over `instances` random instances each."""
+    """Max relative error per path over `instances` random instances each;
+    fewer than one instance is a UsageError, since it would check nothing."""
+    if instances < 1:
+        raise UsageError(f"instances must be >= 1, got {instances}")
     results = {}
     for name, fn in PATHS.items():
         worst = 0.0

@@ -225,8 +225,10 @@ def recall_at_k(predictions_by_driver: dict, truths_by_driver: dict, k: int) -> 
 
 
 def cut_points(traj, events) -> list[int]:
-    """`evaluation.cut_points` as a lookup in a dict over every event id of
-    the trajectory, built on each call."""
+    """The cuts of `events`, a subset of the driver's, that have a previous
+    event, in the order given: a lookup in a dict over every event id of the
+    trajectory, built on each call. The reference for `Split.val_cuts` and
+    `Split.test_cuts`."""
     pos = dict(zip(traj.events.event_id.tolist(), range(len(traj))))
     return [j for j in map(pos.__getitem__, events.event_id.tolist()) if j > 0]
 

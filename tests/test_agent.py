@@ -25,7 +25,7 @@ from conftest import (
 )
 from evrac import agent, nn
 from evrac import reward as rw
-from evrac.dataset import build_trajectories
+from evrac.dataset import Split, build_trajectories
 from evrac.evaluation import evaluate
 from evrac.errors import ConfigError, TrainingDiverged, UnknownStationError, UsageError
 from evrac.geospatial import NUM_POI_TYPES, Station, StationIndex
@@ -1029,10 +1029,10 @@ def _per_driver_case(data, rng, space, m):
 @given(st.data())
 def test_per_driver_probabilities_match_one_recommender_per_driver(data):
     """With a driver -> model map, every row has the bits of a single-model
-    `RacRecommender` over that driver's requests alone, run through the
+    `RacRecommender` over its request alone, run through the request's
     driver's model, or the shared one for a driver the map lacks: requests
-    with 0, 1 and more than `INFERENCE_ROWS` cuts, cuts of 0, a driver's
-    requests apart in the call, and one model object shared by several
+    with 0, 1 and more than `INFERENCE_ROWS` cuts, cuts of 0, one driver in
+    several requests of the call, and one model object shared by several
     drivers."""
     m = data.draw(st.integers(1, 6), label="m")
     k = data.draw(st.integers(1, 4), label="k")
@@ -1055,10 +1055,9 @@ def test_per_driver_probabilities_match_one_recommender_per_driver(data):
     with patch.object(agent, "INFERENCE_ROWS", chunk):
         got = agent.RacRecommender(shared, space, models).probabilities(requests)
         want = np.full_like(got, np.nan)
-        for d in drivers:
-            mine = [i for i, request in enumerate(requests) if request[0] == d]
-            rows = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in mine] + [np.empty(0, np.intp)])
-            want[rows] = agent.RacRecommender(models.get(d, shared), space).probabilities([requests[i] for i in mine])
+        for i, request in enumerate(requests):
+            alone = agent.RacRecommender(models.get(request[0], shared), space)
+            want[starts[i] : starts[i + 1]] = alone.probabilities([request])
     assert got.tobytes() == want.tobytes()
 
 
@@ -1105,7 +1104,7 @@ def test_val_p1_equals_evaluate_precision_at_1():
         cuts = oracles.cut_points(trajectories[d], split.val)
         assert val[d].windows.tobytes() == space.windows(trajectories[d].events, cuts).tobytes()
         assert val[d].truths == [e.station_id for e in split.val]
-        report = evaluate(rec, {d: trajectories[d]}, {d: replace(split, test=split.val)}, None, ks=(1,))
+        report = evaluate(rec, {d: trajectories[d]}, {d: Split(split.train, split.val[:0], split.val)}, None, ks=(1,))
         assert agent._val_p1(model, space.index.order, val[d]) == report.precision[1]
 
 

@@ -557,6 +557,31 @@ def test_sweep_checks_its_grid_before_training(synth, capsys, monkeypatch):
     _assert_one_json_error(capsys, "UsageError")
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--model", "x.ckpt", "--k", "0"],
+    ["sweep", "--grid", "abc", "--out", "s.csv"],
+    ["sweep", "--grid", "2", "--out", "s.csv"],
+    ["case-study", "--drivers", ",", "--epsilons", "0.5", "--out", "c.csv"],
+    ["case-study", "--drivers", "driver-0", "--epsilons", "2", "--out", "c.csv"],
+    ["recommend", "--model", "x.ckpt", "--driver", "driver-0", "--at", "nope"],
+], ids=["eval-k-0", "sweep-grid-abc", "sweep-grid-2", "case-study-no-driver", "case-study-epsilon-2",
+        "recommend-at-nope"])
+def test_flags_that_need_no_data_are_checked_before_the_bundle_loads(synth, capsys, monkeypatch, argv):
+    """These flags were checked only after the bundle (and the forecaster)
+    loaded, so a typo cost a load that grows with the city. The forecaster
+    here does not exist, so its load would be an I/O error (exit 3)."""
+    tmp_path, config = synth
+
+    def load(*args):
+        raise AssertionError("the bundle was loaded")
+
+    monkeypatch.setattr("evrac.cli.load_data_bundle", load)
+    paths = [str(tmp_path / v) if v.endswith((".ckpt", ".csv")) else v for v in argv]
+    assert main([*paths, "--config", str(config), "--reward", str(tmp_path / "missing.ckpt")]) == 2
+    _assert_one_json_error(capsys, "UsageError")
+    assert not any(tmp_path.glob("[sc].csv"))
+
+
 def _rac_checkpoint(config, path, num_stations, obs_dim_offset=0):
     """A RAC checkpoint for `num_stations` stations, with the synth city's
     observation width plus `obs_dim_offset`."""
@@ -739,6 +764,17 @@ def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--instances", "1", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 6
+
+
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_gradcheck_needs_an_instance(capsys, instances):
+    """With no instance gradcheck checked nothing, yet printed PASS for every
+    path and exited 0."""
+    assert main(["gradcheck", "--instances", instances]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "UsageError" and "instances" in error["message"]
 
 
 # ---------------------------------------------------------------------------

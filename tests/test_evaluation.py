@@ -24,7 +24,7 @@ from evrac import evaluation as ev
 from evrac import reward as rw
 from evrac.agent import ObservationSpace, RacHyper, RacModel, RacRecommender
 from evrac.baselines import FpmcHyper, FpmcRecommender, MarkovRecommender, PopularityRecommender, rank_rows
-from evrac.dataset import EventColumns, build_trajectories
+from evrac.dataset import EventColumns, build_trajectories, chronological_split
 from evrac.errors import UsageError
 from evrac.seeding import rng_for
 
@@ -244,23 +244,20 @@ def test_report_writers(tmp_path):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_cut_points_match_dict_lookup(data):
-    """`cut_points` gives the cuts of the per-call dict lookup, in the order
-    given, for split segments and for any other subset in any order
-    (repeats included); an event of another driver is a KeyError in both."""
-    n = data.draw(st.integers(1, 30), label="n")
-    events = [make_event(f"e{(7 * i) % 31:02d}", "d", f"cs{i % 3}", T0 + timedelta(hours=3 * i)) for i in range(n)]
-    traj = build_trajectories(columns_of(events + pattern_events("other", ["cs0"], 2)))["d"]
-    if data.draw(st.booleans(), label="segment"):
-        lo = data.draw(st.integers(0, n), label="lo")
-        subset = traj.events[lo : data.draw(st.integers(lo, n), label="hi")]
-    else:
-        subset = traj.events.take(np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=12)), dtype=np.intp))
-    assert ev.cut_points(traj, subset) == oracles.cut_points(traj, subset)
-    stranger = pattern_events("other", ["cs0"], 1)
-    for lookup in (ev.cut_points, oracles.cut_points):
-        with pytest.raises(KeyError):
-            lookup(traj, columns_of(list(subset) + stranger))
+def test_split_cuts_match_dict_lookup(data):
+    """`val_cuts` and `test_cuts` of every `chronological_split` are the
+    trajectory positions of the validation and test events, as the per-call
+    dict lookup over event ids finds them (`oracles.cut_points`): starts
+    tie, event ids do not follow time order, and another driver's events
+    share the table."""
+    n = data.draw(st.integers(3, 60), label="n")
+    hours = data.draw(st.lists(st.integers(0, 2 * n), min_size=n, max_size=n), label="hours")
+    events = [make_event(f"e{(7 * i) % 61:02d}", "d", f"cs{i % 3}", T0 + timedelta(hours=h))
+              for i, h in enumerate(hours)]
+    traj = build_trajectories(columns_of(pattern_events("other", ["cs0"], 2) + events))["d"]
+    split = chronological_split(traj)
+    assert list(split.val_cuts) == oracles.cut_points(traj, split.val)
+    assert list(split.test_cuts) == oracles.cut_points(traj, split.test)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +303,7 @@ def chunked_city():
                               T0 + timedelta(hours=int(h)), duration=float(rng.uniform(1.0, 60.0)))
                    for i, h in enumerate(hours)]
     trajectories, splits, _ = split_population(events)
-    assert sum(len(ev.cut_points(trajectories[d], s.test)) for d, s in splits.items()) > rw.CHUNK_ROWS
+    assert sum(len(s.test_cuts) for s in splits.values()) > rw.CHUNK_ROWS
     space = ObservationSpace(index, 60.0, 10.0, 3)
     hyper = RacHyper(hidden=10, embed=8, critic_hidden=8, history=3, seed=4)
     train = {d: s.train for d, s in splits.items()}
@@ -368,7 +365,7 @@ def test_one_pass_rac_probabilities_match_per_driver_rows(chunked_city):
     """The chunked forward over every driver's cuts gives each driver's rows
     within 1e-15 of a forward over that driver alone."""
     trajectories, splits, recommenders, _, _ = chunked_city
-    requests = [(d, trajectories[d].events, ev.cut_points(trajectories[d], s.test)) for d, s in sorted(splits.items())]
+    requests = [(d, trajectories[d].events, s.test_cuts) for d, s in sorted(splits.items())]
     rac = recommenders["rac"]
     got = rac.probabilities(requests)
     want = np.concatenate([rac.probabilities([request]) for request in requests])

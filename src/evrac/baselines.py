@@ -161,28 +161,40 @@ class FpmcRecommender(_GatheredRows):
         # them with one scatter. The rows of one step are distinct (pos != neg).
         params = np.concatenate((ui, li, iu, il))
         at_iu, at_il = d + m, d + 2 * m
-        rows_of = np.array([(u, d + last, at_iu + pos, at_il + pos, pos) for u, last, pos in samples])
+        rows_of = np.array([(u, d + last, at_iu + pos, at_il + pos, pos) for u, last, pos in samples], dtype=np.intp)
         sign = np.array([[1.0], [1.0], [1.0], [1.0], [-1.0], [-1.0]])
+        # Row k of V is the gradient direction of row k of R, before the sign:
+        # IU_pos - IU_neg, IL_pos - IL_neg, UI, LI, UI, LI.
+        directions = np.array([2, 3, 0, 1, 0, 1], dtype=np.intp)
+        lr, reg = h.lr, h.reg
 
         neg_rng = rng_for(h.seed, "fpmc-negatives")
         order_rng = rng_for(h.seed, "fpmc-order")
         for _ in range(h.epochs):
-            order = order_rng.permutation(len(samples))
+            picked = rows_of[order_rng.permutation(len(samples))]
             # One draw per epoch is the stream of len(samples) * negatives
             # scalar draws, in the same order (a property of numpy's PCG64
             # bounded integers; tests/test_baselines.py checks it).
-            negatives = neg_rng.integers(0, m, size=(len(samples), h.negatives)).tolist()
-            for (u, li_last, iu_pos, il_pos, pos), negs in zip(rows_of[order].tolist(), negatives):
-                for neg in negs:
-                    if neg == pos:
-                        continue
-                    rows = [u, li_last, iu_pos, il_pos, at_iu + neg, at_il + neg]
-                    R = params[rows]
-                    # V: the gradient direction of each row, before the sign.
-                    V = np.concatenate((R[2:4] - R[4:6], R[:2], R[:2]))
-                    x = R[0] @ V[0] + R[1] @ V[1]
-                    g = sigmoid(-x)
-                    params[rows] = R + h.lr * ((g * sign) * V - h.reg * R)
+            negatives = neg_rng.integers(0, m, size=(len(samples), h.negatives))
+            # The epoch's steps, transition by transition and then negative by
+            # negative, as rows [UI_u, LI_last, IU_pos, IL_pos, IU_neg, IL_neg];
+            # a negative equal to its positive makes no step.
+            steps = np.empty((len(samples), h.negatives, 6), dtype=np.intp)
+            steps[:, :, :4] = picked[:, None, :4]
+            steps[:, :, 4:] = negatives[:, :, None] + (at_iu, at_il)
+            table = steps[negatives != picked[:, 4:]]
+            for rows in table:
+                R = params.take(rows, axis=0)
+                V = R.take(directions, axis=0)
+                V[:2] -= R[4:6]
+                x = np.dot(R[0], V[0]) + np.dot(R[1], V[1])
+                g = sigmoid(-x)
+                # R + lr * ((g * sign) * V - reg * R), computed in V.
+                V *= sign * g
+                V -= reg * R
+                V *= lr
+                V += R
+                params[rows] = V
         self.UI, self.LI, self.IU, self.IL = (block.copy() for block in np.split(params, [d, d + m, at_il]))
         return self
 

@@ -132,7 +132,8 @@ def _is_manifest_entry(entry) -> bool:
 # Rules for meta values: (predicate, what the value must be).
 _POSITIVE = (lambda v: _is_count(v) and v > 0, "a positive integer")
 _COUNT = (_is_count, "a non-negative integer")
-_NAMES = (lambda v: isinstance(v, list) and v and all(isinstance(x, str) for x in v), "a non-empty list of strings")
+_NAMES = (lambda v: isinstance(v, list) and v and all(isinstance(x, str) for x in v) and len(set(v)) == len(v),
+          "a non-empty list of distinct strings")
 _SMOOTHING = (lambda v: type(v) in (int, float) and math.isfinite(v) and v >= 0, "a finite number >= 0")
 
 

@@ -244,6 +244,11 @@ def cmd_train_rac(args: argparse.Namespace) -> int:
 
 
 def cmd_train_baseline(args: argparse.Namespace) -> int:
+    # No baseline reads these; a checkpoint's meta.config would record them
+    # as if its fit had. --seed (FPMC's seed) and --warmup (the splits) stay.
+    for flag in ("epochs", "epsilon", "jobs"):
+        if getattr(args, flag) is not None:
+            raise UsageError(f"--{flag} is not used by train-baseline: no baseline reads it")
     config = _build_config(args)
     bundle = load_data_bundle(config)
     model = train_baseline_model(bundle, args.model)

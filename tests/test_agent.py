@@ -1061,6 +1061,35 @@ def test_per_driver_probabilities_match_one_recommender_per_driver(data):
     assert got.tobytes() == want.tobytes()
 
 
+class _PolicySpy:
+    """A `RacModel` stand-in that records the row count of each `policy` call."""
+
+    def __init__(self, model):
+        self.model, self.num_stations, self.rows = model, model.num_stations, []
+
+    def policy(self, windows):
+        self.rows.append(len(windows))
+        return self.model.policy(windows)
+
+
+def test_policy_pieces_have_inference_rows():
+    """Pieces of `INFERENCE_ROWS` rows: a map recommender cuts them within
+    each request, the shared model alone over the whole call. Tiny models
+    can give the same bits at other pass lengths, so the row counts, not
+    the rows, pin the piece edges."""
+    space = _obs_space(3, history=2)
+    rng = np.random.default_rng(5)
+    requests = [(d, columns_of(_random_events(rng, d, ["cs0", "cs1", "cs2"], 8)), cuts)
+                for d, cuts in (("A", range(1, 8)), ("B", [1, 2]))]
+    model = agent.RacModel(space.obs_dim, 3, _small_hyper(history=2))
+    shared, a, b = _PolicySpy(model), _PolicySpy(model), _PolicySpy(model)
+    with patch.object(agent, "INFERENCE_ROWS", 3):
+        agent.RacRecommender(shared, space, {"A": a, "B": b}).probabilities(requests)
+        assert (shared.rows, a.rows, b.rows) == ([], [3, 3, 1], [2])
+        agent.RacRecommender(shared, space).probabilities(requests)
+        assert shared.rows == [3, 3, 3]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_per_driver_evaluation_matches_reference(data):

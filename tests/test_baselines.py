@@ -306,6 +306,21 @@ def test_fpmc_block_fit_has_the_bits_of_the_scalar_loop(case):
         assert got.tobytes() == want.tobytes(), name
 
 
+def test_fpmc_fit_of_a_realistic_city_has_the_bits_of_the_scalar_loop():
+    """The hypothesis cases reach 4 drivers of 8 events; here 30 drivers of
+    40 events over 5 stations, at the default factors and negatives."""
+    rng = np.random.default_rng(31)
+    stations = [f"cs{i}" for i in range(5)]
+    train = {f"d{d:02d}": _events_from_sequence(f"d{d:02d}", [stations[i] for i in rng.integers(0, 5, 40)])
+             for d in range(30)}
+    hyper = FpmcHyper(factors=16, negatives=4, epochs=2, seed=7)
+    fitted = FpmcRecommender(stations, hyper).fit(train)
+    reference = _ScalarFpmc(stations, hyper).fit(train)
+    assert fitted.driver_index == reference.driver_index
+    for name in ("UI", "IU", "LI", "IL"):
+        assert getattr(fitted, name).tobytes() == getattr(reference, name).tobytes(), name
+
+
 @pytest.mark.parametrize("m", [1, 2, 5, 7, 50, 1000])
 def test_epoch_negatives_draw_is_the_scalar_stream(m):
     """One `integers(0, m, size=(n, k))` call per epoch gives the values, and

@@ -250,6 +250,17 @@ def test_fpmc_factors_must_match_arrays(tmp_path, factors):
         ckpt.load_baseline(path)
 
 
+@pytest.mark.parametrize("field, names", [("drivers", ["d1", "d1"]), ("stations", ["cs0", "cs0"])])
+def test_fpmc_names_must_be_distinct(tmp_path, field, names):
+    """A repeated driver loaded before: `driver_index` kept its last row and
+    `UI` row 0 was never read. A repeated station passed too, and only the
+    CLI's city check caught it."""
+    path = tmp_path / "fpmc.ckpt"
+    path.write_bytes(_edited(_saved_baseline(path, "fpmc"), _set("meta", field, names)))
+    with pytest.raises(DataFormatError, match=f"meta '{field}' must be a non-empty list of distinct strings"):
+        ckpt.load_baseline(path)
+
+
 @pytest.mark.parametrize("kind", ["rac", "mc", "fpmc", "popularity"])
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())

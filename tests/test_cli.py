@@ -379,6 +379,23 @@ def test_recommend_fpmc_checkpoint_and_k_bounds(synth, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, value", [("--epochs", "1"), ("--epsilon", "0.5"), ("--jobs", "2")])
+def test_train_baseline_refuses_flags_no_baseline_reads(synth, capsys, monkeypatch, flag, value):
+    """`--epochs 1` ran FPMC's full 200-epoch fit and wrote `epochs = 1`
+    into the checkpoint's meta.config. Each flag is refused before the
+    bundle loads, and nothing is written."""
+    tmp_path, config = synth
+
+    def load(*args):
+        raise AssertionError("the bundle was loaded")
+
+    monkeypatch.setattr("evrac.cli.load_data_bundle", load)
+    ckpt = tmp_path / "fpmc.ckpt"
+    assert main(["train-baseline", "--config", str(config), "--model", "fpmc", "--out", str(ckpt), flag, value]) == 2
+    assert flag in _assert_one_json_error(capsys, "UsageError")["message"]
+    assert not ckpt.exists()
+
+
 def test_recommend_prints_reward_flags(synth, capsys):
     """Each item carries its pricing's fallback and clamp flags as JSON
     booleans: without a forecaster every wait is the mean-wait fallback."""
